@@ -4,10 +4,14 @@ Given an ordered operator sequence, the quality curve ``BLEU(k)`` for
 ``k = 0..N`` is evaluated through an incremental :class:`QualityCurve`:
 prefix ``k`` is built by applying *one* operator to prefix ``k-1``
 (O(N) total op applications, versus O(N²) when every prefix replays
-from scratch), and every depth is scored once against a precompiled
-reference (:mod:`repro.metrics.compiled`) and memoized.  The k with
-minimum ``|BLEU(k) − target|`` is selected by a straight scan rather
-than bisection because the curve is only *approximately* monotone —
+from scratch), and every depth is scored once and memoized.  Depths are
+scored in chunked groups through the batched vectorized BLEU kernel
+(:func:`repro.metrics.kernels.bleu_kernel_batch`) against a precompiled
+reference (:mod:`repro.metrics.compiled`); each element is bit-equal to
+:func:`~repro.metrics.compiled.bleu_compiled`, so the chosen depths are
+exactly those of a per-depth scalar scan.  The k with minimum
+``|BLEU(k) − target|`` is selected by a straight scan rather than
+bisection because the curve is only *approximately* monotone —
 individual operators vary in impact.
 
 Results are cached per (reference, ops identity, target) by the caller;
@@ -21,7 +25,14 @@ from dataclasses import dataclass
 
 from repro.errors import CalibrationError
 from repro.llm.corruption import CorruptionOp, apply_ops  # noqa: F401 (re-export)
-from repro.metrics.compiled import CompiledReference, bleu_compiled, compile_reference
+from repro.metrics.compiled import CompiledReference, compile_reference
+from repro.metrics.compiled import bleu_compiled  # noqa: F401 (re-export)
+from repro.metrics.kernels import bleu_kernel_batch
+
+# depths per bleu_kernel_batch call: enough to amortize numpy's per-call
+# overhead, few enough that a whole curve's concatenated id/code arrays
+# never sit in memory at once
+_SCORE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,13 @@ class QualityCurve:
     scan (the ``local_recalibrate`` fallback) therefore never re-applies
     an operator or re-scores a depth.  Corruption operators never mutate
     their input line lists, so prefix states can be retained safely.
+
+    Every range query (:meth:`scores`, :meth:`best`, the fallback scan)
+    scores its unscored depths in groups of ``_SCORE_CHUNK`` with one
+    :func:`~repro.metrics.kernels.bleu_kernel_batch` call per group —
+    bit-equal to a per-depth :func:`bleu_compiled`, at a fraction of the
+    per-hypothesis overhead.  ``scores_computed`` counts exactly the
+    depths scored, however they were grouped.
     """
 
     __slots__ = ("reference", "ops", "compiled", "_states", "_texts", "_scores",
@@ -89,17 +107,27 @@ class QualityCurve:
                 text = self._texts[k] = "\n".join(self._states[k])
         return text
 
+    def _score_range(self, lo: int, hi: int) -> None:
+        """Score every unscored depth in ``[lo, hi]``, a chunk per kernel call."""
+        missing = [k for k in range(lo, hi + 1) if k not in self._scores]
+        for start in range(0, len(missing), _SCORE_CHUNK):
+            chunk = missing[start : start + _SCORE_CHUNK]
+            scores = bleu_kernel_batch([self.text(k) for k in chunk], self.compiled)
+            self._scores.update(zip(chunk, scores))
+            self.scores_computed += len(chunk)
+
     def score(self, k: int) -> float:
         """Memoized ``BLEU(text(k), reference)``."""
         score = self._scores.get(k)
         if score is None:
-            score = self._scores[k] = bleu_compiled(self.text(k), self.compiled)
-            self.scores_computed += 1
+            self._score_range(k, k)
+            score = self._scores[k]
         return score
 
     def scores(self) -> list[float]:
         """The full curve, depths 0..len(ops)."""
-        return [self.score(k) for k in range(len(self))]
+        self._score_range(0, len(self.ops))
+        return [self._scores[k] for k in range(len(self))]
 
     def compact(self, keep: tuple[int, ...] = ()) -> None:
         """Release retained prefix states and texts, keeping only ``keep``.
@@ -122,9 +150,10 @@ class QualityCurve:
         straight-scan behaviour.
         """
         hi = len(self.ops) if hi is None else min(hi, len(self.ops))
+        self._score_range(lo, hi)
         best_k, best_err = lo, float("inf")
         for k in range(lo, hi + 1):
-            err = abs(self.score(k) - target)
+            err = abs(self._scores[k] - target)
             if err < best_err:
                 best_k, best_err = k, err
         return best_k, best_err
@@ -164,8 +193,8 @@ def local_recalibrate(
     if best_err > 6.0:
         # the shuffle moved the target region outside the window (small op
         # sets shift a lot); fall back to a full scan of this epoch's curve
-        for k in range(len(curve)):
-            err = abs(curve.score(k) - target_bleu)
+        for k, score in enumerate(curve.scores()):
+            err = abs(score - target_bleu)
             if err < best_err:
                 best_k, best_err = k, err
     return best_k

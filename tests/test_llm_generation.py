@@ -8,15 +8,18 @@ from repro.core.assets import annotated_producer, reference_config
 from repro.errors import CalibrationError
 from repro.llm import GenerateConfig, get_model
 from repro.llm.calibration import (
+    _SCORE_CHUNK,
     QualityCurve,
     calibrate,
     local_recalibrate,
     quality_curve,
 )
-from repro.llm.corruption import apply_ops, build_ops, shuffle_within_bands
+from repro.llm.corruption import CorruptionOp, apply_ops, build_ops, shuffle_within_bands
 from repro.llm.knowledge import SystemKnowledge
 from repro.llm.profiles import ALL_PROFILES
 from repro.metrics import bleu
+from repro.metrics.compiled import bleu_compiled
+from repro.metrics.kernels import _token_kernel
 from repro.utils.rng import rng_for
 from repro.utils.text import strip_markdown_chatter
 
@@ -161,6 +164,55 @@ class TestQualityCurve:
         # a second search over the same window re-scores nothing
         assert local_recalibrate(REF, ops, 70.0, center=10, curve=curve) == k
         assert curve.scores_computed == computed
+
+    def test_batched_scores_equal_per_depth_compiled(self):
+        ops = self._ops()
+        assert len(ops) + 1 > 2 * _SCORE_CHUNK  # several chunks, one partial
+        curve = QualityCurve(REF, ops)
+        expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
+        assert curve.scores() == expected
+
+    def test_batched_scores_equal_per_depth_compiled_without_kernels(self, monkeypatch):
+        monkeypatch.setenv("REPRO_METRIC_KERNELS", "0")
+        ops = self._ops()
+        curve = QualityCurve(REF, ops)
+        expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
+        assert curve.scores() == expected
+
+    def test_batched_scores_equal_per_depth_compiled_on_code_overflow(self):
+        # ~47k distinct tokens: base**4 >= 2**62, so no packed-code kernel
+        # exists and the batch falls back to the compiled path
+        reference = "\n".join(
+            " ".join(f"w{line}x{i}" for i in range(470)) for line in range(100)
+        )
+        ops = [
+            CorruptionOp("drop", 1, f"drop line {j}", lambda lines: lines[1:])
+            for j in range(5)
+        ]
+        curve = QualityCurve(reference, ops)
+        assert _token_kernel(curve.compiled, 4) is None
+        expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
+        assert curve.scores() == expected
+
+    def test_scores_computed_counts_exactly_the_depths_scored(self):
+        ops = self._ops()
+        center, window = 10, 8
+        lo, hi = center - window, center + window
+        # target inside the window: no fallback, exactly the window is scored
+        near = QualityCurve(REF, ops)
+        local_recalibrate(REF, ops, 70.0, center=center, window=window, curve=near)
+        assert near.scores_computed == hi - lo + 1
+        # target far below the window: the fallback adds exactly the rest
+        far = QualityCurve(REF, ops)
+        _, err = far.best(0.0, lo, hi)
+        assert err > 6.0 and far.scores_computed == hi - lo + 1
+        local_recalibrate(REF, ops, 0.0, center=center, window=window, curve=far)
+        assert far.scores_computed == len(far)
+        # repeating either search scores nothing
+        local_recalibrate(REF, ops, 70.0, center=center, window=window, curve=near)
+        local_recalibrate(REF, ops, 0.0, center=center, window=window, curve=far)
+        assert near.scores_computed == hi - lo + 1
+        assert far.scores_computed == len(far)
 
 
 class TestCalibration:
