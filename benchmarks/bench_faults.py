@@ -38,6 +38,7 @@ from repro.runtime import (
     AsyncExecutor,
     FaultPolicy,
     RetryPolicy,
+    RunConfig,
     SerialExecutor,
     ThreadedExecutor,
 )
@@ -75,7 +76,8 @@ ARMED = FaultPolicy(
 
 def _timed_sweep(make_executor, faults=None) -> float:
     started = time.perf_counter()
-    run_configuration(**SWEEP, executor=make_executor(), faults=faults)
+    config = RunConfig(executor=make_executor(), faults=faults)
+    run_configuration(**SWEEP, config=config)
     return time.perf_counter() - started
 
 
@@ -110,7 +112,8 @@ def _bench_fault_rates(name: str, make_executor) -> dict:
             with faulty_models(SIM_MODELS, plan) as wrapped:
                 started = time.perf_counter()
                 grids[rate] = run_configuration(
-                    **SWEEP, executor=make_executor(), faults=HEALING,
+                    **SWEEP,
+                    config=RunConfig(executor=make_executor(), faults=HEALING),
                 )
                 best_s = min(best_s, time.perf_counter() - started)
                 injected = sum(p.injected_total for p in wrapped.values())

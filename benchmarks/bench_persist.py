@@ -44,6 +44,7 @@ import time
 from repro.core.experiments import run_configuration
 from repro.llm.types import ModelUsage
 from repro.persist import RunStore
+from repro.runtime import RunConfig
 from repro.runtime.units import Generation
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -181,12 +182,14 @@ def _bench_mmap_read(root: pathlib.Path) -> dict:
 def _bench_sweep(root: pathlib.Path) -> dict:
     started = time.perf_counter()
     with RunStore(root) as store:
-        run_configuration(**SWEEP, store=store)
+        config = RunConfig(store=store)
+        run_configuration(**SWEEP, config=config)
     cold_s = time.perf_counter() - started
 
     started = time.perf_counter()
     with RunStore(root) as store:
-        run_configuration(**SWEEP, store=store)
+        config = RunConfig(store=store)
+        run_configuration(**SWEEP, config=config)
         manifest = store.latest_manifest()
     warm_s = time.perf_counter() - started
     assert manifest.stats.generated == 0, "warm store pass must not generate"

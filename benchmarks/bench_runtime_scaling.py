@@ -65,6 +65,7 @@ from repro.runtime import (
     InMemoryResultCache,
     MpiShardExecutor,
     Plan,
+    RunConfig,
     ScoringPool,
     SerialExecutor,
     ThreadedExecutor,
@@ -219,7 +220,8 @@ def _sweep_plan(namespace: str, models=MODELS) -> Plan:
 def _timed(namespace: str, executor, cache=None, scheduler=None, models=MODELS):
     plan = _sweep_plan(namespace, models=models)
     started = time.perf_counter()
-    outcome = run(plan, executor=executor, cache=cache, scheduler=scheduler)
+    config = RunConfig(executor=executor, cache=cache, scheduler=scheduler)
+    outcome = run(plan, config=config)
     return time.perf_counter() - started, outcome
 
 
@@ -328,7 +330,10 @@ def bench_runtime_scaling(report):
     with ScoringPool(max_workers=SCORE_WORKERS) as scoring_pool:
         scoring_pool.warm()  # pay process start-up outside the timing
         started = time.perf_counter()
-        pipelined_outcome = run(_score_heavy_plan("pipelined"), scoring=scoring_pool)
+        pipelined_outcome = run(
+            _score_heavy_plan("pipelined"),
+            config=RunConfig(scoring=scoring_pool),
+        )
         scoring_pipelined_s = time.perf_counter() - started
     assert serial_outcome.stats.scores_computed == units
     assert pipelined_outcome.stats.scores_computed == units

@@ -15,14 +15,15 @@ from __future__ import annotations
 from repro.core.experiments import run_annotation, run_configuration
 from repro.data import TABLE2
 from repro.reporting import compare_with_paper, render_grid_table
-from repro.runtime import ThreadedExecutor
+from repro.runtime import RunConfig, ThreadedExecutor
 
 EPOCHS = 5
 
 
 def bench_table2_annotation(benchmark, report):
+    config = RunConfig(executor=ThreadedExecutor(8))
     grid = benchmark.pedantic(
-        lambda: run_annotation(epochs=EPOCHS, executor=ThreadedExecutor(8)),
+        lambda: run_annotation(epochs=EPOCHS, config=config),
         rounds=1, iterations=1,
     )
 

@@ -50,7 +50,7 @@ reports ``units_failed`` before → after.
 
 Usage:  python examples/reproduce_tables.py [--fast]
             [--executor {serial,threads,mpi,async,batched}] [--workers N]
-            [--scheduler {plan,adaptive}] [--cache {memory,fs,disk}]
+            [--scheduler {plan,adaptive}] [--cache {memory,disk}]
             [--store PATH_OR_URL] [--score-workers N|auto]
             [--on-failure {raise,isolate,skip}] [--max-attempts N]
             [--retry-budget N] [--unit-deadline SECONDS]
@@ -88,7 +88,6 @@ from repro.runtime import (
     AdaptiveScheduler,
     AsyncExecutor,
     BatchingExecutor,
-    FilesystemResultCache,
     InMemoryResultCache,
     MpiShardExecutor,
     SerialExecutor,
@@ -102,7 +101,7 @@ class UsageError(Exception):
 
 EXECUTORS = ("serial", "threads", "mpi", "async", "batched")
 SCHEDULERS = ("plan", "adaptive")
-CACHES = ("memory", "fs", "disk")
+CACHES = ("memory", "disk")
 
 
 def make_executor(name: str, workers: int):
@@ -183,8 +182,6 @@ def make_faults(args):
 def make_cache(name: str, store):
     if name == "memory":
         return InMemoryResultCache()
-    if name == "fs":
-        return FilesystemResultCache()
     if name == "disk":
         if store is None:
             raise UsageError("--cache disk requires --store PATH_OR_URL")

@@ -54,12 +54,6 @@ def run_annotation(
     epochs: int = DEFAULT_EPOCHS,
     variant: str = "original",
     config=None,
-    executor=None,
-    cache=None,
-    scheduler=None,
-    store=None,
-    scoring=None,
-    faults=None,
 ) -> ExperimentGrid:
     """Sweep models × systems; returns the Table 2 grid."""
     return run_grid_sweep(
@@ -69,10 +63,4 @@ def run_annotation(
         lambda system: annotation_task(system, variant=variant),
         epochs=epochs,
         config=config,
-        executor=executor,
-        cache=cache,
-        scheduler=scheduler,
-        store=store,
-        scoring=scoring,
-        faults=faults,
     )

@@ -112,12 +112,6 @@ def run_grid_sweep(
     *,
     epochs: int,
     config=None,
-    executor=None,
-    cache=None,
-    scheduler=None,
-    store=None,
-    scoring=None,
-    faults=None,
 ) -> ExperimentGrid:
     """Plan and run a rows × models sweep through the runtime.
 
@@ -125,10 +119,8 @@ def run_grid_sweep(
     :class:`~repro.runtime.plan.Plan` over all cells (so a parallel
     executor sees the whole sweep at once), one run, one grid.
     ``config`` is a :class:`~repro.runtime.config.RunConfig` carrying
-    every runtime knob at once (the documented path); the individual
-    keyword knobs remain as a deprecation shim and merge into it.
-    ``store`` makes the sweep durable and resumable (see
-    :mod:`repro.persist`); ``faults`` installs a
+    every runtime knob.  Its ``store`` makes the sweep durable and
+    resumable (see :mod:`repro.persist`); its ``faults`` installs a
     :class:`~repro.runtime.faults.FaultPolicy` — with an isolating
     policy, cells whose units were quarantined are simply absent from
     the grid (``grid.cell`` raises for them) until a resumed run heals
@@ -144,8 +136,7 @@ def run_grid_sweep(
         task = task_for_row(row)
         for model in models:
             specs[(row, model)] = plan.add_eval(task, f"sim/{model}", epochs=epochs)
-    outcome = run(plan, config=config, executor=executor, cache=cache,
-                  scheduler=scheduler, store=store, scoring=scoring, faults=faults)
+    outcome = run(plan, config=config)
     grid = ExperimentGrid(name=name, row_keys=list(rows), models=list(models))
     for (row, model), spec in specs.items():
         try:

@@ -64,12 +64,6 @@ def run_configuration(
     variant: str = "original",
     fewshot: bool = False,
     config=None,
-    executor=None,
-    cache=None,
-    scheduler=None,
-    store=None,
-    scoring=None,
-    faults=None,
 ) -> ExperimentGrid:
     """Sweep models × systems; returns the Table 1 grid."""
     return run_grid_sweep(
@@ -79,10 +73,4 @@ def run_configuration(
         lambda system: configuration_task(system, variant=variant, fewshot=fewshot),
         epochs=epochs,
         config=config,
-        executor=executor,
-        cache=cache,
-        scheduler=scheduler,
-        store=store,
-        scoring=scoring,
-        faults=faults,
     )

@@ -48,12 +48,6 @@ def run_fewshot(
     *,
     epochs: int = DEFAULT_EPOCHS,
     config=None,
-    executor=None,
-    cache=None,
-    scheduler=None,
-    store=None,
-    scoring=None,
-    faults=None,
 ) -> FewshotComparison:
     """Run both shot modes and average over the configuration systems."""
     plan = Plan("fewshot")
@@ -65,9 +59,7 @@ def run_fewshot(
                 specs[(fewshot, system, model)] = plan.add_eval(
                     task, f"sim/{model}", epochs=epochs
                 )
-    outcome = run(plan, config=config, executor=executor, cache=cache,
-                  scheduler=scheduler, store=store, scoring=scoring,
-                  faults=faults)
+    outcome = run(plan, config=config)
 
     def averaged(fewshot: bool) -> dict[str, CellResult]:
         out: dict[str, CellResult] = {}

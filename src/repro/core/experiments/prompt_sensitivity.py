@@ -47,12 +47,6 @@ def run_prompt_sensitivity(
     conditions: Sequence[Hashable] | None = None,
     epochs: int = 1,
     config=None,
-    executor=None,
-    cache=None,
-    scheduler=None,
-    store=None,
-    scoring=None,
-    faults=None,
 ) -> dict[Hashable, dict[str, dict[str, float]]]:
     """Sweep conditions × variants × models.
 
@@ -69,9 +63,7 @@ def run_prompt_sensitivity(
                 specs[(condition, variant, model)] = plan.add_eval(
                     task, f"sim/{model}", epochs=epochs
                 )
-    outcome = run(plan, config=config, executor=executor, cache=cache,
-                  scheduler=scheduler, store=store, scoring=scoring,
-                  faults=faults)
+    outcome = run(plan, config=config)
     out: dict[Hashable, dict[str, dict[str, float]]] = {}
     for condition in conditions:
         out[condition] = {

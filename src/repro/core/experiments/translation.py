@@ -55,12 +55,6 @@ def run_translation(
     epochs: int = DEFAULT_EPOCHS,
     variant: str = "original",
     config=None,
-    executor=None,
-    cache=None,
-    scheduler=None,
-    store=None,
-    scoring=None,
-    faults=None,
 ) -> ExperimentGrid:
     """Sweep models × directions; returns the Table 3 grid."""
     return run_grid_sweep(
@@ -70,10 +64,4 @@ def run_translation(
         lambda direction: translation_task(*direction, variant=variant),
         epochs=epochs,
         config=config,
-        executor=executor,
-        cache=cache,
-        scheduler=scheduler,
-        store=store,
-        scoring=scoring,
-        faults=faults,
     )

@@ -86,30 +86,17 @@ def evaluate(
     epochs: int = DEFAULT_EPOCHS,
     config: GenerateConfig | None = None,
     run_config=None,
-    executor=None,
-    cache=None,
-    scheduler=None,
-    store=None,
-    scoring=None,
-    faults=None,
 ) -> EvalResult:
     """Run ``task`` against ``model`` for ``epochs`` repeated trials.
 
     ``run_config`` is a :class:`~repro.runtime.config.RunConfig` bundling
-    every runtime knob (the documented path; named to avoid colliding
-    with ``config``, the per-call :class:`GenerateConfig`).  The
-    individual knobs — ``executor`` (execution backend), ``cache``
-    (result cache), ``scheduler`` (dispatch order), ``store`` (durable
-    :class:`~repro.persist.RunStore`), ``scoring``, ``faults`` — remain
-    as a deprecation shim and merge into the config; see
-    :mod:`repro.runtime` and :mod:`repro.persist`.
+    every runtime knob (named to avoid colliding with ``config``, the
+    per-call :class:`GenerateConfig`); see :mod:`repro.runtime` and
+    :mod:`repro.persist`.
     """
     # imported here: repro.runtime builds on this module's data types
     from repro.runtime import Plan, run
 
     plan = Plan(f"evaluate/{task.name}")
     spec = plan.add_eval(task, model, epochs=epochs, config=config)
-    return run(
-        plan, config=run_config, executor=executor, cache=cache,
-        scheduler=scheduler, store=store, scoring=scoring, faults=faults,
-    ).eval_result(spec)
+    return run(plan, config=run_config).eval_result(spec)

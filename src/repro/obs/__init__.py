@@ -1,8 +1,6 @@
 """Observability: phase profiles, distributed traces, metrics, trends.
 
-The telemetry layer of the runtime, grown out of the PR-5 ``repro.perf``
-span profiler (which remains importable as a deprecation shim).  Four
-concerns, one ``span()``:
+The telemetry layer of the runtime.  Four concerns, one ``span()``:
 
 * **Phase profiling** (:mod:`repro.obs.spans`) — nestable wall-time
   aggregation into a :class:`PhaseProfile` breakdown tree.

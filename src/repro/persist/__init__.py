@@ -13,10 +13,12 @@ Quickstart::
 
     from repro.persist import RunStore
     from repro.core.experiments import run_configuration
+    from repro.runtime import RunConfig
 
     with RunStore("./repro-store") as store:
-        grid = run_configuration(store=store)      # cold: generates + records
-        rerun = run_configuration(store=store)     # warm: zero generations
+        config = RunConfig(store=store)
+        grid = run_configuration(config=config)    # cold: generates + records
+        rerun = run_configuration(config=config)   # warm: zero generations
         assert store.latest_manifest().stats.generated == 0
 
     # later, any process:

@@ -872,7 +872,7 @@ class RunStore:
         ``failures`` persists the run's quarantined
         :class:`~repro.runtime.faults.UnitFailure` records, so a later
         session can resume exactly the failed units.  ``resumed_from``
-        pins the predecessor explicitly (``runtime.run(resume_from=…)``);
+        pins the predecessor explicitly (``RunConfig(resume_from=…)``);
         when omitted, the latest same-fingerprint run is linked.
         ``trace``/``metrics`` attach the run's observability payloads
         (a serialized :class:`~repro.obs.Trace` and a metrics snapshot).
@@ -1106,9 +1106,9 @@ class RunStore:
 class DiskResultCache:
     """:class:`~repro.runtime.cache.ResultCache` backend over a RunStore.
 
-    The third cache backend next to ``InMemoryResultCache`` and
-    ``FilesystemResultCache`` — same protocol (``get``/``put``/
-    ``put_many``/``__len__``/``stats``), but entries survive the process
+    The durable backend next to ``InMemoryResultCache`` — same protocol
+    (``get_many``/``put_many``/``__len__``/``stats``),
+    but entries survive the process
     and are shared, under the store's file lock, with every other
     process pointed at the same directory.
     """
@@ -1124,15 +1124,6 @@ class DiskResultCache:
     def store(self) -> RunStore:
         return self._store
 
-    def get(self, key: str) -> Generation | None:
-        gen = self._store.get_generation(key)
-        with self._mu:
-            if gen is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-        return gen.as_cached() if gen is not None else None
-
     def get_many(self, keys: Sequence[str]) -> dict[str, Generation]:
         """Batched lookup: one sorted-by-offset read pass over the store."""
         found = self._store.get_generations(keys)
@@ -1140,11 +1131,6 @@ class DiskResultCache:
             self._hits += len(found)
             self._misses += len(keys) - len(found)
         return {key: gen.as_cached() for key, gen in found.items()}
-
-    def put(self, generation: Generation) -> None:
-        self._store.put_generation(generation)
-        with self._mu:
-            self._puts += 1
 
     def put_many(self, generations: Iterable[Generation]) -> None:
         batch = list(generations)

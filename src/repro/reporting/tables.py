@@ -108,22 +108,16 @@ def reproduce_table(
     *,
     epochs: int = DEFAULT_EPOCHS,
     config=None,
-    executor=None,
-    cache=None,
-    scheduler=None,
-    store=None,
-    scoring=None,
-    faults=None,
 ) -> str:
     """Run one of the paper's tables through the runtime and render it.
 
     ``which`` is one of ``table1``/``table2``/``table3``/``table5``;
     ``config`` is a :class:`~repro.runtime.config.RunConfig` bundling the
-    runtime knobs (build one with ``RunConfig.from_url(...)`` to point
-    the table at a networked store).  The individual knobs remain as a
-    deprecation shim forwarded to :func:`repro.runtime.run` via the
-    experiment runner — pass a :class:`~repro.persist.RunStore` to make
-    the table durable and resumable across processes.
+    runtime knobs, forwarded to :func:`repro.runtime.run` via the
+    experiment runner.  A config with a :class:`~repro.persist.RunStore`
+    makes the table durable and resumable across processes; build one
+    with ``RunConfig.from_url(...)`` to point the table at a networked
+    store.
     """
     try:
         runner, title = _TABLE_RUNNERS[which]
@@ -131,9 +125,7 @@ def reproduce_table(
         raise HarnessError(
             f"unknown table {which!r}; available: {sorted(_TABLE_RUNNERS)}"
         ) from None
-    result = runner(epochs=epochs, config=config, executor=executor, cache=cache,
-                    scheduler=scheduler, store=store, scoring=scoring,
-                    faults=faults)
+    result = runner(epochs=epochs, config=config)
     if isinstance(result, FewshotComparison):
         return render_fewshot_table(result, title)
     return render_grid_table(result, title)

@@ -16,23 +16,23 @@ randomness is derived from unit content, never from execution order.
 Quickstart::
 
     from repro.core.experiments import run_configuration
-    from repro.runtime import AdaptiveScheduler, AsyncExecutor, InMemoryResultCache
+    from repro.runtime import (
+        AdaptiveScheduler, AsyncExecutor, InMemoryResultCache, RunConfig,
+    )
 
-    cache = InMemoryResultCache()
-    scheduler = AdaptiveScheduler()  # learns per-model cost online
-    grid = run_configuration(
-        executor=AsyncExecutor(16), cache=cache, scheduler=scheduler
+    config = RunConfig(
+        executor=AsyncExecutor(16),
+        cache=InMemoryResultCache(),
+        scheduler=AdaptiveScheduler(),  # learns per-model cost online
     )
-    rerun = run_configuration(
-        executor=AsyncExecutor(16), cache=cache, scheduler=scheduler
-    )
+    grid = run_configuration(config=config)
+    rerun = run_configuration(config=config)
     # rerun performed zero model generations and is bit-identical
 """
 
 from repro.runtime.batching import BatchingExecutor, group_units_by_model
 from repro.runtime.config import RunConfig
 from repro.runtime.cache import (
-    FilesystemResultCache,
     InMemoryResultCache,
     ResultCache,
     ScoreCache,
@@ -106,7 +106,6 @@ __all__ = [
     "ExpectedCostModel",
     "ResultCache",
     "InMemoryResultCache",
-    "FilesystemResultCache",
     "ScoreCache",
     "ScoringPool",
     "AdaptiveScoringPool",

@@ -10,13 +10,11 @@ Three backends:
 
 * :class:`InMemoryResultCache` — a thread-safe dict, scoped to the
   process; the default choice inside one script run;
-* :class:`FilesystemResultCache` — stores each generation as one entry
-  of a :class:`repro.store.filesystem.SimFilesystem` namespace, so a
-  cache can share the simulated storage substrate with workflow runs
-  (and several experiments can share one namespace);
 * :class:`repro.persist.DiskResultCache` — the durable backend: entries
   live in an on-disk :class:`~repro.persist.RunStore` shared between
-  processes (see :mod:`repro.persist`).
+  processes (see :mod:`repro.persist`);
+* :class:`repro.serve.RemoteResultCache` — the same store reached
+  through a :class:`~repro.serve.StoreServer` (see :mod:`repro.serve`).
 
 All three expose the same introspection surface (``__len__`` and
 ``stats()``; see :class:`ResultCache`), so harness code and tests can
@@ -31,11 +29,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Iterable, Protocol, runtime_checkable
+from typing import Hashable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import HarnessError
 from repro.stats import stats_dict
-from repro.store.filesystem import SimFilesystem
 
 from repro.runtime.units import Generation
 
@@ -45,15 +42,19 @@ class ResultCache(Protocol):
     """What a cache backend must implement.
 
     The contract, shared by all three shipped backends (in-memory,
-    sim-filesystem, on-disk):
+    on-disk, remote):
 
-    * ``get(key)`` — the cached :class:`Generation` for one content key
-      (from :func:`repro.runtime.units.generation_key`), flagged via
-      :meth:`Generation.as_cached`, or ``None`` on a miss.  A ``get``
-      must never invent entries: a hit is always the exact completion
-      the model would have produced for that key.
-    * ``put(generation)`` — store one generation under its own key;
-      last-writer-wins on duplicates (all writers hold identical
+    * ``get_many(keys)`` — ``{key: Generation}`` for the present
+      subset of the content keys (from
+      :func:`repro.runtime.units.generation_key`), each flagged via
+      :meth:`Generation.as_cached`.  The runner resolves a whole plan's
+      lookups in this one batch (the disk backend sorts the reads by
+      file offset).  A lookup must never invent entries: a hit is
+      always the exact completion the model would have produced for
+      that key.
+    * ``put_many(generations)`` — store each generation under its own
+      key, in one batch (one lock acquisition / one disk append instead
+      of N); last-writer-wins on duplicates (all writers hold identical
       content for a given key, so the race is benign).
     * ``__len__()`` — number of distinct keys currently cached.
     * ``stats()`` — introspection dict in the unified ``repro.stats``
@@ -66,19 +67,16 @@ class ResultCache(Protocol):
       bytes were read; identically zero for backends with no backing
       storage), so tests and operators can ask any backend how it has
       been used.
-
-    Backends may additionally provide ``put_many(generations)`` — the
-    runner batches its post-execution writes through it when present
-    (one lock acquisition / one disk append instead of N) — and
-    ``get_many(keys)`` returning ``{key: Generation}`` for the present
-    subset, which the runner uses to resolve a whole plan's lookups in
-    one batch (the disk backend sorts the reads by file offset).
     """
 
-    def get(self, key: str) -> Generation | None:  # pragma: no cover - protocol
+    def get_many(
+        self, keys: Sequence[str]
+    ) -> dict[str, Generation]:  # pragma: no cover - protocol
         ...
 
-    def put(self, generation: Generation) -> None:  # pragma: no cover - protocol
+    def put_many(
+        self, generations: Iterable[Generation]
+    ) -> None:  # pragma: no cover - protocol
         ...
 
     def __len__(self) -> int:  # pragma: no cover - protocol
@@ -98,16 +96,7 @@ class InMemoryResultCache:
         self._misses = 0
         self._puts = 0
 
-    def get(self, key: str) -> Generation | None:
-        with self._lock:
-            gen = self._entries.get(key)
-            if gen is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-        return gen.as_cached() if gen is not None else None
-
-    def get_many(self, keys: Iterable[str]) -> dict[str, Generation]:
+    def get_many(self, keys: Sequence[str]) -> dict[str, Generation]:
         """Batched lookup: one lock acquisition for a whole plan."""
         out: dict[str, Generation] = {}
         with self._lock:
@@ -119,11 +108,6 @@ class InMemoryResultCache:
                     self._hits += 1
                     out[key] = gen
         return {key: gen.as_cached() for key, gen in out.items()}
-
-    def put(self, generation: Generation) -> None:
-        with self._lock:
-            self._entries[generation.key] = generation
-            self._puts += 1
 
     def put_many(self, generations: Iterable[Generation]) -> None:
         with self._lock:
@@ -156,75 +140,6 @@ class InMemoryResultCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"InMemoryResultCache(entries={len(self)})"
-
-
-class FilesystemResultCache:
-    """Cache backed by a simulated filesystem namespace.
-
-    Each generation is stored as one "file" under ``prefix/<key>``; the
-    namespace's own locking makes lookups and inserts atomic.  Pass a
-    private :class:`SimFilesystem` for isolation, or share one with
-    other components (the default process-wide namespace via
-    :func:`repro.store.filesystem.default_filesystem`).
-    """
-
-    def __init__(
-        self, fs: SimFilesystem | None = None, *, prefix: str = "resultcache"
-    ) -> None:
-        self._fs = fs if fs is not None else SimFilesystem()
-        self._prefix = prefix
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._puts = 0
-
-    @property
-    def fs(self) -> SimFilesystem:
-        return self._fs
-
-    def _path(self, key: str) -> str:
-        return f"{self._prefix}/{key}"
-
-    def get(self, key: str) -> Generation | None:
-        path = self._path(key)
-        if not self._fs.exists(path):
-            with self._lock:
-                self._misses += 1
-            return None
-        gen: Generation = self._fs.open(path)
-        with self._lock:
-            self._hits += 1
-        return gen.as_cached()
-
-    def put(self, generation: Generation) -> None:
-        self._fs.create(self._path(generation.key), generation)
-        with self._lock:
-            self._puts += 1
-
-    def __len__(self) -> int:
-        return sum(1 for name in self._fs if name.startswith(f"{self._prefix}/"))
-
-    def __contains__(self, key: str) -> bool:
-        return self._fs.exists(self._path(key))
-
-    def stats(self) -> dict[str, int | str]:
-        with self._lock:
-            hits, misses, puts = self._hits, self._misses, self._puts
-        return stats_dict(
-            "result_cache",
-            backend="sim-fs",
-            entries=len(self),
-            hits=hits,
-            misses=misses,
-            puts=puts,
-            # simulated filesystem: entries are held as objects, no byte I/O
-            read_lru_hits=0,
-            read_lru_misses=0,
-            bytes_read=0,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FilesystemResultCache(prefix={self._prefix!r}, entries={len(self)})"
 
 
 class ScoreCache:

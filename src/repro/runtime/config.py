@@ -1,19 +1,14 @@
 """One frozen config object for the whole runtime surface.
 
-Seven PRs grew :func:`repro.runtime.run` eight orthogonal keyword knobs
-(``executor``, ``cache``, ``score_cache``, ``scheduler``, ``store``,
-``scoring``, ``faults``, ``resume_from``); the networked store added a
-ninth (a store *URL*).  :class:`RunConfig` bundles them into one
-immutable value that travels through every entry point —
-``run(plan, config=...)``, :func:`repro.core.task.evaluate`, all five
+:class:`RunConfig` bundles every execution knob of a run (``executor``,
+``cache``, ``score_cache``, ``scheduler``, ``store``, ``scoring``,
+``faults``, ``resume_from``, plus the ``store_url`` a store was opened
+from) into one immutable value.  It is the only way to configure a run,
+and it travels through every entry point — ``run(plan, config=...)``,
+:func:`repro.core.task.evaluate` (as ``run_config=``), all five
 experiment runners, :func:`repro.reporting.reproduce_table` and
 ``examples/reproduce_tables.py`` — so a sweep's execution policy is one
 object you build once, ``replace()`` to vary, and pass everywhere.
-
-The historical keyword arguments remain as a *deprecation shim*: they
-merge into the config, and supplying the same knob both ways raises
-:class:`~repro.errors.HarnessError` (silently preferring one would make
-the other a lie).  See ``CHANGES.md`` for the removal policy.
 
 Quickstart::
 
@@ -24,7 +19,8 @@ Quickstart::
         executor=ThreadedExecutor(8),
     )
     result = run(plan, config=config)
-    rerun = run(plan, config=config.replace(executor=None))  # serial, same cache
+    serial = config.replace(executor=None)  # same store, serial execution
+    rerun = run(plan, config=serial)
 """
 
 from __future__ import annotations
@@ -41,18 +37,6 @@ if TYPE_CHECKING:  # imported for annotations only — no import cycles at runti
     from repro.runtime.faults import FaultPolicy
     from repro.runtime.schedule import Scheduler
     from repro.runtime.scoring import ScoringPool
-
-#: the knobs a config carries, in the order ``run()`` historically took them
-RUN_KNOBS = (
-    "executor",
-    "cache",
-    "score_cache",
-    "scheduler",
-    "store",
-    "scoring",
-    "faults",
-    "resume_from",
-)
 
 
 @dataclass(frozen=True)
@@ -87,48 +71,29 @@ class RunConfig:
         ``tcp://host:port``, or ``unix:///path/sock`` /
         ``repro+unix://...`` (a :class:`~repro.serve.RemoteRunStore`
         client).  The opened store is owned by the returned config's
-        caller — close it (``config.store.close()``) when done.
+        caller — close it (``config.store.close()``) when done.  The
+        knobs are checked before the store is opened, so a bad knob
+        leaves nothing open behind.
         """
         if "store" in knobs:
             raise HarnessError(
                 "RunConfig.from_url opens the store from the URL; "
                 "passing store= too is ambiguous"
             )
+        config = cls(store_url=url, **knobs)  # unknown knobs raise TypeError here
         from repro.serve import open_store  # lazy: serve builds on runtime
 
-        return cls(store=open_store(url), store_url=url, **knobs)
+        return config.replace(store=open_store(url))
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with the given fields replaced (``None`` clears a knob)."""
         return dataclasses.replace(self, **changes)
 
-    def merged_with_kwargs(self, **kwargs: Any) -> "RunConfig":
-        """Fold legacy keyword knobs into this config (the shim).
-
-        A kwarg left at ``None`` defers to the config.  A kwarg that is
-        set while the config sets the same knob raises
-        :class:`~repro.errors.HarnessError` — even when the two values
-        are equal, because "which one wins" must never be a question.
-        """
-        changes = {}
-        for name, value in kwargs.items():
-            if name not in RUN_KNOBS:
-                raise HarnessError(f"unknown run knob {name!r}")
-            if value is None:
-                continue
-            if getattr(self, name) is not None:
-                raise HarnessError(
-                    f"run knob {name!r} was supplied both on the RunConfig "
-                    f"and as a keyword argument; set it in exactly one place"
-                )
-            changes[name] = value
-        return self.replace(**changes) if changes else self
-
     def describe(self) -> str:
         """The non-default knobs, one compact line (logs, CLI banners)."""
         parts = [
-            f"{name}={getattr(self, name)!r}"
-            for name in (*RUN_KNOBS, "store_url")
-            if getattr(self, name) is not None
+            f"{field.name}={getattr(self, field.name)!r}"
+            for field in dataclasses.fields(self)
+            if getattr(self, field.name) is not None
         ]
         return f"RunConfig({', '.join(parts)})" if parts else "RunConfig(defaults)"

@@ -499,7 +499,7 @@ class FaultState:
 # A module-level global, not a threading.local: executors hand units to
 # worker threads (ThreadedExecutor), simulated MPI rank threads and
 # process-adjacent event loops, none of which inherit the installing
-# thread's locals.  Mirrors repro.perf's active-profiler pattern.  One
+# thread's locals.  Mirrors repro.obs's active-profiler pattern.  One
 # scope at a time: nested scopes raise rather than silently shadow.
 
 _active: FaultState | None = None

@@ -2,24 +2,24 @@
 
 :func:`run` is the single funnel every evaluation in the repository goes
 through.  It looks each work unit up in the result cache (one batched
-``get_many`` when the backend supports it), deduplicates identical
-generations within the run, hands only the genuinely new units — in the
-dispatch order the scheduler picks — to the executor, scores every unit
-against its own target behind a :class:`~repro.runtime.cache.ScoreCache`
-(identical (generation, target, scorer) triples are scored once), and
-reassembles the plan's evaluation results.
+``get_many``), deduplicates identical generations within the run, hands
+only the genuinely new units — in the dispatch order the scheduler
+picks — to the executor, scores every unit against its own target
+behind a :class:`~repro.runtime.cache.ScoreCache` (identical
+(generation, target, scorer) triples are scored once), and reassembles
+the plan's evaluation results.
 
-Scoring can be *pipelined*: pass a
-:class:`~repro.runtime.scoring.ScoringPool` as ``scoring`` and each
-unit's metric work is submitted to a worker process the moment its
-generation exists — for streaming executors (serial, threaded) that is
-while later units are still generating — and collected at assembly
+Scoring can be *pipelined*: set a
+:class:`~repro.runtime.scoring.ScoringPool` as the config's ``scoring``
+and each unit's metric work is submitted to a worker process the moment
+its generation exists — for streaming executors (serial, threaded) that
+is while later units are still generating — and collected at assembly
 time.  Results are bit-identical to inline scoring; only the wall time
 changes.
 
 :class:`RunStats` records how much work the model layer *and* the
 metric layer actually did, which is what the cache and scaling tests
-assert on.  When a :mod:`repro.perf` profiler is active the run's phase
+assert on.  When a :mod:`repro.obs` profiler is active the run's phase
 breakdown (cache-get / generate / cache-put / score, with nested
 store-io spans) is attached as :attr:`RunStats.profile`.
 """
@@ -44,21 +44,20 @@ from repro.obs import (
 from repro.stats import stats_dict, strip_markers
 
 if TYPE_CHECKING:  # repro.persist builds on repro.runtime, not vice versa
-    from repro.persist import RunManifest, RunStore
+    from repro.persist import RunManifest
 
-from repro.runtime.cache import ResultCache, ScoreCache
+from repro.runtime.cache import ScoreCache
 from repro.runtime.config import RunConfig
-from repro.runtime.executors import Executor, SerialExecutor
+from repro.runtime.executors import SerialExecutor
 from repro.runtime.faults import (
     FailedGeneration,
-    FaultPolicy,
     FaultState,
     UnitFailure,
     fault_scope,
 )
 from repro.runtime.plan import EvalSpec, Plan
-from repro.runtime.schedule import PlanOrderScheduler, Scheduler
-from repro.runtime.scoring import ScoreHandle, ScoringPool
+from repro.runtime.schedule import PlanOrderScheduler
+from repro.runtime.scoring import ScoreHandle
 from repro.runtime.units import Generation, UnitResult, WorkUnit
 
 
@@ -190,15 +189,7 @@ class RunResult:
 def run(
     plan: Plan,
     *,
-    config: "RunConfig | None" = None,
-    executor: Executor | None = None,
-    cache: ResultCache | None = None,
-    score_cache: ScoreCache | None = None,
-    scheduler: Scheduler | None = None,
-    store: "RunStore | None" = None,
-    scoring: ScoringPool | None = None,
-    faults: FaultPolicy | None = None,
-    resume_from: str | None = None,
+    config: RunConfig | None = None,
 ) -> RunResult:
     """Execute every unit of ``plan`` and score it against its target.
 
@@ -216,19 +207,8 @@ def run(
     """
     tracer = active_tracer()
     handle = tracer.begin_trace(f"run:{plan.name}") if tracer is not None else None
-    kwargs = dict(
-        config=config,
-        executor=executor,
-        cache=cache,
-        score_cache=score_cache,
-        scheduler=scheduler,
-        store=store,
-        scoring=scoring,
-        faults=faults,
-        resume_from=resume_from,
-    )
     if handle is None:
-        return _run_impl(plan, **kwargs)
+        return _run_impl(plan, config=config)
     finished: list = []
 
     def finish_trace():
@@ -237,7 +217,7 @@ def run(
         return trace
 
     try:
-        return _run_impl(plan, _finish_trace=finish_trace, **kwargs)
+        return _run_impl(plan, config=config, _finish_trace=finish_trace)
     finally:
         if not finished:  # the run raised before its trace was sealed
             tracer.end_trace(handle)
@@ -280,15 +260,7 @@ def _publish_run_metrics(registry, plan: Plan, stats: RunStats) -> None:
 def _run_impl(
     plan: Plan,
     *,
-    config: "RunConfig | None" = None,
-    executor: Executor | None = None,
-    cache: ResultCache | None = None,
-    score_cache: ScoreCache | None = None,
-    scheduler: Scheduler | None = None,
-    store: "RunStore | None" = None,
-    scoring: ScoringPool | None = None,
-    faults: FaultPolicy | None = None,
-    resume_from: str | None = None,
+    config: RunConfig | None = None,
     _finish_trace: Callable[[], Any] | None = None,
 ) -> RunResult:
     """The execution pipeline behind :func:`run`.
@@ -299,6 +271,9 @@ def _run_impl(
     dispatch order, with any mix of cold/warm cache) produce
     bit-identical output.
 
+    Every knob is read off ``config``, a
+    :class:`~repro.runtime.config.RunConfig` (default: all ``None``).
+    ``executor`` runs the units that miss the cache (default: serial).
     ``scheduler`` picks the dispatch order of the units that miss the
     cache (default: plan order); a scheduler exposing ``observe`` — the
     :class:`~repro.runtime.schedule.AdaptiveScheduler` — is fed each
@@ -336,28 +311,13 @@ def _run_impl(
     units; ``resume_from`` makes that linkage explicit by validating the
     prior run's manifest (same plan fingerprint) and recording it as
     this run's predecessor.
-
-    ``config`` is the documented way to set all of the above at once: a
-    :class:`~repro.runtime.config.RunConfig` carrying the same eight
-    knobs as one immutable value.  The individual keyword arguments
-    remain as a deprecation shim and merge into the config; supplying a
-    knob both ways raises :class:`~repro.errors.HarnessError`.
     """
-    merged = (config if config is not None else RunConfig()).merged_with_kwargs(
-        executor=executor,
-        cache=cache,
-        score_cache=score_cache,
-        scheduler=scheduler,
-        store=store,
-        scoring=scoring,
-        faults=faults,
-        resume_from=resume_from,
-    )
+    config = config if config is not None else RunConfig()
     executor, cache, score_cache, scheduler = (
-        merged.executor, merged.cache, merged.score_cache, merged.scheduler,
+        config.executor, config.cache, config.score_cache, config.scheduler,
     )
     store, scoring, faults, resume_from = (
-        merged.store, merged.scoring, merged.faults, merged.resume_from,
+        config.store, config.scoring, config.faults, config.resume_from,
     )
     started_unix = time.time()
     started = time.perf_counter()
@@ -410,16 +370,9 @@ def _run_impl(
                 lookup_units.append(unit)
         hits: dict[str, Generation] = {}
         if cache is not None:
-            get_many = getattr(cache, "get_many", None)
-            if get_many is not None:
-                # one batched lookup for the whole plan (the disk backend
-                # sorts the reads by segment offset); semantics identical
-                hits = get_many([unit.key for unit in lookup_units])
-            else:
-                for unit in lookup_units:
-                    hit = cache.get(unit.key)
-                    if hit is not None:
-                        hits[unit.key] = hit
+            # one batched lookup for the whole plan (the disk backend
+            # sorts the reads by segment offset)
+            hits = cache.get_many([unit.key for unit in lookup_units])
         for unit in lookup_units:
             hit = hits.get(unit.key)
             if hit is not None:
@@ -566,14 +519,7 @@ def _run_impl(
             # quarantined failures never enter the cache: the next run
             # against the same cache/store re-executes exactly them
             with span("cache-put"):
-                put_many = getattr(cache, "put_many", None)
-                if put_many is not None:
-                    # one lock acquisition / append batch for backends that
-                    # support it (in-memory, disk); semantics identical
-                    put_many([produced[unit.key] for unit in ok_units])
-                else:
-                    for unit in ok_units:
-                        cache.put(produced[unit.key])
+                cache.put_many([produced[unit.key] for unit in ok_units])
 
     # -- scoring + assembly --------------------------------------------------
     # failures become per-uid records (deduplicated units sharing a

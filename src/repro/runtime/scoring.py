@@ -218,7 +218,7 @@ class ScoringPool:
     ``max_workers`` bounds the worker processes; ``mp_context`` names
     the :mod:`multiprocessing` start method (``spawn`` by default: safe
     alongside the runtime's thread pools).  Pass one pool to any number
-    of :func:`repro.runtime.run` calls via ``scoring=``.
+    of :func:`repro.runtime.run` calls as ``RunConfig(scoring=...)``.
     """
 
     def __init__(self, max_workers: int = 4, *, mp_context: str = "spawn") -> None:
@@ -465,7 +465,7 @@ class AdaptiveScoringPool:
     The runner feeds the model back via :meth:`observe_run` after every
     run, so the choice adapts online; grids stay bit-identical at any
     worker count.  Pass one instance to any number of ``run()`` calls
-    via ``scoring=`` exactly like a plain pool.
+    as ``RunConfig(scoring=...)`` exactly like a plain pool.
     """
 
     def __init__(

@@ -584,8 +584,8 @@ class RemoteRetryBudget:
 class RemoteResultCache:
     """:class:`~repro.runtime.cache.ResultCache` face of a remote store.
 
-    The fourth backend next to memory / sim-fs / disk: identical
-    protocol (including batched ``get_many``/``put_many`` and the
+    The third backend next to memory / disk: identical protocol
+    (including batched ``get_many``/``put_many`` and the
     ``read_stats`` hook the runner samples), with entries living on the
     server's shards — shared by every process pointed at the URL.
     """
@@ -601,26 +601,12 @@ class RemoteResultCache:
     def store(self) -> RemoteRunStore:
         return self._store
 
-    def get(self, key: str) -> Generation | None:
-        gen = self._store.get_generation(key)
-        with self._mu:
-            if gen is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-        return gen.as_cached() if gen is not None else None
-
     def get_many(self, keys: Sequence[str]) -> dict[str, Generation]:
         found = self._store.get_generations(keys)
         with self._mu:
             self._hits += len(found)
             self._misses += len(keys) - len(found)
         return {key: gen.as_cached() for key, gen in found.items()}
-
-    def put(self, generation: Generation) -> None:
-        self._store.put_generation(generation)
-        with self._mu:
-            self._puts += 1
 
     def put_many(self, generations: Iterable[Generation]) -> None:
         batch = list(generations)

@@ -4,7 +4,7 @@ Three stats surfaces grew up independently — ``ResultCache.stats()``
 dicts, the persist layer's :class:`~repro.persist.store.StoreStats`
 dataclass, and the runtime's :class:`~repro.runtime.runner.RunStats`
 dataclass — each with its own key conventions.  Operators and tools
-(manifests, ``python -m repro.perf report``, the remote store server's
+(manifests, ``python -m repro.obs report``, the remote store server's
 ``stats`` op) want one schema they can consume without knowing which
 surface produced it.
 

@@ -29,6 +29,7 @@ from repro.runtime import (
     Plan,
     PlanOrderScheduler,
     RetryPolicy,
+    RunConfig,
     SerialExecutor,
     group_units_by_model,
     run,
@@ -37,8 +38,10 @@ from repro.runtime import (
 
 def table1_sweep(executor=None, cache=None, scheduler=None):
     """The full Table-1 sweep (4 models × 3 systems), 2 epochs."""
-    return run_configuration(epochs=2, executor=executor, cache=cache,
-                             scheduler=scheduler)
+    return run_configuration(
+        epochs=2,
+        config=RunConfig(executor=executor, cache=cache, scheduler=scheduler),
+    )
 
 
 def echo_output(name: str, completion: str = "```\nok\n```") -> ModelOutput:
@@ -125,8 +128,9 @@ class TestAsyncAndBatchedEquivalence:
         )
         plan = Plan("p")
         plan.add_eval(task, "sim/o3", epochs=1)
+        config = RunConfig(executor=make())
         with pytest.raises(GenerationError, match="empty prompt"):
-            run(plan, executor=make())
+            run(plan, config=config)
 
     def test_empty_plan(self):
         assert AsyncExecutor(2).execute([]) == {}
@@ -141,7 +145,8 @@ class TestAsyncRetry:
         executor = AsyncExecutor(
             2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
         )
-        outcome = run(plan, executor=executor)
+        config = RunConfig(executor=executor)
+        outcome = run(plan, config=config)
         assert provider.calls == 3  # 2 failures + 1 success
         assert outcome.stats.generated == 1
         [result] = outcome.results.values()
@@ -154,8 +159,9 @@ class TestAsyncRetry:
         executor = AsyncExecutor(
             2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
         )
+        config = RunConfig(executor=executor)
         with pytest.raises(ModelError, match="429"):
-            run(plan, executor=executor)
+            run(plan, config=config)
         assert provider.calls == 3
 
     def test_deterministic_model_errors_are_not_retried(self):
@@ -171,8 +177,11 @@ class TestAsyncRetry:
         plan.add_eval(simple_task("invalid-task"), Model(AlwaysInvalid()),
                       epochs=1)
         with pytest.raises(GenerationError, match="malformed"):
-            run(plan, executor=AsyncExecutor(
-                2, retry=RetryPolicy(max_attempts=5, base_delay=0.0)))
+            executor = AsyncExecutor(
+                2, retry=RetryPolicy(max_attempts=5, base_delay=0.0)
+            )
+            config = RunConfig(executor=executor)
+            run(plan, config=config)
         assert AlwaysInvalid.calls == 1
 
     def test_retry_policy_validation_and_backoff(self):
@@ -209,7 +218,8 @@ class TestAsyncNativeProvider:
         plan = Plan("p")
         plan.add_eval(simple_task("native-async-task"), Model(provider),
                       epochs=2)
-        outcome = run(plan, executor=AsyncExecutor(2))
+        config = RunConfig(executor=AsyncExecutor(2))
+        outcome = run(plan, config=config)
         assert NativeAsync.agenerate_calls == 2
         assert outcome.stats.generated == 2
 
@@ -277,7 +287,8 @@ class TestBatchedGeneration:
         plan = Plan("p")
         plan.add_eval(simple_task("nobatch-task"), Model(PlainEcho()),
                       epochs=3)
-        outcome = run(plan, executor=BatchingExecutor())
+        config = RunConfig(executor=BatchingExecutor())
+        outcome = run(plan, config=config)
         assert PlainEcho.calls == 3
         assert outcome.stats.generated == 3
 
@@ -301,7 +312,8 @@ class TestBatchedGeneration:
                 [("a", None), ("b", None)]
             )
         # ...and the executor heals it by driving the group per-request
-        outcome = run(plan, executor=BatchingExecutor())
+        config = RunConfig(executor=BatchingExecutor())
+        outcome = run(plan, config=config)
         assert Lossy.calls == 2
         assert outcome.stats.generated == 2
 
@@ -367,7 +379,7 @@ class TestScheduling:
 
     def test_run_trains_the_cost_model_online(self):
         scheduler = AdaptiveScheduler()
-        outcome = run(self.make_plan(), scheduler=scheduler)
+        outcome = run(self.make_plan(), config=RunConfig(scheduler=scheduler))
         estimates = scheduler.cost_model.snapshot()
         assert set(estimates) == {"sim/o3", "sim/llama-3.3-70b"}
         assert all(v > 0 for v in estimates.values())
@@ -376,9 +388,9 @@ class TestScheduling:
 
     def test_adaptive_schedule_is_bit_identical(self):
         scheduler = AdaptiveScheduler()
-        run(self.make_plan(), scheduler=scheduler)  # train
+        run(self.make_plan(), config=RunConfig(scheduler=scheduler))  # train
         baseline = run(self.make_plan())
-        adaptive = run(self.make_plan(), scheduler=scheduler)
+        adaptive = run(self.make_plan(), config=RunConfig(scheduler=scheduler))
         a = sorted((uid, r.score["bleu"]) for uid, r in baseline.results.items())
         b = sorted((uid, r.score["bleu"]) for uid, r in adaptive.results.items())
         assert a == b
@@ -412,14 +424,15 @@ class TestScheduling:
 
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=2)
+        config = RunConfig(scheduler=DroppingScheduler())
         with pytest.raises(HarnessError, match="permutation"):
-            run(plan, scheduler=DroppingScheduler())
+            run(plan, config=config)
 
     def test_cached_units_are_not_observed(self):
         cache = InMemoryResultCache()
-        run(self.make_plan(), cache=cache)
+        run(self.make_plan(), config=RunConfig(cache=cache))
         scheduler = AdaptiveScheduler()
-        warm = run(self.make_plan(), cache=cache, scheduler=scheduler)
+        warm = run(self.make_plan(), config=RunConfig(cache=cache, scheduler=scheduler))
         assert warm.stats.generated == 0
         assert scheduler.cost_model.observations == 0
         assert warm.stats.generation_seconds == 0.0
@@ -442,17 +455,18 @@ class TestThreadedExecutorCloseRegression:
         executor = AsyncExecutor(2)
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        run(plan, executor=executor)
+        config = RunConfig(executor=executor)
+        run(plan, config=config)
         pool = executor._pool
         assert pool is not None
         plan2 = Plan("p2")
         plan2.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        run(plan2, executor=executor)
+        run(plan2, config=config)
         assert executor._pool is pool, "execute() must reuse the lazy pool"
         executor.close()
         assert executor._pool is None
         # transparent reopen on plain execute, like ThreadedExecutor
-        run(plan2, executor=executor)
+        run(plan2, config=config)
         assert executor._pool is not None
         executor.close()
 
@@ -462,11 +476,12 @@ class TestThreadedExecutorCloseRegression:
         executor = ThreadedExecutor(2)
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        run(plan, executor=executor)
+        config = RunConfig(executor=executor)
+        run(plan, config=config)
         executor.close()
         # the documented transparent reopen on plain execute() survives,
         # and afterwards the executor is context-manager-safe again
-        run(plan, executor=executor)
+        run(plan, config=config)
         with executor:
             pass
         assert executor._pool is None

@@ -22,6 +22,7 @@ from repro.runtime import (
     FaultPolicy,
     Plan,
     RetryPolicy,
+    RunConfig,
     ScoringPool,
     SerialExecutor,
     ThreadedExecutor,
@@ -48,9 +49,7 @@ def small_sweep(executor=None, faults=None, store=None):
         models=MODELS,
         systems=SYSTEMS,
         epochs=2,
-        executor=executor,
-        faults=faults,
-        store=store,
+        config=RunConfig(executor=executor, faults=faults, store=store),
     )
 
 
@@ -170,7 +169,8 @@ class TestIsolationAndResume:
         store = RunStore(tmp_path / "store")
         with faulty_models(SIM_MODELS, fault_plan):
             plan1, specs1 = resume_plan()
-            first = run(plan1, store=store, faults=isolate)
+            config = RunConfig(store=store, faults=isolate)
+            first = run(plan1, config=config)
             assert first.stats.units_failed > 0
             assert first.stats.generated + len(first.failures) == len(plan1)
             failed_keys = {f.key for f in first.failures.values()}
@@ -195,8 +195,8 @@ class TestIsolationAndResume:
 
             plan2, specs2 = resume_plan()
             second = run(
-                plan2, store=store, faults=isolate,
-                resume_from=manifest.run_id,
+                plan2,
+                config=RunConfig(store=store, faults=isolate, resume_from=manifest.run_id),
             )
         # the resumed run re-executes exactly the quarantined units...
         assert second.stats.units_failed == 0
@@ -220,7 +220,8 @@ class TestIsolationAndResume:
         fault_plan = FaultPlan(seed=6, transient_rate=0.3, transient_times=9)
         with faulty_models(SIM_MODELS, fault_plan):
             plan, specs = resume_plan()
-            outcome = run(plan, faults=skip)
+            config = RunConfig(faults=skip)
+            outcome = run(plan, config=config)
         assert outcome.stats.units_failed > 0
         # no eval raises; quarantined epochs are simply absent
         total = sum(
@@ -235,13 +236,16 @@ class TestIsolationAndResume:
 
         store = RunStore(tmp_path / "store")
         plan1, _ = resume_plan()
-        first = run(plan1, store=store)
+        config = RunConfig(store=store)
+        first = run(plan1, config=config)
         other = Plan("different")
         other.add_eval(configuration_task("henson"), "sim/o3", epochs=1)
+        config = RunConfig(store=store, resume_from=first.manifest.run_id)
         with pytest.raises(HarnessError, match="different plan"):
-            run(other, store=store, resume_from=first.manifest.run_id)
+            run(other, config=config)
+        config = RunConfig(store=store, resume_from="run-does-not-exist")
         with pytest.raises(HarnessError, match="has no recorded run"):
-            run(plan1, store=store, resume_from="run-does-not-exist")
+            run(plan1, config=config)
 
 
 class TestScoringWorkerDeath:
@@ -251,8 +255,10 @@ class TestScoringWorkerDeath:
             pool.warm()
             assert kill_pool_workers(pool) > 0
             grid = run_configuration(
-                models=MODELS, systems=SYSTEMS, epochs=2,
-                scoring=pool,
+                models=MODELS,
+                systems=SYSTEMS,
+                epochs=2,
+                config=RunConfig(scoring=pool),
             )
         assert grid.cells == baseline.cells
 

@@ -20,6 +20,7 @@ from repro.runtime import (
     FaultPolicy,
     Plan,
     RetryPolicy,
+    RunConfig,
     SerialExecutor,
     ThreadedExecutor,
     run,
@@ -46,9 +47,7 @@ def small_sweep(executor=None, faults=None, store=None):
         models=MODELS,
         systems=SYSTEMS,
         epochs=2,
-        executor=executor,
-        faults=faults,
-        store=store,
+        config=RunConfig(executor=executor, faults=faults, store=store),
     )
 
 
@@ -91,7 +90,8 @@ class TestRemoteFaultLadders:
             with faulty_models(SIM_MODELS, fault_plan):
                 plan1, specs1 = resume_plan()
                 with open_store(server.url(), retry=FAST_RETRY) as store:
-                    first = run(plan1, store=store, faults=isolate)
+                    config = RunConfig(store=store, faults=isolate)
+                    first = run(plan1, config=config)
                     manifest = store.latest_manifest()
                 assert first.stats.units_failed > 0
                 failed_keys = {f.key for f in first.failures.values()}
@@ -116,9 +116,7 @@ class TestRemoteFaultLadders:
                 with open_store(server.url(), retry=FAST_RETRY) as store:
                     second = run(
                         plan2,
-                        store=store,
-                        faults=isolate,
-                        resume_from=manifest.run_id,
+                        config=RunConfig(store=store, faults=isolate, resume_from=manifest.run_id),
                     )
         assert second.stats.units_failed == 0
         assert second.stats.generated == len(failed_keys)

@@ -24,6 +24,7 @@ from repro.runtime import (
     MpiShardExecutor,
     Plan,
     RetryPolicy,
+    RunConfig,
     run,
 )
 from repro.runtime.faults import (
@@ -406,8 +407,9 @@ class TestBatchingSalvage:
             provider.name,
             epochs=1,
         )
+        config = RunConfig(executor=BatchingExecutor())
         with pytest.raises(ModelError, match="poisoned"):
-            run(plan, executor=BatchingExecutor())
+            run(plan, config=config)
         first_calls = list(provider.calls)
         assert first_calls.count("good-1") == 1
         assert first_calls.count("good-3") == 1
@@ -415,11 +417,11 @@ class TestBatchingSalvage:
         # retrying the same plan serves the salvaged siblings from the
         # executor's memo: only the poisoned prompt is attempted again
         provider.calls.clear()
-        executor = BatchingExecutor()
+        config = RunConfig(executor=BatchingExecutor())
         with pytest.raises(ModelError, match="poisoned"):
-            run(plan, executor=executor)
+            run(plan, config=config)
         with pytest.raises(ModelError, match="poisoned"):
-            run(plan, executor=executor)
+            run(plan, config=config)
         assert provider.calls.count("good-1") == 1
         assert provider.calls.count("good-3") == 1
         assert provider.calls.count("BAD-2") == 2

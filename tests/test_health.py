@@ -27,6 +27,7 @@ from repro.runtime import (
     HealthTrackedProvider,
     Plan,
     RetryPolicy,
+    RunConfig,
     SerialExecutor,
     run,
 )
@@ -334,12 +335,12 @@ class TestFaultPolicyIntegration:
         fault_plan = FaultPlan(seed=4, transient_rate=0.2, transient_times=1)
         baseline = run_configuration(
             models=MODELS, systems=SYSTEMS, epochs=2,
-            executor=SerialExecutor(),
+            config=RunConfig(executor=SerialExecutor()),
         )
         with faulty_models(SIM_MODELS, fault_plan) as wrapped:
             grid = run_configuration(
                 models=MODELS, systems=SYSTEMS, epochs=2,
-                executor=SerialExecutor(), faults=policy,
+                config=RunConfig(executor=SerialExecutor(), faults=policy),
             )
             assert sum(p.injected_total for p in wrapped.values()) > 0
         # breakers observed real traffic for every model and stayed closed
@@ -359,8 +360,9 @@ class TestFaultPolicyIntegration:
         from repro.core.experiments.configuration import configuration_task
 
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
+        config = RunConfig(faults=policy)
         with pytest.raises(BreakerOpenError, match="sim/o3"):
-            run(plan, faults=policy)
+            run(plan, config=config)
         # BreakerOpenError is retryable, so isolating policies quarantine
         assert RetryPolicy().is_retryable(BreakerOpenError("x"))
 
@@ -377,7 +379,8 @@ class TestFaultPolicyIntegration:
 
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
         plan.add_eval(configuration_task("adios2"), "sim/llama-3.3-70b", epochs=2)
-        outcome = run(plan, faults=policy)
+        config = RunConfig(faults=policy)
+        outcome = run(plan, config=config)
         assert outcome.stats.units_failed == 2  # the open model's epochs
         assert outcome.stats.generated == 2  # the healthy model's epochs
         failed_models = {f.model for f in outcome.failures.values()}

@@ -1,10 +1,9 @@
 """Observability layer: tracing, metrics, schema migration, trends, CLIs.
 
-The :mod:`repro.perf` compatibility shim and the phase-profiler
-behaviour it re-exports keep their own suite in ``test_perf.py``; this
-file covers what PR 9 added on top — identified spans that cross
-process boundaries, the metrics registry, the ``repro.stats/2`` schema
-bump, and the ``python -m repro.obs`` CLI.
+The phase-profiler behaviour keeps its own suite in ``test_perf.py``;
+this file covers what the layer adds on top — identified spans that
+cross process boundaries, the metrics registry, the ``repro.stats/2``
+schema bump, and the ``python -m repro.obs`` CLI.
 """
 
 from __future__ import annotations
@@ -246,26 +245,6 @@ class TestSpanDispatch:
         assert prof.snapshot().calls("both") == 1
         assert "both" in {s.name for s in trace.spans}
 
-    def test_perf_shim_is_the_same_object(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro import perf
-
-        assert perf.span is obs.span
-        assert perf.profiling is obs.profiling
-        assert perf.render_profile is obs.render_profile
-
-    def test_perf_shim_warns_deprecation_on_import(self):
-        import importlib
-        import sys
-
-        # a fresh import, so the module-level warning actually fires
-        sys.modules.pop("repro.perf", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs instead"):
-            importlib.import_module("repro.perf")
-
 
 class TestRunnerIntegration:
     def test_run_gets_a_trace_id_and_named_phases(self):
@@ -280,12 +259,13 @@ class TestRunnerIntegration:
 
     def test_trace_and_metrics_land_on_the_manifest(self, tmp_path):
         from repro.persist import RunStore
-        from repro.runtime import run
+        from repro.runtime import RunConfig, run
 
         plan = make_plan()
         with obs.tracing(), obs.metering():
             with RunStore(tmp_path / "store") as store:
-                outcome = run(plan, store=store)
+                config = RunConfig(store=store)
+                outcome = run(plan, config=config)
                 manifest = store.latest_manifest()
         assert manifest.trace is not None
         assert manifest.trace["trace_id"] == outcome.stats.trace_id
@@ -326,14 +306,15 @@ class TestRunnerIntegration:
             tracer.end_trace(handle)
 
     def test_scoring_pool_spans_cross_the_process_boundary(self):
-        from repro.runtime import ScoringPool, run
+        from repro.runtime import RunConfig, ScoringPool, run
 
         plan = make_plan(epochs=2)
         pool = ScoringPool(max_workers=1)
         try:
             with obs.tracing() as tracer:
                 handle = tracer.begin_trace("pooled")
-                outcome = run(plan, scoring=pool)
+                config = RunConfig(scoring=pool)
+                outcome = run(plan, config=config)
                 trace = tracer.end_trace(handle)
         finally:
             pool.close()
@@ -462,12 +443,13 @@ class TestSchemaMigration:
 class TestTrend:
     def _seed_store(self, root):
         from repro.persist import RunStore
-        from repro.runtime import run
+        from repro.runtime import RunConfig, run
 
         plan = make_plan(name="trend-plan", epochs=2)
         with RunStore(root) as store:
-            run(plan, store=store)
-            run(plan, store=store)  # warm: pure cache hits
+            config = RunConfig(store=store)
+            run(plan, config=config)
+            run(plan, config=config)  # warm: pure cache hits
 
     def test_collect_and_render(self, tmp_path):
         from repro.obs.trend import collect_trend, render_trend
@@ -505,11 +487,11 @@ class TestTrend:
 class TestObsCLI:
     def _recorded_store(self, root):
         from repro.persist import RunStore
-        from repro.runtime import run
+        from repro.runtime import RunConfig, run
 
         with obs.tracing():
             with RunStore(root) as store:
-                outcome = run(make_plan(), store=store)
+                outcome = run(make_plan(), config=RunConfig(store=store))
         return outcome.stats.trace_id, store.root
 
     def test_trace_summary_and_chrome_export(self, tmp_path, capsys):
@@ -529,10 +511,10 @@ class TestObsCLI:
     def test_trace_missing_is_a_clean_error(self, tmp_path, capsys):
         from repro.obs.cli import main
         from repro.persist import RunStore
-        from repro.runtime import run
+        from repro.runtime import RunConfig, run
 
         with RunStore(tmp_path / "store") as store:
-            run(make_plan(), store=store)  # untraced
+            run(make_plan(), config=RunConfig(store=store))  # untraced
             run_id = store.latest_manifest().run_id
         assert main(["trace", run_id,
                      "--store", str(tmp_path / "store")]) == 2

@@ -8,43 +8,38 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.errors import HarnessError
 
-with warnings.catch_warnings():
-    # this suite exercises the deprecated shim on purpose; the warning
-    # itself is pinned in tests/test_obs.py
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro import perf
-    from repro.perf import PhaseProfile, PhaseTotals, Profiler
+from repro import obs
+from repro.obs import PhaseProfile, PhaseTotals, Profiler
 
 
 class TestSpans:
     def test_span_without_profiler_is_a_noop(self):
-        assert perf.active_profiler() is None
-        with perf.span("anything"):
+        assert obs.active_profiler() is None
+        with obs.span("anything"):
             pass  # must not raise, must not record anywhere
 
     def test_profiling_records_and_restores(self):
-        with perf.profiling() as prof:
-            assert perf.active_profiler() is prof
-            with perf.span("alpha"):
+        with obs.profiling() as prof:
+            assert obs.active_profiler() is prof
+            with obs.span("alpha"):
                 time.sleep(0.002)
-        assert perf.active_profiler() is None
+        assert obs.active_profiler() is None
         profile = prof.snapshot()
         assert profile.calls("alpha") == 1
         assert profile.total_s("alpha") >= 0.002
 
     def test_spans_nest_into_paths(self):
-        with perf.profiling() as prof:
-            with perf.span("outer"):
-                with perf.span("inner"):
+        with obs.profiling() as prof:
+            with obs.span("outer"):
+                with obs.span("inner"):
                     pass
-                with perf.span("inner"):
+                with obs.span("inner"):
                     pass
         profile = prof.snapshot()
         assert profile.calls("outer") == 1
@@ -52,12 +47,12 @@ class TestSpans:
         assert "inner" not in profile.phases  # only the nested path exists
 
     def test_nested_profiling_shadows_and_restores(self):
-        with perf.profiling() as outer:
-            with perf.profiling() as inner:
-                assert perf.active_profiler() is inner
-                with perf.span("x"):
+        with obs.profiling() as outer:
+            with obs.profiling() as inner:
+                assert obs.active_profiler() is inner
+                with obs.span("x"):
                     pass
-            assert perf.active_profiler() is outer
+            assert obs.active_profiler() is outer
         assert inner.snapshot().calls("x") == 1
         assert outer.snapshot().calls("x") == 0
 
@@ -160,13 +155,13 @@ class TestReport:
                 pass
         with prof.span("score"):
             pass
-        text = perf.render_profile(prof.snapshot())
+        text = obs.render_profile(prof.snapshot())
         assert "generate" in text and "score" in text
         assert "store-io" in text  # nested child rendered under its parent
         assert "share" in text
 
     def test_render_empty(self):
-        assert "no phases" in perf.render_profile(PhaseProfile({}))
+        assert "no phases" in obs.render_profile(PhaseProfile({}))
 
     def test_load_profile_accepts_wrapper_and_bare(self, tmp_path):
         prof = Profiler()
@@ -176,17 +171,17 @@ class TestReport:
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps(profile.as_dict()))
         wrapped = tmp_path / "wrapped.json"
-        wrapped.write_text(json.dumps(perf.profile_payload(profile, note="hi")))
-        assert perf.load_profile(bare) == profile
-        assert perf.load_profile(wrapped) == profile
+        wrapped.write_text(json.dumps(obs.profile_payload(profile, note="hi")))
+        assert obs.load_profile(bare) == profile
+        assert obs.load_profile(wrapped) == profile
 
     def test_load_profile_errors(self, tmp_path):
         with pytest.raises(HarnessError):
-            perf.load_profile(tmp_path / "absent.json")
+            obs.load_profile(tmp_path / "absent.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(HarnessError):
-            perf.load_profile(bad)
+            obs.load_profile(bad)
 
     def test_render_manifest_shows_scoring_and_read_stats(self):
         payload = {
@@ -209,7 +204,7 @@ class TestReport:
                 "bytes_read": 2048,
             },
         }
-        text = perf.render_manifest(payload)
+        text = obs.render_manifest(payload)
         assert "run-123" in text
         assert "resumed" in text and "run-122" in text
         assert "3 worker process(es)" in text
@@ -218,7 +213,7 @@ class TestReport:
         assert "2.0 KiB" in text
 
     def test_render_manifest_inline_and_zero_reads(self):
-        text = perf.render_manifest(
+        text = obs.render_manifest(
             {"run_id": "r", "stats": {"total_units": 1, "score_workers": 0}}
         )
         assert "inline" in text
@@ -234,7 +229,7 @@ class TestRuntimeIntegration:
 
         plan = Plan("perf-test")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with perf.profiling():
+        with obs.profiling():
             outcome = run(plan)
         profile = outcome.stats.profile
         assert profile is not None
@@ -247,28 +242,30 @@ class TestRuntimeIntegration:
 
     def test_store_io_phases_nest_under_cache_phases(self, tmp_path):
         from repro.persist import RunStore
-        from repro.runtime import Plan, run
+        from repro.runtime import Plan, RunConfig, run
         from repro.core.experiments.configuration import configuration_task
 
         plan = Plan("perf-store-test")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with perf.profiling() as prof:
+        with obs.profiling() as prof:
             with RunStore(tmp_path / "store") as store:
-                run(plan, store=store)
+                config = RunConfig(store=store)
+                run(plan, config=config)
         profile = prof.snapshot()
         assert profile.calls("cache-put/store-io/append") >= 1
         assert profile.calls("cache-get/store-io/read") >= 1
 
     def test_profile_survives_manifest_roundtrip(self, tmp_path):
         from repro.persist import RunStore
-        from repro.runtime import Plan, run
+        from repro.runtime import Plan, RunConfig, run
         from repro.core.experiments.configuration import configuration_task
 
         plan = Plan("perf-manifest-test")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with perf.profiling():
+        with obs.profiling():
             with RunStore(tmp_path / "store") as store:
-                outcome = run(plan, store=store)
+                config = RunConfig(store=store)
+                outcome = run(plan, config=config)
         reloaded = RunStore(tmp_path / "store").manifests()[-1]
         assert reloaded.stats.profile == outcome.stats.profile
         assert reloaded.stats.profile.calls("generate") == 1
@@ -281,7 +278,7 @@ def run_cli(args: list[str]) -> subprocess.CompletedProcess:
         "PYTHONPATH"
     ) else str(src)
     return subprocess.run(
-        [sys.executable, "-m", "repro.perf", *args],
+        [sys.executable, "-m", "repro.obs", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -303,13 +300,14 @@ class TestCLI:
     def test_report_renders_run_manifest_with_recorded_profile(self, tmp_path):
         from repro.core.experiments.configuration import configuration_task
         from repro.persist import RunStore
-        from repro.runtime import Plan, run
+        from repro.runtime import Plan, RunConfig, run
 
         plan = Plan("perf-cli-manifest")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with perf.profiling():
+        with obs.profiling():
             with RunStore(tmp_path / "store") as store:
-                run(plan, store=store)
+                config = RunConfig(store=store)
+                run(plan, config=config)
         manifest_path = next((tmp_path / "store" / "manifests").glob("*.json"))
         proc = run_cli(["report", str(manifest_path)])
         assert proc.returncode == 0

@@ -25,14 +25,13 @@ from repro.persist import (
 )
 from repro.persist.segments import list_segments, segment_name, segment_number
 from repro.runtime import (
-    FilesystemResultCache,
     InMemoryResultCache,
     Plan,
     ResultCache,
+    RunConfig,
     run,
 )
 from repro.runtime.units import Generation
-from repro.store import SimFilesystem
 
 SMALL = dict(models=["o3", "llama-3.3-70b"], systems=["adios2", "wilkins"], epochs=2)
 
@@ -363,21 +362,19 @@ class TestDiskResultCache:
         cache = RunStore(tmp_path / "store").result_cache
         assert isinstance(cache, ResultCache)
 
-    @pytest.mark.parametrize("backend", ["memory", "fs", "disk"])
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
     def test_introspection_parity(self, backend, tmp_path):
-        """All three backends expose the same len/stats surface."""
+        """Both local backends expose the same len/stats surface."""
         if backend == "memory":
             cache = InMemoryResultCache()
-        elif backend == "fs":
-            cache = FilesystemResultCache(SimFilesystem())
         else:
             cache = RunStore(tmp_path / "store").result_cache
         gen = make_generation(1)
         assert len(cache) == 0
-        assert cache.get(gen.key) is None
-        cache.put(gen)
-        hit = cache.get(gen.key)
-        assert hit is not None and hit.cached
+        assert cache.get_many([gen.key]) == {}
+        cache.put_many([gen])
+        hit = cache.get_many([gen.key])[gen.key]
+        assert hit.cached
         assert len(cache) == 1
         stats = cache.stats()
         assert stats["entries"] == 1
@@ -392,7 +389,7 @@ class TestDiskResultCache:
         if backend == "disk":
             assert stats["read_lru_misses"] >= 1  # first read hit the disk
             assert stats["bytes_read"] > 0
-            cache.get(gen.key)  # second read: served from the decoded LRU
+            cache.get_many([gen.key])  # second read: served from the decoded LRU
             assert cache.stats()["read_lru_hits"] >= 1
         else:
             assert stats["read_lru_hits"] == 0
@@ -427,10 +424,11 @@ class TestScorePersistence:
     def test_scores_survive_process_boundary(self, tmp_path):
         plan = small_plan()
         with RunStore(tmp_path / "store") as store:
-            run(plan, store=store)
+            config = RunConfig(store=store)
+            run(plan, config=config)
 
         fresh = RunStore(tmp_path / "store")
-        outcome = run(small_plan(), store=fresh)
+        outcome = run(small_plan(), config=RunConfig(store=fresh))
         assert outcome.stats.generated == 0
         assert outcome.stats.scores_computed == 0
         assert outcome.stats.score_hits == outcome.stats.total_units
@@ -449,7 +447,8 @@ class TestManifests:
     def test_run_records_manifest(self, tmp_path):
         plan = small_plan()
         with RunStore(tmp_path / "store") as store:
-            outcome = run(plan, store=store)
+            config = RunConfig(store=store)
+            outcome = run(plan, config=config)
             manifest = outcome.manifest
             assert manifest is not None
             assert manifest.plan_name == "persist-test"
@@ -464,8 +463,8 @@ class TestManifests:
 
     def test_repeat_run_links_to_predecessor(self, tmp_path):
         with RunStore(tmp_path / "store") as store:
-            first = run(small_plan(), store=store).manifest
-            second = run(small_plan(), store=store).manifest
+            first = run(small_plan(), config=RunConfig(store=store)).manifest
+            second = run(small_plan(), config=RunConfig(store=store)).manifest
         assert second.resumed_from == first.run_id
         assert second.stats.generated == 0
         assert second.stats.cache_hits > 0
@@ -480,9 +479,9 @@ class TestManifests:
         from repro.runtime.runner import RunStats
 
         with RunStore(tmp_path / "store") as store:
-            run(small_plan(), store=store)
+            run(small_plan(), config=RunConfig(store=store))
         with RunStore(tmp_path / "store") as store:
-            warm = run(small_plan(), store=store)
+            warm = run(small_plan(), config=RunConfig(store=store))
         # the warm pass read its generations back from segments
         assert warm.stats.read_lru_misses > 0
         assert warm.stats.bytes_read > 0
@@ -520,7 +519,7 @@ class TestManifests:
         from repro.persist.manifest import RunManifest
 
         with RunStore(tmp_path / "store") as store:
-            payload = run(small_plan(), store=store).manifest.to_payload()
+            payload = run(small_plan(), config=RunConfig(store=store)).manifest.to_payload()
         for legacy_missing in (
             "score_workers", "read_lru_hits", "read_lru_misses", "bytes_read",
         ):
@@ -532,7 +531,7 @@ class TestManifests:
 
     def test_explicit_cache_still_records_manifest(self, tmp_path):
         with RunStore(tmp_path / "store") as store:
-            outcome = run(small_plan(), cache=InMemoryResultCache(), store=store)
+            outcome = run(small_plan(), config=RunConfig(cache=InMemoryResultCache(), store=store))
         assert outcome.manifest is not None
         assert outcome.manifest.cache.startswith("InMemoryResultCache")
         # the store cache was bypassed, so no generations were persisted
@@ -545,9 +544,11 @@ class TestResumableSweep:
         cold_serial = run_configuration(**SMALL)
 
         with RunStore(tmp_path / "store") as store:
-            run_configuration(**SMALL, store=store)
+            config = RunConfig(store=store)
+            run_configuration(**SMALL, config=config)
         with RunStore(tmp_path / "store") as store:
-            warm = run_configuration(**SMALL, store=store)
+            config = RunConfig(store=store)
+            warm = run_configuration(**SMALL, config=config)
             manifest = store.latest_manifest()
         assert manifest.stats.generated == 0
         assert manifest.stats.cache_hits == manifest.stats.total_units - manifest.stats.deduplicated
@@ -559,11 +560,15 @@ class TestResumableSweep:
         """A partial store (interrupted run) is topped up, not redone."""
         with RunStore(tmp_path / "store") as store:
             run_configuration(
-                models=["o3"], systems=["adios2"], epochs=2, store=store
+                models=["o3"],
+                systems=["adios2"],
+                epochs=2,
+                config=RunConfig(store=store),
             )
             partial = store.stats().generations
         with RunStore(tmp_path / "store") as store:
-            run_configuration(**SMALL, store=store)
+            config = RunConfig(store=store)
+            run_configuration(**SMALL, config=config)
             manifest = store.latest_manifest()
         assert partial > 0
         assert manifest.stats.cache_hits == partial
@@ -721,7 +726,7 @@ def _worker_sweep(store_path: str) -> None:
             models=["o3", "llama-3.3-70b"],
             systems=["adios2", "wilkins"],
             epochs=2,
-            store=store,
+            config=RunConfig(store=store),
         )
 
 
@@ -746,7 +751,8 @@ class TestCrossProcessSharing:
             assert report.generations > 0
             assert len(store.manifests()) == 2
             # second pass over the shared warm store: zero model calls
-            warm = run_configuration(**SMALL, store=store)
+            config = RunConfig(store=store)
+            warm = run_configuration(**SMALL, config=config)
             assert store.latest_manifest().stats.generated == 0
         cold = run_configuration(**SMALL)
         for row in cold.row_keys:
@@ -774,7 +780,7 @@ class TestCLI:
     @pytest.fixture()
     def populated_store(self, tmp_path) -> str:
         with RunStore(tmp_path / "store") as store:
-            run(small_plan(), store=store)
+            run(small_plan(), config=RunConfig(store=store))
         return str(tmp_path / "store")
 
     def test_stats(self, populated_store):

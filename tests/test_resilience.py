@@ -318,7 +318,8 @@ class TestDegradedMode:
         a.stop()
         b.stop()  # 100% unreachable: the sweep must complete offline
         with replicated(a, b, spill_root=journal) as store:
-            offline = run_configuration(**SMALL, store=store)
+            config = RunConfig(store=store)
+            offline = run_configuration(**SMALL, config=config)
             assert store.client.spilled_batches > 0
             assert store.client.degraded  # every breaker open by now
         for row in reference.row_keys:
@@ -346,7 +347,8 @@ class TestDegradedMode:
 
         # a warm sweep against the healed replicas regenerates nothing
         with replicated(a, b) as store:
-            warm = run_configuration(**SMALL, store=store)
+            config = RunConfig(store=store)
+            warm = run_configuration(**SMALL, config=config)
             manifest = store.latest_manifest()
         assert manifest.stats.generated == 0
         for row in reference.row_keys:
@@ -475,7 +477,8 @@ class TestServerProcessChaos:
                 store = replicated(a, b)
                 try:
                     killer.start()
-                    grid = run_configuration(**SMALL, store=store)
+                    config = RunConfig(store=store)
+                    grid = run_configuration(**SMALL, config=config)
                 finally:
                     killer.cancel()
                     store.close()
@@ -488,7 +491,8 @@ class TestServerProcessChaos:
                 # the survivor holds the full sweep: a warm run against it
                 # alone regenerates nothing
                 with open_store(b.url(), retry=FAST_RETRY) as survivor:
-                    warm = run_configuration(**SMALL, store=survivor)
+                    config = RunConfig(store=survivor)
+                    warm = run_configuration(**SMALL, config=config)
                     manifest = survivor.latest_manifest()
                 assert manifest.stats.generated == 0
                 for row in reference.row_keys:

@@ -21,13 +21,14 @@ from repro.llm.api import get_model
 from repro.llm.intent import analyze_prompt
 from repro.llm.simulated import SimulatedModel
 from repro.metrics.stats import Aggregate
+from repro.persist import RunStore
 from repro.runtime import (
     AsyncExecutor,
     BatchingExecutor,
-    FilesystemResultCache,
     InMemoryResultCache,
     MpiShardExecutor,
     Plan,
+    RunConfig,
     ScoreCache,
     SerialExecutor,
     ThreadedExecutor,
@@ -35,7 +36,6 @@ from repro.runtime import (
     run,
 )
 from repro.llm.types import GenerateConfig
-from repro.store import SimFilesystem
 
 EXECUTORS = {
     "serial": SerialExecutor,
@@ -51,8 +51,7 @@ def small_sweep(executor=None, cache=None) -> ExperimentGrid:
         models=["o3", "llama-3.3-70b"],
         systems=["adios2", "wilkins"],
         epochs=2,
-        executor=executor,
-        cache=cache,
+        config=RunConfig(executor=executor, cache=cache),
     )
 
 
@@ -138,7 +137,7 @@ class TestExecutorEquivalence:
             variants=["original", "detailed"],
             conditions=["wilkins"],
             epochs=1,
-            executor=EXECUTORS[name](),
+            config=RunConfig(executor=EXECUTORS[name]()),
         )
         reference = run_prompt_sensitivity(
             "configuration",
@@ -153,7 +152,8 @@ class TestExecutorEquivalence:
         plan = Plan("p")
         task = configuration_task("wilkins")
         plan.add_eval(task, "sim/o3", epochs=2)
-        outcome = run(plan, executor=ThreadedExecutor(4))
+        config = RunConfig(executor=ThreadedExecutor(4))
+        outcome = run(plan, config=config)
         assert outcome.stats.total_units == 2
         assert outcome.stats.generated == 2
         assert outcome.stats.cache_hits == 0
@@ -198,8 +198,9 @@ class TestExecutorEquivalence:
 
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
+        config = RunConfig(executor=LossyExecutor())
         with pytest.raises(HarnessError, match="no generation"):
-            run(plan, executor=LossyExecutor())
+            run(plan, config=config)
 
 
 def count_generates(monkeypatch) -> list:
@@ -216,16 +217,15 @@ def count_generates(monkeypatch) -> list:
 
 
 class TestResultCache:
-    @pytest.mark.parametrize("backend", ["memory", "filesystem"])
-    def test_warm_cache_identical_and_zero_generations(self, backend, monkeypatch):
-        cache = (
-            InMemoryResultCache()
-            if backend == "memory"
-            else FilesystemResultCache(SimFilesystem())
-        )
-        cold = small_sweep(cache=cache)
-        calls = count_generates(monkeypatch)
-        warm = small_sweep(cache=cache)
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_warm_cache_identical_and_zero_generations(
+        self, backend, monkeypatch, tmp_path
+    ):
+        with RunStore(tmp_path / "store") as store:
+            cache = store.result_cache if backend == "disk" else InMemoryResultCache()
+            cold = small_sweep(cache=cache)
+            calls = count_generates(monkeypatch)
+            warm = small_sweep(cache=cache)
         assert calls == [], "warm cache rerun must not call the model"
         assert warm.cells == cold.cells
 
@@ -240,7 +240,10 @@ class TestResultCache:
         # table sweep's generations — the cross-experiment cache case
         cache = InMemoryResultCache()
         run_configuration(
-            models=["o3"], systems=["wilkins"], epochs=1, cache=cache
+            models=["o3"],
+            systems=["wilkins"],
+            epochs=1,
+            config=RunConfig(cache=cache),
         )
         calls = count_generates(monkeypatch)
         run_prompt_sensitivity(
@@ -249,32 +252,19 @@ class TestResultCache:
             variants=["original"],
             conditions=["wilkins"],
             epochs=1,
-            cache=cache,
+            config=RunConfig(cache=cache),
         )
         assert calls == []
-
-    def test_filesystem_backend_roundtrip(self):
-        fs = SimFilesystem()
-        cache = FilesystemResultCache(fs, prefix="gen")
-        assert cache.get("missing") is None
-        task = configuration_task("wilkins")
-        plan = Plan("p")
-        plan.add_eval(task, "sim/o3", epochs=1)
-        run(plan, cache=cache)
-        key = plan.units[0].key
-        assert key in cache
-        assert f"gen/{key}" in fs.listdir()
-        hit = cache.get(key)
-        assert hit is not None and hit.cached
 
     def test_stats_hit_rate(self):
         cache = InMemoryResultCache()
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=2)
-        assert run(plan, cache=cache).stats.hit_rate == 0.0
+        config = RunConfig(cache=cache)
+        assert run(plan, config=config).stats.hit_rate == 0.0
         plan2 = Plan("p2")
         plan2.add_eval(configuration_task("wilkins"), "sim/o3", epochs=2)
-        stats = run(plan2, cache=cache).stats
+        stats = run(plan2, config=config).stats
         assert stats.hit_rate == 1.0
         assert stats.generated == 0
 
@@ -288,13 +278,14 @@ class TestScoreCache:
         plan = Plan("p")
         task = configuration_task("wilkins")
         spec = plan.add_eval(task, "sim/gemini-2.5-pro", epochs=3)
-        cold = run(plan, cache=cache, score_cache=scores)
+        config = RunConfig(cache=cache, score_cache=scores)
+        cold = run(plan, config=config)
         assert cold.stats.scores_computed == 3
         assert cold.stats.score_hits == 0
 
         plan2 = Plan("p2")
         spec2 = plan2.add_eval(task, "sim/gemini-2.5-pro", epochs=3)
-        warm = run(plan2, cache=cache, score_cache=scores)
+        warm = run(plan2, config=config)
         assert warm.stats.generated == 0
         assert warm.stats.score_hits > 0
         assert warm.stats.score_hits == 3
@@ -380,12 +371,13 @@ class TestThreadedExecutorPool:
         executor = ThreadedExecutor(2)
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        run(plan, executor=executor)
+        config = RunConfig(executor=executor)
+        run(plan, config=config)
         pool = executor._pool
         assert pool is not None
         plan2 = Plan("p2")
         plan2.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        run(plan2, executor=executor)
+        run(plan2, config=config)
         assert executor._pool is pool, "execute() must reuse the lazy pool"
         executor.close()
         assert executor._pool is None
@@ -395,11 +387,12 @@ class TestThreadedExecutorPool:
         executor.close()  # close before first use is a no-op
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        first = run(plan, executor=executor)
+        config = RunConfig(executor=executor)
+        first = run(plan, config=config)
         executor.close()
         executor.close()
         # a closed executor transparently re-creates its pool
-        again = run(plan, executor=executor)
+        again = run(plan, config=config)
         a = sorted((uid, r.score["bleu"]) for uid, r in first.results.items())
         b = sorted((uid, r.score["bleu"]) for uid, r in again.results.items())
         assert a == b
@@ -409,7 +402,8 @@ class TestThreadedExecutorPool:
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
         with ThreadedExecutor(2) as executor:
-            run(plan, executor=executor)
+            config = RunConfig(executor=executor)
+            run(plan, config=config)
             assert executor._pool is not None
         assert executor._pool is None
 
@@ -479,15 +473,21 @@ class TestExecutorErrors:
         )
         plan = Plan("p")
         plan.add_eval(task, "sim/o3", epochs=1)
+        config = RunConfig(executor=EXECUTORS[name]())
         with pytest.raises(GenerationError, match="empty prompt"):
-            run(plan, executor=EXECUTORS[name]())
+            run(plan, config=config)
 
     def test_evaluate_accepts_executor_and_cache(self):
         task = configuration_task("wilkins")
         cache = InMemoryResultCache()
-        a = evaluate(task, "sim/o3", epochs=2, cache=cache)
-        b = evaluate(task, "sim/o3", epochs=2, executor=ThreadedExecutor(2),
-                     cache=cache)
+        config = RunConfig(cache=cache)
+        a = evaluate(task, "sim/o3", epochs=2, run_config=config)
+        b = evaluate(
+            task,
+            "sim/o3",
+            epochs=2,
+            run_config=RunConfig(executor=ThreadedExecutor(2), cache=cache),
+        )
         assert a.aggregate("bleu") == b.aggregate("bleu")
         assert [s.completions for s in a.samples] == [
             s.completions for s in b.samples

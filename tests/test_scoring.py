@@ -13,6 +13,7 @@ from repro.runtime import (
     AsyncExecutor,
     BatchingExecutor,
     Plan,
+    RunConfig,
     ScoreCache,
     ScoringPool,
     SerialExecutor,
@@ -92,12 +93,13 @@ class TestRunnerIntegration:
             AsyncExecutor(4),
             BatchingExecutor(2),
         ):
-            grid = run_configuration(**SMALL, executor=executor, scoring=pool)
+            config = RunConfig(executor=executor, scoring=pool)
+            grid = run_configuration(**SMALL, config=config)
             assert grids_equal(baseline, grid), repr(executor)
 
     def test_stats_match_inline_scoring(self, pool):
         inline = run(small_plan())
-        pooled = run(small_plan(), scoring=pool)
+        pooled = run(small_plan(), config=RunConfig(scoring=pool))
         assert pooled.stats.total_units == inline.stats.total_units
         assert pooled.stats.scores_computed == inline.stats.scores_computed
         assert pooled.stats.score_hits == inline.stats.score_hits
@@ -106,16 +108,16 @@ class TestRunnerIntegration:
 
     def test_warm_score_cache_skips_the_pool(self, pool):
         cache = ScoreCache()
-        first = run(small_plan(), score_cache=cache, scoring=pool)
-        second = run(small_plan(), score_cache=cache, scoring=pool)
+        first = run(small_plan(), config=RunConfig(score_cache=cache, scoring=pool))
+        second = run(small_plan(), config=RunConfig(score_cache=cache, scoring=pool))
         assert first.stats.scores_computed > 0
         assert second.stats.scores_computed == 0
         assert second.stats.score_hits == second.stats.total_units
 
     def test_streaming_executor_overlaps(self, pool):
         """ThreadedExecutor streams completions into the pool; results match."""
-        inline = run(small_plan(), executor=ThreadedExecutor(4))
-        pooled = run(small_plan(), executor=ThreadedExecutor(4), scoring=pool)
+        inline = run(small_plan(), config=RunConfig(executor=ThreadedExecutor(4)))
+        pooled = run(small_plan(), config=RunConfig(executor=ThreadedExecutor(4), scoring=pool))
         for uid in inline.results:
             assert pooled[uid].score == inline[uid].score
 
@@ -124,7 +126,8 @@ class TestRunnerIntegration:
 
         task = configuration_task("adios2")
         inline = evaluate(task, "sim/o3", epochs=2)
-        pooled = evaluate(task, "sim/o3", epochs=2, scoring=pool)
+        config = RunConfig(scoring=pool)
+        pooled = evaluate(task, "sim/o3", epochs=2, run_config=config)
         assert pooled.aggregate("bleu") == inline.aggregate("bleu")
 
     def test_store_and_pool_compose(self, pool, tmp_path):
@@ -132,9 +135,9 @@ class TestRunnerIntegration:
         from repro.persist import RunStore
 
         with RunStore(tmp_path / "store") as store:
-            run(small_plan(), store=store, scoring=pool)
+            run(small_plan(), config=RunConfig(store=store, scoring=pool))
         with RunStore(tmp_path / "store") as store:
-            warm = run(small_plan(), store=store, scoring=pool)
+            warm = run(small_plan(), config=RunConfig(store=store, scoring=pool))
         assert warm.stats.generated == 0
         assert warm.stats.scores_computed == 0
 
@@ -155,7 +158,8 @@ class TestKernelGridIdentity:
             lambda: AsyncExecutor(4),
             lambda: BatchingExecutor(2),
         ):
-            grid = run_configuration(epochs=2, executor=make(), scoring=pool)
+            config = RunConfig(executor=make(), scoring=pool)
+            grid = run_configuration(epochs=2, config=config)
             assert grids_equal(baseline, grid), repr(make())
 
     def test_full_grid_identical_with_kernels_disabled(self, monkeypatch):
@@ -172,12 +176,13 @@ class TestKernelGridIdentity:
         with AdaptiveScoringPool(max_workers=2) as adaptive:
             baseline = run_configuration(**SMALL)
             # cold: no cost observations yet, so the run scores inline
-            cold = run_configuration(**SMALL, scoring=adaptive)
+            config = RunConfig(scoring=adaptive)
+            cold = run_configuration(**SMALL, config=config)
             assert adaptive.last_workers == 0
             assert grids_equal(baseline, cold)
             # the cost model now has observations; whatever worker count
             # it picks, the grid must not move
-            warm = run_configuration(**SMALL, scoring=adaptive)
+            warm = run_configuration(**SMALL, config=config)
             assert 0 <= adaptive.last_workers <= 2
             assert grids_equal(baseline, warm)
 
@@ -186,9 +191,9 @@ class TestKernelGridIdentity:
 
         with AdaptiveScoringPool(max_workers=2) as adaptive:
             with RunStore(tmp_path / "store") as store:
-                run(small_plan(), store=store, scoring=adaptive)
+                run(small_plan(), config=RunConfig(store=store, scoring=adaptive))
             with RunStore(tmp_path / "store") as store:
-                outcome = run(small_plan(), store=store, scoring=adaptive)
+                outcome = run(small_plan(), config=RunConfig(store=store, scoring=adaptive))
         manifest = outcome.manifest
         assert manifest.stats.score_workers == adaptive.last_workers
         # the warm pass re-read its generations from store segments

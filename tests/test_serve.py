@@ -227,8 +227,8 @@ class TestRemoteRoundTrip:
         assert found[gens[3].key].completion == gens[3].completion
         assert found[gens[3].key].usage == gens[3].usage
         cache = server.client().result_cache
-        hit = cache.get(gens[0].key)
-        assert hit is not None and hit.cached  # cache facade marks provenance
+        hit = cache.get_many([gens[0].key])[gens[0].key]
+        assert hit.cached  # cache facade marks provenance
 
     def test_manifest_roundtrip_and_resume_linkage(self, server):
         plan = Plan("serve-test")
@@ -236,8 +236,9 @@ class TestRemoteRoundTrip:
 
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
         with server.client() as remote:
-            first = run(plan, store=remote)
-            second = run(plan, store=remote)
+            config = RunConfig(store=remote)
+            first = run(plan, config=config)
+            second = run(plan, config=config)
             listed = remote.manifests()
         assert first.manifest is not None
         assert second.manifest.resumed_from == first.manifest.run_id
@@ -340,9 +341,11 @@ class TestRemoteSweeps:
         local = run_configuration(**SMALL)
 
         with server.client() as remote:
-            cold = run_configuration(**SMALL, store=remote)
+            config = RunConfig(store=remote)
+            cold = run_configuration(**SMALL, config=config)
         with server.client() as remote:
-            warm = run_configuration(**SMALL, store=remote)
+            config = RunConfig(store=remote)
+            warm = run_configuration(**SMALL, config=config)
             manifest = remote.latest_manifest()
         assert manifest.stats.generated == 0
         assert manifest.stats.scores_computed == 0
@@ -385,40 +388,20 @@ class TestRemoteSweeps:
 
 
 class TestRunConfig:
-    def test_config_equals_legacy_kwargs_across_executors(self, tmp_path):
+    def test_config_matches_default_across_executors(self):
         executors = {
             "serial": SerialExecutor,
             "threaded": lambda: ThreadedExecutor(max_workers=4),
         }
         reference = run_configuration(**SMALL)
         for make in executors.values():
-            via_kwargs = run_configuration(
-                **SMALL, executor=make(), cache=InMemoryResultCache()
-            )
             via_config = run_configuration(
                 **SMALL,
                 config=RunConfig(executor=make(), cache=InMemoryResultCache()),
             )
             for row in reference.row_keys:
                 for model in reference.models:
-                    assert via_kwargs.cell(row, model) == reference.cell(row, model)
                     assert via_config.cell(row, model) == reference.cell(row, model)
-
-    def test_conflicting_knob_raises(self, tmp_path):
-        from repro.core.experiments.configuration import configuration_task
-
-        plan = Plan("conflict")
-        plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with pytest.raises(HarnessError, match="exactly one place"):
-            run(
-                plan,
-                config=RunConfig(executor=SerialExecutor()),
-                executor=SerialExecutor(),
-            )
-
-    def test_unknown_knob_refused(self):
-        with pytest.raises(HarnessError, match="unknown run knob"):
-            RunConfig().merged_with_kwargs(warp_drive=1)
 
     def test_replace_and_describe(self):
         config = RunConfig(executor=SerialExecutor())
@@ -440,6 +423,13 @@ class TestRunConfig:
         with pytest.raises(HarnessError, match="ambiguous"):
             RunConfig.from_url(server.tcp_url(), store=object())
 
+        # a bad knob is refused before the store is opened: nothing is
+        # left open and no store directory is created
+        leaked = tmp_path / "never-opened"
+        with pytest.raises(TypeError, match="warp_drive"):
+            RunConfig.from_url(str(leaked), warp_drive=1)
+        assert not leaked.exists()
+
     def test_evaluate_accepts_run_config(self):
         from repro.core.experiments.configuration import configuration_task
         from repro.core.task import evaluate
@@ -448,18 +438,15 @@ class TestRunConfig:
         via_config = evaluate(
             task, "sim/o3", epochs=1, run_config=RunConfig(executor=SerialExecutor())
         )
-        via_kwargs = evaluate(task, "sim/o3", epochs=1, executor=SerialExecutor())
-        assert via_config.samples[0].scores == via_kwargs.samples[0].scores
+        default = evaluate(task, "sim/o3", epochs=1)
+        assert via_config.samples[0].scores == default.samples[0].scores
 
 
 class TestStatsSchema:
     def test_all_cache_backends_carry_markers(self, tmp_path, server):
-        from repro.runtime import FilesystemResultCache
-
         with RunStore(tmp_path / "store") as store:
             backends = [
                 InMemoryResultCache(),
-                FilesystemResultCache(),
                 store.result_cache,
                 server.client().result_cache,
             ]
@@ -491,7 +478,7 @@ class TestStatsSchema:
     def test_pre_schema_manifest_payload_rehydrates(self, tmp_path):
         """Manifests written before the unified schema still load."""
         with RunStore(tmp_path / "store") as store:
-            outcome = run(small_plan_for(tmp_path), store=store)
+            outcome = run(small_plan_for(tmp_path), config=RunConfig(store=store))
             path = (
                 store.root / "manifests" / f"{outcome.manifest.run_id}.json"
             )
