@@ -25,67 +25,36 @@ longest-expected-unit-first scheduler on a heterogeneous-latency sweep
 (one slow provider, three fast ones) — the regime where dispatch order
 shapes the makespan tail.
 
-The final **scoring** section times a *score-heavy* sweep — ~30 KiB
-targets so BLEU/ChrF cost about as much as the provider's simulated
-round trip — serially and then pipelined through a
-:class:`~repro.runtime.scoring.ScoringPool`: completed units stream
-into a scorer process while the run thread is already waiting on the
-next provider call, so metric work hides inside generation latency
-(and, on multi-core hosts, parallelizes across workers on top).  The
-pipelined pass must be ≥ 1.5× faster (asserted in full mode; smoke
-mode is report-only) and the ratio is merged into
-``BENCH_metrics.json`` under the ``scoring`` key for the CI
-regression gate.
-
 Numbers land in ``benchmarks/output/runtime_scaling.txt`` so future PRs
 have a perf trajectory to compare against.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import time
 
-from repro.core.assets import reference_config
 from repro.core.experiments.configuration import (
     CONFIGURATION_SYSTEMS,
     configuration_task,
 )
-from repro.core.samples import Sample
-from repro.core.task import Task
 from repro.data import MODELS
 from repro.llm.api import get_model, register_model
-from repro.llm.types import ModelOutput, ModelUsage
 from repro.runtime import (
     AdaptiveScheduler,
     AsyncExecutor,
     BatchingExecutor,
     InMemoryResultCache,
-    MpiShardExecutor,
     Plan,
     RunConfig,
-    ScoringPool,
     SerialExecutor,
     ThreadedExecutor,
     run,
 )
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = REPO_ROOT / "BENCH_metrics.json"
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
 EPOCHS = 2
 API_LATENCY_S = 0.15  # per-call delay of the simulated network endpoint
 SLOW_MODEL_LATENCY_S = 0.6  # the straggler provider of the hetero sweep
 FAST_MODEL_LATENCY_S = 0.02
-
-SCORE_SAMPLES = 4 if SMOKE else 8  # score-heavy sweep width
-SCORE_EPOCHS = 2
-SCORE_TARGET_REPEATS = 8 if SMOKE else 24  # target size multiplier
-SCORE_LATENCY_S = 0.015 if SMOKE else 0.045  # provider round trip per call
-SCORE_WORKERS = 1
 
 
 class _LatencyProvider:
@@ -144,70 +113,6 @@ def _register_cold_models() -> None:
         )
 
 
-class _ScoreHeavyProvider:
-    """A latency-bound provider whose outputs are expensive to score.
-
-    Each call sleeps ``SCORE_LATENCY_S`` (the simulated API round trip)
-    and returns the prompt with every ``(7 + seed)``-th token dropped —
-    a deterministic ~30 KiB completion whose BLEU/ChrF cost is of the
-    same order as the round trip.  That is exactly the regime pipelined
-    scoring targets: while the run thread waits on the next call, the
-    scorer process grinds through the previous completions, even on a
-    single-core host.
-    """
-
-    name = "scoreheavy/echo"
-
-    def generate(self, messages, config):
-        time.sleep(SCORE_LATENCY_S)
-        prompt = messages[-1].content
-        step = 7 + (config.seed or 0)
-        tokens = prompt.split(" ")
-        completion = " ".join(
-            tok for i, tok in enumerate(tokens) if (i + 1) % step
-        )
-        return ModelOutput(
-            model=self.name,
-            completion=completion,
-            usage=ModelUsage(
-                input_tokens=len(tokens), output_tokens=len(tokens)
-            ),
-        )
-
-
-def _score_heavy_plan(tag: str) -> Plan:
-    """SCORE_SAMPLES distinct big-target samples × SCORE_EPOCHS epochs."""
-    register_model("scoreheavy/echo", _ScoreHeavyProvider)
-    base = "\n".join(reference_config(s) for s in CONFIGURATION_SYSTEMS)
-    samples = []
-    for i in range(SCORE_SAMPLES):
-        body = f"# sample {i}\n" + base * SCORE_TARGET_REPEATS
-        samples.append(Sample(id=f"scoreheavy/{i}", input=body, target=body))
-    task = Task(name=f"scoreheavy/{tag}", dataset=samples)
-    plan = Plan(f"scaling/scoreheavy/{tag}")
-    plan.add_eval(task, "scoreheavy/echo", epochs=SCORE_EPOCHS)
-    return plan
-
-
-def _merge_scoring_results(results: list[dict]) -> None:
-    """Attach the scoring section to BENCH_metrics.json, keeping the rest."""
-    payload: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            payload = json.loads(RESULTS_PATH.read_text())
-        except ValueError:
-            payload = {}
-    if not isinstance(payload, dict):
-        payload = {}
-    payload["scoring"] = {
-        "benchmark": "scoring",
-        "smoke": SMOKE,
-        "unix_time": time.time(),
-        "results": results,
-    }
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def _sweep_plan(namespace: str, models=MODELS) -> Plan:
     plan = Plan(f"scaling/{namespace}")
     for system in CONFIGURATION_SYSTEMS:
@@ -239,7 +144,6 @@ def bench_runtime_scaling(report):
     executors = [
         ("serial", SerialExecutor()),
         ("threads-8", ThreadedExecutor(8)),
-        ("mpi-4", MpiShardExecutor(4)),
         ("async-16", AsyncExecutor(16)),
         ("batched", BatchingExecutor(4)),
     ]
@@ -283,17 +187,14 @@ def bench_runtime_scaling(report):
         )
 
     threaded_speedup = api_times["serial"] / api_times["threads-8"]
-    mpi_speedup = api_times["serial"] / api_times["mpi-4"]
     async_speedup = api_times["serial"] / api_times["async-16"]
     batched_speedup = api_times["serial"] / api_times["batched"]
     lines += [
         "",
         f"latency-bound speedup vs serial: threads-8 {threaded_speedup:.1f}x, "
-        f"mpi-4 {mpi_speedup:.1f}x, async-16 {async_speedup:.1f}x, "
-        f"batched {batched_speedup:.1f}x",
+        f"async-16 {async_speedup:.1f}x, batched {batched_speedup:.1f}x",
         f"CPU-bound (GIL) speedup vs serial: threads-8 "
-        f"{sim_times['serial'] / sim_times['threads-8']:.1f}x, mpi-4 "
-        f"{sim_times['serial'] / sim_times['mpi-4']:.1f}x",
+        f"{sim_times['serial'] / sim_times['threads-8']:.1f}x",
     ]
 
     # adaptive scheduling: a straggler provider among fast ones; the
@@ -321,67 +222,7 @@ def bench_runtime_scaling(report):
         "(longest-expected-unit first, cost model trained online)",
     ]
 
-    # pipelined scoring: a score-heavy sweep (near-free generation, big
-    # targets) serially vs. streamed through a process pool of scorers
-    units = SCORE_SAMPLES * SCORE_EPOCHS
-    started = time.perf_counter()
-    serial_outcome = run(_score_heavy_plan("serial"))
-    scoring_serial_s = time.perf_counter() - started
-    with ScoringPool(max_workers=SCORE_WORKERS) as scoring_pool:
-        scoring_pool.warm()  # pay process start-up outside the timing
-        started = time.perf_counter()
-        pipelined_outcome = run(
-            _score_heavy_plan("pipelined"),
-            config=RunConfig(scoring=scoring_pool),
-        )
-        scoring_pipelined_s = time.perf_counter() - started
-    assert serial_outcome.stats.scores_computed == units
-    assert pipelined_outcome.stats.scores_computed == units
-    serial_scores = sorted(
-        (uid.rsplit("/", 1)[-1], r.score["bleu"], r.score["chrf"])
-        for uid, r in serial_outcome.results.items()
-    )
-    pipelined_scores = sorted(
-        (uid.rsplit("/", 1)[-1], r.score["bleu"], r.score["chrf"])
-        for uid, r in pipelined_outcome.results.items()
-    )
-    assert serial_scores == pipelined_scores, (
-        "process-pool scoring must be bit-identical to inline scoring"
-    )
-    scoring_speedup = scoring_serial_s / max(scoring_pipelined_s, 1e-9)
-    lines += [
-        "",
-        f"pipelined scoring — score-heavy sweep ({units} units, "
-        f"~{SCORE_TARGET_REPEATS * 1.3:.0f} KiB targets, "
-        f"{SCORE_LATENCY_S * 1000:.0f} ms provider round trip, "
-        f"{SCORE_WORKERS} scorer processes):",
-        f"  serial scoring:     {scoring_serial_s * 1000:>6.0f} ms "
-        "(every score on the run thread, after its generation)",
-        f"  pipelined scoring:  {scoring_pipelined_s * 1000:>6.0f} ms "
-        f"({scoring_speedup:.1f}x, scores overlap generation latency; "
-        "grids bit-identical)",
-    ]
-    _merge_scoring_results([
-        {
-            "scenario": "score_heavy",
-            "units": units,
-            "workers": SCORE_WORKERS,
-            "serial_ms": scoring_serial_s * 1000,
-            "pipelined_ms": scoring_pipelined_s * 1000,
-            "pipelined_over_serial": scoring_pipelined_s
-            / max(scoring_serial_s, 1e-9),
-        }
-    ])
-    lines += ["", f"[scoring section merged into {RESULTS_PATH}]"]
     report("runtime_scaling", "\n".join(lines))
-
-    if not SMOKE:
-        # smoke mode (CI) is report-only for wall-clock ratios on shared
-        # runners; the regression gate compares the normalized ratio
-        assert scoring_speedup >= 1.5, (
-            f"pipelined scoring should be >= 1.5x faster than serial "
-            f"scoring on a score-heavy sweep, got {scoring_speedup:.2f}x"
-        )
 
     assert threaded_speedup >= 2.0, (
         f"threaded executor should be >= 2x faster than serial on a "

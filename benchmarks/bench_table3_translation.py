@@ -15,15 +15,13 @@ from __future__ import annotations
 from repro.core.experiments import run_annotation, run_translation
 from repro.data import TABLE3
 from repro.reporting import compare_with_paper, render_grid_table
-from repro.runtime import MpiShardExecutor, RunConfig
+from repro.runtime import RunConfig
 
 EPOCHS = 5
 
 
 def bench_table3_translation(benchmark, report):
-    # shard the sweep across 4 simulated MPI ranks; results are
-    # bit-identical to serial execution (seeds live in the work units)
-    config = RunConfig(executor=MpiShardExecutor(4))
+    config = RunConfig()  # serial execution
     grid = benchmark.pedantic(
         lambda: run_translation(epochs=EPOCHS, config=config),
         rounds=1, iterations=1,

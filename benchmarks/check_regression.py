@@ -62,9 +62,6 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
             ),
         ),
     },
-    "scoring": {
-        "score_heavy": (("pipelined_vs_serial", "pipelined_ms", "serial_ms"),),
-    },
     "faults": {
         "overhead": (("policy_vs_baseline", "policy_ms", "baseline_ms"),),
         **{

@@ -16,26 +16,20 @@ opens an on-disk store in this process; ``tcp://host:port`` or
 runtime knobs travel as one :class:`repro.runtime.RunConfig`.  Inspect a
 local store with ``python -m repro.persist {stats,verify,gc,ls-runs} PATH``.
 
-``--score-workers N`` pipelines scoring through a
-:class:`repro.runtime.ScoringPool` of N worker processes (completed
-units are scored while later ones still generate; grids stay
-bit-identical); ``--score-workers auto`` hands the choice to an
-:class:`repro.runtime.AdaptiveScoringPool`, whose cost model picks a
-worker count per run (0 = inline) from the observed per-unit score and
-generation costs.  ``--profile`` prints the :mod:`repro.obs` phase
-breakdown of the whole script — where the wall time went, phase by
-phase — and ``--profile-json PATH`` saves it for
-``python -m repro.obs report PATH``.
+Scores are computed after each sweep's generations, one scorer call
+per score-cache miss.  ``--profile`` prints
+the :mod:`repro.obs` phase breakdown of the whole script — where the
+wall time went, phase by phase — and ``--profile-json PATH`` saves it
+for ``python -m repro.obs report PATH``.
 
 ``--trace`` arms distributed tracing and the metrics registry for the
 whole script: every sweep gets a trace id (printed at the end, one line
-per run), spans cross the scoring-pool and store-server process
-boundaries, and with ``--store`` each run's trace and metrics snapshot
-land on its manifest (``python -m repro.obs trace RUN_ID --store ...
---chrome out.json`` exports it later).  ``--trace-chrome PATH``
-additionally saves the last sweep's trace as Chrome trace-event JSON,
-ready for ``chrome://tracing`` or Perfetto.  Grids are bit-identical
-with telemetry on or off.
+per run), spans cross the store-server process boundary, and with
+``--store`` each run's trace and metrics snapshot land on its manifest
+(``python -m repro.obs trace RUN_ID --store ... --chrome out.json``
+exports it later).  ``--trace-chrome PATH`` additionally saves the last
+sweep's trace as Chrome trace-event JSON, ready for ``chrome://tracing``
+or Perfetto.  Grids are bit-identical with telemetry on or off.
 
 The fault-tolerance knobs (see :mod:`repro.runtime.faults`) install a
 :class:`repro.runtime.FaultPolicy` on every sweep: ``--max-attempts``,
@@ -49,9 +43,9 @@ failed/missing units re-execute, everything else is a cache hit — and
 reports ``units_failed`` before → after.
 
 Usage:  python examples/reproduce_tables.py [--fast]
-            [--executor {serial,threads,mpi,async,batched}] [--workers N]
+            [--executor {serial,threads,async,batched}] [--workers N]
             [--scheduler {plan,adaptive}] [--cache {memory,disk}]
-            [--store PATH_OR_URL] [--score-workers N|auto]
+            [--store PATH_OR_URL]
             [--on-failure {raise,isolate,skip}] [--max-attempts N]
             [--retry-budget N] [--unit-deadline SECONDS]
             [--resume-failed RUN_ID]
@@ -89,7 +83,6 @@ from repro.runtime import (
     AsyncExecutor,
     BatchingExecutor,
     InMemoryResultCache,
-    MpiShardExecutor,
     SerialExecutor,
     ThreadedExecutor,
 )
@@ -99,7 +92,7 @@ class UsageError(Exception):
     """A CLI knob received a value the runtime has no backend for."""
 
 
-EXECUTORS = ("serial", "threads", "mpi", "async", "batched")
+EXECUTORS = ("serial", "threads", "async", "batched")
 SCHEDULERS = ("plan", "adaptive")
 CACHES = ("memory", "disk")
 
@@ -109,8 +102,6 @@ def make_executor(name: str, workers: int):
         return SerialExecutor()
     if name == "threads":
         return ThreadedExecutor(max_workers=workers)
-    if name == "mpi":
-        return MpiShardExecutor(nprocs=workers)
     if name == "async":
         return AsyncExecutor(max_concurrency=workers)
     if name == "batched":
@@ -124,26 +115,6 @@ def make_scheduler(name: str):
     if name == "adaptive":
         return AdaptiveScheduler()
     raise UsageError(f"unknown scheduler {name!r}; choose from {', '.join(SCHEDULERS)}")
-
-
-def make_scoring(spec: str):
-    if spec == "auto":
-        from repro.runtime import AdaptiveScoringPool
-
-        return AdaptiveScoringPool()
-    try:
-        workers = int(spec)
-    except ValueError:
-        raise UsageError(
-            f"--score-workers takes a worker count or 'auto', got {spec!r}"
-        ) from None
-    if workers < 0:
-        raise UsageError(f"--score-workers must be >= 0, got {workers}")
-    if workers == 0:
-        return None
-    from repro.runtime import ScoringPool
-
-    return ScoringPool(max_workers=workers)
 
 
 def make_faults(args):
@@ -199,7 +170,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=8,
-        help="thread / MPI rank / async in-flight / batch group count",
+        help="thread / async in-flight / batch group count",
     )
     parser.add_argument(
         "--scheduler", default="plan",
@@ -217,13 +188,6 @@ def main() -> None:
              "cache plus one recorded manifest per sweep; see python -m "
              "repro.persist), or tcp://host:port / unix:///path/to.sock for "
              "a shared store server (python -m repro.serve)",
-    )
-    parser.add_argument(
-        "--score-workers", default="0", metavar="N",
-        help="pipeline scoring through N worker processes (0 = inline "
-             "scoring on the run thread; 'auto' = an AdaptiveScoringPool "
-             "sizes the pool per run from its learned cost model; grids "
-             "are bit-identical either way)",
     )
     parser.add_argument(
         "--on-failure", default=None, choices=("raise", "isolate", "skip"),
@@ -263,9 +227,9 @@ def main() -> None:
     parser.add_argument(
         "--trace", action="store_true",
         help="arm distributed tracing + the metrics registry: one trace "
-             "per sweep (ids printed at the end), spans crossing scoring "
-             "pool and store server, trace + metrics on each manifest "
-             "when --store is given",
+             "per sweep (ids printed at the end), spans crossing into the "
+             "store server, trace + metrics on each manifest when --store "
+             "is given",
     )
     parser.add_argument(
         "--trace-chrome", default=None, metavar="PATH",
@@ -277,29 +241,29 @@ def main() -> None:
 
     from repro.errors import HarnessError, StoreError
 
+    store = None
     try:
-        store = None
+        # every knob that needs no store is checked before the store is
+        # opened, so a bad one leaves no store directory behind
+        executor = make_executor(args.executor, args.workers)
+        scheduler = make_scheduler(args.scheduler)
+        faults = make_faults(args)
+        if args.resume_failed is not None and args.store is None:
+            raise UsageError("--resume-failed requires --store PATH")
         if args.store is not None:
             from repro.serve import open_store
 
             store = open_store(args.store)
-        executor = make_executor(args.executor, args.workers)
-        scheduler = make_scheduler(args.scheduler)
         cache_name = args.cache or ("disk" if store is not None else "memory")
         cache = make_cache(cache_name, store)
-        scoring = make_scoring(args.score_workers)
-        faults = make_faults(args)
         from repro.runtime import RunConfig
 
         config = RunConfig(
             executor=executor, cache=cache, scheduler=scheduler, store=store,
-            scoring=scoring, faults=faults,
-            store_url=args.store if store is not None else None,
+            faults=faults, store_url=args.store,
         )
         resume_prior = None
         if args.resume_failed is not None:
-            if store is None:
-                raise UsageError("--resume-failed requires --store PATH")
             resume_prior = store.manifest(args.resume_failed)
             if resume_prior is None:
                 raise UsageError(
@@ -307,6 +271,8 @@ def main() -> None:
                     f"{args.resume_failed!r}"
                 )
     except (UsageError, StoreError, HarnessError) as exc:
+        if store is not None:
+            store.close()
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     if resume_prior is not None:
@@ -368,11 +334,9 @@ def main() -> None:
               f"({epochs} trial(s) per table cell, executor={args.executor}, "
               f"{len(cache)} cached generations)")
     finally:
-        # release worker processes and snapshot the store index even when
-        # a sweep fails midway; query the summary first — a remote client
-        # cannot answer stats once its connection pool is closed
-        if scoring is not None:
-            scoring.close()
+        # snapshot the store index even when a sweep fails midway; query
+        # the summary first — a remote client cannot answer stats once its
+        # connection pool is closed
         store_summary = healed = None
         if store is not None:
             try:

@@ -9,7 +9,7 @@ Public surface (stable):
   ``evaluate``) and the paper's experiment builders.
 * :mod:`repro.runtime` — the parallel evaluation runtime: sweeps flatten
   into work-unit plans executed on pluggable executors (serial, thread
-  pool, MPI shards) behind a content-addressed result cache.
+  pool, asyncio, batched) behind a content-addressed result cache.
 * :mod:`repro.workflows` — executable mini-implementations of ADIOS2,
   Henson, Parsl, PyCOMPSs and Wilkins, each with an API-surface validator.
 * :mod:`repro.mpi`, :mod:`repro.store` — the simulated MPI and storage

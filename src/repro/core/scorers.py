@@ -16,8 +16,9 @@ calls it replaces, several times faster per hypothesis.  Setting
 ``Counter`` path instead (same scores; the equivalence tests pin this).
 
 :meth:`CodeSimilarityScorer.score_batch` scores a whole group of
-completions against one target per call — the unit the scoring pool
-ships to workers, amortizing extraction setup, pickling and IPC.
+completions against one target per call, element-wise identical to
+calling the scorer per completion.  The runner calls the scorer once
+per score-cache miss.
 """
 
 from __future__ import annotations
@@ -125,9 +126,7 @@ class CodeSimilarityScorer:
         Element-wise identical to calling the scorer per completion —
         the target is compiled (and its kernel vocabularies interned)
         once, and each metric runs its group-vectorized kernel over all
-        extracted answers in one call, which is what makes batch the
-        preferred shipping unit for :meth:`ScoringPool.submit_many`
-        workers and the inline scoring path.
+        extracted answers in one call.
         """
         compiled = compile_reference(target)
         answers = [self.extractor(completion) for completion in completions]

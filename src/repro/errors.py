@@ -97,12 +97,11 @@ class CalibrationError(ModelError):
 
 
 class DeadlineExceededError(ModelError):
-    """A generation (or an execution shard) blew its wall-clock deadline.
+    """A generation blew its wall-clock deadline.
 
-    Carries the measured ``elapsed_s``, the ``deadline_s`` that was
-    exceeded, and — for sharded execution — the ``rank`` that was still
-    running.  Never retried: the budget the deadline protects is already
-    spent.
+    Carries the measured ``elapsed_s`` and the ``deadline_s`` that was
+    exceeded.  Never retried: the budget the deadline protects is
+    already spent.
     """
 
     def __init__(
@@ -111,12 +110,10 @@ class DeadlineExceededError(ModelError):
         *,
         elapsed_s: float = 0.0,
         deadline_s: float | None = None,
-        rank: int | None = None,
     ) -> None:
         super().__init__(message)
         self.elapsed_s = elapsed_s
         self.deadline_s = deadline_s
-        self.rank = rank
 
 
 class HarnessError(ReproError):

@@ -36,8 +36,7 @@ disables the vectorized path globally (the escape hatch the equivalence
 tests use to produce reference grids).
 
 :func:`score_batch` scores a whole group of completions against one
-target in a single call — the unit the :class:`ScoringPool` workers and
-the inline path operate on.  Its kernel backends
+target in a single call.  Its kernel backends
 :func:`bleu_kernel_batch` / :func:`chrf_kernel_batch` go further than
 amortizing reference compilation: all hypotheses are concatenated (with
 out-of-vocabulary sentinel separators, which can never match a
@@ -510,10 +509,8 @@ def score_batch(
     The batch is the amortization unit: a scorer exposing
     ``score_batch`` (e.g. :class:`~repro.core.scorers.CodeSimilarityScorer`)
     compiles the target and looks up its interned kernels once for the
-    entire group; any other scorer is called per completion.  This is
-    the worker-side body of :meth:`ScoringPool.submit_many` and the
-    inline path's group scorer — results are element-wise identical to
-    ``[scorer(c, target) for c in completions]``.
+    entire group; any other scorer is called per completion.  Results
+    are element-wise identical to ``[scorer(c, target) for c in completions]``.
     """
     batch = getattr(scorer, "score_batch", None)
     if batch is not None:

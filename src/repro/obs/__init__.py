@@ -6,8 +6,8 @@ The telemetry layer of the runtime.  Four concerns, one ``span()``:
   aggregation into a :class:`PhaseProfile` breakdown tree.
 * **Distributed tracing** (:mod:`repro.obs.trace`) — identified spans
   (trace id / span id / parent id, wall-clock start + duration) that
-  cross the scoring-pool and store-server process boundaries and export
-  as Chrome trace-event JSON.
+  cross the store-server process boundary and export as Chrome
+  trace-event JSON.
 * **Metrics** (:mod:`repro.obs.metrics`) — labeled
   Counter/Gauge/Histogram registries with Prometheus text exposition,
   served live by the store server's ``metrics`` op.

@@ -8,12 +8,12 @@ share-of-parent percentage — the "where did the wall time go" view the
 
 The CLI also accepts a :class:`~repro.persist.manifest.RunManifest`
 JSON file (``manifests/*.json`` inside a run store):
-:func:`render_manifest` shows how the run's units were satisfied, the
-scoring worker count the run chose, and the store read-LRU traffic
-(hits/misses/bytes), followed by the embedded per-run phase profile
-when one was recorded.  Schema-2 manifests additionally carry a trace
-id (and optionally the full trace + a metrics snapshot); pre-2
-manifests render identically, minus those lines.
+:func:`render_manifest` shows how the run's units and scores were
+satisfied and the store read-LRU traffic (hits/misses/bytes), followed
+by the embedded per-run phase profile when one was recorded.
+Schema-2 manifests additionally carry a trace id (and optionally the
+full trace + a metrics snapshot); pre-2 manifests render identically,
+minus those lines.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ def render_manifest(payload: dict, *, title: str = "run manifest") -> str:
     hits = stats.get("read_lru_hits", 0)
     misses = stats.get("read_lru_misses", 0)
     reads = hits + misses
-    score_workers = stats.get("score_workers", 0)
-    scoring = (
-        f"{score_workers} worker process(es)" if score_workers else "inline"
-    )
     lines = [
         title,
         f"  run         {payload.get('run_id', '?')}",
@@ -127,8 +123,7 @@ def render_manifest(payload: dict, *, title: str = "run manifest") -> str:
         f"  units       {total}  generated={stats.get('generated', 0)}  "
         f"cache_hits={stats.get('cache_hits', 0)}  "
         f"dedup={stats.get('deduplicated', 0)}",
-        f"  scoring     {scoring}  "
-        f"computed={stats.get('scores_computed', 0)}  "
+        f"  scoring     computed={stats.get('scores_computed', 0)}  "
         f"score_hits={stats.get('score_hits', 0)}",
         f"  store reads read-LRU {hits} hit(s) / {misses} miss(es)"
         + (f" ({hits / reads:.0%} hit rate)" if reads else "")

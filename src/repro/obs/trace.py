@@ -9,10 +9,9 @@ export it as Chrome trace-event JSON (``chrome://tracing`` /
 https://ui.perfetto.dev).
 
 Spans cross process boundaries by value, not by reference: the
-:class:`~repro.runtime.scoring.ScoringPool` workers and the
-:mod:`repro.serve` store server each build plain span *dicts* (stamped
-with their own pid and wall clock) that the parent process folds into
-its live trace via :meth:`Tracer.record_remote`.  A ``trace`` field on
+:mod:`repro.serve` store server builds plain span *dicts* (stamped with
+its own pid and wall clock) that the client process folds into its live
+trace via :meth:`Tracer.record_remote`.  A ``trace`` field on
 request frames (see :mod:`repro.serve.protocol`) carries the trace id
 and the client span id across the wire so the server's spans parent the
 client span that caused them.

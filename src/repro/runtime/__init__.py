@@ -40,7 +40,6 @@ from repro.runtime.cache import (
 from repro.runtime.executors import (
     AsyncExecutor,
     Executor,
-    MpiShardExecutor,
     SerialExecutor,
     ThreadedExecutor,
     generate_unit,
@@ -61,12 +60,6 @@ from repro.runtime.health import (
 )
 from repro.runtime.plan import EvalSpec, Plan
 from repro.runtime.runner import RunResult, RunStats, run, score_key
-from repro.runtime.scoring import (
-    AdaptiveScoringPool,
-    BatchScoreHandle,
-    ScoreHandle,
-    ScoringPool,
-)
 from repro.runtime.schedule import (
     AdaptiveScheduler,
     ExpectedCostModel,
@@ -86,7 +79,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "MpiShardExecutor",
     "AsyncExecutor",
     "RetryPolicy",
     "FaultPolicy",
@@ -107,10 +99,6 @@ __all__ = [
     "ResultCache",
     "InMemoryResultCache",
     "ScoreCache",
-    "ScoringPool",
-    "AdaptiveScoringPool",
-    "ScoreHandle",
-    "BatchScoreHandle",
     "score_key",
     "run",
     "RunConfig",

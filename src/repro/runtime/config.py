@@ -1,10 +1,10 @@
 """One frozen config object for the whole runtime surface.
 
 :class:`RunConfig` bundles every execution knob of a run (``executor``,
-``cache``, ``score_cache``, ``scheduler``, ``store``, ``scoring``,
-``faults``, ``resume_from``, plus the ``store_url`` a store was opened
-from) into one immutable value.  It is the only way to configure a run,
-and it travels through every entry point — ``run(plan, config=...)``,
+``cache``, ``score_cache``, ``scheduler``, ``store``, ``faults``,
+``resume_from``, plus the ``store_url`` a store was opened from) into
+one immutable value.  It is the only way to configure a run, and it
+travels through every entry point — ``run(plan, config=...)``,
 :func:`repro.core.task.evaluate` (as ``run_config=``), all five
 experiment runners, :func:`repro.reporting.reproduce_table` and
 ``examples/reproduce_tables.py`` — so a sweep's execution policy is one
@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # imported for annotations only — no import cycles at runti
     from repro.runtime.executors import Executor
     from repro.runtime.faults import FaultPolicy
     from repro.runtime.schedule import Scheduler
-    from repro.runtime.scoring import ScoringPool
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class RunConfig:
     score_cache: "ScoreCache | None" = None
     scheduler: "Scheduler | None" = None
     store: Any = None
-    scoring: "ScoringPool | None" = None
     faults: "FaultPolicy | None" = None
     resume_from: str | None = None
     store_url: str | None = None

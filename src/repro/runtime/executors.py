@@ -9,9 +9,6 @@ executor produces bit-identical generations:
 * :class:`ThreadedExecutor` — a ``concurrent.futures`` thread pool; the
   win is large for latency-bound providers (real API endpoints), modest
   for the CPU-bound offline simulator under the GIL;
-* :class:`MpiShardExecutor` — shards units round-robin across simulated
-  :mod:`repro.mpi` ranks and gathers generations at the root, the same
-  SPMD decomposition a real-MPI deployment would use;
 * :class:`AsyncExecutor` — an asyncio event loop multiplexing
   :class:`~repro.llm.api.AsyncModelAPI` calls under a bounded-concurrency
   semaphore, with deterministic retry/backoff for transient
@@ -27,12 +24,11 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import re
 import threading
 import time
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
-from repro.errors import DeadlineExceededError, HarnessError, ModelError
+from repro.errors import HarnessError, ModelError
 from repro.llm.api import as_async, get_model
 from repro.llm.types import ChatMessage
 from repro.obs import active_tracer, span
@@ -48,7 +44,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "MpiShardExecutor",
     "AsyncExecutor",
     "RetryPolicy",  # moved to repro.runtime.faults; re-exported for imports
 ]
@@ -79,7 +74,7 @@ def generate_unit(unit: WorkUnit) -> "Generation | FailedGeneration":
     Without a scope this is exactly the raw provider call it always was.
 
     Each call is wrapped in a ``span("unit")`` — per-unit latency
-    visibility for every sync executor (serial, threaded, MPI-shard),
+    visibility for every sync executor (serial, threaded, batched),
     retries included.  The constant span name keeps phase profiles
     compact; traces still record one identified span per unit.
     """
@@ -110,16 +105,6 @@ class SerialExecutor:
 
     def execute(self, units: Sequence[WorkUnit]) -> dict[str, Generation]:
         return {unit.key: generate_unit(unit) for unit in units}
-
-    def execute_iter(self, units: Sequence[WorkUnit]) -> Iterator[Generation]:
-        """Yield each generation as it completes (still dispatch order).
-
-        The streaming face of the executor: the runner feeds completed
-        units straight into the scoring pipeline while later units are
-        still generating, instead of waiting for the whole batch.
-        """
-        for unit in units:
-            yield generate_unit(unit)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SerialExecutor()"
@@ -167,20 +152,6 @@ class ThreadedExecutor:
         generations = self._ensure_pool().map(generate_unit, units)
         return {gen.key: gen for gen in generations}
 
-    def execute_iter(self, units: Sequence[WorkUnit]) -> Iterator[Generation]:
-        """Yield generations in completion order as workers finish them.
-
-        Completion order is nondeterministic but harmless: generations
-        are keyed by content and reassembled in plan order, so streamed
-        results are bit-identical to :meth:`execute`'s.
-        """
-        if not units:
-            return
-        pool = self._ensure_pool()
-        futures = [pool.submit(generate_unit, unit) for unit in units]
-        for future in concurrent.futures.as_completed(futures):
-            yield future.result()
-
     def close(self) -> None:
         """Shut the pool down and join its worker threads (idempotent)."""
         with self._lock:
@@ -207,70 +178,6 @@ class ThreadedExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadedExecutor(max_workers={self.max_workers})"
-
-
-class MpiShardExecutor:
-    """Shard units across simulated MPI ranks; gather at the root.
-
-    Each rank executes ``units[rank::nprocs]`` serially and the root
-    merges the per-rank shards via ``comm.gather`` — the standard SPMD
-    decomposition, runnable unchanged on a real communicator.
-    """
-
-    def __init__(self, nprocs: int = 4, *, timeout: float = 300.0) -> None:
-        if nprocs <= 0:
-            raise HarnessError(f"nprocs must be positive, got {nprocs}")
-        self.nprocs = nprocs
-        self.timeout = timeout
-
-    def execute(self, units: Sequence[WorkUnit]) -> dict[str, Generation]:
-        if not units:
-            return {}
-        from repro.mpi.launcher import mpiexec
-
-        units = list(units)
-
-        def rank_main(comm):
-            shard = units[comm.rank :: comm.size]
-            local = {unit.key: generate_unit(unit) for unit in shard}
-            shards = comm.gather(local, root=0)
-            if comm.rank != 0:
-                return {}
-            merged: dict[str, Generation] = {}
-            for part in shards:
-                merged.update(part)
-            return merged
-
-        from repro.errors import CommunicatorError
-
-        started = time.perf_counter()
-        try:
-            launch = mpiexec(
-                rank_main,
-                min(self.nprocs, len(units)),
-                timeout=self.timeout,
-                comm_timeout=self.timeout,
-            )
-        except CommunicatorError as exc:
-            # a rank failure wraps the provider's exception; unwrap it so
-            # all executors surface the same exception types.  A genuine
-            # communicator timeout/deadlock has no cause: surface it as a
-            # typed deadline error carrying the stuck rank and elapsed
-            # wall clock instead of a bare re-raise with no context.
-            if exc.__cause__ is not None:
-                raise exc.__cause__
-            match = re.search(r"mpi-rank-(\d+)", str(exc))
-            raise DeadlineExceededError(
-                f"MPI shard execution missed its {self.timeout}s deadline: "
-                f"{exc}",
-                elapsed_s=time.perf_counter() - started,
-                deadline_s=self.timeout,
-                rank=int(match.group(1)) if match else None,
-            ) from exc
-        return launch[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MpiShardExecutor(nprocs={self.nprocs})"
 
 
 class AsyncExecutor:

@@ -2,7 +2,7 @@
 
 Before this module, second chances existed only inside
 :class:`~repro.runtime.executors.AsyncExecutor`; a transient provider
-failure on the serial, threaded, MPI-shard or batched path aborted the
+failure on the serial, threaded or batched path aborted the
 whole sweep.  :class:`FaultPolicy` centralizes every fault-handling knob
 and :func:`fault_scope` threads it through *all* executors at once:
 :func:`repro.runtime.executors.generate_unit` — the single funnel every
@@ -281,7 +281,7 @@ def _isolatable(exc: BaseException) -> bool:
 class FaultState:
     """One run's live fault-handling state: counters plus the shared budget.
 
-    Thread-safe: serial, threaded and MPI-shard execution all funnel
+    Thread-safe: serial, threaded and batched execution all funnel
     through :meth:`run_unit` from arbitrary worker threads, and the
     async path awaits :meth:`run_unit_async` on its loop.  Install for
     the duration of an execution phase with :func:`fault_scope`.
@@ -393,7 +393,7 @@ class FaultState:
             raise exc
         return FailedGeneration(unit, exc, attempts, elapsed)
 
-    # -- sync path (serial / threaded / MPI-shard / batched fallback) --------
+    # -- sync path (serial / threaded / batched fallback) --------------------
 
     def run_unit(
         self,

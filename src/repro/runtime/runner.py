@@ -9,13 +9,10 @@ behind a :class:`~repro.runtime.cache.ScoreCache` (identical
 (generation, target, scorer) triples are scored once), and reassembles
 the plan's evaluation results.
 
-Scoring can be *pipelined*: set a
-:class:`~repro.runtime.scoring.ScoringPool` as the config's ``scoring``
-and each unit's metric work is submitted to a worker process the moment
-its generation exists — for streaming executors (serial, threaded) that
-is while later units are still generating — and collected at assembly
-time.  Results are bit-identical to inline scoring; only the wall time
-changes.
+Scores are computed after execution, one scorer call per score-cache
+miss; :class:`~repro.core.scorers.CodeSimilarityScorer` compiles each
+target once (``compile_reference`` is memoized), so repeated targets
+only pay for the hypothesis side.
 
 :class:`RunStats` records how much work the model layer *and* the
 metric layer actually did, which is what the cache and scaling tests
@@ -57,7 +54,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.plan import EvalSpec, Plan
 from repro.runtime.schedule import PlanOrderScheduler
-from repro.runtime.scoring import ScoreHandle
 from repro.runtime.units import Generation, UnitResult, WorkUnit
 
 
@@ -103,7 +99,6 @@ class RunStats:
     score_hits: int = 0  # units whose score came from the score cache
     generation_seconds: float = 0.0  # summed provider wall-clock of new calls
     profile: PhaseProfile | None = None  # phase breakdown (when profiling)
-    score_workers: int = 0  # scoring worker processes this run used (0 = inline)
     read_lru_hits: int = 0  # store read-LRU hits during this run (disk cache)
     read_lru_misses: int = 0  # store read-LRU misses during this run
     bytes_read: int = 0  # record bytes read from store segments this run
@@ -197,13 +192,12 @@ def run(
     wrapper owns the run's **distributed trace**: when a
     :func:`repro.obs.tracing` tracer is active, the run opens its own
     trace (``run:<plan name>``), every span inside — including spans
-    folded back from scoring-pool workers and the remote store server —
-    is recorded with ids/parents/wall-clock placement, and the finished
-    trace lands on the run's manifest (and its id on
-    :attr:`RunStats.trace_id`).  A run started while another trace is
-    already open simply folds its spans into the outer trace.  Telemetry
-    never changes results: grids are bit-identical with tracing on or
-    off.
+    folded back from the remote store server — is recorded with
+    ids/parents/wall-clock placement, and the finished trace lands on
+    the run's manifest (and its id on :attr:`RunStats.trace_id`).  A run
+    started while another trace is already open simply folds its spans
+    into the outer trace.  Telemetry never changes results: grids are
+    bit-identical with tracing on or off.
     """
     tracer = active_tracer()
     handle = tracer.begin_trace(f"run:{plan.name}") if tracer is not None else None
@@ -267,7 +261,7 @@ def _run_impl(
 
     Results are independent of the executor *and* scheduler choice:
     seeds live inside the units, and generations are keyed by content,
-    so serial, threaded, MPI-shard, async and batched execution (in any
+    so serial, threaded, async and batched execution (in any
     dispatch order, with any mix of cold/warm cache) produce
     bit-identical output.
 
@@ -290,15 +284,8 @@ def _run_impl(
     sweep re-generates only the units the store has never seen, and
     ``RunResult.manifest`` documents exactly how each run was satisfied.
 
-    ``scoring`` plugs in a :class:`~repro.runtime.scoring.ScoringPool`:
-    score-cache misses are computed in worker processes, overlapping
-    generation when the executor streams (serial, threaded) and each
-    other always; grids stay bit-identical to inline scoring.  Units
-    sharing a scorer and target are submitted as one batched group
-    (one worker call per chunk instead of one per score).  An
-    :class:`~repro.runtime.scoring.AdaptiveScoringPool` additionally
-    chooses its worker count here, per run, from its cost model — and
-    is fed this run's measured per-unit costs afterwards.
+    Score-cache misses are scored after execution, one scorer call per
+    miss.  Quarantined generations are never scored.
 
     ``faults`` installs a :class:`~repro.runtime.faults.FaultPolicy` for
     the execution phase: every executor gains the same deterministic
@@ -316,9 +303,7 @@ def _run_impl(
     executor, cache, score_cache, scheduler = (
         config.executor, config.cache, config.score_cache, config.scheduler,
     )
-    store, scoring, faults, resume_from = (
-        config.store, config.scoring, config.faults, config.resume_from,
-    )
+    store, faults, resume_from = config.store, config.faults, config.resume_from
     started_unix = time.time()
     started = time.perf_counter()
     if resume_from is not None:
@@ -384,7 +369,7 @@ def _run_impl(
     # -- score planning ------------------------------------------------------
     # A unit's score key needs only the generation key, the target and
     # the scorer — all known before execution — so score-cache hits are
-    # resolved and pool submissions planned up front.
+    # resolved up front.
     target_hashes: dict[str, str] = {}  # per-run memo of target digests
     unit_skeys: dict[str, Hashable] = {}  # uid -> score key
     skey_units: dict[Hashable, WorkUnit] = {}  # first unit per score key
@@ -399,63 +384,15 @@ def _run_impl(
         if skey not in skey_units:
             skey_units[skey] = unit
 
-    cached_scores: dict[Hashable, object] = {}
-    to_compute: dict[str, list[Hashable]] = {}  # generation key -> score keys
+    scores: dict[Hashable, object] = {}  # score key -> score
+    misses: list[Hashable] = []  # score keys to compute once generated
     with span("score"):  # cache consultation is part of the scoring phase
-        for skey, unit in skey_units.items():
+        for skey in skey_units:
             hit = score_cache.get(skey)
             if hit is not None:
-                cached_scores[skey] = hit
+                scores[skey] = hit
             else:
-                to_compute.setdefault(unit.key, []).append(skey)
-
-    # -- scoring backend resolution ------------------------------------------
-    # an adaptive pool picks its worker count now, from the number of
-    # score computes this run actually needs (0 = score inline)
-    adaptive = scoring if hasattr(scoring, "for_run") else None
-    score_backend = scoring
-    if adaptive is not None:
-        score_backend = adaptive.for_run(
-            sum(len(skeys) for skeys in to_compute.values())
-        )
-
-    pool_jobs: dict[Hashable, ScoreHandle] = {}
-
-    def submit_scores(resolved: list[tuple[str, Generation]]) -> None:
-        """Queue every score waiting on the given resolved generations.
-
-        Scores sharing a (scorer, target) pair are submitted as one
-        batched group — one worker call per chunk — when the backend
-        supports it; results are identical to per-score submission.
-        """
-        groups: dict[tuple, list[tuple[Hashable, str]]] = {}
-        for gen_key, gen in resolved:
-            for skey in to_compute.get(gen_key, ()):
-                unit = skey_units[skey]
-                groups.setdefault((id(unit.scorer), unit.target), []).append(
-                    (skey, gen.completion)
-                )
-        submit_many = getattr(score_backend, "submit_many", None)
-        for (_scorer_id, target), entries in groups.items():
-            scorer = skey_units[entries[0][0]].scorer
-            if submit_many is not None and len(entries) > 1:
-                handles = submit_many(
-                    scorer, [completion for _skey, completion in entries], target
-                )
-                for (skey, _completion), handle in zip(entries, handles):
-                    pool_jobs[skey] = handle
-            else:
-                for skey, completion in entries:
-                    pool_jobs[skey] = score_backend.submit(
-                        scorer, completion, target
-                    )
-
-    if score_backend is not None:
-        # generations already satisfied from the cache can score now,
-        # overlapping the execution phase below
-        submit_scores(
-            [(gen_key, gen) for gen_key, gen in generations.items() if gen is not None]
-        )
+                misses.append(skey)
 
     # -- execution -----------------------------------------------------------
     generation_seconds = 0.0
@@ -470,27 +407,13 @@ def _run_impl(
                 f"scheduler {scheduler!r} must return a permutation of the "
                 f"pending units ({len(pending)} in, {len(ordered)} out)"
             )
-        execute_iter = (
-            getattr(executor, "execute_iter", None)
-            if score_backend is not None
-            else None
-        )
-        produced: dict[str, Generation] = {}
         scope = (
             fault_scope(fault_state)
             if fault_state is not None
             else contextlib.nullcontext()
         )
         with scope, span("generate"):
-            if execute_iter is not None:
-                # streaming: completed units flow into the scoring pool
-                # while later units are still generating
-                for gen in execute_iter(ordered):
-                    produced[gen.key] = gen
-                    if not isinstance(gen, FailedGeneration):
-                        submit_scores([(gen.key, gen)])
-            else:
-                produced = executor.execute(ordered)
+            produced = executor.execute(ordered)
         failed = {
             key: gen
             for key, gen in produced.items()
@@ -507,8 +430,6 @@ def _run_impl(
             if failed
             else list(pending)
         )
-        if score_backend is not None and execute_iter is None:
-            submit_scores([(unit.key, produced[unit.key]) for unit in ok_units])
         observe = getattr(scheduler, "observe", None)
         for unit in ok_units:
             gen = produced[unit.key]
@@ -531,48 +452,27 @@ def _run_impl(
             failure = failed.get(unit.key)
             if failure is not None:
                 failures[unit.uid] = failure.unit_failure(unit.uid)
-    results: dict[str, UnitResult] = {}
-    computed_scores: dict[Hashable, object] = {}
-    scores_computed = score_hits = 0
-    inline_scores = 0
-    inline_score_seconds = 0.0
+    # one scorer call per score-cache miss of a successful generation
+    scores_computed = 0
     with span("score"):
-        for unit in units:
-            gen = generations[unit.key]
-            if isinstance(gen, FailedGeneration):
+        for skey in misses:
+            unit = skey_units[skey]
+            if unit.key in failed:
                 continue
-            skey = unit_skeys[unit.uid]
-            score = cached_scores.get(skey)
-            if score is not None:
-                score_hits += 1
-            else:
-                score = computed_scores.get(skey)
-                if score is None:
-                    handle = pool_jobs.get(skey)
-                    if handle is not None:
-                        score = handle.result()
-                    else:
-                        score_started = time.perf_counter()
-                        score = unit.scorer(gen.completion, unit.target)
-                        inline_score_seconds += time.perf_counter() - score_started
-                        inline_scores += 1
-                    score_cache.put(skey, score)
-                    computed_scores[skey] = score
-                    scores_computed += 1
-                else:
-                    score_hits += 1
-            results[unit.uid] = UnitResult(uid=unit.uid, generation=gen, score=score)
+            score = unit.scorer(generations[unit.key].completion, unit.target)
+            score_cache.put(skey, score)
+            scores[skey] = score
+            scores_computed += 1
 
-    if adaptive is not None:
-        # feed the cost model: inline scoring wall time (pooled scores
-        # overlap generation, so only inline computes carry a clean
-        # per-unit cost) plus this run's per-unit generation cost
-        adaptive.observe_run(
-            scores_computed=inline_scores,
-            score_seconds=inline_score_seconds,
-            generated=len(ok_units),
-            generation_seconds=generation_seconds,
+    results = {
+        unit.uid: UnitResult(
+            uid=unit.uid,
+            generation=generations[unit.key],
+            score=scores[unit_skeys[unit.uid]],
         )
+        for unit in units
+        if unit.uid not in failures
+    }
 
     read_lru_hits = read_lru_misses = bytes_read = 0
     if reads_before is not None:
@@ -582,13 +482,6 @@ def _run_impl(
             reads_after["read_lru_misses"] - reads_before["read_lru_misses"]
         )
         bytes_read = reads_after["bytes_read"] - reads_before["bytes_read"]
-
-    if score_backend is not None:
-        score_workers = getattr(score_backend, "max_workers", 0)
-    elif adaptive is not None:
-        score_workers = adaptive.last_workers  # 0: the run scored inline
-    else:
-        score_workers = 0
 
     unique_keys = len(generations)
     profile = None
@@ -604,10 +497,11 @@ def _run_impl(
         cache_hits=cache_hits,
         deduplicated=len(units) - unique_keys,
         scores_computed=scores_computed,
-        score_hits=score_hits,
+        # every other result reused a score: from the score cache, or
+        # one computed for an identical (generation, target, scorer)
+        score_hits=len(results) - scores_computed,
         generation_seconds=generation_seconds,
         profile=profile,
-        score_workers=score_workers,
         read_lru_hits=read_lru_hits,
         read_lru_misses=read_lru_misses,
         bytes_read=bytes_read,

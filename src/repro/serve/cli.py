@@ -144,14 +144,16 @@ async def _serve(args: argparse.Namespace) -> int:
         path = await server.start_unix(args.unix)
         endpoints["unix"] = path
         print(f"listening on unix://{path}", flush=True)
-    if args.ready_file:
-        pathlib.Path(args.ready_file).write_text(json.dumps(endpoints))
 
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(NotImplementedError):
             loop.add_signal_handler(sig, stop.set)
+    # ready only once a SIGTERM drains: announcing readiness before the
+    # handlers are installed lets an early SIGTERM kill the process hard
+    if args.ready_file:
+        pathlib.Path(args.ready_file).write_text(json.dumps(endpoints))
     metrics_path = (
         pathlib.Path(args.metrics_file) if args.metrics_file else None
     )

@@ -3,9 +3,9 @@
 Everything here exists to *prove* the fault-tolerance layer
 (:mod:`repro.runtime.faults`) and the resilience layer
 (:mod:`repro.serve.replicated`) — inject provider faults, store I/O
-faults, scoring-worker deaths and *server-side* faults (kill/restart,
-slow replicas, overload refusals) on a fixed seed, then assert the
-harness heals around them with bit-identical results.
+faults and *server-side* faults (kill/restart, slow replicas, overload
+refusals) on a fixed seed, then assert the harness heals around them
+with bit-identical results.
 """
 
 from repro.testing.faults import (
@@ -13,7 +13,6 @@ from repro.testing.faults import (
     FaultyProvider,
     FaultyStore,
     faulty_models,
-    kill_pool_workers,
 )
 from repro.testing.servers import (
     ChaosStoreServer,
@@ -26,7 +25,6 @@ __all__ = [
     "FaultyProvider",
     "FaultyStore",
     "faulty_models",
-    "kill_pool_workers",
     "ChaosStoreServer",
     "InProcessServer",
     "ServerProcess",

@@ -1,4 +1,4 @@
-"""Deterministic fault injection: faulty providers, stores and pools.
+"""Deterministic fault injection: faulty providers and stores.
 
 The chaos suite (``tests/test_chaos.py``) needs faults that are *random
 enough* to hit arbitrary units but *deterministic enough* to replay: the
@@ -7,7 +7,7 @@ in every executor, regardless of dispatch order.  So every injection
 decision is a pure function of ``(plan seed, fault kind, request key)``
 — no RNG state, no call-order dependence.
 
-Three injection surfaces:
+Two injection surfaces:
 
 * :class:`FaultyProvider` wraps any registered model provider and
   injects transient failures, permanent failures, latency spikes and
@@ -18,8 +18,6 @@ Three injection surfaces:
   makes chosen appends fail — cleanly (`OSError` before any byte lands)
   or torn (half a record hits the segment, then the error) — to prove
   the torn-tail healing documented in :mod:`repro.persist.segments`.
-* :func:`kill_pool_workers` shoots the live worker processes of a
-  scoring pool, to prove the inline-scoring fallback.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import contextlib
 import hashlib
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import HarnessError, ModelError
@@ -310,27 +307,3 @@ class FaultyStore(RunStore):
         seg = segments[-1] if segments else self._segments_dir / segment_name(1)
         with seg.open("ab") as handle:
             handle.write(blob[: max(1, len(blob) // 2)].rstrip(b"\n"))
-
-
-def kill_pool_workers(pool) -> int:
-    """Kill every live worker process of a scoring pool; return the count.
-
-    Accepts a :class:`~repro.runtime.scoring.ScoringPool`, an
-    :class:`~repro.runtime.scoring.AdaptiveScoringPool`, or a raw
-    :class:`concurrent.futures.ProcessPoolExecutor` — the wrappers are
-    unwrapped through their ``_pool`` attributes.  Killing from outside
-    (rather than asking workers to exit) is the point: the next submit
-    observes :class:`~concurrent.futures.process.BrokenProcessPool`,
-    which the score handles must heal inline.
-    """
-    executor = pool
-    while executor is not None and not isinstance(executor, ProcessPoolExecutor):
-        executor = getattr(executor, "_pool", None)
-    if executor is None:
-        return 0
-    processes = list(getattr(executor, "_processes", {}).values())
-    for process in processes:
-        process.kill()
-    for process in processes:
-        process.join()
-    return len(processes)

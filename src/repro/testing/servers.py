@@ -1,7 +1,7 @@
 """Server-side chaos: kill/restart, slow-replica and overload harnesses.
 
-PR 7's harness injects faults *inside* one process (providers, store
-I/O, scoring workers).  The resilience layer needs faults on the other
+The in-process harness injects faults *inside* one process (providers
+and store I/O).  The resilience layer needs faults on the other
 side of the wire, so this module adds three deterministic server
 harnesses:
 
@@ -70,6 +70,7 @@ class InProcessServer:
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._started = threading.Event()
+        self._stopping = asyncio.Event()
         self.host: str | None = None
         self.port = port
         self._thread.start()
@@ -79,15 +80,18 @@ class InProcessServer:
     def _run(self) -> None:
         asyncio.set_event_loop(self._loop)
 
-        async def boot() -> None:
+        async def serve() -> None:
             self.host, self.port = await self.server.start_tcp(
                 "127.0.0.1", self.port
             )
             self._started.set()
+            # an event, not loop.stop(): a stop requested while boot is
+            # still unwinding would otherwise be swallowed and leave the
+            # server listening
+            await self._stopping.wait()
 
-        self._loop.run_until_complete(boot())
         try:
-            self._loop.run_forever()
+            self._loop.run_until_complete(serve())
         finally:
             try:
                 self._loop.run_until_complete(self.server.aclose())
@@ -121,7 +125,7 @@ class InProcessServer:
     def stop(self) -> None:
         """Stop listening and close the stores (the crash, client-side)."""
         if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._loop.call_soon_threadsafe(self._stopping.set)
             self._thread.join(timeout=10)
 
     def restart(self) -> "InProcessServer":

@@ -23,7 +23,6 @@ from repro.runtime import (
     Plan,
     RetryPolicy,
     RunConfig,
-    ScoringPool,
     SerialExecutor,
     ThreadedExecutor,
     run,
@@ -33,7 +32,6 @@ from repro.testing import (
     FaultyProvider,
     FaultyStore,
     faulty_models,
-    kill_pool_workers,
 )
 
 MODELS = ["o3", "llama-3.3-70b"]
@@ -246,21 +244,6 @@ class TestIsolationAndResume:
         config = RunConfig(store=store, resume_from="run-does-not-exist")
         with pytest.raises(HarnessError, match="has no recorded run"):
             run(plan1, config=config)
-
-
-class TestScoringWorkerDeath:
-    def test_killed_workers_fall_back_inline(self):
-        baseline = small_sweep(SerialExecutor())
-        with ScoringPool(max_workers=2) as pool:
-            pool.warm()
-            assert kill_pool_workers(pool) > 0
-            grid = run_configuration(
-                models=MODELS,
-                systems=SYSTEMS,
-                epochs=2,
-                config=RunConfig(scoring=pool),
-            )
-        assert grid.cells == baseline.cells
 
 
 class TestStoreFaults:

@@ -36,8 +36,9 @@ def run_script(*args: str) -> subprocess.CompletedProcess:
         (["--cache", "punchcards"], "unknown cache 'punchcards'"),
         (["--cache", "disk"], "--cache disk requires --store"),
         (["--store", str(SCRIPT)], "is not a directory"),
-        (["--score-workers", "many"], "worker count or 'auto'"),
-        (["--score-workers", "-1"], "must be >= 0"),
+        (["--executor", "mpi"], "unknown executor 'mpi'"),
+        (["--executor", "async", "--workers", "0"], "max_concurrency must be positive"),
+        (["--resume-failed", "run-1"], "--resume-failed requires --store"),
     ],
 )
 def test_unknown_knobs_exit_cleanly(args, expected):
@@ -45,6 +46,27 @@ def test_unknown_knobs_exit_cleanly(args, expected):
     assert proc.returncode == 2
     assert expected in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["--executor", "nope"], "unknown executor 'nope'"),
+        (["--scheduler", "chaotic"], "unknown scheduler 'chaotic'"),
+        (["--max-attempts", "0"], "max_attempts"),
+        (["--unit-deadline", "0"], "unit_deadline_s must be positive"),
+        (["--retry-budget", "-1"], "retry_budget must be >= 0"),
+        (["--executor", "threads", "--workers", "0"], "max_workers must be positive"),
+    ],
+)
+def test_bad_knob_leaves_no_store_behind(tmp_path, args, expected):
+    """Knobs are checked before --store is opened: no directory is created."""
+    store = tmp_path / "new-store"
+    proc = run_script("--store", str(store), *args)
+    assert proc.returncode == 2
+    assert expected in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not store.exists()
 
 
 def test_valid_factories_build_without_running():
@@ -61,12 +83,3 @@ def test_valid_factories_build_without_running():
     assert cli.make_cache("memory", store=None) is not None
     with pytest.raises(cli.UsageError):
         cli.make_executor("bogus", workers=2)
-    assert cli.make_scoring("0") is None
-    pool = cli.make_scoring("2")
-    assert pool is not None and pool.max_workers == 2
-    pool.close()
-    from repro.runtime import AdaptiveScoringPool
-
-    auto = cli.make_scoring("auto")
-    assert isinstance(auto, AdaptiveScoringPool)
-    auto.close()

@@ -10,7 +10,6 @@ import pytest
 from repro.core.experiments.configuration import configuration_task
 from repro.errors import (
     CalibrationError,
-    CommunicatorError,
     DeadlineExceededError,
     GenerationError,
     HarnessError,
@@ -21,7 +20,6 @@ from repro.errors import (
 from repro.runtime import (
     BatchingExecutor,
     FaultPolicy,
-    MpiShardExecutor,
     Plan,
     RetryPolicy,
     RunConfig,
@@ -321,37 +319,6 @@ class TestUnitFailedError:
         exc = UnitFailedError("quarantined", failures=(failure,))
         assert exc.failures == (failure,)
         assert UnitFailedError("empty").failures == ()
-
-
-class TestMpiDeadline:
-    def test_timeout_surfaces_typed_deadline_error(self, monkeypatch):
-        import repro.mpi.launcher as launcher
-
-        def stuck(*args, **kwargs):
-            raise CommunicatorError(
-                "gather timed out after 0.1s on mpi-rank-2 (deadlock?)"
-            )
-
-        monkeypatch.setattr(launcher, "mpiexec", stuck)
-        executor = MpiShardExecutor(nprocs=3, timeout=0.1)
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            executor.execute([one_unit()])
-        err = excinfo.value
-        assert err.rank == 2
-        assert err.deadline_s == 0.1
-        assert err.elapsed_s >= 0
-        assert "0.1s deadline" in str(err)
-        assert isinstance(err.__cause__, CommunicatorError)
-
-    def test_rank_failure_still_unwraps_the_cause(self, monkeypatch):
-        import repro.mpi.launcher as launcher
-
-        def failed_rank(*args, **kwargs):
-            raise CommunicatorError("rank died") from ModelError("provider down")
-
-        monkeypatch.setattr(launcher, "mpiexec", failed_rank)
-        with pytest.raises(ModelError, match="provider down"):
-            MpiShardExecutor(nprocs=2).execute([one_unit()])
 
 
 class TestBatchingSalvage:

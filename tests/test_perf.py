@@ -198,7 +198,6 @@ class TestReport:
                 "deduplicated": 0,
                 "scores_computed": 0,
                 "score_hits": 24,
-                "score_workers": 3,
                 "read_lru_hits": 8,
                 "read_lru_misses": 16,
                 "bytes_read": 2048,
@@ -207,16 +206,13 @@ class TestReport:
         text = obs.render_manifest(payload)
         assert "run-123" in text
         assert "resumed" in text and "run-122" in text
-        assert "3 worker process(es)" in text
+        assert "computed=0  score_hits=24" in text
         assert "8 hit(s) / 16 miss(es)" in text
         assert "33% hit rate" in text
         assert "2.0 KiB" in text
 
-    def test_render_manifest_inline_and_zero_reads(self):
-        text = obs.render_manifest(
-            {"run_id": "r", "stats": {"total_units": 1, "score_workers": 0}}
-        )
-        assert "inline" in text
+    def test_render_manifest_zero_reads(self):
+        text = obs.render_manifest({"run_id": "r", "stats": {"total_units": 1}})
         assert "0 hit(s) / 0 miss(es)" in text
         assert "hit rate" not in text  # no division by zero, no bogus %
         assert "0 B" in text
@@ -313,7 +309,6 @@ class TestCLI:
         assert proc.returncode == 0
         assert "run manifest" in proc.stdout
         assert "perf-cli-manifest" in proc.stdout
-        assert "inline" in proc.stdout  # score_workers == 0
         assert "read-LRU" in proc.stdout
         # the per-run profile recorded in the manifest renders below it
         assert "phase profile (recorded with the run)" in proc.stdout

@@ -474,7 +474,7 @@ class TestManifests:
         assert run(small_plan()).manifest is None
 
     def test_read_and_scoring_stats_round_trip(self, tmp_path):
-        """score_workers + read-LRU traffic survive the manifest file."""
+        """Read-LRU traffic survives the manifest file."""
         from repro.persist.manifest import RunManifest
         from repro.runtime.runner import RunStats
 
@@ -485,7 +485,6 @@ class TestManifests:
         # the warm pass read its generations back from segments
         assert warm.stats.read_lru_misses > 0
         assert warm.stats.bytes_read > 0
-        assert warm.stats.score_workers == 0  # inline scoring
         reloaded = RunStore(tmp_path / "store").manifests()[-1]
         assert reloaded.stats == warm.stats
 
@@ -500,8 +499,7 @@ class TestManifests:
             cache="InMemoryResultCache()",
             stats=RunStats(
                 total_units=1, generated=1, cache_hits=0, deduplicated=0,
-                score_workers=3, read_lru_hits=7, read_lru_misses=2,
-                bytes_read=4096,
+                read_lru_hits=7, read_lru_misses=2, bytes_read=4096,
             ),
             started_unix=0.0,
             wall_seconds=1.0,
@@ -510,24 +508,40 @@ class TestManifests:
             json.loads(json.dumps(manifest.to_payload()))
         )
         assert back == manifest
-        assert back.stats.score_workers == 3
         assert back.stats.read_lru_hits == 7
         assert back.stats.bytes_read == 4096
 
     def test_old_manifest_without_read_stats_still_loads(self, tmp_path):
-        """Pre-PR-6 manifests (no read/scoring stat keys) default to zero."""
+        """Old manifests without the read stat keys default them to zero."""
         from repro.persist.manifest import RunManifest
 
         with RunStore(tmp_path / "store") as store:
             payload = run(small_plan(), config=RunConfig(store=store)).manifest.to_payload()
-        for legacy_missing in (
-            "score_workers", "read_lru_hits", "read_lru_misses", "bytes_read",
-        ):
+        for legacy_missing in ("read_lru_hits", "read_lru_misses", "bytes_read"):
             payload["stats"].pop(legacy_missing)
         old = RunManifest.from_payload(payload)
-        assert old.stats.score_workers == 0
         assert old.stats.read_lru_hits == 0
         assert old.stats.bytes_read == 0
+
+    @pytest.mark.parametrize("name", ["manifest_v1.json", "manifest_v2.json"])
+    def test_manifest_with_retired_stat_keys_still_loads(self, name):
+        """Stat keys RunStats no longer has (the fixtures still carry the
+        retired scoring-worker count) load and are dropped, at any value."""
+        from dataclasses import fields
+
+        from repro.persist.manifest import RunManifest
+        from repro.runtime.runner import RunStats
+
+        fixture = Path(__file__).parent / "fixtures" / name
+        payload = json.loads(fixture.read_text())
+        current = {spec.name for spec in fields(RunStats)} | {"schema", "kind"}
+        retired = set(payload["stats"]) - current
+        assert retired  # the fixture predates the deletion
+        for key in retired:
+            payload["stats"][key] = 3
+        manifest = RunManifest.from_payload(payload)
+        assert manifest.stats.total_units == 1
+        assert retired.isdisjoint(manifest.stats.as_dict())
 
     def test_explicit_cache_still_records_manifest(self, tmp_path):
         with RunStore(tmp_path / "store") as store:

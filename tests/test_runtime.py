@@ -26,7 +26,6 @@ from repro.runtime import (
     AsyncExecutor,
     BatchingExecutor,
     InMemoryResultCache,
-    MpiShardExecutor,
     Plan,
     RunConfig,
     ScoreCache,
@@ -40,7 +39,6 @@ from repro.llm.types import GenerateConfig
 EXECUTORS = {
     "serial": SerialExecutor,
     "threaded": lambda: ThreadedExecutor(max_workers=6),
-    "mpi": lambda: MpiShardExecutor(nprocs=3),
     "async": lambda: AsyncExecutor(max_concurrency=6),
     "batched": lambda: BatchingExecutor(),
 }
@@ -118,13 +116,13 @@ class TestPlan:
 
 
 class TestExecutorEquivalence:
-    """Serial, threaded and MPI-shard execution must be bit-identical."""
+    """Serial, threaded, async and batched execution must be bit-identical."""
 
     @pytest.fixture(scope="class")
     def serial_grid(self):
         return small_sweep(SerialExecutor())
 
-    @pytest.mark.parametrize("name", ["threaded", "mpi", "async", "batched"])
+    @pytest.mark.parametrize("name", ["threaded", "async", "batched"])
     def test_grid_identical_to_serial(self, serial_grid, name):
         grid = small_sweep(EXECUTORS[name]())
         assert grid.cells == serial_grid.cells
@@ -232,7 +230,7 @@ class TestResultCache:
     def test_cache_shared_across_executors(self):
         cache = InMemoryResultCache()
         cold = small_sweep(SerialExecutor(), cache=cache)
-        warm = small_sweep(MpiShardExecutor(2), cache=cache)
+        warm = small_sweep(ThreadedExecutor(2), cache=cache)
         assert warm.cells == cold.cells
 
     def test_cache_shared_across_sweeps(self, monkeypatch):

@@ -430,6 +430,14 @@ class TestRunConfig:
             RunConfig.from_url(str(leaked), warp_drive=1)
         assert not leaked.exists()
 
+    def test_knobs_are_exactly_the_eight_fields(self):
+        from dataclasses import fields
+
+        assert [spec.name for spec in fields(RunConfig)] == [
+            "executor", "cache", "score_cache", "scheduler",
+            "store", "faults", "resume_from", "store_url",
+        ]
+
     def test_evaluate_accepts_run_config(self):
         from repro.core.experiments.configuration import configuration_task
         from repro.core.task import evaluate
