@@ -4,12 +4,18 @@ Given an ordered operator sequence, the quality curve ``BLEU(k)`` for
 ``k = 0..N`` is evaluated through an incremental :class:`QualityCurve`:
 prefix ``k`` is built by applying *one* operator to prefix ``k-1``
 (O(N) total op applications, versus O(N²) when every prefix replays
-from scratch), and every depth is scored once and memoized.  Depths are
-scored in chunked groups through the batched vectorized BLEU kernel
-(:func:`repro.metrics.kernels.bleu_kernel_batch`) against a precompiled
-reference (:mod:`repro.metrics.compiled`); each element is bit-equal to
-:func:`~repro.metrics.compiled.bleu_compiled`, so the chosen depths are
-exactly those of a per-depth scalar scan.  The k with minimum
+from scratch), and every depth is scored once and memoized.  Scoring
+follows the same shape: an operator changes about one line, so a
+:class:`_DeltaWalk` re-tokenizes only the lines that differ from the
+previous depth and updates that depth's clipped n-gram counts with the
+difference (:meth:`repro.metrics.kernels._TokenKernel.delta_stats`,
+chunked).  A depth the walk cannot take — no vectorized kernel for the
+reference, or a text that does not tokenize line by line — is scored
+whole with :func:`repro.metrics.kernels.bleu_kernel_batch`.  Both paths
+produce the exact integer counts and the shared score arithmetic, so
+every score is bit-equal to :func:`~repro.metrics.compiled.bleu_compiled`
+and the chosen depths are exactly those of a per-depth scalar scan.
+Texts are joined only for the depths callers read.  The k with minimum
 ``|BLEU(k) − target|`` is selected by a straight scan rather than
 bisection because the curve is only *approximately* monotone —
 individual operators vary in impact.
@@ -22,16 +28,28 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import ne
+
+import numpy as np
 
 from repro.errors import CalibrationError
 from repro.llm.corruption import CorruptionOp, apply_ops  # noqa: F401 (re-export)
+from repro.metrics.bleu import DEFAULT_MAX_ORDER
 from repro.metrics.compiled import CompiledReference, compile_reference
 from repro.metrics.compiled import bleu_compiled  # noqa: F401 (re-export)
-from repro.metrics.kernels import bleu_kernel_batch
+from repro.metrics.kernels import (
+    _token_kernel,
+    _TokenKernel,
+    bleu_from_stats,
+    bleu_kernel_batch,
+    kernels_enabled,
+)
+from repro.metrics.tokenizers import tokenize_lines
 
-# depths per bleu_kernel_batch call: enough to amortize numpy's per-call
-# overhead, few enough that a whole curve's concatenated id/code arrays
-# never sit in memory at once
+# depths per kernel call: enough to amortize numpy's per-call overhead,
+# few enough that a whole curve's concatenated id/code arrays never sit
+# in memory at once
 _SCORE_CHUNK = 32
 
 
@@ -42,7 +60,6 @@ class CalibrationResult:
     k: int
     achieved_bleu: float
     target_bleu: float
-    curve: tuple[float, ...]
 
     @property
     def error(self) -> float:
@@ -60,10 +77,10 @@ class QualityCurve:
     their input line lists, so prefix states can be retained safely.
 
     Every range query (:meth:`scores`, :meth:`best`, the fallback scan)
-    scores its unscored depths in groups of ``_SCORE_CHUNK`` with one
-    :func:`~repro.metrics.kernels.bleu_kernel_batch` call per group —
-    bit-equal to a per-depth :func:`bleu_compiled`, at a fraction of the
-    per-hypothesis overhead.  ``scores_computed`` counts exactly the
+    scores its unscored depths in groups of ``_SCORE_CHUNK`` through one
+    :class:`_DeltaWalk` that lives only for that query (the curve itself
+    is shared across executor threads) — bit-equal to a per-depth
+    :func:`bleu_compiled`.  ``scores_computed`` counts exactly the
     depths scored, however they were grouped.
     """
 
@@ -90,30 +107,63 @@ class QualityCurve:
         """Number of depths on the curve (k = 0..len(ops))."""
         return len(self.ops) + 1
 
-    def text(self, k: int) -> str:
-        """The artifact at depth ``k`` — identical to ``apply_ops(ref, ops, k)``.
+    def _state(self, k: int) -> list[str]:
+        """The line list at depth ``k`` (clamped to ``0..len(ops)``).
 
         Thread-safe: curve objects are published process-wide inside the
-        simulator's cached cells, so the lazy prefix extension is locked
-        (the memoized-text fast path stays lock-free).
+        simulator's cached cells, so the lazy prefix extension is locked.
         """
+        k = max(0, min(k, len(self.ops)))
+        states = self._states
+        if k < len(states):
+            return states[k]
+        with self._lock:
+            while len(self._states) <= k:
+                j = len(self._states)
+                self._states.append(self.ops[j - 1].apply(self._states[j - 1]))
+            return self._states[k]
+
+    def text(self, k: int) -> str:
+        """The artifact at depth ``k`` — identical to ``apply_ops(ref, ops, k)``."""
         k = max(0, min(k, len(self.ops)))
         text = self._texts.get(k)
         if text is None:
-            with self._lock:
-                while len(self._states) <= k:
-                    j = len(self._states)
-                    self._states.append(self.ops[j - 1].apply(self._states[j - 1]))
-                text = self._texts[k] = "\n".join(self._states[k])
+            text = self._texts[k] = "\n".join(self._state(k))
         return text
 
     def _score_range(self, lo: int, hi: int) -> None:
-        """Score every unscored depth in ``[lo, hi]``, a chunk per kernel call."""
+        """Score every unscored depth in ``[lo, hi]``, a chunk per kernel call.
+
+        Depths go through one :class:`_DeltaWalk` that lives only for
+        this call; a depth the walk cannot take (no token kernel for the
+        reference, or a state that does not tokenize line by line) is
+        scored from its text with :func:`bleu_kernel_batch`.
+        """
         missing = [k for k in range(lo, hi + 1) if k not in self._scores]
+        kernel = (
+            _token_kernel(self.compiled, DEFAULT_MAX_ORDER)
+            if kernels_enabled()
+            else None
+        )
+        walk = _DeltaWalk(kernel) if kernel is not None else None
         for start in range(0, len(missing), _SCORE_CHUNK):
             chunk = missing[start : start + _SCORE_CHUNK]
-            scores = bleu_kernel_batch([self.text(k) for k in chunk], self.compiled)
-            self._scores.update(zip(chunk, scores))
+            walked: list[int] = []
+            whole: list[int] = []
+            for k in chunk:
+                if walk is not None and walk.step(self._state(k)):
+                    walked.append(k)
+                else:
+                    whole.append(k)
+            if walked:
+                self._scores.update(
+                    zip(walked, walk.scores(self.compiled.ref_len))
+                )
+            if whole:
+                texts = [self.text(k) for k in whole]
+                self._scores.update(
+                    zip(whole, bleu_kernel_batch(texts, self.compiled))
+                )
             self.scores_computed += len(chunk)
 
     def score(self, k: int) -> float:
@@ -157,6 +207,79 @@ class QualityCurve:
             if err < best_err:
                 best_k, best_err = k, err
         return best_k, best_err
+
+
+class _DeltaWalk:
+    """Token ids of one prefix state, moved from depth to depth by deltas.
+
+    A corruption operator changes about one line, so depth ``k``'s token
+    stream is depth ``k-1``'s with a short run of lines re-tokenized:
+    :meth:`step` finds the lines the two states share at the front and
+    back, tokenizes only the lines between, splices the id list, and
+    queues the (removed, added) id windows.  :meth:`scores` turns the
+    queued windows into per-depth clipped counts with one
+    :meth:`_TokenKernel.delta_stats` call.  A walk starts from the empty
+    state (so its first depth is counted in full) and may step between
+    any two states, adjacent or not.
+    """
+
+    __slots__ = ("kernel", "context", "lines", "ids", "line_lens", "running",
+                 "removed", "added", "lengths")
+
+    def __init__(self, kernel: _TokenKernel) -> None:
+        self.kernel = kernel
+        # unchanged ids padded onto both sides of a window: max_order - 1
+        self.context = len(kernel.orders) - 1
+        self.lines: list[str] = []
+        self.ids: list[int] = []
+        self.line_lens: list[int] = []  # tokens per line of ``lines``
+        self.running = [np.zeros(len(uniq), dtype=np.int64)
+                        for uniq, _ in kernel.orders]
+        self.removed: list[list[int]] = []
+        self.added: list[list[int]] = []
+        self.lengths: list[int] = []
+
+    def step(self, lines: list[str]) -> bool:
+        """Move to ``lines`` and queue its delta; ``False`` (and no move)
+        when the state does not tokenize line by line."""
+        old = self.lines
+        a, b = len(old), len(lines)
+        # shared lines keep their 13a boundary context only while they
+        # stay off the text's edges: the prefix never reaches either
+        # state's last line, the suffix never either state's first
+        m = min(a, b)
+        p = _shared(old, lines, max(m - 1, 0))
+        s = _shared(reversed(old), reversed(lines), max(min(m - 1, m - p), 0))
+        per_line = tokenize_lines(lines[p : b - s], first=p == 0, last=s == 0)
+        if per_line is None:
+            return False
+        new_ids = self.kernel.token_ids(list(chain.from_iterable(per_line)))
+        ids, line_lens = self.ids, self.line_lens
+        head = sum(line_lens[:p])
+        tail = len(ids) - sum(line_lens[a - s :])
+        left = max(0, head - self.context)
+        right = tail + self.context
+        self.removed.append(ids[left:right])
+        self.added.append(ids[left:head] + new_ids + ids[tail:right])
+        self.ids = ids[:head] + new_ids + ids[tail:]
+        self.line_lens = line_lens[:p] + [len(t) for t in per_line] + line_lens[a - s :]
+        self.lines = lines
+        self.lengths.append(len(self.ids))
+        return True
+
+    def scores(self, ref_len: int) -> list[float]:
+        """BLEU of every depth queued since the last call, in step order."""
+        counts, totals = self.kernel.delta_stats(
+            self.running, self.removed, self.added, self.lengths
+        )
+        out = bleu_from_stats(counts, totals, self.lengths, ref_len)
+        self.removed, self.added, self.lengths = [], [], []
+        return out
+
+
+def _shared(xs, ys, limit: int) -> int:
+    """Length of the common prefix of two iterables, at most ``limit``."""
+    return next(compress(range(limit), map(ne, xs, ys)), limit)
 
 
 def quality_curve(reference: str, ops: list[CorruptionOp]) -> list[float]:
@@ -226,10 +349,7 @@ def calibrate(
     scores = curve.scores()
     best_k, _ = curve.best(target_bleu)
     result = CalibrationResult(
-        k=best_k,
-        achieved_bleu=scores[best_k],
-        target_bleu=target_bleu,
-        curve=tuple(scores),
+        k=best_k, achieved_bleu=scores[best_k], target_bleu=target_bleu
     )
     if result.error > tolerance:
         raise CalibrationError(

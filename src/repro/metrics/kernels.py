@@ -44,15 +44,24 @@ reference n-gram) into **one** id array, packed once per order, and the
 per-hypothesis clipped matches come out of a single fused
 ``np.bincount`` over ``(gram id, hypothesis)`` keys — the numpy
 per-call overhead that dominates short hypotheses is paid once per
-*group* per order instead of once per hypothesis.  Simulator calibration
-(:class:`repro.llm.calibration.QualityCurve`) scores its corruption
-depths through :func:`bleu_kernel_batch` in fixed-size chunks.
+*group* per order instead of once per hypothesis.
+
+Simulator calibration (:class:`repro.llm.calibration.QualityCurve`)
+scores a run of corruption depths whose texts differ by a line or two
+each.  :meth:`_TokenKernel.delta_stats` takes each depth's removed and
+added id windows (padded with ``max_order - 1`` unchanged context ids,
+so grams wholly inside the context cancel), joins a chunk of them with
+the same sentinel separators, and turns one signed ``np.bincount`` per
+order into a (depths × reference grams) delta matrix.  A ``cumsum``
+from the running hypothesis counts gives every depth's counts, and
+``np.minimum`` clips them: the same exact integers as scoring each text
+whole, for a few changed tokens per depth.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -119,20 +128,15 @@ def _concat_with_separators(ids_list: list, base: int, max_order: int):
     start-position ownership attribution safe for every counted gram.
     """
     n = len(ids_list)
-    sep_len = max_order - 1
-    sep_ids = np.full(sep_len, base - 1, dtype=np.int64)
-    parts: list = []
-    owners: list = []
-    for h, ids in enumerate(ids_list):
-        parts.append(ids)
-        owners.append(np.full(len(ids), h, dtype=np.int64))
-        if sep_len and h < n - 1:
-            parts.append(sep_ids)
-            owners.append(np.full(sep_len, h, dtype=np.int64))
-    if not parts:
+    if not n:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    return np.concatenate(parts), np.concatenate(owners)
+    sep_len = max_order - 1
+    parts = [np.full(sep_len, base - 1, dtype=np.int64)] * (2 * n - 1)
+    parts[::2] = ids_list
+    spans = np.fromiter(map(len, ids_list), dtype=np.int64, count=n)
+    spans[:-1] += sep_len
+    return np.concatenate(parts), np.repeat(np.arange(n, dtype=np.int64), spans)
 
 
 def _batch_clipped_counts(codes, owner, vocab, n: int):
@@ -183,21 +187,17 @@ class _TokenKernel:
     def __setstate__(self, state) -> None:
         self.vocab, self.base, self.orders = state
 
-    def _intern(self, tokens: Sequence[str]) -> "np.ndarray":
+    def token_ids(self, tokens: Sequence[str]) -> list[int]:
         """Token ids against the reference vocab (unknown -> sentinel).
 
         ``map`` over the bound ``dict.get`` keeps the per-token loop in C;
         a generator expression here was the top self-time in calibration.
         """
-        return np.fromiter(
-            map(self.vocab.get, tokens, repeat(len(self.vocab), len(tokens))),
-            dtype=np.int64,
-            count=len(tokens),
-        )
+        return list(map(self.vocab.get, tokens, repeat(len(self.vocab), len(tokens))))
 
     def stats(self, hyp_tokens: Sequence[str]) -> tuple[list[int], list[int]]:
         """Per-order (clipped matches, hypothesis n-gram totals) for BLEU."""
-        ids = self._intern(hyp_tokens)
+        ids = np.array(self.token_ids(hyp_tokens), dtype=np.int64)
         counts: list[int] = []
         totals: list[int] = []
         for codes, vocab in zip(_pack_codes(ids, self.base, len(self.orders)),
@@ -214,7 +214,8 @@ class _TokenKernel:
         produce per hypothesis, computed with one set of array ops per
         order for the entire group.
         """
-        ids_list = [self._intern(tokens) for tokens in hyp_token_lists]
+        ids_list = [np.array(self.token_ids(tokens), dtype=np.int64)
+                    for tokens in hyp_token_lists]
         n = len(ids_list)
         max_order = len(self.orders)
         cat, owner = _concat_with_separators(ids_list, self.base, max_order)
@@ -228,6 +229,51 @@ class _TokenKernel:
         ):
             counts.append(_batch_clipped_counts(codes, owner, vocab, n))
             totals.append(np.maximum(lengths - order + 1, 0))
+        return counts, totals
+
+    def delta_stats(self, running, removed, added, lengths):
+        """Per-order (matches, totals) arrays over consecutive depths.
+
+        Depth ``j`` of the chunk is the previous depth with the id window
+        ``removed[j]`` replaced by ``added[j]``; each window carries
+        ``max_order - 1`` unchanged context ids on both sides, so every
+        gram that touches the change is in one window and grams wholly
+        inside the context cancel.  ``running`` holds the hypothesis count
+        of every reference gram, per order, at the depth before the chunk
+        and is advanced to the chunk's last depth in place; ``lengths``
+        are the depths' token counts.  Index ``[order][j]`` gives the same
+        integers :meth:`batch_stats` would produce for depth ``j``'s
+        whole token stream.
+        """
+        n = len(added)
+        max_order = len(self.orders)
+        cat, owner = _concat_with_separators(
+            [np.array(ids, dtype=np.int64) for ids in chain(removed, added)],
+            self.base,
+            max_order,
+        )
+        lengths = np.asarray(lengths, dtype=np.int64)
+        counts = []
+        totals = []
+        for order, (codes, (uniq, ref_counts), hyp_counts) in enumerate(
+            zip(_pack_codes(cat, self.base, max_order), self.orders, running),
+            start=1,
+        ):
+            totals.append(np.maximum(lengths - order + 1, 0))
+            if len(uniq) == 0:
+                counts.append(np.zeros(n, dtype=np.int64))
+                continue
+            idx = np.searchsorted(uniq, codes)
+            np.minimum(idx, len(uniq) - 1, out=idx)
+            valid = uniq[idx] == codes
+            key = owner[: len(codes)][valid] * len(uniq) + idx[valid]
+            hist = np.bincount(key, minlength=2 * n * len(uniq))
+            hist = hist.reshape(2 * n, len(uniq))
+            # signed per-depth deltas, accumulated from the running counts
+            per_depth = np.cumsum(hist[n:] - hist[:n], axis=0)
+            per_depth += hyp_counts
+            hyp_counts[:] = per_depth[-1]
+            counts.append(np.minimum(per_depth, ref_counts).sum(axis=1))
         return counts, totals
 
 
@@ -442,17 +488,38 @@ def bleu_kernel_batch(
         return []
     token_lists = [tokenize_13a_cached(hyp) for hyp in hypotheses]
     counts, totals = kernel.batch_stats(token_lists)
+    return bleu_from_stats(
+        counts, totals, [len(tokens) for tokens in token_lists], ref.ref_len,
+        smooth_method=smooth_method, smooth_value=smooth_value,
+    )
+
+
+def bleu_from_stats(
+    counts,
+    totals,
+    sys_lens: Sequence[int],
+    ref_len: int,
+    *,
+    smooth_method: str = "exp",
+    smooth_value: float | None = None,
+) -> list[float]:
+    """Sentence BLEU per hypothesis from per-order (matches, totals) arrays.
+
+    ``counts[order][h]`` / ``totals[order][h]`` as returned by
+    :meth:`_TokenKernel.batch_stats` or :meth:`_TokenKernel.delta_stats`;
+    the exact integers go through the shared ``_compute_score``.
+    """
+    max_order = len(counts)
     return [
         _compute_score(
-            [int(order_counts[i]) for order_counts in counts],
-            [int(order_totals[i]) for order_totals in totals],
-            len(token_lists[i]),
-            ref.ref_len,
-            smooth_method,
-            smooth_value,
-            max_order,
+            list(hyp_counts), list(hyp_totals), sys_len, ref_len,
+            smooth_method, smooth_value, max_order,
         ).score
-        for i in range(len(hypotheses))
+        for hyp_counts, hyp_totals, sys_len in zip(
+            zip(*(order_counts.tolist() for order_counts in counts)),
+            zip(*(order_totals.tolist() for order_totals in totals)),
+            sys_lens,
+        )
     ]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 # mteval-v13a language-independent tokenization patterns, applied in order.
@@ -64,38 +65,51 @@ def _tokenize_segment(segment: str) -> tuple[str, ...]:
     return _tokenize_flat(segment)
 
 
+def tokenize_lines(
+    lines: Sequence[str], *, first: bool = True, last: bool = True
+) -> list[tuple[str, ...]] | None:
+    """Per-line 13a tokens of consecutive lines of one ``"\\n"``-joined text.
+
+    Every 13a rule is local (at most a two-character window) and line
+    boundaries become plain spaces after the newline join, so tokenizing
+    each line with an explicit space sentinel on its interior boundaries
+    concatenates to exactly the whole-text token stream.  ``first`` /
+    ``last`` say whether the run starts / ends the text, whose outer
+    edges must stay contextless.
+
+    Returns ``None`` when the text must be tokenized whole instead: a
+    line holds ``\\r`` or ``\\n`` (the text's lines are not ``lines``),
+    or a line other than the text's last ends in ``-`` (mteval joins
+    end-of-line hyphenation across lines).
+    """
+    end = len(lines) - 1
+    out = []
+    for i, line in enumerate(lines):
+        if "\r" in line or "\n" in line:
+            return None
+        if i < end or not last:
+            if line.endswith("-"):
+                return None
+            line += " "
+        if i or not first:
+            line = " " + line
+        out.append(_tokenize_segment(line))
+    return out
+
+
 @lru_cache(maxsize=4096)
 def tokenize_13a_cached(text: str) -> tuple[str, ...]:
     """LRU-cached 13a tokenization, returned as an immutable tuple.
 
-    Multi-line texts tokenize line-by-line: every 13a rule is local (at
-    most a two-character window) and line boundaries become plain spaces
-    after the newline join, so tokenizing each line with an explicit
-    space sentinel on its interior boundaries concatenates to exactly
-    the whole-text token stream.  The per-line cache then turns
+    Multi-line texts tokenize line-by-line (:func:`tokenize_lines`), so
     re-tokenizing a corrupted artifact that shares most lines with its
-    predecessor into a handful of dict hits.
+    predecessor is a handful of per-line cache hits.
     """
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if "\n" not in text:
-        return _tokenize_segment(text)
-    if "-\n" in text:
-        # end-of-line hyphenation joins words across lines; the per-line
-        # decomposition no longer applies, take the whole-text path
+    per_line = tokenize_lines(text.split("\n"))
+    if per_line is None:
         return _tokenize_flat(text.replace("-\n", "").replace("\n", " "))
-    lines = text.split("\n")
-    last = len(lines) - 1
-    tokens: list[str] = []
-    for i, line in enumerate(lines):
-        # interior boundaries get a space sentinel so the digit-context
-        # rules see the same neighbour they would in the joined text;
-        # the text's outer edges must stay contextless
-        if i > 0:
-            line = " " + line
-        if i < last:
-            line = line + " "
-        tokens.extend(_tokenize_segment(line))
-    return tuple(tokens)
+    return tuple(chain.from_iterable(per_line))
 
 
 def tokenize_13a(text: str) -> list[str]:

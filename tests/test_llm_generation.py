@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.assets import annotated_producer, reference_config
 from repro.errors import CalibrationError
@@ -18,7 +20,7 @@ from repro.llm.corruption import CorruptionOp, apply_ops, build_ops, shuffle_wit
 from repro.llm.knowledge import SystemKnowledge
 from repro.llm.profiles import ALL_PROFILES
 from repro.metrics import bleu
-from repro.metrics.compiled import bleu_compiled
+from repro.metrics.compiled import bleu_compiled, compile_reference
 from repro.metrics.kernels import _token_kernel
 from repro.utils.rng import rng_for
 from repro.utils.text import strip_markdown_chatter
@@ -213,6 +215,163 @@ class TestQualityCurve:
         local_recalibrate(REF, ops, 0.0, center=center, window=window, curve=far)
         assert near.scores_computed == hi - lo + 1
         assert far.scores_computed == len(far)
+
+
+# line fragments covering the 13a rules a per-line delta must respect:
+# ``.``/``,`` next to digits, dashes, entities, blanks, and the two that
+# stop a text from tokenizing line by line: a trailing ``-`` (mteval
+# joins the lines) and ``\r`` (rewrites the line breaks)
+_COMMON = ("cfg", "x1", "7", ".", ",", " ", "(", ":", "=", "3.5", "1,000",
+           "a-b", "&amp;", "&lt;", ".5", ",2", "7.", "1,")
+_RARE = ("-", "9-", "\r")  # make the state unsplittable: rare, or few deltas
+_fragment = st.one_of(*[st.sampled_from(_COMMON)] * 8, st.sampled_from(_RARE))
+_line = st.lists(_fragment, max_size=4).map("".join)
+# an inserted "line" holding a newline is really two lines
+_new_line = _line | st.tuples(_line, _line).map("\n".join)
+_pos = st.sampled_from(["first", "last"]) | st.integers(0, 12)
+_op_spec = st.one_of(
+    st.tuples(st.just("edit"), _pos, _new_line),
+    st.tuples(st.just("insert"), _pos, _new_line),
+    st.tuples(st.just("delete"), _pos),
+    st.tuples(st.just("replace"), st.lists(_line, max_size=4)),
+)
+
+
+def _index(lines: list[str], pos, *, insert: bool = False) -> int:
+    size = len(lines) + insert
+    if pos == "first":
+        return 0
+    if pos == "last":
+        return size - 1
+    return pos % size
+
+
+def _spec_op(spec) -> CorruptionOp:
+    kind = spec[0]
+    if kind == "edit":
+        def apply(lines, pos=spec[1], new=spec[2]):
+            if not lines:
+                return lines
+            out = list(lines)
+            out[_index(lines, pos)] = new
+            return out
+    elif kind == "insert":
+        def apply(lines, pos=spec[1], new=spec[2]):
+            i = _index(lines, pos, insert=True)
+            return lines[:i] + [new] + lines[i:]
+    elif kind == "delete":
+        def apply(lines, pos=spec[1]):
+            if not lines:
+                return lines
+            i = _index(lines, pos)
+            return lines[:i] + lines[i + 1 :]
+    else:
+        def apply(_lines, new=spec[1]):
+            return list(new)
+    return CorruptionOp(kind, 1, repr(spec), apply)
+
+
+def _per_depth_bleu(reference: str, ops: list[CorruptionOp]) -> list[float]:
+    """``bleu_compiled(apply_ops(reference, ops, k), reference)`` for every k."""
+    compiled = compile_reference(reference)
+    lines = reference.split("\n")
+    expected = [bleu_compiled(reference, compiled)]
+    for op in ops:
+        lines = op.apply(lines)
+        expected.append(bleu_compiled("\n".join(lines), compiled))
+    return expected
+
+
+def _plan_curves():
+    """(reference, ops) of the 7 plan references on o3's calibration order."""
+    profile = ALL_PROFILES["o3"]()
+    cells = [("configuration", s, reference_config(s))
+             for s in ("wilkins", "henson", "adios2")]
+    cells += [("annotation", s, annotated_producer(s))
+              for s in ("adios2", "henson", "parsl", "pycompss")]
+    for experiment, system, reference in cells:
+        ops = build_ops(
+            reference,
+            profile.knowledge_for(experiment, system),
+            chrf_bias=profile.bias_for(experiment, system),
+            seed_labels=(profile.name, experiment, system),
+        )
+        yield f"{experiment}/{system}", reference, ops
+
+
+class TestDeltaScoring:
+    """The per-depth n-gram delta walk must equal scoring every text whole."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ref_lines=st.lists(_line, max_size=8),
+        specs=st.lists(_op_spec, min_size=1, max_size=12),
+        window=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    )
+    # a line changes its 13a boundary context when it becomes, or stops
+    # being, the text's first or last line
+    @example(["a", "7."], [("insert", "last", "b")], (12, 12))
+    @example(["a", ".5"], [("delete", "first")], (12, 12))
+    @example(["a", "9-"], [("insert", "last", "b")], (12, 12))
+    def test_curve_equals_per_depth_compiled(self, ref_lines, specs, window):
+        reference = "\n".join(ref_lines)
+        ops = [_spec_op(spec) for spec in specs]
+        expected = _per_depth_bleu(reference, ops)
+        curve = QualityCurve(reference, ops)
+        # score a window first, so the walk also steps across a gap
+        curve.best(50.0, min(window), max(window))
+        assert curve.scores() == expected
+        assert curve.scores_computed == len(curve)
+
+    @pytest.mark.parametrize("shuffle", [None, 1, 2])
+    def test_plan_references_equal_per_depth_compiled(self, shuffle):
+        for name, reference, ops in _plan_curves():
+            if shuffle is not None:
+                ops = shuffle_within_bands(ops, rng_for("delta", name, shuffle))
+            got = QualityCurve(reference, ops).scores()
+            assert got == _per_depth_bleu(reference, ops), name
+
+    def test_delta_walk_needs_no_whole_text_scoring(self, monkeypatch):
+        ops = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        expected = QualityCurve(REF, ops).scores()
+        far = QualityCurve(REF, ops)
+        expected_k = local_recalibrate(REF, ops, 0.0, center=10, curve=far)
+
+        def whole_text_scoring(*args, **kwargs):
+            raise AssertionError("whole-text scoring used")
+
+        monkeypatch.setattr(
+            "repro.llm.calibration.bleu_kernel_batch", whole_text_scoring
+        )
+        assert QualityCurve(REF, ops).scores() == expected
+        # target far below the window: the full-scan fallback runs too
+        curve = QualityCurve(REF, ops)
+        assert local_recalibrate(REF, ops, 0.0, center=10, curve=curve) == expected_k
+        assert curve.scores_computed == len(curve)
+
+    @pytest.mark.parametrize(
+        "bad_line", ["work-", "carriage\rreturn", "two\nlines"]
+    )
+    def test_states_not_split_by_lines_score_their_text(self, monkeypatch, bad_line):
+        import repro.llm.calibration as calibration
+
+        lines = REF.split("\n")
+        ops = [
+            CorruptionOp("edit", 1, "bad line", lambda ls: [bad_line] + ls),
+            CorruptionOp("edit", 1, "drop it", lambda ls: ls[1:]),
+            CorruptionOp("edit", 1, "drop more", lambda ls: ls[2:]),
+        ]
+        whole = []
+        real = calibration.bleu_kernel_batch
+
+        def spy(texts, compiled):
+            whole.extend(texts)
+            return real(texts, compiled)
+
+        monkeypatch.setattr(calibration, "bleu_kernel_batch", spy)
+        curve = QualityCurve(REF, ops)
+        assert curve.scores() == _per_depth_bleu(REF, ops)
+        assert whole == ["\n".join([bad_line] + lines)]
 
 
 class TestCalibration:

@@ -25,6 +25,7 @@ from repro.metrics.tokenizers import (
     _tokenize_13a_reference,
     tokenize_13a,
     tokenize_13a_cached,
+    tokenize_lines,
 )
 
 text = st.text(
@@ -132,6 +133,29 @@ class TestTokenizerCache:
     def test_multiline_split_equals_reference(self, lines):
         s = "\n".join(lines)
         assert list(tokenize_13a_cached(s)) == _tokenize_13a_reference(s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lines=st.lists(text, max_size=8), cut=st.integers(0, 8))
+    def test_line_tokens_split_anywhere(self, lines, cut):
+        # a run of lines tokenizes the same alone as inside the whole text,
+        # and whenever the per-line rule applies it matches mteval exactly
+        whole = tokenize_lines(lines)
+        cut = min(cut, len(lines))
+        head = tokenize_lines(lines[:cut], last=cut == len(lines))
+        tail = tokenize_lines(lines[cut:], first=cut == 0)
+        if whole is None:
+            assert head is None or tail is None
+            return
+        assert head + tail == whole
+        expected = _tokenize_13a_reference("\n".join(lines))
+        assert [t for line in whole for t in line] == expected
+
+    def test_lines_that_do_not_split(self):
+        assert tokenize_lines(["work-", "flow"]) is None
+        assert tokenize_lines(["a\rb"]) is None
+        assert tokenize_lines(["a\nb"]) is None
+        assert tokenize_lines(["work-"], last=False) is None
+        assert tokenize_lines(["work", "flow-"]) == [("work",), ("flow-",)]
 
     def test_hyphenated_line_join(self):
         assert tokenize_13a("work-\nflow") == ["workflow"]
