@@ -10,12 +10,12 @@ groups:
   machine drift hits both sides equally.  The regression gate caps
   ``policy_over_baseline`` at 1.05: the fault layer must stay within
   5% of the bare runner when healthy;
-* ``fault_rates_{serial,threaded,async}`` — the same sweep under a
+* ``fault_rates_{serial,async}`` — the same sweep under a
   deterministic :class:`repro.testing.FaultPlan` injecting transient
   provider faults at 0%, 10% and 30% of requests (single-strike, so a
   healing retry policy absorbs every fault), per executor.  Reports the
   wall-clock ladder plus the measured retry amplification
-  (provider calls / plan units) at 30%, and asserts the 30% grid is
+  (provider calls, batched calls included, / plan units) at 30%, and asserts the 30% grid is
   bit-identical to the fault-free one — the bench doubles as an
   end-to-end determinism check.
 
@@ -40,7 +40,6 @@ from repro.runtime import (
     RetryPolicy,
     RunConfig,
     SerialExecutor,
-    ThreadedExecutor,
 )
 from repro.testing import FaultPlan, faulty_models
 
@@ -60,7 +59,6 @@ FAULT_RATES = (0.0, 0.1, 0.3)
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "threaded": lambda: ThreadedExecutor(max_workers=6),
     "async": lambda: AsyncExecutor(max_concurrency=6),
 }
 

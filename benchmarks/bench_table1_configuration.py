@@ -15,17 +15,13 @@ from __future__ import annotations
 from repro.core.experiments import run_configuration
 from repro.data import MODELS, TABLE1
 from repro.reporting import compare_with_paper, render_grid_table
-from repro.runtime import RunConfig, ThreadedExecutor
 
 EPOCHS = 5
 
 
 def bench_table1_configuration(benchmark, report):
-    # the threaded executor is bit-identical to serial (seeds live in the
-    # work units), so the paper-fidelity assertions below are unaffected
-    config = RunConfig(executor=ThreadedExecutor(8))
     grid = benchmark.pedantic(
-        lambda: run_configuration(epochs=EPOCHS, config=config),
+        lambda: run_configuration(epochs=EPOCHS),
         rounds=1, iterations=1,
     )
 

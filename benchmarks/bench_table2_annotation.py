@@ -15,15 +15,13 @@ from __future__ import annotations
 from repro.core.experiments import run_annotation, run_configuration
 from repro.data import TABLE2
 from repro.reporting import compare_with_paper, render_grid_table
-from repro.runtime import RunConfig, ThreadedExecutor
 
 EPOCHS = 5
 
 
 def bench_table2_annotation(benchmark, report):
-    config = RunConfig(executor=ThreadedExecutor(8))
     grid = benchmark.pedantic(
-        lambda: run_annotation(epochs=EPOCHS, config=config),
+        lambda: run_annotation(epochs=EPOCHS),
         rounds=1, iterations=1,
     )
 

@@ -2,8 +2,10 @@
 
 Prints Tables 1/2/3/5 with paper-vs-measured deltas and the three
 Figure 1 heatmap groups.  All sweeps route through the parallel
-evaluation runtime: ``--executor`` picks the backend and one shared
-result cache spans the whole run, so e.g. the Figure 1 ``original``
+evaluation runtime: ``--executor`` picks the backend (``serial``, the
+default and the fastest for the CPU-bound offline simulator, or
+``async`` with ``--workers`` calls in flight, for latency-bound
+endpoints) and one shared result cache spans the whole run, so e.g. the Figure 1 ``original``
 rows reuse the epoch-0 generations already produced for Tables 1-3.
 
 With ``--store PATH_OR_URL`` the run is durable: generations, scores and
@@ -43,7 +45,7 @@ failed/missing units re-execute, everything else is a cache hit — and
 reports ``units_failed`` before → after.
 
 Usage:  python examples/reproduce_tables.py [--fast]
-            [--executor {serial,threads,async,batched}] [--workers N]
+            [--executor {serial,async}] [--workers N]
             [--scheduler {plan,adaptive}] [--cache {memory,disk}]
             [--store PATH_OR_URL]
             [--on-failure {raise,isolate,skip}] [--max-attempts N]
@@ -81,10 +83,8 @@ from repro.reporting import (
 from repro.runtime import (
     AdaptiveScheduler,
     AsyncExecutor,
-    BatchingExecutor,
     InMemoryResultCache,
     SerialExecutor,
-    ThreadedExecutor,
 )
 
 
@@ -92,7 +92,7 @@ class UsageError(Exception):
     """A CLI knob received a value the runtime has no backend for."""
 
 
-EXECUTORS = ("serial", "threads", "async", "batched")
+EXECUTORS = ("serial", "async")
 SCHEDULERS = ("plan", "adaptive")
 CACHES = ("memory", "disk")
 
@@ -100,12 +100,8 @@ CACHES = ("memory", "disk")
 def make_executor(name: str, workers: int):
     if name == "serial":
         return SerialExecutor()
-    if name == "threads":
-        return ThreadedExecutor(max_workers=workers)
     if name == "async":
         return AsyncExecutor(max_concurrency=workers)
-    if name == "batched":
-        return BatchingExecutor(group_concurrency=workers)
     raise UsageError(f"unknown executor {name!r}; choose from {', '.join(EXECUTORS)}")
 
 
@@ -170,7 +166,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=8,
-        help="thread / async in-flight / batch group count",
+        help="async in-flight calls",
     )
     parser.add_argument(
         "--scheduler", default="plan",

@@ -8,8 +8,9 @@ Public surface (stable):
 * :mod:`repro.core` — the evaluation harness (tasks, solvers, scorers,
   ``evaluate``) and the paper's experiment builders.
 * :mod:`repro.runtime` — the parallel evaluation runtime: sweeps flatten
-  into work-unit plans executed on pluggable executors (serial, thread
-  pool, asyncio, batched) behind a content-addressed result cache.
+  into work-unit plans executed on pluggable executors (serial, or
+  asyncio with per-model batching) behind a content-addressed result
+  cache.
 * :mod:`repro.workflows` — executable mini-implementations of ADIOS2,
   Henson, Parsl, PyCOMPSs and Wilkins, each with an API-surface validator.
 * :mod:`repro.mpi`, :mod:`repro.store` — the simulated MPI and storage

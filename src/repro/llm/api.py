@@ -16,8 +16,8 @@ into two richer call surfaces the runtime exploits:
   a worker thread so the loop keeps multiplexing;
 * **batched** — implement ``generate_batch(requests)`` (one provider
   round-trip for a whole group of prompts) and
-  :class:`~repro.runtime.batching.BatchingExecutor` issues one call per
-  model instead of one per unit.
+  :class:`~repro.runtime.executors.AsyncExecutor` issues one call per
+  model group instead of one per unit.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ class ModelAPI(Protocol):
 
     Providers *may* additionally expose
     ``generate_batch(requests: Sequence[BatchRequest]) -> list[ModelOutput]``
-    returning one output per request, in request order; the batching
-    runtime uses it when present and falls back to per-request
-    ``generate`` otherwise.
+    returning one output per request, in request order;
+    :class:`~repro.runtime.executors.AsyncExecutor` sends each model
+    group through it when present and calls the provider per request
+    otherwise.
     """
 
     name: str

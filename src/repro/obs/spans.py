@@ -15,8 +15,8 @@ Two design constraints shape the implementation:
   returns a shared no-op context manager after two module-global loads,
   so the un-instrumented runtime pays ~a function call per span,
   nothing more.
-* **Thread-safe when on.**  Worker threads (``ThreadedExecutor``, the
-  async adapter pool) record concurrently; totals live behind one lock
+* **Thread-safe when on.**  Worker threads (the async adapter pool)
+  record concurrently; totals live behind one lock
   and each thread keeps its own nesting stack in ``threading.local``,
   so concurrent spans never corrupt each other's paths.
 

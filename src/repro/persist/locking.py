@@ -9,9 +9,8 @@ separately by per-record checksums).
 The lock is also thread-aware: within one process a
 :class:`threading.Lock` serializes lock-holding sections, so one
 :class:`~repro.persist.store.RunStore` instance may be shared between
-the threads of a :class:`~repro.runtime.executors.ThreadedExecutor`
-run.  Holding is *not* re-entrant — store code acquires the lock at its
-public entry points only.
+threads.  Holding is *not* re-entrant — store code acquires the lock at
+its public entry points only.
 
 On platforms without :mod:`fcntl` (not a supported deployment target,
 but the import is guarded) the file lock degrades to the in-process

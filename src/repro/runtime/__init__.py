@@ -30,7 +30,6 @@ Quickstart::
     # rerun performed zero model generations and is bit-identical
 """
 
-from repro.runtime.batching import BatchingExecutor, group_units_by_model
 from repro.runtime.config import RunConfig
 from repro.runtime.cache import (
     InMemoryResultCache,
@@ -41,8 +40,8 @@ from repro.runtime.executors import (
     AsyncExecutor,
     Executor,
     SerialExecutor,
-    ThreadedExecutor,
     generate_unit,
+    group_units_by_model,
 )
 from repro.runtime.faults import (
     FailedGeneration,
@@ -78,7 +77,6 @@ __all__ = [
     "generate_unit",
     "Executor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "AsyncExecutor",
     "RetryPolicy",
     "FaultPolicy",
@@ -90,7 +88,6 @@ __all__ = [
     "HealthTracker",
     "BreakerRegistry",
     "HealthTrackedProvider",
-    "BatchingExecutor",
     "group_units_by_model",
     "Scheduler",
     "PlanOrderScheduler",

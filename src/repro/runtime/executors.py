@@ -5,19 +5,19 @@ All executors consume units whose seeds travel *inside* the unit
 executor produces bit-identical generations:
 
 * :class:`SerialExecutor` — the reference implementation, one call at a
-  time in plan order (exactly what the hand-rolled loops used to do);
-* :class:`ThreadedExecutor` — a ``concurrent.futures`` thread pool; the
-  win is large for latency-bound providers (real API endpoints), modest
-  for the CPU-bound offline simulator under the GIL;
-* :class:`AsyncExecutor` — an asyncio event loop multiplexing
-  :class:`~repro.llm.api.AsyncModelAPI` calls under a bounded-concurrency
-  semaphore, with deterministic retry/backoff for transient
-  :class:`~repro.errors.ModelError`\\ s; sync providers are adapted via
-  :func:`repro.llm.api.as_async` (thread offload), async-native ones run
-  on the loop directly — the shape a real API backend wants;
-* :class:`~repro.runtime.batching.BatchingExecutor` (see
-  :mod:`repro.runtime.batching`) — groups units by model and issues one
-  ``generate_batch`` call per group.
+  time in plan order; the right choice for CPU-bound providers such as
+  the offline simulator, where extra threads only contend for the GIL;
+* :class:`AsyncExecutor` — an asyncio event loop keeping many provider
+  calls in flight under a bounded-concurrency semaphore, for
+  latency-bound providers (real API endpoints).  Units are grouped by
+  model: a provider that defines ``generate_batch`` gets one batched
+  call per group, any other provider one ``agenerate`` call per unit.
+
+Retry has one owner: the run's :class:`~repro.runtime.faults.FaultPolicy`
+(``RunConfig(faults=...)``).  Without a fault scope every executor makes
+one attempt per unit, with one exception: when a batched call fails,
+each unit of its group gets one per-unit call, an extra attempt outside
+the retry policy that no retry budget counts.
 """
 
 from __future__ import annotations
@@ -26,63 +26,102 @@ import asyncio
 import concurrent.futures
 import threading
 import time
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Awaitable, Protocol, Sequence, TypeVar, runtime_checkable
 
 from repro.errors import HarnessError, ModelError
-from repro.llm.api import as_async, get_model
-from repro.llm.types import ChatMessage
+from repro.llm.api import Model, as_async, get_model
+from repro.llm.types import ChatMessage, ModelOutput
 from repro.obs import active_tracer, span
-from repro.runtime.faults import (
-    FailedGeneration,
-    RetryPolicy,
-    active_faults,
-)
+from repro.runtime.faults import FailedGeneration, active_faults
 from repro.runtime.units import Generation, WorkUnit
 
 __all__ = [
     "generate_unit",
+    "group_units_by_model",
     "Executor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "AsyncExecutor",
-    "RetryPolicy",  # moved to repro.runtime.faults; re-exported for imports
 ]
+
+_T = TypeVar("_T")
+
+
+def _generation(unit: WorkUnit, output: ModelOutput, elapsed_s: float) -> Generation:
+    return Generation(
+        key=unit.key,
+        model=unit.model,
+        completion=output.completion,
+        usage=output.usage,
+        elapsed_s=elapsed_s,
+    )
 
 
 def _generate_once(unit: WorkUnit) -> Generation:
     """One raw model call for one unit; no retry, no policy."""
     started = time.perf_counter()
     output = get_model(unit.model).generate(unit.prompt, unit.config)
-    return Generation(
-        key=unit.key,
-        model=unit.model,
-        completion=output.completion,
-        usage=output.usage,
-        elapsed_s=time.perf_counter() - started,
-    )
+    return _generation(unit, output, time.perf_counter() - started)
 
 
 def generate_unit(unit: WorkUnit) -> "Generation | FailedGeneration":
     """Run one unit's model call; pure function of the unit's content.
 
-    The single funnel every sync executor goes through: when a
-    :func:`~repro.runtime.faults.fault_scope` is active, the call runs
-    under its :class:`~repro.runtime.faults.FaultPolicy` — deterministic
-    retry/backoff, per-unit deadline, run-shared retry budget, and
-    failure isolation (a quarantined unit comes back as a
+    When a :func:`~repro.runtime.faults.fault_scope` is active, the call
+    runs under its :class:`~repro.runtime.faults.FaultPolicy` —
+    deterministic retry/backoff, per-unit deadline, run-shared retry
+    budget, and failure isolation (a quarantined unit comes back as a
     :class:`~repro.runtime.faults.FailedGeneration` instead of raising).
     Without a scope this is exactly the raw provider call it always was.
 
-    Each call is wrapped in a ``span("unit")`` — per-unit latency
-    visibility for every sync executor (serial, threaded, batched),
-    retries included.  The constant span name keeps phase profiles
-    compact; traces still record one identified span per unit.
+    Each call is wrapped in a ``span("unit")``, retries included.  The
+    constant span name keeps phase profiles compact; traces still record
+    one identified span per unit.
     """
     with span("unit"):
         state = active_faults()
         if state is not None:
             return state.run_unit(unit, _generate_once)
         return _generate_once(unit)
+
+
+def group_units_by_model(
+    units: Sequence[WorkUnit],
+) -> dict[str, list[WorkUnit]]:
+    """Units keyed by model name, preserving plan order within a group."""
+    groups: dict[str, list[WorkUnit]] = {}
+    for unit in units:
+        groups.setdefault(unit.model, []).append(unit)
+    return groups
+
+
+def _batch_model(name: str) -> Model | None:
+    """The model when its provider defines ``generate_batch``, else None."""
+    try:
+        model = get_model(name)
+    except ModelError:
+        return None  # the per-unit path raises (or isolates) it per unit
+    if callable(getattr(model.provider, "generate_batch", None)):
+        return model
+    return None
+
+
+async def _traced(name: str, awaitable: Awaitable[_T]) -> _T:
+    """Await ``awaitable``, folding its wall time into the active trace.
+
+    Interleaved tasks share the loop's thread, so the span is recorded
+    post hoc (``record_span``) instead of riding the thread's
+    span-nesting stack.
+    """
+    tracer = active_tracer()
+    if tracer is None:
+        return await awaitable
+    start_unix = time.time()
+    t0 = time.perf_counter()
+    result = await awaitable
+    tracer.record_span(
+        name, start_unix=start_unix, duration_s=time.perf_counter() - t0
+    )
+    return result
 
 
 @runtime_checkable
@@ -110,110 +149,47 @@ class SerialExecutor:
         return "SerialExecutor()"
 
 
-class ThreadedExecutor:
-    """Fan units out over a persistent thread pool.
-
-    Suited to providers that block on I/O (network endpoints); the
-    offline simulator is CPU-bound, where threads mostly help by
-    overlapping its numpy sections.
-
-    The pool is created lazily on the first ``execute`` and reused by
-    every subsequent call, so multi-plan sweeps stop paying thread-pool
-    startup and teardown per run.  Call :meth:`close` (or use the
-    executor as a context manager) to release the worker threads; a
-    closed executor transparently re-creates its pool on the next
-    ``execute``, but *re-entering* a closed executor as a context
-    manager raises :class:`~repro.errors.HarnessError` (the ``with``
-    block would otherwise silently resurrect a pool the caller just
-    tore down).
-    """
-
-    def __init__(self, max_workers: int = 8) -> None:
-        if max_workers <= 0:
-            raise HarnessError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-        self._closed = False
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-exec",
-                )
-                self._closed = False
-            return self._pool
-
-    def execute(self, units: Sequence[WorkUnit]) -> dict[str, Generation]:
-        if not units:
-            return {}
-        generations = self._ensure_pool().map(generate_unit, units)
-        return {gen.key: gen for gen in generations}
-
-    def close(self) -> None:
-        """Shut the pool down and join its worker threads (idempotent)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ThreadedExecutor":
-        # entering an explicitly closed executor would silently resurrect
-        # the pool the caller just paid to tear down — make the lifecycle
-        # bug loud instead (plain execute() still reopens transparently)
-        with self._lock:
-            if self._closed:
-                raise HarnessError(
-                    "ThreadedExecutor was closed; create a new executor "
-                    "instead of re-entering the closed one as a context "
-                    "manager"
-                )
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadedExecutor(max_workers={self.max_workers})"
-
-
 class AsyncExecutor:
     """Event-loop execution: many provider calls in flight at once.
 
-    Each ``execute`` spins up an asyncio loop, resolves every unit's
-    provider through :func:`repro.llm.api.as_async` (async-native
-    providers run on the loop directly; sync ones are offloaded to
-    worker threads by the default adapter) and gathers all calls under a
-    semaphore of ``max_concurrency``.  Transient
-    :class:`~repro.errors.ModelError`\\ s are retried per ``retry``.
+    Each ``execute`` runs an asyncio loop and groups the units by model.
+    A model whose provider defines ``generate_batch`` gets one
+    :meth:`~repro.llm.api.Model.generate_batch` call per group, run on
+    the adapter thread pool; when that call raises a
+    :class:`~repro.errors.ModelError`, every unit of the group falls back
+    to the per-unit path.  The per-unit path resolves the provider
+    through :func:`repro.llm.api.as_async`: async-native providers run on
+    the loop directly, sync ones are offloaded to the adapter pool.
+    Batched groups and per-unit calls share one semaphore of
+    ``max_concurrency`` in-flight calls.
 
-    Concurrency here is a cheap integer, not a thread: raising it costs
-    nothing for async-native providers, which is why a latency-bound
-    sweep scales past what a same-sized thread pool gives.  Results
-    remain bit-identical to :class:`SerialExecutor` — seeds travel
-    inside units, so in-flight interleaving cannot reorder randomness.
+    Circuit breakers, retry, deadlines and isolation come from the
+    run's :class:`~repro.runtime.faults.FaultPolicy` and apply to batched
+    and per-unit calls alike: an open breaker sends a group to per-unit
+    calls (where the policy refuses each one), and a batched call that
+    outlives ``unit_deadline_s`` is cancelled and fails its units.
+    Without a fault scope each unit gets one attempt, like
+    :class:`SerialExecutor`, except that the units of a failed batched
+    call each get one more, per-unit call.  Results are bit-identical to
+    :class:`SerialExecutor` — seeds travel inside units, so in-flight
+    interleaving cannot reorder randomness.
 
-    The adapter thread pool for sync providers is created lazily and
-    persists across ``execute`` calls (the loop's own default executor
-    is sized by CPU count and dies with each loop, which would both
-    throttle the semaphore and pay thread startup per run); it follows
-    the same lifecycle as :class:`ThreadedExecutor` — ``close()`` or the
-    context manager releases it, plain ``execute`` reopens, re-entering
-    a closed executor raises.
+    The adapter thread pool is created lazily and persists across
+    ``execute`` calls (the loop's own default executor is sized by CPU
+    count and dies with each loop, which would both throttle the
+    semaphore and pay thread startup per run).  ``close()`` or the
+    context manager releases it; a plain ``execute`` after ``close()``
+    reopens it, but re-entering a closed executor as a context manager
+    raises :class:`~repro.errors.HarnessError` (the ``with`` block would
+    otherwise silently resurrect a pool the caller just tore down).
     """
 
-    def __init__(
-        self, max_concurrency: int = 8, *, retry: RetryPolicy | None = None
-    ) -> None:
+    def __init__(self, max_concurrency: int = 8) -> None:
         if max_concurrency <= 0:
             raise HarnessError(
                 f"max_concurrency must be positive, got {max_concurrency}"
             )
         self.max_concurrency = max_concurrency
-        self.retry = retry if retry is not None else RetryPolicy()
         self._pool: concurrent.futures.ThreadPoolExecutor | None = None
         self._closed = False
         self._lock = threading.Lock()
@@ -258,75 +234,67 @@ class AsyncExecutor:
         pool = self._ensure_pool()
         semaphore = asyncio.Semaphore(self.max_concurrency)
         state = active_faults()
+        produced: dict[str, Generation] = {}
 
-        async def generate_once(unit: WorkUnit) -> Generation:
+        async def attempt(unit: WorkUnit) -> Generation:
+            # one raw provider call: the FaultPolicy's unit of retry
             provider = as_async(get_model(unit.model).provider, pool)
-            messages = [ChatMessage.user(unit.prompt)]
             started = time.perf_counter()
-            output = await provider.agenerate(messages, unit.config)
-            return Generation(
-                key=unit.key,
-                model=unit.model,
-                completion=output.completion,
-                usage=output.usage,
-                elapsed_s=time.perf_counter() - started,
+            output = await provider.agenerate(
+                [ChatMessage.user(unit.prompt)], unit.config
             )
+            return _generation(unit, output, time.perf_counter() - started)
 
-        async def one(unit: WorkUnit) -> "Generation | FailedGeneration":
-            tracer = active_tracer()
-            if tracer is None:
-                return await one_inner(unit)
-            # interleaved tasks share this thread, so the per-unit span
-            # is folded post-hoc (record_span) instead of riding the
-            # thread's span-nesting stack
-            start_unix = time.time()
-            t0 = time.perf_counter()
-            gen = await one_inner(unit)
-            tracer.record_span(
-                "unit",
-                start_unix=start_unix,
-                duration_s=time.perf_counter() - t0,
-            )
-            return gen
-
-        async def one_inner(unit: WorkUnit) -> "Generation | FailedGeneration":
+        async def per_unit(unit: WorkUnit) -> None:
             async with semaphore:
                 if state is not None:
-                    # the run's FaultPolicy owns retry/deadline/isolation;
-                    # the executor's own RetryPolicy applies only outside
-                    # a fault scope
-                    return await state.run_unit_async(unit, generate_once)
-                provider = as_async(get_model(unit.model).provider, pool)
-                messages = [ChatMessage.user(unit.prompt)]
-                started = time.perf_counter()
-                output = await self._generate_with_retry(
-                    provider, messages, unit
-                )
-                elapsed = time.perf_counter() - started
-            return Generation(
-                key=unit.key,
-                model=unit.model,
-                completion=output.completion,
-                usage=output.usage,
-                elapsed_s=elapsed,
+                    call = state.run_unit_async(unit, attempt)
+                else:
+                    call = attempt(unit)
+                produced[unit.key] = await _traced("unit", call)
+
+        async def batch_attempt(model: Model, group: list[WorkUnit]) -> list[Generation]:
+            # one raw batched call for a whole model group
+            requests = [(unit.prompt, unit.config) for unit in group]
+            started = time.perf_counter()
+            outputs = await _traced(
+                "batch",
+                asyncio.get_running_loop().run_in_executor(
+                    pool, model.generate_batch, requests
+                ),
             )
+            per_call = (time.perf_counter() - started) / len(group)  # amortized
+            return [
+                _generation(unit, output, per_call)
+                for unit, output in zip(group, outputs)
+            ]
 
-        generations = await asyncio.gather(*(one(unit) for unit in units))
-        return {gen.key: gen for gen in generations}
+        async def per_group(model: Model, group: list[WorkUnit]) -> None:
+            async with semaphore:
+                if state is not None:
+                    results = await state.run_batch_async(
+                        group, lambda units: batch_attempt(model, units)
+                    )
+                else:
+                    try:
+                        results = await batch_attempt(model, group)
+                    except ModelError:
+                        results = None
+            if results is None:  # every unit gets a per-unit call instead
+                await asyncio.gather(*(per_unit(unit) for unit in group))
+                return
+            for unit, result in zip(group, results):
+                produced[unit.key] = result
 
-    async def _generate_with_retry(self, provider, messages, unit: WorkUnit):
-        attempt = 0
-        while True:
-            try:
-                return await provider.agenerate(messages, unit.config)
-            except ModelError as exc:
-                attempt += 1
-                if attempt >= self.retry.max_attempts or not self.retry.is_retryable(exc):
-                    raise
-                await asyncio.sleep(self.retry.delay(attempt - 1))
+        calls = []
+        for name, group in group_units_by_model(units).items():
+            model = _batch_model(name)
+            if model is not None:
+                calls.append(per_group(model, group))
+            else:
+                calls.extend(per_unit(unit) for unit in group)
+        await asyncio.gather(*calls)
+        return produced
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AsyncExecutor(max_concurrency={self.max_concurrency}, "
-            f"retry={self.retry})"
-        )
+        return f"AsyncExecutor(max_concurrency={self.max_concurrency})"

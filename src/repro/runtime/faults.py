@@ -1,16 +1,21 @@
 """The unified fault policy: retries, deadlines, budgets, isolation.
 
-Before this module, second chances existed only inside
-:class:`~repro.runtime.executors.AsyncExecutor`; a transient provider
-failure on the serial, threaded or batched path aborted the
-whole sweep.  :class:`FaultPolicy` centralizes every fault-handling knob
-and :func:`fault_scope` threads it through *all* executors at once:
-:func:`repro.runtime.executors.generate_unit` — the single funnel every
-sync executor's model calls go through — consults the active
-:class:`FaultState`, and the async executor awaits the same policy on
-its event loop.  One policy object therefore gives every execution
-backend the same deterministic exponential backoff, per-unit wall-clock
-deadlines, a run-shared retry budget, and an ``on_failure`` disposition:
+:class:`FaultPolicy` is the one owner of retries: without it, every
+executor makes one attempt per unit.  The one exception is a failed
+batched call of :class:`~repro.runtime.executors.AsyncExecutor`: each
+unit of the group then gets its per-unit call, an extra attempt outside
+:class:`RetryPolicy` that no retry budget counts.  The policy
+centralizes every fault-handling knob and :func:`fault_scope` threads
+it through both executors at once:
+:func:`repro.runtime.executors.generate_unit` — the funnel
+:class:`~repro.runtime.executors.SerialExecutor` goes through —
+consults the active :class:`FaultState`, and
+:class:`~repro.runtime.executors.AsyncExecutor` awaits the same policy
+on its event loop for every batched group and every per-unit call.
+One policy object therefore gives both execution backends the same
+circuit breakers, deterministic exponential backoff, per-unit
+wall-clock deadlines, a run-shared retry budget, and an ``on_failure``
+disposition:
 
 * ``"raise"`` — retry per policy, then propagate (the historical
   behavior, and the default);
@@ -281,9 +286,10 @@ def _isolatable(exc: BaseException) -> bool:
 class FaultState:
     """One run's live fault-handling state: counters plus the shared budget.
 
-    Thread-safe: serial, threaded and batched execution all funnel
-    through :meth:`run_unit` from arbitrary worker threads, and the
-    async path awaits :meth:`run_unit_async` on its loop.  Install for
+    Thread-safe: the serial path calls :meth:`run_unit` from whichever
+    thread runs the sweep, and the async path awaits
+    :meth:`run_batch_async` and :meth:`run_unit_async` on its loop.
+    Install for
     the duration of an execution phase with :func:`fault_scope`.
     """
 
@@ -344,6 +350,13 @@ class FaultState:
         if _counts_against_breaker(exc):
             tracker.record_failure()
 
+    @staticmethod
+    def _refuse_if_open(unit: WorkUnit, tracker) -> None:
+        if tracker is not None and not tracker.allow():
+            raise BreakerOpenError(
+                f"model {unit.model!r} breaker is {tracker.state}; attempt refused"
+            )
+
     def _note_sleep(self, seconds: float) -> None:
         with self._mu:
             self.retry_seconds += seconds
@@ -393,7 +406,7 @@ class FaultState:
             raise exc
         return FailedGeneration(unit, exc, attempts, elapsed)
 
-    # -- sync path (serial / threaded / batched fallback) --------------------
+    # -- sync path (serial) --------------------------------------------------
 
     def run_unit(
         self,
@@ -408,11 +421,7 @@ class FaultState:
             attempt += 1
             attempt_started = time.perf_counter()
             try:
-                if tracker is not None and not tracker.allow():
-                    raise BreakerOpenError(
-                        f"model {unit.model!r} breaker is "
-                        f"{tracker.state}; attempt refused"
-                    )
+                self._refuse_if_open(unit, tracker)
                 result = generate_once(unit)
             except Exception as exc:
                 self._observe(tracker, exc)
@@ -445,11 +454,7 @@ class FaultState:
             attempt += 1
             attempt_started = time.perf_counter()
             try:
-                if tracker is not None and not tracker.allow():
-                    raise BreakerOpenError(
-                        f"model {unit.model!r} breaker is "
-                        f"{tracker.state}; attempt refused"
-                    )
+                self._refuse_if_open(unit, tracker)
                 deadline = policy.unit_deadline_s
                 if deadline is not None:
                     remaining = deadline - (time.perf_counter() - started)
@@ -487,6 +492,45 @@ class FaultState:
                 self._observe(tracker, None)
                 return result
 
+    async def run_batch_async(
+        self,
+        units: list[WorkUnit],
+        generate_batch: Callable[[list[WorkUnit]], Awaitable[list[Generation]]],
+    ) -> "list[Generation | FailedGeneration] | None":
+        """One batched call for a model group, under the same policy.
+
+        The model's breaker gates and observes the call like any single
+        attempt.  ``None`` sends the group to per-unit calls: the breaker
+        refused the batch, or it raised a
+        :class:`~repro.errors.ModelError`.  A batch that outlives
+        ``unit_deadline_s`` is cancelled and, having spent every unit's
+        deadline, fails each unit with
+        :class:`~repro.errors.DeadlineExceededError`.
+        """
+        tracker = self._tracker(units[0])
+        if tracker is not None and not tracker.allow():
+            return None
+        deadline = self.policy.unit_deadline_s
+        started = time.perf_counter()
+        try:
+            results = await asyncio.wait_for(generate_batch(units), timeout=deadline)
+        except asyncio.TimeoutError:
+            # like a per-unit timeout, this never counts against the breaker
+            elapsed = time.perf_counter() - started
+            return [
+                self._fail(unit, DeadlineExceededError(
+                    f"unit {unit.uid} exceeded its {deadline}s deadline mid-batch",
+                    elapsed_s=elapsed,
+                    deadline_s=deadline,
+                ), 1, elapsed)
+                for unit in units
+            ]
+        except ModelError as exc:
+            self._observe(tracker, exc)
+            return None
+        self._observe(tracker, None)
+        return results
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FaultState({self.policy!r}, retries={self.retries}, "
@@ -496,10 +540,9 @@ class FaultState:
 
 # -- the active scope --------------------------------------------------------
 #
-# A module-level global, not a threading.local: executors hand units to
-# worker threads (ThreadedExecutor), simulated MPI rank threads and
-# process-adjacent event loops, none of which inherit the installing
-# thread's locals.  Mirrors repro.obs's active-profiler pattern.  One
+# A module-level global, not a threading.local: executors hand provider
+# calls to worker threads (the async adapter pool) and event loops, none
+# of which inherit the installing thread's locals.  Mirrors repro.obs's active-profiler pattern.  One
 # scope at a time: nested scopes raise rather than silently shadow.
 
 _active: FaultState | None = None

@@ -33,6 +33,7 @@ whose model's breaker is open).
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -314,11 +315,11 @@ class HealthTrackedProvider:
     def generate(self, *args: Any, **kwargs: Any) -> Any:
         return self._call(self.provider.generate, *args, **kwargs)
 
-    def generate_batch(self, *args: Any, **kwargs: Any) -> Any:
-        return self._call(self.provider.generate_batch, *args, **kwargs)
-
     def __getattr__(self, name: str) -> Any:
-        return getattr(self.provider, name)
+        attr = getattr(self.provider, name)
+        if name == "generate_batch":  # guarded only when the provider has one
+            return functools.partial(self._call, attr)
+        return attr
 
 
 def _counts_against_breaker(exc: BaseException) -> bool:

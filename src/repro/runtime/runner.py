@@ -261,8 +261,8 @@ def _run_impl(
 
     Results are independent of the executor *and* scheduler choice:
     seeds live inside the units, and generations are keyed by content,
-    so serial, threaded, async and batched execution (in any
-    dispatch order, with any mix of cold/warm cache) produce
+    so serial and async execution, per-unit or batched (in any
+    dispatch order, with any mix of cold/warm cache), produce
     bit-identical output.
 
     Every knob is read off ``config``, a

@@ -45,8 +45,8 @@ class FaultPlan:
     over ``(seed, kind, key)``; a fault of some kind strikes a request
     exactly when its roll lands under that kind's rate.  Because the
     roll depends only on content, the *same requests* fault under serial,
-    threaded, async and batched execution — which is what lets the chaos
-    suite assert bit-identical grids across executors under fire.
+    per-unit async and batched async execution — which is what lets the
+    chaos suite assert bit-identical grids across executors under fire.
 
     ``transient_times`` bounds how often a transient (or truncate) fault
     re-strikes one request: the first N calls for that request fail,
@@ -142,8 +142,12 @@ class FaultyProvider:
     the message) instead of returning a silently-short success that
     would poison the content-addressed cache.
 
+    The wrapper has a ``generate_batch`` exactly when the wrapped
+    provider has one, so wrapping never changes which path
+    :class:`~repro.runtime.executors.AsyncExecutor` takes.
+
     Counters (``calls``, ``batch_calls``, ``injected``) are
-    lock-protected: threaded and async executors call concurrently.
+    lock-protected: the async executor calls concurrently.
     """
 
     def __init__(self, provider: ModelAPI, plan: FaultPlan) -> None:
@@ -204,14 +208,21 @@ class FaultyProvider:
         self._inject(messages, config)
         return self.inner.generate(messages, config)
 
-    def generate_batch(
+    def __getattr__(self, name: str):
+        if name == "generate_batch" and callable(
+            getattr(self.inner, "generate_batch", None)
+        ):
+            return self._generate_batch
+        raise AttributeError(name)
+
+    def _generate_batch(
         self, requests: Sequence[BatchRequest]
     ) -> list[ModelOutput]:
         """Batched surface: one poisoned request fails the whole batch.
 
         This is how real batch endpoints behave, and it is exactly what
-        exercises :class:`~repro.runtime.batching.BatchingExecutor`'s
-        per-unit salvage fallback.  Only the poisoned request consumes a
+        exercises :class:`~repro.runtime.executors.AsyncExecutor`'s
+        per-unit fallback.  Only the poisoned request consumes a
         strike — its siblings keep their schedules for the per-unit
         retries that follow.
         """
@@ -219,10 +230,7 @@ class FaultyProvider:
             self.batch_calls += 1
         for messages, config in requests:
             self._inject(messages, config)
-        batch = getattr(self.inner, "generate_batch", None)
-        if callable(batch):
-            return list(batch(requests))
-        return [self.inner.generate(m, c) for m, c in requests]
+        return list(self.inner.generate_batch(requests))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultyProvider({self.name!r}, {self.plan!r})"

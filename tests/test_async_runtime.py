@@ -1,16 +1,21 @@
-"""Async batched provider runtime: AsyncExecutor, batching, scheduling.
+"""Async provider runtime: AsyncExecutor, per-model batching, scheduling.
 
-The executor-equivalence matrix for the two new execution paths — the
-asyncio executor and per-model batched generation — plus the retry
-policy, the adaptive scheduler and its online cost model.  Everything
-here enforces the runtime's core contract: the execution strategy is a
-pure latency knob, never a results knob.
+The executor-equivalence matrix for the async executor's two paths —
+one ``generate_batch`` call per model group, and one call per unit for
+providers without a batch surface — plus retry under the run's
+FaultPolicy, the adaptive scheduler and its online cost model.
+Everything here enforces the runtime's core contract: the execution
+strategy is a pure latency knob, never a results knob.
 """
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
+from repro import obs
 from repro.core.experiments import run_configuration
 from repro.core.experiments.configuration import configuration_task
 from repro.core.samples import Sample
@@ -23,8 +28,10 @@ from repro.llm.types import ChatMessage, GenerateConfig, ModelOutput, ModelUsage
 from repro.runtime import (
     AdaptiveScheduler,
     AsyncExecutor,
-    BatchingExecutor,
+    BreakerRegistry,
     ExpectedCostModel,
+    FaultPolicy,
+    HealthTrackedProvider,
     InMemoryResultCache,
     Plan,
     PlanOrderScheduler,
@@ -34,6 +41,13 @@ from repro.runtime import (
     group_units_by_model,
     run,
 )
+from repro.testing import FaultPlan, FaultyProvider, faulty_models
+
+from executor_paths import executor_path, per_unit_models
+
+SIM_MODELS = [
+    "sim/claude-sonnet-4", "sim/gemini-2.5-pro", "sim/llama-3.3-70b", "sim/o3",
+]
 
 
 def table1_sweep(executor=None, cache=None, scheduler=None):
@@ -75,49 +89,43 @@ class FlakyProvider:
         return echo_output(self.name)
 
 
-class TestAsyncAndBatchedEquivalence:
-    """Async and batched paths must be bit-identical to SerialExecutor."""
+class TestAsyncEquivalence:
+    """Both async paths must be bit-identical to SerialExecutor."""
 
     @pytest.fixture(scope="class")
     def serial_grid(self):
         return table1_sweep(SerialExecutor())
 
-    @pytest.mark.parametrize("name,make", [
-        ("async", lambda: AsyncExecutor(8)),
-        ("async-retrying", lambda: AsyncExecutor(
-            4, retry=RetryPolicy(max_attempts=5, base_delay=0.001))),
-        ("batched", lambda: BatchingExecutor()),
-        ("batched-serial-groups", lambda: BatchingExecutor(group_concurrency=1)),
+    @pytest.mark.parametrize("path,max_concurrency", [
+        ("async", 8),
+        ("async", 1),  # batched groups strictly one after another
+        ("async-per-unit", 8),
     ])
-    def test_table1_grid_identical_to_serial(self, serial_grid, name, make):
-        grid = table1_sweep(make())
-        assert grid.cells == serial_grid.cells, name
+    def test_table1_grid_identical_to_serial(self, serial_grid, path,
+                                             max_concurrency):
+        with executor_path(path, max_concurrency=max_concurrency) as executor:
+            grid = table1_sweep(executor)
+        assert grid.cells == serial_grid.cells, path
 
-    @pytest.mark.parametrize("name,make", [
-        ("async", lambda: AsyncExecutor(8)),
-        ("batched", lambda: BatchingExecutor()),
-    ])
-    def test_warm_cache_zero_generations(self, serial_grid, name, make,
-                                         monkeypatch):
+    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
+    def test_warm_cache_zero_generations(self, serial_grid, path, monkeypatch):
         cache = InMemoryResultCache()
-        cold = table1_sweep(make(), cache=cache)
-        calls = []
+        with executor_path(path) as executor:
+            cold = table1_sweep(executor, cache=cache)
+            calls = []
 
-        def recording(self, messages, config):  # pragma: no cover - guard
-            calls.append(self.name)
-            raise AssertionError("warm rerun must not reach the model layer")
+            def recording(self, *args):  # pragma: no cover - guard
+                calls.append(self.name)
+                raise AssertionError("warm rerun must not reach the model layer")
 
-        monkeypatch.setattr(SimulatedModel, "generate", recording)
-        monkeypatch.setattr(SimulatedModel, "generate_batch", recording)
-        warm = table1_sweep(make(), cache=cache)
+            monkeypatch.setattr(SimulatedModel, "generate", recording)
+            monkeypatch.setattr(SimulatedModel, "generate_batch", recording)
+            warm = table1_sweep(executor, cache=cache)
         assert calls == []
         assert warm.cells == cold.cells == serial_grid.cells
 
-    @pytest.mark.parametrize("name,make", [
-        ("async", lambda: AsyncExecutor(6)),
-        ("batched", lambda: BatchingExecutor()),
-    ])
-    def test_provider_error_propagates(self, name, make):
+    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
+    def test_provider_error_propagates(self, path):
         # an empty prompt makes SimulatedModel raise GenerationError —
         # a deterministic failure, so it must surface (not be retried)
         task = Task(
@@ -128,24 +136,26 @@ class TestAsyncAndBatchedEquivalence:
         )
         plan = Plan("p")
         plan.add_eval(task, "sim/o3", epochs=1)
-        config = RunConfig(executor=make())
-        with pytest.raises(GenerationError, match="empty prompt"):
-            run(plan, config=config)
+        with executor_path(path) as executor:
+            with pytest.raises(GenerationError, match="empty prompt"):
+                run(plan, config=RunConfig(executor=executor))
 
     def test_empty_plan(self):
         assert AsyncExecutor(2).execute([]) == {}
-        assert BatchingExecutor().execute([]) == {}
+
+
+def retrying(max_attempts: int) -> FaultPolicy:
+    return FaultPolicy(retry=RetryPolicy(max_attempts=max_attempts, base_delay=0.0))
 
 
 class TestAsyncRetry:
+    """Retry belongs to the run's FaultPolicy, never to the executor."""
+
     def test_transient_failures_are_retried(self):
         provider = FlakyProvider("flaky/recovers", fail_times=2)
         plan = Plan("p")
         plan.add_eval(simple_task("flaky-task"), Model(provider), epochs=1)
-        executor = AsyncExecutor(
-            2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
-        )
-        config = RunConfig(executor=executor)
+        config = RunConfig(executor=AsyncExecutor(2), faults=retrying(3))
         outcome = run(plan, config=config)
         assert provider.calls == 3  # 2 failures + 1 success
         assert outcome.stats.generated == 1
@@ -156,13 +166,19 @@ class TestAsyncRetry:
         provider = FlakyProvider("flaky/hopeless", fail_times=100)
         plan = Plan("p")
         plan.add_eval(simple_task("hopeless-task"), Model(provider), epochs=1)
-        executor = AsyncExecutor(
-            2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
-        )
-        config = RunConfig(executor=executor)
+        config = RunConfig(executor=AsyncExecutor(2), faults=retrying(3))
         with pytest.raises(ModelError, match="429"):
             run(plan, config=config)
         assert provider.calls == 3
+
+    def test_no_fault_policy_means_one_attempt(self):
+        # like SerialExecutor: without a fault scope nothing is retried
+        provider = FlakyProvider("flaky/once", fail_times=1)
+        plan = Plan("p")
+        plan.add_eval(simple_task("once-task"), Model(provider), epochs=1)
+        with pytest.raises(ModelError, match="429"):
+            run(plan, config=RunConfig(executor=AsyncExecutor(2)))
+        assert provider.calls == 1
 
     def test_deterministic_model_errors_are_not_retried(self):
         class AlwaysInvalid:
@@ -176,11 +192,8 @@ class TestAsyncRetry:
         plan = Plan("p")
         plan.add_eval(simple_task("invalid-task"), Model(AlwaysInvalid()),
                       epochs=1)
+        config = RunConfig(executor=AsyncExecutor(2), faults=retrying(5))
         with pytest.raises(GenerationError, match="malformed"):
-            executor = AsyncExecutor(
-                2, retry=RetryPolicy(max_attempts=5, base_delay=0.0)
-            )
-            config = RunConfig(executor=executor)
             run(plan, config=config)
         assert AlwaysInvalid.calls == 1
 
@@ -198,6 +211,10 @@ class TestAsyncRetry:
     def test_invalid_concurrency_rejected(self):
         with pytest.raises(HarnessError, match="max_concurrency"):
             AsyncExecutor(0)
+
+    def test_executor_takes_no_retry_knob(self):
+        with pytest.raises(TypeError):
+            AsyncExecutor(2, retry=RetryPolicy())
 
 
 class TestAsyncNativeProvider:
@@ -246,7 +263,8 @@ class TestBatchedGeneration:
 
         monkeypatch.setattr(SimulatedModel, "generate_batch", recording_batch)
         monkeypatch.setattr(SimulatedModel, "generate", no_single)
-        grid = table1_sweep(BatchingExecutor())
+        with AsyncExecutor(8) as executor:
+            grid = table1_sweep(executor)
         assert sorted(batch_calls) == [
             ("sim/claude-sonnet-4", 6),
             ("sim/gemini-2.5-pro", 6),
@@ -254,6 +272,55 @@ class TestBatchedGeneration:
             ("sim/o3", 6),
         ]
         assert grid.cells  # sweep actually produced results
+
+    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
+    def test_calls_follow_the_provider_surface(self, path):
+        # 3 systems × 2 epochs = 6 units per model group
+        with executor_path(path, max_concurrency=8) as executor, \
+                faulty_models(SIM_MODELS, FaultPlan()) as wrapped:
+            table1_sweep(executor)
+        for provider in wrapped.values():
+            if path == "async":
+                assert (provider.batch_calls, provider.calls) == (1, 0)
+            else:
+                assert (provider.batch_calls, provider.calls) == (0, 6)
+
+    # one slot: the batched call must release it before its units fall
+    # back, or the fallback would wait on itself forever
+    @pytest.mark.parametrize("max_concurrency", [8, 1])
+    def test_poisoned_batch_attempts_each_sibling_once(self, max_concurrency):
+        # permanent faults poison some requests of two models: their
+        # groups' batch calls fail, then every unit of those groups gets
+        # exactly one call of its own; only the poisoned units are
+        # quarantined, and the clean groups stay one batched call each
+        fault_plan = FaultPlan(seed=2, permanent_rate=0.25)
+        faults = FaultPolicy(retry=RetryPolicy(max_attempts=1), on_failure="isolate")
+        baseline = run(self.sweep_plan())
+        with faulty_models(SIM_MODELS[:2], fault_plan) as poisoned, \
+                faulty_models(SIM_MODELS[2:], FaultPlan()) as clean:
+            with AsyncExecutor(max_concurrency) as executor:
+                outcome = run(
+                    self.sweep_plan(),
+                    config=RunConfig(executor=executor, faults=faults),
+                )
+        for provider in poisoned.values():
+            assert provider.injected["permanent"] > 0, "pick a different seed"
+            assert (provider.batch_calls, provider.calls) == (1, 6)
+        for provider in clean.values():
+            assert (provider.batch_calls, provider.calls) == (1, 0)
+        assert 0 < outcome.stats.units_failed < 12
+        for uid, result in baseline.results.items():
+            if uid not in outcome.failures:
+                assert outcome[uid].score == result.score
+
+    @staticmethod
+    def sweep_plan() -> Plan:
+        plan = Plan("poisoned-batch")
+        for system in ("wilkins", "adios2", "henson"):
+            task = configuration_task(system)
+            for model in SIM_MODELS:
+                plan.add_eval(task, model, epochs=2)
+        return plan
 
     def test_simulated_batch_matches_per_call_generate(self):
         model = get_model("sim/gemini-2.5-pro")
@@ -287,7 +354,7 @@ class TestBatchedGeneration:
         plan = Plan("p")
         plan.add_eval(simple_task("nobatch-task"), Model(PlainEcho()),
                       epochs=3)
-        config = RunConfig(executor=BatchingExecutor())
+        config = RunConfig(executor=AsyncExecutor(2))
         outcome = run(plan, config=config)
         assert PlainEcho.calls == 3
         assert outcome.stats.generated == 3
@@ -312,7 +379,7 @@ class TestBatchedGeneration:
                 [("a", None), ("b", None)]
             )
         # ...and the executor heals it by driving the group per-request
-        config = RunConfig(executor=BatchingExecutor())
+        config = RunConfig(executor=AsyncExecutor(2))
         outcome = run(plan, config=config)
         assert Lossy.calls == 2
         assert outcome.stats.generated == 2
@@ -342,9 +409,77 @@ class TestBatchedGeneration:
         assert len(outputs) == 2
         assert outputs[0].completion == outputs[1].completion
 
-    def test_invalid_group_concurrency_rejected(self):
-        with pytest.raises(HarnessError, match="group_concurrency"):
-            BatchingExecutor(group_concurrency=0)
+
+class TestBatchUnderFaultPolicy:
+    """A batched group keeps the policy's deadline and circuit breaker."""
+
+    def test_hung_batch_is_cancelled_at_the_unit_deadline(self):
+        release = threading.Event()
+
+        class HungBatch:
+            name = "plain/hung-batch"
+            calls = 0
+
+            def generate(self, messages, config):  # pragma: no cover - guard
+                HungBatch.calls += 1
+                return echo_output(self.name)
+
+            def generate_batch(self, requests):
+                release.wait(5.0)
+                return [echo_output(self.name) for _ in requests]
+
+        plan = Plan("p")
+        plan.add_eval(simple_task("hung-batch-task"), Model(HungBatch()), epochs=2)
+        faults = FaultPolicy(unit_deadline_s=0.05, on_failure="isolate")
+        with AsyncExecutor(2) as executor:
+            started = time.perf_counter()
+            outcome = run(plan, config=RunConfig(executor=executor, faults=faults))
+            elapsed = time.perf_counter() - started
+            release.set()  # let the abandoned pool thread finish
+        assert elapsed < 2.0  # cancelled, not waited out
+        assert outcome.stats.units_failed == 2
+        errors = {f.error_type for f in outcome.failures.values()}
+        assert errors == {"DeadlineExceededError"}
+        assert HungBatch.calls == 0  # a spent deadline leaves no fallback
+
+    def test_wrappers_only_batch_when_the_provider_does(self):
+        class PlainEcho:
+            name = "plain/echo-tracked"
+            calls = 0
+
+            def generate(self, messages, config):
+                PlainEcho.calls += 1
+                return echo_output(self.name)
+
+        tracker = BreakerRegistry().get(PlainEcho.name)
+        tracked = HealthTrackedProvider(PlainEcho(), tracker)
+        assert not hasattr(tracked, "generate_batch")
+        assert not hasattr(FaultyProvider(PlainEcho(), FaultPlan()), "generate_batch")
+        sim = get_model("sim/o3").provider
+        assert callable(HealthTrackedProvider(sim, tracker).generate_batch)
+        assert callable(FaultyProvider(sim, FaultPlan()).generate_batch)
+
+        plan = Plan("p")
+        plan.add_eval(simple_task("tracked-task"), Model(tracked), epochs=3)
+        outcome = run(plan, config=RunConfig(executor=AsyncExecutor(2)))
+        assert PlainEcho.calls == 3
+        assert outcome.stats.generated == 3
+        assert tracker.state == "closed"
+
+
+class TestAsyncTracing:
+    def test_batched_groups_and_per_unit_calls_are_traced(self):
+        plan = Plan("p")
+        for model in ("sim/o3", "sim/llama-3.3-70b"):
+            plan.add_eval(configuration_task("wilkins"), model, epochs=2)
+        with per_unit_models(["sim/llama-3.3-70b"]):
+            with obs.tracing() as tracer, AsyncExecutor(4) as executor:
+                handle = tracer.begin_trace("t")
+                executor.execute(plan.units)
+                trace = tracer.end_trace(handle)
+        names = [s.name for s in trace.spans]
+        assert names.count("batch") == 1  # sim/o3: one batched group
+        assert names.count("unit") == 2  # llama: one span per unit
 
 
 class TestScheduling:
@@ -438,14 +573,9 @@ class TestScheduling:
         assert warm.stats.generation_seconds == 0.0
 
 
-class TestThreadedExecutorCloseRegression:
-    @pytest.mark.parametrize("make", [
-        lambda: __import__("repro.runtime", fromlist=["ThreadedExecutor"])
-        .ThreadedExecutor(2),
-        lambda: AsyncExecutor(2),
-    ], ids=["threaded", "async"])
-    def test_context_manager_after_close_raises(self, make):
-        executor = make()
+class TestAsyncExecutorCloseRegression:
+    def test_context_manager_after_close_raises(self):
+        executor = AsyncExecutor(2)
         executor.close()
         with pytest.raises(HarnessError, match="closed"):
             with executor:
@@ -465,15 +595,13 @@ class TestThreadedExecutorCloseRegression:
         assert executor._pool is pool, "execute() must reuse the lazy pool"
         executor.close()
         assert executor._pool is None
-        # transparent reopen on plain execute, like ThreadedExecutor
+        # transparent reopen on plain execute
         run(plan2, config=config)
         assert executor._pool is not None
         executor.close()
 
     def test_execute_after_close_still_reopens(self):
-        from repro.runtime import ThreadedExecutor
-
-        executor = ThreadedExecutor(2)
+        executor = AsyncExecutor(2)
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
         config = RunConfig(executor=executor)

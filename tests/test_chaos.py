@@ -18,13 +18,11 @@ from repro.llm.types import GenerateConfig
 from repro.persist import RunStore
 from repro.runtime import (
     AsyncExecutor,
-    BatchingExecutor,
     FaultPolicy,
     Plan,
     RetryPolicy,
     RunConfig,
     SerialExecutor,
-    ThreadedExecutor,
     run,
 )
 from repro.testing import (
@@ -33,6 +31,8 @@ from repro.testing import (
     FaultyStore,
     faulty_models,
 )
+
+from executor_paths import EXECUTOR_PATHS, executor_path
 
 MODELS = ["o3", "llama-3.3-70b"]
 SIM_MODELS = [f"sim/{m}" for m in MODELS]
@@ -120,19 +120,14 @@ class TestTransientFaultsBitIdentical:
     def baseline(self):
         return small_sweep(SerialExecutor())
 
-    @pytest.mark.parametrize(
-        "name,make",
-        [
-            ("serial", SerialExecutor),
-            ("threaded", lambda: ThreadedExecutor(max_workers=6)),
-            ("async", lambda: AsyncExecutor(max_concurrency=6)),
-            ("batched", lambda: BatchingExecutor()),
-        ],
-    )
-    def test_grid_identical_under_fire(self, baseline, name, make):
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_grid_identical_under_fire(self, baseline, path):
         plan = FaultPlan(seed=4, transient_rate=0.2, transient_times=1)
-        with faulty_models(SIM_MODELS, plan) as wrapped:
-            grid = small_sweep(make(), faults=HEALING)
+        # the async path with batch-capable providers loses whole batched
+        # groups to one struck request and heals them per unit
+        with executor_path(path) as executor, \
+                faulty_models(SIM_MODELS, plan) as wrapped:
+            grid = small_sweep(executor, faults=HEALING)
             injected = sum(p.injected_total for p in wrapped.values())
         assert injected > 0, "fault seed never fired; pick a different seed"
         assert grid.cells == baseline.cells
@@ -140,7 +135,7 @@ class TestTransientFaultsBitIdentical:
     def test_latency_spikes_change_nothing(self, baseline):
         plan = FaultPlan(seed=3, latency_rate=0.5, latency_s=0.001)
         with faulty_models(SIM_MODELS, plan) as wrapped:
-            grid = small_sweep(ThreadedExecutor(max_workers=6), faults=HEALING)
+            grid = small_sweep(AsyncExecutor(max_concurrency=6), faults=HEALING)
             assert sum(p.injected["latency"] for p in wrapped.values()) > 0
         assert grid.cells == baseline.cells
 

@@ -22,7 +22,6 @@ from repro.runtime import (
     RetryPolicy,
     RunConfig,
     SerialExecutor,
-    ThreadedExecutor,
     run,
 )
 from repro.serve import open_store
@@ -32,6 +31,8 @@ from repro.testing import (
     InProcessServer,
     faulty_models,
 )
+
+from executor_paths import executor_path
 
 MODELS = ["o3", "llama-3.3-70b"]
 SIM_MODELS = [f"sim/{m}" for m in MODELS]
@@ -62,19 +63,17 @@ def resume_plan():
 
 
 class TestRemoteFaultLadders:
+    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
     def test_transient_faults_heal_bit_identically_over_the_wire(
-        self, tmp_path
+        self, tmp_path, path
     ):
         baseline = small_sweep(SerialExecutor())
         plan = FaultPlan(seed=4, transient_rate=0.2, transient_times=1)
         with InProcessServer(tmp_path / "served") as server:
-            with faulty_models(SIM_MODELS, plan) as wrapped:
+            with executor_path(path) as executor, \
+                    faulty_models(SIM_MODELS, plan) as wrapped:
                 with open_store(server.url(), retry=FAST_RETRY) as remote:
-                    grid = small_sweep(
-                        ThreadedExecutor(max_workers=6),
-                        faults=HEALING,
-                        store=remote,
-                    )
+                    grid = small_sweep(executor, faults=HEALING, store=remote)
                 injected = sum(p.injected_total for p in wrapped.values())
         assert injected > 0, "fault seed never fired; pick a different seed"
         assert grid.cells == baseline.cells

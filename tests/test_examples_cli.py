@@ -56,7 +56,6 @@ def test_unknown_knobs_exit_cleanly(args, expected):
         (["--max-attempts", "0"], "max_attempts"),
         (["--unit-deadline", "0"], "unit_deadline_s must be positive"),
         (["--retry-budget", "-1"], "retry_budget must be >= 0"),
-        (["--executor", "threads", "--workers", "0"], "max_workers must be positive"),
     ],
 )
 def test_bad_knob_leaves_no_store_behind(tmp_path, args, expected):
@@ -65,6 +64,19 @@ def test_bad_knob_leaves_no_store_behind(tmp_path, args, expected):
     proc = run_script("--store", str(store), *args)
     assert proc.returncode == 2
     assert expected in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("removed", ["threads", "batched"])
+def test_removed_executors_are_rejected(tmp_path, removed):
+    """Only serial and async remain; the error names both choices."""
+    store = tmp_path / "new-store"
+    proc = run_script("--store", str(store), "--executor", removed)
+    assert proc.returncode == 2
+    assert (
+        f"unknown executor {removed!r}; choose from serial, async" in proc.stderr
+    )
     assert "Traceback" not in proc.stderr
     assert not store.exists()
 

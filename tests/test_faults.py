@@ -18,7 +18,7 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.runtime import (
-    BatchingExecutor,
+    AsyncExecutor,
     FaultPolicy,
     Plan,
     RetryPolicy,
@@ -321,8 +321,8 @@ class TestUnitFailedError:
         assert UnitFailedError("empty").failures == ()
 
 
-class TestBatchingSalvage:
-    def test_poisoned_prompt_does_not_regenerate_siblings(self):
+class TestBatchFallback:
+    def test_poisoned_prompt_attempts_each_sibling_once(self):
         from repro.llm.api import register_model
         from repro.llm.types import ModelOutput, ModelUsage
 
@@ -374,21 +374,17 @@ class TestBatchingSalvage:
             provider.name,
             epochs=1,
         )
-        config = RunConfig(executor=BatchingExecutor())
-        with pytest.raises(ModelError, match="poisoned"):
-            run(plan, config=config)
-        first_calls = list(provider.calls)
-        assert first_calls.count("good-1") == 1
-        assert first_calls.count("good-3") == 1
+        # the group's batch call fails, so every sibling is attempted
+        # individually exactly once; isolate quarantines only the
+        # poisoned unit
+        faults = FaultPolicy(retry=RetryPolicy(max_attempts=1), on_failure="isolate")
+        outcome = run(
+            plan, config=RunConfig(executor=AsyncExecutor(4), faults=faults)
+        )
+        assert sorted(provider.calls) == ["BAD-2", "good-1", "good-3"]
+        assert [f.error_type for f in outcome.failures.values()] == ["ModelError"]
+        assert outcome.stats.generated == 2
 
-        # retrying the same plan serves the salvaged siblings from the
-        # executor's memo: only the poisoned prompt is attempted again
-        provider.calls.clear()
-        config = RunConfig(executor=BatchingExecutor())
+        # without a fault policy the poisoned unit's error surfaces
         with pytest.raises(ModelError, match="poisoned"):
-            run(plan, config=config)
-        with pytest.raises(ModelError, match="poisoned"):
-            run(plan, config=config)
-        assert provider.calls.count("good-1") == 1
-        assert provider.calls.count("good-3") == 1
-        assert provider.calls.count("BAD-2") == 2
+            run(plan, config=RunConfig(executor=AsyncExecutor(4)))

@@ -35,6 +35,8 @@ from repro.runtime.faults import FaultState
 from repro.runtime.health import _counts_against_breaker
 from repro.testing import FaultPlan, faulty_models
 
+from executor_paths import EXECUTOR_PATHS, executor_path
+
 MODELS = ["o3", "llama-3.3-70b"]
 SIM_MODELS = [f"sim/{m}" for m in MODELS]
 SYSTEMS = ["adios2", "wilkins"]
@@ -324,7 +326,8 @@ class TestFaultPolicyIntegration:
             FaultPolicy(shared_budget=object())
         FaultPolicy(health=BreakerRegistry())  # the real thing passes
 
-    def test_attempt_outcomes_feed_the_models_breaker(self):
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_attempt_outcomes_feed_the_models_breaker(self, path):
         # isolated transients (one strike per key, then a clean retry) sit
         # far below a 90% windowed error rate: breakers observe, never trip
         registry = BreakerRegistry(min_samples=4, failure_threshold=0.9)
@@ -337,10 +340,11 @@ class TestFaultPolicyIntegration:
             models=MODELS, systems=SYSTEMS, epochs=2,
             config=RunConfig(executor=SerialExecutor()),
         )
-        with faulty_models(SIM_MODELS, fault_plan) as wrapped:
+        with executor_path(path) as executor, \
+                faulty_models(SIM_MODELS, fault_plan) as wrapped:
             grid = run_configuration(
                 models=MODELS, systems=SYSTEMS, epochs=2,
-                config=RunConfig(executor=SerialExecutor(), faults=policy),
+                config=RunConfig(executor=executor, faults=policy),
             )
             assert sum(p.injected_total for p in wrapped.values()) > 0
         # breakers observed real traffic for every model and stayed closed
@@ -349,7 +353,8 @@ class TestFaultPolicyIntegration:
         assert all(s == "closed" for s in registry.states().values())
         assert grid.cells == baseline.cells
 
-    def test_open_breaker_refuses_attempts_with_retryable_error(self):
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_open_breaker_refuses_attempts_with_retryable_error(self, path):
         registry = BreakerRegistry()
         registry.get("sim/o3").force_open()
         policy = FaultPolicy(
@@ -359,14 +364,18 @@ class TestFaultPolicyIntegration:
         plan = Plan("breaker-open")
         from repro.core.experiments.configuration import configuration_task
 
-        plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        config = RunConfig(faults=policy)
-        with pytest.raises(BreakerOpenError, match="sim/o3"):
-            run(plan, config=config)
+        plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
+        with executor_path(path) as executor, \
+                faulty_models(["sim/o3"], FaultPlan()) as wrapped:
+            with pytest.raises(BreakerOpenError, match="sim/o3"):
+                run(plan, config=RunConfig(executor=executor, faults=policy))
+        # the refused attempts, batched or not, never reached the provider
+        assert (wrapped["sim/o3"].batch_calls, wrapped["sim/o3"].calls) == (0, 0)
         # BreakerOpenError is retryable, so isolating policies quarantine
         assert RetryPolicy().is_retryable(BreakerOpenError("x"))
 
-    def test_open_breaker_with_isolate_quarantines_instead(self):
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_open_breaker_with_isolate_quarantines_instead(self, path):
         registry = BreakerRegistry()
         registry.get("sim/o3").force_open()
         policy = FaultPolicy(
@@ -379,8 +388,8 @@ class TestFaultPolicyIntegration:
 
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
         plan.add_eval(configuration_task("adios2"), "sim/llama-3.3-70b", epochs=2)
-        config = RunConfig(faults=policy)
-        outcome = run(plan, config=config)
+        with executor_path(path) as executor:
+            outcome = run(plan, config=RunConfig(executor=executor, faults=policy))
         assert outcome.stats.units_failed == 2  # the open model's epochs
         assert outcome.stats.generated == 2  # the healthy model's epochs
         failed_models = {f.model for f in outcome.failures.values()}

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.experiments import run_configuration
 from repro.errors import (
-    BreakerOpenError,
     PersistError,
     RemoteStoreError,
     ServerOverloadedError,
@@ -469,18 +468,27 @@ class TestSharedCounters:
 class TestServerProcessChaos:
     """Real subprocesses: only ``kill -9`` proves crash-tolerance."""
 
-    def test_sweep_survives_sigkill_of_one_replica(self, tmp_path):
+    def test_sweep_survives_sigkill_of_one_replica(self, tmp_path, monkeypatch):
         reference = run_configuration(**SMALL)
         with ServerProcess(tmp_path / "proc-a") as a:
             with ServerProcess(tmp_path / "proc-b") as b:
-                killer = threading.Timer(0.05, a.kill)
+                # kill replica a at a point the sweep must reach — its
+                # first replicated write — not on a wall-clock timer
+                real_write = ReplicatedStoreClient._replicated_write
+
+                def kill_then_write(self, requests, op):
+                    a.kill()
+                    return real_write(self, requests, op)
+
+                monkeypatch.setattr(
+                    ReplicatedStoreClient, "_replicated_write", kill_then_write
+                )
                 store = replicated(a, b)
                 try:
-                    killer.start()
                     config = RunConfig(store=store)
                     grid = run_configuration(**SMALL, config=config)
                 finally:
-                    killer.cancel()
+                    monkeypatch.undo()
                     store.close()
                 assert not a.alive
                 for row in reference.row_keys:

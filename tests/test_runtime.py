@@ -24,24 +24,16 @@ from repro.metrics.stats import Aggregate
 from repro.persist import RunStore
 from repro.runtime import (
     AsyncExecutor,
-    BatchingExecutor,
     InMemoryResultCache,
     Plan,
     RunConfig,
     ScoreCache,
     SerialExecutor,
-    ThreadedExecutor,
     generation_key,
     run,
 )
 from repro.llm.types import GenerateConfig
-
-EXECUTORS = {
-    "serial": SerialExecutor,
-    "threaded": lambda: ThreadedExecutor(max_workers=6),
-    "async": lambda: AsyncExecutor(max_concurrency=6),
-    "batched": lambda: BatchingExecutor(),
-}
+from executor_paths import EXECUTOR_PATHS, executor_path
 
 
 def small_sweep(executor=None, cache=None) -> ExperimentGrid:
@@ -116,27 +108,29 @@ class TestPlan:
 
 
 class TestExecutorEquivalence:
-    """Serial, threaded, async and batched execution must be bit-identical."""
+    """Serial and async execution, batched or per unit, must be bit-identical."""
 
     @pytest.fixture(scope="class")
     def serial_grid(self):
         return small_sweep(SerialExecutor())
 
-    @pytest.mark.parametrize("name", ["threaded", "async", "batched"])
-    def test_grid_identical_to_serial(self, serial_grid, name):
-        grid = small_sweep(EXECUTORS[name]())
+    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
+    def test_grid_identical_to_serial(self, serial_grid, path):
+        with executor_path(path) as executor:
+            grid = small_sweep(executor)
         assert grid.cells == serial_grid.cells
 
-    @pytest.mark.parametrize("name", sorted(EXECUTORS))
-    def test_prompt_sensitivity_identical(self, name):
-        result = run_prompt_sensitivity(
-            "configuration",
-            models=["o3"],
-            variants=["original", "detailed"],
-            conditions=["wilkins"],
-            epochs=1,
-            config=RunConfig(executor=EXECUTORS[name]()),
-        )
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_prompt_sensitivity_identical(self, path):
+        with executor_path(path) as executor:
+            result = run_prompt_sensitivity(
+                "configuration",
+                models=["o3"],
+                variants=["original", "detailed"],
+                conditions=["wilkins"],
+                epochs=1,
+                config=RunConfig(executor=executor),
+            )
         reference = run_prompt_sensitivity(
             "configuration",
             models=["o3"],
@@ -150,7 +144,7 @@ class TestExecutorEquivalence:
         plan = Plan("p")
         task = configuration_task("wilkins")
         plan.add_eval(task, "sim/o3", epochs=2)
-        config = RunConfig(executor=ThreadedExecutor(4))
+        config = RunConfig(executor=AsyncExecutor(4))
         outcome = run(plan, config=config)
         assert outcome.stats.total_units == 2
         assert outcome.stats.generated == 2
@@ -230,7 +224,7 @@ class TestResultCache:
     def test_cache_shared_across_executors(self):
         cache = InMemoryResultCache()
         cold = small_sweep(SerialExecutor(), cache=cache)
-        warm = small_sweep(ThreadedExecutor(2), cache=cache)
+        warm = small_sweep(AsyncExecutor(2), cache=cache)
         assert warm.cells == cold.cells
 
     def test_cache_shared_across_sweeps(self, monkeypatch):
@@ -364,9 +358,9 @@ class TestScoreCache:
             ScoreCache(maxsize=0)
 
 
-class TestThreadedExecutorPool:
+class TestAsyncExecutorPool:
     def test_pool_persists_across_executes(self):
-        executor = ThreadedExecutor(2)
+        executor = AsyncExecutor(2)
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
         config = RunConfig(executor=executor)
@@ -381,7 +375,7 @@ class TestThreadedExecutorPool:
         assert executor._pool is None
 
     def test_close_is_idempotent_and_reopenable(self):
-        executor = ThreadedExecutor(2)
+        executor = AsyncExecutor(2)
         executor.close()  # close before first use is a no-op
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
@@ -399,7 +393,7 @@ class TestThreadedExecutorPool:
     def test_context_manager_closes_pool(self):
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        with ThreadedExecutor(2) as executor:
+        with AsyncExecutor(2) as executor:
             config = RunConfig(executor=executor)
             run(plan, config=config)
             assert executor._pool is not None
@@ -455,8 +449,8 @@ class TestEvaluateRouting:
 class TestExecutorErrors:
     """Provider exceptions surface identically on every executor."""
 
-    @pytest.mark.parametrize("name", sorted(EXECUTORS))
-    def test_provider_error_propagates(self, name):
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_provider_error_propagates(self, path):
         from repro.core.scorers import CodeSimilarityScorer
         from repro.core.task import Task
         from repro.core.samples import Sample
@@ -471,9 +465,9 @@ class TestExecutorErrors:
         )
         plan = Plan("p")
         plan.add_eval(task, "sim/o3", epochs=1)
-        config = RunConfig(executor=EXECUTORS[name]())
-        with pytest.raises(GenerationError, match="empty prompt"):
-            run(plan, config=config)
+        with executor_path(path) as executor:
+            with pytest.raises(GenerationError, match="empty prompt"):
+                run(plan, config=RunConfig(executor=executor))
 
     def test_evaluate_accepts_executor_and_cache(self):
         task = configuration_task("wilkins")
@@ -484,7 +478,7 @@ class TestExecutorErrors:
             task,
             "sim/o3",
             epochs=2,
-            run_config=RunConfig(executor=ThreadedExecutor(2), cache=cache),
+            run_config=RunConfig(executor=AsyncExecutor(2), cache=cache),
         )
         assert a.aggregate("bleu") == b.aggregate("bleu")
         assert [s.completions for s in a.samples] == [

@@ -14,16 +14,14 @@ from repro.llm.api import register_model
 from repro.llm.types import ModelOutput, ModelUsage
 from repro.runtime import (
     AsyncExecutor,
-    BatchingExecutor,
     FaultPolicy,
     Plan,
     RetryPolicy,
     RunConfig,
     ScoreCache,
-    SerialExecutor,
-    ThreadedExecutor,
     run,
 )
+from executor_paths import EXECUTOR_PATHS, executor_path
 
 
 def multi_group_plan() -> Plan:
@@ -184,7 +182,7 @@ class TestInlineScoring:
         register_model(provider.name, lambda: provider)
         plan = Plan("score-after-execution")
         plan.add_eval(echo_task(["a", "b", "c"], scorer), provider.name, epochs=2)
-        run(plan, config=RunConfig(executor=ThreadedExecutor(3)))
+        run(plan, config=RunConfig(executor=AsyncExecutor(3)))
         assert events == ["generate"] * 6 + ["score"] * 6
 
     def test_deduplicated_units_are_scored_once(self, scorer_calls):
@@ -287,19 +285,11 @@ class TestInlineScoring:
             assert warm[uid].score == cold[uid].score
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: SerialExecutor(),
-        lambda: ThreadedExecutor(4),
-        lambda: AsyncExecutor(4),
-        lambda: BatchingExecutor(2),
-    ],
-    ids=["serial", "threads", "async", "batched"],
-)
-def test_scores_and_stats_identical_across_executors(make):
+@pytest.mark.parametrize("path", EXECUTOR_PATHS)
+def test_scores_and_stats_identical_across_executors(path):
     baseline = run(multi_group_plan())
-    outcome = run(multi_group_plan(), config=RunConfig(executor=make()))
+    with executor_path(path, max_concurrency=4) as executor:
+        outcome = run(multi_group_plan(), config=RunConfig(executor=executor))
     assert outcome.stats.scores_computed == baseline.stats.scores_computed
     assert outcome.stats.score_hits == baseline.stats.score_hits
     for uid, result in baseline.results.items():
@@ -315,14 +305,12 @@ class TestKernelGridIdentity:
 
         assert kernels_enabled()  # the fast path, not the fallback
         baseline = run_configuration(epochs=2)  # all models × all systems
-        for make in (
-            lambda: SerialExecutor(),
-            lambda: ThreadedExecutor(4),
-            lambda: AsyncExecutor(4),
-            lambda: BatchingExecutor(2),
-        ):
-            grid = run_configuration(epochs=2, config=RunConfig(executor=make()))
-            assert grids_equal(baseline, grid), repr(make())
+        for path in EXECUTOR_PATHS:
+            with executor_path(path, max_concurrency=4) as executor:
+                grid = run_configuration(
+                    epochs=2, config=RunConfig(executor=executor)
+                )
+            assert grids_equal(baseline, grid), path
 
     def test_full_grid_identical_with_kernels_disabled(self, monkeypatch):
         """The compiled fallback scores the same grid bit for bit."""

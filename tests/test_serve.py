@@ -22,12 +22,12 @@ from repro.errors import (
 from repro.llm.types import ModelUsage
 from repro.persist import RunStore
 from repro.runtime import (
+    AsyncExecutor,
     InMemoryResultCache,
     Plan,
     RetryPolicy,
     RunConfig,
     SerialExecutor,
-    ThreadedExecutor,
     run,
 )
 from repro.runtime.units import Generation
@@ -42,6 +42,7 @@ from repro.serve import (
     shard_for,
     write_frame,
 )
+from executor_paths import EXECUTOR_PATHS, executor_path
 
 SMALL = dict(models=["o3", "llama-3.3-70b"], systems=["adios2", "wilkins"], epochs=2)
 
@@ -364,7 +365,7 @@ class TestRemoteSweeps:
                     grids[name] = run_configuration(
                         **SMALL,
                         config=RunConfig(
-                            executor=ThreadedExecutor(max_workers=4),
+                            executor=AsyncExecutor(max_concurrency=4),
                             store=remote,
                         ),
                     )
@@ -389,16 +390,15 @@ class TestRemoteSweeps:
 
 class TestRunConfig:
     def test_config_matches_default_across_executors(self):
-        executors = {
-            "serial": SerialExecutor,
-            "threaded": lambda: ThreadedExecutor(max_workers=4),
-        }
         reference = run_configuration(**SMALL)
-        for make in executors.values():
-            via_config = run_configuration(
-                **SMALL,
-                config=RunConfig(executor=make(), cache=InMemoryResultCache()),
-            )
+        for path in EXECUTOR_PATHS:
+            with executor_path(path, max_concurrency=4) as executor:
+                via_config = run_configuration(
+                    **SMALL,
+                    config=RunConfig(
+                        executor=executor, cache=InMemoryResultCache()
+                    ),
+                )
             for row in reference.row_keys:
                 for model in reference.models:
                     assert via_config.cell(row, model) == reference.cell(row, model)
