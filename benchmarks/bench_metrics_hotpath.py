@@ -4,9 +4,9 @@ Times the two operations that dominate cold-cache table reproduction on
 the real Wilkins and Henson artifacts:
 
 * ``quality_curve`` — the full BLEU(k) scan every calibrated cell pays
-  once (incremental prefixes scored in chunks by the batched BLEU
-  kernel vs. the naive rebuild-every-prefix / re-tokenize-every-call
-  construction);
+  once (incremental prefixes scored from per-depth n-gram deltas, one
+  sparse kernel call per range query, vs. the naive
+  rebuild-every-prefix / re-tokenize-every-call construction);
 * ``local_recalibrate`` — the windowed depth search every jittery trial
   pays per epoch;
 * ``metrics_kernels`` (``bench_metrics_kernels``) — per-hypothesis

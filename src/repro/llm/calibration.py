@@ -7,12 +7,15 @@ prefix ``k`` is built by applying *one* operator to prefix ``k-1``
 from scratch), and every depth is scored once and memoized.  Scoring
 follows the same shape: an operator changes about one line, so a
 :class:`_DeltaWalk` re-tokenizes only the lines that differ from the
-previous depth and updates that depth's clipped n-gram counts with the
-difference (:meth:`repro.metrics.kernels._TokenKernel.delta_stats`,
-chunked).  A depth the walk cannot take — no vectorized kernel for the
-reference, or a text that does not tokenize line by line — is scored
-whole with :func:`repro.metrics.kernels.bleu_kernel_batch`.  Both paths
-produce the exact integer counts and the shared score arithmetic, so
+previous depth, and one
+:meth:`repro.metrics.kernels._TokenKernel.delta_stats` call per range
+query turns those differences into every depth's clipped n-gram counts,
+at a cost that scales with the changed n-grams that hit the reference
+rather than with depths × reference n-grams.  A depth the walk cannot
+take — no vectorized kernel for the reference, or a text that does not
+tokenize line by line — is scored whole with
+:func:`repro.metrics.kernels.bleu_kernel_batch`.  Both paths produce
+the exact integer counts and the same score arithmetic, so
 every score is bit-equal to :func:`~repro.metrics.compiled.bleu_compiled`
 and the chosen depths are exactly those of a per-depth scalar scan.
 Texts are joined only for the depths callers read.  The k with minimum
@@ -47,12 +50,6 @@ from repro.metrics.kernels import (
 )
 from repro.metrics.tokenizers import tokenize_lines
 
-# depths per kernel call: enough to amortize numpy's per-call overhead,
-# few enough that a whole curve's concatenated id/code arrays never sit
-# in memory at once
-_SCORE_CHUNK = 32
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
     """Chosen corruption depth and the achieved score."""
@@ -77,11 +74,12 @@ class QualityCurve:
     their input line lists, so prefix states can be retained safely.
 
     Every range query (:meth:`scores`, :meth:`best`, the fallback scan)
-    scores its unscored depths in groups of ``_SCORE_CHUNK`` through one
-    :class:`_DeltaWalk` that lives only for that query (the curve itself
-    is shared across executor threads) — bit-equal to a per-depth
-    :func:`bleu_compiled`.  ``scores_computed`` counts exactly the
-    depths scored, however they were grouped.
+    scores all its unscored depths with one
+    :meth:`~repro.metrics.kernels._TokenKernel.delta_stats` call, through
+    a :class:`_DeltaWalk` that lives only for that query (the curve
+    itself is shared across executor threads) — bit-equal to a
+    per-depth :func:`bleu_compiled`.  ``scores_computed`` counts exactly
+    the depths scored.
     """
 
     __slots__ = ("reference", "ops", "compiled", "_states", "_texts", "_scores",
@@ -108,20 +106,25 @@ class QualityCurve:
         return len(self.ops) + 1
 
     def _state(self, k: int) -> list[str]:
-        """The line list at depth ``k`` (clamped to ``0..len(ops)``).
+        """The line list at depth ``k`` (clamped to ``0..len(ops)``)."""
+        k = max(0, min(k, len(self.ops)))
+        return self._states_through(k)[k]
+
+    def _states_through(self, k: int) -> list[list[str]]:
+        """The prefix states, extended through depth ``k`` (``<= len(ops)``).
 
         Thread-safe: curve objects are published process-wide inside the
-        simulator's cached cells, so the lazy prefix extension is locked.
+        simulator's cached cells, so the lazy prefix extension is locked —
+        once per call, however many depths it adds.
         """
-        k = max(0, min(k, len(self.ops)))
         states = self._states
         if k < len(states):
-            return states[k]
+            return states
         with self._lock:
-            while len(self._states) <= k:
-                j = len(self._states)
-                self._states.append(self.ops[j - 1].apply(self._states[j - 1]))
-            return self._states[k]
+            states, ops = self._states, self.ops
+            while len(states) <= k:
+                states.append(ops[len(states) - 1].apply(states[-1]))
+            return states
 
     def text(self, k: int) -> str:
         """The artifact at depth ``k`` — identical to ``apply_ops(ref, ops, k)``."""
@@ -132,7 +135,7 @@ class QualityCurve:
         return text
 
     def _score_range(self, lo: int, hi: int) -> None:
-        """Score every unscored depth in ``[lo, hi]``, a chunk per kernel call.
+        """Score every unscored depth in ``[lo, hi]``, in one kernel call.
 
         Depths go through one :class:`_DeltaWalk` that lives only for
         this call; a depth the walk cannot take (no token kernel for the
@@ -140,34 +143,32 @@ class QualityCurve:
         scored from its text with :func:`bleu_kernel_batch`.
         """
         missing = [k for k in range(lo, hi + 1) if k not in self._scores]
+        if not missing:
+            return
         kernel = (
             _token_kernel(self.compiled, DEFAULT_MAX_ORDER)
             if kernels_enabled()
             else None
         )
         walk = _DeltaWalk(kernel) if kernel is not None else None
-        for start in range(0, len(missing), _SCORE_CHUNK):
-            chunk = missing[start : start + _SCORE_CHUNK]
-            walked: list[int] = []
-            whole: list[int] = []
-            for k in chunk:
-                if walk is not None and walk.step(self._state(k)):
-                    walked.append(k)
-                else:
-                    whole.append(k)
-            if walked:
-                self._scores.update(
-                    zip(walked, walk.scores(self.compiled.ref_len))
-                )
-            if whole:
-                texts = [self.text(k) for k in whole]
-                self._scores.update(
-                    zip(whole, bleu_kernel_batch(texts, self.compiled))
-                )
-            self.scores_computed += len(chunk)
+        states = self._states_through(missing[-1])
+        walked: list[int] = []
+        whole: list[int] = []
+        for k in missing:
+            if walk is not None and walk.step(states[k]):
+                walked.append(k)
+            else:
+                whole.append(k)
+        if walked:
+            self._scores.update(zip(walked, walk.scores(self.compiled.ref_len)))
+        if whole:
+            texts = [self.text(k) for k in whole]
+            self._scores.update(zip(whole, bleu_kernel_batch(texts, self.compiled)))
+        self.scores_computed += len(missing)
 
     def score(self, k: int) -> float:
-        """Memoized ``BLEU(text(k), reference)``."""
+        """Memoized ``BLEU(text(k), reference)`` (``k`` clamped like :meth:`text`)."""
+        k = max(0, min(k, len(self.ops)))
         score = self._scores.get(k)
         if score is None:
             self._score_range(k, k)
@@ -199,6 +200,7 @@ class QualityCurve:
         Ties break toward the lowest depth, matching the historical
         straight-scan behaviour.
         """
+        lo = max(lo, 0)
         hi = len(self.ops) if hi is None else min(hi, len(self.ops))
         self._score_range(lo, hi)
         best_k, best_err = lo, float("inf")
@@ -253,18 +255,19 @@ class _DeltaWalk:
         per_line = tokenize_lines(lines[p : b - s], first=p == 0, last=s == 0)
         if per_line is None:
             return False
-        new_ids = self.kernel.token_ids(list(chain.from_iterable(per_line)))
+        new_ids = self.kernel.token_ids(chain.from_iterable(per_line))
         ids, line_lens = self.ids, self.line_lens
         head = sum(line_lens[:p])
         tail = len(ids) - sum(line_lens[a - s :])
         left = max(0, head - self.context)
         right = tail + self.context
         self.removed.append(ids[left:right])
-        self.added.append(ids[left:head] + new_ids + ids[tail:right])
-        self.ids = ids[:head] + new_ids + ids[tail:]
-        self.line_lens = line_lens[:p] + [len(t) for t in per_line] + line_lens[a - s :]
+        ids[head:tail] = new_ids
+        # the added window is the removed one's span, shifted by the splice
+        self.added.append(ids[left : right + len(new_ids) - (tail - head)])
+        line_lens[p : a - s] = map(len, per_line)
         self.lines = lines
-        self.lengths.append(len(self.ids))
+        self.lengths.append(len(ids))
         return True
 
     def scores(self, ref_len: int) -> list[float]:

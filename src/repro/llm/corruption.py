@@ -45,8 +45,9 @@ class CorruptionOp:
 
 
 def _replace_word(lines: list[str], old: str, new: str) -> list[str]:
+    # ``\bold\b`` can only match a line that contains ``old``
     pattern = re.compile(rf"\b{re.escape(old)}\b")
-    return [pattern.sub(new, ln) for ln in lines]
+    return [pattern.sub(new, ln) if old in ln else ln for ln in lines]
 
 
 def _drop_anchor(lines: list[str], anchor: str) -> list[str]:

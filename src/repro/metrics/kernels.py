@@ -24,7 +24,7 @@ hypothesis with a handful of vectorized array operations:
 
 Numerical identity is by construction: the kernels produce the exact
 same integer match counts and totals as the ``Counter`` path and then
-call the *same* ``_compute_score`` / ``_fscore`` arithmetic, so scores
+do the *same* ``_compute_score`` / ``_fscore`` arithmetic, so scores
 are bit-equal to :func:`bleu_compiled` / :func:`chrf_compiled`
 (property-tested in ``tests/test_metrics_kernels.py``).
 
@@ -50,24 +50,34 @@ Simulator calibration (:class:`repro.llm.calibration.QualityCurve`)
 scores a run of corruption depths whose texts differ by a line or two
 each.  :meth:`_TokenKernel.delta_stats` takes each depth's removed and
 added id windows (padded with ``max_order - 1`` unchanged context ids,
-so grams wholly inside the context cancel), joins a chunk of them with
-the same sentinel separators, and turns one signed ``np.bincount`` per
-order into a (depths × reference grams) delta matrix.  A ``cumsum``
-from the running hypothesis counts gives every depth's counts, and
-``np.minimum`` clips them: the same exact integers as scoring each text
-whole, for a few changed tokens per depth.
+so grams wholly inside the context cancel) for a whole range query and
+joins them with the same sentinel separators.  Per order, only the
+window grams that hit the reference are kept, as (gram, depth, ±1)
+events sorted by gram, then depth.  A ``cumsum`` restarted at every
+gram, on top of the running hypothesis counts, gives each event's count
+``c``; the event changes its depth's clipped matches by
+``min(c, ref) − min(c ∓ 1, ref)``, and a ``bincount`` by depth plus a
+``cumsum`` over depths give every depth's matches.  These are the same
+exact integers as scoring each text whole, at a cost that follows the
+changed grams rather than depths × reference grams.
+
+:func:`bleu_from_stats` turns such counts into scores; for the default
+``exp`` smoothing it skips the ``BleuScore`` record and repeats
+``_compute_score``'s float operations in the same order, so the scores
+stay bit-equal.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.bleu import DEFAULT_MAX_ORDER, _compute_score
+from repro.metrics.bleu import DEFAULT_MAX_ORDER, _brevity_penalty, _compute_score
 from repro.metrics.chrf import DEFAULT_BETA, DEFAULT_CHAR_ORDER, _fscore
 from repro.metrics.compiled import (
     CompiledReference,
@@ -187,13 +197,13 @@ class _TokenKernel:
     def __setstate__(self, state) -> None:
         self.vocab, self.base, self.orders = state
 
-    def token_ids(self, tokens: Sequence[str]) -> list[int]:
+    def token_ids(self, tokens: Iterable[str]) -> list[int]:
         """Token ids against the reference vocab (unknown -> sentinel).
 
         ``map`` over the bound ``dict.get`` keeps the per-token loop in C;
         a generator expression here was the top self-time in calibration.
         """
-        return list(map(self.vocab.get, tokens, repeat(len(self.vocab), len(tokens))))
+        return list(map(self.vocab.get, tokens, repeat(len(self.vocab))))
 
     def stats(self, hyp_tokens: Sequence[str]) -> tuple[list[int], list[int]]:
         """Per-order (clipped matches, hypothesis n-gram totals) for BLEU."""
@@ -234,23 +244,35 @@ class _TokenKernel:
     def delta_stats(self, running, removed, added, lengths):
         """Per-order (matches, totals) arrays over consecutive depths.
 
-        Depth ``j`` of the chunk is the previous depth with the id window
-        ``removed[j]`` replaced by ``added[j]``; each window carries
-        ``max_order - 1`` unchanged context ids on both sides, so every
-        gram that touches the change is in one window and grams wholly
-        inside the context cancel.  ``running`` holds the hypothesis count
-        of every reference gram, per order, at the depth before the chunk
-        and is advanced to the chunk's last depth in place; ``lengths``
-        are the depths' token counts.  Index ``[order][j]`` gives the same
-        integers :meth:`batch_stats` would produce for depth ``j``'s
-        whole token stream.
+        Depth ``j`` is the previous depth with the id window ``removed[j]``
+        replaced by ``added[j]``; each window carries ``max_order - 1``
+        unchanged context ids on both sides, so every gram that touches
+        the change is in one window and grams wholly inside the context
+        cancel.  ``running`` holds the hypothesis count of every reference
+        gram, per order, at the depth before the first and is advanced to
+        the last depth in place; ``lengths`` are the depths' token counts.
+        Index ``[order][j]`` gives the same integers :meth:`batch_stats`
+        would produce for depth ``j``'s whole token stream.
+
+        The work scales with the window grams that hit the reference, not
+        with depths × reference grams: each hit is a (gram, depth, ±1)
+        event, and only the events' clipped-count changes are summed.
         """
         n = len(added)
         max_order = len(self.orders)
-        cat, owner = _concat_with_separators(
-            [np.array(ids, dtype=np.int64) for ids in chain(removed, added)],
-            self.base,
-            max_order,
+        # every window followed by max_order - 1 sentinels, so no gram
+        # spans two windows; window w < n is depth w's removal, w >= n
+        # depth w - n's addition
+        sep = [self.base - 1] * (max_order - 1)
+        flat: list[int] = []
+        for window in chain(removed, added):
+            flat += window
+            flat += sep
+        cat = np.array(flat, dtype=np.int64)
+        owner = np.repeat(
+            np.arange(2 * n, dtype=np.int64),
+            np.fromiter(map(len, chain(removed, added)), dtype=np.int64, count=2 * n)
+            + len(sep),
         )
         lengths = np.asarray(lengths, dtype=np.int64)
         counts = []
@@ -263,17 +285,42 @@ class _TokenKernel:
             if len(uniq) == 0:
                 counts.append(np.zeros(n, dtype=np.int64))
                 continue
+            base = int(np.minimum(hyp_counts, ref_counts).sum())
             idx = np.searchsorted(uniq, codes)
             np.minimum(idx, len(uniq) - 1, out=idx)
-            valid = uniq[idx] == codes
-            key = owner[: len(codes)][valid] * len(uniq) + idx[valid]
-            hist = np.bincount(key, minlength=2 * n * len(uniq))
-            hist = hist.reshape(2 * n, len(uniq))
-            # signed per-depth deltas, accumulated from the running counts
-            per_depth = np.cumsum(hist[n:] - hist[:n], axis=0)
-            per_depth += hyp_counts
-            hyp_counts[:] = per_depth[-1]
-            counts.append(np.minimum(per_depth, ref_counts).sum(axis=1))
+            # the positions whose gram is a reference gram
+            hits = np.flatnonzero(uniq[idx] == codes)
+            if not len(hits):
+                counts.append(np.full(n, base, dtype=np.int64))
+                continue
+            gram = idx[hits]
+            window = owner[hits]
+            added_hit = window >= n
+            depth = window - n * added_hit
+            # events in (gram, depth) order; a gram's events within one
+            # depth may come in any order, their clipped changes telescope
+            perm = np.argsort(gram * n + depth)
+            gram, depth = gram[perm], depth[perm]
+            sign = np.where(added_hit[perm], 1, -1)
+            # each event's count c: the gram's running count plus its
+            # signed events so far (a cumsum restarted at every gram)
+            new_gram = np.empty(len(gram), dtype=bool)
+            new_gram[0] = True
+            np.not_equal(gram[1:], gram[:-1], out=new_gram[1:])
+            first = np.flatnonzero(new_gram)
+            steps = np.cumsum(sign)
+            offset = (steps[first] - sign[first])[np.cumsum(new_gram) - 1]
+            c = hyp_counts[gram] + steps - offset
+            ref = ref_counts[gram]
+            gain = np.minimum(c, ref) - np.minimum(c - sign, ref)
+            # float weights, but the sums are small integers: exact
+            per_depth = np.bincount(depth, weights=gain, minlength=n)
+            counts.append(base + np.cumsum(per_depth).astype(np.int64))
+            # a gram's last event holds its count at the last depth
+            last = np.empty_like(new_gram)
+            last[-1] = True
+            last[:-1] = new_gram[1:]
+            hyp_counts[gram[last]] = c[last]
         return counts, totals
 
 
@@ -506,21 +553,57 @@ def bleu_from_stats(
     """Sentence BLEU per hypothesis from per-order (matches, totals) arrays.
 
     ``counts[order][h]`` / ``totals[order][h]`` as returned by
-    :meth:`_TokenKernel.batch_stats` or :meth:`_TokenKernel.delta_stats`;
-    the exact integers go through the shared ``_compute_score``.
+    :meth:`_TokenKernel.batch_stats` or :meth:`_TokenKernel.delta_stats`.
+    The exact integers go through :func:`_bleu_exp` for the default
+    ``exp`` smoothing and through the shared ``_compute_score`` otherwise;
+    both give the same floats.
     """
+    rows = zip(
+        zip(*(order_counts.tolist() for order_counts in counts)),
+        zip(*(order_totals.tolist() for order_totals in totals)),
+        sys_lens,
+    )
+    if smooth_method == "exp":
+        return [
+            _bleu_exp(hyp_counts, hyp_totals, sys_len, ref_len)
+            for hyp_counts, hyp_totals, sys_len in rows
+        ]
     max_order = len(counts)
     return [
         _compute_score(
             list(hyp_counts), list(hyp_totals), sys_len, ref_len,
             smooth_method, smooth_value, max_order,
         ).score
-        for hyp_counts, hyp_totals, sys_len in zip(
-            zip(*(order_counts.tolist() for order_counts in counts)),
-            zip(*(order_totals.tolist() for order_totals in totals)),
-            sys_lens,
-        )
+        for hyp_counts, hyp_totals, sys_len in rows
     ]
+
+
+def _bleu_exp(counts, totals, sys_len: int, ref_len: int) -> float:
+    """``_compute_score(..., "exp", ...).score`` without building a ``BleuScore``.
+
+    The same float operations in the same order: the precisions up to
+    the first order with no n-grams (the effective order), the builtin
+    ``sum`` of their ``math.log``, ``math.exp``, the brevity penalty and
+    the cap at 100.  Every exp-smoothed precision is positive, so the
+    ``p <= 0`` guard of ``_compute_score`` never fires here.
+    """
+    if sys_len == 0 or ref_len == 0:
+        return 0.0
+    precisions = []
+    smooth = 1.0
+    for count, total in zip(counts, totals):
+        if total == 0:
+            break
+        if count == 0:
+            smooth *= 2.0
+            precisions.append(100.0 / (smooth * total))
+        else:
+            precisions.append(100.0 * count / total)
+    if not precisions:
+        return 0.0
+    score = math.exp(sum(map(math.log, precisions)) / len(precisions))
+    score *= _brevity_penalty(sys_len, ref_len)
+    return min(score, 100.0)
 
 
 def chrf_kernel_batch(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GenerationError, UnknownModelError
 from repro.llm import (
@@ -50,6 +52,22 @@ class TestTokenizer:
 
     def test_count_scales_with_text(self):
         assert count_tokens("word " * 100) == 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["_", "__init__", "_private_name", "x", "abcd",
+                                 "abcde", "configuration" * 3, "42", "3.14",
+                                 "é", "naïveté", "Straße", "日本語テキスト", "٣٤٥٦٧",
+                                 "(", "}", "->", "...", "'", " ", "\n", "\t"]),
+                st.text(max_size=12),
+            ),
+            max_size=20,
+        ).map("".join)
+    )
+    def test_count_equals_len_of_encode(self, text):
+        assert count_tokens(text) == len(encode(text))
 
 
 class TestSampling:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,18 +12,23 @@ from repro.core.assets import annotated_producer, reference_config
 from repro.errors import CalibrationError
 from repro.llm import GenerateConfig, get_model
 from repro.llm.calibration import (
-    _SCORE_CHUNK,
     QualityCurve,
     calibrate,
     local_recalibrate,
     quality_curve,
 )
-from repro.llm.corruption import CorruptionOp, apply_ops, build_ops, shuffle_within_bands
+from repro.llm.corruption import (
+    CorruptionOp,
+    _replace_word,
+    apply_ops,
+    build_ops,
+    shuffle_within_bands,
+)
 from repro.llm.knowledge import SystemKnowledge
 from repro.llm.profiles import ALL_PROFILES
 from repro.metrics import bleu
 from repro.metrics.compiled import bleu_compiled, compile_reference
-from repro.metrics.kernels import _token_kernel
+from repro.metrics.kernels import _token_kernel, _TokenKernel
 from repro.utils.rng import rng_for
 from repro.utils.text import strip_markdown_chatter
 
@@ -83,6 +90,26 @@ class TestCorruptionOps:
         ops = build_ops(REF, SystemKnowledge(), seed_labels=("t",))
         assert len(ops) >= 3
         assert all(op.band == 1 for op in ops)
+
+
+class TestReplaceWord:
+    """Filtering lines on ``old in line`` never changes a rename."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.lists(st.sampled_from(["a", "a.b", "ab", "x_a", "a(", "(a)", " ",
+                                     "é", "aé", "1a", "[", "]", "+", "\\", "$"]),
+                     max_size=6).map("".join),
+            max_size=6,
+        ),
+        old=st.sampled_from(["a", "a.b", "a(", "x_a", "é", "[a]", "a+", "$", "\\d",
+                             "(a)", ""]),
+        new=st.sampled_from(["b", "", "a", "\\g<0>", "z z"]),
+    )
+    def test_equals_per_line_regex(self, lines, old, new):
+        pattern = re.compile(rf"\b{re.escape(old)}\b")
+        assert _replace_word(lines, old, new) == [pattern.sub(new, ln) for ln in lines]
 
 
 class TestQualityCurve:
@@ -167,12 +194,63 @@ class TestQualityCurve:
         assert local_recalibrate(REF, ops, 70.0, center=10, curve=curve) == k
         assert curve.scores_computed == computed
 
-    def test_batched_scores_equal_per_depth_compiled(self):
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        """Depths per ``delta_stats`` call and texts per whole-text call."""
+        import repro.llm.calibration as calibration
+
+        delta_calls: list[int] = []
+        whole_calls: list[list[str]] = []
+        real_delta = _TokenKernel.delta_stats
+        real_whole = calibration.bleu_kernel_batch
+
+        def delta_stats(self, running, removed, added, lengths):
+            delta_calls.append(len(added))
+            return real_delta(self, running, removed, added, lengths)
+
+        def whole(texts, compiled):
+            whole_calls.append(list(texts))
+            return real_whole(texts, compiled)
+
+        monkeypatch.setattr(_TokenKernel, "delta_stats", delta_stats)
+        monkeypatch.setattr(calibration, "bleu_kernel_batch", whole)
+        return delta_calls, whole_calls
+
+    def test_batched_scores_equal_per_depth_compiled(self, monkeypatch):
+        delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
         ops = self._ops()
-        assert len(ops) + 1 > 2 * _SCORE_CHUNK  # several chunks, one partial
+        assert len(ops) + 1 > 64
         curve = QualityCurve(REF, ops)
         expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
         assert curve.scores() == expected
+        assert delta_calls == [len(curve)]
+        assert whole_calls == []
+        # a scored range costs no further kernel call
+        curve.best(50.0, 3, 40)
+        assert delta_calls == [len(curve)]
+
+    def test_whole_text_fallback_mid_range_keeps_one_delta_stats_call(
+        self, monkeypatch
+    ):
+        delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
+        base = self._ops()
+        mid = len(base) // 2
+        # a ``-``-ended line does not tokenize line by line: the two
+        # depths that carry it are scored whole, the walk resumes after
+        ops = (
+            base[:mid]
+            + [CorruptionOp("edit", 1, "dash", lambda ls: ["work-"] + ls)]
+            + base[mid : mid + 1]
+            + [CorruptionOp("edit", 1, "undash",
+                            lambda ls: [ln for ln in ls if ln != "work-"])]
+            + base[mid + 1 :]
+        )
+        curve = QualityCurve(REF, ops)
+        assert len(curve) > 64
+        expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
+        assert curve.scores() == expected
+        assert delta_calls == [len(curve) - 2]
+        assert whole_calls == [[curve.text(mid + 1), curve.text(mid + 2)]]
 
     def test_batched_scores_equal_per_depth_compiled_without_kernels(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRIC_KERNELS", "0")

@@ -12,18 +12,23 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scorers import CodeSimilarityScorer, Score
 from repro.metrics import bleu, chrf
+from repro.metrics.bleu import _compute_score
 from repro.metrics.compiled import (
     bleu_compiled,
     chrf_compiled,
     compile_reference,
 )
 from repro.metrics.kernels import (
+    _pack_codes,
+    _TokenKernel,
+    bleu_from_stats,
     bleu_kernel,
     bleu_kernel_batch,
     chrf_kernel,
@@ -228,6 +233,167 @@ class TestBatchKernels:
             bleu_kernel("w x", "w x y z"),
             bleu_kernel("y z", "w x y z"),
         ]
+
+
+_DELTA_ALPHABET = ("a", "b", "c", "d", "zz")  # "zz": never in a reference
+
+
+def _delta_walk(start, edits, context):
+    """Streams and (removed, added) windows of a stream edited depth by depth.
+
+    Windows are cut like the calibration walk cuts them: the replaced
+    span plus ``context`` unchanged ids on each side.  The first depth
+    comes from the empty stream, so its removed window is empty.
+    """
+    stream: list[str] = []
+    streams, removed, added = [], [], []
+    for start_at, stop_at, new in [(0, 0, start), *edits]:
+        head = min(start_at, len(stream))
+        tail = min(max(stop_at, head), len(stream))
+        left, right = max(0, head - context), tail + context
+        removed.append(stream[left:right])
+        added.append(stream[left:head] + new + stream[tail:right])
+        stream = stream[:head] + new + stream[tail:]
+        streams.append(stream)
+    return streams, removed, added
+
+
+def _gram_counts(kernel, tokens):
+    """Fresh per-order hypothesis counts of every reference gram."""
+    ids = np.array(kernel.token_ids(tokens), dtype=np.int64)
+    out = []
+    for codes, (uniq, _) in zip(_pack_codes(ids, kernel.base, len(kernel.orders)),
+                                kernel.orders):
+        out.append(np.array([int((codes == gram).sum()) for gram in uniq],
+                            dtype=np.int64))
+    return out
+
+
+_edit = st.tuples(
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.lists(st.sampled_from(_DELTA_ALPHABET), max_size=6),
+)
+
+
+class TestDeltaStats:
+    """The sparse per-depth deltas equal counting every depth's stream whole."""
+
+    def _check(self, ref_tokens, start, edits, split):
+        kernel = _TokenKernel(ref_tokens, 4)
+        streams, removed, added = _delta_walk(
+            start, edits, context=len(kernel.orders) - 1
+        )
+        removed = [kernel.token_ids(window) for window in removed]
+        added = [kernel.token_ids(window) for window in added]
+        running = [np.zeros(len(uniq), dtype=np.int64) for uniq, _ in kernel.orders]
+        expected_counts, expected_totals = kernel.batch_stats(streams)
+        lengths = [len(stream) for stream in streams]
+        # two consecutive calls on one ``running``
+        split = min(split, len(streams))
+        for lo, hi in ((0, split), (split, len(streams))):
+            counts, totals = kernel.delta_stats(
+                running, removed[lo:hi], added[lo:hi], lengths[lo:hi]
+            )
+            for order in range(len(kernel.orders)):
+                assert counts[order].tolist() == expected_counts[order][lo:hi].tolist()
+                assert totals[order].tolist() == expected_totals[order][lo:hi].tolist()
+            last = streams[hi - 1] if hi else []
+            assert [r.tolist() for r in running] == [
+                c.tolist() for c in _gram_counts(kernel, last)
+            ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # short, repetitive references: counts cross ``ref`` both ways,
+        # and under four tokens an order has no reference gram at all
+        ref_tokens=st.lists(st.sampled_from(_DELTA_ALPHABET[:4]), max_size=12),
+        start=st.lists(st.sampled_from(_DELTA_ALPHABET), max_size=30),
+        edits=st.lists(_edit, max_size=30),
+        split=st.integers(0, 40),
+    )
+    def test_matches_batch_stats_per_depth(self, ref_tokens, start, edits, split):
+        self._check(ref_tokens, start, edits, split)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        ref_tokens=st.lists(st.sampled_from(_DELTA_ALPHABET[:4]), min_size=4,
+                            max_size=12),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_matches_batch_stats_over_long_ranges(self, ref_tokens, rnd):
+        edits = [
+            (rnd.randrange(40), rnd.randrange(40),
+             rnd.choices(_DELTA_ALPHABET, k=rnd.randrange(7)))
+            for _ in range(rnd.randrange(201, 300))
+        ]
+        self._check(ref_tokens, ["a", "b"] * 10, edits, rnd.randrange(300))
+
+    def test_empty_windows_and_empty_orders(self):
+        # an empty stream edited into an empty stream: both windows empty
+        self._check(["a", "b"], [], [(0, 0, []), (0, 5, []), (0, 0, ["a"])], 1)
+        self._check([], ["a", "b"], [(0, 1, ["zz"])], 2)
+
+    def test_several_events_of_one_gram_in_one_depth(self):
+        # "a a a a" around a ref count of 2: one depth removes and adds
+        # "a" unigrams and bigrams many times over
+        self._check(["a", "a", "b", "a"], ["a"] * 8,
+                    [(2, 6, ["a", "b", "a", "a"]), (0, 8, ["a"] * 3)], 1)
+
+
+class TestBleuFromStats:
+    """The float-only ``exp`` path equals ``_compute_score`` bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.integers(0, 60), st.integers(0, 60)),
+                    min_size=4, max_size=4,
+                ),
+                st.integers(0, 80),
+            ),
+            min_size=1, max_size=6,
+        ),
+        zero_tail=st.integers(0, 4),
+        ref_len=st.integers(0, 80),
+        smooth=st.sampled_from(SMOOTHING),
+    )
+    def test_equals_compute_score(self, rows, zero_tail, ref_len, smooth):
+        counts, totals, sys_lens = [], [], []
+        for pairs, sys_len in rows:
+            # counts <= totals; the last ``zero_tail`` orders have no grams
+            pairs = [(min(c, t), t) if n < 4 - zero_tail else (0, 0)
+                     for n, (c, t) in enumerate(pairs)]
+            counts.append([c for c, _ in pairs])
+            totals.append([t for _, t in pairs])
+            sys_lens.append(sys_len)
+        got = bleu_from_stats(
+            np.array(counts).T, np.array(totals).T, sys_lens, ref_len,
+            smooth_method=smooth,
+        )
+        assert got == [
+            _compute_score(c, t, sys_len, ref_len, smooth, None, 4).score
+            for c, t, sys_len in zip(counts, totals, sys_lens)
+        ]
+
+    def test_other_smoothing_goes_through_compute_score(self, monkeypatch):
+        import repro.metrics.kernels as kernels
+
+        seen = []
+
+        def spy(*args):
+            seen.append(args[4])
+            return _compute_score(*args)
+
+        monkeypatch.setattr(kernels, "_compute_score", spy)
+        stats = (np.array([[1], [0], [0], [0]]), np.array([[3], [2], [1], [0]]))
+        for smooth in ("floor", "add-k", "none"):
+            bleu_from_stats(*stats, [3], 5, smooth_method=smooth)
+        assert seen == ["floor", "add-k", "none"]
+        bleu_from_stats(*stats, [3], 5)
+        assert seen == ["floor", "add-k", "none"]
 
 
 class TestScoreBatch:
