@@ -9,11 +9,9 @@ Scoring goes through the vectorized kernel engine
 (:mod:`repro.metrics.kernels`): the target is compiled once per
 distinct reference content (LRU-shared process-wide), its n-gram
 vocabulary is interned into numpy count arrays, and each completion is
-scored with vectorized clipped-match counting — numerically identical
-to the plain :func:`~repro.metrics.bleu` / :func:`~repro.metrics.chrf`
-calls it replaces, several times faster per hypothesis.  Setting
-``REPRO_METRIC_KERNELS=0`` routes scoring through the compiled
-``Counter`` path instead (same scores; the equivalence tests pin this).
+scored with vectorized clipped-match counting — bit-equal to the plain
+:func:`~repro.metrics.bleu` / :func:`~repro.metrics.chrf` calls it
+replaces, several times faster per hypothesis.
 
 :meth:`CodeSimilarityScorer.score_batch` scores a whole group of
 completions against one target per call, element-wise identical to
@@ -28,36 +26,26 @@ from typing import Callable, Sequence
 
 from repro.errors import MetricError
 from repro.metrics import bleu, chrf
-from repro.metrics.compiled import (
-    CompiledReference,
-    bleu_compiled,
-    chrf_compiled,
-    compile_reference,
-)
 from repro.metrics.kernels import (
+    CompiledReference,
     bleu_kernel,
     bleu_kernel_batch,
     chrf_kernel,
     chrf_kernel_batch,
+    compile_reference,
 )
 from repro.utils.text import strip_markdown_chatter
 
-# reference implementations (kept for audits and equivalence tests)
+# reference implementations: the names a scorer may ask for, and the
+# oracle the kernels are tested against
 _METRIC_FNS: dict[str, Callable[[str, str], float]] = {
     "bleu": bleu,
     "chrf": chrf,
 }
 
-# the compiled Counter-path implementations (the kernels' fallback and
-# numerically-identical reference; REPRO_METRIC_KERNELS=0 selects these)
-_COMPILED_FNS: dict[str, Callable[[str, CompiledReference], float]] = {
-    "bleu": bleu_compiled,
-    "chrf": chrf_compiled,
-}
-
 # the hot-path implementations actually used for scoring: vectorized
-# kernels that fall back to the compiled path per reference when
-# vectorization is unsupported (overflow, no numpy, opt-out)
+# kernels that fall back to the reference scorers per reference when
+# packed n-gram codes would overflow
 _KERNEL_FNS: dict[str, Callable[[str, CompiledReference], float]] = {
     "bleu": bleu_kernel,
     "chrf": chrf_kernel,

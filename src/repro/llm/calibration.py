@@ -16,7 +16,7 @@ take — no vectorized kernel for the reference, or a text that does not
 tokenize line by line — is scored whole with
 :func:`repro.metrics.kernels.bleu_kernel_batch`.  Both paths produce
 the exact integer counts and the same score arithmetic, so
-every score is bit-equal to :func:`~repro.metrics.compiled.bleu_compiled`
+every score is bit-equal to the reference :func:`~repro.metrics.bleu`
 and the chosen depths are exactly those of a per-depth scalar scan.
 Texts are joined only for the depths callers read.  The k with minimum
 ``|BLEU(k) − target|`` is selected by a straight scan rather than
@@ -38,15 +38,14 @@ import numpy as np
 
 from repro.errors import CalibrationError
 from repro.llm.corruption import CorruptionOp, apply_ops  # noqa: F401 (re-export)
-from repro.metrics.bleu import DEFAULT_MAX_ORDER
-from repro.metrics.compiled import CompiledReference, compile_reference
-from repro.metrics.compiled import bleu_compiled  # noqa: F401 (re-export)
+from repro.metrics.kernels import bleu_compiled  # noqa: F401 (re-export)
 from repro.metrics.kernels import (
+    CompiledReference,
     _token_kernel,
     _TokenKernel,
     bleu_from_stats,
     bleu_kernel_batch,
-    kernels_enabled,
+    compile_reference,
 )
 from repro.metrics.tokenizers import tokenize_lines
 
@@ -78,8 +77,8 @@ class QualityCurve:
     :meth:`~repro.metrics.kernels._TokenKernel.delta_stats` call, through
     a :class:`_DeltaWalk` that lives only for that query (the curve
     itself is shared across executor threads) — bit-equal to a
-    per-depth :func:`bleu_compiled`.  ``scores_computed`` counts exactly
-    the depths scored.
+    per-depth reference :func:`~repro.metrics.bleu`.  ``scores_computed``
+    counts exactly the depths scored.
     """
 
     __slots__ = ("reference", "ops", "compiled", "_states", "_texts", "_scores",
@@ -145,11 +144,7 @@ class QualityCurve:
         missing = [k for k in range(lo, hi + 1) if k not in self._scores]
         if not missing:
             return
-        kernel = (
-            _token_kernel(self.compiled, DEFAULT_MAX_ORDER)
-            if kernels_enabled()
-            else None
-        )
+        kernel = _token_kernel(self.compiled)
         walk = _DeltaWalk(kernel) if kernel is not None else None
         states = self._states_through(missing[-1])
         walked: list[int] = []

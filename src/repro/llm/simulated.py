@@ -52,7 +52,7 @@ from repro.llm.types import (
     ModelOutput,
     ModelUsage,
 )
-from repro.metrics.compiled import CompiledReference, compile_reference
+from repro.metrics.kernels import CompiledReference, compile_reference
 from repro.utils.rng import rng_for
 
 

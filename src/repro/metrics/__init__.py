@@ -11,30 +11,24 @@ offline) but follow the sacrebleu definitions:
 Scores are returned in the 0..100 range, matching how the paper reports
 them ("multiplied by a factor of 100").
 
-For hot paths that score many hypotheses against one reference, use the
-numerically identical compiled variants — :func:`compile_reference`
-once, then :func:`bleu_compiled` / :func:`chrf_compiled` per
-hypothesis — or the vectorized kernels :func:`bleu_kernel` /
-:func:`chrf_kernel` (id-interned numpy n-gram counting; bit-equal,
-several times faster per hypothesis) and :func:`score_batch` for whole
-completion groups.
+These two are the oracle.  For hot paths that score many hypotheses
+against one reference, :func:`compile_reference` the reference once and
+score with the vectorized kernels :func:`bleu_kernel` /
+:func:`chrf_kernel` (id-interned numpy n-gram counting at the paper's
+settings; bit-equal to the oracle, several times faster per
+hypothesis), or :func:`bleu_kernel_batch` / :func:`chrf_kernel_batch`
+for whole hypothesis groups.
 """
 
 from repro.metrics.bleu import BleuScore, bleu, corpus_bleu
 from repro.metrics.chrf import ChrfScore, chrf, corpus_chrf
-from repro.metrics.compiled import (
-    CompiledReference,
-    bleu_compiled,
-    chrf_compiled,
-    compile_reference,
-)
 from repro.metrics.kernels import (
+    CompiledReference,
     bleu_kernel,
     bleu_kernel_batch,
     chrf_kernel,
     chrf_kernel_batch,
-    kernels_enabled,
-    score_batch,
+    compile_reference,
 )
 from repro.metrics.stats import Aggregate, aggregate, mean, stderr
 from repro.metrics.tokenizers import char_ngrams, ngrams, tokenize_13a
@@ -48,14 +42,10 @@ __all__ = [
     "corpus_chrf",
     "CompiledReference",
     "compile_reference",
-    "bleu_compiled",
-    "chrf_compiled",
     "bleu_kernel",
     "bleu_kernel_batch",
     "chrf_kernel",
     "chrf_kernel_batch",
-    "score_batch",
-    "kernels_enabled",
     "Aggregate",
     "aggregate",
     "mean",

@@ -35,9 +35,13 @@ class ChrfScore:
 
 
 def _order_statistics(
-    hypothesis: str, references: Sequence[str], char_order: int, remove_whitespace: bool
+    hypothesis: str,
+    references: Sequence[str],
+    char_order: int,
+    beta: float,
+    remove_whitespace: bool,
 ) -> list[tuple[int, int, int]]:
-    """Per order: (matches, hyp_count, ref_count) against the best reference."""
+    """Per order: (matches, hyp_count, ref_count) against the best-F-``beta`` reference."""
     stats: list[tuple[int, int, int]] = []
     for order in range(1, char_order + 1):
         hyp_grams = char_ngrams(hypothesis, order, remove_whitespace=remove_whitespace)
@@ -48,7 +52,7 @@ def _order_statistics(
             matches = clipped_matches(hyp_grams, ref_grams)
             h = sum(hyp_grams.values())
             r = sum(ref_grams.values())
-            f = _fscore(matches, h, r, DEFAULT_BETA)
+            f = _fscore(matches, h, r, beta)
             if f > best_f:
                 best_f = f
                 best = (matches, h, r)
@@ -88,7 +92,7 @@ def corpus_chrf(
     for hyp, refs in zip(hypotheses, norm_refs):
         if not refs:
             raise MetricError("every hypothesis needs at least one reference")
-        seg = _order_statistics(hyp, refs, char_order, remove_whitespace)
+        seg = _order_statistics(hyp, refs, char_order, beta, remove_whitespace)
         totals = [
             (tm + m, th + h, tr + r)
             for (tm, th, tr), (m, h, r) in zip(totals, seg)

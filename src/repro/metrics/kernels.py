@@ -1,14 +1,12 @@
-"""Vectorized metric kernels: id-interned n-gram counting over numpy.
+"""The metric engine: id-interned n-gram counting over numpy.
 
-The compiled engine (:mod:`repro.metrics.compiled`) already tokenizes
-and counts each reference once, but every *hypothesis* still pays a
-Python ``Counter`` build plus a dict-intersection per n-gram order —
-per-hypothesis Python overhead that dominates the score-heavy sweeps.
-
-This module interns each reference's n-gram vocabulary once into
-id-indexed numpy count arrays on the :class:`CompiledReference`
-(token orders for BLEU, character orders for chrF) and scores a
-hypothesis with a handful of vectorized array operations:
+Every calibrated cell and every scored unit compares many hypotheses
+against the *same* reference artifact.  :func:`compile_reference`
+returns one shared :class:`CompiledReference` per reference text (an
+LRU keyed by content hash); its 13a tokens are computed once and its
+n-gram vocabulary is interned once into id-indexed numpy count arrays
+(token orders for BLEU, character orders for chrF).  A hypothesis is
+then scored with a handful of vectorized array operations:
 
 1. map the hypothesis symbols (13a tokens / codepoints) to small
    integer ids against the reference vocabulary — symbols the reference
@@ -22,27 +20,26 @@ hypothesis with a handful of vectorized array operations:
    ``np.minimum`` — the entire clipped-match computation for one order
    is three array ops instead of a Python loop.
 
-Numerical identity is by construction: the kernels produce the exact
-same integer match counts and totals as the ``Counter`` path and then
-do the *same* ``_compute_score`` / ``_fscore`` arithmetic, so scores
-are bit-equal to :func:`bleu_compiled` / :func:`chrf_compiled`
-(property-tested in ``tests/test_metrics_kernels.py``).
+The kernels are fixed to the paper's settings: sentence BLEU with 13a
+tokens, orders 1..4 and ``exp`` smoothing; chrF with character orders
+1..6, beta 2 and whitespace removed.  They produce the exact integer
+match counts and totals of :func:`~repro.metrics.bleu.bleu` /
+:func:`~repro.metrics.chrf.chrf` and repeat their float operations in
+the same order, so scores are bit-equal to the reference scorers
+(pinned with ``==`` in ``tests/test_metrics_kernels.py``).
 
 When packed codes would overflow 63-bit integers (``base**order >=
-2**62``, i.e. a reference with an enormous alphabet), the kernel for
-that reference silently falls back to the compiled path — same scores,
-the old speed.  ``REPRO_METRIC_KERNELS=0``
-disables the vectorized path globally (the escape hatch the equivalence
-tests use to produce reference grids).
+2**62``, i.e. a reference with an enormous alphabet), the reference is
+scored per hypothesis through :func:`bleu_compiled` /
+:func:`chrf_compiled`, which are the reference scorers on
+``reference.text`` — same scores, the reference speed.
 
-:func:`score_batch` scores a whole group of completions against one
-target in a single call.  Its kernel backends
-:func:`bleu_kernel_batch` / :func:`chrf_kernel_batch` go further than
-amortizing reference compilation: all hypotheses are concatenated (with
-out-of-vocabulary sentinel separators, which can never match a
-reference n-gram) into **one** id array, packed once per order, and the
-per-hypothesis clipped matches come out of a single fused
-``np.bincount`` over ``(gram id, hypothesis)`` keys — the numpy
+:func:`bleu_kernel_batch` / :func:`chrf_kernel_batch` score a whole
+group of hypotheses against one reference: all hypotheses are
+concatenated (with out-of-vocabulary sentinel separators, which can
+never match a reference n-gram) into **one** id array, packed once per
+order, and the per-hypothesis clipped matches come out of a single
+fused ``np.bincount`` over ``(gram id, hypothesis)`` keys — the numpy
 per-call overhead that dominates short hypotheses is paid once per
 *group* per order instead of once per hypothesis.
 
@@ -61,42 +58,113 @@ gram, on top of the running hypothesis counts, gives each event's count
 exact integers as scoring each text whole, at a cost that follows the
 changed grams rather than depths × reference grams.
 
-:func:`bleu_from_stats` turns such counts into scores; for the default
-``exp`` smoothing it skips the ``BleuScore`` record and repeats
-``_compute_score``'s float operations in the same order, so the scores
-stay bit-equal.
+:func:`bleu_from_stats` turns such counts into scores with
+:func:`_bleu_exp`, which skips the ``BleuScore`` record and repeats
+``_compute_score``'s ``exp``-smoothed float operations in the same
+order, so the scores stay bit-equal.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-import os
+import threading
+from collections import OrderedDict
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import MetricError
-from repro.metrics.bleu import DEFAULT_MAX_ORDER, _brevity_penalty, _compute_score
-from repro.metrics.chrf import DEFAULT_BETA, DEFAULT_CHAR_ORDER, _fscore
-from repro.metrics.compiled import (
-    CompiledReference,
-    bleu_compiled,
-    chrf_compiled,
-    compile_reference,
-)
+from repro.metrics.bleu import DEFAULT_MAX_ORDER, _brevity_penalty, bleu
+from repro.metrics.chrf import DEFAULT_BETA, DEFAULT_CHAR_ORDER, _fscore, chrf
 from repro.metrics.tokenizers import tokenize_13a_cached
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.scorers import Score
 
 # packed codes live in int64; reserve a sign bit and one headroom bit
 _CODE_LIMIT = 2**62
 
+# compiled references the LRU keeps; each pins its interned vocabularies
+_COMPILE_CACHE_CAPACITY = 512
 
-def kernels_enabled() -> bool:
-    """Whether the vectorized path is active (not opted out)."""
-    return os.environ.get("REPRO_METRIC_KERNELS", "") != "0"
+
+class CompiledReference:
+    """One reference artifact: its 13a tokens and interned kernels, built lazily.
+
+    Fills are idempotent, so concurrent access from executor threads is
+    safe without a lock.
+    """
+
+    __slots__ = ("text", "_tokens", "_kernels")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._tokens: tuple[str, ...] | None = None
+        # "token" / "char" -> interned kernel, or False when packed codes
+        # would overflow for this reference
+        self._kernels: dict[str, object] = {}
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        if self._tokens is None:
+            self._tokens = tokenize_13a_cached(self.text)
+        return self._tokens
+
+    @property
+    def ref_len(self) -> int:
+        return len(self.tokens)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"CompiledReference({self.text[:32]!r}..., ref_len={self.ref_len})"
+
+
+_compile_lock = threading.Lock()
+_compile_cache: OrderedDict[str, CompiledReference] = OrderedDict()
+
+
+def compile_reference(text: str) -> CompiledReference:
+    """The shared :class:`CompiledReference` for ``text`` (LRU by content hash).
+
+    Keyed by the SHA-256 of the reference text rather than the text
+    itself, so the key table stays small however large the artifacts
+    are; the capacity bounds how many interned vocabularies a
+    many-artifact sweep can pin at once.
+    """
+    # surrogatepass: artifacts decoded with errors="surrogateescape" may
+    # carry lone surrogates; they must hash, not raise
+    key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+    with _compile_lock:
+        ref = _compile_cache.get(key)
+        if ref is None:
+            ref = _compile_cache[key] = CompiledReference(text)
+            while len(_compile_cache) > _COMPILE_CACHE_CAPACITY:
+                _compile_cache.popitem(last=False)
+        else:
+            _compile_cache.move_to_end(key)
+    return ref
+
+
+def _compile_cache_clear() -> None:
+    with _compile_lock:
+        _compile_cache.clear()
+
+
+def _compile_cache_len() -> int:
+    with _compile_lock:
+        return len(_compile_cache)
+
+
+# lru_cache-compatible management surface (benches/tests call these)
+compile_reference.cache_clear = _compile_cache_clear  # type: ignore[attr-defined]
+compile_reference.cache_len = _compile_cache_len  # type: ignore[attr-defined]
+
+
+def bleu_compiled(hypothesis: str, reference: CompiledReference) -> float:
+    """The overflow fallback: reference sentence BLEU against ``reference``."""
+    return bleu(hypothesis, reference.text)
+
+
+def chrf_compiled(hypothesis: str, reference: CompiledReference) -> float:
+    """The overflow fallback: reference sentence chrF against ``reference``."""
+    return chrf(hypothesis, reference.text)
 
 
 def _pack_codes(ids: "np.ndarray", base: int, max_order: int) -> list:
@@ -175,20 +243,20 @@ class _TokenKernel:
 
     __slots__ = ("vocab", "base", "orders")
 
-    def __init__(self, tokens: Sequence[str], max_order: int) -> None:
+    def __init__(self, tokens: Sequence[str]) -> None:
         vocab: dict[str, int] = {}
         for token in tokens:
             if token not in vocab:
                 vocab[token] = len(vocab)
         self.vocab = vocab
         self.base = len(vocab) + 1  # +1: the out-of-vocabulary sentinel digit
-        if self.base**max_order >= _CODE_LIMIT:
+        if self.base**DEFAULT_MAX_ORDER >= _CODE_LIMIT:
             raise OverflowError("packed token codes would overflow int64")
         ids = np.fromiter(
             (vocab[token] for token in tokens), dtype=np.int64, count=len(tokens)
         )
         self.orders = []
-        for codes in _pack_codes(ids, self.base, max_order):
+        for codes in _pack_codes(ids, self.base, DEFAULT_MAX_ORDER):
             self.orders.append(np.unique(codes, return_counts=True))
 
     def __getstate__(self):  # __slots__ classes need explicit pickle state
@@ -324,40 +392,37 @@ class _TokenKernel:
         return counts, totals
 
 
+def _codepoints(text: str) -> "np.ndarray":
+    """The codepoints of ``text`` with all whitespace removed (chrF)."""
+    # surrogatepass: lone surrogates must be counted like any other
+    # character, as the reference chrF counts them, not raise
+    raw = "".join(text.split()).encode("utf-32-le", "surrogatepass")
+    return np.frombuffer(raw, dtype=np.uint32).astype(np.int64)
+
+
 class _CharKernel:
     """Interned character n-gram vocabulary of one reference (chrF side)."""
 
-    __slots__ = ("alphabet", "base", "remove_whitespace", "orders", "totals")
+    __slots__ = ("alphabet", "base", "orders", "totals")
 
-    def __init__(self, text: str, char_order: int, remove_whitespace: bool) -> None:
-        self.remove_whitespace = remove_whitespace
-        codepoints = self._codepoints(text)
+    def __init__(self, text: str) -> None:
+        codepoints = _codepoints(text)
         self.alphabet = np.unique(codepoints)
         self.base = len(self.alphabet) + 1
-        if self.base**char_order >= _CODE_LIMIT:
+        if self.base**DEFAULT_CHAR_ORDER >= _CODE_LIMIT:
             raise OverflowError("packed char codes would overflow int64")
         ids = np.searchsorted(self.alphabet, codepoints)
         self.orders = []
         self.totals: list[int] = []
-        for codes in _pack_codes(ids, self.base, char_order):
+        for codes in _pack_codes(ids, self.base, DEFAULT_CHAR_ORDER):
             self.orders.append(np.unique(codes, return_counts=True))
             self.totals.append(len(codes))
 
     def __getstate__(self):
-        return (self.alphabet, self.base, self.remove_whitespace,
-                self.orders, self.totals)
+        return (self.alphabet, self.base, self.orders, self.totals)
 
     def __setstate__(self, state) -> None:
-        (self.alphabet, self.base, self.remove_whitespace,
-         self.orders, self.totals) = state
-
-    def _codepoints(self, text: str) -> "np.ndarray":
-        if self.remove_whitespace:
-            text = "".join(text.split())
-        # surrogatepass: lone surrogates must round-trip, not raise — the
-        # Counter path counts them like any other character
-        raw = text.encode("utf-32-le", "surrogatepass")
-        return np.frombuffer(raw, dtype=np.uint32).astype(np.int64)
+        self.alphabet, self.base, self.orders, self.totals = state
 
     def _map_ids(self, codepoints: "np.ndarray") -> "np.ndarray":
         if len(self.alphabet) == 0:
@@ -370,7 +435,7 @@ class _CharKernel:
 
     def stats(self, hypothesis: str) -> list[tuple[int, int, int]]:
         """Per-order (matches, hyp total, ref total) for the chrF F-score."""
-        ids = self._map_ids(self._codepoints(hypothesis))
+        ids = self._map_ids(_codepoints(hypothesis))
         out: list[tuple[int, int, int]] = []
         for codes, vocab, ref_total in zip(
             _pack_codes(ids, self.base, len(self.orders)), self.orders, self.totals
@@ -385,7 +450,7 @@ class _CharKernel:
         shared reference total — the same integers ``stats`` produces,
         one fused set of array ops per order for the entire group.
         """
-        ids_list = [self._map_ids(self._codepoints(hyp)) for hyp in hypotheses]
+        ids_list = [self._map_ids(_codepoints(hyp)) for hyp in hypotheses]
         n = len(ids_list)
         char_order = len(self.orders)
         cat, owner = _concat_with_separators(ids_list, self.base, char_order)
@@ -402,111 +467,56 @@ class _CharKernel:
         return out
 
 
-def _token_kernel(ref: CompiledReference, max_order: int) -> _TokenKernel | None:
-    """The reference's interned token kernel (built once, memoized).
+def _kernel(ref: CompiledReference, kind: str, build) -> object | None:
+    """``ref``'s interned ``kind`` kernel, built once by ``build()``.
 
-    Returns ``None`` when vectorization is unsupported for this
-    reference (packed-code overflow) — callers fall back to the
-    compiled path, which is numerically identical.
+    ``None`` when packed codes would overflow for this reference; the
+    caller then scores through the reference fallback.
     """
-    key = ("token", max_order)
-    kernel = ref._kernels.get(key)
+    kernel = ref._kernels.get(kind)
     if kernel is None:
         try:
-            kernel = _TokenKernel(ref.tokens, max_order)
+            kernel = build()
         except OverflowError:
             kernel = False
-        ref._kernels[key] = kernel
+        ref._kernels[kind] = kernel
     return kernel if kernel is not False else None
 
 
-def _char_kernel(
-    ref: CompiledReference, char_order: int, remove_whitespace: bool
-) -> _CharKernel | None:
-    key = ("char", char_order, remove_whitespace)
-    kernel = ref._kernels.get(key)
+def _token_kernel(ref: CompiledReference) -> _TokenKernel | None:
+    return _kernel(ref, "token", lambda: _TokenKernel(ref.tokens))
+
+
+def _char_kernel(ref: CompiledReference) -> _CharKernel | None:
+    return _kernel(ref, "char", lambda: _CharKernel(ref.text))
+
+
+def _compiled(reference: CompiledReference | str) -> CompiledReference:
+    return compile_reference(reference) if isinstance(reference, str) else reference
+
+
+def bleu_kernel(hypothesis: str, reference: CompiledReference | str) -> float:
+    """Sentence BLEU via the vectorized kernel (bit-equal to :func:`bleu`)."""
+    ref = _compiled(reference)
+    kernel = _token_kernel(ref)
     if kernel is None:
-        try:
-            kernel = _CharKernel(ref.text, char_order, remove_whitespace)
-        except OverflowError:
-            kernel = False
-        ref._kernels[key] = kernel
-    return kernel if kernel is not False else None
-
-
-def bleu_kernel(
-    hypothesis: str,
-    reference: CompiledReference | str,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    smooth_method: str = "exp",
-    smooth_value: float | None = None,
-) -> float:
-    """Sentence BLEU via the vectorized kernel (bit-equal to compiled).
-
-    The clipped match counts and totals are exact integers computed by
-    array operations instead of ``Counter`` intersections; the score
-    combination is the shared ``_compute_score``, so the result is
-    bit-identical to :func:`~repro.metrics.compiled.bleu_compiled`.
-    """
-    if smooth_method not in ("exp", "floor", "add-k", "none"):
-        raise MetricError(f"unknown BLEU smoothing method: {smooth_method!r}")
-    ref = compile_reference(reference) if isinstance(reference, str) else reference
-    kernel = _token_kernel(ref, max_order) if kernels_enabled() else None
-    if kernel is None:
-        return bleu_compiled(
-            hypothesis,
-            ref,
-            max_order=max_order,
-            smooth_method=smooth_method,
-            smooth_value=smooth_value,
-        )
+        return bleu_compiled(hypothesis, ref)
     hyp_tokens = tokenize_13a_cached(hypothesis)
     counts, totals = kernel.stats(hyp_tokens)
-    return _compute_score(
-        counts, totals, len(hyp_tokens), ref.ref_len,
-        smooth_method, smooth_value, max_order,
-    ).score
+    return _bleu_exp(counts, totals, len(hyp_tokens), ref.ref_len)
 
 
-def chrf_kernel(
-    hypothesis: str,
-    reference: CompiledReference | str,
-    *,
-    char_order: int = DEFAULT_CHAR_ORDER,
-    beta: float = DEFAULT_BETA,
-    remove_whitespace: bool = True,
-) -> float:
-    """Sentence chrF via the vectorized kernel (bit-equal to compiled)."""
-    ref = compile_reference(reference) if isinstance(reference, str) else reference
-    kernel = (
-        _char_kernel(ref, char_order, remove_whitespace)
-        if kernels_enabled()
-        else None
-    )
+def chrf_kernel(hypothesis: str, reference: CompiledReference | str) -> float:
+    """Sentence chrF via the vectorized kernel (bit-equal to :func:`chrf`)."""
+    ref = _compiled(reference)
+    kernel = _char_kernel(ref)
     if kernel is None:
-        return chrf_compiled(
-            hypothesis,
-            ref,
-            char_order=char_order,
-            beta=beta,
-            remove_whitespace=remove_whitespace,
-        )
-    per_order_f: list[float] = []
-    for matches, hyp_count, ref_count in kernel.stats(hypothesis):
-        if hyp_count == 0 and ref_count == 0:
-            continue
-        per_order_f.append(_fscore(matches, hyp_count, ref_count, beta))
-    return 100.0 * (sum(per_order_f) / len(per_order_f)) if per_order_f else 0.0
+        return chrf_compiled(hypothesis, ref)
+    return _chrf_mean(kernel.stats(hypothesis))
 
 
 def bleu_kernel_batch(
-    hypotheses: Sequence[str],
-    reference: CompiledReference | str,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    smooth_method: str = "exp",
-    smooth_value: float | None = None,
+    hypotheses: Sequence[str], reference: CompiledReference | str
 ) -> list[float]:
     """Sentence BLEU for a whole hypothesis group (bit-equal per element).
 
@@ -514,66 +524,34 @@ def bleu_kernel_batch(
     array operations per order for the *entire group* — the per-call
     numpy overhead that makes single-hypothesis kernels a wash on short
     references is amortized across the batch.  Element ``i`` is exactly
-    ``bleu_kernel(hypotheses[i], reference, ...)``.
+    ``bleu_kernel(hypotheses[i], reference)``.
     """
-    if smooth_method not in ("exp", "floor", "add-k", "none"):
-        raise MetricError(f"unknown BLEU smoothing method: {smooth_method!r}")
-    ref = compile_reference(reference) if isinstance(reference, str) else reference
-    kernel = _token_kernel(ref, max_order) if kernels_enabled() else None
+    ref = _compiled(reference)
+    kernel = _token_kernel(ref)
     if kernel is None:
-        return [
-            bleu_compiled(
-                hyp,
-                ref,
-                max_order=max_order,
-                smooth_method=smooth_method,
-                smooth_value=smooth_value,
-            )
-            for hyp in hypotheses
-        ]
+        return [bleu_compiled(hyp, ref) for hyp in hypotheses]
     if not hypotheses:
         return []
     token_lists = [tokenize_13a_cached(hyp) for hyp in hypotheses]
     counts, totals = kernel.batch_stats(token_lists)
     return bleu_from_stats(
-        counts, totals, [len(tokens) for tokens in token_lists], ref.ref_len,
-        smooth_method=smooth_method, smooth_value=smooth_value,
+        counts, totals, [len(tokens) for tokens in token_lists], ref.ref_len
     )
 
 
-def bleu_from_stats(
-    counts,
-    totals,
-    sys_lens: Sequence[int],
-    ref_len: int,
-    *,
-    smooth_method: str = "exp",
-    smooth_value: float | None = None,
-) -> list[float]:
+def bleu_from_stats(counts, totals, sys_lens: Sequence[int], ref_len: int) -> list[float]:
     """Sentence BLEU per hypothesis from per-order (matches, totals) arrays.
 
     ``counts[order][h]`` / ``totals[order][h]`` as returned by
     :meth:`_TokenKernel.batch_stats` or :meth:`_TokenKernel.delta_stats`.
-    The exact integers go through :func:`_bleu_exp` for the default
-    ``exp`` smoothing and through the shared ``_compute_score`` otherwise;
-    both give the same floats.
     """
     rows = zip(
         zip(*(order_counts.tolist() for order_counts in counts)),
         zip(*(order_totals.tolist() for order_totals in totals)),
         sys_lens,
     )
-    if smooth_method == "exp":
-        return [
-            _bleu_exp(hyp_counts, hyp_totals, sys_len, ref_len)
-            for hyp_counts, hyp_totals, sys_len in rows
-        ]
-    max_order = len(counts)
     return [
-        _compute_score(
-            list(hyp_counts), list(hyp_totals), sys_len, ref_len,
-            smooth_method, smooth_value, max_order,
-        ).score
+        _bleu_exp(hyp_counts, hyp_totals, sys_len, ref_len)
         for hyp_counts, hyp_totals, sys_len in rows
     ]
 
@@ -607,62 +585,35 @@ def _bleu_exp(counts, totals, sys_len: int, ref_len: int) -> float:
 
 
 def chrf_kernel_batch(
-    hypotheses: Sequence[str],
-    reference: CompiledReference | str,
-    *,
-    char_order: int = DEFAULT_CHAR_ORDER,
-    beta: float = DEFAULT_BETA,
-    remove_whitespace: bool = True,
+    hypotheses: Sequence[str], reference: CompiledReference | str
 ) -> list[float]:
     """Sentence chrF for a whole hypothesis group (bit-equal per element)."""
-    ref = compile_reference(reference) if isinstance(reference, str) else reference
-    kernel = (
-        _char_kernel(ref, char_order, remove_whitespace)
-        if kernels_enabled()
-        else None
-    )
+    ref = _compiled(reference)
+    kernel = _char_kernel(ref)
     if kernel is None:
-        return [
-            chrf_compiled(
-                hyp,
-                ref,
-                char_order=char_order,
-                beta=beta,
-                remove_whitespace=remove_whitespace,
-            )
-            for hyp in hypotheses
-        ]
+        return [chrf_compiled(hyp, ref) for hyp in hypotheses]
     if not hypotheses:
         return []
     stats = kernel.batch_stats(hypotheses)
-    out: list[float] = []
-    for i in range(len(hypotheses)):
-        per_order_f: list[float] = []
-        for matches, hyp_totals, ref_total in stats:
-            hyp_count = int(hyp_totals[i])
-            if hyp_count == 0 and ref_total == 0:
-                continue
-            per_order_f.append(_fscore(int(matches[i]), hyp_count, ref_total, beta))
-        out.append(
-            100.0 * (sum(per_order_f) / len(per_order_f)) if per_order_f else 0.0
+    ref_totals = [ref_total for _, _, ref_total in stats]
+    return [
+        _chrf_mean(zip(matches, hyp_totals, ref_totals))
+        for matches, hyp_totals in zip(
+            zip(*(matches.tolist() for matches, _, _ in stats)),
+            zip(*(hyp_totals.tolist() for _, hyp_totals, _ in stats)),
         )
-    return out
+    ]
 
 
-def score_batch(
-    completions: Sequence[str],
-    target: str,
-    scorer: Callable[[str, str], "Score"],
-) -> "list[Score]":
-    """Score a whole unit-group of completions against one target.
+def _chrf_mean(stats: Iterable[tuple[int, int, int]]) -> float:
+    """chrF from per-order (matches, hyp total, ref total): the mean F-beta.
 
-    The batch is the amortization unit: a scorer exposing
-    ``score_batch`` (e.g. :class:`~repro.core.scorers.CodeSimilarityScorer`)
-    compiles the target and looks up its interned kernels once for the
-    entire group; any other scorer is called per completion.  Results
-    are element-wise identical to ``[scorer(c, target) for c in completions]``.
+    Orders with neither hypothesis nor reference n-grams are skipped, as
+    the reference :func:`chrf` skips them.
     """
-    batch = getattr(scorer, "score_batch", None)
-    if batch is not None:
-        return batch(completions, target)
-    return [scorer(completion, target) for completion in completions]
+    per_order_f = [
+        _fscore(matches, hyp_count, ref_count, DEFAULT_BETA)
+        for matches, hyp_count, ref_count in stats
+        if hyp_count or ref_count
+    ]
+    return 100.0 * (sum(per_order_f) / len(per_order_f)) if per_order_f else 0.0

@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # mteval-v13a language-independent tokenization patterns, applied in order.
 _13A_RULES: list[tuple[re.Pattern[str], str]] = [
@@ -149,11 +149,6 @@ def ngrams(tokens: Sequence[str], order: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(order))))
 
 
-def all_ngrams(tokens: Sequence[str], max_order: int) -> dict[int, Counter]:
-    """N-gram multisets for every order 1..max_order."""
-    return {n: ngrams(tokens, n) for n in range(1, max_order + 1)}
-
-
 def char_ngrams(text: str, order: int, *, remove_whitespace: bool = True) -> Counter:
     """Character n-gram multiset, optionally ignoring all whitespace (chrF default)."""
     if remove_whitespace:
@@ -169,8 +164,3 @@ def clipped_matches(hyp: Counter, ref: Counter) -> int:
         r = get(gram, 0)
         total += count if count < r else r
     return total
-
-
-def token_count(texts: Iterable[str]) -> int:
-    """Total 13a token count over an iterable of texts (usage accounting)."""
-    return sum(len(tokenize_13a_cached(t)) for t in texts)

@@ -27,7 +27,7 @@ from repro.llm.corruption import (
 from repro.llm.knowledge import SystemKnowledge
 from repro.llm.profiles import ALL_PROFILES
 from repro.metrics import bleu
-from repro.metrics.compiled import bleu_compiled, compile_reference
+import repro.metrics.kernels as kernels
 from repro.metrics.kernels import _token_kernel, _TokenKernel
 from repro.utils.rng import rng_for
 from repro.utils.text import strip_markdown_chatter
@@ -216,12 +216,12 @@ class TestQualityCurve:
         monkeypatch.setattr(calibration, "bleu_kernel_batch", whole)
         return delta_calls, whole_calls
 
-    def test_batched_scores_equal_per_depth_compiled(self, monkeypatch):
+    def test_batched_scores_equal_per_depth_reference(self, monkeypatch):
         delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
         ops = self._ops()
         assert len(ops) + 1 > 64
         curve = QualityCurve(REF, ops)
-        expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
+        expected = [bleu(curve.text(k), curve.reference) for k in range(len(curve))]
         assert curve.scores() == expected
         assert delta_calls == [len(curve)]
         assert whole_calls == []
@@ -247,21 +247,24 @@ class TestQualityCurve:
         )
         curve = QualityCurve(REF, ops)
         assert len(curve) > 64
-        expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
+        expected = [bleu(curve.text(k), curve.reference) for k in range(len(curve))]
         assert curve.scores() == expected
         assert delta_calls == [len(curve) - 2]
         assert whole_calls == [[curve.text(mid + 1), curve.text(mid + 2)]]
 
-    def test_batched_scores_equal_per_depth_compiled_without_kernels(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRIC_KERNELS", "0")
-        ops = self._ops()
-        curve = QualityCurve(REF, ops)
-        expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
-        assert curve.scores() == expected
-
-    def test_batched_scores_equal_per_depth_compiled_on_code_overflow(self):
+    def test_batched_scores_equal_per_depth_reference_on_code_overflow(
+        self, monkeypatch
+    ):
         # ~47k distinct tokens: base**4 >= 2**62, so no packed-code kernel
-        # exists and the batch falls back to the compiled path
+        # exists and every depth is scored whole through the fallback
+        fallback_calls = []
+        real = kernels.bleu_compiled
+
+        def counted(hyp, ref):
+            fallback_calls.append(hyp)
+            return real(hyp, ref)
+
+        monkeypatch.setattr(kernels, "bleu_compiled", counted)
         reference = "\n".join(
             " ".join(f"w{line}x{i}" for i in range(470)) for line in range(100)
         )
@@ -270,9 +273,10 @@ class TestQualityCurve:
             for j in range(5)
         ]
         curve = QualityCurve(reference, ops)
-        assert _token_kernel(curve.compiled, 4) is None
-        expected = [bleu_compiled(curve.text(k), curve.compiled) for k in range(len(curve))]
+        assert _token_kernel(curve.compiled) is None
+        expected = [bleu(curve.text(k), curve.reference) for k in range(len(curve))]
         assert curve.scores() == expected
+        assert fallback_calls == [curve.text(k) for k in range(len(curve))]
 
     def test_scores_computed_counts_exactly_the_depths_scored(self):
         ops = self._ops()
@@ -350,13 +354,12 @@ def _spec_op(spec) -> CorruptionOp:
 
 
 def _per_depth_bleu(reference: str, ops: list[CorruptionOp]) -> list[float]:
-    """``bleu_compiled(apply_ops(reference, ops, k), reference)`` for every k."""
-    compiled = compile_reference(reference)
+    """``bleu(apply_ops(reference, ops, k), reference)`` for every k."""
     lines = reference.split("\n")
-    expected = [bleu_compiled(reference, compiled)]
+    expected = [bleu(reference, reference)]
     for op in ops:
         lines = op.apply(lines)
-        expected.append(bleu_compiled("\n".join(lines), compiled))
+        expected.append(bleu("\n".join(lines), reference))
     return expected
 
 
@@ -391,7 +394,7 @@ class TestDeltaScoring:
     @example(["a", "7."], [("insert", "last", "b")], (12, 12))
     @example(["a", ".5"], [("delete", "first")], (12, 12))
     @example(["a", "9-"], [("insert", "last", "b")], (12, 12))
-    def test_curve_equals_per_depth_compiled(self, ref_lines, specs, window):
+    def test_curve_equals_per_depth_reference(self, ref_lines, specs, window):
         reference = "\n".join(ref_lines)
         ops = [_spec_op(spec) for spec in specs]
         expected = _per_depth_bleu(reference, ops)
@@ -402,7 +405,7 @@ class TestDeltaScoring:
         assert curve.scores_computed == len(curve)
 
     @pytest.mark.parametrize("shuffle", [None, 1, 2])
-    def test_plan_references_equal_per_depth_compiled(self, shuffle):
+    def test_plan_references_equal_per_depth_reference(self, shuffle):
         for name, reference, ops in _plan_curves():
             if shuffle is not None:
                 ops = shuffle_within_bands(ops, rng_for("delta", name, shuffle))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MetricError
 from repro.metrics import chrf, corpus_chrf
@@ -43,6 +45,35 @@ class TestBeta:
         # higher beta (recall-weighted) must score it lower.
         hyp = REF[: len(REF) // 2]
         assert chrf(hyp, REF, beta=3.0) < chrf(hyp, REF, beta=0.5)
+
+    def test_best_reference_ranked_with_callers_beta(self):
+        # F-0.5 prefers the long reference (precision 1, recall 0.3) over
+        # "a" (precision 1/3, recall 1); F-2 would prefer "a"
+        score = chrf("aab", ["a", "aabbbbbbbb"], char_order=1, beta=0.5)
+        assert score == chrf("aab", "aabbbbbbbb", char_order=1, beta=0.5)
+        assert score == pytest.approx(68.18, abs=0.005)
+
+    def test_reference_order_does_not_matter(self):
+        refs = ["a", "aabbbbbbbb"]
+        forward = chrf("aab", refs, char_order=1, beta=0.5)
+        assert chrf("aab", refs[::-1], char_order=1, beta=0.5) == forward
+
+    def test_corpus_ranks_references_with_callers_beta(self):
+        multi = corpus_chrf(["aab"], [["a", "aabbbbbbbb"]], char_order=1, beta=0.5)
+        single = corpus_chrf(["aab"], [["aabbbbbbbb"]], char_order=1, beta=0.5)
+        assert multi.score == single.score
+
+    # with one order, the best-F-beta reference's F is the whole score
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hyp=st.text(alphabet="ab ", max_size=12),
+        refs=st.lists(st.text(alphabet="ab ", max_size=12), min_size=1, max_size=4),
+    )
+    def test_multi_reference_equals_best_single_reference(self, beta, hyp, refs):
+        assert chrf(hyp, refs, char_order=1, beta=beta) == max(
+            chrf(hyp, ref, char_order=1, beta=beta) for ref in refs
+        )
 
 
 class TestCharOrder:

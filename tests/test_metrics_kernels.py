@@ -1,15 +1,17 @@
 """Vectorized metric kernels: equivalence, fallbacks, pickling, cache.
 
-The kernels must be drop-in numerically identical to the reference
-``bleu``/``chrf`` scorers (property-tested to 1e-9 across unicode,
-empty and whitespace-only inputs and every smoothing method),
-``score_batch`` must be element-wise identical to per-completion
-scoring, interned vocabularies must survive pickling, and the
-content-hash compile cache must respect ``REPRO_COMPILE_CACHE``.
+The kernels must be bit-equal (``==``) to the reference ``bleu``/``chrf``
+scorers across unicode, lone-surrogate, empty and whitespace-only
+inputs, batches must equal per-hypothesis scoring element-wise, a
+reference whose packed codes would overflow must be scored through the
+``bleu_compiled``/``chrf_compiled`` fallbacks, interned vocabularies
+must survive pickling, and the content-hash compile cache must evict
+least-recently-used references beyond its capacity.
 """
 
 from __future__ import annotations
 
+import importlib
 import pickle
 
 import numpy as np
@@ -17,15 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scorers import CodeSimilarityScorer, Score
+import repro.metrics.kernels as kernels
+from repro.core.scorers import CodeSimilarityScorer
 from repro.metrics import bleu, chrf
-from repro.metrics.bleu import _compute_score
-from repro.metrics.compiled import (
-    bleu_compiled,
-    chrf_compiled,
-    compile_reference,
-)
+from repro.metrics.bleu import _compute_score, corpus_bleu
 from repro.metrics.kernels import (
+    CompiledReference,
     _pack_codes,
     _TokenKernel,
     bleu_from_stats,
@@ -33,9 +32,9 @@ from repro.metrics.kernels import (
     bleu_kernel_batch,
     chrf_kernel,
     chrf_kernel_batch,
-    kernels_enabled,
-    score_batch,
+    compile_reference,
 )
+from repro.metrics.tokenizers import tokenize_13a
 
 ascii_text = st.text(
     alphabet=st.characters(codec="ascii", exclude_categories=("Cc", "Cs")),
@@ -52,8 +51,7 @@ word_text = st.lists(
     min_size=1,
     max_size=40,
 ).map(" ".join)
-
-SMOOTHING = ["exp", "floor", "add-k", "none"]
+multiline_text = st.lists(ascii_text, min_size=1, max_size=8).map("\n".join)
 EDGE_CASES = [
     "",
     " ",
@@ -70,103 +68,162 @@ EDGE_CASES = [
 
 class TestBleuKernelEquivalence:
     @settings(max_examples=80, deadline=None)
-    @given(hyp=ascii_text, ref=word_text, smooth=st.sampled_from(SMOOTHING))
-    def test_matches_reference_bleu(self, hyp, ref, smooth):
-        expected = bleu(hyp, ref, smooth_method=smooth)
-        got = bleu_kernel(hyp, ref, smooth_method=smooth)
-        assert got == pytest.approx(expected, abs=1e-9)
+    @given(hyp=ascii_text, ref=word_text)
+    def test_matches_reference_bleu(self, hyp, ref):
+        assert bleu_kernel(hyp, ref) == bleu(hyp, ref)
 
     @settings(max_examples=60, deadline=None)
     @given(hyp=unicode_text, ref=unicode_text)
     def test_matches_on_unicode(self, hyp, ref):
-        assert bleu_kernel(hyp, ref) == pytest.approx(bleu(hyp, ref), abs=1e-9)
+        assert bleu_kernel(hyp, ref) == bleu(hyp, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hyp=multiline_text, ref=multiline_text)
+    def test_matches_on_multiline_artifacts(self, hyp, ref):
+        assert bleu_kernel(hyp, ref) == bleu(hyp, ref)
 
     @pytest.mark.parametrize("hyp", EDGE_CASES)
     @pytest.mark.parametrize("ref", EDGE_CASES)
-    def test_edge_case_pairs_bit_equal_to_compiled(self, hyp, ref):
-        # the kernels share _compute_score with the compiled path, so
-        # equality here is exact, not approximate
-        assert bleu_kernel(hyp, ref) == bleu_compiled(hyp, ref)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        hyp=word_text,
-        ref=word_text,
-        smooth=st.sampled_from(["floor", "add-k"]),
-        value=st.floats(min_value=0.01, max_value=2.0, allow_nan=False),
-    )
-    def test_matches_with_explicit_smooth_values(self, hyp, ref, smooth, value):
-        expected = bleu(hyp, ref, smooth_method=smooth, smooth_value=value)
-        got = bleu_kernel(hyp, ref, smooth_method=smooth, smooth_value=value)
-        assert got == pytest.approx(expected, abs=1e-9)
-
-    def test_unknown_smoothing_rejected(self):
-        from repro.errors import MetricError
-
-        with pytest.raises(MetricError, match="smoothing"):
-            bleu_kernel("a", "a", smooth_method="nope")
+    def test_edge_case_pairs_bit_equal_to_reference(self, hyp, ref):
+        assert bleu_kernel(hyp, ref) == bleu(hyp, ref)
 
     def test_accepts_precompiled_object(self):
         ref = compile_reference("engine.put(var, data)")
         assert bleu_kernel("engine.put(var, data)", ref) == pytest.approx(100.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hyp=ascii_text, ref=word_text)
+    def test_fixed_to_paper_settings(self, hyp, ref):
+        assert bleu_kernel(hyp, ref) == bleu(
+            hyp, ref, max_order=4, smooth_method="exp", smooth_value=None
+        )
 
 
 class TestChrfKernelEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(hyp=ascii_text, ref=word_text)
     def test_matches_reference_chrf(self, hyp, ref):
-        assert chrf_kernel(hyp, ref) == pytest.approx(chrf(hyp, ref), abs=1e-9)
+        assert chrf_kernel(hyp, ref) == chrf(hyp, ref)
 
     @settings(max_examples=60, deadline=None)
     @given(hyp=unicode_text, ref=unicode_text)
     def test_matches_on_unicode(self, hyp, ref):
-        assert chrf_kernel(hyp, ref) == pytest.approx(chrf(hyp, ref), abs=1e-9)
+        assert chrf_kernel(hyp, ref) == chrf(hyp, ref)
 
     @settings(max_examples=40, deadline=None)
-    @given(hyp=unicode_text, ref=unicode_text, order=st.integers(1, 8))
-    def test_matches_across_char_orders(self, hyp, ref, order):
-        expected = chrf(hyp, ref, char_order=order)
-        got = chrf_kernel(hyp, ref, char_order=order)
-        assert got == pytest.approx(expected, abs=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(hyp=word_text, ref=word_text)
-    def test_matches_with_whitespace_kept(self, hyp, ref):
-        expected = chrf(hyp, ref, remove_whitespace=False)
-        got = chrf_kernel(hyp, ref, remove_whitespace=False)
-        assert got == pytest.approx(expected, abs=1e-9)
+    @given(hyp=multiline_text, ref=multiline_text)
+    def test_matches_on_multiline_artifacts(self, hyp, ref):
+        assert chrf_kernel(hyp, ref) == chrf(hyp, ref)
 
     @pytest.mark.parametrize("hyp", EDGE_CASES)
     @pytest.mark.parametrize("ref", EDGE_CASES)
-    def test_edge_case_pairs_bit_equal_to_compiled(self, hyp, ref):
-        assert chrf_kernel(hyp, ref) == chrf_compiled(hyp, ref)
+    def test_edge_case_pairs_bit_equal_to_reference(self, hyp, ref):
+        assert chrf_kernel(hyp, ref) == chrf(hyp, ref)
+
+    def test_accepts_precompiled_object(self):
+        ref = compile_reference("engine.put(var, data)")
+        assert chrf_kernel("engine.put(var, data)", ref) == pytest.approx(100.0)
+        assert chrf_kernel("engine.get(var)", ref) == chrf(
+            "engine.get(var)", "engine.put(var, data)"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(hyp=ascii_text, ref=word_text)
+    def test_fixed_to_paper_settings(self, hyp, ref):
+        assert chrf_kernel(hyp, ref) == chrf(
+            hyp, ref, char_order=6, beta=2.0, remove_whitespace=True
+        )
+
+
+# >1290 unique codepoints: the alphabet's base**6 reaches the packed-code
+# limit, so the reference has no char kernel
+WIDE_ALPHABET = "".join(chr(cp) for cp in range(0x4E00, 0x5380))
+# ~47k distinct tokens: base**4 reaches the limit, so no token kernel
+WIDE_VOCAB = "\n".join(
+    " ".join(f"w{line}x{i}" for i in range(470)) for line in range(100)
+)
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Counts of scores that went through each overflow fallback."""
+    calls = {"bleu": 0, "chrf": 0}
+    for name in calls:
+        real = getattr(kernels, f"{name}_compiled")
+
+        def counted(hyp, ref, name=name, real=real):
+            calls[name] += 1
+            return real(hyp, ref)
+
+        monkeypatch.setattr(kernels, f"{name}_compiled", counted)
+    return calls
 
 
 class TestKernelFallbacks:
-    def test_env_escape_hatch_disables_kernels(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRIC_KERNELS", "0")
-        assert not kernels_enabled()
-        # disabled kernels route through the compiled path: same scores
-        assert bleu_kernel("a b c", "a b d") == bleu_compiled("a b c", "a b d")
-        assert chrf_kernel("a b c", "a b d") == chrf_compiled("a b c", "a b d")
+    def test_char_code_overflow_falls_back_to_reference(self, fallback_calls):
+        ref = compile_reference(WIDE_ALPHABET)
+        hyp = WIDE_ALPHABET[:64]
+        assert chrf_kernel(hyp, ref) == chrf(hyp, WIDE_ALPHABET)
+        assert ref._kernels["char"] is False
+        # BLEU's token side is unaffected (one unique token)
+        assert bleu_kernel(hyp, ref) == bleu(hyp, WIDE_ALPHABET)
+        assert fallback_calls == {"bleu": 0, "chrf": 1}
 
-    def test_char_code_overflow_falls_back_to_compiled(self):
-        # >1290 unique codepoints makes base**6 overflow the packed-code
-        # limit; the reference memoizes "unsupported" and the score is
-        # still exactly the compiled one
-        ref = compile_reference("".join(chr(cp) for cp in range(0x4E00, 0x5380)))
-        hyp = "".join(chr(cp) for cp in range(0x4E00, 0x4E40))
-        assert chrf_kernel(hyp, ref) == chrf_compiled(hyp, ref)
-        assert ref._kernels[("char", 6, True)] is False
-        # BLEU's token side is unaffected (few unique tokens)
-        assert bleu_kernel(hyp, ref) == bleu_compiled(hyp, ref)
+    def test_token_code_overflow_falls_back_to_reference(self, fallback_calls):
+        ref = compile_reference(WIDE_VOCAB)
+        hyp = WIDE_VOCAB[:4000]
+        assert bleu_kernel(hyp, ref) == bleu(hyp, WIDE_VOCAB)
+        assert ref._kernels["token"] is False
+        assert fallback_calls == {"bleu": 1, "chrf": 0}
+
+    def test_batch_overflow_falls_back_per_hypothesis(self, fallback_calls):
+        hyps = [WIDE_ALPHABET[:64], "", WIDE_ALPHABET[100:40:-1]]
+        assert chrf_kernel_batch(hyps, WIDE_ALPHABET) == [
+            chrf(hyp, WIDE_ALPHABET) for hyp in hyps
+        ]
+        hyps = [WIDE_VOCAB[:4000], "", WIDE_VOCAB[-3000:]]
+        assert bleu_kernel_batch(hyps, WIDE_VOCAB) == [
+            bleu(hyp, WIDE_VOCAB) for hyp in hyps
+        ]
+        assert fallback_calls == {"bleu": 3, "chrf": 3}
+
+    @settings(max_examples=40, deadline=None)
+    @given(hyp=unicode_text, ref=unicode_text)
+    def test_bleu_fallback_equals_reference(self, hyp, ref):
+        assert kernels.bleu_compiled(hyp, CompiledReference(ref)) == bleu(hyp, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hyp=unicode_text, ref=unicode_text)
+    def test_chrf_fallback_equals_reference(self, hyp, ref):
+        assert kernels.chrf_compiled(hyp, CompiledReference(ref)) == chrf(hyp, ref)
+
+    def test_scorer_scores_overflowing_target_through_fallbacks(self, fallback_calls):
+        scorer = CodeSimilarityScorer()
+        completions = [WIDE_ALPHABET[:64], WIDE_ALPHABET[:8] + " x"]
+        single = [scorer(c, WIDE_ALPHABET) for c in completions]
+        assert [s.values for s in single] == [
+            {"bleu": bleu(c, WIDE_ALPHABET), "chrf": chrf(c, WIDE_ALPHABET)}
+            for c in completions
+        ]
+        assert scorer.score_batch(completions, WIDE_ALPHABET) == single
+        # chrF overflows on both paths; BLEU's one-token vocabulary does not
+        assert fallback_calls == {"bleu": 0, "chrf": 4}
+
+    def test_overflow_marker_survives_pickling(self, fallback_calls):
+        ref = compile_reference(WIDE_ALPHABET)
+        chrf_kernel("", ref)
+        clone = pickle.loads(pickle.dumps(ref))
+        assert clone._kernels["char"] is False
+        hyp = WIDE_ALPHABET[:64]
+        assert chrf_kernel(hyp, clone) == chrf(hyp, WIDE_ALPHABET)
+        assert fallback_calls == {"bleu": 0, "chrf": 2}
 
     def test_kernel_built_once_per_reference(self):
         ref = compile_reference("alpha beta gamma alpha")
         bleu_kernel("alpha beta", ref)
-        kernel = ref._kernels[("token", 4)]
+        kernel = ref._kernels["token"]
         bleu_kernel("gamma delta", ref)
-        assert ref._kernels[("token", 4)] is kernel
+        assert ref._kernels["token"] is kernel
 
     def test_scoring_does_not_pollute_reference_state(self):
         ref = compile_reference("alpha beta gamma")
@@ -180,16 +237,9 @@ class TestKernelFallbacks:
 
 class TestBatchKernels:
     @settings(max_examples=40, deadline=None)
-    @given(
-        hyps=st.lists(unicode_text, max_size=8),
-        ref=unicode_text,
-        smooth=st.sampled_from(SMOOTHING),
-    )
-    def test_bleu_batch_elementwise_equals_single(self, hyps, ref, smooth):
-        batch = bleu_kernel_batch(hyps, ref, smooth_method=smooth)
-        assert batch == [
-            bleu_kernel(hyp, ref, smooth_method=smooth) for hyp in hyps
-        ]
+    @given(hyps=st.lists(unicode_text, max_size=8), ref=unicode_text)
+    def test_bleu_batch_elementwise_equals_single(self, hyps, ref):
+        assert bleu_kernel_batch(hyps, ref) == [bleu_kernel(hyp, ref) for hyp in hyps]
 
     @settings(max_examples=40, deadline=None)
     @given(hyps=st.lists(unicode_text, max_size=8), ref=unicode_text)
@@ -211,15 +261,11 @@ class TestBatchKernels:
         assert bleu_kernel_batch([], "reference") == []
         assert chrf_kernel_batch([], "reference") == []
 
-    def test_batch_falls_back_when_kernels_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRIC_KERNELS", "0")
-        hyps = ["a b c", "a b d", ""]
-        assert bleu_kernel_batch(hyps, "a b c") == [
-            bleu_compiled(hyp, "a b c") for hyp in hyps
-        ]
-        assert chrf_kernel_batch(hyps, "a b c") == [
-            chrf_compiled(hyp, "a b c") for hyp in hyps
-        ]
+    def test_accepts_precompiled_object(self):
+        hyps = ["engine.put(var, data)", "engine.get(var)", ""]
+        ref = compile_reference("engine.put(var, data)")
+        assert bleu_kernel_batch(hyps, ref) == [bleu(h, ref.text) for h in hyps]
+        assert chrf_kernel_batch(hyps, ref) == [chrf(h, ref.text) for h in hyps]
 
     def test_boundary_ngrams_never_leak_across_hypotheses(self):
         # "ab" + "cd" as a group must not manufacture the cross-boundary
@@ -280,7 +326,7 @@ class TestDeltaStats:
     """The sparse per-depth deltas equal counting every depth's stream whole."""
 
     def _check(self, ref_tokens, start, edits, split):
-        kernel = _TokenKernel(ref_tokens, 4)
+        kernel = _TokenKernel(ref_tokens)
         streams, removed, added = _delta_walk(
             start, edits, context=len(kernel.orders) - 1
         )
@@ -342,7 +388,7 @@ class TestDeltaStats:
 
 
 class TestBleuFromStats:
-    """The float-only ``exp`` path equals ``_compute_score`` bit for bit."""
+    """The float-only path equals ``exp``-smoothed ``_compute_score`` bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -358,9 +404,8 @@ class TestBleuFromStats:
         ),
         zero_tail=st.integers(0, 4),
         ref_len=st.integers(0, 80),
-        smooth=st.sampled_from(SMOOTHING),
     )
-    def test_equals_compute_score(self, rows, zero_tail, ref_len, smooth):
+    def test_equals_compute_score(self, rows, zero_tail, ref_len):
         counts, totals, sys_lens = [], [], []
         for pairs, sys_len in rows:
             # counts <= totals; the last ``zero_tail`` orders have no grams
@@ -369,34 +414,14 @@ class TestBleuFromStats:
             counts.append([c for c, _ in pairs])
             totals.append([t for _, t in pairs])
             sys_lens.append(sys_len)
-        got = bleu_from_stats(
-            np.array(counts).T, np.array(totals).T, sys_lens, ref_len,
-            smooth_method=smooth,
-        )
+        got = bleu_from_stats(np.array(counts).T, np.array(totals).T, sys_lens, ref_len)
         assert got == [
-            _compute_score(c, t, sys_len, ref_len, smooth, None, 4).score
+            _compute_score(c, t, sys_len, ref_len, "exp", None, 4).score
             for c, t, sys_len in zip(counts, totals, sys_lens)
         ]
 
-    def test_other_smoothing_goes_through_compute_score(self, monkeypatch):
-        import repro.metrics.kernels as kernels
 
-        seen = []
-
-        def spy(*args):
-            seen.append(args[4])
-            return _compute_score(*args)
-
-        monkeypatch.setattr(kernels, "_compute_score", spy)
-        stats = (np.array([[1], [0], [0], [0]]), np.array([[3], [2], [1], [0]]))
-        for smooth in ("floor", "add-k", "none"):
-            bleu_from_stats(*stats, [3], 5, smooth_method=smooth)
-        assert seen == ["floor", "add-k", "none"]
-        bleu_from_stats(*stats, [3], 5)
-        assert seen == ["floor", "add-k", "none"]
-
-
-class TestScoreBatch:
+class TestScorerBatch:
     COMPLETIONS = [
         "engine.put(var, data)",
         "engine.get(var)",
@@ -409,25 +434,17 @@ class TestScoreBatch:
 
     def test_batch_identical_to_single_calls(self):
         scorer = CodeSimilarityScorer()
-        batch = score_batch(self.COMPLETIONS, self.TARGET, scorer)
-        single = [scorer(c, self.TARGET) for c in self.COMPLETIONS]
-        assert batch == single
-
-    def test_batch_on_plain_callable_scorer(self):
-        def scorer(completion: str, target: str) -> Score:
-            return Score(values={"len": float(len(completion))}, answer=completion)
-
-        batch = score_batch(self.COMPLETIONS, self.TARGET, scorer)
-        assert [s["len"] for s in batch] == [float(len(c)) for c in self.COMPLETIONS]
+        batch = scorer.score_batch(self.COMPLETIONS, self.TARGET)
+        assert batch == [scorer(c, self.TARGET) for c in self.COMPLETIONS]
 
     def test_empty_batch(self):
-        assert score_batch([], self.TARGET, CodeSimilarityScorer()) == []
+        assert CodeSimilarityScorer().score_batch([], self.TARGET) == []
 
     @settings(max_examples=30, deadline=None)
     @given(completions=st.lists(unicode_text, max_size=6), target=unicode_text)
     def test_batch_matches_singles_on_random_inputs(self, completions, target):
         scorer = CodeSimilarityScorer()
-        batch = score_batch(completions, target, scorer)
+        batch = scorer.score_batch(completions, target)
         assert batch == [scorer(c, target) for c in completions]
 
 
@@ -445,7 +462,7 @@ class TestKernelPickling:
             assert chrf_kernel(hyp, clone) == chrf_kernel(hyp, ref)
 
 
-class TestCompileCacheEnv:
+class TestCompileCache:
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
         compile_reference.cache_clear()
@@ -457,20 +474,93 @@ class TestCompileCacheEnv:
         assert compile_reference.cache_len() == 1
 
     def test_capacity_evicts_least_recent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "2")
+        monkeypatch.setattr(kernels, "_COMPILE_CACHE_CAPACITY", 2)
         first = compile_reference("ref one")
         compile_reference("ref two")
         compile_reference("ref three")  # evicts "ref one"
         assert compile_reference.cache_len() == 2
         assert compile_reference("ref one") is not first
 
-    def test_zero_capacity_disables_caching(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-        a = compile_reference("uncached")
-        b = compile_reference("uncached")
-        assert a is not b
-        assert compile_reference.cache_len() == 0
+    def test_ref_len_matches_tokenizer(self):
+        ref = CompiledReference("engine.put(var, data)")
+        assert ref.ref_len == len(tokenize_13a("engine.put(var, data)"))
 
-    def test_garbage_env_value_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "not-a-number")
-        assert compile_reference("still works") is compile_reference("still works")
+    def test_tokens_built_once_and_match_tokenizer(self):
+        ref = CompiledReference("engine.put(var, data)\nengine.end()")
+        tokens = ref.tokens
+        assert list(tokens) == tokenize_13a(ref.text)
+        assert ref.tokens is tokens
+
+    def test_lookup_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_COMPILE_CACHE_CAPACITY", 2)
+        first = compile_reference("ref one")
+        second = compile_reference("ref two")
+        assert compile_reference("ref one") is first  # now most recent
+        compile_reference("ref three")  # evicts "ref two"
+        assert compile_reference("ref one") is first
+        assert compile_reference("ref two") is not second
+
+    def test_lone_surrogate_text_is_cached(self):
+        text = "\ud800 lone surrogate"
+        assert compile_reference(text) is compile_reference(text)
+        assert compile_reference(text).text == text
+
+    def test_cache_clear_drops_every_entry(self):
+        first = compile_reference("ref one")
+        compile_reference("ref two")
+        compile_reference.cache_clear()
+        assert compile_reference.cache_len() == 0
+        assert compile_reference("ref one") is not first
+
+
+class TestReExports:
+    """Modules that score through the kernels share their objects."""
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro.llm.calibration", "bleu_compiled"),
+            ("repro.llm.calibration", "compile_reference"),
+            ("repro.llm.simulated", "compile_reference"),
+            ("repro.core.scorers", "compile_reference"),
+        ],
+    )
+    def test_same_object_as_kernels(self, module, name):
+        assert getattr(importlib.import_module(module), name) is getattr(kernels, name)
+
+
+class TestEmptyStringScoring:
+    """Zero-length hypothesis/reference sweep (metrics/ edge-case audit)."""
+
+    def test_bleu_empty_hypothesis_is_zero(self):
+        assert bleu("", "some reference text") == 0.0
+
+    def test_bleu_empty_reference_is_zero(self):
+        # smoothing must not fabricate similarity to an empty reference
+        assert bleu("some hypothesis text", "") == 0.0
+
+    def test_bleu_both_empty_is_zero(self):
+        assert bleu("", "") == 0.0
+
+    def test_chrf_empty_hypothesis_is_zero(self):
+        assert chrf("", "some reference text") == 0.0
+
+    def test_chrf_empty_reference_is_zero(self):
+        assert chrf("some hypothesis text", "") == 0.0
+
+    def test_chrf_both_empty_is_zero(self):
+        assert chrf("", "") == 0.0
+
+    @pytest.mark.parametrize("hyp,ref", [("", "ref text"), ("hyp text", ""), ("", "")])
+    def test_kernels_agree_on_empties(self, hyp, ref):
+        assert bleu_kernel(hyp, ref) == bleu(hyp, ref)
+        assert chrf_kernel(hyp, ref) == chrf(hyp, ref)
+
+    def test_whitespace_only_pair(self):
+        assert bleu("   ", " \n ") == 0.0
+        assert chrf("   ", " \n ") == 0.0
+
+    def test_bleu_format_guards_zero_ref_len(self):
+        score = corpus_bleu(["hello"], [""])
+        assert score.ref_len == 0
+        assert "ratio" in score.format()  # no ZeroDivisionError

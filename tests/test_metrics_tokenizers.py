@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.tokenizers import (
-    all_ngrams,
+    _tokenize_13a_reference,
     char_ngrams,
     clipped_matches,
     ngrams,
-    token_count,
     tokenize_13a,
+    tokenize_13a_cached,
+    tokenize_lines,
+)
+
+text = st.text(
+    alphabet=st.characters(codec="ascii", exclude_categories=("Cc", "Cs")),
+    min_size=0,
+    max_size=200,
 )
 
 
@@ -53,10 +62,6 @@ class TestNgrams:
         with pytest.raises(ValueError):
             ngrams(["a"], 0)
 
-    def test_all_ngrams_keys(self):
-        table = all_ngrams(["a", "b", "c"], 3)
-        assert set(table) == {1, 2, 3}
-
 
 class TestCharNgrams:
     def test_whitespace_removed(self):
@@ -76,6 +81,50 @@ class TestClippedMatches:
         assert clipped_matches(ngrams(["a"], 1), ngrams(["b"], 1)) == 0
 
 
-class TestTokenCount:
-    def test_sums_over_texts(self):
-        assert token_count(["a b", "c"]) == 3
+class TestTokenizerCache:
+    @settings(max_examples=120, deadline=None)
+    @given(s=st.text(alphabet=st.characters(codec="ascii"), max_size=240))
+    def test_cached_equals_reference_implementation(self, s):
+        assert list(tokenize_13a_cached(s)) == _tokenize_13a_reference(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(text, min_size=2, max_size=10))
+    def test_multiline_split_equals_reference(self, lines):
+        s = "\n".join(lines)
+        assert list(tokenize_13a_cached(s)) == _tokenize_13a_reference(s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lines=st.lists(text, max_size=8), cut=st.integers(0, 8))
+    def test_line_tokens_split_anywhere(self, lines, cut):
+        # a run of lines tokenizes the same alone as inside the whole text,
+        # and whenever the per-line rule applies it matches mteval exactly
+        whole = tokenize_lines(lines)
+        cut = min(cut, len(lines))
+        head = tokenize_lines(lines[:cut], last=cut == len(lines))
+        tail = tokenize_lines(lines[cut:], first=cut == 0)
+        if whole is None:
+            assert head is None or tail is None
+            return
+        assert head + tail == whole
+        expected = _tokenize_13a_reference("\n".join(lines))
+        assert [t for line in whole for t in line] == expected
+
+    def test_lines_that_do_not_split(self):
+        assert tokenize_lines(["work-", "flow"]) is None
+        assert tokenize_lines(["a\rb"]) is None
+        assert tokenize_lines(["a\nb"]) is None
+        assert tokenize_lines(["work-"], last=False) is None
+        assert tokenize_lines(["work", "flow-"]) == [("work",), ("flow-",)]
+
+    def test_hyphenated_line_join(self):
+        assert tokenize_13a("work-\nflow") == ["workflow"]
+
+    def test_returns_fresh_list(self):
+        a = tokenize_13a("alpha beta")
+        a.append("junk")
+        assert tokenize_13a("alpha beta") == ["alpha", "beta"]
+
+    def test_digit_context_at_line_boundaries(self):
+        # the per-line fast path must preserve the period/digit rules
+        for s in (".5 rest", "x.\n.5", "3\n.5", "5.\n3", "a.\n.b", ".5\ntail"):
+            assert list(tokenize_13a_cached(s)) == _tokenize_13a_reference(s)

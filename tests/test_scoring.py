@@ -301,9 +301,6 @@ class TestKernelGridIdentity:
     the numpy kernels in play."""
 
     def test_full_table1_grid_identical_across_executors(self):
-        from repro.metrics import kernels_enabled
-
-        assert kernels_enabled()  # the fast path, not the fallback
         baseline = run_configuration(epochs=2)  # all models × all systems
         for path in EXECUTOR_PATHS:
             with executor_path(path, max_concurrency=4) as executor:
@@ -312,12 +309,22 @@ class TestKernelGridIdentity:
                 )
             assert grids_equal(baseline, grid), path
 
-    def test_full_grid_identical_with_kernels_disabled(self, monkeypatch):
-        """The compiled fallback scores the same grid bit for bit."""
-        from repro.metrics.compiled import compile_reference
+    def test_full_grid_identical_with_reference_scorers(self, monkeypatch):
+        """The reference ``bleu``/``chrf`` score the same grid bit for bit."""
+        import repro.core.scorers as scorers
+        from repro.metrics import bleu, chrf
 
         fast = run_configuration(epochs=2)
-        monkeypatch.setenv("REPRO_METRIC_KERNELS", "0")
-        compile_reference.cache_clear()
+        calls = {"bleu": 0, "chrf": 0}
+
+        def reference(name, fn):
+            def score(answer, compiled):
+                calls[name] += 1
+                return fn(answer, compiled.text)
+            return score
+
+        for name, fn in (("bleu", bleu), ("chrf", chrf)):
+            monkeypatch.setitem(scorers._KERNEL_FNS, name, reference(name, fn))
         slow = run_configuration(epochs=2)
+        assert calls["bleu"] == calls["chrf"] > 0
         assert grids_equal(fast, slow)
