@@ -21,8 +21,10 @@ local store with ``python -m repro.persist {stats,verify,gc,ls-runs} PATH``.
 Scores are computed after each sweep's generations, one scorer call
 per score-cache miss.  ``--profile`` prints
 the :mod:`repro.obs` phase breakdown of the whole script — where the
-wall time went, phase by phase — and ``--profile-json PATH`` saves it
-for ``python -m repro.obs report PATH``.
+wall time went, phase by phase, summed over every sweep's trace — and
+``--profile-json PATH`` saves it for ``python -m repro.obs report PATH``.
+Profiling arms the same tracer as ``--trace``, so with ``--store`` each
+run's trace lands on its manifest.
 
 ``--trace`` arms distributed tracing and the metrics registry for the
 whole script: every sweep gets a trace id (printed at the end, one line
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -276,20 +279,19 @@ def main() -> None:
         for failure in resume_prior.failures:
             print(f"    {failure.describe()}")
         print()
-    profiling = args.profile or args.profile_json is not None
-    profile_ctx = obs.profiling() if profiling else contextlib.nullcontext()
+    profiled = args.profile or args.profile_json is not None
     tracing = args.trace or args.trace_chrome is not None
     traces: list = []
     trace_ctx = (
         obs.tracing(obs.Tracer(on_finish=traces.append))
-        if tracing
+        if tracing or profiled
         else contextlib.nullcontext()
     )
     meter_ctx = obs.metering() if tracing else contextlib.nullcontext()
     started = time.perf_counter()
 
     try:
-        with profile_ctx as prof, trace_ctx, meter_ctx:
+        with trace_ctx, meter_ctx:
             grid1 = run_configuration(epochs=epochs, config=config)
             print(render_grid_table(grid1, "Table 1: workflow configuration"))
             print()
@@ -362,12 +364,18 @@ def main() -> None:
             traces[-1].write_chrome(args.trace_chrome)
             print(f"[chrome trace of {traces[-1].name} saved to "
                   f"{args.trace_chrome}; open in chrome://tracing or Perfetto]")
-    if profiling:
-        profile = prof.snapshot()
+    if profiled:
+        profile = functools.reduce(
+            obs.PhaseProfile.merged,
+            (trace.profile() for trace in traces),
+            obs.PhaseProfile({}),
+        )
+        title = obs.profile_title(
+            "phase profile (whole script, repro.obs)",
+            sum(trace.dropped for trace in traces),
+        )
         print()
-        print(obs.render_profile(
-            profile, title="phase profile (whole script, repro.obs)"
-        ))
+        print(obs.render_profile(profile, title=title))
         if args.profile_json is not None:
             payload = obs.profile_payload(
                 profile,

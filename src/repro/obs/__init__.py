@@ -1,13 +1,15 @@
-"""Observability: phase profiles, distributed traces, metrics, trends.
+"""Observability: distributed traces, phase profiles, metrics, trends.
 
 The telemetry layer of the runtime.  Four concerns, one ``span()``:
 
-* **Phase profiling** (:mod:`repro.obs.spans`) — nestable wall-time
-  aggregation into a :class:`PhaseProfile` breakdown tree.
 * **Distributed tracing** (:mod:`repro.obs.trace`) — identified spans
   (trace id / span id / parent id, wall-clock start + duration) that
   cross the store-server process boundary and export as Chrome
-  trace-event JSON.
+  trace-event JSON.  :func:`span` (:mod:`repro.obs.spans`) records into
+  the active tracer's open trace.
+* **Phase profiles** — :meth:`Trace.profile` sums a finished trace's
+  spans by nested name path into a :class:`PhaseProfile` breakdown
+  tree, rendered by :func:`render_profile`.
 * **Metrics** (:mod:`repro.obs.metrics`) — labeled
   Counter/Gauge/Histogram registries with Prometheus text exposition,
   served live by the store server's ``metrics`` op.
@@ -19,13 +21,14 @@ Quickstart::
 
     from repro import obs
 
-    with obs.profiling() as prof, obs.tracing() as tracer:
-        run(plan, ...)                      # each run gets a trace id
-    print(obs.render_profile(prof.snapshot()))
+    traces = []
+    with obs.tracing(obs.Tracer(on_finish=traces.append)):
+        run(plan, ...)                      # each run gets a trace
+    print(obs.render_profile(traces[0].profile()))
 
 Everything is zero cost when disarmed: a bare :func:`span` with no
-profiler *and* no tracer active returns a shared no-op context manager,
-and :func:`active_registry` is just a module-global read.
+tracer active (or one between traces) returns a shared no-op context
+manager, and :func:`active_registry` is just a module-global read.
 
 CLI: ``python -m repro.obs report|trace|trend`` (see
 :mod:`repro.obs.cli`).
@@ -46,17 +49,11 @@ from repro.obs.metrics import (
 from repro.obs.report import (
     load_profile,
     profile_payload,
+    profile_title,
     render_manifest,
     render_profile,
 )
-from repro.obs.spans import (
-    PhaseProfile,
-    PhaseTotals,
-    Profiler,
-    active_profiler,
-    profiling,
-    span,
-)
+from repro.obs.spans import PhaseProfile, PhaseTotals, span
 from repro.obs.trace import (
     TRACE_SCHEMA,
     SpanRecord,
@@ -71,11 +68,8 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    # spans / profiling
+    # spans / phase profiles
     "span",
-    "profiling",
-    "active_profiler",
-    "Profiler",
     "PhaseProfile",
     "PhaseTotals",
     # tracing
@@ -104,4 +98,5 @@ __all__ = [
     "render_manifest",
     "load_profile",
     "profile_payload",
+    "profile_title",
 ]

@@ -8,9 +8,10 @@ Usage::
     python -m repro.obs trend --store PATH_OR_URL [--json]
 
 ``report`` renders a saved phase profile (``--profile-json`` output) or
-a run-manifest JSON.  ``trace`` looks up one run's recorded trace —
-by run id in a store (local path or ``tcp://``/``unix://`` URL), or
-directly from a manifest JSON file — prints a summary, and with
+a run-manifest JSON, with the phase profile of the run's recorded
+trace.  ``trace`` looks up one run's recorded trace — by run id in a
+store (local path or ``tcp://``/``unix://`` URL), or directly from a
+manifest JSON file — prints a summary, and with
 ``--chrome`` exports Chrome trace-event JSON for chrome://tracing /
 https://ui.perfetto.dev.  ``trend`` aggregates every manifest in a
 store into cross-run cache-efficiency / retry-rate / phase-time trend
@@ -28,27 +29,17 @@ from repro.errors import HarnessError
 from repro.obs.report import (
     is_manifest_payload,
     load_payload,
+    manifest_trace,
     render_manifest,
     render_profile,
 )
 from repro.obs.spans import PhaseProfile
-from repro.obs.trace import Trace
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
     payload = load_payload(args.profile)
     if is_manifest_payload(payload):
-        out = [render_manifest(payload, title=f"run manifest — {args.profile}")]
-        recorded = (payload.get("stats") or {}).get("profile")
-        if recorded:
-            out += [
-                "",
-                render_profile(
-                    PhaseProfile.from_dict(recorded),
-                    title="phase profile (recorded with the run)",
-                ),
-            ]
-        return "\n".join(out)
+        return render_manifest(payload, title=f"run manifest — {args.profile}")
     if isinstance(payload, dict) and "profile" in payload:
         payload = payload["profile"]  # the --profile-json wrapper
     return render_profile(
@@ -79,15 +70,14 @@ def _manifest_payload(run_id: str, store: str | None) -> dict:
 
 def _cmd_trace(args: argparse.Namespace) -> str:
     payload = _manifest_payload(args.run_id, args.store)
-    raw = payload.get("trace")
-    if not raw:
+    trace = manifest_trace(payload)
+    if trace is None:
         trace_id = (payload.get("stats") or {}).get("trace_id")
         hint = f" (trace id was {trace_id})" if trace_id else ""
         raise HarnessError(
             f"run {payload.get('run_id')} has no recorded trace{hint} — "
             f"rerun with tracing armed (e.g. --trace)"
         )
-    trace = Trace.from_dict(raw)
     out = [trace.describe()]
     if args.chrome:
         trace.write_chrome(args.chrome)

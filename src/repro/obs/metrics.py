@@ -337,7 +337,7 @@ def metering(
 ) -> Iterator[MetricsRegistry]:
     """Install ``registry`` (or a fresh one) as the ambient registry.
 
-    Nestable like :func:`repro.obs.profiling`; the previous registry is
+    Nestable like :func:`repro.obs.tracing`; the previous registry is
     restored on exit.
     """
     global _active

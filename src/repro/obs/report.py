@@ -10,10 +10,9 @@ The CLI also accepts a :class:`~repro.persist.manifest.RunManifest`
 JSON file (``manifests/*.json`` inside a run store):
 :func:`render_manifest` shows how the run's units and scores were
 satisfied and the store read-LRU traffic (hits/misses/bytes), followed
-by the embedded per-run phase profile when one was recorded.
-Schema-2 manifests additionally carry a trace id (and optionally the
-full trace + a metrics snapshot); pre-2 manifests render identically,
-minus those lines.
+by the phase profile of the run's recorded trace when one was recorded.
+Manifests without a trace (untraced runs, and those written before
+tracing existed) render the same, minus the trace line and phase table.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from typing import Any
 
 from repro.errors import HarnessError
 from repro.obs.spans import PhaseProfile
+from repro.obs.trace import Trace
 
 
 def load_payload(path: str | pathlib.Path) -> Any:
@@ -62,6 +62,13 @@ def _children(profile: PhaseProfile, parent: str | None) -> list[str]:
         elif path.startswith(parent + "/") and "/" not in path[len(parent) + 1 :]:
             out.append(path)
     return sorted(out, key=lambda p: -profile.phases[p].total_s)
+
+
+def profile_title(title: str, dropped: int) -> str:
+    """``title``, flagged as lower bounds when spans were dropped."""
+    if not dropped:
+        return title
+    return f"{title} — lower bounds: {dropped} span(s) past the trace cap dropped"
 
 
 def render_profile(profile: PhaseProfile, *, title: str = "phase profile") -> str:
@@ -107,8 +114,19 @@ def _fmt_bytes(n: int) -> str:
     return f"{value:.1f} GiB"
 
 
+def manifest_trace(payload: dict) -> Trace | None:
+    """The trace recorded on one RunManifest JSON, or None.
+
+    Raises :class:`~repro.errors.HarnessError` on a malformed one.
+    """
+    raw = payload.get("trace")
+    return Trace.from_dict(raw) if raw is not None else None
+
+
 def render_manifest(payload: dict, *, title: str = "run manifest") -> str:
-    """Readable summary of one RunManifest JSON: units, scoring, reads."""
+    """Readable summary of one RunManifest JSON: units, scoring, reads,
+    and the phase profile of its recorded trace."""
+    trace = manifest_trace(payload)
     stats = payload.get("stats") or {}
     total = stats.get("total_units", 0)
     hits = stats.get("read_lru_hits", 0)
@@ -130,14 +148,15 @@ def render_manifest(payload: dict, *, title: str = "run manifest") -> str:
         + f", {_fmt_bytes(stats.get('bytes_read', 0))} from segments",
         f"  wall        {payload.get('wall_seconds', 0.0):.2f}s",
     ]
-    trace_id = stats.get("trace_id")
-    trace = payload.get("trace")
-    if trace_id or trace:
-        spans = trace.get("spans") if isinstance(trace, dict) else None
-        count = f"  {len(spans)} span(s) recorded" if spans else ""
-        lines.append(f"  trace       {trace_id or trace.get('trace_id')}{count}")
+    trace_id = stats.get("trace_id") or (trace.trace_id if trace is not None else None)
+    if trace_id:
+        count = f"  {len(trace.spans)} span(s) recorded" if trace else ""
+        lines.append(f"  trace       {trace_id}{count}")
     if payload.get("resumed_from"):
         lines.insert(3, f"  resumed     {payload['resumed_from']}")
+    if trace is not None:
+        title = profile_title("phase profile (recorded with the run)", trace.dropped)
+        lines += ["", render_profile(trace.profile(), title=title)]
     return "\n".join(lines)
 
 

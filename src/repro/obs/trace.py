@@ -1,12 +1,12 @@
 """Distributed tracing: spans with identities, not just totals.
 
-The phase profiler (:mod:`repro.obs.spans`) answers "where did the wall
-time go, in aggregate".  This module answers "what happened, when, and
-on whose behalf": every traced run gets a **trace id**, every span gets
-a **span id** and a **parent id**, and spans carry wall-clock start
-times and durations — enough to reconstruct the run as a timeline and
-export it as Chrome trace-event JSON (``chrome://tracing`` /
-https://ui.perfetto.dev).
+Every traced run gets a **trace id**, every span gets a **span id** and
+a **parent id**, and spans carry wall-clock start times and durations —
+enough to reconstruct the run as a timeline and export it as Chrome
+trace-event JSON (``chrome://tracing`` / https://ui.perfetto.dev), and
+enough to answer "where did the wall time go, in aggregate":
+:meth:`Trace.profile` sums a finished trace's spans by nested name path
+into a :class:`~repro.obs.spans.PhaseProfile`.
 
 Spans cross process boundaries by value, not by reference: the
 :mod:`repro.serve` store server builds plain span *dicts* (stamped with
@@ -16,12 +16,12 @@ request frames (see :mod:`repro.serve.protocol`) carries the trace id
 and the client span id across the wire so the server's spans parent the
 client span that caused them.
 
-Like the profiler, tracing is **zero cost when off**: with no active
-tracer, :func:`repro.obs.span` short-circuits before this module is
-consulted; with a tracer active but no trace begun (between runs),
-``Tracer.span`` records nothing.  Span volume is bounded by
-``max_spans`` — beyond the cap new spans are counted as ``dropped``
-rather than accumulated, so tracing a huge sweep cannot exhaust memory.
+Tracing is **zero cost when off**: with no active tracer, or one
+installed but between traces, :func:`repro.obs.span` returns a shared
+no-op.  Span volume is bounded by ``max_spans`` — beyond the cap new
+spans are counted as ``dropped`` rather than accumulated, so tracing a
+huge sweep cannot exhaust memory (and a profile of such a trace is a
+lower bound).
 """
 
 from __future__ import annotations
@@ -33,10 +33,13 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import HarnessError
+
+if TYPE_CHECKING:  # repro.obs.spans imports this module at load time
+    from repro.obs.spans import PhaseProfile
 
 TRACE_SCHEMA = "repro.trace/1"
 
@@ -80,6 +83,8 @@ class SpanRecord:
 
     @staticmethod
     def from_dict(payload: dict[str, Any]) -> "SpanRecord":
+        if not isinstance(payload, dict):
+            raise HarnessError(f"malformed span record: {payload!r:.80}")
         try:
             parent = payload.get("parent_id")
             return SpanRecord(
@@ -155,11 +160,60 @@ class Trace:
         raw = payload.get("spans") or []
         if not isinstance(raw, list):
             raise HarnessError("malformed trace payload: spans is not a list")
+        try:
+            dropped = int(payload.get("dropped") or 0)
+        except (TypeError, ValueError):
+            raise HarnessError("malformed trace payload: dropped is not a count") from None
         return Trace(
             trace_id=str(payload["trace_id"]),
             name=str(payload.get("name", "?")),
             spans=tuple(SpanRecord.from_dict(entry) for entry in raw),
-            dropped=int(payload.get("dropped", 0)),
+            dropped=dropped,
+        )
+
+    def profile(self) -> "PhaseProfile":
+        """Span wall times summed by nested name path.
+
+        A span's path is its parent's path plus its own name
+        (``cache-get/store-io/read``), read off the parent links.  The
+        root span is left out, so its children are the top-level
+        phases; a span whose parent is not in the trace (e.g. a remote
+        span whose client-side parent was dropped) counts as top-level
+        too.  When :attr:`dropped` is non-zero the totals are lower
+        bounds.
+        """
+        from repro.obs.spans import PhaseProfile, PhaseTotals  # late: import cycle
+
+        root = self.root
+        by_id = {span.span_id: span for span in self.spans if span is not root}
+
+        def path_of(span: SpanRecord) -> str:
+            names, seen = [span.name], {span.span_id}
+            parent = by_id.get(span.parent_id)
+            # the seen set ends the walk at a parent-link cycle
+            while parent is not None and parent.span_id not in seen:
+                names.append(parent.name)
+                seen.add(parent.span_id)
+                parent = by_id.get(parent.parent_id)
+            return "/".join(reversed(names))
+
+        totals: dict[str, list] = {}  # path -> [calls, total_s, max_s]
+        for span in self.spans:
+            if span is root:
+                continue
+            path = path_of(span)
+            entry = totals.get(path)
+            if entry is None:
+                totals[path] = [1, span.duration_s, span.duration_s]
+            else:
+                entry[0] += 1
+                entry[1] += span.duration_s
+                entry[2] = max(entry[2], span.duration_s)
+        return PhaseProfile(
+            phases={
+                path: PhaseTotals(calls=e[0], total_s=e[1], max_s=e[2])
+                for path, e in totals.items()
+            }
         )
 
     def chrome_trace(self) -> dict[str, Any]:
@@ -287,10 +341,10 @@ class Tracer:
 
     A tracer is installed process-wide with :func:`tracing`; while a
     trace is open (:meth:`begin_trace` … :meth:`end_trace`) every bare
-    :func:`repro.obs.span` additionally records a :class:`SpanRecord`
-    here.  Between traces the tracer is inert.  Only one trace may be
-    open at a time — a nested ``begin_trace`` returns ``None`` and the
-    inner run's spans simply fold into the outer trace.
+    :func:`repro.obs.span` records a :class:`SpanRecord` here.  Between
+    traces the tracer is inert.  Only one trace may be open at a time —
+    a nested ``begin_trace`` returns ``None`` and the inner run's spans
+    simply fold into the outer trace.
 
     ``on_finish`` (optional) is called with each completed
     :class:`Trace` as :meth:`end_trace` freezes it — the hook for
@@ -449,8 +503,7 @@ def active_tracer() -> Tracer | None:
 def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
     """Install ``tracer`` (or a fresh one) as the active tracer.
 
-    Nestable like :func:`repro.obs.profiling`: the previous tracer is
-    restored on exit.
+    Nestable: the previous tracer is restored on exit.
     """
     global _active
     trc = tracer if tracer is not None else Tracer()

@@ -1,11 +1,11 @@
 """Cross-run trend reports over a store's run manifests.
 
 Every run persists a :class:`~repro.persist.manifest.RunManifest` with
-its stats (cache hits, read-LRU traffic, retries, wall time, and —
-when profiling was on — a phase breakdown).  This module aggregates
-those manifests *across runs* into the trend view the ROADMAP left
-open: is the cache getting warmer, are retries creeping up, where is
-the wall time drifting?
+its stats (cache hits, read-LRU traffic, retries, wall time) and —
+when tracing was on — its trace, whose phase profile gives the phase
+times.  This module aggregates those manifests *across runs* into the
+trend view the ROADMAP left open: is the cache getting warmer, are
+retries creeping up, where is the wall time drifting?
 
 ``python -m repro.obs trend --store PATH_OR_URL`` renders the tables;
 ``--json`` emits the raw rows for CI artifacts.  Works against a local
@@ -18,7 +18,10 @@ from __future__ import annotations
 import time
 from typing import Any
 
-#: Top-level phase paths surfaced as trend columns when a profile was
+from repro.errors import HarnessError
+from repro.obs.report import manifest_trace
+
+#: Top-level phase paths surfaced as trend columns when a trace was
 #: recorded with the run (others fold into "other").
 PHASE_COLUMNS = ("generate", "score", "cache-get", "cache-put")
 
@@ -31,7 +34,8 @@ def trend_row(payload: dict[str, Any]) -> dict[str, Any]:
     """Flatten one manifest payload into a trend row.
 
     Tolerant of pre-``repro.stats/2`` manifests: missing fields become
-    zeros/None, never a crash — trend reports must read old stores.
+    zeros/None, never a crash — trend reports must read old stores.  A
+    missing or malformed trace leaves the row's ``phase_s`` empty.
     """
     stats = payload.get("stats") or {}
     total = int(stats.get("total_units", 0) or 0)
@@ -53,16 +57,16 @@ def trend_row(payload: dict[str, Any]) -> dict[str, Any]:
         "trace_id": stats.get("trace_id"),
         "phase_s": {},
     }
-    profile = stats.get("profile")
-    if isinstance(profile, dict):
-        phases = profile.get("phases") or {}
-        for path, entry in phases.items():
-            if "/" in path or not isinstance(entry, dict):
+    try:
+        trace = manifest_trace(payload)
+    except HarnessError:
+        trace = None
+    if trace is not None:
+        for path, totals in trace.profile().phases.items():
+            if "/" in path:
                 continue
             column = path if path in PHASE_COLUMNS else "other"
-            row["phase_s"][column] = row["phase_s"].get(column, 0.0) + float(
-                entry.get("total_s", 0.0) or 0.0
-            )
+            row["phase_s"][column] = row["phase_s"].get(column, 0.0) + totals.total_s
     return row
 
 

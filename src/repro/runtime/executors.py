@@ -110,16 +110,21 @@ async def _traced(name: str, awaitable: Awaitable[_T]) -> _T:
 
     Interleaved tasks share the loop's thread, so the span is recorded
     post hoc (``record_span``) instead of riding the thread's
-    span-nesting stack.
+    span-nesting stack.  Its parent is the span enclosing the event
+    loop (the runner's ``generate``), read before the first await.
     """
     tracer = active_tracer()
     if tracer is None:
         return await awaitable
+    parent_id = tracer.current_span_id()
     start_unix = time.time()
     t0 = time.perf_counter()
     result = await awaitable
     tracer.record_span(
-        name, start_unix=start_unix, duration_s=time.perf_counter() - t0
+        name,
+        start_unix=start_unix,
+        duration_s=time.perf_counter() - t0,
+        parent_id=parent_id,
     )
     return result
 

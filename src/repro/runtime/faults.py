@@ -542,8 +542,9 @@ class FaultState:
 #
 # A module-level global, not a threading.local: executors hand provider
 # calls to worker threads (the async adapter pool) and event loops, none
-# of which inherit the installing thread's locals.  Mirrors repro.obs's active-profiler pattern.  One
-# scope at a time: nested scopes raise rather than silently shadow.
+# of which inherit the installing thread's locals.  Mirrors repro.obs's
+# active-tracer pattern.  One scope at a time: nested scopes raise rather
+# than silently shadow.
 
 _active: FaultState | None = None
 _active_mu = threading.Lock()

@@ -16,9 +16,10 @@ only pay for the hypothesis side.
 
 :class:`RunStats` records how much work the model layer *and* the
 metric layer actually did, which is what the cache and scaling tests
-assert on.  When a :mod:`repro.obs` profiler is active the run's phase
-breakdown (cache-get / generate / cache-put / score, with nested
-store-io spans) is attached as :attr:`RunStats.profile`.
+assert on.  When a :mod:`repro.obs` tracer is active the run's spans
+(cache-get / generate / cache-put / score, with nested unit and
+store-io spans) form its trace, which lands on the run manifest; the
+phase breakdown is :meth:`~repro.obs.Trace.profile` of that trace.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping
 
 from repro.core.task import EvalResult
 from repro.errors import HarnessError
-from repro.obs import (
-    PhaseProfile,
-    active_profiler,
-    active_registry,
-    active_tracer,
-    span,
-)
+from repro.obs import active_registry, active_tracer, span
 from repro.stats import stats_dict, strip_markers
 
 if TYPE_CHECKING:  # repro.persist builds on repro.runtime, not vice versa
@@ -98,7 +93,6 @@ class RunStats:
     scores_computed: int = 0  # scorer invocations (score-cache misses)
     score_hits: int = 0  # units whose score came from the score cache
     generation_seconds: float = 0.0  # summed provider wall-clock of new calls
-    profile: PhaseProfile | None = None  # phase breakdown (when profiling)
     read_lru_hits: int = 0  # store read-LRU hits during this run (disk cache)
     read_lru_misses: int = 0  # store read-LRU misses during this run
     bytes_read: int = 0  # record bytes read from store segments this run
@@ -115,36 +109,26 @@ class RunStats:
         """Unified stats payload (``repro.stats`` schema, kind ``"run"``).
 
         Key names match the dataclass fields — the shape manifests have
-        always persisted — plus the schema/kind markers; the profile
-        nests as its own dict.
+        always persisted — plus the schema/kind markers.
         """
         payload = stats_dict("run")
         for spec in fields(self):
             payload[spec.name] = getattr(self, spec.name)
-        payload["profile"] = (
-            self.profile.as_dict() if self.profile is not None else None
-        )
         return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunStats":
         """Rehydrate from :meth:`as_dict` output *or* a pre-schema payload.
 
-        Tolerant in both directions: marker keys and unknown future keys
-        are ignored, and fields absent from old payloads keep their
-        dataclass defaults.
+        Tolerant in both directions: marker keys and unknown keys (future
+        ones, and the retired ``profile``) are ignored, and fields absent
+        from old payloads keep their dataclass defaults.
         """
         body = strip_markers(dict(payload))
-        profile = body.pop("profile", None)
         known = {spec.name for spec in fields(cls)}
         kwargs = {key: value for key, value in body.items() if key in known}
         try:
-            return cls(
-                **kwargs,
-                profile=PhaseProfile.from_dict(profile)
-                if profile is not None
-                else None,
-            )
+            return cls(**kwargs)
         except TypeError as exc:
             raise HarnessError(f"malformed run-stats payload: {exc}") from None
 
@@ -326,8 +310,6 @@ def _run_impl(
                 "must replay the same plan against the same store"
             )
     fault_state = FaultState(faults) if faults is not None else None
-    profiler = active_profiler()
-    profile_before = profiler.snapshot() if profiler is not None else None
     if store is not None:
         if cache is None:
             cache = store.result_cache
@@ -484,9 +466,6 @@ def _run_impl(
         bytes_read = reads_after["bytes_read"] - reads_before["bytes_read"]
 
     unique_keys = len(generations)
-    profile = None
-    if profiler is not None:
-        profile = profiler.snapshot().subtract(profile_before)
     # seal the run's distributed trace (if any) before stats are frozen,
     # so the trace id travels with the stats and the span set is complete
     trace = _finish_trace() if _finish_trace is not None else None
@@ -501,7 +480,6 @@ def _run_impl(
         # one computed for an identical (generation, target, scorer)
         score_hits=len(results) - scores_computed,
         generation_seconds=generation_seconds,
-        profile=profile,
         read_lru_hits=read_lru_hits,
         read_lru_misses=read_lru_misses,
         bytes_read=bytes_read,

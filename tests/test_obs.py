@@ -1,7 +1,7 @@
 """Observability layer: tracing, metrics, schema migration, trends, CLIs.
 
-The phase-profiler behaviour keeps its own suite in ``test_perf.py``;
-this file covers what the layer adds on top — identified spans that
+Phase profiles read off a trace keep their own suite in
+``test_perf.py``; this file covers the rest — identified spans that
 cross process boundaries, the metrics registry, the ``repro.stats/2``
 schema bump, and the ``python -m repro.obs`` CLI.
 """
@@ -228,7 +228,7 @@ class TestSpanDispatch:
         assert obs.span("a") is obs.span("b")
 
     def test_tracer_only_records_identified_spans(self):
-        assert obs.active_profiler() is None
+        assert obs.active_tracer() is None
         with obs.tracing() as tracer:
             handle = tracer.begin_trace("t")
             with obs.span("solo"):
@@ -236,14 +236,14 @@ class TestSpanDispatch:
             trace = tracer.end_trace(handle)
         assert "solo" in {s.name for s in trace.spans}
 
-    def test_profiler_and_tracer_both_record_one_span(self):
-        with obs.profiling() as prof, obs.tracing() as tracer:
+    def test_one_span_lands_in_the_trace_and_its_profile(self):
+        with obs.tracing() as tracer:
             handle = tracer.begin_trace("t")
             with obs.span("both"):
                 time.sleep(0.001)
             trace = tracer.end_trace(handle)
-        assert prof.snapshot().calls("both") == 1
         assert "both" in {s.name for s in trace.spans}
+        assert trace.profile().calls("both") == 1
 
 
 class TestRunnerIntegration:
@@ -310,9 +310,33 @@ class TestRunnerIntegration:
 
         sweep = dict(models=["o3"], systems=["adios2"], epochs=2)
         bare = run_configuration(**sweep)
-        with obs.tracing(), obs.metering(), obs.profiling():
+        with obs.tracing(), obs.metering():
             armed = run_configuration(**sweep)
         assert armed.cells == bare.cells
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_async_spans_parent_the_generate_span(self, batched, monkeypatch):
+        from repro.core.experiments import run_configuration
+        from repro.runtime import AsyncExecutor, RunConfig
+        from repro.runtime import executors
+
+        if not batched:  # force the per-unit path
+            monkeypatch.setattr(executors, "_batch_model", lambda name: None)
+        traces = []
+        with obs.tracing(obs.Tracer(on_finish=traces.append)):
+            with AsyncExecutor(max_concurrency=4) as executor:
+                run_configuration(models=["o3"], systems=["adios2"], epochs=2,
+                                  config=RunConfig(executor=executor))
+        (trace,) = traces
+        by_id = {s.span_id: s for s in trace.spans}
+        name = "batch" if batched else "unit"
+        spans = [s for s in trace.spans if s.name == name]
+        assert spans
+        for span in spans:
+            assert by_id[span.parent_id].name == "generate"
+        profile = trace.profile()
+        assert profile.calls(f"generate/{name}") == len(spans)
+        assert name not in profile.phases  # not counted again at top level
 
 
 class TestServeTracePropagation:
@@ -453,6 +477,42 @@ class TestTrend:
         rows = json.loads(capsys.readouterr().out)
         assert [row["plan_name"] for row in rows] == ["trend-plan"] * 2
 
+    def test_phase_columns_come_from_the_trace(self, tmp_path):
+        from repro.obs.trend import collect_trend, render_trend
+
+        with obs.tracing():
+            self._seed_store(tmp_path / "store")
+        cold, warm = collect_trend(str(tmp_path / "store"))
+        assert cold["phase_s"]["generate"] > 0
+        assert cold["phase_s"]["score"] > 0
+        assert "generate" not in warm["phase_s"]  # warm: zero generations
+        assert warm["phase_s"]["cache-get"] >= 0
+        rendered = render_trend([cold, warm])
+        assert "gen s" in rendered and "score s" in rendered
+        cold_line = next(line for line in rendered.splitlines()
+                         if line.strip().startswith(str(cold["run_id"])[:14]))
+        assert cold_line.split()[-2] == f"{cold['phase_s']['generate']:.2f}"
+
+    def test_legacy_profile_payload_has_no_phases(self):
+        from repro.obs.trend import trend_row
+        from repro.runtime.runner import RunStats
+
+        payload = json.loads((FIXTURES / "manifest_v1.json").read_text())
+        assert payload["stats"]["profile"] and "trace" not in payload
+        assert trend_row(payload)["phase_s"] == {}
+        assert RunStats.from_dict(payload["stats"]).total_units == 1
+
+    @pytest.mark.parametrize("trace", ["x", {"trace_id": "t", "spans": "x"}])
+    def test_malformed_trace_skips_only_its_phases(self, trace):
+        from repro.obs.trend import render_trend, trend_row
+
+        good = json.loads((FIXTURES / "manifest_v2.json").read_text())
+        bad = {**good, "run_id": "run-bad", "trace": trace}
+        rows = [trend_row(good), trend_row(bad)]
+        assert rows[0]["phase_s"]["generate"] > 0
+        assert rows[1]["phase_s"] == {}
+        assert "run-bad" in render_trend(rows)
+
     def test_empty_store_renders_cleanly(self, tmp_path):
         from repro.obs.trend import collect_trend, render_trend
         from repro.persist import RunStore
@@ -498,6 +558,43 @@ class TestObsCLI:
         assert main(["trace", run_id,
                      "--store", str(tmp_path / "store")]) == 2
         assert "no recorded trace" in capsys.readouterr().err
+
+    def test_report_shows_the_trace_phase_profile(self, tmp_path, capsys):
+        from repro.obs.cli import main
+
+        self._recorded_store(tmp_path / "store")
+        (path,) = (tmp_path / "store" / "manifests").glob("*.json")
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "phase profile (recorded with the run)" in out
+        assert "\ngenerate " in out and "lower bounds" not in out
+
+    def test_report_legacy_manifest_has_no_phase_table(self, capsys):
+        from repro.obs.cli import main
+
+        assert main(["report", str(FIXTURES / "manifest_v1.json")]) == 0
+        out = capsys.readouterr().out
+        assert "run manifest" in out and "phase profile" not in out
+
+    @pytest.mark.parametrize("trace", [
+        "x",  # not a dict, and no stats.trace_id to fall back on
+        ["spans"],
+        {"trace_id": "t", "spans": "x"},
+        {"trace_id": "t", "spans": ["x"]},
+        {"trace_id": "t", "spans": [], "dropped": "many"},
+    ])
+    def test_report_malformed_trace_is_a_clean_error(self, trace, tmp_path,
+                                                     capsys):
+        from repro.obs.cli import main
+
+        payload = json.loads((FIXTURES / "manifest_v1.json").read_text())
+        payload["trace"] = trace
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "span(s) recorded" not in captured.out
 
     def test_ls_runs_trace_column(self, tmp_path, capsys):
         from repro.persist.cli import main

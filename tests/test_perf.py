@@ -15,115 +15,145 @@ import pytest
 from repro.errors import HarnessError
 
 from repro import obs
-from repro.obs import PhaseProfile, PhaseTotals, Profiler
+from repro.obs import PhaseProfile, PhaseTotals, SpanRecord, Trace
+from repro.obs.trace import MAX_SPANS
+
+
+def traced(body, *, max_spans=MAX_SPANS) -> Trace:
+    """Run ``body()`` inside one open trace and return the sealed trace."""
+    with obs.tracing(obs.Tracer(max_spans=max_spans)) as tracer:
+        handle = tracer.begin_trace("t")
+        body()
+        return tracer.end_trace(handle)
+
+
+def span_record(span_id, parent_id, name, duration_s):
+    return SpanRecord(span_id=span_id, parent_id=parent_id, name=name,
+                      start_unix=0.0, duration_s=duration_s, pid=1,
+                      thread="main")
 
 
 class TestSpans:
-    def test_span_without_profiler_is_a_noop(self):
-        assert obs.active_profiler() is None
+    def test_span_without_tracer_is_a_noop(self):
+        assert obs.active_tracer() is None
         with obs.span("anything"):
             pass  # must not raise, must not record anywhere
 
-    def test_profiling_records_and_restores(self):
-        with obs.profiling() as prof:
-            assert obs.active_profiler() is prof
+    def test_trace_profile_records_span_time(self):
+        def body():
             with obs.span("alpha"):
                 time.sleep(0.002)
-        assert obs.active_profiler() is None
-        profile = prof.snapshot()
+
+        profile = traced(body).profile()
+        assert obs.active_tracer() is None  # tracing() restored the previous one
         assert profile.calls("alpha") == 1
         assert profile.total_s("alpha") >= 0.002
+        assert "t" not in profile.phases  # the root span is left out
 
     def test_spans_nest_into_paths(self):
-        with obs.profiling() as prof:
+        def body():
             with obs.span("outer"):
                 with obs.span("inner"):
                     pass
                 with obs.span("inner"):
                     pass
-        profile = prof.snapshot()
+
+        profile = traced(body).profile()
         assert profile.calls("outer") == 1
         assert profile.calls("outer/inner") == 2
         assert "inner" not in profile.phases  # only the nested path exists
 
-    def test_nested_profiling_shadows_and_restores(self):
-        with obs.profiling() as outer:
-            with obs.profiling() as inner:
-                assert obs.active_profiler() is inner
-                with obs.span("x"):
-                    pass
-            assert obs.active_profiler() is outer
-        assert inner.snapshot().calls("x") == 1
-        assert outer.snapshot().calls("x") == 0
-
-    def test_threads_aggregate_into_one_profiler(self):
-        prof = Profiler()
-
+    def test_threads_add_into_one_profile(self):
         def work():
             for _ in range(50):
-                with prof.span("worker"):
+                with obs.span("worker"):
                     pass
 
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert prof.snapshot().calls("worker") == 200
+        def body():
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+
+        assert traced(body).profile().calls("worker") == 200
 
     def test_thread_nesting_is_per_thread(self):
         """A span opened in one thread never nests under another's."""
-        prof = Profiler()
         inside = threading.Event()
         release = threading.Event()
 
         def outer_holder():
-            with prof.span("held"):
+            with obs.span("held"):
                 inside.set()
                 release.wait(timeout=5)
 
-        t = threading.Thread(target=outer_holder)
-        t.start()
-        inside.wait(timeout=5)
-        with prof.span("independent"):
-            pass
-        release.set()
-        t.join()
-        profile = prof.snapshot()
+        def body():
+            t = threading.Thread(target=outer_holder)
+            t.start()
+            inside.wait(timeout=5)
+            with obs.span("independent"):
+                pass
+            release.set()
+            t.join()
+
+        profile = traced(body).profile()
         assert profile.calls("independent") == 1
         assert profile.calls("held/independent") == 0
 
-    def test_record_folds_external_timings(self):
-        prof = Profiler()
-        prof.record("external", 1.5, calls=3)
-        prof.record("external", 0.5)
-        totals = prof.snapshot().phases["external"]
-        assert totals.calls == 4
+    def test_record_span_folds_under_its_parent(self):
+        def body():
+            tracer = obs.active_tracer()
+            with obs.span("generate"):
+                parent = tracer.current_span_id()
+            tracer.record_span("unit", start_unix=time.time(),
+                               duration_s=1.5, parent_id=parent)
+            tracer.record_span("unit", start_unix=time.time(),
+                               duration_s=0.5, parent_id=parent)
+
+        totals = traced(body).profile().phases["generate/unit"]
+        assert totals.calls == 2
         assert totals.total_s == pytest.approx(2.0)
         assert totals.max_s == pytest.approx(1.5)
 
-    def test_reset(self):
-        prof = Profiler()
-        with prof.span("x"):
-            pass
-        prof.reset()
-        assert not prof.snapshot()
+    def test_remote_span_with_unknown_parent_is_top_level(self):
+        def body():
+            with obs.span("cache-get") as caller:
+                obs.fold_remote_spans([
+                    obs.make_span_dict("server:get", parent_id=caller,
+                                       start_unix=time.time(), duration_s=0.1),
+                    obs.make_span_dict("server:put", parent_id="feedfacefeedface",
+                                       start_unix=time.time(), duration_s=0.2),
+                ])
+
+        profile = traced(body).profile()
+        assert profile.calls("cache-get/server:get") == 1
+        assert profile.calls("server:put") == 1
+        assert profile.total_s("server:put") == pytest.approx(0.2)
+
+    def test_parent_cycle_ends_the_path(self):
+        trace = Trace(trace_id="x", name="t", spans=(
+            span_record("a", "b", "a", 0.1),
+            span_record("b", "a", "b", 0.2),
+        ))
+        # a malformed trace still terminates: each walk stops at the loop
+        assert sorted(trace.profile().phases) == ["a/b", "b/a"]
+
+    def test_dropped_spans_are_reported(self):
+        def body():
+            for _ in range(5):
+                with obs.span("s"):
+                    pass
+
+        trace = traced(body, max_spans=2)
+        assert trace.dropped == 3
+        assert trace.profile().calls("s") == 2  # a lower bound
+        title = obs.profile_title("phase profile", trace.dropped)
+        assert "lower bounds" in title and "3 span(s)" in title
+        assert obs.profile_title("phase profile", 0) == "phase profile"
 
 
 class TestPhaseProfile:
-    def test_subtract_gives_the_delta(self):
-        prof = Profiler()
-        with prof.span("phase"):
-            pass
-        before = prof.snapshot()
-        with prof.span("phase"):
-            pass
-        with prof.span("fresh"):
-            pass
-        delta = prof.snapshot().subtract(before)
-        assert delta.calls("phase") == 1
-        assert delta.calls("fresh") == 1
-
     def test_merged_sums(self):
         a = PhaseProfile({"p": PhaseTotals(calls=1, total_s=1.0, max_s=1.0)})
         b = PhaseProfile({"p": PhaseTotals(calls=2, total_s=0.5, max_s=0.4),
@@ -132,12 +162,28 @@ class TestPhaseProfile:
         assert merged.phases["p"] == PhaseTotals(calls=3, total_s=1.5, max_s=1.0)
         assert merged.calls("q") == 1
 
+    def test_merged_over_two_traces(self):
+        def body():
+            with obs.span("generate"):
+                with obs.span("unit"):
+                    pass
+
+        first, second = traced(body), traced(body)
+        merged = first.profile().merged(second.profile())
+        assert merged.calls("generate") == 2
+        assert merged.calls("generate/unit") == 2
+        assert merged.total_s("generate") == pytest.approx(
+            first.profile().total_s("generate")
+            + second.profile().total_s("generate")
+        )
+
     def test_dict_roundtrip(self):
-        prof = Profiler()
-        with prof.span("a"):
-            with prof.span("b"):
-                pass
-        profile = prof.snapshot()
+        def body():
+            with obs.span("a"):
+                with obs.span("b"):
+                    pass
+
+        profile = traced(body).profile()
         assert PhaseProfile.from_dict(profile.as_dict()) == profile
 
     def test_from_dict_rejects_garbage(self):
@@ -149,13 +195,14 @@ class TestPhaseProfile:
 
 class TestReport:
     def test_render_contains_phases_and_shares(self):
-        prof = Profiler()
-        with prof.span("generate"):
-            with prof.span("store-io"):
+        def body():
+            with obs.span("generate"):
+                with obs.span("store-io"):
+                    pass
+            with obs.span("score"):
                 pass
-        with prof.span("score"):
-            pass
-        text = obs.render_profile(prof.snapshot())
+
+        text = obs.render_profile(traced(body).profile())
         assert "generate" in text and "score" in text
         assert "store-io" in text  # nested child rendered under its parent
         assert "share" in text
@@ -164,10 +211,11 @@ class TestReport:
         assert "no phases" in obs.render_profile(PhaseProfile({}))
 
     def test_load_profile_accepts_wrapper_and_bare(self, tmp_path):
-        prof = Profiler()
-        with prof.span("x"):
-            pass
-        profile = prof.snapshot()
+        def body():
+            with obs.span("x"):
+                pass
+
+        profile = traced(body).profile()
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps(profile.as_dict()))
         wrapped = tmp_path / "wrapped.json"
@@ -219,22 +267,23 @@ class TestReport:
 
 
 class TestRuntimeIntegration:
-    def test_run_attaches_per_run_profile(self):
+    def test_run_trace_profiles_its_phases(self):
         from repro.core.experiments.configuration import configuration_task
         from repro.runtime import Plan, run
 
         plan = Plan("perf-test")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with obs.profiling():
-            outcome = run(plan)
-        profile = outcome.stats.profile
-        assert profile is not None
+        traces = []
+        with obs.tracing(obs.Tracer(on_finish=traces.append)):
+            run(plan)
+        (trace,) = traces
+        profile = trace.profile()
         assert profile.calls("generate") == 1
+        assert profile.calls("generate/unit") == 1
         # score-cache consultation + assembly: two score spans per run
         assert profile.calls("score") == 2
         assert profile.calls("cache-get") == 1
-        # without a profiler the field stays None (and costs nothing)
-        assert run(plan).stats.profile is None
+        assert f"run:{plan.name}" not in profile.phases
 
     def test_store_io_phases_nest_under_cache_phases(self, tmp_path):
         from repro.persist import RunStore
@@ -243,11 +292,12 @@ class TestRuntimeIntegration:
 
         plan = Plan("perf-store-test")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with obs.profiling() as prof:
+        traces = []
+        with obs.tracing(obs.Tracer(on_finish=traces.append)):
             with RunStore(tmp_path / "store") as store:
                 config = RunConfig(store=store)
                 run(plan, config=config)
-        profile = prof.snapshot()
+        profile = traces[0].profile()
         assert profile.calls("cache-put/store-io/append") >= 1
         assert profile.calls("cache-get/store-io/read") >= 1
 
@@ -258,13 +308,16 @@ class TestRuntimeIntegration:
 
         plan = Plan("perf-manifest-test")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with obs.profiling():
+        traces = []
+        with obs.tracing(obs.Tracer(on_finish=traces.append)):
             with RunStore(tmp_path / "store") as store:
                 config = RunConfig(store=store)
-                outcome = run(plan, config=config)
-        reloaded = RunStore(tmp_path / "store").manifests()[-1]
-        assert reloaded.stats.profile == outcome.stats.profile
-        assert reloaded.stats.profile.calls("generate") == 1
+                run(plan, config=config)
+        with RunStore(tmp_path / "store") as store:
+            reloaded = store.manifests()[-1]
+        profile = Trace.from_dict(reloaded.trace).profile()
+        assert profile == traces[0].profile()
+        assert profile.calls("generate") == 1
 
 
 def run_cli(args: list[str]) -> subprocess.CompletedProcess:
@@ -284,11 +337,12 @@ def run_cli(args: list[str]) -> subprocess.CompletedProcess:
 
 class TestCLI:
     def test_report_renders_saved_profile(self, tmp_path):
-        prof = Profiler()
-        with prof.span("generate"):
-            pass
+        def body():
+            with obs.span("generate"):
+                pass
+
         path = tmp_path / "profile.json"
-        path.write_text(json.dumps(prof.snapshot().as_dict()))
+        path.write_text(json.dumps(traced(body).profile().as_dict()))
         proc = run_cli(["report", str(path)])
         assert proc.returncode == 0
         assert "generate" in proc.stdout
@@ -300,7 +354,7 @@ class TestCLI:
 
         plan = Plan("perf-cli-manifest")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        with obs.profiling():
+        with obs.tracing():
             with RunStore(tmp_path / "store") as store:
                 config = RunConfig(store=store)
                 run(plan, config=config)
@@ -310,9 +364,10 @@ class TestCLI:
         assert "run manifest" in proc.stdout
         assert "perf-cli-manifest" in proc.stdout
         assert "read-LRU" in proc.stdout
-        # the per-run profile recorded in the manifest renders below it
+        # the phase profile of the run's recorded trace renders below it
         assert "phase profile (recorded with the run)" in proc.stdout
-        assert "generate" in proc.stdout
+        assert "\ngenerate " in proc.stdout
+        assert "\n  unit " in proc.stdout
 
     def test_missing_profile_is_a_clean_error(self, tmp_path):
         proc = run_cli(["report", str(tmp_path / "absent.json")])
