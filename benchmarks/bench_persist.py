@@ -1,6 +1,6 @@
 """Durable run store — record I/O, warm-vs-cold sweeps, GC.
 
-Times the persistence layer on two scenarios:
+Times the persistence layer on three scenarios:
 
 * ``records`` — raw segment throughput, batched write vs. batched read
   (the runtime's production paths: the runner writes via ``put_many``
@@ -13,9 +13,6 @@ Times the persistence layer on two scenarios:
 * ``persist_read`` — the read path on its own: per-record ``get`` with
   the decoded-payload LRU disabled (every read hits disk), batched
   ``get_many`` (reads sorted by segment offset), and warm-LRU re-reads;
-* ``mmap_read`` — the zero-copy mmap read path (memoryview slices of a
-  persistently mapped segment) against the ``os.pread`` fallback, on
-  identical batched ``get_many`` sweeps; mmap must not lose to pread;
 * ``sweep`` — the end-to-end promise: a small Table-1 configuration
   sweep run cold against an empty store, then re-run warm from a fresh
   store handle (as a new process would), asserting the warm pass
@@ -147,38 +144,6 @@ def _bench_persist_read(root: pathlib.Path) -> dict:
     }
 
 
-def _bench_mmap_read(root: pathlib.Path) -> dict:
-    gens = [_synthetic_generation(i) for i in range(N_RECORDS)]
-    with RunStore(root) as store:
-        store.put_generations(gens)
-    keys = [gen.key for gen in gens]
-
-    def timed_get_many(use_mmap: bool) -> float:
-        # best-of-3: one positioned-read sweep per pass, LRU off so every
-        # pass really reads (and checksums) every record from the segment
-        best = float("inf")
-        for _ in range(3):
-            store = RunStore(root, read_cache_entries=0, use_mmap=use_mmap)
-            started = time.perf_counter()
-            found = store.get_generations(keys)
-            best = min(best, time.perf_counter() - started)
-            assert len(found) == N_RECORDS
-            store.close()
-        return best
-
-    pread_s = timed_get_many(use_mmap=False)
-    mmap_s = timed_get_many(use_mmap=True)
-    mmap_ms = mmap_s * 1000 / N_RECORDS
-    pread_ms = pread_s * 1000 / N_RECORDS
-    return {
-        "scenario": "mmap_read",
-        "n_records": N_RECORDS,
-        "mmap_get_many_ms_per_record": mmap_ms,
-        "pread_get_many_ms_per_record": pread_ms,
-        "mmap_over_pread": mmap_ms / max(pread_ms, 1e-9),
-    }
-
-
 def _bench_sweep(root: pathlib.Path) -> dict:
     started = time.perf_counter()
     with RunStore(root) as store:
@@ -252,14 +217,6 @@ def bench_persist(report):
             f"(x{reads['warm_lru_over_get']:.2f})"
         )
 
-        mmap_read = _bench_mmap_read(tmp / "mmap")
-        results.append(mmap_read)
-        lines.append(
-            f"mmap      get_many {mmap_read['mmap_get_many_ms_per_record']:.4f} "
-            f"ms/rec   pread {mmap_read['pread_get_many_ms_per_record']:.4f} "
-            f"ms/rec (x{mmap_read['mmap_over_pread']:.2f})"
-        )
-
         sweep = _bench_sweep(tmp / "sweep")
         results.append(sweep)
         lines.append(
@@ -289,8 +246,4 @@ def bench_persist(report):
         assert reads["warm_lru_over_get"] < 1.0, (
             "a warm-LRU read should beat a disk read, got "
             f"{reads['warm_lru_over_get']:.2f}x"
-        )
-        assert mmap_read["mmap_over_pread"] <= 1.0, (
-            "zero-copy mmap get_many should not lose to the pread path, "
-            f"got {mmap_read['mmap_over_pread']:.2f}x"
         )

@@ -10,7 +10,7 @@ scenarios:
   records read through a *local* ``RunStore.get_generations`` on the
   same machine in the same run.  ``remote_get_over_local_get`` is the
   hardware-normalized price of the wire: frame codec + loopback socket
-  over the mmap read path.  The regression gate caps it — the cap is
+  over the local pread read path.  The regression gate caps it — the cap is
   generous (loopback latency varies across runners) but a broken
   pipelining or pooling path overshoots it by an order of magnitude;
 * ``request_latency`` — single in-flight ``ping`` round trips;
@@ -250,7 +250,7 @@ def bench_serve(report):
         # smoke mode (CI) is report-only: shared runners add timing noise
         assert records["remote_get_over_local_get"] < 100.0, (
             "a pipelined loopback get_many should stay within two orders "
-            "of magnitude of the local mmap path, got "
+            "of magnitude of the local pread path, got "
             f"{records['remote_get_over_local_get']:.1f}x"
         )
         assert latency["p50_ms"] < 5.0, (

@@ -54,13 +54,6 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
             ("get_many_vs_get", "get_many_ms_per_record", "get_ms_per_record"),
             ("warm_lru_vs_get", "warm_lru_ms_per_record", "get_ms_per_record"),
         ),
-        "mmap_read": (
-            (
-                "mmap_vs_pread",
-                "mmap_get_many_ms_per_record",
-                "pread_get_many_ms_per_record",
-            ),
-        ),
     },
     "faults": {
         "overhead": (("policy_vs_baseline", "policy_ms", "baseline_ms"),),
@@ -119,7 +112,6 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
 # mean per-hypothesis / group-vectorized kernel scoring lost most of its
 # lead over the reference bleu/chrf (full mode asserts a >= 3.5x batch
 # speedup in-bench);
-# mmap_over_pread past 1.5 means the zero-copy read path went backwards;
 # policy_over_baseline past 1.05 means arming the fault-tolerance layer
 # costs more than 5% on a healthy run (both timings come from the same
 # alternating best-of-N pass, so the ratio is hardware-normalized);
@@ -139,7 +131,6 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
 ABSOLUTE_CAPS: tuple[tuple[str, str, str, float], ...] = (
     ("persist", "records", "get_over_put", 2.0),
     ("faults", "overhead", "policy_over_baseline", 1.05),
-    ("persist", "mmap_read", "mmap_over_pread", 1.5),
     ("kernels", "wilkins", "batch_over_reference", 0.45),
     ("kernels", "wilkins", "vectorized_over_reference", 0.85),
     ("serve", "remote_records", "remote_get_over_local_get", 25.0),

@@ -7,7 +7,10 @@ addressed exactly like the in-memory caches) plus a registry of
 :class:`RunManifest`\\ s — one durable provenance record per
 :func:`repro.runtime.run` invocation.  N processes share one store
 safely through ``fcntl`` file locking; torn writes are detected by
-per-record checksums and healed on the next append.
+per-record checksums and healed on the next append.  The runtime's
+cache pair (:class:`StoreResultCache`/:class:`StoreScoreCache`) and
+``record_run`` live on :class:`RecordStore`, written once over raw
+record I/O and shared with the networked :mod:`repro.serve` client.
 
 Quickstart::
 
@@ -36,18 +39,20 @@ from repro.persist.records import (
     stable_fingerprint_token,
 )
 from repro.persist.store import (
-    DiskResultCache,
-    DiskScoreCache,
     GCStats,
+    RecordStore,
     RunStore,
+    StoreResultCache,
+    StoreScoreCache,
     StoreStats,
     VerifyReport,
 )
 
 __all__ = [
     "RunStore",
-    "DiskResultCache",
-    "DiskScoreCache",
+    "RecordStore",
+    "StoreResultCache",
+    "StoreScoreCache",
     "RunManifest",
     "StoreStats",
     "VerifyReport",

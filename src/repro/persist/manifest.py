@@ -148,10 +148,10 @@ def build_manifest(
 ) -> RunManifest:
     """Assemble one :class:`RunManifest` for an executed run.
 
-    The shared body of :meth:`repro.persist.RunStore.record_run` and the
-    networked store client's ``record_run`` — the manifest is built the
-    same way whether it is written to a local directory or shipped over
-    the wire.  ``latest_for`` (fingerprint → latest same-plan manifest)
+    The body of :meth:`repro.persist.RecordStore.record_run`, which local
+    and networked stores share — the manifest is built the same way
+    whether it is written to a local directory or shipped over the
+    wire.  ``latest_for`` (fingerprint → latest same-plan manifest)
     supplies the implicit ``resumed_from`` link when the caller did not
     pin a predecessor explicitly.
     """

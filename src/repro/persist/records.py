@@ -58,31 +58,13 @@ def encode_record(payload: dict[str, Any]) -> bytes:
     return digest.encode("ascii") + b" " + body + b"\n"
 
 
-def decode_record(line: "bytes | memoryview") -> dict[str, Any]:
-    """Parse and verify one record line; raises :class:`RecordCorruptError`.
-
-    Accepts ``bytes`` (the pread path) or a ``memoryview`` (a zero-copy
-    slice of an mmapped segment): the checksum is computed straight off
-    the buffer — :mod:`hashlib` consumes memoryviews without copying —
-    and only the payload body is materialized, for the JSON parse.
-    """
-    if isinstance(line, memoryview):
-        n = line.nbytes
-        if n == 0 or line[n - 1] != 0x0A:
-            raise RecordCorruptError("unterminated record (torn tail)")
-        # the record format is fixed-layout: 64 hex digest, one space,
-        # payload, newline — anything else fails the checksum anyway
-        if n < 66 or line[64] != 0x20:
-            raise RecordCorruptError("malformed record: no checksum separator")
-        digest = bytes(line[:64])
-        body = line[65 : n - 1]
-    else:
-        if not line.endswith(b"\n"):
-            raise RecordCorruptError("unterminated record (torn tail)")
-        stripped = line[:-1]
-        digest, sep, body = stripped.partition(b" ")
-        if not sep:
-            raise RecordCorruptError("malformed record: no checksum separator")
+def decode_record(line: bytes) -> dict[str, Any]:
+    """Parse and verify one record line; raises :class:`RecordCorruptError`."""
+    if not line.endswith(b"\n"):
+        raise RecordCorruptError("unterminated record (torn tail)")
+    digest, sep, body = line[:-1].partition(b" ")
+    if not sep:
+        raise RecordCorruptError("malformed record: no checksum separator")
     if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
         raise RecordCorruptError("checksum mismatch")
     try:

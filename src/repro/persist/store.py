@@ -18,25 +18,25 @@ in-memory index maps ``kind:key`` to ``(segment, offset, length)``;
 record payloads stay on disk and are read on demand, so a store with
 many thousands of generations costs the process only its key table.
 
-**The read path is lock-free and zero-copy.**  Each segment is mmapped
-once on first read (``use_mmap=True``, the default) and a ``get`` is a
-``memoryview`` slice of exactly ``length`` bytes at ``offset`` — no
-syscall, no buffer copy; the checksum and the UTF-8 decode consume the
-view in place.  Where ``mmap`` is unavailable or fails (exotic
-filesystems, 32-bit address pressure) the reader falls back to one
-``os.pread`` per record on a persistent per-segment file descriptor —
-still no file open, no seek, no ``fcntl`` round trip.  Either way this
-is safe because segments are strictly append-only (the byte range an
-index entry points at is immutable once scanned), compaction replaces
-whole files via rename (an already-open descriptor or mapping keeps
-reading the old inode's complete contents, which for content-addressed
-records is the identical data), and every read re-verifies the record
-checksum — any racy read that does slip through decodes as corrupt and
-falls back to a locked rescan.  A mapping that is shorter than a newly
-appended record is remapped on demand.  ``get_many`` batches lookups
-and sorts the reads by (segment, offset) so a cold sweep touches each
+**The read path is lock-free.**  A record read is one ``os.pread`` of
+exactly ``length`` bytes at ``offset`` on a persistent per-segment file
+descriptor — no file open, no seek, no ``fcntl`` round trip.  This is
+safe because segments are strictly append-only (the byte range an index
+entry points at is immutable once scanned), compaction replaces whole
+files via rename (an already-open descriptor keeps reading the old
+inode's complete contents, which for content-addressed records is the
+identical data), and every read re-verifies the record checksum — any
+racy read that does slip through decodes as corrupt and is retried
+after one locked rescan.  Every read is a batch (a single get is a
+batch of one) sorted by (segment, offset), so a cold sweep touches each
 segment sequentially, and a small read-through LRU caches decoded
 payloads so each record pays its checksum once.
+
+Above that raw record I/O sits :class:`RecordStore`, the surface the
+runtime consumes — the generation/score codecs, the
+:class:`StoreResultCache`/:class:`StoreScoreCache` pair and
+``record_run`` — written once and shared by :class:`RunStore` and the
+networked :class:`repro.serve.RemoteRunStore`.
 
 Crash safety comes from per-record checksums (a torn tail decodes as
 one corrupt record, skipped with a warning and healed by the next
@@ -60,11 +60,6 @@ import json
 import os
 import pathlib
 import threading
-
-try:  # pragma: no cover - present on every supported platform
-    import mmap
-except ImportError:  # pragma: no cover - exotic builds only
-    mmap = None  # type: ignore[assignment]
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Sequence
@@ -105,87 +100,6 @@ from repro.persist.segments import (
 # version 2: index entries carry (segment, offset, length) so reads are
 # one positioned pread instead of an open+seek+readline
 INDEX_VERSION = 2
-
-
-class _SegmentReader:
-    """A persistent read-only view over one segment file.
-
-    The preferred read path is a lazily established ``mmap`` of the
-    whole segment: a read is then a ``memoryview`` slice — no syscall,
-    no copy — and the mapping is grown on demand when an index entry
-    points past its end (segments are append-only, so the mapped prefix
-    never changes).  Where ``mmap`` is unavailable or fails, reads fall
-    back — stickily, per reader — to ``os.pread`` on the same
-    descriptor, which carries its own offset and so serves any number
-    of threads without seek races.  Both paths stay valid (reading the
-    original inode's full contents) even after another process compacts
-    the segment away.
-    """
-
-    __slots__ = ("fd", "use_mmap", "_map", "_view")
-
-    def __init__(self, path: pathlib.Path, use_mmap: bool = True) -> None:
-        self.fd = os.open(path, os.O_RDONLY)
-        self.use_mmap = use_mmap and mmap is not None
-        self._map: "mmap.mmap | None" = None
-        self._view: memoryview | None = None
-
-    def _remap(self, needed: int) -> bool:
-        """(Re)map the segment so at least ``needed`` bytes are visible.
-
-        Returns False without disabling mmap when the file is simply
-        shorter than ``needed`` (a stale index entry — the caller's
-        short-read handling takes over); disables mmap for this reader
-        when the mapping itself fails.
-        """
-        try:
-            size = os.fstat(self.fd).st_size
-        except OSError:
-            return False
-        if size < needed:
-            return False
-        self._release()
-        try:
-            self._map = mmap.mmap(self.fd, size, access=mmap.ACCESS_READ)
-        except (OSError, ValueError, OverflowError):
-            self.use_mmap = False  # sticky: pread from now on
-            return False
-        self._view = memoryview(self._map)
-        return True
-
-    def read(self, offset: int, length: int) -> "bytes | memoryview":
-        """Exactly ``length`` bytes at ``offset`` (or fewer, if stale)."""
-        if self.use_mmap:
-            end = offset + length
-            view = self._view
-            if (view is not None and end <= len(view)) or self._remap(end):
-                return self._view[offset:end]  # type: ignore[index]
-        return os.pread(self.fd, length, offset)
-
-    def _release(self) -> None:
-        # exported record slices keep the old mapping's pages alive
-        # until they are garbage collected; a BufferError here just
-        # means such a slice is still live — drop our references and
-        # let refcounting reclaim the map
-        if self._view is not None:
-            try:
-                self._view.release()
-            except BufferError:  # pragma: no cover - exported slice live
-                pass
-            self._view = None
-        if self._map is not None:
-            try:
-                self._map.close()
-            except BufferError:
-                pass
-            self._map = None
-
-    def close(self) -> None:
-        self._release()
-        try:
-            os.close(self.fd)
-        except OSError:  # pragma: no cover - already closed
-            pass
 
 
 @dataclass(frozen=True)
@@ -371,8 +285,106 @@ class GCStats:
         )
 
 
-class RunStore:
+class RecordStore:
+    """The store surface the runtime consumes, over raw record I/O.
+
+    A subclass supplies raw record I/O (``get_records``/``put_records``),
+    manifest I/O (``put_manifest``/``latest_manifest``), ``stats()``,
+    ``read_stats()``, ``root`` and a ``backend`` name; this class adds
+    the typed generation/score codecs, the runtime's cache pair and
+    ``record_run`` on top, once for every backend.
+    """
+
+    backend: str  # reported as ``stats()["backend"]`` by both caches
+    _result_cache: "StoreResultCache | None" = None
+
+    # -- generations and scores ----------------------------------------------
+
+    def get_generation(self, key: str) -> Generation | None:
+        payload = self.get_records(GEN_KIND, [key]).get(key)
+        return generation_from_payload(payload) if payload is not None else None
+
+    def get_generations(self, keys: Sequence[str]) -> dict[str, Generation]:
+        """Batched lookup; returns only the keys present in the store —
+        the cache-miss set is ``keys - result``."""
+        return {
+            key: generation_from_payload(payload)
+            for key, payload in self.get_records(GEN_KIND, keys).items()
+        }
+
+    def put_generation(self, generation: Generation) -> None:
+        self.put_generations([generation])
+
+    def put_generations(self, generations: Iterable[Generation]) -> None:
+        self.put_records([generation_payload(gen) for gen in generations])
+
+    def get_score(self, disk_key: str) -> Score | None:
+        payload = self.get_records(SCORE_KIND, [disk_key]).get(disk_key)
+        return score_from_payload(payload) if payload is not None else None
+
+    def put_score(self, disk_key: str, gen_key: str, score: Score) -> None:
+        self.put_records([score_payload(disk_key, gen_key, score)])
+
+    # -- runtime integration -------------------------------------------------
+
+    @property
+    def result_cache(self) -> "StoreResultCache":
+        """The store's :class:`~repro.runtime.cache.ResultCache` facade."""
+        if self._result_cache is None:
+            self._result_cache = StoreResultCache(self)
+        return self._result_cache
+
+    def score_cache(self, maxsize: int = 4096) -> "StoreScoreCache":
+        """A fresh write-through score cache backed by this store."""
+        return StoreScoreCache(self, maxsize=maxsize)
+
+    def record_run(
+        self,
+        *,
+        plan,
+        stats,
+        executor: object,
+        scheduler: object,
+        cache: object,
+        started_unix: float,
+        wall_seconds: float,
+        failures: Sequence = (),
+        resumed_from: str | None = None,
+        trace: dict | None = None,
+        metrics: dict | None = None,
+    ) -> RunManifest:
+        """Durably record one executed run; links repeats of the same plan.
+
+        ``failures`` persists the run's quarantined
+        :class:`~repro.runtime.faults.UnitFailure` records, so a later
+        session can resume exactly the failed units.  ``resumed_from``
+        pins the predecessor explicitly (``RunConfig(resume_from=…)``);
+        when omitted, the latest same-fingerprint run is linked.
+        ``trace``/``metrics`` attach the run's observability payloads
+        (a serialized :class:`~repro.obs.Trace` and a metrics snapshot).
+        """
+        manifest = build_manifest(
+            plan=plan,
+            stats=stats,
+            executor=executor,
+            scheduler=scheduler,
+            cache=cache,
+            started_unix=started_unix,
+            wall_seconds=wall_seconds,
+            failures=failures,
+            resumed_from=resumed_from,
+            latest_for=self.latest_manifest,
+            trace=trace,
+            metrics=metrics,
+        )
+        self.put_manifest(manifest)
+        return manifest
+
+
+class RunStore(RecordStore):
     """One on-disk store directory shared by any number of processes."""
+
+    backend = "disk"
 
     def __init__(
         self,
@@ -383,7 +395,6 @@ class RunStore:
         fsync: bool = False,
         read_cache_entries: int = 1024,
         snapshot_every: int = 4096,
-        use_mmap: bool = True,
     ) -> None:
         if max_segment_bytes <= 0:
             raise PersistError(
@@ -414,19 +425,17 @@ class RunStore:
         self.fsync = fsync
         self.read_cache_entries = read_cache_entries
         self.snapshot_every = snapshot_every
-        self.use_mmap = use_mmap
         self._lock = FileLock(self.root / "LOCK")
-        self._mu = threading.Lock()  # guards index, readers and the read LRU
+        self._mu = threading.Lock()  # guards index, descriptors and the read LRU
         self._index: dict[str, tuple[str, int, int]] = {}
         self._scanned: dict[str, int] = {}  # segment name -> bytes indexed
-        self._readers: dict[str, _SegmentReader] = {}  # persistent read fds
+        self._fds: dict[str, int] = {}  # segment name -> persistent read fd
         self._read_lru: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._read_lru_hits = 0
         self._read_lru_misses = 0
         self._bytes_read = 0
         self._records_since_snapshot = 0
         self._corrupt_skipped = 0
-        self._result_cache: DiskResultCache | None = None
         self._load_index_snapshot()
         self.refresh()
 
@@ -454,13 +463,21 @@ class RunStore:
                 return  # segment vanished (GC elsewhere): rebuild from scratch
             if not isinstance(offset, int) or seg.stat().st_size < offset:
                 return  # segment shrank: snapshot is from another universe
-        for key, entry in entries.items():
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 3
-                or entry[0] not in scanned
-            ):
+        for entry in entries.values():
+            if not isinstance(entry, list) or len(entry) != 3:
                 return
+            name, offset, length = entry
+            # type(...) is int: bools pass isinstance(..., int)
+            if (
+                not isinstance(name, str)
+                or name not in scanned
+                or type(offset) is not int
+                or type(length) is not int
+                or offset < 0
+                or length <= 0
+                or offset + length > scanned[name]
+            ):
+                return  # an entry that cannot read back: rescan instead
         self._scanned = {name: offset for name, offset in scanned.items()}
         self._index = {
             key: (entry[0], entry[1], entry[2]) for key, entry in entries.items()
@@ -501,7 +518,7 @@ class RunStore:
             # whole index and every open descriptor refer to dead files
             self._index.clear()
             self._scanned.clear()
-            self._drop_readers_locked()
+            self._drop_fds_locked()
             self._read_lru.clear()
         for seg in segments:
             size = seg.stat().st_size
@@ -575,39 +592,25 @@ class RunStore:
                         )
                         self._records_since_snapshot = 0
 
-    # -- low-level positioned reads ------------------------------------------
+    # -- positioned reads ----------------------------------------------------
 
-    def _drop_readers_locked(self) -> None:
-        for reader in self._readers.values():
-            reader.close()
-        self._readers.clear()
+    def _drop_fds_locked(self) -> None:
+        for fd in self._fds.values():
+            os.close(fd)
+        self._fds.clear()
 
-    def _reader_locked(self, name: str) -> _SegmentReader:
-        reader = self._readers.get(name)
-        if reader is None:
-            reader = _SegmentReader(self._segments_dir / name, self.use_mmap)
-            self._readers[name] = reader
-        return reader
-
-    def _lru_put_locked(self, ikey: str, payload: dict[str, Any]) -> None:
-        if self.read_cache_entries <= 0:
-            return
-        self._read_lru[ikey] = payload
-        self._read_lru.move_to_end(ikey)
-        while len(self._read_lru) > self.read_cache_entries:
-            self._read_lru.popitem(last=False)
-
-    def _pread_locked(self, entry: tuple[str, int, int]) -> "bytes | memoryview":
+    def _pread_locked(self, entry: tuple[str, int, int]) -> bytes:
         """One positioned read of an indexed record; caller holds ``_mu``.
 
-        Returns a zero-copy memoryview slice on the mmap path, bytes on
-        the pread fallback.  Lock-free with respect to the file lock:
-        the byte range of an indexed entry is immutable (segments are
-        append-only, compaction replaces whole files), and the caller
-        re-checksums the result.
+        Lock-free with respect to the file lock: the byte range of an
+        indexed entry is immutable (segments are append-only, compaction
+        replaces whole files), and the caller re-checksums the result.
         """
         name, offset, length = entry
-        data = self._reader_locked(name).read(offset, length)
+        fd = self._fds.get(name)
+        if fd is None:
+            fd = self._fds[name] = os.open(self._segments_dir / name, os.O_RDONLY)
+        data = os.pread(fd, length, offset)
         if len(data) != length:
             raise RecordCorruptError(
                 f"short read: wanted {length} bytes at {offset}, got {len(data)}"
@@ -616,177 +619,98 @@ class RunStore:
         return data
 
     def _drop_stale_locked(self, ikey: str, entry: tuple[str, int, int]) -> None:
-        """Forget an index entry (and its reader) that failed to read back."""
+        """Forget an index entry (and its descriptor) that failed to read back."""
         if self._index.get(ikey) == entry:
             del self._index[ikey]
-        reader = self._readers.pop(entry[0], None)
-        if reader is not None:
-            reader.close()
-
-    def _read_record(self, kind: str, key: str) -> dict[str, Any] | None:
-        ikey = index_key(kind, key)
-        refreshed = False
-        with span("store-io"), span("read"):
-            while True:
-                # one lock cycle per read: lookup, pread, decode, LRU
-                # insert.  Decoding under the lock serializes concurrent
-                # single-record readers, but the runtime's bulk reads go
-                # through _read_many (one acquisition per batch) and the
-                # decode is a few microseconds — one cycle wins.
-                payload = None
-                with self._mu:
-                    cached = self._read_lru.get(ikey)
-                    if cached is not None:
-                        self._read_lru.move_to_end(ikey)
-                        self._read_lru_hits += 1
-                        return cached
-                    entry = self._index.get(ikey)
-                    if entry is not None:
-                        self._read_lru_misses += 1
-                        try:
-                            payload = decode_record(self._pread_locked(entry))
-                        except (OSError, RecordCorruptError):
-                            self._drop_stale_locked(ikey, entry)
-                        else:
-                            if payload["kind"] == kind and payload["key"] == key:
-                                self._lru_put_locked(ikey, payload)
-                            # a mismatched record must never enter the LRU:
-                            # it would be served silently on the next get
-                if payload is None:
-                    # either the key is unknown here, or the entry went
-                    # stale (typically a concurrent GC compacted the
-                    # segment away; it has been dropped) — rescan once:
-                    # the live record is in the compacted segment, and a
-                    # warm store must not read as cold just because
-                    # another process tidied it.
-                    if refreshed:
-                        return None
-                    self.refresh()
-                    refreshed = True
-                    continue
-                if payload["kind"] != kind or payload["key"] != key:
-                    raise PersistError(
-                        f"index points {ikey!r} at a record for "
-                        f"{payload['kind']}:{payload['key']}"
-                    )
-                return payload
+        fd = self._fds.pop(entry[0], None)
+        if fd is not None:
+            os.close(fd)
 
     def _read_many(self, kind: str, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
-        """Batched record reads: sorted by (segment, offset), one pass.
+        """Batched record reads: LRU first, then disk in (segment, offset) order.
 
         Returns payloads for the keys present in the store; absent keys
-        are simply missing from the result.  Missing or stale entries
-        trigger at most one refresh, then fall back to the single-read
-        path (which handles per-entry staleness).
+        are simply missing from the result.  Keys the index does not
+        know, or whose entry went stale (typically a concurrent GC
+        compacted the segment away), get one rescan and one more pass:
+        the live record is in the compacted segment, and a warm store
+        must not read as cold just because another process tidied it.
         """
         out: dict[str, dict[str, Any]] = {}
-        todo: list[tuple[str, str, tuple[str, int, int]]] = []
-        missing: list[str] = []
         with span("store-io"), span("read"):
-            with self._mu:
-                for key in keys:
-                    ikey = index_key(kind, key)
-                    cached = self._read_lru.get(ikey)
-                    if cached is not None:
-                        self._read_lru.move_to_end(ikey)
-                        self._read_lru_hits += 1
-                        out[key] = cached
-                        continue
-                    entry = self._index.get(ikey)
-                    if entry is None:
-                        missing.append(key)
-                    else:
-                        todo.append((key, ikey, entry))
-            if missing:
+            retry = self._read_pass(kind, keys, out)
+            if retry:
                 self.refresh()
-                with self._mu:
-                    for key in missing:
-                        entry = self._index.get(index_key(kind, key))
-                        if entry is not None:
-                            todo.append((key, index_key(kind, key), entry))
-            # sequential disk order: sort the batch by (segment, offset)
-            todo.sort(key=lambda item: (item[2][0], item[2][1]))
-            fallback: list[str] = []
-            raw: list[tuple[str, str, tuple[str, int, int], bytes]] = []
-            with self._mu:
-                for key, ikey, entry in todo:
-                    self._read_lru_misses += 1
-                    try:
-                        raw.append((key, ikey, entry, self._pread_locked(entry)))
-                    except (OSError, RecordCorruptError):
-                        self._drop_stale_locked(ikey, entry)
-                        # the single-read retry below re-counts this miss
-                        self._read_lru_misses -= 1
-                        fallback.append(key)
-            decoded: list[tuple[str, dict[str, Any]]] = []
-            for key, ikey, entry, data in raw:
-                try:
-                    payload = decode_record(data)
-                except RecordCorruptError:
-                    with self._mu:
-                        self._drop_stale_locked(ikey, entry)
-                        # the single-read retry below re-counts this miss
-                        self._read_lru_misses -= 1
-                    fallback.append(key)
-                    continue
-                if payload["kind"] != kind or payload["key"] != key:
-                    raise PersistError(
-                        f"index points {ikey!r} at a record for "
-                        f"{payload['kind']}:{payload['key']}"
-                    )
-                decoded.append((ikey, payload))
-                out[key] = payload
-            # one lock acquisition for the whole batch's LRU maintenance;
-            # a batch at or above capacity replaces the cache outright
-            # instead of churning insert+evict per record
-            if decoded and self.read_cache_entries > 0:
-                with self._mu:
-                    if len(decoded) >= self.read_cache_entries:
-                        self._read_lru.clear()
-                        self._read_lru.update(
-                            decoded[-self.read_cache_entries :]
-                        )
-                    else:
-                        for ikey, payload in decoded:
-                            self._lru_put_locked(ikey, payload)
-        for key in fallback:
-            payload = self._read_record(kind, key)
-            if payload is not None:
-                out[key] = payload
+                self._read_pass(kind, retry, out)
         return out
 
-    # -- generations ---------------------------------------------------------
-
-    def get_generation(self, key: str) -> Generation | None:
-        payload = self._read_record(GEN_KIND, key)
-        return generation_from_payload(payload) if payload is not None else None
-
-    def get_generations(self, keys: Sequence[str]) -> dict[str, Generation]:
-        """Batched lookup: reads sorted by (segment, offset), one pass.
-
-        Returns only the keys present in the store — the cache-miss set
-        is ``keys - result``.
-        """
-        payloads = self._read_many(GEN_KIND, keys)
-        return {
-            key: generation_from_payload(payload)
-            for key, payload in payloads.items()
-        }
-
-    def put_generation(self, generation: Generation) -> None:
-        self._append_payloads([generation_payload(generation)])
-
-    def put_generations(self, generations: Iterable[Generation]) -> None:
-        self._append_payloads([generation_payload(gen) for gen in generations])
-
-    # -- scores --------------------------------------------------------------
-
-    def get_score(self, disk_key: str) -> Score | None:
-        payload = self._read_record(SCORE_KIND, disk_key)
-        return score_from_payload(payload) if payload is not None else None
-
-    def put_score(self, disk_key: str, gen_key: str, score: Score) -> None:
-        self._append_payloads([score_payload(disk_key, gen_key, score)])
+    def _read_pass(
+        self, kind: str, keys: Sequence[str], out: dict[str, dict[str, Any]]
+    ) -> list[str]:
+        """One read pass into ``out``; returns the missing or stale keys."""
+        retry: list[str] = []
+        todo: list[tuple[str, str, tuple[str, int, int]]] = []
+        raw: list[tuple[str, str, tuple[str, int, int], bytes]] = []
+        with self._mu:
+            for key in keys:
+                ikey = index_key(kind, key)
+                cached = self._read_lru.get(ikey)
+                if cached is not None:
+                    self._read_lru.move_to_end(ikey)
+                    self._read_lru_hits += 1
+                    out[key] = cached
+                    continue
+                entry = self._index.get(ikey)
+                if entry is None:
+                    retry.append(key)
+                else:
+                    todo.append((key, ikey, entry))
+            todo.sort(key=lambda item: (item[2][0], item[2][1]))
+            for key, ikey, entry in todo:
+                try:
+                    raw.append((key, ikey, entry, self._pread_locked(entry)))
+                except (OSError, RecordCorruptError):
+                    self._drop_stale_locked(ikey, entry)
+                    retry.append(key)
+        # decode outside the lock, so concurrent readers overlap
+        decoded: list[tuple[str, dict[str, Any]]] = []
+        corrupt: list[tuple[str, tuple[str, int, int]]] = []
+        for key, ikey, entry, data in raw:
+            try:
+                payload = decode_record(data)
+            except RecordCorruptError:
+                corrupt.append((ikey, entry))
+                retry.append(key)
+                continue
+            if payload["kind"] != kind or payload["key"] != key:
+                # raised before the LRU update below: a mismatched record
+                # must never be served silently on the next get
+                raise PersistError(
+                    f"index points {ikey!r} at a record for "
+                    f"{payload['kind']}:{payload['key']}"
+                )
+            decoded.append((ikey, payload))
+            out[key] = payload
+        if not (corrupt or decoded):
+            return retry
+        with self._mu:
+            for ikey, entry in corrupt:
+                self._drop_stale_locked(ikey, entry)
+            # a corrupt read is retried, and counted, by the next pass
+            self._read_lru_misses += len(decoded)
+            cap = self.read_cache_entries
+            if cap and len(decoded) >= cap:
+                # a batch at or above capacity replaces the cache outright
+                # instead of churning insert+evict per record
+                self._read_lru.clear()
+                self._read_lru.update(decoded[-cap:])
+            elif cap:
+                for ikey, payload in decoded:
+                    self._read_lru[ikey] = payload
+                    self._read_lru.move_to_end(ikey)
+                while len(self._read_lru) > cap:
+                    self._read_lru.popitem(last=False)
+        return retry
 
     # -- raw record I/O (the networked store server's shard surface) ---------
 
@@ -837,62 +761,7 @@ class RunStore:
         self._append_payloads(batch)
         return len(batch)
 
-    # -- runtime integration -------------------------------------------------
-
-    @property
-    def result_cache(self) -> "DiskResultCache":
-        """The store's :class:`~repro.runtime.cache.ResultCache` facade."""
-        if self._result_cache is None:
-            self._result_cache = DiskResultCache(self)
-        return self._result_cache
-
-    def score_cache(self, maxsize: int = 4096) -> "DiskScoreCache":
-        """A fresh write-through score cache backed by this store."""
-        return DiskScoreCache(self, maxsize=maxsize)
-
     # -- manifests -----------------------------------------------------------
-
-    def record_run(
-        self,
-        *,
-        plan,
-        stats,
-        executor: object,
-        scheduler: object,
-        cache: object,
-        started_unix: float,
-        wall_seconds: float,
-        failures: Sequence = (),
-        resumed_from: str | None = None,
-        trace: dict | None = None,
-        metrics: dict | None = None,
-    ) -> RunManifest:
-        """Durably record one executed run; links repeats of the same plan.
-
-        ``failures`` persists the run's quarantined
-        :class:`~repro.runtime.faults.UnitFailure` records, so a later
-        session can resume exactly the failed units.  ``resumed_from``
-        pins the predecessor explicitly (``RunConfig(resume_from=…)``);
-        when omitted, the latest same-fingerprint run is linked.
-        ``trace``/``metrics`` attach the run's observability payloads
-        (a serialized :class:`~repro.obs.Trace` and a metrics snapshot).
-        """
-        manifest = build_manifest(
-            plan=plan,
-            stats=stats,
-            executor=executor,
-            scheduler=scheduler,
-            cache=cache,
-            started_unix=started_unix,
-            wall_seconds=wall_seconds,
-            failures=failures,
-            resumed_from=resumed_from,
-            latest_for=self.latest_manifest,
-            trace=trace,
-            metrics=metrics,
-        )
-        self.put_manifest(manifest)
-        return manifest
 
     def put_manifest(self, manifest: RunManifest) -> None:
         """Durably write one already-built manifest (atomic rename)."""
@@ -1060,7 +929,7 @@ class RunStore:
                 )
                 self._index.clear()
                 self._scanned.clear()
-                self._drop_readers_locked()
+                self._drop_fds_locked()
                 self._read_lru.clear()
                 bytes_after = 0
                 if live:
@@ -1091,7 +960,7 @@ class RunStore:
         """Snapshot the index and release the persistent read descriptors."""
         self.write_index_snapshot()
         with self._mu:
-            self._drop_readers_locked()
+            self._drop_fds_locked()
 
     def __enter__(self) -> "RunStore":
         return self
@@ -1103,17 +972,18 @@ class RunStore:
         return f"RunStore({str(self.root)!r})"
 
 
-class DiskResultCache:
-    """:class:`~repro.runtime.cache.ResultCache` backend over a RunStore.
+class StoreResultCache:
+    """:class:`~repro.runtime.cache.ResultCache` backend over a store.
 
     The durable backend next to ``InMemoryResultCache`` — same protocol
-    (``get_many``/``put_many``/``__len__``/``stats``),
-    but entries survive the process
-    and are shared, under the store's file lock, with every other
-    process pointed at the same directory.
+    (``get_many``/``put_many``/``__len__``/``stats``), but entries
+    survive the process and are shared with every process pointed at
+    the same store: a local :class:`RunStore` directory (under its file
+    lock) or a store server's shards.  ``stats()["backend"]`` is the
+    store's ``backend`` (``"disk"`` or ``"remote"``).
     """
 
-    def __init__(self, store: RunStore) -> None:
+    def __init__(self, store: RecordStore) -> None:
         self._store = store
         self._mu = threading.Lock()
         self._hits = 0
@@ -1121,7 +991,7 @@ class DiskResultCache:
         self._puts = 0
 
     @property
-    def store(self) -> RunStore:
+    def store(self) -> RecordStore:
         return self._store
 
     def get_many(self, keys: Sequence[str]) -> dict[str, Generation]:
@@ -1154,7 +1024,7 @@ class DiskResultCache:
         store_stats = self._store.stats()
         return stats_dict(
             "result_cache",
-            backend="disk",
+            backend=self._store.backend,
             entries=store_stats.generations,
             hits=hits,
             misses=misses,
@@ -1165,10 +1035,10 @@ class DiskResultCache:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DiskResultCache({str(self._store.root)!r})"
+        return f"StoreResultCache({str(self._store.root)!r})"
 
 
-class DiskScoreCache:
+class StoreScoreCache:
     """Write-through score memo: in-memory LRU over durable score records.
 
     Drop-in for :class:`~repro.runtime.cache.ScoreCache` (same
@@ -1178,7 +1048,7 @@ class DiskScoreCache:
     to the store; the rest stay in the process-local LRU.
     """
 
-    def __init__(self, store: RunStore, maxsize: int = 4096) -> None:
+    def __init__(self, store: RecordStore, maxsize: int = 4096) -> None:
         self._store = store
         self._memory = ScoreCache(maxsize)
         self._mu = threading.Lock()
@@ -1220,7 +1090,7 @@ class DiskScoreCache:
         with self._mu:
             return stats_dict(
                 "score_cache",
-                backend="disk",
+                backend=self._store.backend,
                 entries=len(self._memory),
                 disk_hits=self._disk_hits,
                 disk_puts=self._disk_puts,
@@ -1228,4 +1098,8 @@ class DiskScoreCache:
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DiskScoreCache({str(self._store.root)!r}, entries={len(self)})"
+        return f"StoreScoreCache({str(self._store.root)!r}, entries={len(self)})"
+
+
+DiskResultCache = StoreResultCache  # the name e2ebench/layers.py patches
+DiskScoreCache = StoreScoreCache  # the name e2ebench/layers.py patches

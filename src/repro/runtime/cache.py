@@ -6,17 +6,18 @@ completion the model would have produced, and repeated sweeps (the
 Overall rows, the sensitivity figures re-running the ``original``
 variant, warm benchmark reruns) skip the model layer entirely.
 
-Three backends:
+Two backends:
 
 * :class:`InMemoryResultCache` — a thread-safe dict, scoped to the
   process; the default choice inside one script run;
-* :class:`repro.persist.DiskResultCache` — the durable backend: entries
-  live in an on-disk :class:`~repro.persist.RunStore` shared between
-  processes (see :mod:`repro.persist`);
-* :class:`repro.serve.RemoteResultCache` — the same store reached
-  through a :class:`~repro.serve.StoreServer` (see :mod:`repro.serve`).
+* :class:`repro.persist.StoreResultCache` — the durable backend: entries
+  live in a store shared between processes, either an on-disk
+  :class:`~repro.persist.RunStore` (``backend="disk"``, see
+  :mod:`repro.persist`) or the same store reached through a
+  :class:`~repro.serve.StoreServer` (``backend="remote"``, see
+  :mod:`repro.serve`).
 
-All three expose the same introspection surface (``__len__`` and
+Both expose the same introspection surface (``__len__`` and
 ``stats()``; see :class:`ResultCache`), so harness code and tests can
 treat any backend interchangeably.
 
@@ -41,8 +42,8 @@ from repro.runtime.units import Generation
 class ResultCache(Protocol):
     """What a cache backend must implement.
 
-    The contract, shared by all three shipped backends (in-memory,
-    on-disk, remote):
+    The contract, shared by both shipped backends (in-memory, and the
+    store-backed one over a local or remote store):
 
     * ``get_many(keys)`` — ``{key: Generation}`` for the present
       subset of the content keys (from

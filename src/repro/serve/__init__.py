@@ -6,11 +6,12 @@ removes that assumption: :class:`StoreServer` is a long-lived asyncio
 process owning N shard :class:`~repro.persist.RunStore` directories
 (records routed by a stable hash of their content key) behind a small
 length-prefixed JSON frame protocol over TCP and unix sockets, and
-:class:`RemoteRunStore` / :class:`RemoteResultCache` /
-:class:`RemoteScoreCache` are drop-in client faces for the existing
-store and cache protocols — pooled connections, pipelined batches, and
-deterministic reconnect-and-replay on transport faults (surfaced as the
-retryable :class:`~repro.errors.RemoteStoreError`).
+:class:`RemoteRunStore` is a drop-in client face for the existing store
+protocol — pooled connections, pipelined batches, and deterministic
+reconnect-and-replay on transport faults (surfaced as the retryable
+:class:`~repro.errors.RemoteStoreError`).  It supplies only raw record
+and manifest I/O; its caches and ``record_run`` are the same
+:class:`~repro.persist.RecordStore` code a local store runs.
 
 Quickstart::
 
@@ -29,10 +30,8 @@ same checksummed records, keyed by the same content addresses.
 """
 
 from repro.serve.client import (
-    RemoteResultCache,
     RemoteRetryBudget,
     RemoteRunStore,
-    RemoteScoreCache,
     StoreClient,
 )
 from repro.serve.replicated import (
@@ -55,8 +54,6 @@ __all__ = [
     "shard_for",
     "StoreClient",
     "RemoteRunStore",
-    "RemoteResultCache",
-    "RemoteScoreCache",
     "RemoteRetryBudget",
     "ReplicatedRunStore",
     "ReplicatedStoreClient",

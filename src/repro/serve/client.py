@@ -1,10 +1,11 @@
 """The store client: a local ``RunStore`` face over a remote socket.
 
 :class:`RemoteRunStore` speaks the frame protocol to a
-:class:`~repro.serve.server.StoreServer` and exposes the same surface
-:func:`repro.runtime.run` already consumes from a local
-:class:`~repro.persist.RunStore` — ``result_cache`` /
-``score_cache()`` / ``record_run`` / ``manifest`` / ``stats()`` — so
+:class:`~repro.serve.server.StoreServer`.  It supplies only raw record
+and manifest I/O; the surface :func:`repro.runtime.run` consumes —
+``result_cache`` / ``score_cache()`` / ``record_run`` and the record
+codecs — is the one :class:`~repro.persist.store.RecordStore`
+implementation a local :class:`~repro.persist.RunStore` uses too, so
 ``run(plan, config=RunConfig.from_url("tcp://host:port"))`` is the only
 change a sweep needs to share one cache across machines.
 
@@ -38,9 +39,8 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Sequence
 
-from repro.core.scorers import Score
 from repro.errors import (
     BreakerOpenError,
     PersistError,
@@ -55,20 +55,16 @@ from repro.obs import (
     propagation_context,
     render_prometheus,
 )
-from repro.persist.manifest import RunManifest, build_manifest
-from repro.persist.records import (
-    GEN_KIND,
-    SCORE_KIND,
-    disk_score_key,
-    generation_from_payload,
-    generation_payload,
-    score_from_payload,
-    score_payload,
+from repro.persist.manifest import RunManifest
+from repro.persist.store import (
+    GCStats,
+    RecordStore,
+    StoreResultCache,
+    StoreScoreCache,
+    StoreStats,
+    VerifyReport,
 )
-from repro.runtime.cache import ScoreCache
 from repro.runtime.faults import FaultPolicy, RetryPolicy
-from repro.runtime.units import Generation
-from repro.stats import stats_dict
 
 from repro.serve.protocol import encode_frame, read_frame
 
@@ -292,16 +288,19 @@ class StoreClient:
         raise StoreError(f"server ({error_type}): {error}")
 
 
-class RemoteRunStore:
+class RemoteRunStore(RecordStore):
     """A :class:`~repro.persist.RunStore`-shaped client for one server.
 
-    Drop-in wherever ``runtime.run`` takes a ``store``: same
-    ``result_cache`` / ``score_cache()`` / ``record_run`` / ``manifest``
-    / ``manifests`` / ``latest_manifest`` / ``stats`` surface, with
-    every record round-tripping through the server's shards instead of
-    a local directory.  ``root`` is the URL — it only ever appears in
-    messages and provenance.
+    Drop-in wherever ``runtime.run`` takes a ``store``: it supplies the
+    raw record and manifest I/O, and inherits the ``result_cache`` /
+    ``score_cache()`` / ``record_run`` surface from
+    :class:`~repro.persist.store.RecordStore`, with every record
+    round-tripping through the server's shards instead of a local
+    directory.  ``root`` is the URL — it only ever appears in messages
+    and provenance.
     """
+
+    backend = "remote"
 
     def __init__(
         self,
@@ -324,7 +323,6 @@ class RemoteRunStore:
             )
         else:
             raise StoreError("RemoteRunStore needs an address or a client")
-        self._result_cache: RemoteResultCache | None = None
 
     @property
     def root(self) -> str:
@@ -355,81 +353,7 @@ class RemoteRunStore:
             response["count"] for response in self.client.request_many(requests)
         )
 
-    # -- generations and scores ----------------------------------------------
-
-    def get_generation(self, key: str) -> Generation | None:
-        found = self.get_generations([key])
-        return found.get(key)
-
-    def get_generations(self, keys: Sequence[str]) -> dict[str, Generation]:
-        return {
-            key: generation_from_payload(payload)
-            for key, payload in self.get_records(GEN_KIND, keys).items()
-        }
-
-    def put_generation(self, generation: Generation) -> None:
-        self.put_generations([generation])
-
-    def put_generations(self, generations: Iterable[Generation]) -> None:
-        batch = [generation_payload(gen) for gen in generations]
-        if batch:
-            self.put_records(batch)
-
-    def get_score(self, disk_key: str) -> Score | None:
-        found = self.get_records(SCORE_KIND, [disk_key])
-        payload = found.get(disk_key)
-        return score_from_payload(payload) if payload is not None else None
-
-    def put_score(self, disk_key: str, gen_key: str, score: Score) -> None:
-        self.put_records([score_payload(disk_key, gen_key, score)])
-
-    # -- runtime integration -------------------------------------------------
-
-    @property
-    def result_cache(self) -> "RemoteResultCache":
-        if self._result_cache is None:
-            self._result_cache = RemoteResultCache(self)
-        return self._result_cache
-
-    def score_cache(self, maxsize: int = 4096) -> "RemoteScoreCache":
-        return RemoteScoreCache(self, maxsize=maxsize)
-
     # -- manifests -----------------------------------------------------------
-
-    def record_run(
-        self,
-        *,
-        plan,
-        stats,
-        executor: object,
-        scheduler: object,
-        cache: object,
-        started_unix: float,
-        wall_seconds: float,
-        failures: Sequence = (),
-        resumed_from: str | None = None,
-        trace: dict | None = None,
-        metrics: dict | None = None,
-    ) -> RunManifest:
-        """Build the manifest locally, ship the payload; same linkage rules
-        as :meth:`repro.persist.RunStore.record_run` (the predecessor
-        lookup asks the server for the latest same-fingerprint run)."""
-        manifest = build_manifest(
-            plan=plan,
-            stats=stats,
-            executor=executor,
-            scheduler=scheduler,
-            cache=cache,
-            started_unix=started_unix,
-            wall_seconds=wall_seconds,
-            failures=failures,
-            resumed_from=resumed_from,
-            latest_for=self.latest_manifest,
-            trace=trace,
-            metrics=metrics,
-        )
-        self.put_manifest(manifest)
-        return manifest
 
     def put_manifest(self, manifest: RunManifest) -> None:
         self.client.request(
@@ -458,10 +382,8 @@ class RemoteRunStore:
         """Every live record key of one kind, across all server shards."""
         return self.client.request({"op": "list_keys", "kind": kind})["keys"]
 
-    def gc(self) -> "GCStats":
+    def gc(self) -> GCStats:
         """Compact every server shard; one aggregated :class:`GCStats`."""
-        from repro.persist.store import GCStats
-
         payloads = self.client.request({"op": "gc"})["gc"]
         reports = [GCStats.from_dict(payload) for payload in payloads]
         merged = reports[0]
@@ -469,10 +391,8 @@ class RemoteRunStore:
             merged = merged.merged_with(report)
         return merged
 
-    def verify(self) -> "VerifyReport":
+    def verify(self) -> VerifyReport:
         """Audit every server shard; one aggregated :class:`VerifyReport`."""
-        from repro.persist.store import VerifyReport
-
         payloads = self.client.request({"op": "verify"})["verify"]
         reports = [VerifyReport.from_dict(payload) for payload in payloads]
         merged = reports[0]
@@ -497,16 +417,12 @@ class RemoteRunStore:
     def ping(self) -> dict[str, Any]:
         return self.client.request({"op": "ping"})
 
-    def shard_stats(self) -> "list[StoreStats]":
-        from repro.persist.store import StoreStats
-
+    def shard_stats(self) -> list[StoreStats]:
         response = self.client.request({"op": "stats"})
         return [StoreStats.from_dict(payload) for payload in response["stats"]]
 
-    def stats(self) -> "StoreStats":
+    def stats(self) -> StoreStats:
         """Service-wide totals as one StoreStats, rooted at the URL."""
-        from repro.persist.store import StoreStats
-
         shards = self.shard_stats()
         return StoreStats(
             root=self.url,
@@ -581,124 +497,5 @@ class RemoteRetryBudget:
         return f"RemoteRetryBudget({self.name!r}, limit={self.limit})"
 
 
-class RemoteResultCache:
-    """:class:`~repro.runtime.cache.ResultCache` face of a remote store.
-
-    The third backend next to memory / disk: identical protocol
-    (including batched ``get_many``/``put_many`` and the
-    ``read_stats`` hook the runner samples), with entries living on the
-    server's shards — shared by every process pointed at the URL.
-    """
-
-    def __init__(self, store: RemoteRunStore) -> None:
-        self._store = store
-        self._mu = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._puts = 0
-
-    @property
-    def store(self) -> RemoteRunStore:
-        return self._store
-
-    def get_many(self, keys: Sequence[str]) -> dict[str, Generation]:
-        found = self._store.get_generations(keys)
-        with self._mu:
-            self._hits += len(found)
-            self._misses += len(keys) - len(found)
-        return {key: gen.as_cached() for key, gen in found.items()}
-
-    def put_many(self, generations: Iterable[Generation]) -> None:
-        batch = list(generations)
-        self._store.put_generations(batch)
-        with self._mu:
-            self._puts += len(batch)
-
-    def __len__(self) -> int:
-        return self._store.stats().generations
-
-    def __contains__(self, key: str) -> bool:
-        return self._store.get_generation(key) is not None
-
-    def read_stats(self) -> dict[str, int]:
-        return self._store.read_stats()
-
-    def stats(self) -> dict[str, int | str]:
-        with self._mu:
-            hits, misses, puts = self._hits, self._misses, self._puts
-        store_stats = self._store.stats()
-        return stats_dict(
-            "result_cache",
-            backend="remote",
-            entries=store_stats.generations,
-            hits=hits,
-            misses=misses,
-            puts=puts,
-            read_lru_hits=store_stats.read_lru_hits,
-            read_lru_misses=store_stats.read_lru_misses,
-            bytes_read=store_stats.bytes_read,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RemoteResultCache({self._store.url!r})"
-
-
-class RemoteScoreCache:
-    """Write-through score memo over the remote store.
-
-    Same layering as :class:`~repro.persist.DiskScoreCache`: a local LRU
-    in front, durable score records behind — here on the server's
-    shards, so warm scores are shared across machines too.
-    """
-
-    def __init__(self, store: RemoteRunStore, maxsize: int = 4096) -> None:
-        self._store = store
-        self._memory = ScoreCache(maxsize)
-        self._mu = threading.Lock()
-        self._disk_hits = 0
-        self._disk_puts = 0
-        self._unpersistable = 0
-
-    def get(self, key: Hashable) -> object | None:
-        score = self._memory.get(key)
-        if score is not None:
-            return score
-        dkey = disk_score_key(key)
-        if dkey is None:
-            return None
-        score = self._store.get_score(dkey)
-        if score is None:
-            return None
-        self._memory.put(key, score)
-        with self._mu:
-            self._disk_hits += 1
-        return score
-
-    def put(self, key: Hashable, score: object) -> None:
-        self._memory.put(key, score)
-        dkey = disk_score_key(key)
-        if dkey is None or not isinstance(score, Score):
-            with self._mu:
-                self._unpersistable += 1
-            return
-        assert isinstance(key, tuple)  # disk_score_key validated the shape
-        self._store.put_score(dkey, key[0], score)
-        with self._mu:
-            self._disk_puts += 1
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def stats(self) -> dict[str, int | str]:
-        with self._mu:
-            return stats_dict(
-                "score_cache",
-                backend="remote",
-                entries=len(self._memory),
-                disk_hits=self._disk_hits,
-                disk_puts=self._disk_puts,
-                unpersistable=self._unpersistable,
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RemoteScoreCache({self._store.url!r}, entries={len(self)})"
+RemoteResultCache = StoreResultCache  # the name e2ebench/layers.py patches
+RemoteScoreCache = StoreScoreCache  # the name e2ebench/layers.py patches

@@ -20,6 +20,16 @@ def clean_default_fs() -> SimFilesystem:
 
 
 @pytest.fixture()
+def server(tmp_path):
+    """A two-shard store server on its own thread (``test_serve.ServerThread``)."""
+    from test_serve import ServerThread
+
+    srv = ServerThread(tmp_path / "served")
+    yield srv
+    srv.stop()
+
+
+@pytest.fixture()
 def compss_runtime(fs):
     """A fresh PyCOMPSs runtime bound to a private filesystem."""
     from repro.workflows.pycompss import reset_runtime

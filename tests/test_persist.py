@@ -54,6 +54,21 @@ def small_plan() -> Plan:
     return plan
 
 
+def store_for(backend: str, tmp_path: Path, request):
+    """A fresh local store, or a client of the ``server`` fixture."""
+    if backend == "disk":
+        return RunStore(tmp_path / "store")
+    store = request.getfixturevalue("server").client()
+    request.addfinalizer(store.close)
+    return store
+
+
+def result_cache_for(backend: str, tmp_path: Path, request) -> ResultCache:
+    if backend == "memory":
+        return InMemoryResultCache()
+    return store_for(backend, tmp_path, request).result_cache
+
+
 class TestRecords:
     def test_roundtrip(self):
         from repro.persist.records import (
@@ -272,6 +287,18 @@ class TestRunStore:
             make_generation(0).key
         ) is not None
 
+    @pytest.mark.parametrize("offset", ["x", None, 1.5, -3])
+    def test_snapshot_entry_with_bad_offset_is_rescanned(self, offset, tmp_path):
+        gen = make_generation(0)
+        with RunStore(tmp_path / "store") as store:
+            store.put_generation(gen)
+        snapshot = tmp_path / "store" / "index.json"
+        payload = json.loads(snapshot.read_text())
+        (entry,) = payload["entries"].values()
+        entry[1] = offset
+        snapshot.write_text(json.dumps(payload))
+        assert RunStore(tmp_path / "store").get_generation(gen.key) == gen
+
     def test_mismatched_index_entry_never_poisons_the_read_lru(self, tmp_path):
         """An index entry pointing at the wrong record raises every time —
         the mismatched payload must not be served from the LRU later."""
@@ -362,13 +389,10 @@ class TestDiskResultCache:
         cache = RunStore(tmp_path / "store").result_cache
         assert isinstance(cache, ResultCache)
 
-    @pytest.mark.parametrize("backend", ["memory", "disk"])
-    def test_introspection_parity(self, backend, tmp_path):
-        """Both local backends expose the same len/stats surface."""
-        if backend == "memory":
-            cache = InMemoryResultCache()
-        else:
-            cache = RunStore(tmp_path / "store").result_cache
+    @pytest.mark.parametrize("backend", ["memory", "disk", "remote"])
+    def test_introspection_parity(self, backend, tmp_path, request):
+        """Every backend exposes the same len/stats surface."""
+        cache = result_cache_for(backend, tmp_path, request)
         gen = make_generation(1)
         assert len(cache) == 0
         assert cache.get_many([gen.key]) == {}
@@ -386,7 +410,8 @@ class TestDiskResultCache:
         assert stats["read_lru_hits"] >= 0
         assert stats["read_lru_misses"] >= 0
         assert stats["bytes_read"] >= 0
-        if backend == "disk":
+        if backend != "memory":
+            assert stats["backend"] == backend
             assert stats["read_lru_misses"] >= 1  # first read hit the disk
             assert stats["bytes_read"] > 0
             cache.get_many([gen.key])  # second read: served from the decoded LRU
@@ -396,12 +421,9 @@ class TestDiskResultCache:
             assert stats["read_lru_misses"] == 0
             assert stats["bytes_read"] == 0
 
-    @pytest.mark.parametrize("backend", ["memory", "disk"])
-    def test_get_many_matches_single_gets(self, backend, tmp_path):
-        if backend == "memory":
-            cache = InMemoryResultCache()
-        else:
-            cache = RunStore(tmp_path / "store").result_cache
+    @pytest.mark.parametrize("backend", ["memory", "disk", "remote"])
+    def test_get_many_matches_single_gets(self, backend, tmp_path, request):
+        cache = result_cache_for(backend, tmp_path, request)
         gens = [make_generation(i) for i in range(4)]
         cache.put_many(gens[:3])  # one key stays absent
         found = cache.get_many([gen.key for gen in gens])
@@ -418,6 +440,26 @@ class TestDiskResultCache:
         cache.put_many([make_generation(i) for i in range(3)])
         assert len(cache) == 3
         assert cache.stats()["puts"] == 3
+
+
+class TestStoreScoreCache:
+    @pytest.mark.parametrize("backend", ["disk", "remote"])
+    def test_write_through_contract(self, backend, tmp_path, request):
+        store = store_for(backend, tmp_path, request)
+        key = ("a" * 64, "b" * 64, CodeSimilarityScorer().fingerprint)
+        score = Score({"bleu": 1.0}, "a")
+        writer = store.score_cache()
+        writer.put(key, score)
+        assert writer.stats()["disk_puts"] == 1
+        reader = store.score_cache()  # empty memory front: reads the store
+        assert reader.get(key) == score
+        assert reader.get(key) == score  # served from memory this time
+        assert reader.stats()["disk_hits"] == 1
+        unstable = ("a" * 64, "b" * 64, lambda x: x)
+        reader.put(unstable, score)
+        assert reader.stats()["unpersistable"] == 1
+        assert store.score_cache().get(unstable) is None  # never written
+        assert reader.stats()["backend"] == backend
 
 
 class TestScorePersistence:
@@ -589,77 +631,36 @@ class TestResumableSweep:
         assert manifest.stats.generated == manifest.stats.total_units - partial - manifest.stats.deduplicated
 
 
-class TestMmapReads:
-    """Zero-copy mmap segment reads: parity, remap, fallback, lifetime."""
+class TestPreadReads:
+    """Positioned reads on persistent descriptors: appends, GC lifetime."""
 
-    def test_mmap_and_pread_paths_return_identical_records(self, tmp_path):
-        gens = [make_generation(i) for i in range(12)]
-        with RunStore(tmp_path / "store", max_segment_bytes=512) as writer:
-            writer.put_generations(gens)
-        mapped = RunStore(tmp_path / "store", use_mmap=True)
-        plain = RunStore(tmp_path / "store", use_mmap=False)
-        keys = [gen.key for gen in gens]
-        assert mapped.get_generations(keys) == plain.get_generations(keys)
-        for gen in gens:
-            assert mapped.get_generation(gen.key) == plain.get_generation(gen.key)
-        # the mmap store really did map (not silently pread)
-        assert any(r._map is not None for r in mapped._readers.values())
-        assert all(r._map is None for r in plain._readers.values())
-
-    def test_remap_sees_records_appended_past_the_mapping(self, tmp_path):
+    def test_read_sees_records_appended_after_the_descriptor_opened(
+        self, tmp_path
+    ):
         store = RunStore(tmp_path / "store", read_cache_entries=0)
         first = make_generation(0)
         store.put_generation(first)
-        assert store.get_generation(first.key) == first  # maps the segment
+        assert store.get_generation(first.key) == first  # opens the descriptor
         later = make_generation(1)
-        store.put_generation(later)  # same segment, beyond the mapped size
-        assert store.get_generation(later.key) == later  # forces a remap
+        store.put_generation(later)  # same segment, past the first read
+        assert store.get_generation(later.key) == later
         assert store.get_generation(first.key) == first
 
-    def test_pread_fallback_when_mmap_fails(self, tmp_path, monkeypatch):
-        gens = [make_generation(i) for i in range(6)]
-        with RunStore(tmp_path / "store") as writer:
-            writer.put_generations(gens)
-        expected = {
-            gen.key: RunStore(tmp_path / "store").get_generation(gen.key)
-            for gen in gens
-        }
+    def test_descriptor_opened_before_gc_still_reads_the_old_inode(
+        self, tmp_path
+    ):
+        from repro.persist.records import index_key
 
-        import repro.persist.store as store_mod
-
-        class _BrokenMmap:
-            ACCESS_READ = store_mod.mmap.ACCESS_READ
-
-            @staticmethod
-            def mmap(*args, **kwargs):
-                raise OSError("mmap refused")
-
-        monkeypatch.setattr(store_mod, "mmap", _BrokenMmap)
         store = RunStore(tmp_path / "store", read_cache_entries=0)
-        for gen in gens:
-            assert store.get_generation(gen.key) == expected[gen.key]
-        # the failure is sticky per reader: mmap is not retried per record
-        assert all(not r.use_mmap for r in store._readers.values())
-        assert store.read_stats()["bytes_read"] > 0
-
-    def test_live_view_survives_segment_unlink_and_close(self, tmp_path):
-        """An exported record slice stays readable after compaction unlinks
-        the segment, and closing the reader around it must not raise."""
-        from repro.persist.store import _SegmentReader
-
         gen = make_generation(0)
-        with RunStore(tmp_path / "store") as writer:
-            writer.put_generation(gen)
-        segment = list_segments(Path(tmp_path / "store" / "segments"))[0]
-        length = segment.stat().st_size
-        reader = _SegmentReader(segment)
-        view = reader.read(0, length)
-        assert isinstance(view, memoryview)
-        snapshot = bytes(view)
-        segment.unlink()  # what gc() does to replaced segments
-        assert bytes(view) == snapshot  # the unlinked inode stays valid
-        reader.close()  # BufferError from the live export is swallowed
-        assert bytes(view) == snapshot
+        store.put_generation(gen)
+        assert store.get_generation(gen.key) == gen  # opens the descriptor
+        entry = store._index[index_key("gen", gen.key)]
+        RunStore(tmp_path / "store").gc()  # another handle compacts
+        assert not (tmp_path / "store" / "segments" / entry[0]).exists()
+        with store._mu:  # the unlinked inode stays readable
+            assert decode_record(store._pread_locked(entry))["key"] == gen.key
+        assert store.get_generation(gen.key) == gen
 
     def test_gc_compaction_invalidates_and_rereads_cleanly(self, tmp_path):
         store = RunStore(
@@ -667,10 +668,10 @@ class TestMmapReads:
         )
         gens = [make_generation(i) for i in range(10)]
         store.put_generations(gens)
-        for gen in gens:  # establish mappings over several segments
+        for gen in gens:  # open descriptors over several segments
             assert store.get_generation(gen.key) == gen
         store.gc()
-        for gen in gens:  # fresh mappings over the compacted segment
+        for gen in gens:  # fresh descriptors over the compacted segment
             assert store.get_generation(gen.key) == gen
         assert store.verify().clean
 
@@ -703,8 +704,8 @@ class TestConcurrentReadersDuringRotation:
         reader.put_generations(base)
         for gen in base:  # warm the offset index and the persistent fds
             assert reader.get_generation(gen.key) == gen
-        # the reader holds live segment mappings across what follows
-        assert any(r._map is not None for r in reader._readers.values())
+        # the reader holds live segment descriptors across what follows
+        assert reader._fds
 
         batches, batch_size = 24, 16
         ctx = multiprocessing.get_context("spawn")

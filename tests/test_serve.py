@@ -116,13 +116,6 @@ class ServerThread:
         return open_store(f"unix://{self.unix_path}", **options)
 
 
-@pytest.fixture()
-def server(tmp_path):
-    srv = ServerThread(tmp_path / "served")
-    yield srv
-    srv.stop()
-
-
 class TestProtocol:
     def test_frame_roundtrip_over_socketpair(self):
         a, b = socket.socketpair()
