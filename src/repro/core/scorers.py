@@ -45,7 +45,7 @@ _METRIC_FNS: dict[str, Callable[[str, str], float]] = {
 
 # the hot-path implementations actually used for scoring: vectorized
 # kernels that fall back to the reference scorers per reference when
-# packed n-gram codes would overflow
+# its chained n-gram tables would exceed the kernels' table cap
 _KERNEL_FNS: dict[str, Callable[[str, CompiledReference], float]] = {
     "bleu": bleu_kernel,
     "chrf": chrf_kernel,

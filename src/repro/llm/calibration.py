@@ -11,8 +11,11 @@ previous depth, and one
 :meth:`repro.metrics.kernels._TokenKernel.delta_stats` call per range
 query turns those differences into every depth's clipped n-gram counts,
 at a cost that scales with the changed n-grams that hit the reference
-rather than with depths × reference n-grams.  A depth the walk cannot
-take — no vectorized kernel for the reference, or a text that does not
+rather than with depths × reference n-grams.  A depth whose line list
+equals the previous depth's (about two in five: no-op deletions,
+renames of absent words, morphs that rewrite a line into itself) takes
+the previous depth's score without reaching the kernel.  A depth the
+walk cannot take — no vectorized kernel for the reference, or a text that does not
 tokenize line by line — is scored whole with
 :func:`repro.metrics.kernels.bleu_kernel_batch`.  Both paths produce
 the exact integer counts and the same score arithmetic, so
@@ -73,12 +76,15 @@ class QualityCurve:
     their input line lists, so prefix states can be retained safely.
 
     Every range query (:meth:`scores`, :meth:`best`, the fallback scan)
-    scores all its unscored depths with one
+    scores its unscored depths with one
     :meth:`~repro.metrics.kernels._TokenKernel.delta_stats` call, through
     a :class:`_DeltaWalk` that lives only for that query (the curve
     itself is shared across executor threads) — bit-equal to a
-    per-depth reference :func:`~repro.metrics.bleu`.  ``scores_computed``
-    counts exactly the depths scored.
+    per-depth reference :func:`~repro.metrics.bleu`.  Only the depths
+    whose line list differs from the previous depth's reach the kernel;
+    an unchanged depth copies the previous depth's score.
+    ``scores_computed`` counts every depth that gets a score, copied or
+    not.
     """
 
     __slots__ = ("reference", "ops", "compiled", "_states", "_texts", "_scores",
@@ -136,12 +142,18 @@ class QualityCurve:
     def _score_range(self, lo: int, hi: int) -> None:
         """Score every unscored depth in ``[lo, hi]``, in one kernel call.
 
-        Depths go through one :class:`_DeltaWalk` that lives only for
-        this call; a depth the walk cannot take (no token kernel for the
-        reference, or a state that does not tokenize line by line) is
-        scored from its text with :func:`bleu_kernel_batch`.
+        A depth whose line list equals the previous depth's — a no-op
+        operator, such as a rename of an absent word or a morph that
+        rewrites a line into itself — takes that depth's score once the
+        previous depth has one (scored earlier, or in this call), with
+        no walk step.  The other depths go through one
+        :class:`_DeltaWalk` that lives only for this call; a depth the
+        walk cannot take (no token kernel for the reference, or a state
+        that does not tokenize line by line) is scored from its text
+        with :func:`bleu_kernel_batch`.
         """
-        missing = [k for k in range(lo, hi + 1) if k not in self._scores]
+        scores = self._scores
+        missing = [k for k in range(lo, hi + 1) if k not in scores]
         if not missing:
             return
         kernel = _token_kernel(self.compiled)
@@ -149,16 +161,21 @@ class QualityCurve:
         states = self._states_through(missing[-1])
         walked: list[int] = []
         whole: list[int] = []
+        same: list[int] = []
         for k in missing:
-            if walk is not None and walk.step(states[k]):
+            if (k > lo or k - 1 in scores) and states[k] == states[k - 1]:
+                same.append(k)
+            elif walk is not None and walk.step(states[k]):
                 walked.append(k)
             else:
                 whole.append(k)
         if walked:
-            self._scores.update(zip(walked, walk.scores(self.compiled.ref_len)))
+            scores.update(zip(walked, walk.scores(self.compiled.ref_len)))
         if whole:
             texts = [self.text(k) for k in whole]
-            self._scores.update(zip(whole, bleu_kernel_batch(texts, self.compiled)))
+            scores.update(zip(whole, bleu_kernel_batch(texts, self.compiled)))
+        for k in same:  # ascending, so a run of equal states chains
+            scores[k] = scores[k - 1]
         self.scores_computed += len(missing)
 
     def score(self, k: int) -> float:
@@ -226,12 +243,12 @@ class _DeltaWalk:
     def __init__(self, kernel: _TokenKernel) -> None:
         self.kernel = kernel
         # unchanged ids padded onto both sides of a window: max_order - 1
-        self.context = len(kernel.orders) - 1
+        self.context = len(kernel.ref_counts) - 1
         self.lines: list[str] = []
         self.ids: list[int] = []
         self.line_lens: list[int] = []  # tokens per line of ``lines``
-        self.running = [np.zeros(len(uniq), dtype=np.int64)
-                        for uniq, _ in kernel.orders]
+        self.running = [np.zeros(len(ref_counts), dtype=np.int64)
+                        for ref_counts in kernel.ref_counts]
         self.removed: list[list[int]] = []
         self.added: list[list[int]] = []
         self.lengths: list[int] = []

@@ -10,15 +10,19 @@ then scored with a handful of vectorized array operations:
 
 1. map the hypothesis symbols (13a tokens / codepoints) to small
    integer ids against the reference vocabulary — symbols the reference
-   never saw get a sentinel id that cannot collide;
-2. pack every n-gram into one ``int64`` code positionally
-   (``code_n = code_{n-1} * base + id``, ``base = |vocab| + 1``), a
-   bijection for all orders at once, so exact n-gram identity becomes
-   integer equality;
-3. match against the reference's sorted unique codes with
-   ``np.searchsorted``, histogram with ``np.bincount``, and clip with
+   never saw get a sentinel id that cannot collide; an id is also the
+   symbol's unigram index;
+2. follow the reference's chained n-gram index tables, built once per
+   reference: order n's table maps (the index of a gram's (n−1)-prefix
+   among the reference's (n−1)-grams, the gram's last id) to the gram's
+   index among the reference's n-grams, or to a miss value (the number
+   of reference n-grams).  One gather per order,
+   ``idx_n = table_n[idx_{n-1}[:-1] * width + ids[n-1:]]``, finds every
+   n-gram of the hypothesis in the reference — a gram whose prefix
+   missed, or that holds the sentinel, misses too;
+3. histogram the indices with ``np.bincount`` and clip with
    ``np.minimum`` — the entire clipped-match computation for one order
-   is three array ops instead of a Python loop.
+   is a gather and two array ops instead of a Python loop.
 
 The kernels are fixed to the paper's settings: sentence BLEU with 13a
 tokens, orders 1..4 and ``exp`` smoothing; chrF with character orders
@@ -28,18 +32,19 @@ match counts and totals of :func:`~repro.metrics.bleu.bleu` /
 the same order, so scores are bit-equal to the reference scorers
 (pinned with ``==`` in ``tests/test_metrics_kernels.py``).
 
-When packed codes would overflow 63-bit integers (``base**order >=
-2**62``, i.e. a reference with an enormous alphabet), the reference is
-scored per hypothesis through :func:`bleu_compiled` /
+A table holds one entry per (reference (n−1)-gram + miss, symbol id)
+pair, so its size grows with the reference's alphabet.  When one would
+exceed ``_TABLE_CAP`` entries (a reference with an enormous alphabet),
+the reference is scored per hypothesis through :func:`bleu_compiled` /
 :func:`chrf_compiled`, which are the reference scorers on
 ``reference.text`` — same scores, the reference speed.
 
 :func:`bleu_kernel_batch` / :func:`chrf_kernel_batch` score a whole
 group of hypotheses against one reference: all hypotheses are
 concatenated (with out-of-vocabulary sentinel separators, which can
-never match a reference n-gram) into **one** id array, packed once per
-order, and the per-hypothesis clipped matches come out of a single
-fused ``np.bincount`` over ``(gram id, hypothesis)`` keys — the numpy
+never match a reference n-gram) into **one** id array, looked up once
+per order, and the per-hypothesis clipped matches come out of a single
+fused ``np.bincount`` over ``(gram index, hypothesis)`` keys — the numpy
 per-call overhead that dominates short hypotheses is paid once per
 *group* per order instead of once per hypothesis.
 
@@ -79,8 +84,9 @@ from repro.metrics.bleu import DEFAULT_MAX_ORDER, _brevity_penalty, bleu
 from repro.metrics.chrf import DEFAULT_BETA, DEFAULT_CHAR_ORDER, _fscore, chrf
 from repro.metrics.tokenizers import tokenize_13a_cached
 
-# packed codes live in int64; reserve a sign bit and one headroom bit
-_CODE_LIMIT = 2**62
+# entries one chained n-gram table may hold; the largest table of a
+# shipped reference holds ~74k
+_TABLE_CAP = 2**20
 
 # compiled references the LRU keeps; each pins its interned vocabularies
 _COMPILE_CACHE_CAPACITY = 512
@@ -98,8 +104,8 @@ class CompiledReference:
     def __init__(self, text: str) -> None:
         self.text = text
         self._tokens: tuple[str, ...] | None = None
-        # "token" / "char" -> interned kernel, or False when packed codes
-        # would overflow for this reference
+        # "token" / "char" -> interned kernel, or False when its n-gram
+        # tables would exceed the cap for this reference
         self._kernels: dict[str, object] = {}
 
     @property
@@ -167,81 +173,96 @@ def chrf_compiled(hypothesis: str, reference: CompiledReference) -> float:
     return chrf(hypothesis, reference.text)
 
 
-def _pack_codes(ids: "np.ndarray", base: int, max_order: int) -> list:
-    """Per-order arrays of packed n-gram codes (base-``base`` positional).
+def _build_tables(ids: "np.ndarray", width: int, max_order: int):
+    """Chained n-gram index tables and gram counts of one reference.
 
-    ``out[n-1][i]`` is the integer code of the n-gram starting at ``i``;
-    the packing is a bijection (every digit is ``< base``), so two
-    n-grams share a code iff they are equal symbol-for-symbol.
+    ``ids`` are the reference's symbol ids, ``0 .. width - 2``; the id
+    ``width - 1`` is the sentinel.  Returns ``(tables, ref_counts)``:
+    ``ref_counts[n-1][g]`` is how often the reference holds its n-gram
+    ``g``, and ``tables[n-2]`` (orders 2 and up) maps ``prefix * width +
+    id`` — ``prefix`` the (n−1)-prefix's gram index, or that order's miss
+    value — to the n-gram's index, or to ``len(ref_counts[n-1])`` on a
+    miss.  A unigram's index is its id, so order 1 needs no table.
+    Raises :class:`OverflowError` past ``_TABLE_CAP`` entries.
+    """
+    ref_counts = [np.bincount(ids, minlength=width - 1)]
+    tables = []
+    idx = ids
+    for order in range(2, max_order + 1):
+        size = (len(ref_counts[-1]) + 1) * width
+        if size > _TABLE_CAP:
+            raise OverflowError(f"order-{order} n-gram table needs {size} entries")
+        keys = idx[:-1] * width + ids[order - 1 :]
+        uniq, idx, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        table = np.full(size, len(uniq), dtype=np.min_scalar_type(len(uniq)))
+        table[uniq] = np.arange(len(uniq))
+        tables.append(table)
+        ref_counts.append(counts)
+    return tables, ref_counts
+
+
+def _gram_index(ids: "np.ndarray", tables, width: int) -> list:
+    """Per order, the reference gram index of every n-gram of ``ids``.
+
+    ``out[n-1][i]`` indexes the n-gram starting at ``i`` among the
+    reference's n-grams, or is the order's miss value; one gather per
+    order, keyed in ``intp``.
     """
     out = [ids]
-    codes = ids
-    for order in range(2, max_order + 1):
-        codes = codes[:-1] * base + ids[order - 1 :]
-        out.append(codes)
+    idx = ids
+    for order, table in enumerate(tables, start=2):
+        idx = table[idx[:-1].astype(np.intp, copy=False) * width + ids[order - 1 :]]
+        out.append(idx)
     return out
 
 
-def _clipped_counts(codes, vocab) -> int:
-    """Vectorized clipped-match count of ``codes`` against one order's vocab."""
-    uniq, ref_counts = vocab
-    if len(codes) == 0 or len(uniq) == 0:
-        return 0
-    idx = np.searchsorted(uniq, codes)
-    np.clip(idx, 0, len(uniq) - 1, out=idx)
-    valid = uniq[idx] == codes
-    if not valid.any():
-        return 0
-    hyp_counts = np.bincount(idx[valid], minlength=len(uniq))
+def _matches(idx: "np.ndarray", ref_counts: "np.ndarray") -> int:
+    """Clipped matches of one order's gram indices (misses fall in the last bin)."""
+    grams = len(ref_counts)
+    hyp_counts = np.bincount(idx, minlength=grams + 1)[:grams]
     return int(np.minimum(hyp_counts, ref_counts).sum())
 
 
-def _concat_with_separators(ids_list: list, base: int, max_order: int):
+def _concat_with_separators(ids_list: list, width: int, max_order: int):
     """All hypotheses as one id array, plus per-position ownership.
 
-    ``max_order - 1`` out-of-vocabulary sentinel digits (``base - 1``,
-    an id no reference symbol carries) separate consecutive hypotheses,
-    so any n-gram spanning a boundary contains a sentinel and can never
-    equal a reference code — it contributes nothing, which makes the
+    ``max_order - 1`` out-of-vocabulary sentinel ids (``width - 1``, an
+    id no reference symbol carries) separate consecutive hypotheses, so
+    any n-gram spanning a boundary contains a sentinel and can never hit
+    a reference gram — it contributes nothing, which makes the
     start-position ownership attribution safe for every counted gram.
     """
     n = len(ids_list)
     if not n:
-        empty = np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.intp)
         return empty, empty
     sep_len = max_order - 1
-    parts = [np.full(sep_len, base - 1, dtype=np.int64)] * (2 * n - 1)
+    parts = [np.full(sep_len, width - 1, dtype=np.intp)] * (2 * n - 1)
     parts[::2] = ids_list
     spans = np.fromiter(map(len, ids_list), dtype=np.int64, count=n)
     spans[:-1] += sep_len
-    return np.concatenate(parts), np.repeat(np.arange(n, dtype=np.int64), spans)
+    return np.concatenate(parts), np.repeat(np.arange(n, dtype=np.intp), spans)
 
 
-def _batch_clipped_counts(codes, owner, vocab, n: int):
+def _batch_matches(idx, owner, ref_counts, n: int):
     """Per-hypothesis clipped matches of one order, in one fused bincount.
 
-    The ``(gram id, hypothesis)`` pair is folded into a single integer
-    key, histogrammed once, reshaped to a ``(grams, hypotheses)`` count
-    matrix, clipped against the reference counts column-wise, and summed
-    — the whole order for the whole group is a handful of array ops.
+    The ``(gram index, hypothesis)`` pair is folded into a single integer
+    key, histogrammed once, reshaped to a ``(grams + miss, hypotheses)``
+    count matrix, stripped of the miss row, clipped against the reference
+    counts column-wise, and summed — the whole order for the whole group
+    is a handful of array ops.
     """
-    uniq, ref_counts = vocab
-    if len(codes) == 0 or len(uniq) == 0:
-        return np.zeros(n, dtype=np.int64)
-    idx = np.searchsorted(uniq, codes)
-    np.clip(idx, 0, len(uniq) - 1, out=idx)
-    valid = uniq[idx] == codes
-    if not valid.any():
-        return np.zeros(n, dtype=np.int64)
-    key = idx[valid] * n + owner[: len(codes)][valid]
-    counts = np.bincount(key, minlength=len(uniq) * n).reshape(len(uniq), n)
-    return np.minimum(counts, ref_counts[:, None]).sum(axis=0)
+    grams = len(ref_counts)
+    key = idx.astype(np.intp) * n + owner[: len(idx)]
+    counts = np.bincount(key, minlength=(grams + 1) * n).reshape(grams + 1, n)
+    return np.minimum(counts[:grams], ref_counts[:, None]).sum(axis=0)
 
 
 class _TokenKernel:
-    """Interned token n-gram vocabulary of one reference (BLEU side)."""
+    """Chained token n-gram tables of one reference (BLEU side)."""
 
-    __slots__ = ("vocab", "base", "orders")
+    __slots__ = ("vocab", "width", "tables", "ref_counts")
 
     def __init__(self, tokens: Sequence[str]) -> None:
         vocab: dict[str, int] = {}
@@ -249,21 +270,17 @@ class _TokenKernel:
             if token not in vocab:
                 vocab[token] = len(vocab)
         self.vocab = vocab
-        self.base = len(vocab) + 1  # +1: the out-of-vocabulary sentinel digit
-        if self.base**DEFAULT_MAX_ORDER >= _CODE_LIMIT:
-            raise OverflowError("packed token codes would overflow int64")
+        self.width = len(vocab) + 1  # +1: the out-of-vocabulary sentinel id
         ids = np.fromiter(
-            (vocab[token] for token in tokens), dtype=np.int64, count=len(tokens)
+            (vocab[token] for token in tokens), dtype=np.intp, count=len(tokens)
         )
-        self.orders = []
-        for codes in _pack_codes(ids, self.base, DEFAULT_MAX_ORDER):
-            self.orders.append(np.unique(codes, return_counts=True))
+        self.tables, self.ref_counts = _build_tables(ids, self.width, DEFAULT_MAX_ORDER)
 
     def __getstate__(self):  # __slots__ classes need explicit pickle state
-        return (self.vocab, self.base, self.orders)
+        return (self.vocab, self.width, self.tables, self.ref_counts)
 
     def __setstate__(self, state) -> None:
-        self.vocab, self.base, self.orders = state
+        self.vocab, self.width, self.tables, self.ref_counts = state
 
     def token_ids(self, tokens: Iterable[str]) -> list[int]:
         """Token ids against the reference vocab (unknown -> sentinel).
@@ -275,13 +292,13 @@ class _TokenKernel:
 
     def stats(self, hyp_tokens: Sequence[str]) -> tuple[list[int], list[int]]:
         """Per-order (clipped matches, hypothesis n-gram totals) for BLEU."""
-        ids = np.array(self.token_ids(hyp_tokens), dtype=np.int64)
+        ids = np.array(self.token_ids(hyp_tokens), dtype=np.intp)
         counts: list[int] = []
         totals: list[int] = []
-        for codes, vocab in zip(_pack_codes(ids, self.base, len(self.orders)),
-                                self.orders):
-            counts.append(_clipped_counts(codes, vocab))
-            totals.append(len(codes))
+        for idx, ref_counts in zip(_gram_index(ids, self.tables, self.width),
+                                   self.ref_counts):
+            counts.append(_matches(idx, ref_counts))
+            totals.append(len(idx))
         return counts, totals
 
     def batch_stats(self, hyp_token_lists: Sequence[Sequence[str]]):
@@ -292,20 +309,19 @@ class _TokenKernel:
         produce per hypothesis, computed with one set of array ops per
         order for the entire group.
         """
-        ids_list = [np.array(self.token_ids(tokens), dtype=np.int64)
+        ids_list = [np.array(self.token_ids(tokens), dtype=np.intp)
                     for tokens in hyp_token_lists]
         n = len(ids_list)
-        max_order = len(self.orders)
-        cat, owner = _concat_with_separators(ids_list, self.base, max_order)
+        cat, owner = _concat_with_separators(ids_list, self.width, len(self.ref_counts))
         lengths = np.fromiter(
             (len(ids) for ids in ids_list), dtype=np.int64, count=n
         )
         counts = []
         totals = []
-        for order, (codes, vocab) in enumerate(
-            zip(_pack_codes(cat, self.base, max_order), self.orders), start=1
+        for order, (idx, ref_counts) in enumerate(
+            zip(_gram_index(cat, self.tables, self.width), self.ref_counts), start=1
         ):
-            counts.append(_batch_clipped_counts(codes, owner, vocab, n))
+            counts.append(_batch_matches(idx, owner, ref_counts, n))
             totals.append(np.maximum(lengths - order + 1, 0))
         return counts, totals
 
@@ -327,41 +343,40 @@ class _TokenKernel:
         event, and only the events' clipped-count changes are summed.
         """
         n = len(added)
-        max_order = len(self.orders)
+        max_order = len(self.ref_counts)
         # every window followed by max_order - 1 sentinels, so no gram
         # spans two windows; window w < n is depth w's removal, w >= n
         # depth w - n's addition
-        sep = [self.base - 1] * (max_order - 1)
+        sep = [self.width - 1] * (max_order - 1)
         flat: list[int] = []
         for window in chain(removed, added):
             flat += window
             flat += sep
-        cat = np.array(flat, dtype=np.int64)
+        cat = np.array(flat, dtype=np.intp)
         owner = np.repeat(
-            np.arange(2 * n, dtype=np.int64),
-            np.fromiter(map(len, chain(removed, added)), dtype=np.int64, count=2 * n)
+            np.arange(2 * n, dtype=np.intp),
+            np.fromiter(map(len, chain(removed, added)), dtype=np.intp, count=2 * n)
             + len(sep),
         )
         lengths = np.asarray(lengths, dtype=np.int64)
         counts = []
         totals = []
-        for order, (codes, (uniq, ref_counts), hyp_counts) in enumerate(
-            zip(_pack_codes(cat, self.base, max_order), self.orders, running),
+        for order, (idx, ref_counts, hyp_counts) in enumerate(
+            zip(_gram_index(cat, self.tables, self.width), self.ref_counts, running),
             start=1,
         ):
             totals.append(np.maximum(lengths - order + 1, 0))
-            if len(uniq) == 0:
+            grams = len(ref_counts)
+            if grams == 0:
                 counts.append(np.zeros(n, dtype=np.int64))
                 continue
             base = int(np.minimum(hyp_counts, ref_counts).sum())
-            idx = np.searchsorted(uniq, codes)
-            np.minimum(idx, len(uniq) - 1, out=idx)
             # the positions whose gram is a reference gram
-            hits = np.flatnonzero(uniq[idx] == codes)
+            hits = np.flatnonzero(idx != grams)
             if not len(hits):
                 counts.append(np.full(n, base, dtype=np.int64))
                 continue
-            gram = idx[hits]
+            gram = idx[hits].astype(np.intp)
             window = owner[hits]
             added_hit = window >= n
             depth = window - n * added_hit
@@ -401,33 +416,29 @@ def _codepoints(text: str) -> "np.ndarray":
 
 
 class _CharKernel:
-    """Interned character n-gram vocabulary of one reference (chrF side)."""
+    """Chained character n-gram tables of one reference (chrF side)."""
 
-    __slots__ = ("alphabet", "base", "orders", "totals")
+    __slots__ = ("alphabet", "width", "tables", "ref_counts", "totals")
 
     def __init__(self, text: str) -> None:
         codepoints = _codepoints(text)
         self.alphabet = np.unique(codepoints)
-        self.base = len(self.alphabet) + 1
-        if self.base**DEFAULT_CHAR_ORDER >= _CODE_LIMIT:
-            raise OverflowError("packed char codes would overflow int64")
+        self.width = len(self.alphabet) + 1  # +1: the sentinel id
         ids = np.searchsorted(self.alphabet, codepoints)
-        self.orders = []
-        self.totals: list[int] = []
-        for codes in _pack_codes(ids, self.base, DEFAULT_CHAR_ORDER):
-            self.orders.append(np.unique(codes, return_counts=True))
-            self.totals.append(len(codes))
+        self.tables, self.ref_counts = _build_tables(ids, self.width, DEFAULT_CHAR_ORDER)
+        self.totals = [max(len(ids) - order + 1, 0)
+                       for order in range(1, DEFAULT_CHAR_ORDER + 1)]
 
     def __getstate__(self):
-        return (self.alphabet, self.base, self.orders, self.totals)
+        return (self.alphabet, self.width, self.tables, self.ref_counts, self.totals)
 
     def __setstate__(self, state) -> None:
-        self.alphabet, self.base, self.orders, self.totals = state
+        self.alphabet, self.width, self.tables, self.ref_counts, self.totals = state
 
     def _map_ids(self, codepoints: "np.ndarray") -> "np.ndarray":
         if len(self.alphabet) == 0:
             # empty reference alphabet: every hypothesis char is unknown
-            return np.zeros(len(codepoints), dtype=np.int64)
+            return np.zeros(len(codepoints), dtype=np.intp)
         ids = np.searchsorted(self.alphabet, codepoints)
         np.clip(ids, 0, len(self.alphabet) - 1, out=ids)
         ids[self.alphabet[ids] != codepoints] = len(self.alphabet)  # sentinel
@@ -437,10 +448,10 @@ class _CharKernel:
         """Per-order (matches, hyp total, ref total) for the chrF F-score."""
         ids = self._map_ids(_codepoints(hypothesis))
         out: list[tuple[int, int, int]] = []
-        for codes, vocab, ref_total in zip(
-            _pack_codes(ids, self.base, len(self.orders)), self.orders, self.totals
+        for idx, ref_counts, ref_total in zip(
+            _gram_index(ids, self.tables, self.width), self.ref_counts, self.totals
         ):
-            out.append((_clipped_counts(codes, vocab), len(codes), ref_total))
+            out.append((_matches(idx, ref_counts), len(idx), ref_total))
         return out
 
     def batch_stats(self, hypotheses: Sequence[str]):
@@ -452,17 +463,16 @@ class _CharKernel:
         """
         ids_list = [self._map_ids(_codepoints(hyp)) for hyp in hypotheses]
         n = len(ids_list)
-        char_order = len(self.orders)
-        cat, owner = _concat_with_separators(ids_list, self.base, char_order)
+        cat, owner = _concat_with_separators(ids_list, self.width, len(self.ref_counts))
         lengths = np.fromiter(
             (len(ids) for ids in ids_list), dtype=np.int64, count=n
         )
         out = []
-        for order, (codes, vocab, ref_total) in enumerate(
-            zip(_pack_codes(cat, self.base, char_order), self.orders, self.totals),
+        for order, (idx, ref_counts, ref_total) in enumerate(
+            zip(_gram_index(cat, self.tables, self.width), self.ref_counts, self.totals),
             start=1,
         ):
-            matches = _batch_clipped_counts(codes, owner, vocab, n)
+            matches = _batch_matches(idx, owner, ref_counts, n)
             out.append((matches, np.maximum(lengths - order + 1, 0), ref_total))
         return out
 
@@ -470,8 +480,8 @@ class _CharKernel:
 def _kernel(ref: CompiledReference, kind: str, build) -> object | None:
     """``ref``'s interned ``kind`` kernel, built once by ``build()``.
 
-    ``None`` when packed codes would overflow for this reference; the
-    caller then scores through the reference fallback.
+    ``None`` when an n-gram table would exceed ``_TABLE_CAP`` for this
+    reference; the caller then scores through the reference fallback.
     """
     kernel = ref._kernels.get(kind)
     if kernel is None:

@@ -1,11 +1,14 @@
-"""Fidelity ratchet: how far the reproduction sits from the paper's tables.
+"""Fidelity ratchet: how far the reproduction sits from the paper's numbers.
 
 Pins the per-table mean and max |measured - paper| for BLEU *and* ChrF
-over the Table 1/2/3 cells, at the paper's 5 trials per cell.  The
-pinned values are today's errors, so this is a ratchet that may only
-tighten: a change that moves any table further from the paper fails
-here, and a change that moves it closer should lower the pin to the new
-value in the same commit.
+over the Table 1/2/3 cells and the 8 Table 5 cells, at the paper's 5
+trials per cell, and the per-figure mean and max BLEU |Δ| over the
+Figure 1a/1b/1c heatmaps, at one run per cell as the paper reports
+them.  The pinned values are today's errors, so this is a ratchet that
+may only tighten: a change that moves any table or figure further from
+the paper fails here, and a change that moves it closer should lower
+the pin to the new value in the same commit.  Each sweep runs once per
+module.
 """
 
 from __future__ import annotations
@@ -14,8 +17,14 @@ import statistics
 
 import pytest
 
-from repro.core.experiments import run_annotation, run_configuration, run_translation
-from repro.data import TABLE1, TABLE2, TABLE3
+from repro.core.experiments import (
+    run_annotation,
+    run_configuration,
+    run_fewshot,
+    run_prompt_sensitivity,
+    run_translation,
+)
+from repro.data import FIGURE1A, FIGURE1B, FIGURE1C, MODELS, TABLE1, TABLE2, TABLE3, TABLE5
 
 EPOCHS = 5
 TOLERANCE = 1e-3
@@ -27,12 +36,35 @@ TABLES = {
     "T3": (run_translation, TABLE3),
 }
 
+#: figure -> (prompt-sensitivity experiment, paper heatmap)
+FIGURES = {
+    "F1a": ("configuration", FIGURE1A),
+    "F1b": ("annotation", FIGURE1B),
+    "F1c": ("translation", FIGURE1C),
+}
+
 #: table -> {error statistic: pinned ceiling}, in score points (0..100)
 PINNED = {
     "T1": {"bleu_mean": 1.140, "bleu_max": 3.150, "chrf_mean": 18.633, "chrf_max": 25.346},
     "T2": {"bleu_mean": 0.819, "bleu_max": 2.544, "chrf_mean": 6.028, "chrf_max": 14.068},
     "T3": {"bleu_mean": 1.293, "bleu_max": 4.661, "chrf_mean": 6.750, "chrf_max": 19.084},
+    "T5": {"bleu_mean": 0.770, "bleu_max": 1.784, "chrf_mean": 11.136, "chrf_max": 21.130},
 }
+
+#: figure -> {error statistic: pinned ceiling}, BLEU only (the heatmaps' metric)
+FIGURE_PINNED = {
+    "F1a": {"bleu_mean": 1.866, "bleu_max": 8.414},
+    "F1b": {"bleu_mean": 1.871, "bleu_max": 13.060},
+    "F1c": {"bleu_mean": 1.721, "bleu_max": 8.027},
+}
+
+
+def _stats(deltas: dict[str, list[float]]) -> dict[str, float]:
+    out = {}
+    for metric, values in deltas.items():
+        out[f"{metric}_mean"] = statistics.fmean(values)
+        out[f"{metric}_max"] = max(values)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +73,40 @@ def errors() -> dict[str, dict[str, float]]:
     out = {}
     for name, (runner, paper) in TABLES.items():
         grid = runner(epochs=EPOCHS)
-        stats = {}
-        for metric in ("bleu", "chrf"):
-            deltas = [
+        out[name] = _stats({
+            metric: [
                 abs(getattr(grid.cell(row, model), metric).mean - getattr(cell, metric))
                 for (row, model), cell in paper.items()
             ]
-            stats[f"{metric}_mean"] = statistics.fmean(deltas)
-            stats[f"{metric}_max"] = max(deltas)
-        out[name] = stats
+            for metric in ("bleu", "chrf")
+        })
+    comparison = run_fewshot(epochs=EPOCHS)
+    shots = {"zero-shot": comparison.zero_shot, "few-shot": comparison.few_shot}
+    out["T5"] = _stats({
+        metric: [
+            abs(getattr(shots[mode][model], metric).mean - getattr(cell, metric))
+            for model, modes in TABLE5.items()
+            for mode, cell in modes.items()
+        ]
+        for metric in ("bleu", "chrf")
+    })
+    return out
+
+
+@pytest.fixture(scope="module")
+def figure_errors() -> dict[str, dict[str, float]]:
+    """Per-figure mean/max absolute BLEU error vs the paper, single runs."""
+    out = {}
+    for name, (experiment, paper) in FIGURES.items():
+        heatmap = run_prompt_sensitivity(experiment, epochs=1)
+        out[name] = _stats({
+            "bleu": [
+                abs(heatmap[condition][variant][model] - value)
+                for condition, variants in paper.items()
+                for variant, values in variants.items()
+                for model, value in zip(MODELS, values, strict=True)
+            ]
+        })
     return out
 
 
@@ -60,4 +117,14 @@ def test_error_vs_paper_does_not_grow(errors, table, stat):
     pinned = PINNED[table][stat]
     assert measured <= pinned + TOLERANCE, (
         f"{table} {stat} |Δ| vs paper grew: {measured:.3f} > pinned {pinned:.3f}"
+    )
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_PINNED))
+@pytest.mark.parametrize("stat", ["bleu_mean", "bleu_max"])
+def test_figure_error_vs_paper_does_not_grow(figure_errors, figure, stat):
+    measured = figure_errors[figure][stat]
+    pinned = FIGURE_PINNED[figure][stat]
+    assert measured <= pinned + TOLERANCE, (
+        f"{figure} {stat} |Δ| vs paper grew: {measured:.3f} > pinned {pinned:.3f}"
     )

@@ -19,6 +19,7 @@ from repro.llm.calibration import (
 )
 from repro.llm.corruption import (
     CorruptionOp,
+    _morph_line,
     _replace_word,
     apply_ops,
     build_ops,
@@ -216,6 +217,18 @@ class TestQualityCurve:
         monkeypatch.setattr(calibration, "bleu_kernel_batch", whole)
         return delta_calls, whole_calls
 
+    @staticmethod
+    def _changed_depths(ops):
+        """Depths whose line list differs from the previous depth's.
+
+        Replays ``ops`` from the reference, independently of the curve;
+        depth 0 always counts (a walk starts from the empty state).
+        """
+        states = [REF.split("\n")]
+        for op in ops:
+            states.append(op.apply(states[-1]))
+        return [k for k in range(len(states)) if k == 0 or states[k] != states[k - 1]]
+
     def test_batched_scores_equal_per_depth_reference(self, monkeypatch):
         delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
         ops = self._ops()
@@ -223,11 +236,15 @@ class TestQualityCurve:
         curve = QualityCurve(REF, ops)
         expected = [bleu(curve.text(k), curve.reference) for k in range(len(curve))]
         assert curve.scores() == expected
-        assert delta_calls == [len(curve)]
+        # only the depths whose state changed reach the kernel
+        changed = self._changed_depths(ops)
+        assert len(changed) < len(curve)
+        assert delta_calls == [len(changed)]
         assert whole_calls == []
+        assert curve.scores_computed == len(curve)
         # a scored range costs no further kernel call
         curve.best(50.0, 3, 40)
-        assert delta_calls == [len(curve)]
+        assert delta_calls == [len(changed)]
 
     def test_whole_text_fallback_mid_range_keeps_one_delta_stats_call(
         self, monkeypatch
@@ -235,7 +252,7 @@ class TestQualityCurve:
         delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
         base = self._ops()
         mid = len(base) // 2
-        # a ``-``-ended line does not tokenize line by line: the two
+        # a ``-``-ended line does not tokenize line by line: the changed
         # depths that carry it are scored whole, the walk resumes after
         ops = (
             base[:mid]
@@ -249,8 +266,47 @@ class TestQualityCurve:
         assert len(curve) > 64
         expected = [bleu(curve.text(k), curve.reference) for k in range(len(curve))]
         assert curve.scores() == expected
-        assert delta_calls == [len(curve) - 2]
-        assert whole_calls == [[curve.text(mid + 1), curve.text(mid + 2)]]
+        changed = self._changed_depths(ops)
+        dashed = [k for k in changed if "work-" in curve.text(k).split("\n")]
+        assert dashed[0] == mid + 1 and dashed[-1] <= mid + 2
+        assert delta_calls == [len(changed) - len(dashed)]
+        assert whole_calls == [[curve.text(k) for k in dashed]]
+        assert curve.scores_computed == len(curve)
+
+    def test_unchanged_states_reuse_previous_score(self, monkeypatch):
+        delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
+        base = self._ops()
+        identity = CorruptionOp("edit", 1, "identity", lambda ls: ls)
+        absent = CorruptionOp("rename", 1, "rename absent",
+                              lambda ls: _replace_word(ls, "no_such_word", "x"))
+        morph = CorruptionOp("morph", 3, "morph line at 0.50",
+                             lambda ls: _morph_line(ls, 0.5, ["morphed = 1"]))
+        # depths 4..6 and 8 repeat the state before them
+        ops = [*base[:2], morph, morph, identity, absent, base[2], absent, *base[3:8]]
+        unchanged = [4, 5, 6, 8]
+        assert [k for k in range(len(ops) + 1)
+                if k not in self._changed_depths(ops)] == unchanged
+        curve = QualityCurve(REF, ops)
+        expected = [bleu(curve.text(k), curve.reference) for k in range(len(curve))]
+        # a range that starts on a run of unchanged states whose previous
+        # depth is scored: the run copies, only depth 7 reaches the kernel
+        assert curve.score(3) == expected[3]
+        assert delta_calls == [1]
+        curve.best(50.0, 4, 7)
+        assert delta_calls == [1, 1]
+        assert [curve.score(k) for k in range(3, 8)] == expected[3:8]
+        # the same run with an unscored previous depth: its first depth
+        # is walked in full, the rest copy
+        fresh = QualityCurve(REF, ops)
+        fresh.best(50.0, 5, 8)
+        assert delta_calls == [1, 1, 2]
+        assert [fresh.score(k) for k in range(5, 9)] == expected[5:9]
+        # the rest of both curves, checked at every depth
+        assert curve.scores() == expected
+        assert fresh.scores() == expected
+        assert curve.scores_computed == len(curve)
+        assert fresh.scores_computed == len(fresh)
+        assert whole_calls == []
 
     def test_batched_scores_equal_per_depth_reference_on_code_overflow(
         self, monkeypatch

@@ -2,9 +2,10 @@
 
 The kernels must be bit-equal (``==``) to the reference ``bleu``/``chrf``
 scorers across unicode, lone-surrogate, empty and whitespace-only
-inputs, batches must equal per-hypothesis scoring element-wise, a
-reference whose packed codes would overflow must be scored through the
-``bleu_compiled``/``chrf_compiled`` fallbacks, interned vocabularies
+inputs, batches must equal per-hypothesis scoring element-wise, the
+chained n-gram tables must index every n-gram as brute-force matching
+does, a reference whose tables would exceed the cap must be scored
+through the ``bleu_compiled``/``chrf_compiled`` fallbacks, the tables
 must survive pickling, and the content-hash compile cache must evict
 least-recently-used references beyond its capacity.
 """
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import importlib
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.metrics.kernels as kernels
@@ -25,7 +27,9 @@ from repro.metrics import bleu, chrf
 from repro.metrics.bleu import _compute_score, corpus_bleu
 from repro.metrics.kernels import (
     CompiledReference,
-    _pack_codes,
+    _CharKernel,
+    _codepoints,
+    _gram_index,
     _TokenKernel,
     bleu_from_stats,
     bleu_kernel,
@@ -304,15 +308,137 @@ def _delta_walk(start, edits, context):
     return streams, removed, added
 
 
-def _gram_counts(kernel, tokens):
-    """Fresh per-order hypothesis counts of every reference gram."""
-    ids = np.array(kernel.token_ids(tokens), dtype=np.int64)
+def _ngrams(symbols, order):
+    return [tuple(symbols[i : i + order]) for i in range(len(symbols) - order + 1)]
+
+
+def _table_walk(kernel, gram_ids):
+    """A gram's index, one scalar table lookup per order after the first."""
+    idx = gram_ids[0]
+    for table, symbol in zip(kernel.tables, gram_ids[1:]):
+        idx = int(table[idx * kernel.width + symbol])
+    return idx
+
+
+def _gram_counts(kernel, ref_tokens, tokens):
+    """Per-order counts in ``tokens`` of every reference gram, by tuple."""
     out = []
-    for codes, (uniq, _) in zip(_pack_codes(ids, kernel.base, len(kernel.orders)),
-                                kernel.orders):
-        out.append(np.array([int((codes == gram).sum()) for gram in uniq],
-                            dtype=np.int64))
+    for order, ref_counts in enumerate(kernel.ref_counts, start=1):
+        in_stream = Counter(_ngrams(tokens, order))
+        counts = np.zeros(len(ref_counts), dtype=np.int64)
+        for gram in set(_ngrams(ref_tokens, order)):
+            counts[_table_walk(kernel, kernel.token_ids(gram))] = in_stream[gram]
+        out.append(counts)
     return out
+
+
+def _check_gram_index(kernel, ref_symbols, ref_ids, hyp_symbols, hyp_ids):
+    """Each order's gram indices equal brute-force n-gram tuple matching.
+
+    The reference's own grams must get one index per distinct tuple,
+    covering ``0 .. G-1`` with their reference counts; a hypothesis gram
+    must get its equal reference gram's index, or the miss value ``G``.
+    """
+    ref_index = _gram_index(ref_ids, kernel.tables, kernel.width)
+    hyp_index = _gram_index(hyp_ids, kernel.tables, kernel.width)
+    assert len(ref_index) == len(hyp_index) == len(kernel.ref_counts)
+    for order, ref_counts in enumerate(kernel.ref_counts, start=1):
+        ref_grams = _ngrams(ref_symbols, order)
+        label = dict(zip(ref_grams, ref_index[order - 1].tolist()))
+        assert [label[gram] for gram in ref_grams] == ref_index[order - 1].tolist()
+        assert sorted(label.values()) == list(range(len(ref_counts)))
+        in_ref = Counter(ref_grams)
+        assert ref_counts.tolist() == [in_ref[gram]
+                                       for gram in sorted(label, key=label.get)]
+        miss = len(ref_counts)
+        assert hyp_index[order - 1].tolist() == [
+            label.get(gram, miss) for gram in _ngrams(hyp_symbols, order)
+        ]
+
+
+class TestGramIndex:
+    """The chained tables index every n-gram as brute-force matching does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ref_tokens=st.lists(st.sampled_from(_DELTA_ALPHABET[:4]), max_size=12),
+        # "zz" is never in a reference: it maps to the sentinel id
+        hyp_tokens=st.lists(st.sampled_from(_DELTA_ALPHABET), max_size=30),
+    )
+    @example(ref_tokens=[], hyp_tokens=["a", "zz"])
+    @example(ref_tokens=["a", "b"], hyp_tokens=[])
+    def test_token_kernel(self, ref_tokens, hyp_tokens):
+        kernel = _TokenKernel(ref_tokens)
+        ref_ids, hyp_ids = (np.array(kernel.token_ids(tokens), dtype=np.intp)
+                            for tokens in (ref_tokens, hyp_tokens))
+        _check_gram_index(kernel, ref_tokens, ref_ids, hyp_tokens, hyp_ids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ref=st.text(alphabet="abcd ", max_size=20),
+        # "z" and "é" are never in a reference: they map to the sentinel id
+        hyp=st.text(alphabet="abcdzé \n", max_size=40),
+    )
+    @example(ref="", hyp="abz")
+    @example(ref="ab ab", hyp="")
+    def test_char_kernel(self, ref, hyp):
+        kernel = _CharKernel(ref)
+        ref_ids, hyp_ids = (kernel._map_ids(_codepoints(text)) for text in (ref, hyp))
+        ref_chars, hyp_chars = ("".join(text.split()) for text in (ref, hyp))
+        _check_gram_index(kernel, ref_chars, ref_ids, hyp_chars, hyp_ids)
+
+    def test_tables_use_the_smallest_unsigned_dtype(self):
+        kernel = _TokenKernel([f"t{i}" for i in range(300)])
+        # 299 bigrams: the miss value 299 needs 16 bits
+        assert kernel.tables[0].dtype == np.uint16
+        assert _TokenKernel(["a", "b", "a"]).tables[0].dtype == np.uint8
+
+
+class TestTableCap:
+    """A reference whose largest table passes ``_TABLE_CAP`` falls back."""
+
+    # n distinct symbols, each once: the order-2 table holds (n + 1)**2
+    # entries, exactly the cap at n = 1023
+    AT_CAP = 1023
+
+    @staticmethod
+    def _tokens(n):
+        return " ".join(f"t{i}" for i in range(n))
+
+    @staticmethod
+    def _chars(n):
+        return "".join(chr(cp) for cp in range(0x4E00, 0x4E00 + n))
+
+    def test_reference_at_the_cap_keeps_its_kernels(self, fallback_calls):
+        assert (self.AT_CAP + 1) ** 2 == kernels._TABLE_CAP
+        for text, kind in ((self._tokens(self.AT_CAP), "token"),
+                           (self._chars(self.AT_CAP), "char")):
+            ref = compile_reference(text)
+            hyp = text[: len(text) // 3]
+            assert bleu_kernel(hyp, ref) == bleu(hyp, text)
+            assert chrf_kernel(hyp, ref) == chrf(hyp, text)
+            kernel = ref._kernels[kind]
+            assert max(table.size for table in kernel.tables) == kernels._TABLE_CAP
+        assert fallback_calls == {"bleu": 0, "chrf": 0}
+
+    def test_reference_just_over_the_cap_falls_back(self, fallback_calls):
+        tokens = self._tokens(self.AT_CAP + 1)
+        ref = compile_reference(tokens)
+        hyps = [tokens[:900], "", tokens[-300:] + " t5 t6"]
+        assert [bleu_kernel(hyp, ref) for hyp in hyps] == [
+            bleu(hyp, tokens) for hyp in hyps
+        ]
+        assert bleu_kernel_batch(hyps, ref) == [bleu(hyp, tokens) for hyp in hyps]
+        assert ref._kernels["token"] is False
+        chars = self._chars(self.AT_CAP + 1)
+        ref = compile_reference(chars)
+        hyps = [chars[:200], "", chars[::-3]]
+        assert [chrf_kernel(hyp, ref) for hyp in hyps] == [
+            chrf(hyp, chars) for hyp in hyps
+        ]
+        assert chrf_kernel_batch(hyps, ref) == [chrf(hyp, chars) for hyp in hyps]
+        assert ref._kernels["char"] is False
+        assert fallback_calls == {"bleu": 6, "chrf": 6}
 
 
 _edit = st.tuples(
@@ -328,11 +454,12 @@ class TestDeltaStats:
     def _check(self, ref_tokens, start, edits, split):
         kernel = _TokenKernel(ref_tokens)
         streams, removed, added = _delta_walk(
-            start, edits, context=len(kernel.orders) - 1
+            start, edits, context=len(kernel.ref_counts) - 1
         )
         removed = [kernel.token_ids(window) for window in removed]
         added = [kernel.token_ids(window) for window in added]
-        running = [np.zeros(len(uniq), dtype=np.int64) for uniq, _ in kernel.orders]
+        running = [np.zeros(len(ref_counts), dtype=np.int64)
+                   for ref_counts in kernel.ref_counts]
         expected_counts, expected_totals = kernel.batch_stats(streams)
         lengths = [len(stream) for stream in streams]
         # two consecutive calls on one ``running``
@@ -341,12 +468,12 @@ class TestDeltaStats:
             counts, totals = kernel.delta_stats(
                 running, removed[lo:hi], added[lo:hi], lengths[lo:hi]
             )
-            for order in range(len(kernel.orders)):
+            for order in range(len(kernel.ref_counts)):
                 assert counts[order].tolist() == expected_counts[order][lo:hi].tolist()
                 assert totals[order].tolist() == expected_totals[order][lo:hi].tolist()
             last = streams[hi - 1] if hi else []
             assert [r.tolist() for r in running] == [
-                c.tolist() for c in _gram_counts(kernel, last)
+                c.tolist() for c in _gram_counts(kernel, ref_tokens, last)
             ]
 
     @settings(max_examples=150, deadline=None)
@@ -460,6 +587,25 @@ class TestKernelPickling:
         for hyp in ("engine.put(var, data)", "engine.get(var)", ""):
             assert bleu_kernel(hyp, clone) == bleu_kernel(hyp, ref)
             assert chrf_kernel(hyp, clone) == chrf_kernel(hyp, ref)
+
+    @pytest.mark.parametrize("kernel", [
+        _TokenKernel("engine . put ( var , data ) engine . get ( var )".split()),
+        _CharKernel("engine.put(var, data) engine.get(var)"),
+        _TokenKernel([]),
+        _CharKernel(""),
+    ], ids=["token", "char", "empty-token", "empty-char"])
+    def test_tables_round_trip(self, kernel):
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert type(clone) is type(kernel)
+        assert clone.width == kernel.width
+        for got, want in zip(clone.tables + clone.ref_counts,
+                             kernel.tables + kernel.ref_counts, strict=True):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        ids = np.arange(kernel.width, dtype=np.intp)[::-1].repeat(2)
+        assert [idx.tolist() for idx in _gram_index(ids, clone.tables, clone.width)] == [
+            idx.tolist() for idx in _gram_index(ids, kernel.tables, kernel.width)
+        ]
 
 
 class TestCompileCache:
