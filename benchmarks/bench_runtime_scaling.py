@@ -1,4 +1,4 @@
-"""Runtime scaling — executors, schedulers and result cache on a fixed sweep.
+"""Runtime scaling — executors and result cache on a fixed sweep.
 
 Times the Table 1-shaped sweep (4 models × 3 systems × 2 epochs = 24
 generations) on the two executors — serial, and async with both kinds of
@@ -21,11 +21,6 @@ provider (per-unit, and batch-capable) — three ways:
 * and with a **warm result cache**, which must skip the model layer
   entirely (zero new generations) while producing identical results.
 
-A section compares plan-order dispatch against the adaptive
-longest-expected-unit-first scheduler on a heterogeneous-latency sweep
-(one slow provider, three fast ones, async executor, per-unit calls) —
-the regime where dispatch order shapes the makespan tail.
-
 Numbers land in ``benchmarks/output/runtime_scaling.txt`` so future PRs
 have a perf trajectory to compare against.
 """
@@ -41,7 +36,6 @@ from repro.core.experiments.configuration import (
 from repro.data import MODELS
 from repro.llm.api import get_model, register_model
 from repro.runtime import (
-    AdaptiveScheduler,
     AsyncExecutor,
     InMemoryResultCache,
     Plan,
@@ -52,8 +46,6 @@ from repro.runtime import (
 
 EPOCHS = 2
 API_LATENCY_S = 0.15  # per-call delay of the simulated network endpoint
-SLOW_MODEL_LATENCY_S = 0.6  # the straggler provider of the hetero sweep
-FAST_MODEL_LATENCY_S = 0.02
 
 
 class _LatencyProvider:
@@ -100,19 +92,6 @@ def _register_latency_models() -> None:
             )
 
 
-def _register_hetero_models() -> None:
-    """One slow provider (o3) among three fast ones."""
-    for model in MODELS:
-        inner = get_model(f"sim/{model}").provider
-        delay = SLOW_MODEL_LATENCY_S if model == "o3" else FAST_MODEL_LATENCY_S
-        register_model(
-            f"hetsim/{model}",
-            lambda inner=inner, delay=delay: _LatencyProvider(
-                inner, delay, "hetsim"
-            ),
-        )
-
-
 def _register_cold_models() -> None:
     """Fresh SimulatedModel instances: nothing calibrated, nothing compiled."""
     from repro.llm.profiles import ALL_PROFILES
@@ -125,19 +104,19 @@ def _register_cold_models() -> None:
         )
 
 
-def _sweep_plan(namespace: str, models=MODELS) -> Plan:
+def _sweep_plan(namespace: str) -> Plan:
     plan = Plan(f"scaling/{namespace}")
     for system in CONFIGURATION_SYSTEMS:
         task = configuration_task(system)
-        for model in models:
+        for model in MODELS:
             plan.add_eval(task, f"{namespace}/{model}", epochs=EPOCHS)
     return plan
 
 
-def _timed(namespace: str, executor, cache=None, scheduler=None, models=MODELS):
-    plan = _sweep_plan(namespace, models=models)
+def _timed(namespace: str, executor, cache=None):
+    plan = _sweep_plan(namespace)
     started = time.perf_counter()
-    config = RunConfig(executor=executor, cache=cache, scheduler=scheduler)
+    config = RunConfig(executor=executor, cache=cache)
     outcome = run(plan, config=config)
     return time.perf_counter() - started, outcome
 
@@ -153,7 +132,7 @@ def bench_runtime_scaling(report):
     # steady-state generation, not one-off calibration
     run(_sweep_plan("sim"))
 
-    with AsyncExecutor(16) as async16, AsyncExecutor(4) as async4:
+    with AsyncExecutor(16) as async16:
         # (label, executor, CPU-bound namespace, latency-bound namespace);
         # the simulator is batch-capable, so async on it runs batched
         executors = [
@@ -213,28 +192,6 @@ def bench_runtime_scaling(report):
             f"CPU-bound (GIL) speedup vs serial: async-16 batch "
             f"{sim_times['serial'] / sim_times['async-16 batch']:.1f}x",
         ]
-
-        # adaptive scheduling: a straggler provider among fast ones; the
-        # longest-expected-first order is learned online, so the first
-        # adaptive run doubles as training and the second one is measured
-        _register_hetero_models()
-        hetero_models = [m for m in MODELS if m != "o3"] + ["o3"]  # straggler last
-        plan_time, _ = _timed("hetsim", async4, models=hetero_models)
-        scheduler = AdaptiveScheduler()
-        _timed("hetsim", async4, scheduler=scheduler,
-               models=hetero_models)  # training pass
-        adaptive_time, _ = _timed(
-            "hetsim", async4, scheduler=scheduler, models=hetero_models,
-        )
-    lines += [
-        "",
-        "adaptive scheduling — hetero latency "
-        f"(o3 {SLOW_MODEL_LATENCY_S * 1000:.0f} ms/call, others "
-        f"{FAST_MODEL_LATENCY_S * 1000:.0f} ms/call), async-4, per-unit calls:",
-        f"  plan order:      {plan_time * 1000:>6.0f} ms",
-        f"  adaptive (LPT):  {adaptive_time * 1000:>6.0f} ms "
-        "(longest-expected-unit first, cost model trained online)",
-    ]
 
     report("runtime_scaling", "\n".join(lines))
 

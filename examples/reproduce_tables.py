@@ -48,7 +48,7 @@ reports ``units_failed`` before → after.
 
 Usage:  python examples/reproduce_tables.py [--fast]
             [--executor {serial,async}] [--workers N]
-            [--scheduler {plan,adaptive}] [--cache {memory,disk}]
+            [--cache {memory,disk}]
             [--store PATH_OR_URL]
             [--on-failure {raise,isolate,skip}] [--max-attempts N]
             [--retry-budget N] [--unit-deadline SECONDS]
@@ -83,12 +83,7 @@ from repro.reporting import (
     render_figure1,
     render_grid_table,
 )
-from repro.runtime import (
-    AdaptiveScheduler,
-    AsyncExecutor,
-    InMemoryResultCache,
-    SerialExecutor,
-)
+from repro.runtime import AsyncExecutor, InMemoryResultCache, SerialExecutor
 
 
 class UsageError(Exception):
@@ -96,7 +91,6 @@ class UsageError(Exception):
 
 
 EXECUTORS = ("serial", "async")
-SCHEDULERS = ("plan", "adaptive")
 CACHES = ("memory", "disk")
 
 
@@ -106,14 +100,6 @@ def make_executor(name: str, workers: int):
     if name == "async":
         return AsyncExecutor(max_concurrency=workers)
     raise UsageError(f"unknown executor {name!r}; choose from {', '.join(EXECUTORS)}")
-
-
-def make_scheduler(name: str):
-    if name == "plan":
-        return None  # runtime default: plan order
-    if name == "adaptive":
-        return AdaptiveScheduler()
-    raise UsageError(f"unknown scheduler {name!r}; choose from {', '.join(SCHEDULERS)}")
 
 
 def make_faults(args):
@@ -170,11 +156,6 @@ def main() -> None:
     parser.add_argument(
         "--workers", type=int, default=8,
         help="async in-flight calls",
-    )
-    parser.add_argument(
-        "--scheduler", default="plan",
-        help=f"dispatch order: {', '.join(SCHEDULERS)} (default: plan; adaptive = "
-             "longest-expected-unit first, learned online across the tables)",
     )
     parser.add_argument(
         "--cache", default=None,
@@ -245,7 +226,6 @@ def main() -> None:
         # every knob that needs no store is checked before the store is
         # opened, so a bad one leaves no store directory behind
         executor = make_executor(args.executor, args.workers)
-        scheduler = make_scheduler(args.scheduler)
         faults = make_faults(args)
         if args.resume_failed is not None and args.store is None:
             raise UsageError("--resume-failed requires --store PATH")
@@ -258,8 +238,8 @@ def main() -> None:
         from repro.runtime import RunConfig
 
         config = RunConfig(
-            executor=executor, cache=cache, scheduler=scheduler, store=store,
-            faults=faults, store_url=args.store,
+            executor=executor, cache=cache, store=store, faults=faults,
+            store_url=args.store,
         )
         resume_prior = None
         if args.resume_failed is not None:

@@ -16,8 +16,7 @@ against one reference, :func:`compile_reference` the reference once and
 score with the vectorized kernels :func:`bleu_kernel` /
 :func:`chrf_kernel` (id-interned numpy n-gram counting at the paper's
 settings; bit-equal to the oracle, several times faster per
-hypothesis), or :func:`bleu_kernel_batch` / :func:`chrf_kernel_batch`
-for whole hypothesis groups.
+hypothesis), or :func:`bleu_kernel_batch` for whole hypothesis groups.
 """
 
 from repro.metrics.bleu import BleuScore, bleu, corpus_bleu
@@ -27,7 +26,6 @@ from repro.metrics.kernels import (
     bleu_kernel,
     bleu_kernel_batch,
     chrf_kernel,
-    chrf_kernel_batch,
     compile_reference,
 )
 from repro.metrics.stats import Aggregate, aggregate, mean, stderr
@@ -45,7 +43,6 @@ __all__ = [
     "bleu_kernel",
     "bleu_kernel_batch",
     "chrf_kernel",
-    "chrf_kernel_batch",
     "Aggregate",
     "aggregate",
     "mean",

@@ -39,14 +39,15 @@ the reference is scored per hypothesis through :func:`bleu_compiled` /
 :func:`chrf_compiled`, which are the reference scorers on
 ``reference.text`` — same scores, the reference speed.
 
-:func:`bleu_kernel_batch` / :func:`chrf_kernel_batch` score a whole
-group of hypotheses against one reference: all hypotheses are
-concatenated (with out-of-vocabulary sentinel separators, which can
-never match a reference n-gram) into **one** id array, looked up once
-per order, and the per-hypothesis clipped matches come out of a single
-fused ``np.bincount`` over ``(gram index, hypothesis)`` keys — the numpy
-per-call overhead that dominates short hypotheses is paid once per
-*group* per order instead of once per hypothesis.
+:func:`bleu_kernel_batch` scores a whole group of hypotheses against
+one reference (the calibration curve's whole-text fallback): all
+hypotheses are concatenated (with out-of-vocabulary sentinel
+separators, which can never match a reference n-gram) into **one** id
+array, looked up once per order, and the per-hypothesis clipped
+matches come out of a single fused ``np.bincount`` over ``(gram index,
+hypothesis)`` keys — the numpy per-call overhead that dominates short
+hypotheses is paid once per *group* per order instead of once per
+hypothesis.
 
 Simulator calibration (:class:`repro.llm.calibration.QualityCurve`)
 scores a run of corruption depths whose texts differ by a line or two
@@ -454,28 +455,6 @@ class _CharKernel:
             out.append((_matches(idx, ref_counts), len(idx), ref_total))
         return out
 
-    def batch_stats(self, hypotheses: Sequence[str]):
-        """Per-order (matches, hyp totals, ref total) over a whole group.
-
-        ``[order]`` holds two arrays indexed by hypothesis plus the
-        shared reference total — the same integers ``stats`` produces,
-        one fused set of array ops per order for the entire group.
-        """
-        ids_list = [self._map_ids(_codepoints(hyp)) for hyp in hypotheses]
-        n = len(ids_list)
-        cat, owner = _concat_with_separators(ids_list, self.width, len(self.ref_counts))
-        lengths = np.fromiter(
-            (len(ids) for ids in ids_list), dtype=np.int64, count=n
-        )
-        out = []
-        for order, (idx, ref_counts, ref_total) in enumerate(
-            zip(_gram_index(cat, self.tables, self.width), self.ref_counts, self.totals),
-            start=1,
-        ):
-            matches = _batch_matches(idx, owner, ref_counts, n)
-            out.append((matches, np.maximum(lengths - order + 1, 0), ref_total))
-        return out
-
 
 def _kernel(ref: CompiledReference, kind: str, build) -> object | None:
     """``ref``'s interned ``kind`` kernel, built once by ``build()``.
@@ -592,27 +571,6 @@ def _bleu_exp(counts, totals, sys_len: int, ref_len: int) -> float:
     score = math.exp(sum(map(math.log, precisions)) / len(precisions))
     score *= _brevity_penalty(sys_len, ref_len)
     return min(score, 100.0)
-
-
-def chrf_kernel_batch(
-    hypotheses: Sequence[str], reference: CompiledReference | str
-) -> list[float]:
-    """Sentence chrF for a whole hypothesis group (bit-equal per element)."""
-    ref = _compiled(reference)
-    kernel = _char_kernel(ref)
-    if kernel is None:
-        return [chrf_compiled(hyp, ref) for hyp in hypotheses]
-    if not hypotheses:
-        return []
-    stats = kernel.batch_stats(hypotheses)
-    ref_totals = [ref_total for _, _, ref_total in stats]
-    return [
-        _chrf_mean(zip(matches, hyp_totals, ref_totals))
-        for matches, hyp_totals in zip(
-            zip(*(matches.tolist() for matches, _, _ in stats)),
-            zip(*(hyp_totals.tolist() for _, hyp_totals, _ in stats)),
-        )
-    ]
 
 
 def _chrf_mean(stats: Iterable[tuple[int, int, int]]) -> float:

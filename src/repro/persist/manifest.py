@@ -3,7 +3,7 @@
 A :class:`RunManifest` is the durable record of one
 :func:`repro.runtime.run` invocation against a store: which plan ran
 (name + content fingerprint + the per-unit generation keys), with which
-executor/scheduler/cache configuration, how the units were satisfied
+executor/cache configuration, how the units were satisfied
 (the full :class:`~repro.runtime.runner.RunStats`), and how long it
 took.  Manifests are small JSON files under ``manifests/`` in the store
 directory, written via write-temp-then-rename so a crashed run never
@@ -61,7 +61,6 @@ class RunManifest:
     plan_fingerprint: str
     unit_keys: tuple[str, ...]  # per-unit generation keys, plan order
     executor: str  # repr of the executor the run used
-    scheduler: str  # repr of the scheduler
     cache: str  # repr of the result-cache backend
     stats: RunStats
     started_unix: float
@@ -102,7 +101,6 @@ class RunManifest:
                 plan_fingerprint=payload["plan_fingerprint"],
                 unit_keys=tuple(payload["unit_keys"]),
                 executor=payload["executor"],
-                scheduler=payload["scheduler"],
                 cache=payload["cache"],
                 stats=stats,
                 started_unix=payload["started_unix"],
@@ -136,7 +134,6 @@ def build_manifest(
     plan: Plan,
     stats: RunStats,
     executor: object,
-    scheduler: object,
     cache: object,
     started_unix: float,
     wall_seconds: float,
@@ -165,7 +162,6 @@ def build_manifest(
         plan_fingerprint=fingerprint,
         unit_keys=tuple(unit.key for unit in plan.units),
         executor=repr(executor),
-        scheduler=repr(scheduler),
         cache=repr(cache),
         stats=stats,
         started_unix=started_unix,

@@ -344,7 +344,6 @@ class RecordStore:
         plan,
         stats,
         executor: object,
-        scheduler: object,
         cache: object,
         started_unix: float,
         wall_seconds: float,
@@ -367,7 +366,6 @@ class RecordStore:
             plan=plan,
             stats=stats,
             executor=executor,
-            scheduler=scheduler,
             cache=cache,
             started_unix=started_unix,
             wall_seconds=wall_seconds,

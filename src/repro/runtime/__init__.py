@@ -1,4 +1,4 @@
-"""Parallel evaluation runtime: plan → schedule → execute → cache.
+"""Parallel evaluation runtime: plan → cache → execute → score.
 
 The runtime decouples *what* a sweep evaluates from *how* the model
 calls run.  Experiments build a :class:`~repro.runtime.plan.Plan` of
@@ -6,25 +6,17 @@ immutable :class:`~repro.runtime.units.WorkUnit`\\ s (one per task ×
 sample × model × epoch, seed included), and :func:`~repro.runtime.runner.run`
 executes it on a pluggable :class:`~repro.runtime.executors.Executor`
 with an optional content-addressed
-:class:`~repro.runtime.cache.ResultCache` in front of the model layer
-and a pluggable :class:`~repro.runtime.schedule.Scheduler` picking the
-dispatch order.
+:class:`~repro.runtime.cache.ResultCache` in front of the model layer.
 
-Every executor and scheduler yields bit-identical results because all
-randomness is derived from unit content, never from execution order.
+Every executor yields bit-identical results because all randomness is
+derived from unit content, never from execution order.
 
 Quickstart::
 
     from repro.core.experiments import run_configuration
-    from repro.runtime import (
-        AdaptiveScheduler, AsyncExecutor, InMemoryResultCache, RunConfig,
-    )
+    from repro.runtime import AsyncExecutor, InMemoryResultCache, RunConfig
 
-    config = RunConfig(
-        executor=AsyncExecutor(16),
-        cache=InMemoryResultCache(),
-        scheduler=AdaptiveScheduler(),  # learns per-model cost online
-    )
+    config = RunConfig(executor=AsyncExecutor(16), cache=InMemoryResultCache())
     grid = run_configuration(config=config)
     rerun = run_configuration(config=config)
     # rerun performed zero model generations and is bit-identical
@@ -52,19 +44,9 @@ from repro.runtime.faults import (
     active_faults,
     fault_scope,
 )
-from repro.runtime.health import (
-    BreakerRegistry,
-    HealthTracker,
-    HealthTrackedProvider,
-)
+from repro.runtime.health import BreakerRegistry, HealthTracker
 from repro.runtime.plan import EvalSpec, Plan
 from repro.runtime.runner import RunResult, RunStats, run, score_key
-from repro.runtime.schedule import (
-    AdaptiveScheduler,
-    ExpectedCostModel,
-    PlanOrderScheduler,
-    Scheduler,
-)
 from repro.runtime.units import Generation, UnitResult, WorkUnit, generation_key
 
 __all__ = [
@@ -87,12 +69,7 @@ __all__ = [
     "active_faults",
     "HealthTracker",
     "BreakerRegistry",
-    "HealthTrackedProvider",
     "group_units_by_model",
-    "Scheduler",
-    "PlanOrderScheduler",
-    "AdaptiveScheduler",
-    "ExpectedCostModel",
     "ResultCache",
     "InMemoryResultCache",
     "ScoreCache",

@@ -1,9 +1,9 @@
 """One frozen config object for the whole runtime surface.
 
 :class:`RunConfig` bundles every execution knob of a run (``executor``,
-``cache``, ``score_cache``, ``scheduler``, ``store``, ``faults``,
-``resume_from``, plus the ``store_url`` a store was opened from) into
-one immutable value.  It is the only way to configure a run, and it
+``cache``, ``score_cache``, ``store``, ``faults``, ``resume_from``,
+plus the ``store_url`` a store was opened from) into one immutable
+value.  It is the only way to configure a run, and it
 travels through every entry point — ``run(plan, config=...)``,
 :func:`repro.core.task.evaluate` (as ``run_config=``), all five
 experiment runners, :func:`repro.reporting.reproduce_table` and
@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # imported for annotations only — no import cycles at runti
     from repro.runtime.cache import ResultCache, ScoreCache
     from repro.runtime.executors import Executor
     from repro.runtime.faults import FaultPolicy
-    from repro.runtime.schedule import Scheduler
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class RunConfig:
     executor: "Executor | None" = None
     cache: "ResultCache | None" = None
     score_cache: "ScoreCache | None" = None
-    scheduler: "Scheduler | None" = None
     store: Any = None
     faults: "FaultPolicy | None" = None
     resume_from: str | None = None

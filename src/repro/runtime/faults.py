@@ -141,9 +141,7 @@ class FaultPolicy:
       outcome feeds the unit's model's circuit breaker, and while that
       breaker is open, attempts are refused (a retryable
       :class:`~repro.errors.BreakerOpenError`) without touching the
-      provider.  Hand the same registry to
-      :class:`~repro.runtime.schedule.AdaptiveScheduler` for
-      fault-aware ordering;
+      provider;
     * ``shared_budget`` — an optional cross-process retry budget (any
       object with ``try_acquire() -> bool``, e.g.
       :class:`~repro.serve.client.RemoteRetryBudget` backed by a

@@ -25,15 +25,12 @@ the same Prometheus surface as every other runtime metric.
 :class:`BreakerRegistry` is the fleet: a lazily populated name →
 tracker map with shared defaults, handed to
 :class:`~repro.serve.replicated.ReplicatedStoreClient` (one tracker per
-replica), to :class:`~repro.runtime.faults.FaultPolicy` (one tracker
-per model), and to
-:class:`~repro.runtime.schedule.AdaptiveScheduler` (deprioritize units
-whose model's breaker is open).
+replica) and to :class:`~repro.runtime.faults.FaultPolicy` (one tracker
+per model).
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from collections import deque
@@ -261,11 +258,6 @@ class BreakerRegistry:
                 )
             return tracker
 
-    def peek(self, name: str) -> HealthTracker | None:
-        """The named tracker if it exists, without creating it."""
-        with self._mu:
-            return self._trackers.get(name)
-
     def states(self) -> dict[str, str]:
         with self._mu:
             trackers = list(self._trackers.values())
@@ -279,47 +271,6 @@ class BreakerRegistry:
     def __len__(self) -> int:
         with self._mu:
             return len(self._trackers)
-
-
-class HealthTrackedProvider:
-    """Wrap one model provider's calls behind a :class:`HealthTracker`.
-
-    Implements the sync :class:`~repro.llm.api.ModelAPI` surface:
-    ``generate`` (and ``generate_batch`` when the wrapped provider has
-    one) is refused with :class:`~repro.errors.BreakerOpenError` while
-    the breaker is open, and every real attempt's outcome feeds the
-    window.  ``BreakerOpenError`` is retryable, so a
-    :class:`~repro.runtime.faults.FaultPolicy`-armed run backs off and
-    re-probes instead of aborting.
-    """
-
-    def __init__(self, provider: Any, tracker: HealthTracker) -> None:
-        self.provider = provider
-        self.tracker = tracker
-
-    @property
-    def name(self) -> str:
-        return getattr(self.provider, "name", self.tracker.target)
-
-    def _call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        self.tracker.check()
-        try:
-            result = fn(*args, **kwargs)
-        except Exception as exc:
-            if _counts_against_breaker(exc):
-                self.tracker.record_failure()
-            raise
-        self.tracker.record_success()
-        return result
-
-    def generate(self, *args: Any, **kwargs: Any) -> Any:
-        return self._call(self.provider.generate, *args, **kwargs)
-
-    def __getattr__(self, name: str) -> Any:
-        attr = getattr(self.provider, name)
-        if name == "generate_batch":  # guarded only when the provider has one
-            return functools.partial(self._call, attr)
-        return attr
 
 
 def _counts_against_breaker(exc: BaseException) -> bool:

@@ -1,11 +1,10 @@
-"""The runtime entry point: plan → (cache, dedup) → schedule → execute → score.
+"""The runtime entry point: plan → (cache, dedup) → execute → score.
 
 :func:`run` is the single funnel every evaluation in the repository goes
 through.  It looks each work unit up in the result cache (one batched
 ``get_many``), deduplicates identical generations within the run, hands
-only the genuinely new units — in the dispatch order the scheduler
-picks — to the executor, scores every unit against its own target
-behind a :class:`~repro.runtime.cache.ScoreCache` (identical
+only the genuinely new units — in plan order — to the executor, scores
+every unit against its own target behind a :class:`~repro.runtime.cache.ScoreCache` (identical
 (generation, target, scorer) triples are scored once), and reassembles
 the plan's evaluation results.
 
@@ -48,7 +47,6 @@ from repro.runtime.faults import (
     fault_scope,
 )
 from repro.runtime.plan import EvalSpec, Plan
-from repro.runtime.schedule import PlanOrderScheduler
 from repro.runtime.units import Generation, UnitResult, WorkUnit
 
 
@@ -243,22 +241,17 @@ def _run_impl(
 ) -> RunResult:
     """The execution pipeline behind :func:`run`.
 
-    Results are independent of the executor *and* scheduler choice:
-    seeds live inside the units, and generations are keyed by content,
-    so serial and async execution, per-unit or batched (in any
-    dispatch order, with any mix of cold/warm cache), produce
-    bit-identical output.
+    Results are independent of the executor choice: seeds live inside
+    the units, and generations are keyed by content, so serial and
+    async execution, per-unit or batched (with any mix of cold/warm
+    cache), produce bit-identical output.
 
     Every knob is read off ``config``, a
     :class:`~repro.runtime.config.RunConfig` (default: all ``None``).
-    ``executor`` runs the units that miss the cache (default: serial).
-    ``scheduler`` picks the dispatch order of the units that miss the
-    cache (default: plan order); a scheduler exposing ``observe`` — the
-    :class:`~repro.runtime.schedule.AdaptiveScheduler` — is fed each
-    fresh generation's measured duration, so sharing one across runs
-    trains its cost model online.  ``score_cache`` memoizes scores
-    across runs; when omitted, a fresh per-run cache still collapses the
-    metric work of deduplicated units.
+    ``executor`` runs the units that miss the cache, in plan order
+    (default: serial).  ``score_cache`` memoizes scores across runs;
+    when omitted, a fresh per-run cache still collapses the metric work
+    of deduplicated units.
 
     ``store`` plugs in a durable :class:`~repro.persist.RunStore`: unless
     overridden by an explicit ``cache``/``score_cache``, generations and
@@ -284,9 +277,7 @@ def _run_impl(
     this run's predecessor.
     """
     config = config if config is not None else RunConfig()
-    executor, cache, score_cache, scheduler = (
-        config.executor, config.cache, config.score_cache, config.scheduler,
-    )
+    executor, cache, score_cache = config.executor, config.cache, config.score_cache
     store, faults, resume_from = config.store, config.faults, config.resume_from
     started_unix = time.time()
     started = time.perf_counter()
@@ -316,7 +307,6 @@ def _run_impl(
         if score_cache is None:
             score_cache = store.score_cache()
     executor = executor or SerialExecutor()
-    scheduler = scheduler if scheduler is not None else PlanOrderScheduler()
     score_cache = score_cache if score_cache is not None else ScoreCache()
     units = plan.units
 
@@ -381,21 +371,13 @@ def _run_impl(
     failed: dict[str, FailedGeneration] = {}  # generation key -> failure
     ok_units: list = []  # executed units that actually produced a generation
     if pending:
-        ordered = scheduler.order(pending)
-        if len(ordered) != len(pending) or {u.uid for u in ordered} != {
-            u.uid for u in pending
-        }:
-            raise HarnessError(
-                f"scheduler {scheduler!r} must return a permutation of the "
-                f"pending units ({len(pending)} in, {len(ordered)} out)"
-            )
         scope = (
             fault_scope(fault_state)
             if fault_state is not None
             else contextlib.nullcontext()
         )
         with scope, span("generate"):
-            produced = executor.execute(ordered)
+            produced = executor.execute(pending)
         failed = {
             key: gen
             for key, gen in produced.items()
@@ -412,12 +394,8 @@ def _run_impl(
             if failed
             else list(pending)
         )
-        observe = getattr(scheduler, "observe", None)
         for unit in ok_units:
-            gen = produced[unit.key]
-            generation_seconds += gen.elapsed_s
-            if observe is not None:
-                observe(unit, gen.elapsed_s)
+            generation_seconds += produced[unit.key].elapsed_s
         if cache is not None and ok_units:
             # quarantined failures never enter the cache: the next run
             # against the same cache/store re-executes exactly them
@@ -497,7 +475,6 @@ def _run_impl(
             plan=plan,
             stats=stats,
             executor=executor,
-            scheduler=scheduler,
             cache=cache,
             started_unix=started_unix,
             wall_seconds=wall_seconds,

@@ -91,9 +91,8 @@ class Generation:
 
     ``elapsed_s`` is the wall-clock cost of the provider call that
     produced this generation (amortized over the group for batched
-    calls); the adaptive scheduler's
-    :class:`~repro.runtime.schedule.ExpectedCostModel` learns from it.
-    It is informational and never part of the content address.
+    calls); it sums into ``RunStats.generation_seconds``.  It is
+    informational and never part of the content address.
     """
 
     key: str

@@ -1,9 +1,9 @@
-"""Async provider runtime: AsyncExecutor, per-model batching, scheduling.
+"""Async provider runtime: AsyncExecutor and per-model batching.
 
 The executor-equivalence matrix for the async executor's two paths —
 one ``generate_batch`` call per model group, and one call per unit for
 providers without a batch surface — plus retry under the run's
-FaultPolicy, the adaptive scheduler and its online cost model.
+FaultPolicy.
 Everything here enforces the runtime's core contract: the execution
 strategy is a pure latency knob, never a results knob.
 """
@@ -26,15 +26,10 @@ from repro.llm.api import Model, as_async, get_model
 from repro.llm.simulated import SimulatedModel
 from repro.llm.types import ChatMessage, GenerateConfig, ModelOutput, ModelUsage
 from repro.runtime import (
-    AdaptiveScheduler,
     AsyncExecutor,
-    BreakerRegistry,
-    ExpectedCostModel,
     FaultPolicy,
-    HealthTrackedProvider,
     InMemoryResultCache,
     Plan,
-    PlanOrderScheduler,
     RetryPolicy,
     RunConfig,
     SerialExecutor,
@@ -43,18 +38,17 @@ from repro.runtime import (
 )
 from repro.testing import FaultPlan, FaultyProvider, faulty_models
 
-from executor_paths import executor_path, per_unit_models
+from executor_paths import EXECUTOR_PATHS, executor_path, per_unit_models
 
 SIM_MODELS = [
     "sim/claude-sonnet-4", "sim/gemini-2.5-pro", "sim/llama-3.3-70b", "sim/o3",
 ]
 
 
-def table1_sweep(executor=None, cache=None, scheduler=None):
+def table1_sweep(executor=None, cache=None):
     """The full Table-1 sweep (4 models × 3 systems), 2 epochs."""
     return run_configuration(
-        epochs=2,
-        config=RunConfig(executor=executor, cache=cache, scheduler=scheduler),
+        epochs=2, config=RunConfig(executor=executor, cache=cache),
     )
 
 
@@ -451,20 +445,16 @@ class TestBatchUnderFaultPolicy:
                 PlainEcho.calls += 1
                 return echo_output(self.name)
 
-        tracker = BreakerRegistry().get(PlainEcho.name)
-        tracked = HealthTrackedProvider(PlainEcho(), tracker)
-        assert not hasattr(tracked, "generate_batch")
-        assert not hasattr(FaultyProvider(PlainEcho(), FaultPlan()), "generate_batch")
+        wrapped = FaultyProvider(PlainEcho(), FaultPlan())
+        assert not hasattr(wrapped, "generate_batch")
         sim = get_model("sim/o3").provider
-        assert callable(HealthTrackedProvider(sim, tracker).generate_batch)
         assert callable(FaultyProvider(sim, FaultPlan()).generate_batch)
 
         plan = Plan("p")
-        plan.add_eval(simple_task("tracked-task"), Model(tracked), epochs=3)
+        plan.add_eval(simple_task("tracked-task"), Model(wrapped), epochs=3)
         outcome = run(plan, config=RunConfig(executor=AsyncExecutor(2)))
         assert PlainEcho.calls == 3
         assert outcome.stats.generated == 3
-        assert tracker.state == "closed"
 
 
 class TestAsyncTracing:
@@ -482,95 +472,49 @@ class TestAsyncTracing:
         assert names.count("unit") == 2  # llama: one span per unit
 
 
-class TestScheduling:
-    def make_plan(self) -> Plan:
+class TestGenerationSeconds:
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_only_fresh_generations_are_timed(self, path):
         plan = Plan("p")
-        for system in ("wilkins", "adios2"):
-            task = configuration_task(system)
-            for model in ("sim/o3", "sim/llama-3.3-70b"):
-                plan.add_eval(task, model, epochs=2)
-        return plan
-
-    def test_plan_order_scheduler_is_identity(self):
-        units = self.make_plan().units
-        assert PlanOrderScheduler().order(units) == list(units)
-
-    def test_adaptive_orders_longest_expected_first(self):
-        cost = ExpectedCostModel()
-        cost.observe("sim/llama-3.3-70b", 0.5)
-        cost.observe("sim/o3", 0.01)
-        ordered = AdaptiveScheduler(cost).order(self.make_plan().units)
-        models = [u.model for u in ordered]
-        assert models == (["sim/llama-3.3-70b"] * 4 + ["sim/o3"] * 4)
-        # ties keep plan order: the sort must be stable within a model
-        llama_uids = [u.uid for u in ordered if u.model == "sim/llama-3.3-70b"]
-        plan_uids = [u.uid for u in self.make_plan().units
-                     if u.model == "sim/llama-3.3-70b"]
-        assert llama_uids == plan_uids
-
-    def test_cold_cost_model_degrades_to_plan_order(self):
-        units = self.make_plan().units
-        assert AdaptiveScheduler().order(units) == list(units)
-
-    def test_run_trains_the_cost_model_online(self):
-        scheduler = AdaptiveScheduler()
-        outcome = run(self.make_plan(), config=RunConfig(scheduler=scheduler))
-        estimates = scheduler.cost_model.snapshot()
-        assert set(estimates) == {"sim/o3", "sim/llama-3.3-70b"}
-        assert all(v > 0 for v in estimates.values())
-        assert scheduler.cost_model.observations == outcome.stats.generated
-        assert outcome.stats.generation_seconds > 0
-
-    def test_adaptive_schedule_is_bit_identical(self):
-        scheduler = AdaptiveScheduler()
-        run(self.make_plan(), config=RunConfig(scheduler=scheduler))  # train
-        baseline = run(self.make_plan())
-        adaptive = run(self.make_plan(), config=RunConfig(scheduler=scheduler))
-        a = sorted((uid, r.score["bleu"]) for uid, r in baseline.results.items())
-        b = sorted((uid, r.score["bleu"]) for uid, r in adaptive.results.items())
-        assert a == b
-
-    def test_unknown_model_estimated_from_known_ones(self):
-        cost = ExpectedCostModel()
-        plan = Plan("p")
-        plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        [unit] = plan.units
-        assert cost.expected(unit) == 0.0
-        cost.observe("sim/a", 0.2)
-        cost.observe("sim/b", 0.4)
-        assert cost.expected(unit) == pytest.approx(0.3)
-
-    def test_ema_update(self):
-        cost = ExpectedCostModel(alpha=0.5)
-        cost.observe("m", 1.0)
-        cost.observe("m", 2.0)
-        assert cost.snapshot()["m"] == pytest.approx(1.5)
-        cost.observe("m", 0.0)  # non-positive samples carry no signal
-        assert cost.snapshot()["m"] == pytest.approx(1.5)
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(HarnessError, match="alpha"):
-            ExpectedCostModel(alpha=0.0)
-
-    def test_scheduler_must_return_a_permutation(self):
-        class DroppingScheduler:
-            def order(self, units):
-                return list(units)[:-1]
-
-        plan = Plan("p")
-        plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=2)
-        config = RunConfig(scheduler=DroppingScheduler())
-        with pytest.raises(HarnessError, match="permutation"):
-            run(plan, config=config)
-
-    def test_cached_units_are_not_observed(self):
+        for model in ("sim/o3", "sim/llama-3.3-70b"):
+            plan.add_eval(configuration_task("wilkins"), model, epochs=2)
         cache = InMemoryResultCache()
-        run(self.make_plan(), config=RunConfig(cache=cache))
-        scheduler = AdaptiveScheduler()
-        warm = run(self.make_plan(), config=RunConfig(cache=cache, scheduler=scheduler))
+        with executor_path(path) as executor:
+            config = RunConfig(executor=executor, cache=cache)
+            cold = run(plan, config=config)
+            warm = run(plan, config=config)
+        assert cold.stats.generation_seconds > 0
         assert warm.stats.generated == 0
-        assert scheduler.cost_model.observations == 0
         assert warm.stats.generation_seconds == 0.0
+
+
+class TestDispatchOrder:
+    def test_executor_receives_pending_units_in_plan_order(self):
+        class Recording(SerialExecutor):
+            def __init__(self) -> None:
+                super().__init__()
+                self.batches: list[list[str]] = []
+
+            def execute(self, units):
+                self.batches.append([u.uid for u in units])
+                return super().execute(units)
+
+        cache = InMemoryResultCache()
+        warm_plan = Plan("warm")
+        warm_plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=2)
+        run(warm_plan, config=RunConfig(cache=cache))
+
+        plan = Plan("p")
+        for model in ("sim/llama-3.3-70b", "sim/o3"):
+            plan.add_eval(configuration_task("wilkins"), model, epochs=3)
+        executor = Recording()
+        outcome = run(plan, config=RunConfig(executor=executor, cache=cache))
+        # one call, holding exactly the cache misses, in plan order
+        cached_keys = {u.key for u in warm_plan.units}
+        expected = [u.uid for u in plan.units if u.key not in cached_keys]
+        assert executor.batches == [expected]
+        assert len(expected) == 4
+        assert outcome.stats.generated == 4
 
 
 class TestAsyncExecutorCloseRegression:

@@ -32,7 +32,6 @@ def run_script(*args: str) -> subprocess.CompletedProcess:
     "args, expected",
     [
         (["--executor", "warp-drive"], "unknown executor 'warp-drive'"),
-        (["--scheduler", "chaotic"], "unknown scheduler 'chaotic'"),
         (["--cache", "punchcards"], "unknown cache 'punchcards'"),
         (["--cache", "disk"], "--cache disk requires --store"),
         (["--store", str(SCRIPT)], "is not a directory"),
@@ -52,7 +51,6 @@ def test_unknown_knobs_exit_cleanly(args, expected):
     "args, expected",
     [
         (["--executor", "nope"], "unknown executor 'nope'"),
-        (["--scheduler", "chaotic"], "unknown scheduler 'chaotic'"),
         (["--max-attempts", "0"], "max_attempts"),
         (["--unit-deadline", "0"], "unit_deadline_s must be positive"),
         (["--retry-budget", "-1"], "retry_budget must be >= 0"),
@@ -81,6 +79,16 @@ def test_removed_executors_are_rejected(tmp_path, removed):
     assert not store.exists()
 
 
+def test_removed_scheduler_flag_is_rejected(tmp_path):
+    """Units dispatch in plan order; argparse refuses --scheduler."""
+    store = tmp_path / "new-store"
+    proc = run_script("--store", str(store), "--scheduler", "adaptive")
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not store.exists()
+
+
 def test_valid_factories_build_without_running():
     """The factory layer accepts every advertised knob value."""
     sys.path.insert(0, str(SCRIPT.parent))
@@ -90,8 +98,6 @@ def test_valid_factories_build_without_running():
         sys.path.pop(0)
     for name in cli.EXECUTORS:
         assert cli.make_executor(name, workers=2) is not None
-    assert cli.make_scheduler("plan") is None
-    assert cli.make_scheduler("adaptive") is not None
     assert cli.make_cache("memory", store=None) is not None
     with pytest.raises(cli.UsageError):
         cli.make_executor("bogus", workers=2)

@@ -9,10 +9,18 @@ may only tighten: a change that moves any table or figure further from
 the paper fails here, and a change that moves it closer should lower
 the pin to the new value in the same commit.  Each sweep runs once per
 module.
+
+The same Table 1/2/3 grids also pin the trial-to-trial spread against
+the paper's standard errors, per table and metric, over the cells whose
+published SE is above 0: how many of those cells have a measured SE of
+exactly 0, and the mean |ln(measured SE / paper SE)| over the rest.
+Five-trial SEs are too noisy to pin one cell at a time, so only these
+pooled statistics are pinned, and both may only fall.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 
 import pytest
@@ -59,6 +67,15 @@ FIGURE_PINNED = {
 }
 
 
+#: table -> {metric: (cells with zero measured SE, mean |ln(measured/paper SE)|)}
+#: over the cells whose paper SE is above 0
+SPREAD_PINNED = {
+    "T1": {"bleu": (1, 1.224), "chrf": (1, 0.556)},
+    "T2": {"bleu": (1, 1.752), "chrf": (2, 1.642)},
+    "T3": {"bleu": (3, 1.478), "chrf": (4, 1.010)},
+}
+
+
 def _stats(deltas: dict[str, list[float]]) -> dict[str, float]:
     out = {}
     for metric, values in deltas.items():
@@ -68,11 +85,17 @@ def _stats(deltas: dict[str, list[float]]) -> dict[str, float]:
 
 
 @pytest.fixture(scope="module")
-def errors() -> dict[str, dict[str, float]]:
+def grids() -> dict:
+    """The Table 1/2/3 grids at the paper's 5 trials per cell."""
+    return {name: runner(epochs=EPOCHS) for name, (runner, _) in TABLES.items()}
+
+
+@pytest.fixture(scope="module")
+def errors(grids) -> dict[str, dict[str, float]]:
     """Per-table mean/max absolute error vs the paper, both metrics."""
     out = {}
-    for name, (runner, paper) in TABLES.items():
-        grid = runner(epochs=EPOCHS)
+    for name, (_, paper) in TABLES.items():
+        grid = grids[name]
         out[name] = _stats({
             metric: [
                 abs(getattr(grid.cell(row, model), metric).mean - getattr(cell, metric))
@@ -90,6 +113,28 @@ def errors() -> dict[str, dict[str, float]]:
         ]
         for metric in ("bleu", "chrf")
     })
+    return out
+
+
+@pytest.fixture(scope="module")
+def spread(grids) -> dict[str, dict[str, tuple[int, float]]]:
+    """Per-table (zero-SE cells, mean |ln SE ratio|) vs the paper's SEs."""
+    out = {}
+    for name, (_, paper) in TABLES.items():
+        out[name] = {}
+        for metric in ("bleu", "chrf"):
+            zero = 0
+            log_ratios = []
+            for (row, model), cell in paper.items():
+                paper_se = getattr(cell, f"{metric}_se")
+                if paper_se <= 0:
+                    continue
+                measured = getattr(grids[name].cell(row, model), metric).stderr
+                if measured == 0:
+                    zero += 1
+                else:
+                    log_ratios.append(abs(math.log(measured / paper_se)))
+            out[name][metric] = (zero, statistics.fmean(log_ratios))
     return out
 
 
@@ -127,4 +172,19 @@ def test_figure_error_vs_paper_does_not_grow(figure_errors, figure, stat):
     pinned = FIGURE_PINNED[figure][stat]
     assert measured <= pinned + TOLERANCE, (
         f"{figure} {stat} |Δ| vs paper grew: {measured:.3f} > pinned {pinned:.3f}"
+    )
+
+
+@pytest.mark.parametrize("table", sorted(SPREAD_PINNED))
+@pytest.mark.parametrize("metric", ["bleu", "chrf"])
+def test_spread_vs_paper_se_does_not_grow(spread, table, metric):
+    zero, log_ratio = spread[table][metric]
+    pinned_zero, pinned_log_ratio = SPREAD_PINNED[table][metric]
+    assert zero <= pinned_zero, (
+        f"{table} {metric}: {zero} cells with zero SE where the paper's is "
+        f"above 0, pinned {pinned_zero}"
+    )
+    assert log_ratio <= pinned_log_ratio + TOLERANCE, (
+        f"{table} {metric} mean |ln(SE / paper SE)| grew: "
+        f"{log_ratio:.3f} > pinned {pinned_log_ratio:.3f}"
     )

@@ -1,4 +1,4 @@
-"""Circuit breakers: state machine, registry, policy and scheduler hooks.
+"""Circuit breakers: state machine, registry and fault-policy hooks.
 
 Every timing-sensitive test drives a fake clock, so the full
 closed → open → half-open → closed cycle runs without sleeping.
@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.experiments import run_configuration
+from repro.core.experiments.configuration import configuration_task
 from repro.errors import (
     BreakerOpenError,
     HarnessError,
@@ -16,15 +17,12 @@ from repro.errors import (
     RemoteStoreError,
     UnknownModelError,
 )
-from repro.llm.types import ChatMessage, GenerateConfig, ModelOutput, ModelUsage
+from repro.llm.api import Model
 from repro.obs import metering
 from repro.runtime import (
-    AdaptiveScheduler,
     BreakerRegistry,
-    ExpectedCostModel,
     FaultPolicy,
     HealthTracker,
-    HealthTrackedProvider,
     Plan,
     RetryPolicy,
     RunConfig,
@@ -227,12 +225,11 @@ class TestBreakerRegistry:
         assert a.window == 4 and a.min_samples == 2
         assert len(registry) == 1
 
-    def test_peek_never_creates(self):
+    def test_inspection_never_creates_trackers(self):
         registry = BreakerRegistry()
-        assert registry.peek("ghost") is None
+        assert registry.states() == {}
+        assert registry.snapshot() == []
         assert len(registry) == 0
-        registry.get("real")
-        assert registry.peek("real") is not None
 
     def test_states_and_snapshot(self):
         registry = BreakerRegistry(min_samples=1, failure_threshold=0.5)
@@ -253,69 +250,6 @@ class TestFailureClassification:
         assert not _counts_against_breaker(UnknownModelError("typo/model"))
         assert not _counts_against_breaker(BreakerOpenError("refused"))
         assert not _counts_against_breaker(TypeError("bug"))
-
-
-def _echo_provider():
-    class Echo:
-        name = "health/echo"
-        custom_marker = "passthrough"
-
-        def generate(self, messages, config):
-            return ModelOutput(
-                model=self.name,
-                completion=messages[-1].content,
-                usage=ModelUsage(input_tokens=1, output_tokens=1),
-                stop_reason="stop",
-            )
-
-    return Echo()
-
-
-class _FailingProvider:
-    name = "health/failing"
-
-    def __init__(self, exc: Exception) -> None:
-        self.exc = exc
-        self.calls = 0
-
-    def generate(self, messages, config):
-        self.calls += 1
-        raise self.exc
-
-
-class TestHealthTrackedProvider:
-    def test_success_feeds_the_window_and_passes_through(self):
-        tracker = make_tracker(FakeClock())
-        wrapped = HealthTrackedProvider(_echo_provider(), tracker)
-        out = wrapped.generate([ChatMessage.user("hi")], GenerateConfig(seed=0))
-        assert out.completion == "hi"
-        assert wrapped.name == "health/echo"
-        assert wrapped.custom_marker == "passthrough"  # __getattr__ passthrough
-        assert tracker.error_rate() == 0.0
-
-    def test_transient_failures_trip_and_open_refuses_without_calling(self):
-        tracker = make_tracker(FakeClock(), min_samples=2)
-        provider = _FailingProvider(ModelError("rate limited"))
-        wrapped = HealthTrackedProvider(provider, tracker)
-        msgs = [ChatMessage.user("hi")]
-        cfg = GenerateConfig(seed=0)
-        for _ in range(2):
-            with pytest.raises(ModelError, match="rate limited"):
-                wrapped.generate(msgs, cfg)
-        assert tracker.state == "open"
-        with pytest.raises(BreakerOpenError):
-            wrapped.generate(msgs, cfg)
-        assert provider.calls == 2  # the refused call never reached it
-
-    def test_deterministic_failures_never_trip(self):
-        tracker = make_tracker(FakeClock(), min_samples=1)
-        wrapped = HealthTrackedProvider(
-            _FailingProvider(UnknownModelError("typo")), tracker
-        )
-        for _ in range(5):
-            with pytest.raises(UnknownModelError):
-                wrapped.generate([ChatMessage.user("x")], GenerateConfig(seed=0))
-        assert tracker.state == "closed"
 
 
 class TestFaultPolicyIntegration:
@@ -362,8 +296,6 @@ class TestFaultPolicyIntegration:
             health=registry,
         )
         plan = Plan("breaker-open")
-        from repro.core.experiments.configuration import configuration_task
-
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
         with executor_path(path) as executor, \
                 faulty_models(["sim/o3"], FaultPlan()) as wrapped:
@@ -384,8 +316,6 @@ class TestFaultPolicyIntegration:
             on_failure="isolate",
         )
         plan = Plan("breaker-isolate")
-        from repro.core.experiments.configuration import configuration_task
-
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
         plan.add_eval(configuration_task("adios2"), "sim/llama-3.3-70b", epochs=2)
         with executor_path(path) as executor:
@@ -394,6 +324,88 @@ class TestFaultPolicyIntegration:
         assert outcome.stats.generated == 2  # the healthy model's epochs
         failed_models = {f.model for f in outcome.failures.values()}
         assert failed_models == {"sim/o3"}
+
+
+class _UnknownModelProvider:
+    """Every call fails deterministically, batched or not."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.calls = 0
+
+    def generate(self, messages, config):
+        self.calls += 1
+        raise UnknownModelError(f"{self.name} is not registered")
+
+    def generate_batch(self, requests):
+        self.calls += 1
+        raise UnknownModelError(f"{self.name} is not registered")
+
+
+class TestBreakerOutcomesUnderPolicy:
+    """What one model's breaker sees, attempt by attempt, on every path."""
+
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_successful_calls_each_record_one_success(self, path):
+        registry = BreakerRegistry()
+        plan = Plan("breaker-success")
+        plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=3)
+        with executor_path(path) as executor:
+            outcome = run(plan, config=RunConfig(
+                executor=executor, faults=FaultPolicy(health=registry),
+            ))
+        assert outcome.stats.generated == 3
+        described = registry.get("sim/o3").describe()
+        # one outcome per provider call: a batched group is one call
+        assert described["window"] == (1 if path == "async" else 3)
+        assert (described["state"], described["error_rate"]) == ("closed", 0.0)
+
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_sustained_failures_trip_and_refuse_without_calling(self, path):
+        registry = BreakerRegistry(
+            min_samples=2, failure_threshold=0.5, open_for_s=3600.0
+        )
+        policy = FaultPolicy(
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+            health=registry,
+            on_failure="isolate",
+        )
+        plan = Plan("breaker-trip")
+        plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=4)
+        with executor_path(path, max_concurrency=1) as executor, \
+                faulty_models(["sim/o3"], FaultPlan(permanent_rate=1.0)) as wrapped:
+            outcome = run(plan, config=RunConfig(executor=executor, faults=policy))
+        tracker = registry.get("sim/o3")
+        assert (tracker.state, tracker.opened_total) == ("open", 1)
+        # two failed calls trip the breaker; every later attempt is
+        # refused before it reaches the provider
+        provider = wrapped["sim/o3"]
+        assert provider.calls + provider.batch_calls == 2
+        assert outcome.stats.units_failed == 4
+        error_types = [f.error_type for f in outcome.failures.values()]
+        assert set(error_types) <= {"ModelError", "BreakerOpenError"}
+        assert error_types.count("BreakerOpenError") >= 3
+
+    @pytest.mark.parametrize("path", ["serial", "async"])
+    def test_deterministic_failures_never_trip(self, path):
+        registry = BreakerRegistry(min_samples=1, failure_threshold=0.5)
+        policy = FaultPolicy(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+            health=registry,
+            on_failure="isolate",
+        )
+        provider = _UnknownModelProvider(f"health/unknown-{path}")
+        plan = Plan("breaker-deterministic")
+        plan.add_eval(configuration_task("adios2"), Model(provider), epochs=3)
+        with executor_path(path, max_concurrency=1) as executor:
+            outcome = run(plan, config=RunConfig(executor=executor, faults=policy))
+        assert outcome.stats.units_failed == 3
+        assert {f.error_type for f in outcome.failures.values()} == {
+            "UnknownModelError"
+        }
+        assert provider.calls >= 3  # every unit reached the provider
+        tracker = registry.get(provider.name)
+        assert (tracker.state, tracker.error_rate()) == ("closed", 0.0)
 
 
 class _Budget:
@@ -414,8 +426,6 @@ class _Budget:
 class TestSharedBudget:
     def _unit(self):
         plan = Plan("budget")
-        from repro.core.experiments.configuration import configuration_task
-
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
         return plan.units[0]
 
@@ -440,52 +450,3 @@ class TestSharedBudget:
         assert state._acquire_retry(self._unit().uid, 0.0)  # local token 1
         assert not state._acquire_retry(self._unit().uid, 0.0)  # local spent
         assert state.budget_exhausted
-
-
-class TestFaultAwareScheduling:
-    def _units(self):
-        plan = Plan("sched")
-        from repro.core.experiments.configuration import configuration_task
-
-        task = configuration_task("adios2")
-        for model in ("sim/o3", "sim/llama-3.3-70b"):
-            plan.add_eval(task, model, epochs=2)
-        return plan.units
-
-    def test_open_breaker_sorts_behind_healthy_units(self):
-        clock = FakeClock()
-        registry = BreakerRegistry(clock=clock)
-        registry.get("sim/o3").force_open()
-        scheduler = AdaptiveScheduler(health=registry)
-        ordered = scheduler.order(self._units())
-        assert [u.model for u in ordered] == (
-            ["sim/llama-3.3-70b"] * 2 + ["sim/o3"] * 2
-        )
-
-    def test_probe_ready_breaker_is_not_deprioritized(self):
-        clock = FakeClock()
-        registry = BreakerRegistry(clock=clock, open_for_s=5.0)
-        registry.get("sim/o3").force_open()
-        clock.advance(5.0)  # cooldown elapsed: these units are the probes
-        scheduler = AdaptiveScheduler(health=registry)
-        units = self._units()
-        assert scheduler.order(units) == list(units)
-
-    def test_unknown_models_and_no_registry_keep_plan_order(self):
-        units = self._units()
-        assert AdaptiveScheduler(health=BreakerRegistry()).order(units) == list(
-            units
-        )
-        assert AdaptiveScheduler().order(units) == list(units)
-
-    def test_cost_model_still_orders_within_health_classes(self):
-        cost = ExpectedCostModel()
-        cost.observe("sim/o3", 5.0)
-        cost.observe("sim/llama-3.3-70b", 0.1)
-        registry = BreakerRegistry()
-        registry.get("sim/o3").force_open()
-        ordered = AdaptiveScheduler(cost, health=registry).order(self._units())
-        # expensive-but-open sorts behind cheap-and-healthy
-        assert [u.model for u in ordered] == (
-            ["sim/llama-3.3-70b"] * 2 + ["sim/o3"] * 2
-        )

@@ -537,7 +537,6 @@ class TestManifests:
             plan_fingerprint="f" * 64,
             unit_keys=("k",),
             executor="SerialExecutor()",
-            scheduler="plan",
             cache="InMemoryResultCache()",
             stats=RunStats(
                 total_units=1, generated=1, cache_hits=0, deduplicated=0,
@@ -576,6 +575,8 @@ class TestManifests:
 
         fixture = Path(__file__).parent / "fixtures" / name
         payload = json.loads(fixture.read_text())
+        # the fixtures also predate the scheduler's removal: the key is ignored
+        assert payload["scheduler"] == "PlanOrderScheduler()"
         current = {spec.name for spec in fields(RunStats)} | {"schema", "kind"}
         retired = set(payload["stats"]) - current
         assert retired  # the fixture predates the deletion
@@ -584,6 +585,14 @@ class TestManifests:
         manifest = RunManifest.from_payload(payload)
         assert manifest.stats.total_units == 1
         assert retired.isdisjoint(manifest.stats.as_dict())
+
+    def test_recorded_manifest_has_no_scheduler_key(self, tmp_path):
+        with RunStore(tmp_path / "store") as store:
+            outcome = run(small_plan(), config=RunConfig(store=store))
+        written = tmp_path / "store" / "manifests" / f"{outcome.manifest.run_id}.json"
+        payload = json.loads(written.read_text())
+        assert "scheduler" not in payload
+        assert payload["executor"] == "SerialExecutor()"
 
     def test_explicit_cache_still_records_manifest(self, tmp_path):
         with RunStore(tmp_path / "store") as store:

@@ -423,13 +423,20 @@ class TestRunConfig:
             RunConfig.from_url(str(leaked), warp_drive=1)
         assert not leaked.exists()
 
-    def test_knobs_are_exactly_the_eight_fields(self):
+    def test_knobs_are_exactly_the_seven_fields(self):
         from dataclasses import fields
 
         assert [spec.name for spec in fields(RunConfig)] == [
-            "executor", "cache", "score_cache", "scheduler",
+            "executor", "cache", "score_cache",
             "store", "faults", "resume_from", "store_url",
         ]
+
+    def test_removed_scheduler_knob_is_rejected(self):
+        """Units dispatch in plan order; no config surface reorders them."""
+        with pytest.raises(TypeError, match="scheduler"):
+            RunConfig(scheduler=object())
+        with pytest.raises(TypeError, match="scheduler"):
+            RunConfig().replace(scheduler=object())
 
     def test_evaluate_accepts_run_config(self):
         from repro.core.experiments.configuration import configuration_task
