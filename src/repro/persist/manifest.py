@@ -52,6 +52,30 @@ def make_run_id(started_unix: float, fingerprint: str) -> str:
     )
 
 
+_KEY_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "run_id": str,
+    "plan_name": str,
+    "plan_fingerprint": str,
+    "started_unix": (int, float),
+    "wall_seconds": (int, float),
+}
+
+
+def _check_key_fields(payload: dict[str, Any]) -> None:
+    """Type-check the fields runs are sorted, linked and listed by.
+
+    A manifest whose ``started_unix`` is a string, say, would otherwise
+    load and then break every later sort of the store's run history.
+    """
+    for name, kinds in _KEY_FIELDS.items():
+        value = payload[name]
+        # bools pass isinstance(..., int) but are no timestamp
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise PersistError(
+                f"malformed run manifest: {name} is a {type(value).__name__}"
+            )
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """What one ``runtime.run`` did, durably."""
@@ -93,6 +117,7 @@ class RunManifest:
     @staticmethod
     def from_payload(payload: dict[str, Any]) -> "RunManifest":
         try:
+            _check_key_fields(payload)
             # accepts both unified-schema stats and pre-schema payloads
             stats = RunStats.from_dict(payload["stats"])
             return RunManifest(

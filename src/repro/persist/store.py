@@ -51,7 +51,10 @@ segments that keeps the newest raw line per key (no re-encode, no
 re-hash), drops corrupt lines and score entries whose generation
 vanished, and writes the survivors into one fresh segment.
 :meth:`RunStore.verify` is the auditor: a full checksum scan of every
-segment plus a parse of every manifest.
+segment plus a parse of every manifest.  :meth:`RunStore.latest_manifest`
+(how ``record_run`` links a run to its predecessor) keeps a per-handle
+index of the manifest directory, so it parses the manifests written
+since the handle last looked, not the whole run history.
 """
 
 from __future__ import annotations
@@ -285,6 +288,11 @@ class GCStats:
         )
 
 
+def _index_entry(manifest: RunManifest) -> tuple[float, str, str]:
+    """What the manifest index keeps of one parsed manifest."""
+    return (manifest.started_unix, manifest.run_id, manifest.plan_fingerprint)
+
+
 class RecordStore:
     """The store surface the runtime consumes, over raw record I/O.
 
@@ -293,6 +301,13 @@ class RecordStore:
     ``read_stats()``, ``root`` and a ``backend`` name; this class adds
     the typed generation/score codecs, the runtime's cache pair and
     ``record_run`` on top, once for every backend.
+
+    A warm run costs the store a fixed number of calls, not one per
+    unit: one batched ``get_records`` for its generations, one for its
+    scores (:meth:`StoreScoreCache.prefetch`), and one
+    ``latest_manifest`` plus one ``put_manifest`` in ``record_run`` —
+    and :meth:`RunStore.latest_manifest`, which a server answers with
+    too, parses only the manifests written since its last call.
     """
 
     backend: str  # reported as ``stats()["backend"]`` by both caches
@@ -434,6 +449,12 @@ class RunStore(RecordStore):
         self._bytes_read = 0
         self._records_since_snapshot = 0
         self._corrupt_skipped = 0
+        # manifest file name -> ((st_ino, st_mtime_ns, st_size),
+        # (started_unix, run_id, plan_fingerprint), or None when malformed)
+        self._manifest_mu = threading.Lock()
+        self._manifest_index: dict[
+            str, tuple[tuple[int, int, int], tuple[float, str, str] | None]
+        ] = {}
         self._load_index_snapshot()
         self.refresh()
 
@@ -768,33 +789,90 @@ class RunStore(RecordStore):
             self._manifests_dir / f"{manifest.run_id}.json", blob.encode("ascii")
         )
 
-    def manifest(self, run_id: str) -> RunManifest | None:
-        """One recorded run by id (``None`` when absent or unreadable)."""
-        path = self._manifests_dir / f"{run_id}.json"
+    @staticmethod
+    def _read_manifest(path: pathlib.Path) -> RunManifest | None:
+        """One manifest file, or ``None`` when unreadable or malformed."""
         try:
             return RunManifest.from_payload(json.loads(path.read_text()))
         except (OSError, ValueError, PersistError):
-            return None
+            return None  # verify() reports these; listing stays usable
+
+    def manifest(self, run_id: str) -> RunManifest | None:
+        """One recorded run by id (``None`` when absent or unreadable)."""
+        return self._read_manifest(self._manifests_dir / f"{run_id}.json")
 
     def manifests(self) -> list[RunManifest]:
         """Every recorded run, oldest first."""
         out: list[RunManifest] = []
         for path in sorted(self._manifests_dir.glob("*.json")):
-            try:
-                out.append(RunManifest.from_payload(json.loads(path.read_text())))
-            except (OSError, ValueError, PersistError):
-                continue  # verify() reports these; listing stays usable
+            manifest = self._read_manifest(path)
+            if manifest is not None:
+                out.append(manifest)
         out.sort(key=lambda m: (m.started_unix, m.run_id))
         return out
 
     def latest_manifest(self, fingerprint: str | None = None) -> RunManifest | None:
-        """The most recent run, optionally restricted to one plan fingerprint."""
-        candidates = [
-            m
-            for m in self.manifests()
-            if fingerprint is None or m.plan_fingerprint == fingerprint
-        ]
-        return candidates[-1] if candidates else None
+        """The most recent run, optionally restricted to one plan fingerprint.
+
+        Always the last matching entry of :meth:`manifests` — the same
+        ``(started_unix, run_id)`` order, the same skipping of unreadable
+        or malformed files — but paid for in new files, not in history:
+        the handle keeps an index of every manifest file's stat signature
+        and sort key, so a call is one ``os.scandir``, a parse of each
+        new or changed file, and a parse of the winner.  The store only
+        ever replaces a manifest by rename, which gives the file a new
+        inode, so the signature sees every rewrite.
+        """
+        with self._manifest_mu:
+            while True:
+                name = self._latest_name_locked(fingerprint)
+                if name is None:
+                    return None
+                manifest = self._read_manifest(self._manifests_dir / name)
+                if manifest is not None and (
+                    self._manifest_index[name][1] == _index_entry(manifest)
+                ):
+                    return manifest
+                # rewritten or removed since the scan: rescan and re-pick
+                del self._manifest_index[name]
+
+    def _latest_name_locked(self, fingerprint: str | None) -> str | None:
+        """Bring the manifest index up to date; the winning file's name.
+
+        Caller holds ``self._manifest_mu``.
+        """
+        index = self._manifest_index
+        try:
+            with os.scandir(self._manifests_dir) as listing:
+                entries = [e for e in listing if e.name.endswith(".json")]
+        except FileNotFoundError:
+            entries = []  # as manifests() sees a missing directory: no runs
+        seen: set[str] = set()
+        for entry in entries:
+            try:
+                st = entry.stat()
+            except OSError:
+                continue  # vanished since the listing
+            seen.add(entry.name)
+            signature = (st.st_ino, st.st_mtime_ns, st.st_size)
+            known = index.get(entry.name)
+            if known is not None and known[0] == signature:
+                continue
+            manifest = self._read_manifest(pathlib.Path(entry.path))
+            index[entry.name] = (
+                signature, None if manifest is None else _index_entry(manifest)
+            )
+        for name in index.keys() - seen:
+            del index[name]
+        # ties on (started_unix, run_id) go to the later file name, as in
+        # manifests(): a stable sort over the name-sorted listing
+        ranked = (
+            (key[0], key[1], name)
+            for name, (_signature, key) in index.items()
+            if key is not None and (fingerprint is None or key[2] == fingerprint)
+        )
+        best = max(ranked, default=None)
+        return best[2] if best is not None else None
 
     # -- maintenance ---------------------------------------------------------
 
@@ -1040,24 +1118,77 @@ class StoreScoreCache:
     """Write-through score memo: in-memory LRU over durable score records.
 
     Drop-in for :class:`~repro.runtime.cache.ScoreCache` (same
-    ``get``/``put`` surface, keyed by the
+    ``get``/``put``/``prefetch`` surface, keyed by the
     :func:`repro.runtime.runner.score_key` tuple).  Entries whose scorer
     fingerprint has a stable cross-process identity are written through
     to the store; the rest stay in the process-local LRU.
+
+    Reads are batched: the runner's one :meth:`prefetch` per run asks
+    the store for every durable score the run will look up in one
+    ``get_records`` call (one round trip per chunk on a remote store,
+    not one per key), and the per-key :meth:`get` calls that follow
+    are answered from that batch.  ``disk_hits`` still counts one hit
+    per key the store supplied, at the get that consumes it.
     """
 
     def __init__(self, store: RecordStore, maxsize: int = 4096) -> None:
         self._store = store
         self._memory = ScoreCache(maxsize)
         self._mu = threading.Lock()
+        # prefetched keys no get has consumed yet -> whether the store had them
+        self._prefetched: dict[Hashable, bool] = {}
         self._disk_hits = 0
         self._disk_puts = 0
         self._unpersistable = 0
 
+    def prefetch(self, keys: Iterable[Hashable]) -> None:
+        """Read the durable scores of ``keys`` in one batched request.
+
+        Skips keys already in memory and keys with no durable form, and
+        reads at most ``maxsize`` keys (the first ones, which the gets
+        reach first), so a prefetch never evicts its own entries.  The
+        memory LRU is filled directly, never through :meth:`get` or
+        :meth:`put`: those stay one call per unit lookup and one per
+        computed score.  A key the batch did not find reads as a miss
+        at its get, without a second trip to the store.
+        """
+        wanted: dict[str, Hashable] = {}  # disk key -> score key
+        for key in keys:
+            if len(wanted) >= self._memory.maxsize:
+                break
+            if key in self._memory:
+                continue
+            dkey = disk_score_key(key)
+            if dkey is not None:
+                wanted[dkey] = key
+        if not wanted:
+            return
+        payloads = self._store.get_records(SCORE_KIND, list(wanted))
+        self._memory.fill(
+            (wanted[dkey], score_from_payload(payload))
+            for dkey, payload in payloads.items()
+        )
+        with self._mu:
+            self._prefetched.update(
+                (key, dkey in payloads) for dkey, key in wanted.items()
+            )
+            while len(self._prefetched) > self._memory.maxsize:
+                # bounded like the memo: the oldest unconsumed entry goes
+                del self._prefetched[next(iter(self._prefetched))]
+
     def get(self, key: Hashable) -> object | None:
+        found = None
+        if self._prefetched:
+            with self._mu:
+                found = self._prefetched.pop(key, None)
         score = self._memory.get(key)
         if score is not None:
+            if found:
+                with self._mu:
+                    self._disk_hits += 1
             return score
+        if found is False:
+            return None  # the prefetch already asked the store
         dkey = disk_score_key(key)
         if dkey is None:
             return None

@@ -169,11 +169,29 @@ class ScoreCache:
         return score
 
     def put(self, key: Hashable, score: object) -> None:
+        self.fill([(key, score)])
+
+    def fill(self, items: Iterable[tuple[Hashable, object]]) -> None:
+        """Insert ``(key, score)`` pairs under one lock acquisition.
+
+        The bulk path a backing store loads through.  The runner calls
+        :meth:`put` once per computed score, and per-layer tracing counts
+        those calls as scoring events, so loads never go through it.
+        """
         with self._lock:
-            self._entries[key] = score
-            self._entries.move_to_end(key)
+            for key, score in items:
+                self._entries[key] = score
+                self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
+
+    def prefetch(self, keys: Iterable[Hashable]) -> None:
+        """Load ``keys`` ahead of their :meth:`get` calls, in one batch.
+
+        The runner calls this once per run before its per-key gets.  A
+        memory-only memo has nothing behind it to load from, so this is
+        a no-op; a store-backed cache reads the durable scores here.
+        """
 
     def __len__(self) -> int:
         with self._lock:

@@ -348,8 +348,10 @@ def _run_impl(
     for unit in units:
         target_hash = target_hashes.get(unit.target)
         if target_hash is None:
+            # surrogatepass, as in generation_key: lone-surrogate targets
+            # are scored, so they must hash too
             target_hash = target_hashes[unit.target] = hashlib.sha256(
-                unit.target.encode("utf-8")
+                unit.target.encode("utf-8", "surrogatepass")
             ).hexdigest()
         skey = score_key(unit, target_hash)
         unit_skeys[unit.uid] = skey
@@ -359,6 +361,9 @@ def _run_impl(
     scores: dict[Hashable, object] = {}  # score key -> score
     misses: list[Hashable] = []  # score keys to compute once generated
     with span("score"):  # cache consultation is part of the scoring phase
+        # one batched read of every durable score the gets below will
+        # ask for (a no-op for the in-memory cache)
+        score_cache.prefetch(skey_units)
         for skey in skey_units:
             hit = score_cache.get(skey)
             if hit is not None:

@@ -36,7 +36,10 @@ def generation_key(prompt: str, model: str, config: GenerateConfig) -> str:
     """
     payload = "\x1f".join(
         (
-            hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+            # surrogatepass: a prompt may carry lone surrogates (artifacts
+            # decoded with errors="surrogateescape"); valid text hashes the
+            # same bytes either way, so existing keys are unchanged
+            hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest(),
             model,
             f"t={config.temperature!r}",
             f"p={config.top_p!r}",

@@ -136,8 +136,10 @@ class TestRemoteFaultLadders:
         baseline = small_sweep(SerialExecutor())
         provider_faults = FaultPlan(seed=4, transient_rate=0.2,
                                     transient_times=1)
-        # every ~5th request answered with a typed overload refusal
-        overload = FaultPlan(seed=11, transient_rate=0.2, transient_times=1)
+        # ~2 in 5 requests answered with a typed overload refusal: the
+        # sweep reads its scores in one batch per run, so it sends ~15
+        # requests, and this rate keeps several of them refused
+        overload = FaultPlan(seed=11, transient_rate=0.4, transient_times=1)
         root = tmp_path / "served"
         server = InProcessServer(
             root, server=ChaosStoreServer(root, overload_plan=overload)

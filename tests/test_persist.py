@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.experiments import run_configuration
+from repro.core.experiments.configuration import configuration_task
 from repro.core.scorers import CodeSimilarityScorer, Score
 from repro.errors import PersistError, RecordCorruptError, StoreError
-from repro.llm.types import ModelUsage
+from repro.llm.types import GenerateConfig, ModelUsage
 from repro.persist import (
     RunStore,
     decode_record,
@@ -23,7 +29,14 @@ from repro.persist import (
     plan_fingerprint,
     stable_fingerprint_token,
 )
-from repro.persist.segments import list_segments, segment_name, segment_number
+from repro.persist.manifest import RunManifest
+from repro.persist.records import SCORE_KIND
+from repro.persist.segments import (
+    list_segments,
+    segment_name,
+    segment_number,
+    write_atomic,
+)
 from repro.runtime import (
     InMemoryResultCache,
     Plan,
@@ -31,7 +44,8 @@ from repro.runtime import (
     RunConfig,
     run,
 )
-from repro.runtime.units import Generation
+from repro.runtime.runner import RunStats
+from repro.runtime.units import Generation, generation_key
 
 SMALL = dict(models=["o3", "llama-3.3-70b"], systems=["adios2", "wilkins"], epochs=2)
 
@@ -47,8 +61,6 @@ def make_generation(i: int = 0, completion: str = "payload") -> Generation:
 
 
 def small_plan() -> Plan:
-    from repro.core.experiments.configuration import configuration_task
-
     plan = Plan("persist-test")
     plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
     return plan
@@ -517,9 +529,6 @@ class TestManifests:
 
     def test_read_and_scoring_stats_round_trip(self, tmp_path):
         """Read-LRU traffic survives the manifest file."""
-        from repro.persist.manifest import RunManifest
-        from repro.runtime.runner import RunStats
-
         with RunStore(tmp_path / "store") as store:
             run(small_plan(), config=RunConfig(store=store))
         with RunStore(tmp_path / "store") as store:
@@ -554,8 +563,6 @@ class TestManifests:
 
     def test_old_manifest_without_read_stats_still_loads(self, tmp_path):
         """Old manifests without the read stat keys default them to zero."""
-        from repro.persist.manifest import RunManifest
-
         with RunStore(tmp_path / "store") as store:
             payload = run(small_plan(), config=RunConfig(store=store)).manifest.to_payload()
         for legacy_missing in ("read_lru_hits", "read_lru_misses", "bytes_read"):
@@ -569,9 +576,6 @@ class TestManifests:
         """Stat keys RunStats no longer has (the fixtures still carry the
         retired scoring-worker count) load and are dropped, at any value."""
         from dataclasses import fields
-
-        from repro.persist.manifest import RunManifest
-        from repro.runtime.runner import RunStats
 
         fixture = Path(__file__).parent / "fixtures" / name
         payload = json.loads(fixture.read_text())
@@ -601,6 +605,487 @@ class TestManifests:
         assert outcome.manifest.cache.startswith("InMemoryResultCache")
         # the store cache was bypassed, so no generations were persisted
         assert store.stats().generations == 0
+
+
+def bare_manifest(run_id: str, started: float, fingerprint: str) -> RunManifest:
+    """A minimal valid manifest (no plan behind it)."""
+    return RunManifest(
+        run_id=run_id,
+        plan_name="p",
+        plan_fingerprint=fingerprint,
+        unit_keys=(),
+        executor="SerialExecutor()",
+        cache="InMemoryResultCache()",
+        stats=RunStats(total_units=0, generated=0, cache_hits=0, deduplicated=0),
+        started_unix=started,
+        wall_seconds=0.0,
+    )
+
+
+#: (field, value) pairs that, left unchecked, make manifests() and
+#: latest_manifest() raise TypeError while sorting, or load a manifest
+#: no listing can print
+WRONG_TYPED = [
+    ("started_unix", "x"),
+    ("started_unix", None),
+    ("started_unix", [1]),
+    ("started_unix", True),
+    ("wall_seconds", "1.0"),
+    ("wall_seconds", False),
+    ("run_id", 7),
+    ("plan_name", None),
+    ("plan_fingerprint", 12),
+]
+
+
+class TestManifestKeyFields:
+    @pytest.mark.parametrize(("field", "value"), WRONG_TYPED)
+    def test_from_payload_refuses_wrong_typed_key_fields(self, field, value):
+        payload = bare_manifest("run-bad", 5.0, "f" * 64).to_payload()
+        payload[field] = value
+        with pytest.raises(PersistError, match=f"malformed run manifest: {field}"):
+            RunManifest.from_payload(payload)
+
+    def test_int_timestamps_still_load(self):
+        payload = bare_manifest("run-int", 5.0, "f" * 64).to_payload()
+        payload["started_unix"] = 5
+        payload["wall_seconds"] = 0
+        assert RunManifest.from_payload(payload).started_unix == 5
+
+    @pytest.mark.parametrize(("field", "value"), WRONG_TYPED)
+    def test_wrong_typed_manifest_is_skipped_and_reported(self, field, value, tmp_path):
+        with RunStore(tmp_path / "store") as store:
+            good = run(small_plan(), config=RunConfig(store=store)).manifest
+            payload = good.to_payload()
+            payload["run_id"] = "run-bad"
+            payload[field] = value
+            bad = tmp_path / "store" / "manifests" / "run-bad.json"
+            bad.write_text(json.dumps(payload))
+            assert store.manifests() == [good]
+            assert store.latest_manifest() == good
+            assert store.latest_manifest(good.plan_fingerprint) == good
+            # later runs against the store still record and link
+            again = run(small_plan(), config=RunConfig(store=store)).manifest
+            assert again.resumed_from == good.run_id
+            report = store.verify()
+        assert not report.clean
+        assert any("run-bad.json" in problem for problem in report.problems)
+
+    @pytest.mark.parametrize(("field", "value"), [("started_unix", "x"), ("run_id", 7)])
+    def test_cli_lists_around_it_and_verify_flags_it(self, field, value, tmp_path):
+        with RunStore(tmp_path / "store") as store:
+            payload = run(small_plan(), config=RunConfig(store=store)).manifest.to_payload()
+        payload[field] = value
+        (tmp_path / "store" / "manifests" / "run-bad.json").write_text(json.dumps(payload))
+        listing = run_cli(["ls-runs", str(tmp_path / "store")])
+        assert listing.returncode == 0, listing.stderr
+        assert "plan='persist-test'" in listing.stdout
+        audit = run_cli(["verify", str(tmp_path / "store")])
+        assert audit.returncode == 1
+        assert "run-bad.json" in audit.stdout
+
+    @pytest.mark.parametrize(("field", "value"), WRONG_TYPED[:3])
+    def test_server_refuses_to_write_it(self, field, value, server):
+        with server.client() as store:
+            payload = bare_manifest("run-bad", 5.0, "f" * 64).to_payload()
+            payload[field] = value
+            with pytest.raises(PersistError, match="malformed run manifest"):
+                store.client.request({"op": "put_manifest", "manifest": payload})
+            assert store.manifests() == []
+
+
+FINGERPRINTS = ("a" * 64, "b" * 64)
+MALFORMED = (
+    b"{not json",
+    b"\xff\xfe",
+    b"[1, 2]",
+    json.dumps({"run_id": "run-x"}).encode(),
+    json.dumps(
+        {**bare_manifest("run-x", 1.0, "a" * 64).to_payload(), "started_unix": "x"}
+    ).encode(),
+)
+_STARTS = st.sampled_from([0.0, 1.0, 1.5, 2])  # few values: ties happen
+_RUN_IDS = st.sampled_from([f"run-{i}" for i in range(4)])
+_PUT = st.tuples(_RUN_IDS, _STARTS, st.sampled_from(FINGERPRINTS))
+INDEX_OPS = st.one_of(
+    st.tuples(st.just("put"), _PUT),
+    st.tuples(st.just("put-second-handle"), _PUT),
+    st.tuples(st.just("rewrite"), st.tuples(st.integers(0, 9), _STARTS)),
+    st.tuples(st.just("delete-latest"), st.sampled_from((None, *FINGERPRINTS))),
+    st.tuples(
+        st.just("malformed"),
+        st.tuples(st.sampled_from(["run-0", "run-x"]), st.sampled_from(MALFORMED)),
+    ),
+    # same (started_unix, run_id) under another file name, other content
+    st.tuples(st.just("alias"), st.integers(0, 9)),
+)
+
+
+def _parsed(path: Path) -> RunManifest | None:
+    try:
+        return RunManifest.from_payload(json.loads(path.read_text()))
+    except (ValueError, PersistError):
+        return None
+
+
+class TestManifestIndex:
+    """``latest_manifest`` keeps an index; it must answer as the full scan."""
+
+    @staticmethod
+    def _check(store) -> None:
+        listed = store.manifests()
+        for fingerprint in (None, *FINGERPRINTS):
+            matching = [
+                m for m in listed
+                if fingerprint is None or m.plan_fingerprint == fingerprint
+            ]
+            assert store.latest_manifest(fingerprint) == (
+                matching[-1] if matching else None
+            )
+
+    @staticmethod
+    def _apply(op, arg, store, second: RunStore, manifests_dir: Path) -> None:
+        if op in ("put", "put-second-handle"):
+            run_id, started, fingerprint = arg
+            target = store if op == "put" else second
+            target.put_manifest(bare_manifest(run_id, started, fingerprint))
+            return
+        listed = store.manifests()
+        if op == "rewrite" and listed:
+            index, started = arg
+            manifest = listed[index % len(listed)]
+            store.put_manifest(dataclasses.replace(manifest, started_unix=started))
+        elif op == "delete-latest":
+            latest = store.latest_manifest(arg)
+            if latest is not None:
+                # the winning file: ties go to the later file name
+                names = sorted(
+                    path.name for path in manifests_dir.glob("*.json")
+                    if _parsed(path) == latest
+                )
+                (manifests_dir / names[-1]).unlink()
+        elif op == "malformed":
+            name, blob = arg
+            write_atomic(manifests_dir / f"{name}.json", blob, fsync=False)
+        elif op == "alias" and listed:
+            manifest = listed[arg % len(listed)]
+            twin = dataclasses.replace(manifest, plan_name=f"alias-{arg}")
+            write_atomic(
+                manifests_dir / f"{manifest.run_id}-{arg}.json",
+                json.dumps(twin.to_payload()).encode(),
+                fsync=False,
+            )
+
+    @pytest.mark.parametrize("backend", ["disk", "remote"])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(INDEX_OPS, min_size=1, max_size=12))
+    def test_latest_equals_the_full_scan_after_every_step(self, backend, ops):
+        from test_serve import ServerThread
+
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            if backend == "disk":
+                srv, store = None, RunStore(root / "store")
+                shard = root / "store"
+            else:
+                srv = ServerThread(root / "served")
+                store = srv.client()
+                shard = root / "served" / "shard-00"
+            second = RunStore(shard)
+            try:
+                self._check(store)
+                for op, arg in ops:
+                    self._apply(op, arg, store, second, shard / "manifests")
+                    self._check(store)
+            finally:
+                second.close()
+                store.close()
+                if srv is not None:
+                    srv.stop()
+
+    def test_a_call_parses_only_new_files_and_the_winner(self, tmp_path, monkeypatch):
+        parsed: list[str] = []
+        original = RunManifest.from_payload
+
+        def counting(payload):
+            parsed.append(payload["run_id"])
+            return original(payload)
+
+        monkeypatch.setattr(RunManifest, "from_payload", staticmethod(counting))
+        store = RunStore(tmp_path / "store")
+        for i in range(5):
+            store.put_manifest(bare_manifest(f"run-{i}", float(i), "a" * 64))
+        assert store.latest_manifest().run_id == "run-4"
+        assert len(parsed) == 5 + 1  # a fresh handle indexes every file once
+        parsed.clear()
+        assert store.latest_manifest("a" * 64).run_id == "run-4"
+        assert parsed == ["run-4"]  # nothing new: only the winner
+        parsed.clear()
+        store.put_manifest(bare_manifest("run-5", 0.5, "b" * 64))
+        assert store.latest_manifest().run_id == "run-4"
+        assert sorted(parsed) == ["run-4", "run-5"]
+        parsed.clear()
+        (tmp_path / "store" / "manifests" / "run-4.json").unlink()
+        assert store.latest_manifest().run_id == "run-3"
+        assert parsed == ["run-3"]
+
+    def test_winner_rewritten_after_the_scan_is_re_picked(self, tmp_path, monkeypatch):
+        """A winner that changes between the scan and its read is rescanned."""
+        store = RunStore(tmp_path / "store")
+        for i in range(3):
+            store.put_manifest(bare_manifest(f"run-{i}", float(i), "a" * 64))
+        assert store.latest_manifest().run_id == "run-2"
+        original = RunStore._read_manifest
+        rewritten = []
+
+        def racing(path):
+            if path.name == "run-2.json" and not rewritten:
+                rewritten.append(path.name)
+                store.put_manifest(bare_manifest("run-2", -1.0, "a" * 64))
+            return original(path)
+
+        monkeypatch.setattr(RunStore, "_read_manifest", staticmethod(racing))
+        assert store.latest_manifest().run_id == "run-1"
+        assert rewritten == ["run-2.json"]
+
+
+class TestScorePrefetch:
+    """Warm runs read their durable scores in one batch, not per key."""
+
+    @staticmethod
+    def _count_score_reads(store) -> list[list[str]]:
+        reads: list[list[str]] = []
+        original = store.get_records
+
+        def counting(kind, keys):
+            keys = list(keys)
+            if kind == SCORE_KIND:
+                reads.append(keys)
+            return original(kind, keys)
+
+        store.get_records = counting
+        return reads
+
+    @staticmethod
+    def _count_gets(score_cache) -> list:
+        gets: list = []
+        original = score_cache.get
+
+        def counting(key):
+            gets.append(key)
+            return original(key)
+
+        score_cache.get = counting
+        return gets
+
+    @pytest.mark.parametrize("backend", ["disk", "remote"])
+    def test_warm_run_makes_one_batched_score_read(self, backend, tmp_path, request):
+        store = store_for(backend, tmp_path, request)
+        cold_scores = store.score_cache()
+        cold_gets = self._count_gets(cold_scores)
+        cold = run(small_plan(), config=RunConfig(store=store, score_cache=cold_scores))
+        assert cold.stats.scores_computed == cold.stats.total_units
+
+        reads = self._count_score_reads(store)
+        frames: list[dict] = []
+        if backend == "remote":
+            original = store.client.request_many
+
+            def counting_frames(requests):
+                frames.extend(requests)
+                return original(requests)
+
+            store.client.request_many = counting_frames
+        scores = store.score_cache()
+        gets = self._count_gets(scores)
+        warm = run(small_plan(), config=RunConfig(store=store, score_cache=scores))
+        assert warm.stats.generated == 0
+        assert warm.stats.scores_computed == 0
+        assert len(reads) == 1  # one batched read for the whole run
+        assert sorted(reads[0]) == store.keys(SCORE_KIND)
+        # the per-key accounting is what it was before the batch read
+        assert len(gets) == len(cold_gets) == warm.stats.total_units
+        assert scores.stats()["disk_hits"] == len(gets)
+        assert scores.stats()["disk_puts"] == 0
+        assert [warm[u.uid].score for u in small_plan().units] == [
+            cold[u.uid].score for u in small_plan().units
+        ]
+        if backend == "remote":
+            score_frames = [
+                f for f in frames
+                if f["op"] == "get_records" and f["kind"] == SCORE_KIND
+            ]
+            assert len(score_frames) == 1
+
+    @pytest.mark.parametrize("backend", ["disk", "remote"])
+    def test_cold_run_asks_the_store_once(self, backend, tmp_path, request):
+        store = store_for(backend, tmp_path, request)
+        reads = self._count_score_reads(store)
+        cold = run(small_plan(), config=RunConfig(store=store))
+        assert cold.stats.scores_computed == cold.stats.total_units
+        assert len(reads) == 1  # the misses are not re-read one by one
+
+    def test_memory_only_and_memory_resident_keys_never_reach_the_store(
+        self, tmp_path
+    ):
+        store = RunStore(tmp_path / "store")
+        reads = self._count_score_reads(store)
+        fingerprint = CodeSimilarityScorer().fingerprint
+        resident = ("a" * 64, "b" * 64, fingerprint)
+        durable = ("c" * 64, "d" * 64, fingerprint)
+        unstable = ("e" * 64, "f" * 64, lambda x: x)
+        writer = store.score_cache()
+        writer.put(durable, Score({"bleu": 2.0}, "d"))
+        scores = store.score_cache()
+        scores.put(resident, Score({"bleu": 1.0}, "a"))
+        scores.prefetch([unstable])
+        scores.prefetch([resident])
+        assert reads == []  # nothing to ask the store for
+        scores.prefetch([resident, unstable, durable])
+        assert reads == [[disk_score_key(durable)]]
+        assert scores.get(durable) == Score({"bleu": 2.0}, "d")
+        assert scores.get(resident) == Score({"bleu": 1.0}, "a")
+        assert scores.get(unstable) is None
+        assert len(reads) == 1  # every get answered from the batch
+        assert scores.stats()["disk_hits"] == 1
+
+    def test_plan_larger_than_the_memo_still_scores_correctly(self, tmp_path):
+        plan = Plan("wide")
+        for system in ("adios2", "wilkins", "henson"):
+            plan.add_eval(configuration_task(system), "sim/o3", epochs=2)
+        with RunStore(tmp_path / "store") as store:
+            cold = run(plan, config=RunConfig(store=store))
+            small = store.score_cache(maxsize=2)
+            reads = self._count_score_reads(store)
+            warm = run(plan, config=RunConfig(store=store, score_cache=small))
+        assert len(plan.units) > 2
+        assert warm.stats.scores_computed == 0
+        assert warm.stats.score_hits == len(plan.units)
+        assert small.stats()["disk_hits"] == len(plan.units)
+        assert len(reads[0]) == 2  # the batch is capped at the memo's size
+        assert {u.uid: warm[u.uid].score for u in plan.units} == {
+            u.uid: cold[u.uid].score for u in plan.units
+        }
+
+
+class TestConcurrentIndexAndPrefetch:
+    """More threads than cores on one handle; a lost update breaks a count."""
+
+    @staticmethod
+    def _run_threads(targets) -> None:
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=t) for t in targets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_each_prefetched_key_is_one_disk_hit(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        fingerprint = CodeSimilarityScorer().fingerprint
+        keys = [(f"{i:064x}", "b" * 64, fingerprint) for i in range(200)]
+        writer = store.score_cache()
+        for i, key in enumerate(keys):
+            writer.put(key, Score({"bleu": float(i)}, "a"))
+        scores = store.score_cache()
+        scores.prefetch(keys)
+        errors: list[BaseException] = []
+
+        def reader(offset: int) -> None:
+            try:
+                for i in range(len(keys)):
+                    j = (i + offset) % len(keys)
+                    assert scores.get(keys[j]) == Score({"bleu": float(j)}, "a")
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        self._run_threads([lambda o=o: reader(o * 25) for o in range(8)])
+        assert errors == []
+        assert scores.stats()["disk_hits"] == len(keys)
+
+    def test_latest_stays_the_full_scan_under_concurrent_writers(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        second = RunStore(tmp_path / "store")
+        written: set[str] = set()
+        seen: list[str] = []
+        errors: list[BaseException] = []
+
+        def writer(handle: RunStore, start: int) -> None:
+            try:
+                for i in range(start, start + 40):
+                    manifest = bare_manifest(f"run-{i:03d}", float(i), FINGERPRINTS[i % 2])
+                    written.add(manifest.run_id)
+                    handle.put_manifest(manifest)
+            except BaseException as exc:
+                errors.append(exc)
+
+        def reader() -> None:
+            try:
+                for _ in range(40):
+                    latest = store.latest_manifest(FINGERPRINTS[0])
+                    if latest is not None:
+                        seen.append(latest.run_id)
+            except BaseException as exc:
+                errors.append(exc)
+
+        self._run_threads(
+            [lambda: writer(store, 0), lambda: writer(second, 40)]
+            + [reader] * 6
+        )
+        assert errors == []
+        assert set(seen) <= written
+        TestManifestIndex._check(store)
+        assert store.latest_manifest().run_id == "run-079"
+
+
+def surrogate_plan() -> Plan:
+    """One adios2 configuration unit whose target ends in a lone surrogate."""
+    task = configuration_task("adios2")
+    sample = task.dataset[0]
+    task = dataclasses.replace(
+        task, dataset=[dataclasses.replace(sample, target=sample.target + "\udcff")]
+    )
+    plan = Plan("surrogate")
+    plan.add_eval(task, "sim/o3", epochs=1)
+    return plan
+
+
+class TestLoneSurrogates:
+    def test_known_keys_are_unchanged(self, tmp_path):
+        """Valid text hashes the same bytes as before: stores stay warm."""
+        assert generation_key(
+            "Write an ADIOS2 XML configuration.", "sim/o3", GenerateConfig(seed=7)
+        ) == "4cf3360d9833501a6d5da0daa58f29c8b068cf0d91a17d45a8822b1d99e51678"
+        with RunStore(tmp_path / "store") as store:
+            run(small_plan(), config=RunConfig(store=store))
+            assert store.keys("gen")[0] == (
+                "96a332c68824b21c846882f95e7352996e2fdc1a63ba6961d8c041c7b9712c01"
+            )
+            assert store.keys(SCORE_KIND)[0] == (
+                "919491dfb6866bc53d5ca141d51d9e959db3447617a145459c343b0902aea662"
+            )
+
+    def test_lone_surrogate_prompt_has_a_key(self):
+        key = generation_key("prompt \udcff", "sim/o3", GenerateConfig())
+        assert key != generation_key("prompt ", "sim/o3", GenerateConfig())
+
+    @pytest.mark.parametrize("backend", ["disk", "remote"])
+    def test_lone_surrogate_target_runs_cold_then_warm(self, backend, tmp_path, request):
+        store = store_for(backend, tmp_path, request)
+        cold = run(surrogate_plan(), config=RunConfig(store=store))
+        assert cold.stats.generated == 1
+        assert cold.stats.scores_computed == 1
+        warm = run(surrogate_plan(), config=RunConfig(store=store))
+        assert warm.stats.generated == 0
+        assert warm.stats.scores_computed == 0
+        assert warm.stats.score_hits == 1
+        uid = surrogate_plan().units[0].uid
+        assert warm[uid].score == cold[uid].score
 
 
 class TestResumableSweep:
