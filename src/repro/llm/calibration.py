@@ -8,19 +8,19 @@ from scratch), and every depth is scored once and memoized.  Scoring
 follows the same shape: an operator changes about one line, so a
 :class:`_DeltaWalk` re-tokenizes only the lines that differ from the
 previous depth, and one
-:meth:`repro.metrics.kernels._TokenKernel.delta_stats` call per range
-query turns those differences into every depth's clipped n-gram counts,
-at a cost that scales with the changed n-grams that hit the reference
-rather than with depths × reference n-grams.  A depth whose line list
-equals the previous depth's (about two in five: no-op deletions,
-renames of absent words, morphs that rewrite a line into itself) takes
-the previous depth's score without reaching the kernel.  A depth the
-walk cannot take — no vectorized kernel for the reference, or a text that does not
-tokenize line by line — is scored whole with
-:func:`repro.metrics.kernels.bleu_kernel_batch`.  Both paths produce
-the exact integer counts and the same score arithmetic, so
-every score is bit-equal to the reference :func:`~repro.metrics.bleu`
-and the chosen depths are exactly those of a per-depth scalar scan.
+:meth:`repro.metrics.kernels._Kernel.delta_stats` call per range query
+turns those differences into every depth's clipped n-gram counts, at a
+cost that scales with the changed n-grams that hit the reference rather
+than with depths × reference n-grams.  A depth whose line list equals
+the previous depth's (about two in five: no-op deletions, renames of
+absent words, morphs that rewrite a line into itself) takes the
+previous depth's score without reaching the kernel.  A state whose text
+does not tokenize line by line is walked too: its whole text's tokens
+replace the id stream.  Only a reference with no token kernel (its
+n-gram tables would pass the cap) is scored per depth, through
+:func:`repro.metrics.kernels.bleu_compiled`.  Every score is bit-equal
+to the reference :func:`~repro.metrics.bleu`, so the chosen depths are
+exactly those of a per-depth scalar scan.
 Texts are joined only for the depths callers read.  The k with minimum
 ``|BLEU(k) − target|`` is selected by a straight scan rather than
 bisection because the curve is only *approximately* monotone —
@@ -41,16 +41,15 @@ import numpy as np
 
 from repro.errors import CalibrationError
 from repro.llm.corruption import CorruptionOp, apply_ops  # noqa: F401 (re-export)
-from repro.metrics.kernels import bleu_compiled  # noqa: F401 (re-export)
 from repro.metrics.kernels import (
     CompiledReference,
     _token_kernel,
     _TokenKernel,
+    bleu_compiled,
     bleu_from_stats,
-    bleu_kernel_batch,
     compile_reference,
 )
-from repro.metrics.tokenizers import tokenize_lines
+from repro.metrics.tokenizers import tokenize_13a_cached, tokenize_lines
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -77,7 +76,7 @@ class QualityCurve:
 
     Every range query (:meth:`scores`, :meth:`best`, the fallback scan)
     scores its unscored depths with one
-    :meth:`~repro.metrics.kernels._TokenKernel.delta_stats` call, through
+    :meth:`~repro.metrics.kernels._Kernel.delta_stats` call, through
     a :class:`_DeltaWalk` that lives only for that query (the curve
     itself is shared across executor threads) — bit-equal to a
     per-depth reference :func:`~repro.metrics.bleu`.  Only the depths
@@ -147,10 +146,9 @@ class QualityCurve:
         rewrites a line into itself — takes that depth's score once the
         previous depth has one (scored earlier, or in this call), with
         no walk step.  The other depths go through one
-        :class:`_DeltaWalk` that lives only for this call; a depth the
-        walk cannot take (no token kernel for the reference, or a state
-        that does not tokenize line by line) is scored from its text
-        with :func:`bleu_kernel_batch`.
+        :class:`_DeltaWalk` that lives only for this call, or — when the
+        reference has no token kernel — through :func:`bleu_compiled`
+        on their text, one depth at a time.
         """
         scores = self._scores
         missing = [k for k in range(lo, hi + 1) if k not in scores]
@@ -160,20 +158,17 @@ class QualityCurve:
         walk = _DeltaWalk(kernel) if kernel is not None else None
         states = self._states_through(missing[-1])
         walked: list[int] = []
-        whole: list[int] = []
         same: list[int] = []
         for k in missing:
             if (k > lo or k - 1 in scores) and states[k] == states[k - 1]:
                 same.append(k)
-            elif walk is not None and walk.step(states[k]):
-                walked.append(k)
+            elif walk is None:
+                scores[k] = bleu_compiled(self.text(k), self.compiled)
             else:
-                whole.append(k)
+                walk.step(states[k])
+                walked.append(k)
         if walked:
             scores.update(zip(walked, walk.scores(self.compiled.ref_len)))
-        if whole:
-            texts = [self.text(k) for k in whole]
-            scores.update(zip(whole, bleu_kernel_batch(texts, self.compiled)))
         for k in same:  # ascending, so a run of equal states chains
             scores[k] = scores[k - 1]
         self.scores_computed += len(missing)
@@ -230,11 +225,13 @@ class _DeltaWalk:
     stream is depth ``k-1``'s with a short run of lines re-tokenized:
     :meth:`step` finds the lines the two states share at the front and
     back, tokenizes only the lines between, splices the id list, and
-    queues the (removed, added) id windows.  :meth:`scores` turns the
-    queued windows into per-depth clipped counts with one
-    :meth:`_TokenKernel.delta_stats` call.  A walk starts from the empty
-    state (so its first depth is counted in full) and may step between
-    any two states, adjacent or not.
+    queues the (removed, added) id windows.  A state that does not
+    tokenize line by line (a ``\\r``, or a ``-`` ending a line other than
+    the last) takes its whole text's tokens as one pseudo-line that no
+    later state shares.  :meth:`scores` turns the queued windows into
+    per-depth clipped counts with one :meth:`_Kernel.delta_stats` call.
+    A walk starts from the empty state (so its first depth is counted in
+    full) and may step between any two states, adjacent or not.
     """
 
     __slots__ = ("kernel", "context", "lines", "ids", "line_lens", "running",
@@ -253,9 +250,8 @@ class _DeltaWalk:
         self.added: list[list[int]] = []
         self.lengths: list[int] = []
 
-    def step(self, lines: list[str]) -> bool:
-        """Move to ``lines`` and queue its delta; ``False`` (and no move)
-        when the state does not tokenize line by line."""
+    def step(self, lines: list[str]) -> None:
+        """Move to ``lines`` and queue its delta."""
         old = self.lines
         a, b = len(old), len(lines)
         # shared lines keep their 13a boundary context only while they
@@ -266,7 +262,11 @@ class _DeltaWalk:
         s = _shared(reversed(old), reversed(lines), max(min(m - 1, m - p), 0))
         per_line = tokenize_lines(lines[p : b - s], first=p == 0, last=s == 0)
         if per_line is None:
-            return False
+            # the whole stream is replaced; a single-line state shares
+            # no line with the next one, whatever that holds
+            p = s = 0
+            per_line = [tokenize_13a_cached("\n".join(lines))]
+            lines = [None]
         new_ids = self.kernel.token_ids(chain.from_iterable(per_line))
         ids, line_lens = self.ids, self.line_lens
         head = sum(line_lens[:p])
@@ -280,7 +280,6 @@ class _DeltaWalk:
         line_lens[p : a - s] = map(len, per_line)
         self.lines = lines
         self.lengths.append(len(ids))
-        return True
 
     def scores(self, ref_len: int) -> list[float]:
         """BLEU of every depth queued since the last call, in step order."""

@@ -16,7 +16,7 @@ against one reference, :func:`compile_reference` the reference once and
 score with the vectorized kernels :func:`bleu_kernel` /
 :func:`chrf_kernel` (id-interned numpy n-gram counting at the paper's
 settings; bit-equal to the oracle, several times faster per
-hypothesis), or :func:`bleu_kernel_batch` for whole hypothesis groups.
+hypothesis).
 """
 
 from repro.metrics.bleu import BleuScore, bleu, corpus_bleu
@@ -24,7 +24,6 @@ from repro.metrics.chrf import ChrfScore, chrf, corpus_chrf
 from repro.metrics.kernels import (
     CompiledReference,
     bleu_kernel,
-    bleu_kernel_batch,
     chrf_kernel,
     compile_reference,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "CompiledReference",
     "compile_reference",
     "bleu_kernel",
-    "bleu_kernel_batch",
     "chrf_kernel",
     "Aggregate",
     "aggregate",

@@ -39,24 +39,22 @@ the reference is scored per hypothesis through :func:`bleu_compiled` /
 :func:`chrf_compiled`, which are the reference scorers on
 ``reference.text`` — same scores, the reference speed.
 
-:func:`bleu_kernel_batch` scores a whole group of hypotheses against
-one reference (the calibration curve's whole-text fallback): all
-hypotheses are concatenated (with out-of-vocabulary sentinel
-separators, which can never match a reference n-gram) into **one** id
-array, looked up once per order, and the per-hypothesis clipped
-matches come out of a single fused ``np.bincount`` over ``(gram index,
-hypothesis)`` keys — the numpy per-call overhead that dominates short
-hypotheses is paid once per *group* per order instead of once per
-hypothesis.
+One :class:`_Kernel` holds a reference's tables over symbol ids and
+owns every count: :meth:`_Kernel.stats` scores one id stream whole,
+:meth:`_Kernel.delta_stats` a run of streams by their edits.
+:class:`_TokenKernel` (13a tokens, ids by first use) and
+:class:`_CharKernel` (codepoints, ids by rank in the sorted alphabet)
+only build the tables and map symbols to ids.
 
 Simulator calibration (:class:`repro.llm.calibration.QualityCurve`)
 scores a run of corruption depths whose texts differ by a line or two
-each.  :meth:`_TokenKernel.delta_stats` takes each depth's removed and
+each.  :meth:`_Kernel.delta_stats` takes each depth's removed and
 added id windows (padded with ``max_order - 1`` unchanged context ids,
 so grams wholly inside the context cancel) for a whole range query and
-joins them with the same sentinel separators.  Per order, only the
-window grams that hit the reference are kept, as (gram, depth, ±1)
-events sorted by gram, then depth.  A ``cumsum`` restarted at every
+joins them with ``max_order - 1`` sentinel ids after each window, so no
+gram spans two windows.  Per order, only the window grams that hit
+the reference are kept, as (gram, depth, ±1) events sorted by gram,
+then depth.  A ``cumsum`` restarted at every
 gram, on top of the running hypothesis counts, gives each event's count
 ``c``; the event changes its depth's clipped matches by
 ``min(c, ref) − min(c ∓ 1, ref)``, and a ``bincount`` by depth plus a
@@ -224,106 +222,28 @@ def _matches(idx: "np.ndarray", ref_counts: "np.ndarray") -> int:
     return int(np.minimum(hyp_counts, ref_counts).sum())
 
 
-def _concat_with_separators(ids_list: list, width: int, max_order: int):
-    """All hypotheses as one id array, plus per-position ownership.
+class _Kernel:
+    """Chained n-gram index tables of one reference, over symbol ids.
 
-    ``max_order - 1`` out-of-vocabulary sentinel ids (``width - 1``, an
-    id no reference symbol carries) separate consecutive hypotheses, so
-    any n-gram spanning a boundary contains a sentinel and can never hit
-    a reference gram — it contributes nothing, which makes the
-    start-position ownership attribution safe for every counted gram.
+    ``width - 1`` is the sentinel id of a symbol the reference never
+    holds.  The subclasses only build the tables and map their symbols
+    (13a tokens, codepoints) to ids; every count comes from here.
     """
-    n = len(ids_list)
-    if not n:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
-    sep_len = max_order - 1
-    parts = [np.full(sep_len, width - 1, dtype=np.intp)] * (2 * n - 1)
-    parts[::2] = ids_list
-    spans = np.fromiter(map(len, ids_list), dtype=np.int64, count=n)
-    spans[:-1] += sep_len
-    return np.concatenate(parts), np.repeat(np.arange(n, dtype=np.intp), spans)
 
+    __slots__ = ("width", "tables", "ref_counts")
 
-def _batch_matches(idx, owner, ref_counts, n: int):
-    """Per-hypothesis clipped matches of one order, in one fused bincount.
+    def __init__(self, ids: "np.ndarray", width: int, max_order: int) -> None:
+        self.width = width
+        self.tables, self.ref_counts = _build_tables(ids, width, max_order)
 
-    The ``(gram index, hypothesis)`` pair is folded into a single integer
-    key, histogrammed once, reshaped to a ``(grams + miss, hypotheses)``
-    count matrix, stripped of the miss row, clipped against the reference
-    counts column-wise, and summed — the whole order for the whole group
-    is a handful of array ops.
-    """
-    grams = len(ref_counts)
-    key = idx.astype(np.intp) * n + owner[: len(idx)]
-    counts = np.bincount(key, minlength=(grams + 1) * n).reshape(grams + 1, n)
-    return np.minimum(counts[:grams], ref_counts[:, None]).sum(axis=0)
-
-
-class _TokenKernel:
-    """Chained token n-gram tables of one reference (BLEU side)."""
-
-    __slots__ = ("vocab", "width", "tables", "ref_counts")
-
-    def __init__(self, tokens: Sequence[str]) -> None:
-        vocab: dict[str, int] = {}
-        for token in tokens:
-            if token not in vocab:
-                vocab[token] = len(vocab)
-        self.vocab = vocab
-        self.width = len(vocab) + 1  # +1: the out-of-vocabulary sentinel id
-        ids = np.fromiter(
-            (vocab[token] for token in tokens), dtype=np.intp, count=len(tokens)
-        )
-        self.tables, self.ref_counts = _build_tables(ids, self.width, DEFAULT_MAX_ORDER)
-
-    def __getstate__(self):  # __slots__ classes need explicit pickle state
-        return (self.vocab, self.width, self.tables, self.ref_counts)
-
-    def __setstate__(self, state) -> None:
-        self.vocab, self.width, self.tables, self.ref_counts = state
-
-    def token_ids(self, tokens: Iterable[str]) -> list[int]:
-        """Token ids against the reference vocab (unknown -> sentinel).
-
-        ``map`` over the bound ``dict.get`` keeps the per-token loop in C;
-        a generator expression here was the top self-time in calibration.
-        """
-        return list(map(self.vocab.get, tokens, repeat(len(self.vocab))))
-
-    def stats(self, hyp_tokens: Sequence[str]) -> tuple[list[int], list[int]]:
-        """Per-order (clipped matches, hypothesis n-gram totals) for BLEU."""
-        ids = np.array(self.token_ids(hyp_tokens), dtype=np.intp)
+    def stats(self, ids: "np.ndarray") -> tuple[list[int], list[int]]:
+        """Per-order (clipped matches, hypothesis n-gram totals) of ``ids``."""
         counts: list[int] = []
         totals: list[int] = []
         for idx, ref_counts in zip(_gram_index(ids, self.tables, self.width),
                                    self.ref_counts):
             counts.append(_matches(idx, ref_counts))
             totals.append(len(idx))
-        return counts, totals
-
-    def batch_stats(self, hyp_token_lists: Sequence[Sequence[str]]):
-        """Per-order (matches, totals) arrays over a whole hypothesis group.
-
-        Index ``[order][h]`` gives hypothesis ``h``'s clipped matches /
-        n-gram total for that order — the same integers ``stats`` would
-        produce per hypothesis, computed with one set of array ops per
-        order for the entire group.
-        """
-        ids_list = [np.array(self.token_ids(tokens), dtype=np.intp)
-                    for tokens in hyp_token_lists]
-        n = len(ids_list)
-        cat, owner = _concat_with_separators(ids_list, self.width, len(self.ref_counts))
-        lengths = np.fromiter(
-            (len(ids) for ids in ids_list), dtype=np.int64, count=n
-        )
-        counts = []
-        totals = []
-        for order, (idx, ref_counts) in enumerate(
-            zip(_gram_index(cat, self.tables, self.width), self.ref_counts), start=1
-        ):
-            counts.append(_batch_matches(idx, owner, ref_counts, n))
-            totals.append(np.maximum(lengths - order + 1, 0))
         return counts, totals
 
     def delta_stats(self, running, removed, added, lengths):
@@ -335,9 +255,9 @@ class _TokenKernel:
         the change is in one window and grams wholly inside the context
         cancel.  ``running`` holds the hypothesis count of every reference
         gram, per order, at the depth before the first and is advanced to
-        the last depth in place; ``lengths`` are the depths' token counts.
-        Index ``[order][j]`` gives the same integers :meth:`batch_stats`
-        would produce for depth ``j``'s whole token stream.
+        the last depth in place; ``lengths`` are the depths' symbol counts.
+        Index ``[order][j]`` gives the same integers :meth:`stats` gives
+        for depth ``j``'s whole id stream.
 
         The work scales with the window grams that hit the reference, not
         with depths × reference grams: each hit is a (gram, depth, ±1)
@@ -416,25 +336,42 @@ def _codepoints(text: str) -> "np.ndarray":
     return np.frombuffer(raw, dtype=np.uint32).astype(np.int64)
 
 
-class _CharKernel:
-    """Chained character n-gram tables of one reference (chrF side)."""
+class _TokenKernel(_Kernel):
+    """Token n-gram tables of one reference (BLEU side); ids by first use."""
 
-    __slots__ = ("alphabet", "width", "tables", "ref_counts", "totals")
+    __slots__ = ("vocab",)
+
+    def __init__(self, tokens: Sequence[str]) -> None:
+        vocab: dict[str, int] = {}
+        for token in tokens:
+            if token not in vocab:
+                vocab[token] = len(vocab)
+        self.vocab = vocab
+        ids = np.fromiter(
+            (vocab[token] for token in tokens), dtype=np.intp, count=len(tokens)
+        )
+        super().__init__(ids, len(vocab) + 1, DEFAULT_MAX_ORDER)
+
+    def token_ids(self, tokens: Iterable[str]) -> list[int]:
+        """Token ids against the reference vocab (unknown -> sentinel).
+
+        ``map`` over the bound ``dict.get`` keeps the per-token loop in C;
+        a generator expression here was the top self-time in calibration.
+        """
+        return list(map(self.vocab.get, tokens, repeat(len(self.vocab))))
+
+
+class _CharKernel(_Kernel):
+    """Character n-gram tables of one reference (chrF side); ids by codepoint
+    rank in the sorted alphabet."""
+
+    __slots__ = ("alphabet",)
 
     def __init__(self, text: str) -> None:
         codepoints = _codepoints(text)
         self.alphabet = np.unique(codepoints)
-        self.width = len(self.alphabet) + 1  # +1: the sentinel id
         ids = np.searchsorted(self.alphabet, codepoints)
-        self.tables, self.ref_counts = _build_tables(ids, self.width, DEFAULT_CHAR_ORDER)
-        self.totals = [max(len(ids) - order + 1, 0)
-                       for order in range(1, DEFAULT_CHAR_ORDER + 1)]
-
-    def __getstate__(self):
-        return (self.alphabet, self.width, self.tables, self.ref_counts, self.totals)
-
-    def __setstate__(self, state) -> None:
-        self.alphabet, self.width, self.tables, self.ref_counts, self.totals = state
+        super().__init__(ids, len(self.alphabet) + 1, DEFAULT_CHAR_ORDER)
 
     def _map_ids(self, codepoints: "np.ndarray") -> "np.ndarray":
         if len(self.alphabet) == 0:
@@ -444,16 +381,6 @@ class _CharKernel:
         np.clip(ids, 0, len(self.alphabet) - 1, out=ids)
         ids[self.alphabet[ids] != codepoints] = len(self.alphabet)  # sentinel
         return ids
-
-    def stats(self, hypothesis: str) -> list[tuple[int, int, int]]:
-        """Per-order (matches, hyp total, ref total) for the chrF F-score."""
-        ids = self._map_ids(_codepoints(hypothesis))
-        out: list[tuple[int, int, int]] = []
-        for idx, ref_counts, ref_total in zip(
-            _gram_index(ids, self.tables, self.width), self.ref_counts, self.totals
-        ):
-            out.append((_matches(idx, ref_counts), len(idx), ref_total))
-        return out
 
 
 def _kernel(ref: CompiledReference, kind: str, build) -> object | None:
@@ -491,7 +418,7 @@ def bleu_kernel(hypothesis: str, reference: CompiledReference | str) -> float:
     if kernel is None:
         return bleu_compiled(hypothesis, ref)
     hyp_tokens = tokenize_13a_cached(hypothesis)
-    counts, totals = kernel.stats(hyp_tokens)
+    counts, totals = kernel.stats(np.array(kernel.token_ids(hyp_tokens), dtype=np.intp))
     return _bleu_exp(counts, totals, len(hyp_tokens), ref.ref_len)
 
 
@@ -501,38 +428,16 @@ def chrf_kernel(hypothesis: str, reference: CompiledReference | str) -> float:
     kernel = _char_kernel(ref)
     if kernel is None:
         return chrf_compiled(hypothesis, ref)
-    return _chrf_mean(kernel.stats(hypothesis))
-
-
-def bleu_kernel_batch(
-    hypotheses: Sequence[str], reference: CompiledReference | str
-) -> list[float]:
-    """Sentence BLEU for a whole hypothesis group (bit-equal per element).
-
-    One tokenization pass per hypothesis, then one set of vectorized
-    array operations per order for the *entire group* — the per-call
-    numpy overhead that makes single-hypothesis kernels a wash on short
-    references is amortized across the batch.  Element ``i`` is exactly
-    ``bleu_kernel(hypotheses[i], reference)``.
-    """
-    ref = _compiled(reference)
-    kernel = _token_kernel(ref)
-    if kernel is None:
-        return [bleu_compiled(hyp, ref) for hyp in hypotheses]
-    if not hypotheses:
-        return []
-    token_lists = [tokenize_13a_cached(hyp) for hyp in hypotheses]
-    counts, totals = kernel.batch_stats(token_lists)
-    return bleu_from_stats(
-        counts, totals, [len(tokens) for tokens in token_lists], ref.ref_len
-    )
+    counts, totals = kernel.stats(kernel._map_ids(_codepoints(hypothesis)))
+    ref_totals = [int(grams.sum()) for grams in kernel.ref_counts]
+    return _chrf_mean(zip(counts, totals, ref_totals))
 
 
 def bleu_from_stats(counts, totals, sys_lens: Sequence[int], ref_len: int) -> list[float]:
     """Sentence BLEU per hypothesis from per-order (matches, totals) arrays.
 
     ``counts[order][h]`` / ``totals[order][h]`` as returned by
-    :meth:`_TokenKernel.batch_stats` or :meth:`_TokenKernel.delta_stats`.
+    :meth:`_Kernel.delta_stats`.
     """
     rows = zip(
         zip(*(order_counts.tolist() for order_counts in counts)),

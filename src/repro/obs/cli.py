@@ -25,7 +25,7 @@ import json
 import pathlib
 import sys
 
-from repro.errors import HarnessError
+from repro.errors import HarnessError, StoreError
 from repro.obs.report import (
     is_manifest_payload,
     load_payload,
@@ -59,9 +59,9 @@ def _manifest_payload(run_id: str, store: str | None) -> dict:
             f"run {run_id!r} is not a manifest file; pass --store to look "
             f"it up in a run store"
         )
-    from repro.serve import open_store  # late: avoid an import cycle
+    from repro.serve.url import open_existing_store  # late: avoid an import cycle
 
-    with open_store(store) as opened:
+    with open_existing_store(store) as opened:
         manifest = opened.manifest(run_id)
     if manifest is None:
         raise HarnessError(f"run {run_id!r} not found in store {store}")
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         rendered = args.func(args)
-    except HarnessError as exc:
+    except (HarnessError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -10,7 +10,8 @@ retries creeping up, where is the wall time drifting?
 ``python -m repro.obs trend --store PATH_OR_URL`` renders the tables;
 ``--json`` emits the raw rows for CI artifacts.  Works against a local
 store directory or a live ``tcp://`` / ``unix://`` store server — any
-URL :func:`repro.serve.open_store` accepts.
+URL :func:`repro.serve.open_store` accepts; a local path must already
+hold a store.
 """
 
 from __future__ import annotations
@@ -72,10 +73,11 @@ def trend_row(payload: dict[str, Any]) -> dict[str, Any]:
 
 def collect_trend(store: str) -> list[dict[str, Any]]:
     """Trend rows for every manifest in ``store`` (path or URL), oldest
-    first."""
-    from repro.serve import open_store  # late: avoid an import cycle
+    first; a local path that holds no store raises
+    :class:`~repro.errors.StoreError`."""
+    from repro.serve.url import open_existing_store  # late: avoid an import cycle
 
-    with open_store(store) as opened:
+    with open_existing_store(store) as opened:
         payloads = [manifest.to_payload() for manifest in opened.manifests()]
     rows = [trend_row(payload) for payload in payloads]
     rows.sort(key=lambda r: (r["started_unix"], r["run_id"]))

@@ -27,25 +27,7 @@ from typing import Sequence
 
 from repro.errors import StoreError
 from repro.persist.store import RunStore
-
-#: commands that read shard files directly and so cannot run over a URL
-#: (none since the server grew remote ``gc``/``verify`` ops; kept as the
-#: gating hook for any future local-only command)
-LOCAL_ONLY: tuple[str, ...] = ()
-
-
-def _open(path: str, command: str):
-    from repro.serve.url import open_store, parse_store_url
-
-    family, target = parse_store_url(path)
-    if family == "local":
-        return RunStore(target, create=False)
-    if command in LOCAL_ONLY:
-        raise StoreError(
-            f"'{command}' needs the store files; run it on the server's "
-            f"--root directory, not on {path!r}"
-        )
-    return open_store(path)
+from repro.serve.url import open_existing_store
 
 
 def _metrics_digest(store) -> str | None:
@@ -156,7 +138,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler, _ = COMMANDS[args.command]
     try:
-        store = _open(args.store, args.command)
+        store = open_existing_store(args.store)
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -141,14 +141,7 @@ class FaultPolicy:
       outcome feeds the unit's model's circuit breaker, and while that
       breaker is open, attempts are refused (a retryable
       :class:`~repro.errors.BreakerOpenError`) without touching the
-      provider;
-    * ``shared_budget`` — an optional cross-process retry budget (any
-      object with ``try_acquire() -> bool``, e.g.
-      :class:`~repro.serve.client.RemoteRetryBudget` backed by a
-      store server's shared counter).  When set, it governs instead of
-      the local ``retry_budget``; when it errors (the counter server is
-      unreachable), the local budget takes back over — fail open, not
-      stuck.
+      provider.
     """
 
     retry: RetryPolicy = RetryPolicy()
@@ -156,7 +149,6 @@ class FaultPolicy:
     retry_budget: int | None = None
     on_failure: str = "raise"
     health: Any = None
-    shared_budget: Any = None
 
     def __post_init__(self) -> None:
         if self.on_failure not in ON_FAILURE_MODES:
@@ -175,12 +167,6 @@ class FaultPolicy:
         if self.health is not None and not hasattr(self.health, "get"):
             raise HarnessError(
                 "health must be a BreakerRegistry-like object with .get(name)"
-            )
-        if self.shared_budget is not None and not hasattr(
-            self.shared_budget, "try_acquire"
-        ):
-            raise HarnessError(
-                "shared_budget must expose try_acquire() -> bool"
             )
 
     @property
@@ -305,22 +291,9 @@ class FaultState:
         return len(self._retried_uids)
 
     def _acquire_retry(self, uid: str, cost_s: float) -> bool:
-        """One retry token from the shared budget; False when spent."""
-        # The cross-process budget does network I/O, so consult it
-        # outside the lock.  None = no verdict (unset, or the counter
-        # server was unreachable) → the local budget governs.
-        shared = self.policy.shared_budget
-        granted: bool | None = None
-        if shared is not None:
-            try:
-                granted = bool(shared.try_acquire())
-            except Exception:
-                granted = None  # fail open to the local budget
+        """One retry token from the run's budget; False when spent."""
         with self._mu:
-            if granted is False:
-                self.budget_exhausted = True
-                return False
-            if granted is None and self._budget_left is not None:
+            if self._budget_left is not None:
                 if self._budget_left <= 0:
                     self.budget_exhausted = True
                     return False

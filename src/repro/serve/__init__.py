@@ -29,11 +29,7 @@ Grids are bit-identical to the local-store path: the server stores the
 same checksummed records, keyed by the same content addresses.
 """
 
-from repro.serve.client import (
-    RemoteRetryBudget,
-    RemoteRunStore,
-    StoreClient,
-)
+from repro.serve.client import RemoteRunStore, StoreClient
 from repro.serve.replicated import (
     ReplicatedRunStore,
     ReplicatedStoreClient,
@@ -54,7 +50,6 @@ __all__ = [
     "shard_for",
     "StoreClient",
     "RemoteRunStore",
-    "RemoteRetryBudget",
     "ReplicatedRunStore",
     "ReplicatedStoreClient",
     "open_store",

@@ -400,18 +400,6 @@ class RemoteRunStore(RecordStore):
             merged = merged.merged_with(report)
         return merged
 
-    def counter_add(self, name: str, delta: float = 1) -> float:
-        """Bump a server-held named counter; returns the new value.
-
-        The primitive behind cross-process retry budgets: every worker
-        process bumps the same counter on the same server, so the
-        budget is spent campaign-wide, not per-process.
-        """
-        response = self.client.request(
-            {"op": "counter_add", "name": name, "delta": delta}
-        )
-        return response["value"]
-
     # -- introspection -------------------------------------------------------
 
     def ping(self) -> dict[str, Any]:
@@ -464,37 +452,6 @@ class RemoteRunStore(RecordStore):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RemoteRunStore({self.url!r})"
-
-
-class RemoteRetryBudget:
-    """A cross-process retry budget backed by a server-held counter.
-
-    Plug into :class:`~repro.runtime.faults.FaultPolicy` as
-    ``shared_budget``: every worker process pointed at the same server
-    and ``name`` draws from one campaign-wide pool of retries, so a
-    provider melt-down degrades into isolation fleet-wide instead of
-    each process burning its own full budget.  ``try_acquire`` raising
-    (server unreachable) makes the policy fall back to its local
-    budget — fail open, never wedge a run on budget accounting.
-    """
-
-    def __init__(self, store: RemoteRunStore, name: str, limit: int) -> None:
-        if limit < 0:
-            raise StoreError(f"budget limit must be >= 0, got {limit}")
-        self._store = store
-        self.name = name
-        self.limit = limit
-
-    def try_acquire(self) -> bool:
-        spent = self._store.counter_add(f"retry-budget:{self.name}", 1)
-        return spent <= self.limit
-
-    def spent(self) -> float:
-        """How many retries the fleet has drawn so far (read-only probe)."""
-        return self._store.counter_add(f"retry-budget:{self.name}", 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RemoteRetryBudget({self.name!r}, limit={self.limit})"
 
 
 RemoteResultCache = StoreResultCache  # the name e2ebench/layers.py patches

@@ -101,9 +101,6 @@ class StoreServer:
         self._admit_mu = threading.Lock()
         self._inflight_n = 0
         self._draining = False
-        # server-held named counters (cross-process retry budgets):
-        # in-memory only — a budget is per-campaign state, not data
-        self._counters: dict[str, float] = {}
         # always-on server metrics: per-op latency/outcome, in-flight
         # gauge — exposed live via the `metrics` op and --metrics-file
         self.registry = MetricsRegistry()
@@ -231,18 +228,6 @@ class StoreServer:
             reports.append(report)
         return {"ok": True, "verify": reports}
 
-    def _op_counter_add(self, request: dict[str, Any]) -> dict[str, Any]:
-        name = request["name"]
-        delta = request.get("delta", 1)
-        if not isinstance(name, str) or not name:
-            raise PersistError(f"counter name must be a string, got {name!r}")
-        if not isinstance(delta, (int, float)):
-            raise PersistError(f"counter delta must be a number, got {delta!r}")
-        with self._admit_mu:
-            value = self._counters.get(name, 0) + delta
-            self._counters[name] = value
-        return {"ok": True, "name": name, "value": value}
-
     def _op_metrics(self, request: dict[str, Any]) -> dict[str, Any]:
         """Live server telemetry: the registry snapshot plus a summary.
 
@@ -302,7 +287,6 @@ class StoreServer:
         "list_keys": _op_list_keys,
         "gc": _op_gc,
         "verify": _op_verify,
-        "counter_add": _op_counter_add,
     }
 
     def _admit(self) -> str | None:

@@ -98,3 +98,18 @@ def open_store(url: str, **client_options: Any):
 
         return ReplicatedRunStore(url, target, **client_options)
     return RemoteRunStore(url, (family, target), **client_options)
+
+
+def open_existing_store(url: str):
+    """:func:`open_store` for commands that work on an existing store.
+
+    A local path must already hold a store: a mistyped path raises
+    ``StoreError("no store at …")`` instead of scaffolding an empty
+    store there.
+    """
+    family, target = parse_store_url(url)
+    if family == "local":
+        from repro.persist import RunStore
+
+        return RunStore(target, create=False)
+    return open_store(url)

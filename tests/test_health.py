@@ -29,7 +29,6 @@ from repro.runtime import (
     SerialExecutor,
     run,
 )
-from repro.runtime.faults import FaultState
 from repro.runtime.health import _counts_against_breaker
 from repro.testing import FaultPlan, faulty_models
 
@@ -253,11 +252,9 @@ class TestFailureClassification:
 
 
 class TestFaultPolicyIntegration:
-    def test_policy_validates_health_and_shared_budget_shapes(self):
+    def test_policy_validates_health_shape(self):
         with pytest.raises(HarnessError, match="BreakerRegistry"):
             FaultPolicy(health=object())
-        with pytest.raises(HarnessError, match="try_acquire"):
-            FaultPolicy(shared_budget=object())
         FaultPolicy(health=BreakerRegistry())  # the real thing passes
 
     @pytest.mark.parametrize("path", EXECUTOR_PATHS)
@@ -408,45 +405,3 @@ class TestBreakerOutcomesUnderPolicy:
         assert (tracker.state, tracker.error_rate()) == ("closed", 0.0)
 
 
-class _Budget:
-    """A scriptable shared budget."""
-
-    def __init__(self, verdicts) -> None:
-        self.verdicts = list(verdicts)
-        self.calls = 0
-
-    def try_acquire(self) -> bool:
-        self.calls += 1
-        verdict = self.verdicts.pop(0)
-        if isinstance(verdict, Exception):
-            raise verdict
-        return verdict
-
-
-class TestSharedBudget:
-    def _unit(self):
-        plan = Plan("budget")
-        plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        return plan.units[0]
-
-    def test_denied_shared_budget_exhausts(self):
-        budget = _Budget([False])
-        state = FaultState(FaultPolicy(retry_budget=99, shared_budget=budget))
-        assert not state._acquire_retry(self._unit().uid, 0.0)
-        assert state.budget_exhausted
-        assert budget.calls == 1
-
-    def test_granted_shared_budget_overrides_local(self):
-        budget = _Budget([True, True, True])
-        # local budget of zero would deny; the shared verdict governs
-        state = FaultState(FaultPolicy(retry_budget=0, shared_budget=budget))
-        for _ in range(3):
-            assert state._acquire_retry(self._unit().uid, 0.0)
-        assert state.retries == 3
-
-    def test_erroring_shared_budget_fails_open_to_local(self):
-        budget = _Budget([ConnectionError("counter server down")] * 2)
-        state = FaultState(FaultPolicy(retry_budget=1, shared_budget=budget))
-        assert state._acquire_retry(self._unit().uid, 0.0)  # local token 1
-        assert not state._acquire_retry(self._unit().uid, 0.0)  # local spent
-        assert state.budget_exhausted

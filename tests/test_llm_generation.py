@@ -28,8 +28,7 @@ from repro.llm.corruption import (
 from repro.llm.knowledge import SystemKnowledge
 from repro.llm.profiles import ALL_PROFILES
 from repro.metrics import bleu
-import repro.metrics.kernels as kernels
-from repro.metrics.kernels import _token_kernel, _TokenKernel
+from repro.metrics.kernels import _Kernel, _token_kernel
 from repro.utils.rng import rng_for
 from repro.utils.text import strip_markdown_chatter
 
@@ -111,6 +110,19 @@ class TestReplaceWord:
     def test_equals_per_line_regex(self, lines, old, new):
         pattern = re.compile(rf"\b{re.escape(old)}\b")
         assert _replace_word(lines, old, new) == [pattern.sub(new, ln) for ln in lines]
+
+
+def _count_delta_calls(monkeypatch) -> list[int]:
+    """Depths per ``delta_stats`` call, appended as calls are made."""
+    delta_calls: list[int] = []
+    real_delta = _Kernel.delta_stats
+
+    def delta_stats(self, running, removed, added, lengths):
+        delta_calls.append(len(added))
+        return real_delta(self, running, removed, added, lengths)
+
+    monkeypatch.setattr(_Kernel, "delta_stats", delta_stats)
+    return delta_calls
 
 
 class TestQualityCurve:
@@ -196,28 +208,6 @@ class TestQualityCurve:
         assert curve.scores_computed == computed
 
     @staticmethod
-    def _count_kernel_calls(monkeypatch):
-        """Depths per ``delta_stats`` call and texts per whole-text call."""
-        import repro.llm.calibration as calibration
-
-        delta_calls: list[int] = []
-        whole_calls: list[list[str]] = []
-        real_delta = _TokenKernel.delta_stats
-        real_whole = calibration.bleu_kernel_batch
-
-        def delta_stats(self, running, removed, added, lengths):
-            delta_calls.append(len(added))
-            return real_delta(self, running, removed, added, lengths)
-
-        def whole(texts, compiled):
-            whole_calls.append(list(texts))
-            return real_whole(texts, compiled)
-
-        monkeypatch.setattr(_TokenKernel, "delta_stats", delta_stats)
-        monkeypatch.setattr(calibration, "bleu_kernel_batch", whole)
-        return delta_calls, whole_calls
-
-    @staticmethod
     def _changed_depths(ops):
         """Depths whose line list differs from the previous depth's.
 
@@ -230,7 +220,7 @@ class TestQualityCurve:
         return [k for k in range(len(states)) if k == 0 or states[k] != states[k - 1]]
 
     def test_batched_scores_equal_per_depth_reference(self, monkeypatch):
-        delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
+        delta_calls = _count_delta_calls(monkeypatch)
         ops = self._ops()
         assert len(ops) + 1 > 64
         curve = QualityCurve(REF, ops)
@@ -240,20 +230,18 @@ class TestQualityCurve:
         changed = self._changed_depths(ops)
         assert len(changed) < len(curve)
         assert delta_calls == [len(changed)]
-        assert whole_calls == []
         assert curve.scores_computed == len(curve)
         # a scored range costs no further kernel call
         curve.best(50.0, 3, 40)
         assert delta_calls == [len(changed)]
 
-    def test_whole_text_fallback_mid_range_keeps_one_delta_stats_call(
-        self, monkeypatch
-    ):
-        delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
+    def test_dashed_line_mid_range_keeps_one_delta_stats_call(self, monkeypatch):
+        delta_calls = _count_delta_calls(monkeypatch)
         base = self._ops()
         mid = len(base) // 2
         # a ``-``-ended line does not tokenize line by line: the changed
-        # depths that carry it are scored whole, the walk resumes after
+        # depths that carry it swap in their whole text's tokens, in the
+        # same walk as the depths around them
         ops = (
             base[:mid]
             + [CorruptionOp("edit", 1, "dash", lambda ls: ["work-"] + ls)]
@@ -269,12 +257,11 @@ class TestQualityCurve:
         changed = self._changed_depths(ops)
         dashed = [k for k in changed if "work-" in curve.text(k).split("\n")]
         assert dashed[0] == mid + 1 and dashed[-1] <= mid + 2
-        assert delta_calls == [len(changed) - len(dashed)]
-        assert whole_calls == [[curve.text(k) for k in dashed]]
+        assert delta_calls == [len(changed)]
         assert curve.scores_computed == len(curve)
 
     def test_unchanged_states_reuse_previous_score(self, monkeypatch):
-        delta_calls, whole_calls = self._count_kernel_calls(monkeypatch)
+        delta_calls = _count_delta_calls(monkeypatch)
         base = self._ops()
         identity = CorruptionOp("edit", 1, "identity", lambda ls: ls)
         absent = CorruptionOp("rename", 1, "rename absent",
@@ -306,21 +293,23 @@ class TestQualityCurve:
         assert fresh.scores() == expected
         assert curve.scores_computed == len(curve)
         assert fresh.scores_computed == len(fresh)
-        assert whole_calls == []
 
     def test_batched_scores_equal_per_depth_reference_on_code_overflow(
         self, monkeypatch
     ):
-        # ~47k distinct tokens: base**4 >= 2**62, so no packed-code kernel
-        # exists and every depth is scored whole through the fallback
+        # ~47k distinct tokens: the order-2 table passes the cap, so no
+        # token kernel exists and every depth is scored whole through the
+        # fallback calibration binds
+        import repro.llm.calibration as calibration
+
         fallback_calls = []
-        real = kernels.bleu_compiled
+        real = calibration.bleu_compiled
 
         def counted(hyp, ref):
             fallback_calls.append(hyp)
             return real(hyp, ref)
 
-        monkeypatch.setattr(kernels, "bleu_compiled", counted)
+        monkeypatch.setattr(calibration, "bleu_compiled", counted)
         reference = "\n".join(
             " ".join(f"w{line}x{i}" for i in range(470)) for line in range(100)
         )
@@ -477,38 +466,82 @@ class TestDeltaScoring:
         def whole_text_scoring(*args, **kwargs):
             raise AssertionError("whole-text scoring used")
 
-        monkeypatch.setattr(
-            "repro.llm.calibration.bleu_kernel_batch", whole_text_scoring
-        )
+        monkeypatch.setattr("repro.llm.calibration.bleu_compiled", whole_text_scoring)
         assert QualityCurve(REF, ops).scores() == expected
         # target far below the window: the full-scan fallback runs too
         curve = QualityCurve(REF, ops)
         assert local_recalibrate(REF, ops, 0.0, center=10, curve=curve) == expected_k
         assert curve.scores_computed == len(curve)
 
+    @staticmethod
+    def _walked(monkeypatch, reference, ops):
+        """Per-depth BLEU of a fresh curve over ``ops`` (pinned ``==`` to
+        :func:`bleu` of every text), and its ``delta_stats`` depths per call."""
+        delta_calls = _count_delta_calls(monkeypatch)
+        curve = QualityCurve(reference, ops)
+        assert curve.scores() == _per_depth_bleu(reference, ops)
+        return delta_calls
+
     @pytest.mark.parametrize(
         "bad_line", ["work-", "carriage\rreturn", "two\nlines"]
     )
     def test_states_not_split_by_lines_score_their_text(self, monkeypatch, bad_line):
-        import repro.llm.calibration as calibration
-
-        lines = REF.split("\n")
         ops = [
             CorruptionOp("edit", 1, "bad line", lambda ls: [bad_line] + ls),
             CorruptionOp("edit", 1, "drop it", lambda ls: ls[1:]),
             CorruptionOp("edit", 1, "drop more", lambda ls: ls[2:]),
         ]
-        whole = []
-        real = calibration.bleu_kernel_batch
+        # every depth changes its state: all four are walked in one call
+        assert self._walked(monkeypatch, REF, ops) == [len(ops) + 1]
 
-        def spy(texts, compiled):
-            whole.extend(texts)
-            return real(texts, compiled)
+    def test_crlf_reference_walks_every_state_whole(self, monkeypatch):
+        # each line but the last keeps its "\r": no state tokenizes line by line
+        reference = REF.replace("\n", "\r\n")
+        ops = [
+            CorruptionOp("drop", 1, "drop first", lambda ls: ls[1:]),
+            CorruptionOp("edit", 1, "edit", lambda ls: ls[:2] + ["x = 1\r"] + ls[3:]),
+            CorruptionOp("drop", 1, "drop last", lambda ls: ls[:-1]),
+            CorruptionOp("drop", 1, "drop middle", lambda ls: ls[:4] + ls[6:]),
+        ]
+        assert self._walked(monkeypatch, reference, ops) == [len(ops) + 1]
 
-        monkeypatch.setattr(calibration, "bleu_kernel_batch", spy)
-        curve = QualityCurve(REF, ops)
-        assert curve.scores() == _per_depth_bleu(REF, ops)
-        assert whole == ["\n".join([bad_line] + lines)]
+    def test_bad_good_bad_states_in_one_walk(self, monkeypatch):
+        # the walk leaves a whole-text state for a line-split one and back
+        ops = [
+            CorruptionOp("edit", 1, "dash", lambda ls: ["work-"] + ls),
+            CorruptionOp("edit", 1, "undash", lambda ls: ls[1:]),
+            CorruptionOp("drop", 1, "drop", lambda ls: ls[:3] + ls[4:]),
+            CorruptionOp("edit", 1, "cr", lambda ls: ls[:2] + ["a\rb"] + ls[2:]),
+            CorruptionOp("edit", 1, "uncr", lambda ls: ls[:2] + ls[3:]),
+        ]
+        assert self._walked(monkeypatch, REF, ops) == [len(ops) + 1]
+
+    def test_whole_text_state_to_whole_text_state(self, monkeypatch):
+        # each state replaces the previous whole-text pseudo-line with its own
+        ops = [
+            CorruptionOp("edit", 1, "dash", lambda ls: ["work-"] + ls),
+            CorruptionOp("edit", 1, "cr", lambda ls: ["a\rb"] + ls[1:]),
+            CorruptionOp("edit", 1, "both", lambda ls: ["work-", "a\rb"] + ls[1:]),
+            CorruptionOp("drop", 1, "drop", lambda ls: ls[:4] + ls[5:]),
+        ]
+        assert self._walked(monkeypatch, REF, ops) == [len(ops) + 1]
+
+    @pytest.mark.parametrize("reference", [
+        "", " ", "x", "ünïcode é 世界 🎉", "\ud800 lone surrogate", REF,
+    ], ids=["empty", "blank", "one-char", "unicode", "surrogate", "wilkins"])
+    def test_edge_case_states_equal_per_depth_reference(self, reference):
+        # every state is an edge-case text: blank, whitespace-only,
+        # unicode, a lone surrogate, an unsplittable line, the empty text
+        texts = ["", " ", "\n\n", "\t \n", "x", "ünïcode é 世界 🎉",
+                 "\ud800 lone surrogate", "a" * 300, "work-\nx", ""]
+        ops = [
+            CorruptionOp("replace", 1, repr(text),
+                         lambda _ls, text=text: text.split("\n"))
+            for text in texts
+        ]
+        curve = QualityCurve(reference, ops)
+        assert curve.scores() == _per_depth_bleu(reference, ops)
+        assert curve.scores_computed == len(curve)
 
 
 class TestCalibration:

@@ -2,9 +2,9 @@
 
 The kernels must be bit-equal (``==``) to the reference ``bleu``/``chrf``
 scorers across unicode, lone-surrogate, empty and whitespace-only
-inputs, batches must equal per-hypothesis scoring element-wise, the
-chained n-gram tables must index every n-gram as brute-force matching
-does, a reference whose tables would exceed the cap must be scored
+inputs, the chained n-gram tables must index every n-gram as
+brute-force matching does, the per-depth deltas must equal counting
+each depth whole on both symbol kinds, a reference whose tables would exceed the cap must be scored
 through the ``bleu_compiled``/``chrf_compiled`` fallbacks, the tables
 must survive pickling, and the content-hash compile cache must evict
 least-recently-used references beyond its capacity.
@@ -25,6 +25,7 @@ import repro.metrics.kernels as kernels
 from repro.core.scorers import CodeSimilarityScorer
 from repro.metrics import bleu, chrf
 from repro.metrics.bleu import _compute_score, corpus_bleu
+from repro.metrics.chrf import DEFAULT_CHAR_ORDER
 from repro.metrics.kernels import (
     CompiledReference,
     _CharKernel,
@@ -33,7 +34,6 @@ from repro.metrics.kernels import (
     _TokenKernel,
     bleu_from_stats,
     bleu_kernel,
-    bleu_kernel_batch,
     chrf_kernel,
     compile_reference,
 )
@@ -179,13 +179,6 @@ class TestKernelFallbacks:
         assert ref._kernels["token"] is False
         assert fallback_calls == {"bleu": 1, "chrf": 0}
 
-    def test_batch_overflow_falls_back_per_hypothesis(self, fallback_calls):
-        hyps = [WIDE_VOCAB[:4000], "", WIDE_VOCAB[-3000:]]
-        assert bleu_kernel_batch(hyps, WIDE_VOCAB) == [
-            bleu(hyp, WIDE_VOCAB) for hyp in hyps
-        ]
-        assert fallback_calls == {"bleu": 3, "chrf": 0}
-
     @settings(max_examples=40, deadline=None)
     @given(hyp=unicode_text, ref=unicode_text)
     def test_bleu_fallback_equals_reference(self, hyp, ref):
@@ -234,36 +227,7 @@ class TestKernelFallbacks:
             assert ref._kernels[key] is kern
 
 
-class TestBatchKernels:
-    @settings(max_examples=40, deadline=None)
-    @given(hyps=st.lists(unicode_text, max_size=8), ref=unicode_text)
-    def test_bleu_batch_elementwise_equals_single(self, hyps, ref):
-        assert bleu_kernel_batch(hyps, ref) == [bleu_kernel(hyp, ref) for hyp in hyps]
-
-    def test_batch_on_edge_case_group(self):
-        for ref in EDGE_CASES:
-            assert bleu_kernel_batch(EDGE_CASES, ref) == [
-                bleu_kernel(hyp, ref) for hyp in EDGE_CASES
-            ]
-
-    def test_empty_group(self):
-        assert bleu_kernel_batch([], "reference") == []
-
-    def test_accepts_precompiled_object(self):
-        hyps = ["engine.put(var, data)", "engine.get(var)", ""]
-        ref = compile_reference("engine.put(var, data)")
-        assert bleu_kernel_batch(hyps, ref) == [bleu(h, ref.text) for h in hyps]
-
-    def test_boundary_ngrams_never_leak_across_hypotheses(self):
-        # "w x" + "y z" as a group must not manufacture the cross-boundary
-        # bigram "x y" that a naive concatenation would contain
-        assert bleu_kernel_batch(["w x", "y z"], "w x y z") == [
-            bleu_kernel("w x", "w x y z"),
-            bleu_kernel("y z", "w x y z"),
-        ]
-
-
-_DELTA_ALPHABET = ("a", "b", "c", "d", "zz")  # "zz": never in a reference
+_DELTA_ALPHABET = ("a", "b", "c", "d", "z")  # "z": never in a reference
 
 
 def _delta_walk(start, edits, context):
@@ -298,14 +262,14 @@ def _table_walk(kernel, gram_ids):
     return idx
 
 
-def _gram_counts(kernel, ref_tokens, tokens):
-    """Per-order counts in ``tokens`` of every reference gram, by tuple."""
+def _gram_counts(kernel, ids, ref_symbols, symbols):
+    """Per-order counts in ``symbols`` of every reference gram, by tuple."""
     out = []
     for order, ref_counts in enumerate(kernel.ref_counts, start=1):
-        in_stream = Counter(_ngrams(tokens, order))
+        in_stream = Counter(_ngrams(symbols, order))
         counts = np.zeros(len(ref_counts), dtype=np.int64)
-        for gram in set(_ngrams(ref_tokens, order)):
-            counts[_table_walk(kernel, kernel.token_ids(gram))] = in_stream[gram]
+        for gram in set(_ngrams(ref_symbols, order)):
+            counts[_table_walk(kernel, ids(gram))] = in_stream[gram]
         out.append(counts)
     return out
 
@@ -340,10 +304,10 @@ class TestGramIndex:
     @settings(max_examples=150, deadline=None)
     @given(
         ref_tokens=st.lists(st.sampled_from(_DELTA_ALPHABET[:4]), max_size=12),
-        # "zz" is never in a reference: it maps to the sentinel id
+        # "z" is never in a reference: it maps to the sentinel id
         hyp_tokens=st.lists(st.sampled_from(_DELTA_ALPHABET), max_size=30),
     )
-    @example(ref_tokens=[], hyp_tokens=["a", "zz"])
+    @example(ref_tokens=[], hyp_tokens=["a", "z"])
     @example(ref_tokens=["a", "b"], hyp_tokens=[])
     def test_token_kernel(self, ref_tokens, hyp_tokens):
         kernel = _TokenKernel(ref_tokens)
@@ -406,7 +370,6 @@ class TestTableCap:
         assert [bleu_kernel(hyp, ref) for hyp in hyps] == [
             bleu(hyp, tokens) for hyp in hyps
         ]
-        assert bleu_kernel_batch(hyps, ref) == [bleu(hyp, tokens) for hyp in hyps]
         assert ref._kernels["token"] is False
         chars = self._chars(self.AT_CAP + 1)
         ref = compile_reference(chars)
@@ -415,7 +378,7 @@ class TestTableCap:
             chrf(hyp, chars) for hyp in hyps
         ]
         assert ref._kernels["char"] is False
-        assert fallback_calls == {"bleu": 6, "chrf": 3}
+        assert fallback_calls == {"bleu": 3, "chrf": 3}
 
 
 _edit = st.tuples(
@@ -425,19 +388,38 @@ _edit = st.tuples(
 )
 
 
+# the two symbol kinds one ``delta_stats`` serves, each as (kernel from
+# reference symbols, symbol ids against a kernel); a char symbol is one
+# non-whitespace character
+_KINDS = {
+    "token": (_TokenKernel, _TokenKernel.token_ids),
+    "char": (
+        lambda symbols: _CharKernel("".join(symbols)),
+        lambda kernel, symbols: kernel._map_ids(_codepoints("".join(symbols))).tolist(),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
 class TestDeltaStats:
     """The sparse per-depth deltas equal counting every depth's stream whole."""
 
-    def _check(self, ref_tokens, start, edits, split):
-        kernel = _TokenKernel(ref_tokens)
+    def _check(self, kind, ref_symbols, start, edits, split):
+        build, symbol_ids = _KINDS[kind]
+        kernel = build(ref_symbols)
+
+        def ids(symbols):
+            return symbol_ids(kernel, symbols)
+
         streams, removed, added = _delta_walk(
             start, edits, context=len(kernel.ref_counts) - 1
         )
-        removed = [kernel.token_ids(window) for window in removed]
-        added = [kernel.token_ids(window) for window in added]
+        removed = [ids(window) for window in removed]
+        added = [ids(window) for window in added]
         running = [np.zeros(len(ref_counts), dtype=np.int64)
                    for ref_counts in kernel.ref_counts]
-        expected_counts, expected_totals = kernel.batch_stats(streams)
+        expected = [kernel.stats(np.array(ids(stream), dtype=np.intp))
+                    for stream in streams]
         lengths = [len(stream) for stream in streams]
         # two consecutive calls on one ``running``
         split = min(split, len(streams))
@@ -445,49 +427,51 @@ class TestDeltaStats:
             counts, totals = kernel.delta_stats(
                 running, removed[lo:hi], added[lo:hi], lengths[lo:hi]
             )
-            for order in range(len(kernel.ref_counts)):
-                assert counts[order].tolist() == expected_counts[order][lo:hi].tolist()
-                assert totals[order].tolist() == expected_totals[order][lo:hi].tolist()
+            counts = [order_counts.tolist() for order_counts in counts]
+            totals = [order_totals.tolist() for order_totals in totals]
+            for j, (want_counts, want_totals) in enumerate(expected[lo:hi]):
+                assert [order_counts[j] for order_counts in counts] == want_counts
+                assert [order_totals[j] for order_totals in totals] == want_totals
             last = streams[hi - 1] if hi else []
             assert [r.tolist() for r in running] == [
-                c.tolist() for c in _gram_counts(kernel, ref_tokens, last)
+                c.tolist() for c in _gram_counts(kernel, ids, ref_symbols, last)
             ]
 
     @settings(max_examples=150, deadline=None)
     @given(
         # short, repetitive references: counts cross ``ref`` both ways,
-        # and under four tokens an order has no reference gram at all
-        ref_tokens=st.lists(st.sampled_from(_DELTA_ALPHABET[:4]), max_size=12),
+        # and under max_order symbols an order has no reference gram at all
+        ref_symbols=st.lists(st.sampled_from(_DELTA_ALPHABET[:4]), max_size=12),
         start=st.lists(st.sampled_from(_DELTA_ALPHABET), max_size=30),
         edits=st.lists(_edit, max_size=30),
         split=st.integers(0, 40),
     )
-    def test_matches_batch_stats_per_depth(self, ref_tokens, start, edits, split):
-        self._check(ref_tokens, start, edits, split)
+    def test_matches_stats_per_depth(self, kind, ref_symbols, start, edits, split):
+        self._check(kind, ref_symbols, start, edits, split)
 
     @settings(max_examples=10, deadline=None)
     @given(
-        ref_tokens=st.lists(st.sampled_from(_DELTA_ALPHABET[:4]), min_size=4,
-                            max_size=12),
+        ref_symbols=st.lists(st.sampled_from(_DELTA_ALPHABET[:4]), min_size=4,
+                             max_size=12),
         rnd=st.randoms(use_true_random=False),
     )
-    def test_matches_batch_stats_over_long_ranges(self, ref_tokens, rnd):
+    def test_matches_stats_over_long_ranges(self, kind, ref_symbols, rnd):
         edits = [
             (rnd.randrange(40), rnd.randrange(40),
              rnd.choices(_DELTA_ALPHABET, k=rnd.randrange(7)))
             for _ in range(rnd.randrange(201, 300))
         ]
-        self._check(ref_tokens, ["a", "b"] * 10, edits, rnd.randrange(300))
+        self._check(kind, ref_symbols, ["a", "b"] * 10, edits, rnd.randrange(300))
 
-    def test_empty_windows_and_empty_orders(self):
+    def test_empty_windows_and_empty_orders(self, kind):
         # an empty stream edited into an empty stream: both windows empty
-        self._check(["a", "b"], [], [(0, 0, []), (0, 5, []), (0, 0, ["a"])], 1)
-        self._check([], ["a", "b"], [(0, 1, ["zz"])], 2)
+        self._check(kind, ["a", "b"], [], [(0, 0, []), (0, 5, []), (0, 0, ["a"])], 1)
+        self._check(kind, [], ["a", "b"], [(0, 1, ["z"])], 2)
 
-    def test_several_events_of_one_gram_in_one_depth(self):
+    def test_several_events_of_one_gram_in_one_depth(self, kind):
         # "a a a a" around a ref count of 2: one depth removes and adds
         # "a" unigrams and bigrams many times over
-        self._check(["a", "a", "b", "a"], ["a"] * 8,
+        self._check(kind, ["a", "a", "b", "a"], ["a"] * 8,
                     [(2, 6, ["a", "b", "a", "a"]), (0, 8, ["a"] * 3)], 1)
 
 
@@ -582,6 +566,47 @@ class TestKernelPickling:
         ids = np.arange(kernel.width, dtype=np.intp)[::-1].repeat(2)
         assert [idx.tolist() for idx in _gram_index(ids, clone.tables, clone.width)] == [
             idx.tolist() for idx in _gram_index(ids, kernel.tables, kernel.width)
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_walk_resumes_on_the_clone(self, kind):
+        # ``__slots__`` pickle natively: a walk split across the round
+        # trip gives the deltas of one uninterrupted walk
+        build, symbol_ids = _KINDS[kind]
+        kernel = build(["a", "b", "c", "a", "b", "a"])
+        clone = pickle.loads(pickle.dumps(kernel))
+        streams, removed, added = _delta_walk(
+            ["a", "b", "a", "b"],
+            [(1, 2, ["c"]), (0, 0, ["a", "z"]), (3, 5, []), (2, 2, ["b", "a"])],
+            context=len(kernel.ref_counts) - 1,
+        )
+        removed = [symbol_ids(kernel, window) for window in removed]
+        added = [symbol_ids(kernel, window) for window in added]
+        lengths = [len(stream) for stream in streams]
+
+        def walk(kernels_by_part):
+            running = [np.zeros(len(ref_counts), dtype=np.int64)
+                       for ref_counts in kernel.ref_counts]
+            out = []
+            for part, (lo, hi) in zip(kernels_by_part, [(0, 2), (2, len(streams))]):
+                counts, totals = part.delta_stats(
+                    running, removed[lo:hi], added[lo:hi], lengths[lo:hi]
+                )
+                out.append(([c.tolist() for c in counts], [t.tolist() for t in totals]))
+            return out, [r.tolist() for r in running]
+
+        assert walk([kernel, clone]) == walk([kernel, kernel])
+
+
+class TestCharReferenceTotals:
+    """chrF's reference n-gram totals come from the char kernel's counts."""
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    def test_every_char_ngram_of_the_reference_is_counted(self, text):
+        chars = "".join(text.split())
+        kernel = _CharKernel(text)
+        assert [int(grams.sum()) for grams in kernel.ref_counts] == [
+            max(len(chars) - order + 1, 0) for order in range(1, DEFAULT_CHAR_ORDER + 1)
         ]
 
 

@@ -559,6 +559,19 @@ class TestObsCLI:
                      "--store", str(tmp_path / "store")]) == 2
         assert "no recorded trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["trend", "--store"],
+        ["trace", "run-0", "--store"],
+    ], ids=["trend", "trace"])
+    def test_mistyped_store_path_is_an_error_not_a_new_store(self, argv,
+                                                             tmp_path, capsys):
+        from repro.obs.cli import main
+
+        typo = tmp_path / "stroe"
+        assert main([*argv, str(typo)]) == 2
+        assert f"no store at {typo}" in capsys.readouterr().err
+        assert not typo.exists()
+
     def test_report_shows_the_trace_phase_profile(self, tmp_path, capsys):
         from repro.obs.cli import main
 

@@ -25,12 +25,9 @@ from repro.errors import (
     StoreError,
 )
 from repro.llm.types import ModelUsage
-from repro.runtime import FaultPolicy, RetryPolicy, RunConfig
-from repro.runtime.faults import FaultState
+from repro.runtime import RetryPolicy, RunConfig
 from repro.runtime.units import Generation
 from repro.serve import (
-    RemoteRetryBudget,
-    RemoteRunStore,
     ReplicatedRunStore,
     ReplicatedStoreClient,
     StoreServer,
@@ -411,58 +408,6 @@ class TestDegradedMode:
             sync([str(tmp_path / "local")])
         with pytest.raises(StoreError, match="individual replica URLs"):
             sync(["tcp://a:1,tcp://b:2"])
-
-
-class TestSharedCounters:
-    def test_counter_add_accumulates_across_clients(self, pair):
-        a, _ = pair
-        with open_store(a.url(), retry=FAST_RETRY) as one:
-            with open_store(a.url(), retry=FAST_RETRY) as two:
-                assert one.counter_add("campaign", 1) == 1
-                assert two.counter_add("campaign", 2) == 3
-                assert one.counter_add("campaign", 0) == 3  # read-only probe
-
-    def test_counter_name_validated_server_side(self, pair):
-        a, _ = pair
-        with open_store(a.url(), retry=FAST_RETRY) as remote:
-            with pytest.raises(PersistError, match="counter name"):
-                remote.counter_add("", 1)
-
-    def test_remote_retry_budget_is_shared_across_fault_states(self, pair):
-        a, _ = pair
-        with open_store(a.url(), retry=FAST_RETRY) as remote:
-            budget = RemoteRetryBudget(remote, "sweep-7", limit=2)
-            # two "worker processes" drawing from one campaign-wide pool
-            worker1 = FaultState(FaultPolicy(shared_budget=budget))
-            worker2 = FaultState(FaultPolicy(shared_budget=budget))
-            assert worker1._acquire_retry("u1", 0.0)
-            assert worker2._acquire_retry("u2", 0.0)
-            assert not worker1._acquire_retry("u3", 0.0)  # pool spent
-            assert worker1.budget_exhausted
-            assert budget.spent() == 3  # 2 grants + 1 refused draw
-
-    def test_unreachable_budget_fails_open(self):
-        dead = RemoteRunStore(
-            "tcp://127.0.0.1:1",
-            ("tcp", ("127.0.0.1", 1)),
-            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
-        )
-        try:
-            budget = RemoteRetryBudget(dead, "orphan", limit=1)
-            state = FaultState(
-                FaultPolicy(retry_budget=1, shared_budget=budget)
-            )
-            # the counter server is gone: the local budget governs
-            assert state._acquire_retry("u1", 0.0)
-            assert not state._acquire_retry("u2", 0.0)
-        finally:
-            dead.close()
-
-    def test_budget_limit_validated(self, pair):
-        a, _ = pair
-        with open_store(a.url(), retry=FAST_RETRY) as remote:
-            with pytest.raises(StoreError, match="limit"):
-                RemoteRetryBudget(remote, "x", limit=-1)
 
 
 class TestServerProcessChaos:
