@@ -24,6 +24,7 @@ fields, which is the paper's §4.5 finding.
 
 from __future__ import annotations
 
+import functools
 import threading
 from concurrent.futures import Future
 from typing import NamedTuple, Sequence
@@ -81,6 +82,9 @@ class SimulatedModel:
         self._lock = threading.Lock()
         # key -> Future so concurrent callers of the same cell compute once
         self._cell_cache: dict[tuple, Future[CalibratedCell]] = {}
+        # every trial of a cell sends the same prompt: count its tokens
+        # once per distinct text
+        self._prompt_tokens = functools.lru_cache(maxsize=1024)(tokenizer.count_tokens)
 
     # -- ModelAPI ------------------------------------------------------------
 
@@ -127,7 +131,7 @@ class SimulatedModel:
         payload = self._generate_payload(intent, config)
         completion = self._decorate(payload, intent, config)
         usage = ModelUsage(
-            input_tokens=tokenizer.count_tokens(prompt),
+            input_tokens=self._prompt_tokens(prompt),
             output_tokens=tokenizer.count_tokens(completion),
         )
         return ModelOutput(

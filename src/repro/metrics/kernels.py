@@ -51,10 +51,10 @@ scores a run of corruption depths whose texts differ by a line or two
 each.  :meth:`_Kernel.delta_stats` takes each depth's removed and
 added id windows (padded with ``max_order - 1`` unchanged context ids,
 so grams wholly inside the context cancel) for a whole range query and
-joins them with ``max_order - 1`` sentinel ids after each window, so no
-gram spans two windows.  Per order, only the window grams that hit
-the reference are kept, as (gram, depth, ±1) events sorted by gram,
-then depth.  A ``cumsum`` restarted at every
+joins them with one sentinel id after each window: a gram that spans
+two windows holds the sentinel, so it misses the reference.  Per order,
+only the window grams that hit the reference are kept, as (gram, depth,
+±1) events sorted by gram, then depth.  A ``cumsum`` restarted at every
 gram, on top of the running hypothesis counts, gives each event's count
 ``c``; the event changes its depth's clipped matches by
 ``min(c, ref) − min(c ∓ 1, ref)``, and a ``bincount`` by depth plus a
@@ -259,25 +259,26 @@ class _Kernel:
         Index ``[order][j]`` gives the same integers :meth:`stats` gives
         for depth ``j``'s whole id stream.
 
+        The windows are scored as one id array with a single sentinel id
+        after each: a gram spanning two windows holds it, so it misses
+        the reference and counts for neither depth.
+
         The work scales with the window grams that hit the reference, not
         with depths × reference grams: each hit is a (gram, depth, ±1)
         event, and only the events' clipped-count changes are summed.
         """
         n = len(added)
-        max_order = len(self.ref_counts)
-        # every window followed by max_order - 1 sentinels, so no gram
-        # spans two windows; window w < n is depth w's removal, w >= n
-        # depth w - n's addition
-        sep = [self.width - 1] * (max_order - 1)
+        # window w < n is depth w's removal, w >= n depth w - n's addition
+        sentinel = self.width - 1
         flat: list[int] = []
         for window in chain(removed, added):
             flat += window
-            flat += sep
+            flat.append(sentinel)
         cat = np.array(flat, dtype=np.intp)
         owner = np.repeat(
             np.arange(2 * n, dtype=np.intp),
             np.fromiter(map(len, chain(removed, added)), dtype=np.intp, count=2 * n)
-            + len(sep),
+            + 1,
         )
         lengths = np.asarray(lengths, dtype=np.int64)
         counts = []

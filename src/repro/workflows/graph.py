@@ -4,14 +4,21 @@ Shared by the Wilkins runtime (built from YAML), the Henson scheduler
 (built from ``.hwl`` scripts), and the examples.  A node is a
 :class:`TaskSpec`; an edge is a :class:`DataLink` naming the dataset that
 flows producer → consumer and the transport used (``file`` or ``memory``).
+
+The graph is plain stdlib code: per-task successor and predecessor
+lists with one entry per link, so parallel links and self-loops count
+the way a multigraph counts them (a task with a self-loop is neither a
+source nor a sink, and makes the graph cyclic).  Kahn's algorithm with a
+heap of ready task names gives the lexicographically least topological
+order, and a walk over both lists checks weak connectivity.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable
-
-import networkx as nx
 
 from repro.errors import WorkflowError
 
@@ -53,9 +60,11 @@ class WorkflowGraph:
     """A directed graph of tasks with dataset-labelled edges."""
 
     def __init__(self) -> None:
-        self._g = nx.MultiDiGraph()
         self._tasks: dict[str, TaskSpec] = {}
         self._links: list[DataLink] = []
+        # one entry per link, parallel links and self-loops included
+        self._succ: dict[str, list[str]] = {}
+        self._pred: dict[str, list[str]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -63,7 +72,8 @@ class WorkflowGraph:
         if task.name in self._tasks:
             raise WorkflowError(f"duplicate task name: {task.name!r}")
         self._tasks[task.name] = task
-        self._g.add_node(task.name)
+        self._succ[task.name] = []
+        self._pred[task.name] = []
         return task
 
     def add_link(self, link: DataLink) -> DataLink:
@@ -74,7 +84,8 @@ class WorkflowGraph:
                     f"(have {sorted(self._tasks)})"
                 )
         self._links.append(link)
-        self._g.add_edge(link.producer, link.consumer, dataset=link.dataset)
+        self._succ[link.producer].append(link.consumer)
+        self._pred[link.consumer].append(link.producer)
         return link
 
     # -- queries -------------------------------------------------------------
@@ -101,20 +112,53 @@ class WorkflowGraph:
 
     def sources(self) -> list[str]:
         """Tasks with no incoming links (pure producers)."""
-        return sorted(n for n in self._g.nodes if self._g.in_degree(n) == 0)
+        return sorted(name for name, preds in self._pred.items() if not preds)
 
     def sinks(self) -> list[str]:
         """Tasks with no outgoing links (pure consumers)."""
-        return sorted(n for n in self._g.nodes if self._g.out_degree(n) == 0)
+        return sorted(name for name, succs in self._succ.items() if not succs)
+
+    def _kahn_order(self) -> list[str]:
+        """Kahn's algorithm, smallest ready name first.
+
+        Returns the lexicographically least topological order, or a
+        shorter list when a cycle leaves some tasks never ready.
+        """
+        indegree = {name: len(preds) for name, preds in self._pred.items()}
+        ready = [name for name, degree in indegree.items() if degree == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for succ in self._succ[name]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(ready, succ)
+        return order
 
     def is_dag(self) -> bool:
-        return nx.is_directed_acyclic_graph(self._g)
+        return len(self._kahn_order()) == len(self._tasks)
 
     def topological_order(self) -> list[str]:
-        if not self.is_dag():
-            raise WorkflowError("workflow graph has cycles; no topological order")
         # lexicographic tie-break keeps ordering deterministic across runs
-        return list(nx.lexicographical_topological_sort(self._g))
+        order = self._kahn_order()
+        if len(order) < len(self._tasks):
+            raise WorkflowError("workflow graph has cycles; no topological order")
+        return order
+
+    def _is_connected(self) -> bool:
+        """Weak connectivity: every task reachable ignoring link direction."""
+        start = next(iter(self._tasks))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            name = frontier.pop()
+            for other in chain(self._succ[name], self._pred[name]):
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        return len(seen) == len(self._tasks)
 
     def total_procs(self) -> int:
         return sum(t.nprocs for t in self._tasks.values())
@@ -123,10 +167,8 @@ class WorkflowGraph:
         """Structural checks: nonempty, connected, consistent datasets."""
         if not self._tasks:
             raise WorkflowError("workflow has no tasks")
-        if len(self._tasks) > 1:
-            undirected = self._g.to_undirected(as_view=True)
-            if not nx.is_connected(undirected):
-                raise WorkflowError("workflow graph is not connected")
+        if not self._is_connected():
+            raise WorkflowError("workflow graph is not connected")
         seen: set[tuple[str, str, str]] = set()
         for link in self._links:
             key = (link.producer, link.consumer, link.dataset)

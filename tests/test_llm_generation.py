@@ -631,6 +631,22 @@ class TestSimulatedModels:
             out.usage.input_tokens + out.usage.output_tokens
         )
 
+    def test_prompt_tokens_counted_once_per_distinct_prompt(self):
+        from repro.llm.simulated import SimulatedModel
+        from repro.llm.tokenizer import encode
+        from repro.llm.types import ChatMessage
+
+        model = SimulatedModel(ALL_PROFILES["gemini-2.5-pro"]())
+        usages = [model.generate([ChatMessage.user(CFG_PROMPT)],
+                                 GenerateConfig(seed=s)).usage
+                  for s in range(3)]
+        assert {usage.input_tokens for usage in usages} == {len(encode(CFG_PROMPT))}
+        # the completions differ across seeds; the prompt was counted once
+        assert len({usage.output_tokens for usage in usages}) > 1
+        info = model._prompt_tokens.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert model._prompt_tokens(CFG_PROMPT) == len(encode(CFG_PROMPT))
+
     def test_completion_is_fenced_with_chatter(self):
         out = get_model("sim/gemini-2.5-pro").generate(CFG_PROMPT, GenerateConfig(seed=0))
         assert "```" in out.completion

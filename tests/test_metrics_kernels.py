@@ -468,6 +468,12 @@ class TestDeltaStats:
         self._check(kind, ["a", "b"], [], [(0, 0, []), (0, 5, []), (0, 0, ["a"])], 1)
         self._check(kind, [], ["a", "b"], [(0, 1, ["z"])], 2)
 
+    def test_adjacent_windows_do_not_join(self, kind):
+        # depth 0 adds "a" and depth 1 adds "b": the two added windows sit
+        # side by side in the joined array, and without a sentinel between
+        # them the reference bigram "a b" would count for depth 0
+        self._check(kind, ["a", "b"], ["a"], [(0, 1, ["b"])], 2)
+
     def test_several_events_of_one_gram_in_one_depth(self, kind):
         # "a a a a" around a ref count of 2: one depth removes and adds
         # "a" unigrams and bigrams many times over

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkflowError
 from repro.workflows.graph import DataLink, TaskSpec, WorkflowGraph, linear_pipeline
@@ -116,3 +120,66 @@ class TestLinearPipeline:
         assert g.sources() == ["a"]
         assert g.sinks() == ["c"]
         assert g.topological_order() == ["a", "b", "c"]
+
+
+@st.composite
+def _graphs(draw):
+    """Up to 6 tasks, inserted in any order, and up to 12 links among them
+    (parallel links and self-loops included), each with its own dataset."""
+    names = draw(st.permutations("abcdef"))[: draw(st.integers(0, 6))]
+    if not names:
+        return names, []
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return names, draw(st.lists(pair, max_size=12))
+
+
+def _build(names, edges) -> WorkflowGraph:
+    g = WorkflowGraph()
+    for name in names:
+        g.add_task(TaskSpec(name))
+    for i, (producer, consumer) in enumerate(edges):
+        g.add_link(DataLink(producer, consumer, f"d{i}"))
+    return g
+
+
+def _components(names, edges) -> int:
+    parent = {name: name for name in names}
+
+    def find(name):
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    for producer, consumer in edges:
+        parent[find(producer)] = find(consumer)
+    return len({find(name) for name in names})
+
+
+class TestAgainstBruteForce:
+    """Every query equals an exhaustive answer on small random graphs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs())
+    def test_queries(self, graph):
+        names, edges = graph
+        g = _build(names, edges)
+        valid = [list(order) for order in permutations(sorted(names))
+                 if all(order.index(u) < order.index(v) for u, v in edges)]
+        assert g.is_dag() == bool(valid)
+        if valid:
+            assert g.topological_order() == min(valid)
+        else:
+            with pytest.raises(WorkflowError, match="cycle"):
+                g.topological_order()
+        assert g.sources() == sorted(
+            n for n in names if not any(v == n for _, v in edges))
+        assert g.sinks() == sorted(
+            n for n in names if not any(u == n for u, _ in edges))
+        if not names:
+            with pytest.raises(WorkflowError, match="no tasks"):
+                g.validate()
+        elif _components(names, edges) > 1:
+            with pytest.raises(WorkflowError, match="not connected"):
+                g.validate()
+        else:
+            g.validate()
