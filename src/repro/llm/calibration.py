@@ -26,8 +26,9 @@ Texts are joined only for the depths callers read.  The k with minimum
 bisection because the curve is only *approximately* monotone —
 individual operators vary in impact.
 
-Results are cached per (reference, ops identity, target) by the caller;
-this module stays pure.
+This module stays pure: the simulator caches each cell's calibration
+(its :class:`QualityCurve`, compacted to the calibrated depth) per cell
+key in ``SimulatedModel._cell``.
 """
 
 from __future__ import annotations
@@ -188,18 +189,19 @@ class QualityCurve:
         return [self._scores[k] for k in range(len(self))]
 
     def compact(self, keep: tuple[int, ...] = ()) -> None:
-        """Release retained prefix states and texts, keeping only ``keep``.
+        """Release retained prefix states, texts and scores, keeping only ``keep``.
 
         A calibrated cell lives for the whole process but only ever
         re-reads the text at its calibrated depth; dropping the other
-        N prefix strings and line-list states frees ~N copies of the
-        artifact per cell.  Memoized *scores* (a handful of floats) are
-        kept, and any depth's text can still be rebuilt on demand.
+        N prefix strings, line-list states and depth scores frees ~N
+        copies of the artifact per cell.  Any other depth's text and
+        score can still be rebuilt on demand, bit-equal.
         """
         kept = {k: self.text(k) for k in keep}
         with self._lock:
             self._states = [self.reference.split("\n")]
             self._texts = {0: self.reference, **kept}
+            self._scores = {k: self._scores[k] for k in keep if k in self._scores}
 
     def best(self, target: float, lo: int = 0, hi: int | None = None) -> tuple[int, float]:
         """(k, error) minimising ``|score(k) − target|`` over ``[lo, hi]``.

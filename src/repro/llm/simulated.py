@@ -44,7 +44,7 @@ from repro.llm.corruption import (
     shuffle_within_bands,
 )
 from repro.llm.intent import Intent, analyze_prompt
-from repro.llm.knowledge import ModelProfile
+from repro.llm.knowledge import ModelProfile, SystemKnowledge
 from repro.llm.sampling import sample_jitter
 from repro.llm.types import (
     BatchRequest,
@@ -189,32 +189,32 @@ class SimulatedModel:
         future.set_result(cell)
         return cell
 
-    def _calibrate_cell(self, intent: Intent, key: tuple) -> CalibratedCell:
-        reference = self.reference_for(intent)
-        compiled = compile_reference(reference)
+    def _cell_ops(self, intent: Intent, key: tuple) -> list[CorruptionOp]:
+        """The cell's operator sequence (its operators are shared values)."""
         knowledge = self.profile.knowledge_for(intent.experiment, intent.cell_system)
         if intent.fewshot:
             # an in-context example demonstrably suppresses schema invention:
             # strip hallucination/confusion/worst-case operators
-            from repro.llm.knowledge import SystemKnowledge
-
             knowledge = SystemKnowledge(renames=knowledge.renames)
         elif intent.doccontext:
             # documentation snippets (RAG-lite) name the real fields, which
             # suppresses the worst case but not structural sloppiness
-            from repro.llm.knowledge import SystemKnowledge
-
             knowledge = SystemKnowledge(
                 renames=knowledge.renames,
                 inserts=knowledge.inserts,
                 drops=knowledge.drops,
             )
-        ops = build_ops(
-            reference,
+        return build_ops(
+            self.reference_for(intent),
             knowledge,
             chrf_bias=self.profile.bias_for(intent.experiment, intent.cell_system),
             seed_labels=(self.name, key),
         )
+
+    def _calibrate_cell(self, intent: Intent, key: tuple) -> CalibratedCell:
+        reference = self.reference_for(intent)
+        compiled = compile_reference(reference)
+        ops = self._cell_ops(intent, key)
         target = self.profile.target_for(
             intent.experiment, intent.cell_system, intent.variant, intent.fewshot
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -90,6 +91,153 @@ class TestCorruptionOps:
         ops = build_ops(REF, SystemKnowledge(), seed_labels=("t",))
         assert len(ops) >= 3
         assert all(op.band == 1 for op in ops)
+
+
+def _o3_cell(experiment: str, system: str, *, fewshot=False, doccontext=False):
+    """(reference, knowledge, chrf_bias, seed_labels) as the simulator
+    builds them for one o3 cell."""
+    profile = ALL_PROFILES["o3"]()
+    knowledge = profile.knowledge_for(experiment, system)
+    if fewshot:
+        knowledge = SystemKnowledge(renames=knowledge.renames)
+    elif doccontext:
+        knowledge = SystemKnowledge(renames=knowledge.renames,
+                                    inserts=knowledge.inserts, drops=knowledge.drops)
+    reference = (reference_config(system) if experiment == "configuration"
+                 else annotated_producer(system))
+    key = (experiment, system, "original", fewshot, doccontext)
+    return reference, knowledge, profile.bias_for(experiment, system), ("sim/o3", key)
+
+
+class TestOperatorSequencesPinned:
+    """Operator sequences and the texts they produce do not drift.
+
+    The digests were taken before operators became shared values; any
+    change to an operator's order, parameters or behaviour moves them
+    (and, with them, every calibrated depth and the golden digest).
+    """
+
+    CASES = {
+        # (operator count, sha256 of (kind, band, describe) per op,
+        #  sha256 of the texts at depths 0, N // 2 and N)
+        "wilkins-worst-case": (
+            dict(experiment="configuration", system="wilkins"), 173,
+            "e9e88b129beff3ed7ef96347874ec2efbbc30c2934979464a9400f33bf3cc2a5",
+            "926ba0ca73c1c2b08523ac94bf81858a17700dd7cf1cca15a91f7196f443733f",
+        ),
+        "wilkins-few-shot": (
+            dict(experiment="configuration", system="wilkins", fewshot=True), 8,
+            "7751a1ad13521f5db7f3cafbb54eb58c96a348ed2547bb73a45c445869a3626f",
+            "792f78ca732a3ca56df35f4e268fe16dd68490e57e6ff258a309d1a741096392",
+        ),
+        "wilkins-doc-context": (
+            dict(experiment="configuration", system="wilkins", doccontext=True), 10,
+            "52f6dda074d75fbc6e42d945a666744a1482dd4e75f65f40a1052b3dafb8f2a9",
+            "1468ada4134c578c963bf269fa0933fb1e60c62e1491ea17161c29e700a6db56",
+        ),
+        # chrf_bias 17.8 > 5: insertions ahead of confusions and drops
+        "parsl-annotation-chrf-gap": (
+            dict(experiment="annotation", system="parsl"), 166,
+            "bd10546b78b6593f873fd77fe38cfa11124a508e556e969ee52741311f9dcda2",
+            "3b300c7894cc8402c4c8f62e13366c7ff95feaf1133c00957e2689949f4168a9",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sequence_and_texts_match_the_pins(self, case):
+        cell, count, ops_digest, texts_digest = self.CASES[case]
+        reference, knowledge, chrf_bias, labels = _o3_cell(**cell)
+        ops = build_ops(reference, knowledge, chrf_bias=chrf_bias, seed_labels=labels)
+        assert len(ops) == count
+        described = repr([(op.kind, op.band, op.describe) for op in ops])
+        assert hashlib.sha256(described.encode()).hexdigest() == ops_digest
+        texts = "\x00".join(apply_ops(reference, ops, k) for k in (0, count // 2, count))
+        assert hashlib.sha256(texts.encode()).hexdigest() == texts_digest
+
+
+class _Planned(Exception):
+    """Raised in place of running a plan, carrying it out."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+
+def _plan_cells() -> dict[tuple, object]:
+    """(model name, cell key) -> intent for every cell of the paper's sweeps."""
+    import repro.runtime
+    from repro.core import experiments
+    from repro.core.experiments import fewshot, prompt_sensitivity
+    from repro.llm.intent import analyze_prompt
+    from repro.llm.simulated import SimulatedModel
+
+    def capture(plan, config=None):
+        raise _Planned(plan)
+
+    sweeps = [
+        experiments.run_configuration, experiments.run_annotation,
+        experiments.run_translation, experiments.run_fewshot,
+        *(lambda epochs, e=e: experiments.run_prompt_sensitivity(e, epochs=epochs)
+          for e in ("configuration", "annotation", "translation")),
+    ]
+    cells: dict[tuple, object] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        # grid sweeps import ``run`` from repro.runtime when called
+        for module in (repro.runtime, fewshot, prompt_sensitivity):
+            mp.setattr(module, "run", capture)
+        for sweep in sweeps:
+            with pytest.raises(_Planned) as planned:
+                sweep(epochs=1)
+            for unit in planned.value.plan.units:
+                intent = analyze_prompt(unit.prompt)
+                cells[(unit.model, SimulatedModel._cell_key(intent))] = intent
+    return cells
+
+
+class TestSharedOperators:
+    """Each distinct operator is one object, shared by every sequence."""
+
+    def test_same_cell_builds_the_same_objects(self):
+        a = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        b = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        assert a is not b
+        assert all(x is y for x, y in zip(a, b, strict=True))
+
+    def test_cells_sharing_a_worst_case_share_its_operators(self):
+        o3, claude = ALL_PROFILES["o3"](), ALL_PROFILES["claude-sonnet-4"]()
+        know_a = o3.knowledge_for("configuration", "wilkins")
+        know_b = claude.knowledge_for("configuration", "wilkins")
+        assert know_a.worst_case == know_b.worst_case
+        a = build_ops(REF, know_a, seed_labels=("sim/o3", "cell"))
+        b = build_ops(REF, know_b, seed_labels=("sim/claude-sonnet-4", "cell"))
+
+        def of(ops, *kinds):
+            return [op for op in ops if op.kind in kinds]
+
+        structural = ("collapse", "restructure")
+        assert all(x is y for x, y in zip(of(a, *structural), of(b, *structural), strict=True))
+        # morph fractions are a seeded permutation of the same grid, so the
+        # two orders differ but the grid positions are the same objects
+        morphs_a, morphs_b = of(a, "morph"), of(b, "morph")
+        assert [op.describe for op in morphs_a] != [op.describe for op in morphs_b]
+        shared = {id(op) for op in morphs_a} & {id(op) for op in morphs_b}
+        assert len(shared) >= len(morphs_a) // 2
+
+    def test_whole_plan_holds_few_distinct_operators(self):
+        from repro.llm import get_model
+
+        sequences = [
+            get_model(model).provider._cell_ops(intent, key)
+            for (model, key), intent in _plan_cells().items()
+        ]
+        assert len(sequences) == 232  # the plan's calibrated cells
+        total = sum(map(len, sequences))
+        distinct = {id(op) for ops in sequences for op in ops}
+        # each cell used to build its own copies: ~40k objects per plan.
+        # Shared, the plan holds ~2.4k, most of them morphs: a morph's
+        # fraction is a point of a seeded grid that depends on the cell's
+        # line counts, and two fractions that differ act differently
+        assert total > 30_000
+        assert len(distinct) <= 2_500
 
 
 class TestReplaceWord:
@@ -190,12 +338,18 @@ class TestQualityCurve:
         ops = self._ops()
         curve = QualityCurve(REF, ops)
         expected = {k: curve.text(k) for k in (0, 7, len(ops))}
+        scores = curve.scores()
         curve.compact(keep=(7,))
         assert curve._texts == {0: REF, 7: expected[7]}
         assert len(curve._states) == 1
+        assert curve._scores == {7: scores[7]}
         # non-kept depths rebuild on demand, identically
         assert curve.text(len(ops)) == expected[len(ops)]
         assert curve.text(7) == expected[7]
+        # and so do their scores, bit-equal: one dropped depth alone,
+        # then the rest of the curve
+        assert curve.score(len(ops) // 2) == scores[len(ops) // 2]
+        assert curve.scores() == scores
 
     def test_local_recalibrate_reuses_supplied_curve(self):
         ops = self._ops()
