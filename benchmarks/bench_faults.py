@@ -115,7 +115,7 @@ def _bench_fault_rates(name: str, make_executor) -> dict:
                 )
                 best_s = min(best_s, time.perf_counter() - started)
                 injected = sum(p.injected_total for p in wrapped.values())
-                calls = sum(p.calls + p.batch_calls for p in wrapped.values())
+                calls = sum(p.calls for p in wrapped.values())
         pct = int(rate * 100)
         result[f"rate{pct}_ms"] = best_s * 1000
         result[f"rate{pct}_injected"] = injected

@@ -1,23 +1,18 @@
 """Runtime scaling — executors and result cache on a fixed sweep.
 
 Times the Table 1-shaped sweep (4 models × 3 systems × 2 epochs = 24
-generations) on the two executors — serial, and async with both kinds of
-provider (per-unit, and batch-capable) — three ways:
+generations) on the two executors — serial and async — three ways:
 
 * a **cold-cache serial sweep** against freshly constructed simulated
   models, so the timing includes per-cell calibration — the number the
   compiled-metrics engine is measured by (reported for the perf
   trajectory);
 * against the **offline simulator** (CPU-bound; extra threads only
-  contend for the GIL, which is why serial is the default; it defines
-  ``generate_batch``, so only the batch row runs it) — reported for the
-  perf trajectory, not asserted;
+  contend for the GIL, which is why serial is the default) — reported
+  for the perf trajectory, not asserted;
 * against **latency providers** that wrap each simulated model with a
-  fixed per-call delay, the regime a real API endpoint lives in.  The
-  per-unit provider pays the delay on every call; the batch-capable one
-  pays it once per ``generate_batch`` call, so the async executor's one
-  batched call per model group pays the round-trip once per group.  On
-  both providers the async executor must be ≥ 2× faster than serial;
+  fixed per-call delay, the regime a real API endpoint lives in; the
+  async executor must be ≥ 2× faster than serial there;
 * and with a **warm result cache**, which must skip the model layer
   entirely (zero new generations) while producing identical results.
 
@@ -49,10 +44,7 @@ API_LATENCY_S = 0.15  # per-call delay of the simulated network endpoint
 
 
 class _LatencyProvider:
-    """A simulated-model wrapper that costs a fixed delay per call.
-
-    It has no batch surface, so the async executor calls it per unit.
-    """
+    """A simulated-model wrapper that costs a fixed delay per call."""
 
     def __init__(self, inner, delay: float, namespace: str) -> None:
         self._inner = inner
@@ -64,32 +56,14 @@ class _LatencyProvider:
         return self._inner.generate(messages, config)
 
 
-class _BatchLatencyProvider(_LatencyProvider):
-    """A :class:`_LatencyProvider` with a batch endpoint.
-
-    The batched entry point pays the delay **once per batch** — the
-    whole point of a real batch endpoint is amortizing the round-trip —
-    then defers to the inner model's native ``generate_batch``.
-    """
-
-    def generate_batch(self, requests):
-        time.sleep(self._delay)  # one round-trip for the whole group
-        return self._inner.generate_batch(requests)
-
-
 def _register_latency_models() -> None:
-    """Per-unit (``apisim``) and batch-capable (``apibatch``) wrappers."""
+    """``apisim/<model>``: each simulated model behind a fixed delay."""
     for model in MODELS:
         inner = get_model(f"sim/{model}").provider
-        for namespace, provider in (
-            ("apisim", _LatencyProvider),
-            ("apibatch", _BatchLatencyProvider),
-        ):
-            register_model(
-                f"{namespace}/{model}",
-                lambda inner=inner, provider=provider, namespace=namespace:
-                provider(inner, API_LATENCY_S, namespace),
-            )
+        register_model(
+            f"apisim/{model}",
+            lambda inner=inner: _LatencyProvider(inner, API_LATENCY_S, "apisim"),
+        )
 
 
 def _register_cold_models() -> None:
@@ -133,17 +107,10 @@ def bench_runtime_scaling(report):
     run(_sweep_plan("sim"))
 
     with AsyncExecutor(16) as async16:
-        # (label, executor, CPU-bound namespace, latency-bound namespace);
-        # the simulator is batch-capable, so async on it runs batched
-        executors = [
-            ("serial", SerialExecutor(), "sim", "apisim"),
-            ("async-16", async16, None, "apisim"),
-            ("async-16 batch", async16, "sim", "apibatch"),
-        ]
+        executors = [("serial", SerialExecutor()), ("async-16", async16)]
         lines = [
             "runtime scaling — 4 models x 3 systems x 2 epochs (24 generations)",
-            f"simulated API latency: {API_LATENCY_S * 1000:.0f} ms/call "
-            "(batch provider: one per model group)",
+            f"simulated API latency: {API_LATENCY_S * 1000:.0f} ms/call",
             f"cold-cache serial sweep (incl. calibration): "
             f"{cold_serial_time * 1000:.0f} ms",
             "",
@@ -153,15 +120,12 @@ def bench_runtime_scaling(report):
         sim_times: dict[str, float] = {}
         api_times: dict[str, float] = {}
         baseline_results = None
-        for label, executor, sim_namespace, api_namespace in executors:
-            sim_cell = f"{'-':>16}"
-            if sim_namespace is not None:
-                sim_times[label], _ = _timed(sim_namespace, executor)
-                sim_cell = f"{sim_times[label] * 1000:>13.0f} ms"
+        for label, executor in executors:
+            sim_times[label], _ = _timed("sim", executor)
 
             cache = InMemoryResultCache()
-            api_times[label], cold = _timed(api_namespace, executor, cache=cache)
-            warm_time, warm = _timed(api_namespace, executor, cache=cache)
+            api_times[label], cold = _timed("apisim", executor, cache=cache)
+            warm_time, warm = _timed("apisim", executor, cache=cache)
 
             assert cold.stats.generated == 24 - cold.stats.deduplicated
             assert warm.stats.generated == 0, "warm cache must skip the model layer"
@@ -179,27 +143,21 @@ def bench_runtime_scaling(report):
                 )
 
             lines.append(
-                f"{label:<15} {sim_cell} "
+                f"{label:<15} {sim_times[label] * 1000:>13.0f} ms "
                 f"{api_times[label] * 1000:>11.0f} ms {warm_time * 1000:>12.0f} ms"
             )
 
         unit_speedup = api_times["serial"] / api_times["async-16"]
-        batch_speedup = api_times["serial"] / api_times["async-16 batch"]
         lines += [
             "",
-            f"latency-bound speedup vs serial: async-16 {unit_speedup:.1f}x, "
-            f"async-16 batch {batch_speedup:.1f}x",
-            f"CPU-bound (GIL) speedup vs serial: async-16 batch "
-            f"{sim_times['serial'] / sim_times['async-16 batch']:.1f}x",
+            f"latency-bound speedup vs serial: async-16 {unit_speedup:.1f}x",
+            f"CPU-bound (GIL) speedup vs serial: async-16 "
+            f"{sim_times['serial'] / sim_times['async-16']:.1f}x",
         ]
 
     report("runtime_scaling", "\n".join(lines))
 
     assert unit_speedup >= 2.0, (
         f"async executor should be >= 2x faster than serial on a "
-        f"latency-bound sweep with a per-unit provider, got {unit_speedup:.2f}x"
-    )
-    assert batch_speedup >= 2.0, (
-        f"async executor should be >= 2x faster than serial on a "
-        f"latency-bound sweep with a batch provider, got {batch_speedup:.2f}x"
+        f"latency-bound sweep, got {unit_speedup:.2f}x"
     )

@@ -1,4 +1,4 @@
-"""Model protocols (sync, async, batched) and the provider registry.
+"""Model protocols (sync, async) and the provider registry.
 
 ``get_model("sim/o3")`` returns a :class:`Model` wrapper around whichever
 provider is registered under that name.  The four simulated paper models
@@ -6,18 +6,13 @@ self-register on import of :mod:`repro.llm.profiles`; a user evaluating a
 real endpoint registers their own provider factory under a new name and
 everything downstream (solvers, scorers, benches) works unchanged.
 
-Beyond the required sync :meth:`ModelAPI.generate`, providers may opt
-into two richer call surfaces the runtime exploits:
-
-* **async** — implement :class:`AsyncModelAPI` (an ``agenerate``
-  coroutine) and :class:`~repro.runtime.executors.AsyncExecutor` drives
-  the provider on its event loop directly; any plain sync provider is
-  adapted automatically by :func:`as_async`, which offloads each call to
-  a worker thread so the loop keeps multiplexing;
-* **batched** — implement ``generate_batch(requests)`` (one provider
-  round-trip for a whole group of prompts) and
-  :class:`~repro.runtime.executors.AsyncExecutor` issues one call per
-  model group instead of one per unit.
+Beyond the required sync :meth:`ModelAPI.generate`, a provider may
+implement :class:`AsyncModelAPI` (an ``agenerate`` coroutine), and
+:class:`~repro.runtime.executors.AsyncExecutor` then drives it on its
+event loop directly; any plain sync provider is adapted automatically by
+:func:`as_async`, which offloads each call to a worker thread so the
+loop keeps multiplexing.  Either way the runtime makes one provider call
+per prompt.
 """
 
 from __future__ import annotations
@@ -28,20 +23,12 @@ import threading
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ModelError, UnknownModelError
-from repro.llm.types import BatchRequest, ChatMessage, GenerateConfig, ModelOutput
+from repro.llm.types import ChatMessage, GenerateConfig, ModelOutput
 
 
 @runtime_checkable
 class ModelAPI(Protocol):
-    """What a provider must implement.
-
-    Providers *may* additionally expose
-    ``generate_batch(requests: Sequence[BatchRequest]) -> list[ModelOutput]``
-    returning one output per request, in request order;
-    :class:`~repro.runtime.executors.AsyncExecutor` sends each model
-    group through it when present and calls the provider per request
-    otherwise.
-    """
+    """What a provider must implement."""
 
     name: str
 
@@ -130,35 +117,6 @@ class Model:
         else:
             messages = list(input)
         return self._provider.generate(messages, config or GenerateConfig())
-
-    def generate_batch(
-        self,
-        inputs: Sequence[tuple[str | Sequence[ChatMessage], GenerateConfig | None]],
-    ) -> list[ModelOutput]:
-        """Batched generation: one provider round-trip when supported.
-
-        ``inputs`` is a sequence of ``(input, config)`` pairs accepting
-        the same input forms as :meth:`generate`.  Providers exposing
-        ``generate_batch`` get the whole group in one call; others are
-        driven per-request, so callers never need to feature-test.
-        """
-        requests: list[BatchRequest] = []
-        for input, config in inputs:
-            if isinstance(input, str):
-                messages: Sequence[ChatMessage] = [ChatMessage.user(input)]
-            else:
-                messages = list(input)
-            requests.append((messages, config or GenerateConfig()))
-        batch = getattr(self._provider, "generate_batch", None)
-        if callable(batch):
-            outputs = list(batch(requests))
-            if len(outputs) != len(requests):
-                raise ModelError(
-                    f"{self.name}: generate_batch returned {len(outputs)} "
-                    f"outputs for {len(requests)} requests"
-                )
-            return outputs
-        return [self._provider.generate(m, c) for m, c in requests]
 
     @property
     def provider(self) -> ModelAPI:

@@ -27,7 +27,7 @@ bisection because the curve is only *approximately* monotone —
 individual operators vary in impact.
 
 This module stays pure: the simulator caches each cell's calibration
-(its :class:`QualityCurve`, compacted to the calibrated depth) per cell
+result and the text at its calibrated depth (not the curve) per cell
 key in ``SimulatedModel._cell``.
 """
 
@@ -75,11 +75,10 @@ class QualityCurve:
     an operator or re-scores a depth.  Corruption operators never mutate
     their input line lists, so prefix states can be retained safely.
 
-    Every range query (:meth:`scores`, :meth:`best`, the fallback scan)
-    scores its unscored depths with one
-    :meth:`~repro.metrics.kernels._Kernel.delta_stats` call, through
-    a :class:`_DeltaWalk` that lives only for that query (the curve
-    itself is shared across executor threads) — bit-equal to a
+    Every range query (:meth:`scores`, :meth:`best`) scores its unscored
+    depths with one :meth:`~repro.metrics.kernels._Kernel.delta_stats`
+    call, through a :class:`_DeltaWalk` that lives only for that query
+    (the curve itself may be shared across executor threads) — bit-equal to a
     per-depth reference :func:`~repro.metrics.bleu`.  Only the depths
     whose line list differs from the previous depth's reach the kernel;
     an unchanged depth copies the previous depth's score.
@@ -118,9 +117,9 @@ class QualityCurve:
     def _states_through(self, k: int) -> list[list[str]]:
         """The prefix states, extended through depth ``k`` (``<= len(ops)``).
 
-        Thread-safe: curve objects are published process-wide inside the
-        simulator's cached cells, so the lazy prefix extension is locked —
-        once per call, however many depths it adds.
+        Thread-safe: a caller may share one curve across executor
+        threads, so the lazy prefix extension is locked — once per call,
+        however many depths it adds.
         """
         states = self._states
         if k < len(states):
@@ -187,21 +186,6 @@ class QualityCurve:
         """The full curve, depths 0..len(ops)."""
         self._score_range(0, len(self.ops))
         return [self._scores[k] for k in range(len(self))]
-
-    def compact(self, keep: tuple[int, ...] = ()) -> None:
-        """Release retained prefix states, texts and scores, keeping only ``keep``.
-
-        A calibrated cell lives for the whole process but only ever
-        re-reads the text at its calibrated depth; dropping the other
-        N prefix strings, line-list states and depth scores frees ~N
-        copies of the artifact per cell.  Any other depth's text and
-        score can still be rebuilt on demand, bit-equal.
-        """
-        kept = {k: self.text(k) for k in keep}
-        with self._lock:
-            self._states = [self.reference.split("\n")]
-            self._texts = {0: self.reference, **kept}
-            self._scores = {k: self._scores[k] for k in keep if k in self._scores}
 
     def best(self, target: float, lo: int = 0, hi: int | None = None) -> tuple[int, float]:
         """(k, error) minimising ``|score(k) − target|`` over ``[lo, hi]``.
@@ -331,11 +315,11 @@ def local_recalibrate(
     best_k, best_err = curve.best(target_bleu, lo, hi)
     if best_err > 6.0:
         # the shuffle moved the target region outside the window (small op
-        # sets shift a lot); fall back to a full scan of this epoch's curve
-        for k, score in enumerate(curve.scores()):
-            err = abs(score - target_bleu)
-            if err < best_err:
-                best_k, best_err = k, err
+        # sets shift a lot); fall back to a full scan of this epoch's
+        # curve, keeping the window's pick on a tie
+        k, err = curve.best(target_bleu)
+        if err < best_err:
+            best_k = k
     return best_k
 
 

@@ -47,7 +47,6 @@ from repro.llm.intent import Intent, analyze_prompt
 from repro.llm.knowledge import ModelProfile, SystemKnowledge
 from repro.llm.sampling import sample_jitter
 from repro.llm.types import (
-    BatchRequest,
     ChatMessage,
     GenerateConfig,
     ModelOutput,
@@ -60,16 +59,16 @@ from repro.utils.rng import rng_for
 class CalibratedCell(NamedTuple):
     """Everything one experiment cell computes exactly once.
 
-    The compiled reference and the calibration-pass quality curve travel
-    with the cell so later generations never re-tokenize the reference
-    (every trial's recalibration scores against ``compiled``) and the
-    deterministic path never re-applies operators (``curve.text(k)``
-    returns the memoized prefix).
+    The compiled reference travels with the cell so later generations
+    never re-tokenize the reference (every trial's recalibration scores
+    against ``compiled``), and ``text`` is the artifact at the calibrated
+    depth, which the deterministic path returns without re-applying
+    operators.
     """
 
     ops: list[CorruptionOp]
     calib: CalibrationResult
-    curve: QualityCurve
+    text: str
     compiled: CompiledReference
 
 
@@ -91,43 +90,10 @@ class SimulatedModel:
     def generate(
         self, messages: Sequence[ChatMessage], config: GenerateConfig
     ) -> ModelOutput:
-        prompt = self._prompt_of(messages)
-        intent = analyze_prompt(prompt)
-        return self._complete(prompt, intent, config)
-
-    def generate_batch(
-        self, requests: Sequence[BatchRequest]
-    ) -> list[ModelOutput]:
-        """Native batched generation (one "round-trip" for the group).
-
-        The batch amortizes per-request overhead the way a real batching
-        endpoint amortizes the network round-trip: each distinct prompt
-        is intent-analyzed once for the whole group (per-cell
-        calibration is already memoized by :meth:`_cell`).  Outputs are
-        bit-identical to per-request :meth:`generate` calls.
-        """
-        prepared: list[tuple[str, Intent, GenerateConfig]] = []
-        intents: dict[str, Intent] = {}
-        for messages, config in requests:
-            prompt = self._prompt_of(messages)
-            intent = intents.get(prompt)
-            if intent is None:
-                intent = intents[prompt] = analyze_prompt(prompt)
-            prepared.append((prompt, intent, config))
-        return [
-            self._complete(prompt, intent, config)
-            for prompt, intent, config in prepared
-        ]
-
-    def _prompt_of(self, messages: Sequence[ChatMessage]) -> str:
         prompt = "\n\n".join(m.content for m in messages if m.role != "assistant")
         if not prompt.strip():
             raise GenerationError(f"{self.name}: empty prompt")
-        return prompt
-
-    def _complete(
-        self, prompt: str, intent: Intent, config: GenerateConfig
-    ) -> ModelOutput:
+        intent = analyze_prompt(prompt)
         payload = self._generate_payload(intent, config)
         completion = self._decorate(payload, intent, config)
         usage = ModelUsage(
@@ -227,13 +193,12 @@ class SimulatedModel:
         curve = QualityCurve(reference, ops, compiled=compiled)
         result = calibrate(reference, ops, target, curve=curve)
         # the cell is cached for the process lifetime but only the
-        # calibrated depth's text is ever read again: drop the rest
-        curve.compact(keep=(result.k,))
-        return CalibratedCell(ops, result, curve, compiled)
+        # calibrated depth's text is ever read again: keep just that
+        return CalibratedCell(ops, result, curve.text(result.k), compiled)
 
     def _generate_payload(self, intent: Intent, config: GenerateConfig) -> str:
         cell = self._cell(intent)
-        reference = cell.curve.reference
+        reference = cell.compiled.text
         temperature, top_p = self._effective_sampling(config)
         rng = rng_for(self.name, intent.experiment, intent.cell_system,
                       intent.variant, intent.fewshot, intent.doccontext,
@@ -241,7 +206,7 @@ class SimulatedModel:
         if self.profile.epoch_jitter <= 0 or temperature == 0:
             # deterministic decoding: identical artifact every trial — the
             # calibration pass already built this prefix, so reuse it
-            return cell.curve.text(cell.calib.k)
+            return cell.text
         # trial-to-trial variation: perturb the competence target by a few
         # points (sampled with real temperature/top_p decoding math), then
         # re-pick the depth on this trial's shuffled operator order

@@ -8,7 +8,7 @@ choices out, token usage accounted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 Role = Literal["system", "user", "assistant"]
 
@@ -81,10 +81,6 @@ class ModelUsage:
             input_tokens=payload["input_tokens"],
             output_tokens=payload["output_tokens"],
         )
-
-
-# one request of a batched generation call: (messages, decoding config)
-BatchRequest = tuple[Sequence["ChatMessage"], "GenerateConfig"]
 
 
 @dataclass

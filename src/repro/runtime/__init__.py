@@ -33,7 +33,6 @@ from repro.runtime.executors import (
     Executor,
     SerialExecutor,
     generate_unit,
-    group_units_by_model,
 )
 from repro.runtime.faults import (
     FailedGeneration,
@@ -69,7 +68,6 @@ __all__ = [
     "active_faults",
     "HealthTracker",
     "BreakerRegistry",
-    "group_units_by_model",
     "ResultCache",
     "InMemoryResultCache",
     "ScoreCache",

@@ -9,15 +9,12 @@ executor produces bit-identical generations:
   the offline simulator, where extra threads only contend for the GIL;
 * :class:`AsyncExecutor` — an asyncio event loop keeping many provider
   calls in flight under a bounded-concurrency semaphore, for
-  latency-bound providers (real API endpoints).  Units are grouped by
-  model: a provider that defines ``generate_batch`` gets one batched
-  call per group, any other provider one ``agenerate`` call per unit.
+  latency-bound providers (real API endpoints).  Every unit is one
+  ``agenerate`` call.
 
 Retry has one owner: the run's :class:`~repro.runtime.faults.FaultPolicy`
 (``RunConfig(faults=...)``).  Without a fault scope every executor makes
-one attempt per unit, with one exception: when a batched call fails,
-each unit of its group gets one per-unit call, an extra attempt outside
-the retry policy that no retry budget counts.
+one attempt per unit; with one, exactly the policy's attempts.
 """
 
 from __future__ import annotations
@@ -28,8 +25,8 @@ import threading
 import time
 from typing import Awaitable, Protocol, Sequence, TypeVar, runtime_checkable
 
-from repro.errors import HarnessError, ModelError
-from repro.llm.api import Model, as_async, get_model
+from repro.errors import HarnessError
+from repro.llm.api import as_async, get_model
 from repro.llm.types import ChatMessage, ModelOutput
 from repro.obs import active_tracer, span
 from repro.runtime.faults import FailedGeneration, active_faults
@@ -37,7 +34,6 @@ from repro.runtime.units import Generation, WorkUnit
 
 __all__ = [
     "generate_unit",
-    "group_units_by_model",
     "Executor",
     "SerialExecutor",
     "AsyncExecutor",
@@ -82,27 +78,6 @@ def generate_unit(unit: WorkUnit) -> "Generation | FailedGeneration":
         if state is not None:
             return state.run_unit(unit, _generate_once)
         return _generate_once(unit)
-
-
-def group_units_by_model(
-    units: Sequence[WorkUnit],
-) -> dict[str, list[WorkUnit]]:
-    """Units keyed by model name, preserving plan order within a group."""
-    groups: dict[str, list[WorkUnit]] = {}
-    for unit in units:
-        groups.setdefault(unit.model, []).append(unit)
-    return groups
-
-
-def _batch_model(name: str) -> Model | None:
-    """The model when its provider defines ``generate_batch``, else None."""
-    try:
-        model = get_model(name)
-    except ModelError:
-        return None  # the per-unit path raises (or isolates) it per unit
-    if callable(getattr(model.provider, "generate_batch", None)):
-        return model
-    return None
 
 
 async def _traced(name: str, awaitable: Awaitable[_T]) -> _T:
@@ -157,25 +132,16 @@ class SerialExecutor:
 class AsyncExecutor:
     """Event-loop execution: many provider calls in flight at once.
 
-    Each ``execute`` runs an asyncio loop and groups the units by model.
-    A model whose provider defines ``generate_batch`` gets one
-    :meth:`~repro.llm.api.Model.generate_batch` call per group, run on
-    the adapter thread pool; when that call raises a
-    :class:`~repro.errors.ModelError`, every unit of the group falls back
-    to the per-unit path.  The per-unit path resolves the provider
-    through :func:`repro.llm.api.as_async`: async-native providers run on
-    the loop directly, sync ones are offloaded to the adapter pool.
-    Batched groups and per-unit calls share one semaphore of
-    ``max_concurrency`` in-flight calls.
+    Each ``execute`` runs an asyncio loop with one task per unit, at most
+    ``max_concurrency`` of them in flight under one semaphore.  Each unit
+    resolves its provider through :func:`repro.llm.api.as_async`:
+    async-native providers run on the loop directly, sync ones are
+    offloaded to the adapter thread pool.
 
     Circuit breakers, retry, deadlines and isolation come from the
-    run's :class:`~repro.runtime.faults.FaultPolicy` and apply to batched
-    and per-unit calls alike: an open breaker sends a group to per-unit
-    calls (where the policy refuses each one), and a batched call that
-    outlives ``unit_deadline_s`` is cancelled and fails its units.
-    Without a fault scope each unit gets one attempt, like
-    :class:`SerialExecutor`, except that the units of a failed batched
-    call each get one more, per-unit call.  Results are bit-identical to
+    run's :class:`~repro.runtime.faults.FaultPolicy`, applied per unit
+    exactly as :class:`SerialExecutor` applies them; without a fault
+    scope each unit gets one attempt.  Results are bit-identical to
     :class:`SerialExecutor` — seeds travel inside units, so in-flight
     interleaving cannot reorder randomness.
 
@@ -258,47 +224,7 @@ class AsyncExecutor:
                     call = attempt(unit)
                 produced[unit.key] = await _traced("unit", call)
 
-        async def batch_attempt(model: Model, group: list[WorkUnit]) -> list[Generation]:
-            # one raw batched call for a whole model group
-            requests = [(unit.prompt, unit.config) for unit in group]
-            started = time.perf_counter()
-            outputs = await _traced(
-                "batch",
-                asyncio.get_running_loop().run_in_executor(
-                    pool, model.generate_batch, requests
-                ),
-            )
-            per_call = (time.perf_counter() - started) / len(group)  # amortized
-            return [
-                _generation(unit, output, per_call)
-                for unit, output in zip(group, outputs)
-            ]
-
-        async def per_group(model: Model, group: list[WorkUnit]) -> None:
-            async with semaphore:
-                if state is not None:
-                    results = await state.run_batch_async(
-                        group, lambda units: batch_attempt(model, units)
-                    )
-                else:
-                    try:
-                        results = await batch_attempt(model, group)
-                    except ModelError:
-                        results = None
-            if results is None:  # every unit gets a per-unit call instead
-                await asyncio.gather(*(per_unit(unit) for unit in group))
-                return
-            for unit, result in zip(group, results):
-                produced[unit.key] = result
-
-        calls = []
-        for name, group in group_units_by_model(units).items():
-            model = _batch_model(name)
-            if model is not None:
-                calls.append(per_group(model, group))
-            else:
-                calls.extend(per_unit(unit) for unit in group)
-        await asyncio.gather(*calls)
+        await asyncio.gather(*(per_unit(unit) for unit in units))
         return produced
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

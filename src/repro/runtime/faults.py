@@ -1,17 +1,14 @@
 """The unified fault policy: retries, deadlines, budgets, isolation.
 
 :class:`FaultPolicy` is the one owner of retries: without it, every
-executor makes one attempt per unit.  The one exception is a failed
-batched call of :class:`~repro.runtime.executors.AsyncExecutor`: each
-unit of the group then gets its per-unit call, an extra attempt outside
-:class:`RetryPolicy` that no retry budget counts.  The policy
-centralizes every fault-handling knob and :func:`fault_scope` threads
-it through both executors at once:
+executor makes one attempt per unit.  The policy centralizes every
+fault-handling knob and :func:`fault_scope` threads it through both
+executors at once:
 :func:`repro.runtime.executors.generate_unit` — the funnel
 :class:`~repro.runtime.executors.SerialExecutor` goes through —
 consults the active :class:`FaultState`, and
 :class:`~repro.runtime.executors.AsyncExecutor` awaits the same policy
-on its event loop for every batched group and every per-unit call.
+on its event loop for every unit.
 One policy object therefore gives both execution backends the same
 circuit breakers, deterministic exponential backoff, per-unit
 wall-clock deadlines, a run-shared retry budget, and an ``on_failure``
@@ -272,9 +269,8 @@ class FaultState:
 
     Thread-safe: the serial path calls :meth:`run_unit` from whichever
     thread runs the sweep, and the async path awaits
-    :meth:`run_batch_async` and :meth:`run_unit_async` on its loop.
-    Install for
-    the duration of an execution phase with :func:`fault_scope`.
+    :meth:`run_unit_async` on its loop.  Install for the duration of an
+    execution phase with :func:`fault_scope`.
     """
 
     def __init__(self, policy: FaultPolicy) -> None:
@@ -462,45 +458,6 @@ class FaultState:
             else:
                 self._observe(tracker, None)
                 return result
-
-    async def run_batch_async(
-        self,
-        units: list[WorkUnit],
-        generate_batch: Callable[[list[WorkUnit]], Awaitable[list[Generation]]],
-    ) -> "list[Generation | FailedGeneration] | None":
-        """One batched call for a model group, under the same policy.
-
-        The model's breaker gates and observes the call like any single
-        attempt.  ``None`` sends the group to per-unit calls: the breaker
-        refused the batch, or it raised a
-        :class:`~repro.errors.ModelError`.  A batch that outlives
-        ``unit_deadline_s`` is cancelled and, having spent every unit's
-        deadline, fails each unit with
-        :class:`~repro.errors.DeadlineExceededError`.
-        """
-        tracker = self._tracker(units[0])
-        if tracker is not None and not tracker.allow():
-            return None
-        deadline = self.policy.unit_deadline_s
-        started = time.perf_counter()
-        try:
-            results = await asyncio.wait_for(generate_batch(units), timeout=deadline)
-        except asyncio.TimeoutError:
-            # like a per-unit timeout, this never counts against the breaker
-            elapsed = time.perf_counter() - started
-            return [
-                self._fail(unit, DeadlineExceededError(
-                    f"unit {unit.uid} exceeded its {deadline}s deadline mid-batch",
-                    elapsed_s=elapsed,
-                    deadline_s=deadline,
-                ), 1, elapsed)
-                for unit in units
-            ]
-        except ModelError as exc:
-            self._observe(tracker, exc)
-            return None
-        self._observe(tracker, None)
-        return results
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -243,8 +243,8 @@ def _run_impl(
 
     Results are independent of the executor choice: seeds live inside
     the units, and generations are keyed by content, so serial and
-    async execution, per-unit or batched (with any mix of cold/warm
-    cache), produce bit-identical output.
+    async execution (with any mix of cold/warm cache) produce
+    bit-identical output.
 
     Every knob is read off ``config``, a
     :class:`~repro.runtime.config.RunConfig` (default: all ``None``).

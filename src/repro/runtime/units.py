@@ -93,8 +93,8 @@ class Generation:
     """The cacheable outcome of one model call (no scoring).
 
     ``elapsed_s`` is the wall-clock cost of the provider call that
-    produced this generation (amortized over the group for batched
-    calls); it sums into ``RunStats.generation_seconds``.  It is
+    produced this generation; it sums into
+    ``RunStats.generation_seconds``.  It is
     informational and never part of the content address.
     """
 

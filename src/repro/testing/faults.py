@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.errors import HarnessError, ModelError
 from repro.llm.api import ModelAPI, get_model, register_model
-from repro.llm.types import BatchRequest, ChatMessage, GenerateConfig, ModelOutput
+from repro.llm.types import ChatMessage, GenerateConfig, ModelOutput
 from repro.persist.records import encode_record
 from repro.persist.segments import list_segments, segment_name
 from repro.persist.store import RunStore
@@ -44,9 +44,9 @@ class FaultPlan:
     ``roll(kind, key)`` maps to a uniform float in ``[0, 1)`` via SHA-256
     over ``(seed, kind, key)``; a fault of some kind strikes a request
     exactly when its roll lands under that kind's rate.  Because the
-    roll depends only on content, the *same requests* fault under serial,
-    per-unit async and batched async execution — which is what lets the
-    chaos suite assert bit-identical grids across executors under fire.
+    roll depends only on content, the *same requests* fault under serial
+    and async execution — which is what lets the chaos suite assert
+    bit-identical grids across executors under fire.
 
     ``transient_times`` bounds how often a transient (or truncate) fault
     re-strikes one request: the first N calls for that request fail,
@@ -142,12 +142,8 @@ class FaultyProvider:
     the message) instead of returning a silently-short success that
     would poison the content-addressed cache.
 
-    The wrapper has a ``generate_batch`` exactly when the wrapped
-    provider has one, so wrapping never changes which path
-    :class:`~repro.runtime.executors.AsyncExecutor` takes.
-
-    Counters (``calls``, ``batch_calls``, ``injected``) are
-    lock-protected: the async executor calls concurrently.
+    Counters (``calls``, ``injected``) are lock-protected: the async
+    executor calls concurrently.
     """
 
     def __init__(self, provider: ModelAPI, plan: FaultPlan) -> None:
@@ -155,7 +151,6 @@ class FaultyProvider:
         self.plan = plan
         self.name = provider.name
         self.calls = 0
-        self.batch_calls = 0
         self.injected: dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         self._mu = threading.Lock()
         self._struck: dict[tuple[str, str], int] = {}  # (kind, key) -> strikes
@@ -207,30 +202,6 @@ class FaultyProvider:
             self.calls += 1
         self._inject(messages, config)
         return self.inner.generate(messages, config)
-
-    def __getattr__(self, name: str):
-        if name == "generate_batch" and callable(
-            getattr(self.inner, "generate_batch", None)
-        ):
-            return self._generate_batch
-        raise AttributeError(name)
-
-    def _generate_batch(
-        self, requests: Sequence[BatchRequest]
-    ) -> list[ModelOutput]:
-        """Batched surface: one poisoned request fails the whole batch.
-
-        This is how real batch endpoints behave, and it is exactly what
-        exercises :class:`~repro.runtime.executors.AsyncExecutor`'s
-        per-unit fallback.  Only the poisoned request consumes a
-        strike — its siblings keep their schedules for the per-unit
-        retries that follow.
-        """
-        with self._mu:
-            self.batch_calls += 1
-        for messages, config in requests:
-            self._inject(messages, config)
-        return list(self.inner.generate_batch(requests))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultyProvider({self.name!r}, {self.plan!r})"

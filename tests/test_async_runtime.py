@@ -1,21 +1,19 @@
-"""Async provider runtime: AsyncExecutor and per-model batching.
+"""Async provider runtime: AsyncExecutor, one provider call per unit.
 
-The executor-equivalence matrix for the async executor's two paths —
-one ``generate_batch`` call per model group, and one call per unit for
-providers without a batch surface — plus retry under the run's
-FaultPolicy.
+The async executor's equivalence with the serial one, its call counts,
+and retry, deadlines and isolation under the run's FaultPolicy.
 Everything here enforces the runtime's core contract: the execution
 strategy is a pure latency knob, never a results knob.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
 
 import pytest
 
-from repro import obs
 from repro.core.experiments import run_configuration
 from repro.core.experiments.configuration import configuration_task
 from repro.core.samples import Sample
@@ -24,7 +22,7 @@ from repro.core.task import Task
 from repro.errors import GenerationError, HarnessError, ModelError
 from repro.llm.api import Model, as_async, get_model
 from repro.llm.simulated import SimulatedModel
-from repro.llm.types import ChatMessage, GenerateConfig, ModelOutput, ModelUsage
+from repro.llm.types import ModelOutput, ModelUsage
 from repro.runtime import (
     AsyncExecutor,
     FaultPolicy,
@@ -33,12 +31,11 @@ from repro.runtime import (
     RetryPolicy,
     RunConfig,
     SerialExecutor,
-    group_units_by_model,
     run,
 )
-from repro.testing import FaultPlan, FaultyProvider, faulty_models
+from repro.testing import FaultPlan, faulty_models
 
-from executor_paths import EXECUTOR_PATHS, executor_path, per_unit_models
+from executor_paths import EXECUTOR_PATHS, executor_path
 
 SIM_MODELS = [
     "sim/claude-sonnet-4", "sim/gemini-2.5-pro", "sim/llama-3.3-70b", "sim/o3",
@@ -84,7 +81,7 @@ class FlakyProvider:
 
 
 class TestAsyncEquivalence:
-    """Both async paths must be bit-identical to SerialExecutor."""
+    """The async executor must be bit-identical to SerialExecutor."""
 
     @pytest.fixture(scope="class")
     def serial_grid(self):
@@ -92,8 +89,7 @@ class TestAsyncEquivalence:
 
     @pytest.mark.parametrize("path,max_concurrency", [
         ("async", 8),
-        ("async", 1),  # batched groups strictly one after another
-        ("async-per-unit", 8),
+        ("async", 1),  # units strictly one after another
     ])
     def test_table1_grid_identical_to_serial(self, serial_grid, path,
                                              max_concurrency):
@@ -101,10 +97,9 @@ class TestAsyncEquivalence:
             grid = table1_sweep(executor)
         assert grid.cells == serial_grid.cells, path
 
-    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
-    def test_warm_cache_zero_generations(self, serial_grid, path, monkeypatch):
+    def test_warm_cache_zero_generations(self, serial_grid, monkeypatch):
         cache = InMemoryResultCache()
-        with executor_path(path) as executor:
+        with executor_path("async") as executor:
             cold = table1_sweep(executor, cache=cache)
             calls = []
 
@@ -113,13 +108,11 @@ class TestAsyncEquivalence:
                 raise AssertionError("warm rerun must not reach the model layer")
 
             monkeypatch.setattr(SimulatedModel, "generate", recording)
-            monkeypatch.setattr(SimulatedModel, "generate_batch", recording)
             warm = table1_sweep(executor, cache=cache)
         assert calls == []
         assert warm.cells == cold.cells == serial_grid.cells
 
-    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
-    def test_provider_error_propagates(self, path):
+    def test_provider_error_propagates(self):
         # an empty prompt makes SimulatedModel raise GenerationError —
         # a deterministic failure, so it must surface (not be retried)
         task = Task(
@@ -130,7 +123,7 @@ class TestAsyncEquivalence:
         )
         plan = Plan("p")
         plan.add_eval(task, "sim/o3", epochs=1)
-        with executor_path(path) as executor:
+        with executor_path("async") as executor:
             with pytest.raises(GenerationError, match="empty prompt"):
                 run(plan, config=RunConfig(executor=executor))
 
@@ -211,6 +204,79 @@ class TestAsyncRetry:
             AsyncExecutor(2, retry=RetryPolicy())
 
 
+class PerRequestFlaky:
+    """Fails each distinct request's first ``fail_times`` calls."""
+
+    def __init__(self, name: str, fail_times: int) -> None:
+        self.name = name
+        self.fail_times = fail_times
+        self.calls: collections.Counter = collections.Counter()
+        self._mu = threading.Lock()
+
+    def generate(self, messages, config):
+        request = (messages[-1].content, config.seed)
+        with self._mu:
+            self.calls[request] += 1
+            strike = self.calls[request] <= self.fail_times
+        if strike:
+            raise ModelError(f"{self.name}: simulated 503, try again")
+        return echo_output(self.name)
+
+
+class TestAttemptsMatchSerial:
+    """Both executors give every unit exactly the policy's attempts."""
+
+    @staticmethod
+    def plan_for(provider) -> Plan:
+        task = Task(
+            name=f"attempts-{provider.name}",
+            dataset=[Sample(id=f"s{i}", input=f"prompt {i}", target="ok")
+                     for i in range(3)],
+            solvers=[],
+            scorer=CodeSimilarityScorer(metrics=("bleu",)),
+        )
+        plan = Plan("attempts")
+        plan.add_eval(task, Model(provider), epochs=2)
+        return plan
+
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    @pytest.mark.parametrize("max_attempts,fail_times", [
+        (1, 0), (1, 1), (2, 1), (3, 2), (2, 5),
+    ])
+    def test_each_unit_gets_the_policys_attempts(self, path, max_attempts,
+                                                 fail_times):
+        provider = PerRequestFlaky(
+            f"attempts/{path}-{max_attempts}-{fail_times}", fail_times
+        )
+        faults = FaultPolicy(
+            retry=RetryPolicy(max_attempts=max_attempts, base_delay=0.0),
+            on_failure="isolate",
+        )
+        with executor_path(path) as executor:
+            outcome = run(self.plan_for(provider),
+                          config=RunConfig(executor=executor, faults=faults))
+        # 3 prompts x 2 seeds, each attempted until it heals or runs out
+        assert len(provider.calls) == 6
+        assert set(provider.calls.values()) == {min(fail_times + 1, max_attempts)}
+        healed = fail_times < max_attempts
+        assert outcome.stats.units_failed == (0 if healed else 6)
+        assert outcome.stats.generated == (6 if healed else 0)
+
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    @pytest.mark.parametrize("fail_times", [0, 1])
+    def test_no_policy_means_one_attempt_per_unit(self, path, fail_times):
+        provider = PerRequestFlaky(f"attempts/{path}-none-{fail_times}", fail_times)
+        with executor_path(path) as executor:
+            config = RunConfig(executor=executor)
+            if fail_times:
+                with pytest.raises(ModelError, match="503"):
+                    run(self.plan_for(provider), config=config)
+            else:
+                run(self.plan_for(provider), config=config)
+        assert provider.calls
+        assert set(provider.calls.values()) == {1}
+
+
 class TestAsyncNativeProvider:
     def test_async_native_provider_runs_on_the_loop(self):
         class NativeAsync:
@@ -241,67 +307,25 @@ class TestAsyncNativeProvider:
         assert adapted.name == provider.name
 
 
-class TestBatchedGeneration:
-    def test_one_batch_call_per_model_group(self, monkeypatch):
-        batch_calls = []
-        real = SimulatedModel.generate_batch
-
-        def recording_batch(self, requests):
-            batch_calls.append((self.name, len(requests)))
-            return real(self, requests)
-
-        def no_single(self, messages, config):  # pragma: no cover - guard
-            raise AssertionError(
-                "batched execution must not fall back to generate()"
-            )
-
-        monkeypatch.setattr(SimulatedModel, "generate_batch", recording_batch)
-        monkeypatch.setattr(SimulatedModel, "generate", no_single)
-        with AsyncExecutor(8) as executor:
-            grid = table1_sweep(executor)
-        assert sorted(batch_calls) == [
-            ("sim/claude-sonnet-4", 6),
-            ("sim/gemini-2.5-pro", 6),
-            ("sim/llama-3.3-70b", 6),
-            ("sim/o3", 6),
-        ]
-        assert grid.cells  # sweep actually produced results
-
-    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
-    def test_calls_follow_the_provider_surface(self, path):
-        # 3 systems × 2 epochs = 6 units per model group
-        with executor_path(path, max_concurrency=8) as executor, \
-                faulty_models(SIM_MODELS, FaultPlan()) as wrapped:
-            table1_sweep(executor)
-        for provider in wrapped.values():
-            if path == "async":
-                assert (provider.batch_calls, provider.calls) == (1, 0)
-            else:
-                assert (provider.batch_calls, provider.calls) == (0, 6)
-
-    # one slot: the batched call must release it before its units fall
-    # back, or the fallback would wait on itself forever
-    @pytest.mark.parametrize("max_concurrency", [8, 1])
-    def test_poisoned_batch_attempts_each_sibling_once(self, max_concurrency):
-        # permanent faults poison some requests of two models: their
-        # groups' batch calls fail, then every unit of those groups gets
-        # exactly one call of its own; only the poisoned units are
-        # quarantined, and the clean groups stay one batched call each
+class TestOneCallPerUnit:
+    def test_poisoned_units_each_get_one_attempt(self):
+        # permanent faults poison some requests of two models; with one
+        # attempt per unit, every unit reaches its provider exactly once
+        # and only the poisoned units are quarantined
         fault_plan = FaultPlan(seed=2, permanent_rate=0.25)
         faults = FaultPolicy(retry=RetryPolicy(max_attempts=1), on_failure="isolate")
         baseline = run(self.sweep_plan())
         with faulty_models(SIM_MODELS[:2], fault_plan) as poisoned, \
                 faulty_models(SIM_MODELS[2:], FaultPlan()) as clean:
-            with AsyncExecutor(max_concurrency) as executor:
+            with AsyncExecutor(8) as executor:
                 outcome = run(
                     self.sweep_plan(),
                     config=RunConfig(executor=executor, faults=faults),
                 )
         for provider in poisoned.values():
             assert provider.injected["permanent"] > 0, "pick a different seed"
-            assert (provider.batch_calls, provider.calls) == (1, 6)
-        for provider in clean.values():
-            assert (provider.batch_calls, provider.calls) == (1, 0)
+        for provider in [*poisoned.values(), *clean.values()]:
+            assert provider.calls == 6
         assert 0 < outcome.stats.units_failed < 12
         for uid, result in baseline.results.items():
             if uid not in outcome.failures:
@@ -309,167 +333,35 @@ class TestBatchedGeneration:
 
     @staticmethod
     def sweep_plan() -> Plan:
-        plan = Plan("poisoned-batch")
+        plan = Plan("poisoned-units")
         for system in ("wilkins", "adios2", "henson"):
             task = configuration_task(system)
             for model in SIM_MODELS:
                 plan.add_eval(task, model, epochs=2)
         return plan
 
-    def test_simulated_batch_matches_per_call_generate(self):
-        model = get_model("sim/gemini-2.5-pro")
-        prompts = [
-            "Provide the workflow configuration file for the Wilkins "
-            "workflow system.",
-            "Provide the workflow configuration file for the Henson "
-            "workflow system.",
-        ]
-        requests = [
-            ([ChatMessage.user(p)], GenerateConfig(seed=seed))
-            for p in prompts
-            for seed in (0, 1)
-        ]
-        batched = model.provider.generate_batch(requests)
-        singles = [model.provider.generate(m, c) for m, c in requests]
-        assert [o.completion for o in batched] == [
-            o.completion for o in singles
-        ]
-        assert [o.usage for o in batched] == [o.usage for o in singles]
-
-    def test_provider_without_batch_support_falls_back(self):
-        class PlainEcho:
-            name = "plain/echo-nobatch"
-            calls = 0
-
-            def generate(self, messages, config):
-                PlainEcho.calls += 1
-                return echo_output(self.name)
-
-        plan = Plan("p")
-        plan.add_eval(simple_task("nobatch-task"), Model(PlainEcho()),
-                      epochs=3)
-        config = RunConfig(executor=AsyncExecutor(2))
-        outcome = run(plan, config=config)
-        assert PlainEcho.calls == 3
-        assert outcome.stats.generated == 3
-
-    def test_wrong_batch_size_is_detected(self):
-        class Lossy:
-            name = "plain/echo-lossy"
-            calls = 0
-
-            def generate(self, messages, config):
-                Lossy.calls += 1
-                return echo_output(self.name)
-
-            def generate_batch(self, requests):
-                return [echo_output(self.name)]  # one short
-
-        plan = Plan("p")
-        plan.add_eval(simple_task("lossy-task"), Model(Lossy()), epochs=2)
-        # the Model layer detects the short batch...
-        with pytest.raises(ModelError, match="outputs"):
-            get_model("plain/echo-lossy").generate_batch(
-                [("a", None), ("b", None)]
-            )
-        # ...and the executor heals it by driving the group per-request
-        config = RunConfig(executor=AsyncExecutor(2))
-        outcome = run(plan, config=config)
-        assert Lossy.calls == 2
-        assert outcome.stats.generated == 2
-
-    def test_group_units_by_model_preserves_plan_order(self):
-        plan = Plan("p")
-        for system in ("wilkins", "adios2"):
-            task = configuration_task(system)
-            for model in ("sim/o3", "sim/claude-sonnet-4"):
-                plan.add_eval(task, model, epochs=2)
-        groups = group_units_by_model(plan.units)
-        assert sorted(groups) == ["sim/claude-sonnet-4", "sim/o3"]
-        for model, units in groups.items():
-            assert all(u.model == model for u in units)
-            uids = [u.uid for u in units]
-            plan_order = [u.uid for u in plan.units if u.model == model]
-            assert uids == plan_order
-
-    def test_model_wrapper_generate_batch(self):
-        model = get_model("sim/o3")
-        prompt = ("Provide the workflow configuration file for the Wilkins "
-                  "workflow system.")
-        outputs = model.generate_batch([
-            (prompt, GenerateConfig(seed=0)),
-            (prompt, None),  # defaults applied like Model.generate
-        ])
-        assert len(outputs) == 2
-        assert outputs[0].completion == outputs[1].completion
-
-
-class TestBatchUnderFaultPolicy:
-    """A batched group keeps the policy's deadline and circuit breaker."""
-
-    def test_hung_batch_is_cancelled_at_the_unit_deadline(self):
+    def test_hung_call_is_cancelled_at_the_unit_deadline(self):
         release = threading.Event()
 
-        class HungBatch:
-            name = "plain/hung-batch"
-            calls = 0
+        class Hung:
+            name = "plain/hung"
 
-            def generate(self, messages, config):  # pragma: no cover - guard
-                HungBatch.calls += 1
+            def generate(self, messages, config):
+                release.wait(5.0)
                 return echo_output(self.name)
 
-            def generate_batch(self, requests):
-                release.wait(5.0)
-                return [echo_output(self.name) for _ in requests]
-
         plan = Plan("p")
-        plan.add_eval(simple_task("hung-batch-task"), Model(HungBatch()), epochs=2)
+        plan.add_eval(simple_task("hung-task"), Model(Hung()), epochs=2)
         faults = FaultPolicy(unit_deadline_s=0.05, on_failure="isolate")
         with AsyncExecutor(2) as executor:
             started = time.perf_counter()
             outcome = run(plan, config=RunConfig(executor=executor, faults=faults))
             elapsed = time.perf_counter() - started
-            release.set()  # let the abandoned pool thread finish
+            release.set()  # let the abandoned pool threads finish
         assert elapsed < 2.0  # cancelled, not waited out
         assert outcome.stats.units_failed == 2
         errors = {f.error_type for f in outcome.failures.values()}
         assert errors == {"DeadlineExceededError"}
-        assert HungBatch.calls == 0  # a spent deadline leaves no fallback
-
-    def test_wrappers_only_batch_when_the_provider_does(self):
-        class PlainEcho:
-            name = "plain/echo-tracked"
-            calls = 0
-
-            def generate(self, messages, config):
-                PlainEcho.calls += 1
-                return echo_output(self.name)
-
-        wrapped = FaultyProvider(PlainEcho(), FaultPlan())
-        assert not hasattr(wrapped, "generate_batch")
-        sim = get_model("sim/o3").provider
-        assert callable(FaultyProvider(sim, FaultPlan()).generate_batch)
-
-        plan = Plan("p")
-        plan.add_eval(simple_task("tracked-task"), Model(wrapped), epochs=3)
-        outcome = run(plan, config=RunConfig(executor=AsyncExecutor(2)))
-        assert PlainEcho.calls == 3
-        assert outcome.stats.generated == 3
-
-
-class TestAsyncTracing:
-    def test_batched_groups_and_per_unit_calls_are_traced(self):
-        plan = Plan("p")
-        for model in ("sim/o3", "sim/llama-3.3-70b"):
-            plan.add_eval(configuration_task("wilkins"), model, epochs=2)
-        with per_unit_models(["sim/llama-3.3-70b"]):
-            with obs.tracing() as tracer, AsyncExecutor(4) as executor:
-                handle = tracer.begin_trace("t")
-                executor.execute(plan.units)
-                trace = tracer.end_trace(handle)
-        names = [s.name for s in trace.spans]
-        assert names.count("batch") == 1  # sim/o3: one batched group
-        assert names.count("unit") == 2  # llama: one span per unit
 
 
 class TestGenerationSeconds:

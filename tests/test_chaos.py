@@ -123,8 +123,6 @@ class TestTransientFaultsBitIdentical:
     @pytest.mark.parametrize("path", EXECUTOR_PATHS)
     def test_grid_identical_under_fire(self, baseline, path):
         plan = FaultPlan(seed=4, transient_rate=0.2, transient_times=1)
-        # the async path with batch-capable providers loses whole batched
-        # groups to one struck request and heals them per unit
         with executor_path(path) as executor, \
                 faulty_models(SIM_MODELS, plan) as wrapped:
             grid = small_sweep(executor, faults=HEALING)

@@ -63,14 +63,11 @@ def resume_plan():
 
 
 class TestRemoteFaultLadders:
-    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
-    def test_transient_faults_heal_bit_identically_over_the_wire(
-        self, tmp_path, path
-    ):
+    def test_transient_faults_heal_bit_identically_over_the_wire(self, tmp_path):
         baseline = small_sweep(SerialExecutor())
         plan = FaultPlan(seed=4, transient_rate=0.2, transient_times=1)
         with InProcessServer(tmp_path / "served") as server:
-            with executor_path(path) as executor, \
+            with executor_path("async") as executor, \
                     faulty_models(SIM_MODELS, plan) as wrapped:
                 with open_store(server.url(), retry=FAST_RETRY) as remote:
                     grid = small_sweep(executor, faults=HEALING, store=remote)

@@ -321,18 +321,20 @@ class TestUnitFailedError:
         assert UnitFailedError("empty").failures == ()
 
 
-class TestBatchFallback:
-    def test_poisoned_prompt_attempts_each_sibling_once(self):
+class TestAsyncOneCallPerUnit:
+    def test_poisoned_requests_reach_the_provider_once(self):
         from repro.llm.api import register_model
         from repro.llm.types import ModelOutput, ModelUsage
 
         class Poisoned:
-            """Batch calls fail; per-request calls fail for one prompt."""
+            """Fails one prompt, and offers a batch surface that fails
+            whenever a poisoned prompt is in the batch."""
 
             name = "chaos/poisoned"
 
             def __init__(self):
                 self.calls = []
+                self.batch_calls = 0
 
             def generate(self, messages, config):
                 prompt = messages[-1].content
@@ -347,7 +349,17 @@ class TestBatchFallback:
                 )
 
             def generate_batch(self, requests):
-                raise ModelError("batch endpoint down")
+                self.batch_calls += 1
+                outputs = []
+                errors = []
+                for messages, config in requests:
+                    try:
+                        outputs.append(self.generate(messages, config))
+                    except ModelError as exc:
+                        errors.append(exc)
+                if errors:
+                    raise errors[0]
+                return outputs
 
         provider = Poisoned()
         register_model(provider.name, lambda: provider)
@@ -374,13 +386,13 @@ class TestBatchFallback:
             provider.name,
             epochs=1,
         )
-        # the group's batch call fails, so every sibling is attempted
-        # individually exactly once; isolate quarantines only the
-        # poisoned unit
+        # one attempt per unit, as the policy says: the batch surface is
+        # never used, and isolate quarantines only the poisoned unit
         faults = FaultPolicy(retry=RetryPolicy(max_attempts=1), on_failure="isolate")
         outcome = run(
             plan, config=RunConfig(executor=AsyncExecutor(4), faults=faults)
         )
+        assert provider.batch_calls == 0
         assert sorted(provider.calls) == ["BAD-2", "good-1", "good-3"]
         assert [f.error_type for f in outcome.failures.values()] == ["ModelError"]
         assert outcome.stats.generated == 2
@@ -388,3 +400,4 @@ class TestBatchFallback:
         # without a fault policy the poisoned unit's error surfaces
         with pytest.raises(ModelError, match="poisoned"):
             run(plan, config=RunConfig(executor=AsyncExecutor(4)))
+        assert provider.batch_calls == 0

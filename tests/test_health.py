@@ -298,8 +298,8 @@ class TestFaultPolicyIntegration:
                 faulty_models(["sim/o3"], FaultPlan()) as wrapped:
             with pytest.raises(BreakerOpenError, match="sim/o3"):
                 run(plan, config=RunConfig(executor=executor, faults=policy))
-        # the refused attempts, batched or not, never reached the provider
-        assert (wrapped["sim/o3"].batch_calls, wrapped["sim/o3"].calls) == (0, 0)
+        # the refused attempts never reached the provider
+        assert wrapped["sim/o3"].calls == 0
         # BreakerOpenError is retryable, so isolating policies quarantine
         assert RetryPolicy().is_retryable(BreakerOpenError("x"))
 
@@ -324,17 +324,13 @@ class TestFaultPolicyIntegration:
 
 
 class _UnknownModelProvider:
-    """Every call fails deterministically, batched or not."""
+    """Every call fails deterministically."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.calls = 0
 
     def generate(self, messages, config):
-        self.calls += 1
-        raise UnknownModelError(f"{self.name} is not registered")
-
-    def generate_batch(self, requests):
         self.calls += 1
         raise UnknownModelError(f"{self.name} is not registered")
 
@@ -353,8 +349,8 @@ class TestBreakerOutcomesUnderPolicy:
             ))
         assert outcome.stats.generated == 3
         described = registry.get("sim/o3").describe()
-        # one outcome per provider call: a batched group is one call
-        assert described["window"] == (1 if path == "async" else 3)
+        # one outcome per provider call
+        assert described["window"] == 3
         assert (described["state"], described["error_rate"]) == ("closed", 0.0)
 
     @pytest.mark.parametrize("path", EXECUTOR_PATHS)
@@ -377,7 +373,7 @@ class TestBreakerOutcomesUnderPolicy:
         # two failed calls trip the breaker; every later attempt is
         # refused before it reaches the provider
         provider = wrapped["sim/o3"]
-        assert provider.calls + provider.batch_calls == 2
+        assert provider.calls == 2
         assert outcome.stats.units_failed == 4
         error_types = [f.error_type for f in outcome.failures.values()]
         assert set(error_types) <= {"ModelError", "BreakerOpenError"}
@@ -400,7 +396,7 @@ class TestBreakerOutcomesUnderPolicy:
         assert {f.error_type for f in outcome.failures.values()} == {
             "UnknownModelError"
         }
-        assert provider.calls >= 3  # every unit reached the provider
+        assert provider.calls == 3  # every unit reached the provider once
         tracker = registry.get(provider.name)
         assert (tracker.state, tracker.error_rate()) == ("closed", 0.0)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.assets import annotated_producer, reference_config
 from repro.errors import CalibrationError
-from repro.llm import GenerateConfig, get_model
+from repro.llm import ChatMessage, GenerateConfig, get_model
 from repro.llm.calibration import (
     QualityCurve,
     calibrate,
@@ -26,6 +26,7 @@ from repro.llm.corruption import (
     build_ops,
     shuffle_within_bands,
 )
+from repro.llm.intent import analyze_prompt
 from repro.llm.knowledge import SystemKnowledge
 from repro.llm.profiles import ALL_PROFILES
 from repro.metrics import bleu
@@ -312,44 +313,72 @@ class TestQualityCurve:
         assert k <= 4
         assert err == 0.0
 
+    @staticmethod
+    def _naive_recalibrate(ops, target, center, reference=REF):
+        """The pre-engine implementation: score every window depth from
+        scratch, with the historical full-scan fallback."""
+        lo, hi = max(0, center - 8), min(len(ops), center + 8)
+        best_k, best_err = center, float("inf")
+        for k in range(lo, hi + 1):
+            err = abs(bleu(apply_ops(reference, ops, k), reference) - target)
+            if err < best_err:
+                best_k, best_err = k, err
+        if best_err > 6.0:
+            for k, score in enumerate(quality_curve(reference, ops)):
+                err = abs(score - target)
+                if err < best_err:
+                    best_k, best_err = k, err
+        return best_k
+
     def test_local_recalibrate_matches_naive_window_search(self):
         ops = self._ops()
         target = 70.0
         center = calibrate(REF, ops, target).k
         for trial in range(6):
             epoch_ops = shuffle_within_bands(ops, rng_for("recal", trial))
-            # the pre-engine implementation: score every window depth from
-            # scratch, with the historical full-scan fallback
-            lo, hi = max(0, center - 8), min(len(epoch_ops), center + 8)
-            best_k, best_err = center, float("inf")
-            for k in range(lo, hi + 1):
-                err = abs(bleu(apply_ops(REF, epoch_ops, k), REF) - target)
-                if err < best_err:
-                    best_k, best_err = k, err
-            if best_err > 6.0:
-                for k, score in enumerate(quality_curve(REF, epoch_ops)):
-                    err = abs(score - target)
-                    if err < best_err:
-                        best_k, best_err = k, err
             got = local_recalibrate(REF, epoch_ops, target, center=center)
-            assert got == best_k, f"trial {trial}"
+            assert got == self._naive_recalibrate(epoch_ops, target, center), (
+                f"trial {trial}"
+            )
 
-    def test_compact_keeps_depths_and_rebuilds_the_rest(self):
-        ops = self._ops()
+    @pytest.mark.parametrize("system", ["wilkins", "henson", "adios2"])
+    @pytest.mark.parametrize("target", [25.0, 50.0, 85.0])
+    def test_local_recalibrate_matches_naive_search_across_cells(self, system,
+                                                                 target):
+        reference = reference_config(system)
+        ops = build_ops(reference, wilkins_knowledge(), seed_labels=(system,))
+        # the calibrated depth mostly keeps the window; a third of the
+        # way in mostly sends the search to the fallback scan
+        centers = (calibrate(reference, ops, target).k, len(ops) // 3)
+        for center in centers:
+            for trial in range(3):
+                epoch_ops = shuffle_within_bands(
+                    ops, rng_for("recal", system, trial)
+                )
+                curve = QualityCurve(reference, epoch_ops)
+                got = local_recalibrate(reference, epoch_ops, target,
+                                        center=center, curve=curve)
+                assert got == self._naive_recalibrate(
+                    epoch_ops, target, center, reference=reference
+                ), f"center {center}, trial {trial}"
+                _, window_err = curve.best(target, center - 8, center + 8)
+                if window_err > 6.0:  # the fallback scored every depth once
+                    assert curve.scores_computed == len(curve)
+
+    def test_local_recalibrate_keeps_the_window_pick_on_a_tie(self):
+        # every depth from 1 on holds the same text, far from the target,
+        # so the window [4, 20] misses and the fallback scan finds depth 1
+        # with exactly the window's best error: the window's pick stands
+        half = CorruptionOp("edit", 1, "drop half", lambda ls: ls[: len(ls) // 2])
+        identity = CorruptionOp("edit", 1, "identity", lambda ls: ls)
+        ops = [half] + [identity] * 20
+        target, center = 10.0, 12
         curve = QualityCurve(REF, ops)
-        expected = {k: curve.text(k) for k in (0, 7, len(ops))}
-        scores = curve.scores()
-        curve.compact(keep=(7,))
-        assert curve._texts == {0: REF, 7: expected[7]}
-        assert len(curve._states) == 1
-        assert curve._scores == {7: scores[7]}
-        # non-kept depths rebuild on demand, identically
-        assert curve.text(len(ops)) == expected[len(ops)]
-        assert curve.text(7) == expected[7]
-        # and so do their scores, bit-equal: one dropped depth alone,
-        # then the rest of the curve
-        assert curve.score(len(ops) // 2) == scores[len(ops) // 2]
-        assert curve.scores() == scores
+        window_k, window_err = curve.best(target, center - 8, center + 8)
+        assert (window_k, window_err > 6.0) == (4, True)
+        assert curve.best(target) == (1, window_err)
+        got = local_recalibrate(REF, ops, target, center=center)
+        assert got == self._naive_recalibrate(ops, target, center) == 4
 
     def test_local_recalibrate_reuses_supplied_curve(self):
         ops = self._ops()
@@ -839,6 +868,39 @@ class TestSimulatedModels:
 
         with pytest.raises(GenerationError):
             get_model("sim/o3").generate("   ", GenerateConfig())
+
+
+ANN_PROMPT = (
+    "You are assisting in the development of a simple producer-consumer "
+    "workflow using the PyCOMPSs system. The producer task code is "
+    "provided below. Annotate this task code in order to use it with "
+    "the PyCOMPSs system.\n\n<code>"
+)
+
+
+class TestCalibratedCells:
+    """A cached cell keeps the text at its calibrated depth, not a curve."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_PROFILES))
+    @pytest.mark.parametrize("prompt", [CFG_PROMPT, ANN_PROMPT],
+                             ids=["configuration", "annotation"])
+    def test_cell_text_is_the_calibrated_prefix(self, name, prompt):
+        provider = get_model(f"sim/{name}").provider
+        intent = analyze_prompt(prompt)
+        cell = provider._cell(intent)
+        assert cell.compiled.text == provider.reference_for(intent)
+        assert cell.text == apply_ops(cell.compiled.text, cell.ops, cell.calib.k)
+
+    @pytest.mark.parametrize("name", ["claude-sonnet-4", "gemini-2.5-pro",
+                                      "llama-3.3-70b"])
+    def test_deterministic_decoding_returns_the_cell_text(self, name):
+        provider = get_model(f"sim/{name}").provider
+        out = provider.generate(
+            [ChatMessage.user(CFG_PROMPT)],
+            GenerateConfig(temperature=0.0, top_p=0.95, seed=3),
+        )
+        cell = provider._cell(analyze_prompt(CFG_PROMPT))
+        assert f"\n{cell.text}\n```" in out.completion
 
 
 class TestProfiles:

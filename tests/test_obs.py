@@ -314,14 +314,10 @@ class TestRunnerIntegration:
             armed = run_configuration(**sweep)
         assert armed.cells == bare.cells
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_async_spans_parent_the_generate_span(self, batched, monkeypatch):
+    def test_async_spans_parent_the_generate_span(self):
         from repro.core.experiments import run_configuration
         from repro.runtime import AsyncExecutor, RunConfig
-        from repro.runtime import executors
 
-        if not batched:  # force the per-unit path
-            monkeypatch.setattr(executors, "_batch_model", lambda name: None)
         traces = []
         with obs.tracing(obs.Tracer(on_finish=traces.append)):
             with AsyncExecutor(max_concurrency=4) as executor:
@@ -329,14 +325,13 @@ class TestRunnerIntegration:
                                   config=RunConfig(executor=executor))
         (trace,) = traces
         by_id = {s.span_id: s for s in trace.spans}
-        name = "batch" if batched else "unit"
-        spans = [s for s in trace.spans if s.name == name]
-        assert spans
+        spans = [s for s in trace.spans if s.name == "unit"]
+        assert len(spans) == 2  # one per unit: one system, two epochs
         for span in spans:
             assert by_id[span.parent_id].name == "generate"
         profile = trace.profile()
-        assert profile.calls(f"generate/{name}") == len(spans)
-        assert name not in profile.phases  # not counted again at top level
+        assert profile.calls("generate/unit") == len(spans)
+        assert "unit" not in profile.phases  # not counted again at top level
 
 
 class TestServeTracePropagation:

@@ -108,15 +108,14 @@ class TestPlan:
 
 
 class TestExecutorEquivalence:
-    """Serial and async execution, batched or per unit, must be bit-identical."""
+    """Serial and async execution must be bit-identical."""
 
     @pytest.fixture(scope="class")
     def serial_grid(self):
         return small_sweep(SerialExecutor())
 
-    @pytest.mark.parametrize("path", ["async", "async-per-unit"])
-    def test_grid_identical_to_serial(self, serial_grid, path):
-        with executor_path(path) as executor:
+    def test_grid_identical_to_serial(self, serial_grid):
+        with executor_path("async") as executor:
             grid = small_sweep(executor)
         assert grid.cells == serial_grid.cells
 
