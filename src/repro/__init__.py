@@ -8,15 +8,25 @@ Public surface (stable):
 * :mod:`repro.core` — the evaluation harness (tasks, solvers, scorers,
   ``evaluate``) and the paper's experiment builders.
 * :mod:`repro.runtime` — the parallel evaluation runtime: sweeps flatten
-  into work-unit plans executed on pluggable executors (serial, or
-  asyncio with per-model batching) behind a content-addressed result
-  cache.
+  into work-unit plans executed on pluggable executors (serial, or an
+  asyncio event loop with one provider call per unit in flight) behind a
+  content-addressed result cache.
 * :mod:`repro.workflows` — executable mini-implementations of ADIOS2,
   Henson, Parsl, PyCOMPSs and Wilkins, each with an API-surface validator.
 * :mod:`repro.mpi`, :mod:`repro.store` — the simulated MPI and storage
   substrates the workflow runtimes execute on.
 * :mod:`repro.reporting` — table and heatmap renderers for every table
   and figure in the paper.
+* :mod:`repro.persist`, :mod:`repro.serve` — the durable run store and
+  the networked store server over it.
+
+``import repro`` loads only the version.  The packages :mod:`repro.core`,
+:mod:`repro.llm`, :mod:`repro.runtime` and :mod:`repro.serve` load each
+re-exported name's module on first access, and :mod:`asyncio` loads only
+inside the async code paths, so each process loads the layers it runs:
+the store server (``python -m repro.serve``) needs only the standard
+library, and a storeless cold reproduction loads neither asyncio nor
+the store client and server.
 """
 
 from repro._version import __version__

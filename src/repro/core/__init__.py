@@ -16,19 +16,27 @@ An Inspect-AI-style pipeline:
   extension the paper's conclusion proposes.
 """
 
-from repro.core.samples import Sample
-from repro.core.scorers import CodeSimilarityScorer, Score
-from repro.core.solvers import SolverChain, few_shot_solver, prompt_solver
-from repro.core.task import EvalResult, Task, evaluate
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Sample",
-    "Task",
-    "evaluate",
-    "EvalResult",
-    "Score",
-    "CodeSimilarityScorer",
-    "SolverChain",
-    "prompt_solver",
-    "few_shot_solver",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.samples import Sample, Score
+    from repro.core.scorers import CodeSimilarityScorer
+    from repro.core.solvers import SolverChain, few_shot_solver, prompt_solver
+    from repro.core.task import EvalResult, Task, evaluate
+
+_EXPORTS = {  # public name -> defining module
+    "Sample": "repro.core.samples",
+    "Task": "repro.core.task",
+    "evaluate": "repro.core.task",
+    "EvalResult": "repro.core.task",
+    "Score": "repro.core.samples",
+    "CodeSimilarityScorer": "repro.core.scorers",
+    "SolverChain": "repro.core.solvers",
+    "prompt_solver": "repro.core.solvers",
+    "few_shot_solver": "repro.core.solvers",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

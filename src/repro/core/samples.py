@@ -2,7 +2,9 @@
 
 A sample carries the raw experiment parameters (experiment, system or
 direction, prompt variant, shot mode); solvers turn it into a prompt,
-models answer, scorers compare against ``target``.
+models answer, scorers compare against ``target`` and return a
+:class:`Score` (defined here, beside the sample, so the store layer can
+decode scores without loading the metric kernels).
 """
 
 from __future__ import annotations
@@ -25,3 +27,14 @@ class Sample:
             id=self.id, input=new_input, target=self.target,
             metadata=dict(self.metadata),
         )
+
+
+@dataclass(frozen=True)
+class Score:
+    """Metric values for one completion."""
+
+    values: dict[str, float]
+    answer: str  # the extracted artifact that was scored
+
+    def __getitem__(self, metric: str) -> float:
+        return self.values[metric]

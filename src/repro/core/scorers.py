@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.core.samples import Score
 from repro.errors import MetricError
 from repro.metrics import bleu, chrf
 from repro.metrics.kernels import (
@@ -45,17 +46,6 @@ _KERNEL_FNS: dict[str, Callable[[str, CompiledReference], float]] = {
     "bleu": bleu_kernel,
     "chrf": chrf_kernel,
 }
-
-
-@dataclass(frozen=True)
-class Score:
-    """Metric values for one completion."""
-
-    values: dict[str, float]
-    answer: str  # the extracted artifact that was scored
-
-    def __getitem__(self, metric: str) -> float:
-        return self.values[metric]
 
 
 @dataclass

@@ -13,22 +13,30 @@ To evaluate a real endpoint instead, implement ``ModelAPI`` over your SDK
 and register it with :func:`~repro.llm.api.register_model`.
 """
 
-from repro.llm.api import Model, ModelAPI, get_model, list_models, register_model
-from repro.llm.intent import Intent, analyze_prompt
-from repro.llm.simulated import SimulatedModel
-from repro.llm.types import ChatMessage, GenerateConfig, ModelOutput, ModelUsage
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ChatMessage",
-    "GenerateConfig",
-    "ModelOutput",
-    "ModelUsage",
-    "ModelAPI",
-    "Model",
-    "get_model",
-    "register_model",
-    "list_models",
-    "SimulatedModel",
-    "Intent",
-    "analyze_prompt",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.llm.api import Model, ModelAPI, get_model, list_models, register_model
+    from repro.llm.intent import Intent, analyze_prompt
+    from repro.llm.simulated import SimulatedModel
+    from repro.llm.types import ChatMessage, GenerateConfig, ModelOutput, ModelUsage
+
+_EXPORTS = {  # public name -> defining module
+    "ChatMessage": "repro.llm.types",
+    "GenerateConfig": "repro.llm.types",
+    "ModelOutput": "repro.llm.types",
+    "ModelUsage": "repro.llm.types",
+    "ModelAPI": "repro.llm.api",
+    "Model": "repro.llm.api",
+    "get_model": "repro.llm.api",
+    "register_model": "repro.llm.api",
+    "list_models": "repro.llm.api",
+    "SimulatedModel": "repro.llm.simulated",
+    "Intent": "repro.llm.intent",
+    "analyze_prompt": "repro.llm.intent",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

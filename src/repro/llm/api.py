@@ -17,7 +17,6 @@ per prompt.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import threading
 from typing import Callable, Protocol, Sequence, runtime_checkable
@@ -73,6 +72,8 @@ class AsyncAdapter:
     async def agenerate(
         self, messages: Sequence[ChatMessage], config: GenerateConfig
     ) -> ModelOutput:
+        import asyncio
+
         if self._executor is None:
             return await asyncio.to_thread(
                 self._provider.generate, messages, config

@@ -4,7 +4,7 @@ A :class:`RunManifest` is the durable record of one
 :func:`repro.runtime.run` invocation against a store: which plan ran
 (name + content fingerprint + the per-unit generation keys), with which
 executor/cache configuration, how the units were satisfied
-(the full :class:`~repro.runtime.runner.RunStats`), and how long it
+(the full :class:`~repro.stats.RunStats`), and how long it
 took.  Manifests are small JSON files under ``manifests/`` in the store
 directory, written via write-temp-then-rename so a crashed run never
 leaves a half manifest.
@@ -23,7 +23,7 @@ import hashlib
 import itertools
 import os
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import HarnessError, PersistError
 from repro.runtime.faults import (
@@ -31,8 +31,10 @@ from repro.runtime.faults import (
     failure_from_payload,
     failure_payload,
 )
-from repro.runtime.plan import Plan
-from repro.runtime.runner import RunStats
+from repro.stats import RunStats
+
+if TYPE_CHECKING:  # a manifest reads a plan's units; it never builds one
+    from repro.runtime.plan import Plan
 
 # distinguishes several runs recorded by one process in the same millisecond
 _RUN_SEQ = itertools.count()

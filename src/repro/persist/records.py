@@ -16,7 +16,7 @@ Two record kinds exist:
 
 * ``gen`` — one :class:`~repro.runtime.units.Generation`, addressed by
   its content key (:func:`repro.runtime.units.generation_key`);
-* ``score`` — one memoized :class:`~repro.core.scorers.Score`, addressed
+* ``score`` — one memoized :class:`~repro.core.samples.Score`, addressed
   by :func:`disk_score_key` (a digest of the in-memory
   :func:`repro.runtime.runner.score_key` tuple).  The payload carries the
   generation key it was scored for, so GC can drop orphaned scores.
@@ -34,7 +34,7 @@ import json
 import types
 from typing import Any, Hashable
 
-from repro.core.scorers import Score
+from repro.core.samples import Score
 from repro.errors import RecordCorruptError
 from repro.llm.types import ModelUsage
 from repro.runtime.units import Generation

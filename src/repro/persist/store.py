@@ -67,7 +67,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Sequence
 
-from repro.core.scorers import Score
+from repro.core.samples import Score
 from repro.errors import PersistError, RecordCorruptError, StoreError
 from repro.obs import span
 from repro.runtime.cache import ScoreCache

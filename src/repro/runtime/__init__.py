@@ -22,58 +22,58 @@ Quickstart::
     # rerun performed zero model generations and is bit-identical
 """
 
-from repro.runtime.config import RunConfig
-from repro.runtime.cache import (
-    InMemoryResultCache,
-    ResultCache,
-    ScoreCache,
-)
-from repro.runtime.executors import (
-    AsyncExecutor,
-    Executor,
-    SerialExecutor,
-    generate_unit,
-)
-from repro.runtime.faults import (
-    FailedGeneration,
-    FaultPolicy,
-    FaultState,
-    RetryPolicy,
-    UnitFailure,
-    active_faults,
-    fault_scope,
-)
-from repro.runtime.health import BreakerRegistry, HealthTracker
-from repro.runtime.plan import EvalSpec, Plan
-from repro.runtime.runner import RunResult, RunStats, run, score_key
-from repro.runtime.units import Generation, UnitResult, WorkUnit, generation_key
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Plan",
-    "EvalSpec",
-    "WorkUnit",
-    "Generation",
-    "UnitResult",
-    "generation_key",
-    "generate_unit",
-    "Executor",
-    "SerialExecutor",
-    "AsyncExecutor",
-    "RetryPolicy",
-    "FaultPolicy",
-    "FaultState",
-    "UnitFailure",
-    "FailedGeneration",
-    "fault_scope",
-    "active_faults",
-    "HealthTracker",
-    "BreakerRegistry",
-    "ResultCache",
-    "InMemoryResultCache",
-    "ScoreCache",
-    "score_key",
-    "run",
-    "RunConfig",
-    "RunResult",
-    "RunStats",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runtime.config import RunConfig
+    from repro.runtime.cache import InMemoryResultCache, ResultCache, ScoreCache
+    from repro.runtime.executors import AsyncExecutor, Executor, SerialExecutor, generate_unit
+    from repro.runtime.faults import (
+        FailedGeneration,
+        FaultPolicy,
+        FaultState,
+        RetryPolicy,
+        UnitFailure,
+        active_faults,
+        fault_scope,
+    )
+    from repro.runtime.health import BreakerRegistry, HealthTracker
+    from repro.runtime.plan import EvalSpec, Plan
+    from repro.runtime.runner import RunResult, run, score_key
+    from repro.runtime.units import Generation, UnitResult, WorkUnit, generation_key
+    from repro.stats import RunStats
+
+_EXPORTS = {  # public name -> defining module
+    "Plan": "repro.runtime.plan",
+    "EvalSpec": "repro.runtime.plan",
+    "WorkUnit": "repro.runtime.units",
+    "Generation": "repro.runtime.units",
+    "UnitResult": "repro.runtime.units",
+    "generation_key": "repro.runtime.units",
+    "generate_unit": "repro.runtime.executors",
+    "Executor": "repro.runtime.executors",
+    "SerialExecutor": "repro.runtime.executors",
+    "AsyncExecutor": "repro.runtime.executors",
+    "RetryPolicy": "repro.runtime.faults",
+    "FaultPolicy": "repro.runtime.faults",
+    "FaultState": "repro.runtime.faults",
+    "UnitFailure": "repro.runtime.faults",
+    "FailedGeneration": "repro.runtime.faults",
+    "fault_scope": "repro.runtime.faults",
+    "active_faults": "repro.runtime.faults",
+    "HealthTracker": "repro.runtime.health",
+    "BreakerRegistry": "repro.runtime.health",
+    "ResultCache": "repro.runtime.cache",
+    "InMemoryResultCache": "repro.runtime.cache",
+    "ScoreCache": "repro.runtime.cache",
+    "score_key": "repro.runtime.runner",
+    "run": "repro.runtime.runner",
+    "RunConfig": "repro.runtime.config",
+    "RunResult": "repro.runtime.runner",
+    "RunStats": "repro.stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

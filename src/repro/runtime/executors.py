@@ -19,7 +19,6 @@ one attempt per unit; with one, exactly the policy's attempts.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import threading
 import time
@@ -199,9 +198,13 @@ class AsyncExecutor:
     def execute(self, units: Sequence[WorkUnit]) -> dict[str, Generation]:
         if not units:
             return {}
+        import asyncio
+
         return asyncio.run(self._execute(list(units)))
 
     async def _execute(self, units: list[WorkUnit]) -> dict[str, Generation]:
+        import asyncio
+
         pool = self._ensure_pool()
         semaphore = asyncio.Semaphore(self.max_concurrency)
         state = active_faults()

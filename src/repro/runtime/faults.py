@@ -19,7 +19,7 @@ disposition:
 * ``"isolate"`` — a unit that exhausts its chances is *quarantined*: the
   run completes, the unit's evaluations raise
   :class:`~repro.errors.UnitFailedError` on access, and the failure is
-  recorded (in :class:`~repro.runtime.runner.RunStats`, on
+  recorded (in :class:`~repro.stats.RunStats`, on
   :class:`~repro.runtime.runner.RunResult`, and durably in the run
   manifest when a store is attached) so a later run against the same
   store re-executes exactly the quarantined units;
@@ -44,7 +44,6 @@ policy attached, which is what the gated no-fault overhead bench pins.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import hashlib
 import threading
@@ -413,6 +412,8 @@ class FaultState:
     ) -> "Generation | FailedGeneration":
         """The same policy on an event loop; in-flight attempts that blow
         the deadline are genuinely cancelled via ``asyncio.wait_for``."""
+        import asyncio
+
         policy = self.policy
         started = time.perf_counter()
         tracker = self._tracker(unit)

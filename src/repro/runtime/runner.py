@@ -13,7 +13,7 @@ miss; :class:`~repro.core.scorers.CodeSimilarityScorer` compiles each
 target once (``compile_reference`` is memoized), so repeated targets
 only pay for the hypothesis side.
 
-:class:`RunStats` records how much work the model layer *and* the
+:class:`~repro.stats.RunStats` records how much work the model layer *and* the
 metric layer actually did, which is what the cache and scaling tests
 assert on.  When a :mod:`repro.obs` tracer is active the run's spans
 (cache-get / generate / cache-put / score, with nested unit and
@@ -26,13 +26,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping
 
 from repro.core.task import EvalResult
 from repro.errors import HarnessError
 from repro.obs import active_registry, active_tracer, span
-from repro.stats import stats_dict, strip_markers
+from repro.stats import RunStats
 
 if TYPE_CHECKING:  # repro.persist builds on repro.runtime, not vice versa
     from repro.persist import RunManifest
@@ -78,57 +78,6 @@ def score_key(unit: WorkUnit, target_hash: str) -> Hashable:
         except TypeError:
             fingerprint = id(scorer)
     return (unit.key, target_hash, fingerprint)
-
-
-@dataclass(frozen=True)
-class RunStats:
-    """How one run's units were satisfied."""
-
-    total_units: int
-    generated: int  # units that reached the executor (new model calls)
-    cache_hits: int  # units satisfied from the result cache
-    deduplicated: int  # units coalesced onto an identical in-run generation
-    scores_computed: int = 0  # scorer invocations (score-cache misses)
-    score_hits: int = 0  # units whose score came from the score cache
-    generation_seconds: float = 0.0  # summed provider wall-clock of new calls
-    read_lru_hits: int = 0  # store read-LRU hits during this run (disk cache)
-    read_lru_misses: int = 0  # store read-LRU misses during this run
-    bytes_read: int = 0  # record bytes read from store segments this run
-    units_failed: int = 0  # units quarantined by the fault policy
-    units_retried: int = 0  # units that needed at least one retry
-    retry_seconds: float = 0.0  # failed-attempt time + backoff sleeps
-    trace_id: str | None = None  # distributed-trace id (when tracing was on)
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.total_units if self.total_units else 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        """Unified stats payload (``repro.stats`` schema, kind ``"run"``).
-
-        Key names match the dataclass fields — the shape manifests have
-        always persisted — plus the schema/kind markers.
-        """
-        payload = stats_dict("run")
-        for spec in fields(self):
-            payload[spec.name] = getattr(self, spec.name)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RunStats":
-        """Rehydrate from :meth:`as_dict` output *or* a pre-schema payload.
-
-        Tolerant in both directions: marker keys and unknown keys (future
-        ones, and the retired ``profile``) are ignored, and fields absent
-        from old payloads keep their dataclass defaults.
-        """
-        body = strip_markers(dict(payload))
-        known = {spec.name for spec in fields(cls)}
-        kwargs = {key: value for key, value in body.items() if key in known}
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise HarnessError(f"malformed run-stats payload: {exc}") from None
 
 
 @dataclass

@@ -22,8 +22,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.samples import Sample
-from repro.core.scorers import Score
+from repro.core.samples import Sample, Score
 from repro.llm.types import GenerateConfig, ModelUsage
 
 

@@ -27,37 +27,47 @@ Quickstart::
 
 Grids are bit-identical to the local-store path: the server stores the
 same checksummed records, keyed by the same content addresses.
+
+The server, client and replicated names load on first use (PEP 562):
+``from repro.serve import open_store`` loads only URL parsing, and a
+store-server host (``python -m repro.serve``) needs only the standard
+library — neither numpy nor the model and metric stack is imported.
 """
 
-from repro.serve.client import RemoteRunStore, StoreClient
-from repro.serve.replicated import (
-    ReplicatedRunStore,
-    ReplicatedStoreClient,
-)
-from repro.serve.protocol import (
-    MAX_FRAME,
-    TornFrameError,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.serve.server import SERVER_ID, StoreServer, shard_for
-from repro.serve.url import REMOTE_SCHEMES, open_store, parse_store_url
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "StoreServer",
-    "SERVER_ID",
-    "shard_for",
-    "StoreClient",
-    "RemoteRunStore",
-    "ReplicatedRunStore",
-    "ReplicatedStoreClient",
-    "open_store",
-    "parse_store_url",
-    "REMOTE_SCHEMES",
-    "MAX_FRAME",
-    "TornFrameError",
-    "encode_frame",
-    "read_frame",
-    "write_frame",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.client import RemoteRunStore, StoreClient
+    from repro.serve.replicated import ReplicatedRunStore, ReplicatedStoreClient
+    from repro.serve.protocol import (
+        MAX_FRAME,
+        TornFrameError,
+        encode_frame,
+        read_frame,
+        write_frame,
+    )
+    from repro.serve.server import SERVER_ID, StoreServer, shard_for
+    from repro.serve.url import REMOTE_SCHEMES, open_store, parse_store_url
+
+_EXPORTS = {  # public name -> defining module
+    "StoreServer": "repro.serve.server",
+    "SERVER_ID": "repro.serve.server",
+    "shard_for": "repro.serve.server",
+    "StoreClient": "repro.serve.client",
+    "RemoteRunStore": "repro.serve.client",
+    "ReplicatedRunStore": "repro.serve.replicated",
+    "ReplicatedStoreClient": "repro.serve.replicated",
+    "open_store": "repro.serve.url",
+    "parse_store_url": "repro.serve.url",
+    "REMOTE_SCHEMES": "repro.serve.url",
+    "MAX_FRAME": "repro.serve.protocol",
+    "TornFrameError": "repro.serve.protocol",
+    "encode_frame": "repro.serve.protocol",
+    "read_frame": "repro.serve.protocol",
+    "write_frame": "repro.serve.protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

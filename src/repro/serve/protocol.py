@@ -29,13 +29,15 @@ interoperate freely.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import RemoteStoreError
+
+if TYPE_CHECKING:  # only the server's event loop runs the async side
+    import asyncio
 
 #: refuse frames above this many body bytes (either direction)
 MAX_FRAME = 64 << 20
@@ -121,6 +123,8 @@ def write_frame(sock: socket.socket, payload: dict[str, Any]) -> None:
 
 async def read_frame_async(reader: asyncio.StreamReader) -> dict[str, Any] | None:
     """One frame off a stream; ``None`` on clean EOF between frames."""
+    import asyncio
+
     try:
         header = await reader.readexactly(_LEN.size)
     except asyncio.IncompleteReadError as exc:

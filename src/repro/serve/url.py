@@ -26,8 +26,6 @@ from typing import Any
 
 from repro.errors import StoreError
 
-from repro.serve.client import RemoteRunStore
-
 #: schemes that open a RemoteRunStore; anything else is a local path
 REMOTE_SCHEMES = ("tcp", "repro+tcp", "unix", "repro+unix")
 
@@ -97,6 +95,8 @@ def open_store(url: str, **client_options: Any):
         from repro.serve.replicated import ReplicatedRunStore
 
         return ReplicatedRunStore(url, target, **client_options)
+    from repro.serve.client import RemoteRunStore
+
     return RemoteRunStore(url, (family, target), **client_options)
 
 

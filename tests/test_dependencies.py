@@ -4,10 +4,17 @@
 without declaring it breaks a clean install.  ``networkx`` is installed
 on many hosts as some other tool's dependency, which once hid such an
 import; these tests block it.
+
+Each process loads only the layers it runs: the store server imports
+with numpy blocked and without the model and metric stack, and a
+storeless cold run loads neither asyncio nor the store client and
+server.  These pins run in a fresh interpreter, where ``sys.modules``
+shows exactly what an import pulled in.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -24,11 +31,10 @@ ENTRY_MODULES = (
 )
 
 
-def test_entry_modules_import_with_networkx_blocked():
-    code = (
-        "import sys; sys.modules['networkx'] = None; "
-        f"import {', '.join(ENTRY_MODULES)}"
-    )
+LAZY_PACKAGES = ("repro.core", "repro.llm", "repro.runtime", "repro.serve")
+
+
+def _run(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -38,6 +44,79 @@ def test_entry_modules_import_with_networkx_blocked():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _loaded(imports: str, candidates: tuple[str, ...], block: str = "") -> list[str]:
+    """Which of ``candidates`` a fresh interpreter holds after ``imports``."""
+    blocked = f"sys.modules[{block!r}] = None; " if block else ""
+    out = _run(
+        f"import sys; {blocked}{imports}; "
+        f"print(' '.join(m for m in {candidates!r} if m in sys.modules))"
+    )
+    return out.split()
+
+
+def test_entry_modules_import_with_networkx_blocked():
+    _run(
+        "import sys; sys.modules['networkx'] = None; "
+        f"import {', '.join(ENTRY_MODULES)}"
+    )
+
+
+def test_store_server_imports_without_numpy_or_the_model_stack():
+    heavy = (
+        "repro.metrics",
+        "repro.llm.simulated",
+        "repro.core.scorers",
+        "repro.runtime.runner",
+    )
+    loaded = _loaded("import repro.serve.server, repro.serve.cli", heavy, block="numpy")
+    assert loaded == []
+
+
+def test_cold_entry_modules_load_no_event_loop_or_store_layers():
+    unused = (
+        "asyncio",
+        "ssl",
+        "repro.persist.store",
+        "repro.serve.client",
+        "repro.serve.server",
+    )
+    imports = f"import {', '.join(ENTRY_MODULES)}; from repro.serve import open_store"
+    assert _loaded(imports, unused) == []
+
+
+def _type_checking_homes(package: str) -> dict[str, str]:
+    """name -> module, from the package's ``if TYPE_CHECKING:`` imports."""
+    init = SRC.joinpath(*package.split("."), "__init__.py")
+    homes = {}
+    for node in ast.walk(ast.parse(init.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for stmt in node.body:
+                assert isinstance(stmt, ast.ImportFrom), ast.unparse(stmt)
+                homes.update({alias.name: stmt.module for alias in stmt.names})
+    return homes
+
+
+def test_lazy_package_names_are_their_defining_modules_objects():
+    homes = {package: _type_checking_homes(package) for package in LAZY_PACKAGES}
+    code = "\n".join(
+        [
+            "import importlib",
+            f"homes = {homes!r}",
+            "for package, names in homes.items():",
+            "    pkg = importlib.import_module(package)",
+            "    assert sorted(pkg.__all__) == sorted(names), package",
+            "    for name, module in names.items():",
+            "        held = getattr(importlib.import_module(module), name)",
+            "        assert getattr(pkg, name) is held, (package, name)",
+            "import repro.core.samples, repro.core.scorers, repro.runtime.runner, repro.stats",
+            "assert repro.core.scorers.Score is repro.core.samples.Score",
+            "assert repro.runtime.runner.RunStats is repro.stats.RunStats",
+        ]
+    )
+    _run(code)
 
 
 def test_no_source_file_imports_networkx():
