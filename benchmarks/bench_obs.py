@@ -5,11 +5,14 @@ Times the :mod:`repro.obs` machinery on two scenario groups:
 * ``overhead`` — the cost of *arming* full telemetry: a small Table-1
   configuration sweep run bare vs. under ``tracing()`` + ``metering()``
   (every run opening a trace, every phase recording identified spans,
-  run counters published to a live registry), alternating best-of-N so
-  machine drift hits both sides equally.  The regression gate caps
-  ``obs_over_baseline`` at 1.05: armed telemetry must stay within 5% of
-  the bare runner.  The bench also asserts the armed grid is
-  bit-identical to the bare one — telemetry must never perturb results;
+  run counters published to a live registry).  Each round runs the
+  sweep once each way, alternating which goes first, and
+  ``obs_over_baseline`` is the median of the per-round ratios.  The
+  regression gate caps it at 1.05: armed telemetry must stay within 5%
+  of the bare runner, so the round count (the same in smoke and full
+  mode) keeps one tree's spread across runs near 2%.  The bench also
+  asserts the armed grid is bit-identical to the bare one — telemetry
+  must never perturb results;
 * ``span_hotpath`` — per-call cost of the shared :func:`repro.obs.span`
   entry point in its three states: disarmed (the zero-cost null span),
   armed-but-idle (a tracer installed, no trace open — must stay on the
@@ -21,7 +24,7 @@ Timings land in ``benchmarks/output/obs.txt`` (human) and are merged
 into ``BENCH_metrics.json`` under the ``obs`` key (machine).  Run after
 ``bench_metrics_hotpath.py`` (the CI order): the metrics bench rewrites
 the file without any previous ``obs`` section.  Set
-``REPRO_BENCH_SMOKE=1`` (CI does) for fewer repeats.
+``REPRO_BENCH_SMOKE=1`` (CI does) for fewer span-hotpath calls.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import time
 
 from repro import obs
@@ -38,7 +42,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_metrics.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
-REPEATS = 3 if SMOKE else 5
+# many paired rounds: one tree's median ratio spreads ~2% across runs
+OVERHEAD_ROUNDS = 121
 SWEEP = dict(models=["o3", "llama-3.3-70b"], systems=["adios2", "wilkins"],
              epochs=2)
 UNITS = 8  # 2 models x 2 systems x 2 epochs
@@ -58,23 +63,29 @@ def _timed_sweep(armed: bool) -> tuple[float, object]:
 
 def _bench_overhead() -> dict:
     _timed_sweep(False)  # warmup: pay imports and calibration once
-    baseline_s = armed_s = float("inf")
+    baseline_s, armed_s, ratios = [], [], []
     bare_grid = armed_grid = None
-    for _ in range(REPEATS):  # alternate so drift hits both sides equally
-        elapsed, bare_grid = _timed_sweep(False)
-        baseline_s = min(baseline_s, elapsed)
-        elapsed, armed_grid = _timed_sweep(True)
-        armed_s = min(armed_s, elapsed)
+    for round_index in range(OVERHEAD_ROUNDS):
+        # alternate which side runs first so drift hits both equally
+        if round_index % 2:
+            armed, armed_grid = _timed_sweep(True)
+            bare, bare_grid = _timed_sweep(False)
+        else:
+            bare, bare_grid = _timed_sweep(False)
+            armed, armed_grid = _timed_sweep(True)
+        baseline_s.append(bare)
+        armed_s.append(armed)
+        ratios.append(armed / bare)
     assert armed_grid.cells == bare_grid.cells, (
         "grid produced under armed telemetry diverged from the bare grid"
     )
     return {
         "scenario": "overhead",
         "units": UNITS,
-        "repeats": REPEATS,
-        "baseline_ms": baseline_s * 1000,
-        "armed_ms": armed_s * 1000,
-        "obs_over_baseline": armed_s / max(baseline_s, 1e-9),
+        "rounds": OVERHEAD_ROUNDS,
+        "baseline_ms": statistics.median(baseline_s) * 1000,
+        "armed_ms": statistics.median(armed_s) * 1000,
+        "obs_over_baseline": statistics.median(ratios),
     }
 
 
@@ -132,7 +143,7 @@ def _merge_results(results: list[dict]) -> None:
 def bench_obs(report):
     lines = [
         f"observability layer ({'smoke' if SMOKE else 'full'} mode, "
-        f"{UNITS}-unit sweep, best of {REPEATS})",
+        f"{UNITS}-unit sweep, median of {OVERHEAD_ROUNDS} paired rounds)",
         "",
     ]
 

@@ -16,7 +16,9 @@ Times the persistence layer on three scenarios:
 * ``sweep`` — the end-to-end promise: a small Table-1 configuration
   sweep run cold against an empty store, then re-run warm from a fresh
   store handle (as a new process would), asserting the warm pass
-  performed **zero** generations via its recorded manifest.
+  performed **zero** generations via its recorded manifest.  One untimed
+  sweep first takes the process's one-time imports and calibration out
+  of the cold pass; both passes are best of N.
 
 Timings land in ``benchmarks/output/persist.txt`` (human) and are
 *merged* into ``BENCH_metrics.json`` under the ``persist`` key (machine),
@@ -54,6 +56,10 @@ SWEEP = dict(
     systems=["adios2", "wilkins", "henson"],
     epochs=2,
 )
+# best-of-N passes: a cold pass writes a fresh empty store, a warm pass
+# re-reads the first cold store through a new handle
+SWEEP_COLD_PASSES = 3
+SWEEP_WARM_PASSES = 5
 
 
 def _synthetic_generation(i: int) -> Generation:
@@ -144,28 +150,39 @@ def _bench_persist_read(root: pathlib.Path) -> dict:
     }
 
 
-def _bench_sweep(root: pathlib.Path) -> dict:
+def _sweep_ms(root: pathlib.Path) -> tuple[float, object]:
+    """One SWEEP pass against the store at ``root``: (ms, its manifest)."""
     started = time.perf_counter()
     with RunStore(root) as store:
-        config = RunConfig(store=store)
-        run_configuration(**SWEEP, config=config)
-    cold_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    with RunStore(root) as store:
-        config = RunConfig(store=store)
-        run_configuration(**SWEEP, config=config)
+        run_configuration(**SWEEP, config=RunConfig(store=store))
         manifest = store.latest_manifest()
-    warm_s = time.perf_counter() - started
-    assert manifest.stats.generated == 0, "warm store pass must not generate"
-    assert manifest.stats.scores_computed == 0, "warm store pass must not score"
+    return (time.perf_counter() - started) * 1000, manifest
+
+
+def _bench_sweep(root: pathlib.Path) -> dict:
+    # untimed pass: the first sweep in a process pays one-time imports and
+    # per-cell calibration, which are not store work and would make the
+    # cold/warm ratio track the import graph instead of the store
+    _sweep_ms(root / "warmup")
+
+    cold_ms = min(
+        _sweep_ms(root / f"cold{i}")[0] for i in range(SWEEP_COLD_PASSES)
+    )
+    warm_ms = float("inf")
+    for _ in range(SWEEP_WARM_PASSES):  # each from a fresh store handle
+        elapsed, manifest = _sweep_ms(root / "cold0")
+        assert manifest.stats.generated == 0, "warm store pass must not generate"
+        assert manifest.stats.scores_computed == 0, (
+            "warm store pass must not score"
+        )
+        warm_ms = min(warm_ms, elapsed)
 
     return {
         "scenario": "sweep",
         "units": manifest.stats.total_units,
-        "cold_ms": cold_s * 1000,
-        "warm_ms": warm_s * 1000,
-        "warm_over_cold": warm_s / max(cold_s, 1e-9),
+        "cold_ms": cold_ms,
+        "warm_ms": warm_ms,
+        "warm_over_cold": warm_ms / max(cold_ms, 1e-9),
     }
 
 

@@ -8,9 +8,12 @@ harness on loopback TCP):
 * ``overhead`` — the same batched ``get_generations`` through a
   single-replica :class:`ReplicatedRunStore` (breaker armed, hedging
   and spill off) and through the bare :class:`RemoteRunStore` it
-  wraps, alternating best-of-N.  ``breaker_over_remote`` is the
-  armed-but-idle toll; the regression gate caps it at 1.05x — the
-  resilience layer must be free when replicas are healthy;
+  wraps.  Each round reads once through each, alternating which goes
+  first, and ``breaker_over_remote`` is the median of the per-round
+  ratios: the armed-but-idle toll.  The regression gate caps it at
+  1.05x — the resilience layer must be free when replicas are healthy
+  — so the round count and size (the same in smoke and full mode) keep
+  one tree's spread across runs near 2%, well inside that cap;
 * ``failover`` — two replicas, then the preferred one dies.
   ``failover_ms`` is the one-off price of discovering the corpse
   (retries + breaker trip); ``open_breaker_ms_per_read`` is the
@@ -21,7 +24,7 @@ harness on loopback TCP):
 Results land in ``benchmarks/output/resilience.txt`` (human) and merge
 into ``BENCH_metrics.json`` under the ``resilience`` key (machine),
 gated by ``check_regression.py``.  ``REPRO_BENCH_SMOKE=1`` shrinks the
-record counts for CI.
+failover record counts for CI.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 import os
 import pathlib
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -45,6 +49,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 N_RECORDS = 192 if SMOKE else 1024
 N_ROUNDS = 5
+# many small paired rounds: their median ratio resolves a 1% toll
+OVERHEAD_RECORDS = 256
+OVERHEAD_ROUNDS = 121
 N_OPEN_READS = 20 if SMOKE else 100
 
 RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, max_delay=0.05)
@@ -61,39 +68,47 @@ def _synthetic_generation(i: int) -> Generation:
 
 
 def _bench_overhead(tmp: pathlib.Path) -> dict:
-    gens = [_synthetic_generation(i) for i in range(N_RECORDS)]
+    gens = [_synthetic_generation(i) for i in range(OVERHEAD_RECORDS)]
     keys = [gen.key for gen in gens]
+
+    def timed_read(store) -> float:
+        started = time.perf_counter()
+        found = store.get_generations(keys)
+        elapsed = time.perf_counter() - started
+        assert len(found) == OVERHEAD_RECORDS
+        return elapsed
+
     with InProcessServer(tmp / "overhead") as server:
         with open_store(server.url(), retry=RETRY) as seed:
             seed.put_generations(gens)
+        # a one-replica set: same wire path plus the armed breaker
+        with open_store(server.url(), retry=RETRY) as bare, ReplicatedRunStore(
+            server.url(), [server.address()], retry=RETRY
+        ) as wrapped:
+            # connect and warm both pools before anything is timed
+            timed_read(bare)
+            timed_read(wrapped)
+            bare_s, replicated_s, ratios = [], [], []
+            for round_index in range(OVERHEAD_ROUNDS):
+                if round_index % 2:
+                    replicated = timed_read(wrapped)
+                    plain = timed_read(bare)
+                else:
+                    plain = timed_read(bare)
+                    replicated = timed_read(wrapped)
+                bare_s.append(plain)
+                replicated_s.append(replicated)
+                ratios.append(replicated / plain)
 
-        bare_s = replicated_s = float("inf")
-        for _ in range(N_ROUNDS):
-            # alternate fresh clients so pool warm-up hits both equally
-            with open_store(server.url(), retry=RETRY) as bare:
-                started = time.perf_counter()
-                found = bare.get_generations(keys)
-                bare_s = min(bare_s, time.perf_counter() - started)
-            assert len(found) == N_RECORDS
-            # a one-replica set: same wire path plus the armed breaker
-            with ReplicatedRunStore(
-                server.url(), [server.address()], retry=RETRY
-            ) as wrapped:
-                started = time.perf_counter()
-                found = wrapped.get_generations(keys)
-                replicated_s = min(
-                    replicated_s, time.perf_counter() - started
-                )
-            assert len(found) == N_RECORDS
-
-    bare_ms = bare_s * 1000 / N_RECORDS
-    replicated_ms = replicated_s * 1000 / N_RECORDS
     return {
         "scenario": "overhead",
-        "n_records": N_RECORDS,
-        "bare_get_ms_per_record": bare_ms,
-        "replicated_get_ms_per_record": replicated_ms,
-        "breaker_over_remote": replicated_ms / max(bare_ms, 1e-9),
+        "n_records": OVERHEAD_RECORDS,
+        "n_rounds": OVERHEAD_ROUNDS,
+        "bare_get_ms_per_record": statistics.median(bare_s) * 1000 / OVERHEAD_RECORDS,
+        "replicated_get_ms_per_record": (
+            statistics.median(replicated_s) * 1000 / OVERHEAD_RECORDS
+        ),
+        "breaker_over_remote": statistics.median(ratios),
     }
 
 
@@ -162,15 +177,15 @@ def _merge_results(results: list[dict]) -> None:
 
 def bench_resilience(report):
     lines = [
-        f"resilience layer ({'smoke' if SMOKE else 'full'} mode, "
-        f"{N_RECORDS} records)",
+        f"resilience layer ({'smoke' if SMOKE else 'full'} mode)",
         "",
     ]
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-resilience-"))
     try:
         overhead = _bench_overhead(tmp)
         lines.append(
-            f"overhead  replicated get "
+            f"overhead  {OVERHEAD_ROUNDS} paired rounds of "
+            f"{OVERHEAD_RECORDS} records: replicated get "
             f"{overhead['replicated_get_ms_per_record']:.4f} ms/rec   bare "
             f"{overhead['bare_get_ms_per_record']:.4f} ms/rec "
             f"(x{overhead['breaker_over_remote']:.3f} armed-but-idle)"

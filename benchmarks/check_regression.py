@@ -117,11 +117,11 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
 # idle machine; the cap absorbs CI loopback jitter, while a client that
 # stops pipelining or pooling overshoots it by an order of magnitude);
 # obs_over_baseline past 1.05 means armed tracing + metering costs more
-# than 5% on a run (same alternating best-of-N construction as the
-# fault-policy cap, so the ratio is hardware-normalized);
+# than 5% on a run (median of paired per-round ratios, so
+# hardware-normalized);
 # breaker_over_remote past 1.05 means the armed-but-idle circuit breaker
-# costs more than 5% over the bare remote path (alternating best-of-N
-# against the same server, so hardware-normalized); and
+# costs more than 5% over the bare remote path (median of paired
+# per-round ratios against the same server, so hardware-normalized); and
 # open_breaker_over_healthy past 3x means reads with a dead replica's
 # breaker open stopped skipping the corpse — the whole point of the
 # breaker is that steady-state cost stays near the healthy path.

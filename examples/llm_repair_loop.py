@@ -3,8 +3,8 @@
 For each simulated model: ask for a Wilkins configuration, validate it
 against the real schema, feed the diagnostics (plus a known-good 2-node
 example) back, and repeat until the config validates.  Prints the
-hallucinated fields caught at each iteration and the final, executable
-configuration.
+hallucinated fields caught at each iteration and the final configuration,
+which parses against the Wilkins schema and validates.
 
 Usage:  python examples/llm_repair_loop.py
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core.repair import RepairLoop
 from repro.data import MODELS
 from repro.data.prompts import get_template
-from repro.workflows.wilkins import WilkinsRuntime, parse_wilkins_yaml
+from repro.workflows.wilkins import parse_wilkins_yaml, validate_config
 
 
 def main() -> None:
@@ -40,25 +40,11 @@ def main() -> None:
     print("=== final repaired configuration (last converged model) ===")
     print(final_artifact)
 
-    # prove the repaired config actually runs
-    import numpy as np
-
+    # the repaired config parses into the schema and passes the validator
     config = parse_wilkins_yaml(final_artifact)
-
-    def producer(comm, ctx):
-        for step in range(2):
-            if comm.rank == 0:
-                for dset in ctx.out_dsets():
-                    ctx.write(dset, np.full(4, step, dtype=float), step=step)
-
-    def consumer(comm, ctx):
-        return [
-            (dset, len(list(ctx.steps(dset)))) for dset in ctx.in_dsets()
-        ]
-
-    library = {t.func: producer if not t.inports else consumer for t in config.tasks}
-    results = WilkinsRuntime(config, library).run()
-    print("\nexecuted repaired workflow:", results)
+    assert validate_config(final_artifact).ok
+    tasks = ", ".join(f"{t.func} ({t.nprocs} procs)" for t in config.tasks)
+    print(f"\nrepaired workflow parses and validates: {tasks}")
 
 
 if __name__ == "__main__":

@@ -1,102 +1,25 @@
-"""Task-code translation study: semantics first, then LLM translations.
+"""Task-code translation study: LLM translations, scored and audited.
 
-Part 1 establishes the *semantic* ground truth of the ADIOS2 ↔ Henson
-translation pair: the same producer logic runs on both substrates and
-yields identical per-step checksums (so a perfect translation preserves
-behaviour, not just tokens).
-
-Part 2 asks every simulated model to translate the annotated ADIOS2
-producer to Henson (the paper's hardest direction), scores the result
-with BLEU/ChrF, and audits hallucinated API calls — reproducing the
-Table 4 analysis for all four models.
+Asks every simulated model to translate the annotated ADIOS2 producer to
+Henson (the paper's hardest direction), scores the result with
+BLEU/ChrF, and audits hallucinated API calls against the real Henson
+API — reproducing the Table 4 analysis for all four models.
 
 Usage:  python examples/translation_study.py
 """
 
 from __future__ import annotations
 
-import threading
-
-import numpy as np
-
 from repro.core.assets import annotated_producer
 from repro.data import MODELS, TABLE3
 from repro.llm import GenerateConfig, get_model
 from repro.metrics import bleu, chrf
 from repro.utils.text import strip_markdown_chatter
-from repro.workflows.henson import HensonRuntime, Puppet, validate_task_code
-from repro.workflows.henson import api as henson
-from repro.store import SimFilesystem
-from repro.workflows.adios2 import Adios, Mode, StepStatus
-
-STEPS = 3
-
-
-def make_data(step: int) -> np.ndarray:
-    rng = np.random.default_rng(step)
-    return rng.random(32)
-
-
-def run_henson() -> list[float]:
-    def producer():
-        for t in range(STEPS):
-            henson.henson_save_array("array", make_data(t))
-            henson.henson_save_int("t", t)
-            henson.henson_yield()
-
-    def consumer():
-        sums = []
-        while henson.henson_active():
-            sums.append(float(henson.henson_load_array("array").sum()))
-            henson.henson_yield()
-        return sums
-
-    runtime = HensonRuntime(
-        [Puppet("producer", producer, driver=True), Puppet("consumer", consumer)]
-    )
-    return runtime.run()["consumer"]
-
-
-def run_adios2() -> list[float]:
-    fs = SimFilesystem()
-    ad = Adios(fs=fs)
-    wio = ad.declare_io("SimulationOutput"); wio.set_engine("SST")
-    rio = ad.declare_io("AnalysisInput"); rio.set_engine("SST")
-    sums: list[float] = []
-
-    def writer():
-        var = wio.define_variable("array", dtype="float64")
-        engine = wio.open("output.bp", Mode.WRITE)
-        for t in range(STEPS):
-            engine.begin_step()
-            engine.put(var, make_data(t))
-            engine.end_step()
-        engine.close()
-
-    def reader():
-        engine = rio.open("output.bp", Mode.READ)
-        while engine.begin_step() is StepStatus.OK:
-            sums.append(float(np.sum(engine.get("array"))))
-            engine.end_step()
-        engine.close()
-
-    thread = threading.Thread(target=reader)
-    thread.start()
-    writer()
-    thread.join(10.0)
-    return sums
+from repro.workflows.henson import validate_task_code
 
 
 def main() -> None:
-    print("=== part 1: semantic equivalence of the translation pair ===")
-    henson_sums = run_henson()
-    adios_sums = run_adios2()
-    print(f"henson per-step sums: {['%.4f' % s for s in henson_sums]}")
-    print(f"adios2 per-step sums: {['%.4f' % s for s in adios_sums]}")
-    assert np.allclose(henson_sums, adios_sums)
-    print("substrates agree: a perfect translation preserves behaviour\n")
-
-    print("=== part 2: LLM translations ADIOS2 -> Henson ===")
+    print("=== LLM translations ADIOS2 -> Henson ===")
     source = annotated_producer("adios2")
     reference = annotated_producer("henson")
     prompt = (

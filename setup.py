@@ -25,4 +25,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=["numpy>=1.26"],
+    # parsing and validating Wilkins YAML configs
+    extras_require={"wilkins": ["PyYAML>=6"]},
 )

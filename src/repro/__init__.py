@@ -11,10 +11,9 @@ Public surface (stable):
   into work-unit plans executed on pluggable executors (serial, or an
   asyncio event loop with one provider call per unit in flight) behind a
   content-addressed result cache.
-* :mod:`repro.workflows` — executable mini-implementations of ADIOS2,
-  Henson, Parsl, PyCOMPSs and Wilkins, each with an API-surface validator.
-* :mod:`repro.mpi`, :mod:`repro.store` — the simulated MPI and storage
-  substrates the workflow runtimes execute on.
+* :mod:`repro.workflows` — descriptors of ADIOS2, Henson, Parsl,
+  PyCOMPSs and Wilkins: API surfaces, config parsers and the validators
+  that audit generated artifacts against them.
 * :mod:`repro.reporting` — table and heatmap renderers for every table
   and figure in the paper.
 * :mod:`repro.persist`, :mod:`repro.serve` — the durable run store and

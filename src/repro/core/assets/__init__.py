@@ -7,7 +7,7 @@
 * :mod:`~repro.core.assets.task_codes` — the plain producer task codes
   (C and Python) and their reference annotations for each workflow
   system, written against the *real* systems' APIs (these are evaluation
-  ground truth; executable substrate equivalents live in ``examples/``).
+  ground truth, checked by the validators in :mod:`repro.workflows`).
 
 Accessors return fresh strings; the texts are dedented and newline
 normalized.

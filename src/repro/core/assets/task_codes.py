@@ -4,7 +4,7 @@ The C producer emulates an HPC simulation (random array per step, local
 and global sums via MPI) and matches the structure of the paper's Table 4
 listings.  The Python producer is the equivalent used for PyCOMPSs and
 Parsl.  Reference annotations are written against the *real* systems'
-APIs — they are similarity-metric ground truth, not substrate code.
+APIs — they are the ground truth of the similarity metrics and validators.
 """
 
 from __future__ import annotations

@@ -16,20 +16,12 @@ class ConfigError(ReproError):
     """A workflow configuration file is malformed or semantically invalid."""
 
 
-class ValidationError(ReproError):
-    """An artifact failed validation against a workflow-system surface."""
-
-
 class WorkflowError(ReproError):
-    """A workflow runtime failed during graph construction or execution."""
-
-
-class CommunicatorError(ReproError):
-    """Illegal use of the simulated MPI communicator."""
+    """A workflow graph is invalid, or a workflow system is unknown."""
 
 
 class StoreError(ReproError):
-    """Illegal operation on the simulated filesystem / HDF5 / BP store."""
+    """A storage operation failed: the base of the run-store errors."""
 
 
 class PersistError(StoreError):

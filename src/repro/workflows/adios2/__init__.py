@@ -1,35 +1,18 @@
-"""ADIOS2 substrate: step-based I/O middleware for coupled workflows.
+"""ADIOS2: step-based I/O middleware for coupled workflows.
 
-Mirrors the ADIOS2 programming model closely enough to run the paper's
-producer/consumer workloads:
-
-* :class:`~repro.workflows.adios2.api.Adios` → ``declare_io`` →
-  :class:`~repro.workflows.adios2.api.IO` → ``open`` →
-  :class:`~repro.workflows.adios2.api.Engine` with
-  ``begin_step`` / ``put`` / ``get`` / ``end_step`` semantics;
-* two engines: **BPFile** (readers see completed files, like BP4 without
-  streaming) and **SST** (concurrent step streaming, reader blocks per
-  step) — see :mod:`repro.workflows.adios2.engines`;
-* an XML runtime-configuration parser/validator
-  (:mod:`repro.workflows.adios2.xmlconfig`), the artifact type the paper's
-  *workflow configuration* experiment targets for ADIOS2;
-* the C API surface registry and task-code validator used to detect
-  hallucinated ``adios2_*`` calls.
+* the C API surface registry (``adios2_*``) and the task-code validator
+  that flags hallucinated calls against it;
+* the XML runtime-configuration parser (:mod:`repro.workflows.adios2.xmlconfig`),
+  the artifact the paper's *workflow configuration* experiment targets
+  for ADIOS2, and the config validator over it.
 """
 
-from repro.workflows.adios2.api import Adios, Engine, IO, Mode, StepStatus, Variable
 from repro.workflows.adios2.surface import ADIOS2_C_API, ADIOS2_CONFIG_FIELDS
 from repro.workflows.adios2.system import adios2_system
 from repro.workflows.adios2.validator import validate_config, validate_task_code
 from repro.workflows.adios2.xmlconfig import AdiosConfig, IOConfig, parse_xml_config
 
 __all__ = [
-    "Adios",
-    "IO",
-    "Engine",
-    "Variable",
-    "Mode",
-    "StepStatus",
     "AdiosConfig",
     "IOConfig",
     "parse_xml_config",

@@ -1,7 +1,6 @@
 """Workflow graph: tasks, ports, and dataset-labelled links.
 
-Shared by the Wilkins runtime (built from YAML), the Henson scheduler
-(built from ``.hwl`` scripts), and the examples.  A node is a
+Built from Henson ``.hwl`` scripts by ``HwlScript.to_graph``.  A node is a
 :class:`TaskSpec`; an edge is a :class:`DataLink` naming the dataset that
 flows producer → consumer and the transport used (``file`` or ``memory``).
 

@@ -1,56 +1,23 @@
-"""Henson substrate: cooperative multitasking for in-situ processing.
+"""Henson: cooperative multitasking for in-situ processing.
 
 Henson (Morozov & Lukic 2016) runs *puppets* — tasks compiled as shared
 objects — under cooperative multitasking on the same ranks, exchanging
-data by passing pointers through a named-value store.  Our substrate
-reproduces that model in Python:
+data by passing pointers through a named-value store.
 
-* :class:`~repro.workflows.henson.coroutines.HensonRuntime` schedules
-  puppets round-robin on one baton; ``henson_yield()`` hands control to
-  the next puppet, ``henson_active()`` tells loop-style puppets whether
-  the workflow is still running (it turns false once every driver puppet
-  has finished);
-* :mod:`~repro.workflows.henson.api` exposes the C-flavoured functions
-  (``henson_save_array``, ``henson_save_int``, ``henson_load_*``,
-  ``henson_yield``, ``henson_active``, ``henson_stop``) bound to the
-  calling puppet via a thread-local context — task code reads exactly
-  like its C counterpart;
 * :mod:`~repro.workflows.henson.hwl` parses the workflow-description
   script (the artifact the configuration experiment targets for Henson);
-* the surface registry and validator catch the hallucinated calls the
-  paper reports (``henson_put``, ``henson_declare_variable``,
-  ``henson_data_init``, ``henson_init`` ...).
+* the C API surface registry (``henson_save_*``, ``henson_load_*``,
+  ``henson_yield``, ``henson_active`` ...) and validator catch the
+  hallucinated calls the paper reports (``henson_put``,
+  ``henson_declare_variable``, ``henson_data_init``, ``henson_init`` ...).
 """
 
-from repro.workflows.henson.api import (
-    henson_active,
-    henson_load_array,
-    henson_load_float,
-    henson_load_int,
-    henson_save_array,
-    henson_save_float,
-    henson_save_int,
-    henson_stop,
-    henson_yield,
-)
-from repro.workflows.henson.coroutines import HensonRuntime, Puppet
 from repro.workflows.henson.hwl import HwlScript, PuppetSpec, parse_hwl, render_hwl
 from repro.workflows.henson.surface import HENSON_C_API, HENSON_HWL_FIELDS
 from repro.workflows.henson.system import henson_system
 from repro.workflows.henson.validator import validate_config, validate_task_code
 
 __all__ = [
-    "HensonRuntime",
-    "Puppet",
-    "henson_save_int",
-    "henson_save_float",
-    "henson_save_array",
-    "henson_load_int",
-    "henson_load_float",
-    "henson_load_array",
-    "henson_yield",
-    "henson_active",
-    "henson_stop",
     "HwlScript",
     "PuppetSpec",
     "parse_hwl",

@@ -1,8 +1,8 @@
 """Henson workflow scripts (``.hwl``).
 
 Henson describes workflows in a small scripting language listing puppets,
-their command lines, and their process allocation.  Our substrate's
-dialect is line-oriented::
+their command lines, and their process allocation.  The dialect
+parsed here is line-oriented::
 
     # 3-node workflow
     producer = ./producer grid particles on 3 procs

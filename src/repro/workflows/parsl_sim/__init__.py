@@ -1,53 +1,19 @@
-"""Parsl substrate: pervasive parallel programming in Python.
+"""Parsl: pervasive parallel programming in Python.
 
-Mirrors the Parsl programming model (Babuji et al. 2019): users decorate
-plain Python functions as *apps*; calling an app returns an
-:class:`~repro.workflows.parsl_sim.apps.AppFuture` immediately, and the
-:class:`~repro.workflows.parsl_sim.dfk.DataFlowKernel` launches it once
-its inputs (futures, ``inputs=[...]`` files) are ready.
-
-Typical use, identical in shape to real Parsl::
-
-    import repro.workflows.parsl_sim as parsl
-    from repro.workflows.parsl_sim import Config, File, ThreadPoolExecutor, python_app
-
-    parsl.load(Config(executors=[ThreadPoolExecutor(max_threads=4)]))
-
-    @python_app
-    def simulate(n, outputs=()):
-        ...
-
-    future = simulate(100, outputs=[File("result.npy")])
-    future.result()
-    parsl.clear()
+Parsl (Babuji et al. 2019) turns plain Python functions into *apps* with
+``@python_app``/``@bash_app``; calling an app returns a future at once,
+and the DataFlowKernel launches it when its inputs are ready.  Parsl has
+no workflow-structure config file, so only the annotation and
+translation experiments target it: this package holds the API surface
+registry and the task-code validator that audits annotated code
+against it.
 """
 
-from repro.workflows.parsl_sim.apps import AppFuture, DataFuture, File, bash_app, python_app
-from repro.workflows.parsl_sim.config import Config
-from repro.workflows.parsl_sim.dfk import DataFlowKernel, clear, dfk, load
-from repro.workflows.parsl_sim.executors import (
-    Executor,
-    HighThroughputExecutor,
-    ThreadPoolExecutor,
-)
 from repro.workflows.parsl_sim.surface import PARSL_API
 from repro.workflows.parsl_sim.system import parsl_system
 from repro.workflows.parsl_sim.validator import validate_task_code
 
 __all__ = [
-    "python_app",
-    "bash_app",
-    "AppFuture",
-    "DataFuture",
-    "File",
-    "Config",
-    "DataFlowKernel",
-    "load",
-    "clear",
-    "dfk",
-    "Executor",
-    "ThreadPoolExecutor",
-    "HighThroughputExecutor",
     "PARSL_API",
     "validate_task_code",
     "parsl_system",

@@ -1,66 +1,21 @@
-"""PyCOMPSs substrate: task-based parallel workflows in Python.
+"""PyCOMPSs: task-based parallel workflows in Python.
 
-Mirrors the PyCOMPSs programming model (Tejedor et al. 2017): plain
-Python methods become tasks via the ``@task`` decorator, parameter
-*directions* (``FILE_IN``/``FILE_OUT``/``INOUT``...) declare data
-dependencies, calls return future placeholders immediately, and the small
+PyCOMPSs (Tejedor et al. 2017) turns plain Python methods into tasks
+with the ``@task`` decorator; parameter *directions* (``FILE_IN``,
+``FILE_OUT``, ``INOUT`` ...) declare data dependencies, and a small
 synchronization API (``compss_wait_on``, ``compss_wait_on_file``,
-``compss_open``, ``compss_barrier``) materializes results.
-
-Typical use, identical in shape to real PyCOMPSs::
-
-    from repro.workflows.pycompss import task, FILE_OUT, FILE_IN
-    from repro.workflows.pycompss import compss_wait_on, compss_wait_on_file
-
-    @task(fname=FILE_OUT)
-    def produce(n, fname):
-        ...
-
-    @task(fname=FILE_IN, returns=float)
-    def analyze(fname):
-        ...
-
-    produce(100, "data.bin")
-    total = compss_wait_on(analyze("data.bin"))
+``compss_open``, ``compss_barrier``) materializes results.  PyCOMPSs has
+no workflow-structure config file, so only the annotation and
+translation experiments target it: this package holds the API surface
+registry and the task-code validator that audits annotated code
+against it.
 """
 
-from repro.workflows.pycompss.api import task
-from repro.workflows.pycompss.api_functions import (
-    compss_barrier,
-    compss_open,
-    compss_wait_on,
-    compss_wait_on_file,
-)
-from repro.workflows.pycompss.parameter import (
-    FILE_IN,
-    FILE_INOUT,
-    FILE_OUT,
-    IN,
-    INOUT,
-    OUT,
-    Direction,
-)
-from repro.workflows.pycompss.runtime import COMPSsRuntime, reset_runtime, runtime
 from repro.workflows.pycompss.surface import PYCOMPSS_API
 from repro.workflows.pycompss.system import pycompss_system
 from repro.workflows.pycompss.validator import validate_task_code
 
 __all__ = [
-    "task",
-    "Direction",
-    "IN",
-    "OUT",
-    "INOUT",
-    "FILE_IN",
-    "FILE_OUT",
-    "FILE_INOUT",
-    "compss_wait_on",
-    "compss_wait_on_file",
-    "compss_open",
-    "compss_barrier",
-    "COMPSsRuntime",
-    "runtime",
-    "reset_runtime",
     "PYCOMPSS_API",
     "validate_task_code",
     "pycompss_system",

@@ -1,4 +1,4 @@
-"""Wilkins substrate: data-centric in-situ workflows made easy.
+"""Wilkins: data-centric in-situ workflows made easy.
 
 Wilkins (Yildiz et al. 2024) defines workflows in a YAML file listing
 tasks with their process counts and data requirements as *inports* and
@@ -7,11 +7,10 @@ tasks with their process counts and data requirements as *inports* and
 no code changes — which is why the paper excludes Wilkins from the
 annotation experiment.
 
-This subpackage provides the YAML schema
-(:mod:`~repro.workflows.wilkins.config`), the workflow-graph builder
-(:mod:`~repro.workflows.wilkins.graph`), an executable runtime over the
-simulated MPI and HDF5 substrates (:mod:`~repro.workflows.wilkins.runtime`),
-and the config validator used by the evaluation harness.
+This package provides the YAML schema and parser
+(:mod:`~repro.workflows.wilkins.config`), the config-field surface and
+the config validator used by the evaluation harness.  Parsing YAML needs
+PyYAML (the ``wilkins`` extra), imported when a document is parsed.
 """
 
 from repro.workflows.wilkins.config import (
@@ -22,8 +21,6 @@ from repro.workflows.wilkins.config import (
     parse_wilkins_yaml,
     render_wilkins_yaml,
 )
-from repro.workflows.wilkins.graph import build_graph
-from repro.workflows.wilkins.runtime import TaskContext, WilkinsRuntime
 from repro.workflows.wilkins.surface import WILKINS_CONFIG_FIELDS
 from repro.workflows.wilkins.system import wilkins_system
 from repro.workflows.wilkins.validator import validate_config
@@ -35,9 +32,6 @@ __all__ = [
     "DsetConfig",
     "parse_wilkins_yaml",
     "render_wilkins_yaml",
-    "build_graph",
-    "WilkinsRuntime",
-    "TaskContext",
     "WILKINS_CONFIG_FIELDS",
     "validate_config",
     "wilkins_system",

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from repro.errors import ConfigError
 
 TASK_FIELDS = {"func", "nprocs", "inports", "outports", "args", "taskCount"}
@@ -138,6 +136,8 @@ def _parse_port(raw: object, where: str) -> PortConfig:
 
 def parse_wilkins_yaml(text: str) -> WilkinsConfig:
     """Parse and semantically validate a Wilkins YAML document."""
+    import yaml  # PyYAML: the ``wilkins`` extra
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import re
 
-import yaml
-
 from repro.errors import ConfigError
 from repro.workflows.base import Diagnostic, Severity, ValidationReport
 from repro.workflows.validators import find_line
@@ -63,6 +61,8 @@ def validate_config(text: str) -> ValidationReport:
             )
         )
         return report
+
+    import yaml  # PyYAML: the ``wilkins`` extra
 
     try:
         doc = yaml.safe_load(text)

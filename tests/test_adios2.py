@@ -1,163 +1,22 @@
-"""ADIOS2 substrate: API, engines, XML config, validator."""
+"""ADIOS2: XML config parser and validators."""
 
 from __future__ import annotations
 
-import threading
-
-import numpy as np
 import pytest
 
-from repro.errors import ConfigError, WorkflowError
+from repro.errors import ConfigError
 from repro.workflows.adios2 import (
-    Adios,
-    Mode,
-    StepStatus,
+    ADIOS2_C_API,
     parse_xml_config,
     validate_config,
     validate_task_code,
 )
-from repro.workflows.adios2.xmlconfig import AdiosConfig, IOConfig, render_xml_config
-
-
-class TestApi:
-    def test_declare_io_unique(self, fs):
-        ad = Adios(fs=fs)
-        ad.declare_io("X")
-        with pytest.raises(WorkflowError, match="already declared"):
-            ad.declare_io("X")
-
-    def test_at_io(self, fs):
-        ad = Adios(fs=fs)
-        io = ad.declare_io("X")
-        assert ad.at_io("X") is io
-        with pytest.raises(WorkflowError):
-            ad.at_io("missing")
-
-    def test_define_variable_dtype_inference(self, fs):
-        io = Adios(fs=fs).declare_io("X")
-        var = io.define_variable("x", data=np.zeros(3, dtype=np.float32))
-        assert var.dtype == "float32"
-
-    def test_duplicate_variable_rejected(self, fs):
-        io = Adios(fs=fs).declare_io("X")
-        io.define_variable("x")
-        with pytest.raises(WorkflowError):
-            io.define_variable("x")
-
-    def test_unknown_engine_rejected(self, fs):
-        io = Adios(fs=fs).declare_io("X")
-        with pytest.raises(WorkflowError, match="unknown ADIOS2 engine"):
-            io.set_engine("HDF5")  # parser knows it; runtime does not ship it
-
-
-class TestBPFileEngine:
-    def test_write_then_read_after_close(self, fs):
-        ad = Adios(fs=fs)
-        wio = ad.declare_io("W")
-        var = wio.define_variable("x", dtype="float64")
-        engine = wio.open("f.bp", Mode.WRITE)
-        for step in range(3):
-            engine.begin_step()
-            engine.put(var, np.full(4, float(step)))
-            engine.end_step()
-        engine.close()
-
-        rio = ad.declare_io("R")
-        reader = rio.open("f.bp", Mode.READ)
-        seen = []
-        while reader.begin_step() is StepStatus.OK:
-            seen.append(float(reader.get("x")[0]))
-            reader.end_step()
-        reader.close()
-        assert seen == [0.0, 1.0, 2.0]
-
-    def test_put_outside_step_rejected(self, fs):
-        wio = Adios(fs=fs).declare_io("W")
-        var = wio.define_variable("x")
-        engine = wio.open("f.bp", Mode.WRITE)
-        with pytest.raises(WorkflowError, match="outside"):
-            engine.put(var, np.zeros(1))
-
-    def test_get_on_writer_rejected(self, fs):
-        wio = Adios(fs=fs).declare_io("W")
-        engine = wio.open("f.bp", Mode.WRITE)
-        engine.begin_step()
-        with pytest.raises(WorkflowError, match="write-mode"):
-            engine.get("x")
-
-    def test_nested_begin_step_rejected(self, fs):
-        wio = Adios(fs=fs).declare_io("W")
-        engine = wio.open("f.bp", Mode.WRITE)
-        engine.begin_step()
-        with pytest.raises(WorkflowError, match="inside an open step"):
-            engine.begin_step()
-
-    def test_close_is_idempotent_and_finalizes(self, fs):
-        wio = Adios(fs=fs).declare_io("W")
-        engine = wio.open("f.bp", Mode.WRITE)
-        engine.close()
-        engine.close()
-        assert fs.open("f.bp").finalized
-
-    def test_context_manager(self, fs):
-        wio = Adios(fs=fs).declare_io("W")
-        var = wio.define_variable("x")
-        with wio.open("f.bp", Mode.WRITE) as engine:
-            engine.begin_step()
-            engine.put(var, np.zeros(1))
-            engine.end_step()
-        assert fs.open("f.bp").num_steps == 1
-
-    def test_append_mode(self, fs):
-        wio = Adios(fs=fs).declare_io("W")
-        var = wio.define_variable("x")
-        engine = wio.open("f.bp", Mode.WRITE)
-        engine.begin_step(); engine.put(var, 1); engine.end_step()
-        # append before finalize from another engine on the same file
-        aio = Adios(fs=fs).declare_io("A")
-        var2 = aio.define_variable("x")
-        appender = aio.open("f.bp", Mode.APPEND)
-        appender.begin_step(); appender.put(var2, 2); appender.end_step()
-        appender.close()
-        assert fs.open("f.bp").num_steps == 2
-
-
-class TestSSTEngine:
-    def test_concurrent_streaming(self, fs):
-        ad = Adios(fs=fs)
-        wio = ad.declare_io("W"); wio.set_engine("SST")
-        rio = ad.declare_io("R"); rio.set_engine("SST")
-        seen: list[float] = []
-
-        def writer():
-            var = wio.define_variable("x")
-            engine = wio.open("s.bp", Mode.WRITE)
-            for step in range(5):
-                engine.begin_step()
-                engine.put(var, float(step))
-                engine.end_step()
-            engine.close()
-
-        def reader():
-            engine = rio.open("s.bp", Mode.READ)
-            while engine.begin_step() is StepStatus.OK:
-                seen.append(engine.get("x"))
-                engine.end_step()
-            engine.close()
-
-        tr = threading.Thread(target=reader)
-        tr.start()
-        writer()
-        tr.join(10.0)
-        assert seen == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_sst_reader_only_read_mode(self, fs):
-        wio = Adios(fs=fs).declare_io("W")
-        wio.set_engine("SST")
-        with pytest.raises(WorkflowError):
-            from repro.workflows.adios2.engines import SSTWriter
-
-            SSTWriter(wio, "s.bp", Mode.READ)
+from repro.workflows.adios2.xmlconfig import (
+    KNOWN_ENGINE_TYPES,
+    AdiosConfig,
+    IOConfig,
+    render_xml_config,
+)
 
 
 class TestXmlConfig:
@@ -212,12 +71,6 @@ class TestXmlConfig:
         assert reparsed.io("X").engine_type == "BP4"
         assert reparsed.io("X").parameters == {"k": "v"}
 
-    def test_adios_applies_config(self, fs):
-        ad = Adios(fs=fs, config_text=self.GOOD)
-        io = ad.declare_io("SimulationOutput")
-        assert io.engine_type == "SST"
-        assert io.parameters["QueueLimit"] == "1"
-
 
 class TestValidators:
     def test_good_config_ok(self):
@@ -262,3 +115,142 @@ class TestValidators:
         assert any(d.code == "structure" for d in report.warnings()) or any(
             d.code == "missing-api" for d in report.diagnostics
         )
+
+
+def _io(body: str, engine: str = "") -> str:
+    return f'<adios-config><io name="X">{engine}{body}</io></adios-config>'
+
+
+class TestXmlStructure:
+    @pytest.mark.parametrize("engine_type", KNOWN_ENGINE_TYPES)
+    def test_every_known_engine_type_parses(self, engine_type):
+        config = parse_xml_config(_io("", f'<engine type="{engine_type}"/>'))
+        assert config.io("X").engine_type == engine_type
+
+    def test_engine_without_type(self):
+        assert parse_xml_config(_io("", "<engine/>")).io("X").engine_type == ""
+
+    def test_transports_collected(self):
+        config = parse_xml_config(
+            _io('<transport type="File"/><transport type="WAN"/>')
+        )
+        assert config.io("X").transports == ["File", "WAN"]
+
+    @pytest.mark.parametrize(
+        ("text", "match"),
+        [
+            ("<adios-config><engine/></adios-config>", "unexpected element <engine>"),
+            (_io("<dataset/>"), "unexpected element <dataset>"),
+            (_io("", '<engine type="SST"><variable name="a"/></engine>'),
+             "unexpected <variable> under <engine>"),
+            (_io("", '<engine><parameter value="1"/></engine>'), "needs 'key' and 'value'"),
+            (_io("", '<engine><parameter key="k"/></engine>'), "needs 'key' and 'value'"),
+            (_io("<variable/>"), "<variable> missing 'name'"),
+        ],
+    )
+    def test_structural_errors(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_xml_config(text)
+
+    def test_missing_io_lookup(self):
+        with pytest.raises(ConfigError, match="no <io name='Y'>"):
+            parse_xml_config(_io("")).io("Y")
+
+    @pytest.mark.parametrize("kind", ["reference", "fewshot"])
+    def test_shipped_configs_roundtrip(self, kind):
+        from repro.core.assets import fewshot_example_config, reference_config
+
+        text = (reference_config if kind == "reference" else fewshot_example_config)(
+            "adios2"
+        )
+        config = parse_xml_config(text)
+        again = parse_xml_config(render_xml_config(config))
+        assert again == config
+        report = validate_config(text)
+        assert report.ok and not report.diagnostics, report.render()
+
+
+class TestConfigVocabulary:
+    def test_parse_error_and_vocabulary_both_reported(self):
+        report = validate_config("<adios-config><io><stream/></io></adios-config>")
+        codes = [d.code for d in report.errors()]
+        assert codes[0] == "parse-error"
+        assert [d.symbol for d in report.hallucinations()] == ["stream"]
+
+    def test_unknown_attribute_is_warning_only(self):
+        report = validate_config(_io('<variable name="a" shape="10"/>'))
+        assert report.ok
+        (warning,) = report.warnings()
+        assert (warning.code, warning.symbol) == ("unknown-field", "shape")
+
+    def test_prolog_not_flagged(self):
+        report = validate_config('<?xml version="1.0" encoding="UTF-8"?>\n' + _io(""))
+        assert report.ok and not report.diagnostics, report.render()
+
+    def test_unknown_element_located_and_suggested(self):
+        report = validate_config(
+            '<adios-config>\n<io name="X">\n<engines type="SST"/>\n</io>\n</adios-config>'
+        )
+        diag = report.hallucinations()[0]
+        assert (diag.symbol, diag.line, diag.suggestion) == ("engines", 3, "engine")
+
+
+# plausible names models invent, none of them in the C bindings
+_INVENTED_CALLS = (
+    "adios2_write",
+    "adios2_read",
+    "adios2_create_io",
+    "adios2_define_var",
+    "adios2_open_file",
+    "adios2_initialize",
+    "adios2_step_begin",
+)
+
+
+def _reference_producer() -> str:
+    from repro.core.assets import annotated_producer
+
+    return annotated_producer("adios2")
+
+
+class TestTaskCodeSurface:
+    @pytest.mark.parametrize("name", ADIOS2_C_API.names("function"))
+    def test_every_real_function_accepted(self, name):
+        code = _reference_producer() + f"\n/* extra */ {name};\n"
+        report = validate_task_code(code)
+        assert not report.hallucinations(), report.render()
+
+    @pytest.mark.parametrize("name", ADIOS2_C_API.names("keyword"))
+    def test_every_real_constant_accepted(self, name):
+        report = validate_task_code(_reference_producer() + f"\nint k = {name};\n")
+        assert report.ok and not report.hallucinations(), report.render()
+
+    @pytest.mark.parametrize("name", _INVENTED_CALLS)
+    def test_invented_call_flagged_with_suggestion(self, name):
+        code = _reference_producer().replace(
+            "adios2_close(engine);", f"{name}(engine);\n    adios2_close(engine);"
+        )
+        (diag,) = validate_task_code(code).hallucinations()
+        assert diag.symbol == name
+        assert ADIOS2_C_API.known(diag.suggestion)
+        assert diag.line == next(
+            i for i, ln in enumerate(code.split("\n"), start=1) if f"{name}(" in ln
+        )
+
+    @pytest.mark.parametrize("name", ADIOS2_C_API.required_names("function"))
+    def test_missing_required_call_flagged(self, name):
+        code = _reference_producer().replace(f"{name}(", "my_call(")
+        report = validate_task_code(code)
+        assert ("missing-api", name) in [(d.code, d.symbol) for d in report.errors()]
+        assert not report.hallucinations()
+
+    def test_extra_begin_step_warns(self):
+        code = _reference_producer().replace(
+            "adios2_close(engine);",
+            "adios2_begin_step(engine, adios2_step_mode_append, -1.0f, &status);\n"
+            "    adios2_close(engine);",
+        )
+        report = validate_task_code(code)
+        assert report.ok
+        (warning,) = report.warnings()
+        assert "2 begin_step vs 1 end_step" in warning.message

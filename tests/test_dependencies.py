@@ -3,7 +3,8 @@
 ``setup.py`` declares only numpy, so a module the package imports
 without declaring it breaks a clean install.  ``networkx`` is installed
 on many hosts as some other tool's dependency, which once hid such an
-import; these tests block it.
+import; these tests block it.  PyYAML is needed only to parse Wilkins
+YAML (the ``wilkins`` extra), so the reproduction runs with it blocked.
 
 Each process loads only the layers it runs: the store server imports
 with numpy blocked and without the model and metric stack, and a
@@ -52,7 +53,7 @@ def _loaded(imports: str, candidates: tuple[str, ...], block: str = "") -> list[
     blocked = f"sys.modules[{block!r}] = None; " if block else ""
     out = _run(
         f"import sys; {blocked}{imports}; "
-        f"print(' '.join(m for m in {candidates!r} if m in sys.modules))"
+        f"print(' '.join(m for m in {candidates!r} if sys.modules.get(m)))"
     )
     return out.split()
 
@@ -85,6 +86,56 @@ def test_cold_entry_modules_load_no_event_loop_or_store_layers():
     )
     imports = f"import {', '.join(ENTRY_MODULES)}; from repro.serve import open_store"
     assert _loaded(imports, unused) == []
+
+
+#: modules of the executable workflow runtimes and their simulated MPI /
+#: HDF5 substrates, which the evaluation never ran and which are gone
+DELETED_RUNTIMES = tuple(
+    f"repro.{name}"
+    for name in (
+        "mpi",
+        "store",
+        "workflows.dataflow",
+        "workflows.henson.api",
+        "workflows.henson.coroutines",
+        "workflows.wilkins.runtime",
+        "workflows.wilkins.graph",
+        "workflows.adios2.api",
+        "workflows.adios2.engines",
+        "workflows.parsl_sim.apps",
+        "workflows.parsl_sim.dfk",
+        "workflows.parsl_sim.executors",
+        "workflows.parsl_sim.config",
+        "workflows.pycompss.api",
+        "workflows.pycompss.api_functions",
+        "workflows.pycompss.runtime",
+        "workflows.pycompss.parameter",
+    )
+)
+
+
+def test_every_experiment_builds_and_renders_without_yaml_or_runtimes():
+    """Every sweep of the reproduction, one model and one trial each,
+    runs and renders with PyYAML blocked and loads no runtime module."""
+    sweeps = "; ".join(
+        [
+            "from repro.core.experiments import run_annotation, run_configuration, "
+            "run_fewshot, run_prompt_sensitivity, run_translation",
+            "from repro.reporting import render_fewshot_table, render_figure1, "
+            "render_grid_table",
+            "from repro.workflows import all_systems",
+            "one = dict(models=['o3'], epochs=1)",
+            "render_grid_table(run_configuration(**one), 'T1')",
+            "render_grid_table(run_annotation(**one), 'T2')",
+            "render_grid_table(run_translation(**one), 'T3')",
+            "render_fewshot_table(run_fewshot(**one), 'T5')",
+            "[render_figure1(run_prompt_sensitivity(e, **one), e) "
+            "for e in ('configuration', 'annotation', 'translation')]",
+            "assert len(all_systems()) == 5",
+        ]
+    )
+    unused = ("yaml",) + DELETED_RUNTIMES
+    assert _loaded(sweeps, unused, block="yaml") == []
 
 
 def _type_checking_homes(package: str) -> dict[str, str]:

@@ -1,4 +1,4 @@
-"""The reproduce_tables example CLI must fail loudly, not traceback."""
+"""The example scripts run, and the reproduce_tables CLI fails loudly, not with a traceback."""
 
 from __future__ import annotations
 
@@ -13,19 +13,27 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = REPO_ROOT / "examples" / "reproduce_tables.py"
 
 
-def run_script(*args: str) -> subprocess.CompletedProcess:
+def run_script(*args: str, script: Path = SCRIPT) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = (
         f"{src}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else src
     )
     return subprocess.run(
-        [sys.executable, str(SCRIPT), *args],
+        [sys.executable, str(script), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "example", ["quickstart.py", "llm_repair_loop.py", "translation_study.py"]
+)
+def test_example_runs(example):
+    proc = run_script(script=SCRIPT.parent / example)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(

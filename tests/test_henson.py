@@ -1,192 +1,17 @@
-"""Henson substrate: cooperative scheduler, C-flavoured API, hwl, validator."""
+"""Henson: hwl parser and validators."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.errors import ConfigError, WorkflowError
+from repro.errors import ConfigError
 from repro.workflows.henson import (
-    HensonRuntime,
-    Puppet,
+    HENSON_C_API,
     parse_hwl,
     render_hwl,
     validate_config,
     validate_task_code,
 )
-from repro.workflows.henson import api as henson
-
-
-class TestScheduler:
-    def test_producer_consumer_lockstep(self):
-        def producer():
-            for t in range(4):
-                henson.henson_save_int("t", t)
-                henson.henson_save_array("data", np.full(3, t, dtype=float))
-                henson.henson_yield()
-            return "done"
-
-        def consumer():
-            seen = []
-            while henson.henson_active():
-                seen.append((henson.henson_load_int("t"),
-                             float(henson.henson_load_array("data").sum())))
-                henson.henson_yield()
-            return seen
-
-        runtime = HensonRuntime(
-            [Puppet("producer", producer, driver=True), Puppet("consumer", consumer)]
-        )
-        results = runtime.run()
-        assert results["producer"] == "done"
-        assert results["consumer"] == [(0, 0.0), (1, 3.0), (2, 6.0), (3, 9.0)]
-
-    def test_yield_counts_tracked(self):
-        def p():
-            for _ in range(3):
-                henson.henson_yield()
-
-        runtime = HensonRuntime([Puppet("p", p)])
-        runtime.run()
-        assert runtime.yield_counts() == {"p": 3}
-
-    def test_three_puppets_round_robin_order(self):
-        trace: list[str] = []
-
-        def make(name, turns):
-            def puppet():
-                for _ in range(turns):
-                    trace.append(name)
-                    henson.henson_yield()
-
-            return puppet
-
-        runtime = HensonRuntime(
-            [Puppet("a", make("a", 2)), Puppet("b", make("b", 2)), Puppet("c", make("c", 2))]
-        )
-        runtime.run()
-        assert trace == ["a", "b", "c", "a", "b", "c"]
-
-    def test_first_puppet_defaults_to_driver(self):
-        def short():
-            henson.henson_yield()
-
-        def looper():
-            n = 0
-            while henson.henson_active():
-                n += 1
-                henson.henson_yield()
-            return n
-
-        runtime = HensonRuntime([Puppet("short", short), Puppet("loop", looper)])
-        results = runtime.run()
-        assert results["loop"] >= 1
-
-    def test_henson_stop(self):
-        def stopper():
-            henson.henson_yield()
-            henson.henson_stop()
-
-        def looper():
-            n = 0
-            while henson.henson_active():
-                n += 1
-                henson.henson_yield()
-            return n
-
-        runtime = HensonRuntime(
-            [Puppet("stopper", stopper, driver=True), Puppet("loop", looper)]
-        )
-        assert runtime.run()["loop"] >= 1
-
-    def test_puppet_exception_propagates(self):
-        def bad():
-            raise RuntimeError("puppet exploded")
-
-        with pytest.raises(WorkflowError, match="puppet exploded"):
-            HensonRuntime([Puppet("bad", bad)]).run()
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(WorkflowError, match="duplicate"):
-            HensonRuntime([Puppet("x", lambda: None), Puppet("x", lambda: None)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(WorkflowError):
-            HensonRuntime([])
-
-    def test_zero_copy_semantics(self):
-        """Arrays pass by reference — consumer sees producer's buffer."""
-        captured = {}
-
-        def producer():
-            arr = np.zeros(4)
-            henson.henson_save_array("shared", arr)
-            captured["arr"] = arr
-            henson.henson_yield()
-
-        def consumer():
-            loaded = henson.henson_load_array("shared")
-            loaded[0] = 42.0
-            henson.henson_yield()
-
-        HensonRuntime(
-            [Puppet("producer", producer, driver=True), Puppet("consumer", consumer)]
-        ).run()
-        assert captured["arr"][0] == 42.0
-
-
-class TestApiFunctions:
-    def test_outside_runtime_inactive(self):
-        assert henson.henson_active() is False
-        henson.henson_yield()  # no-op standalone
-
-    def test_save_outside_runtime_raises(self):
-        with pytest.raises(WorkflowError, match="outside"):
-            henson.henson_save_int("x", 1)
-
-    def test_typed_saves(self):
-        results = {}
-
-        def puppet():
-            henson.henson_save_int("i", 7)
-            henson.henson_save_float("f", 1.5)
-            henson.henson_save_double("d", 2.5)
-            henson.henson_save_size_t("s", 10)
-            henson.henson_save_pointer("p", {"k": 1})
-            results["i"] = henson.henson_load_int("i")
-            results["f"] = henson.henson_load_float("f")
-            results["d"] = henson.henson_load_double("d")
-            results["s"] = henson.henson_load_size_t("s")
-            results["p"] = henson.henson_load_pointer("p")
-            results["exists"] = henson.henson_exists("i")
-            results["missing"] = henson.henson_exists("zzz")
-
-        HensonRuntime([Puppet("t", puppet)]).run()
-        assert results == {
-            "i": 7, "f": 1.5, "d": 2.5, "s": 10, "p": {"k": 1},
-            "exists": True, "missing": False,
-        }
-
-    def test_negative_size_t_rejected(self):
-        def puppet():
-            with pytest.raises(WorkflowError):
-                henson.henson_save_size_t("s", -1)
-
-        HensonRuntime([Puppet("t", puppet)]).run()
-
-    def test_array_count_mismatch_rejected(self):
-        def puppet():
-            with pytest.raises(WorkflowError, match="count"):
-                henson.henson_save_array("a", np.zeros(3), count=5)
-
-        HensonRuntime([Puppet("t", puppet)]).run()
-
-    def test_load_missing_raises(self):
-        def puppet():
-            with pytest.raises(WorkflowError, match="no saved value"):
-                henson.henson_load_int("never")
-
-        HensonRuntime([Puppet("t", puppet)]).run()
 
 
 class TestHwl:
@@ -273,3 +98,137 @@ class TestValidators:
         report = validate_task_code(code)
         warning_symbols = {d.symbol for d in report.warnings()}
         assert {"MPI_Init", "MPI_Finalize"} <= warning_symbols
+
+
+_PAPER_HALLUCINATIONS = (
+    "henson_put",
+    "henson_declare_variable",
+    "henson_data_init",
+    "henson_init",
+    "henson_rank",
+    "henson_size",
+    "henson_finalize",
+)
+
+
+def _reference_producer() -> str:
+    from repro.core.assets import annotated_producer
+
+    return annotated_producer("henson")
+
+
+class TestHwlGrammar:
+    @pytest.mark.parametrize(
+        ("line", "name", "executable", "args", "nprocs"),
+        [
+            ("sim = ./sim", "sim", "./sim", (), 1),
+            ("sim = ./sim on 4 procs", "sim", "./sim", (), 4),
+            ("sim-1 = ./sim a b on 2 procs", "sim-1", "./sim", ("a", "b"), 2),
+            ("_p = /abs/path/exe x", "_p", "/abs/path/exe", ("x",), 1),
+            ("p=./exe  on  2  procs", "p", "./exe", (), 2),
+            ("p = ./exe on 2 procs  # trailing comment", "p", "./exe", (), 2),
+            ("p = ./exe on procs", "p", "./exe", ("on", "procs"), 1),
+        ],
+    )
+    def test_valid_lines(self, line, name, executable, args, nprocs):
+        puppet = parse_hwl(line).puppets[0]
+        assert (puppet.name, puppet.executable, puppet.args, puppet.nprocs) == (
+            name, executable, args, nprocs,
+        )
+
+    @pytest.mark.parametrize(
+        ("text", "match"),
+        [
+            ("p = ./exe on 0 procs", "nprocs must be positive"),
+            ("p =", "line 1: cannot parse"),
+            ("= ./exe", "line 1: cannot parse"),
+            ("1p = ./exe", "line 1: cannot parse"),
+            ("a = ./x\n\nb: ./y", "line 3: cannot parse"),
+            ("", "no puppets"),
+        ],
+    )
+    def test_invalid_scripts(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_hwl(text)
+
+    def test_blank_lines_and_comments_ignored(self):
+        script = parse_hwl("\n# header\n\n  a = ./a  \n# b = ./b\n")
+        assert [p.name for p in script.puppets] == ["a"]
+
+    def test_render_is_canonical(self):
+        text = "a = ./a x\nb = ./b on 2 procs"
+        assert render_hwl(parse_hwl(text)) == "a = ./a x on 1 procs\nb = ./b on 2 procs"
+
+
+class TestConfigValidator:
+    @pytest.mark.parametrize("system_config", ["reference", "fewshot"])
+    def test_shipped_configs_ok(self, system_config):
+        from repro.core.assets import fewshot_example_config, reference_config
+
+        text = (reference_config if system_config == "reference"
+                else fewshot_example_config)("henson")
+        report = validate_config(text)
+        assert report.ok and not report.diagnostics, report.render()
+
+    @pytest.mark.parametrize(
+        "foreign",
+        [
+            "tasks:\n  producer: ./producer",
+            "workflow:\n  name: demo",
+            "[producer]\ncommand = ./producer",
+            "- func: producer\n  nprocs: 3",
+        ],
+    )
+    def test_foreign_artifact_is_structure_error(self, foreign):
+        report = validate_config(foreign)
+        assert [d.code for d in report.errors()] == ["structure"]
+
+    def test_parse_error_carries_line(self):
+        report = validate_config("a = ./a\nb = ./b\nthis line is wrong")
+        (diag,) = report.errors()
+        assert diag.code == "parse-error"
+        assert diag.line == 3
+
+    def test_duplicate_puppet_is_parse_error(self):
+        report = validate_config("a = ./a\na = ./b")
+        assert [(d.code, d.line) for d in report.errors()] == [("parse-error", 2)]
+
+
+class TestTaskCodeValidator:
+    @pytest.mark.parametrize("name", HENSON_C_API.names())
+    def test_every_real_call_accepted(self, name):
+        code = _reference_producer() + f"\n/* extra */ {name}();\n"
+        report = validate_task_code(code)
+        assert report.ok and not report.hallucinations(), report.render()
+
+    @pytest.mark.parametrize("name", _PAPER_HALLUCINATIONS)
+    def test_paper_hallucination_flagged_with_suggestion(self, name):
+        code = _reference_producer().replace(
+            "henson_yield();", f"henson_yield();\n        {name}();"
+        )
+        report = validate_task_code(code)
+        (diag,) = report.hallucinations()
+        assert diag.symbol == name
+        assert diag.code == "nonexistent-api"
+        assert HENSON_C_API.known(diag.suggestion)
+        assert diag.line == code.split("\n").index(f"        {name}();") + 1
+
+    @pytest.mark.parametrize("name", HENSON_C_API.required_names("function"))
+    def test_missing_required_call_flagged(self, name):
+        code = _reference_producer().replace(f"{name}(", "my_call(")
+        report = validate_task_code(code)
+        assert [(d.code, d.symbol) for d in report.errors()] == [("missing-api", name)]
+
+    def test_commented_out_hallucination_still_flagged(self):
+        code = _reference_producer() + "\n// henson_put(\"grid\", array);\n"
+        assert [d.symbol for d in validate_task_code(code).hallucinations()] == [
+            "henson_put"
+        ]
+
+    def test_plain_producer_misses_every_required_call(self):
+        from repro.core.assets import base_producer
+
+        report = validate_task_code(base_producer("c"))
+        assert sorted(d.symbol for d in report.missing()) == (
+            HENSON_C_API.required_names("function")
+        )

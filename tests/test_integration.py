@@ -1,4 +1,4 @@
-"""End-to-end integration: eval pipeline, shapes, substrate interop.
+"""End-to-end integration: eval pipeline, table shapes, hallucination audit.
 
 These tests run small slices of the full reproduction (1-2 epochs, one or
 two cells) and assert the paper's qualitative claims emerge from the
@@ -6,9 +6,6 @@ measured pipeline.
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pytest
 
 from repro.core.experiments import (
     run_annotation,
@@ -77,92 +74,3 @@ class TestHallucinationAudit:
 
         assert hallucination_count(False) > hallucination_count(True)
 
-
-class TestSubstrateInterop:
-    def test_reference_wilkins_yaml_drives_real_execution(self):
-        """The evaluation ground truth is executable on the substrate."""
-        from repro.core.assets import reference_config
-        from repro.workflows.wilkins import WilkinsRuntime, parse_wilkins_yaml
-
-        config = parse_wilkins_yaml(reference_config("wilkins"))
-
-        def producer(comm, ctx):
-            for step in range(2):
-                if comm.rank == 0:
-                    ctx.write("grid", np.full(8, step, dtype=float), step=step)
-                    ctx.write("particles", np.arange(step + 1.0), step=step)
-
-        def consumer1(comm, ctx):
-            return [float(d.sum()) for _s, d in ctx.steps("grid")]
-
-        def consumer2(comm, ctx):
-            return [len(d) for _s, d in ctx.steps("particles")]
-
-        results = WilkinsRuntime(
-            config,
-            {"producer": producer, "consumer1": consumer1, "consumer2": consumer2},
-        ).run()
-        assert results["consumer1"] == [0.0, 8.0]
-        assert results["consumer2"] == [1, 2]
-
-    def test_henson_and_adios2_runs_agree(self):
-        """The same producer logic yields identical sums through either
-        substrate — the translation experiment's semantic ground truth."""
-        import threading
-
-        from repro.store import SimFilesystem
-        from repro.workflows.adios2 import Adios, Mode, StepStatus
-        from repro.workflows.henson import HensonRuntime, Puppet
-        from repro.workflows.henson import api as henson
-
-        def make_data(step: int) -> np.ndarray:
-            rng = np.random.default_rng(step)
-            return rng.random(16)
-
-        # Henson path
-        def producer():
-            for t in range(3):
-                henson.henson_save_array("array", make_data(t))
-                henson.henson_save_int("t", t)
-                henson.henson_yield()
-
-        def consumer():
-            sums = []
-            while henson.henson_active():
-                sums.append(float(henson.henson_load_array("array").sum()))
-                henson.henson_yield()
-            return sums
-
-        henson_sums = HensonRuntime(
-            [Puppet("producer", producer, driver=True), Puppet("consumer", consumer)]
-        ).run()["consumer"]
-
-        # ADIOS2 path
-        fs = SimFilesystem()
-        ad = Adios(fs=fs)
-        wio = ad.declare_io("W"); wio.set_engine("SST")
-        rio = ad.declare_io("R"); rio.set_engine("SST")
-        adios_sums: list[float] = []
-
-        def writer():
-            var = wio.define_variable("array", dtype="float64")
-            engine = wio.open("out.bp", Mode.WRITE)
-            for t in range(3):
-                engine.begin_step()
-                engine.put(var, make_data(t))
-                engine.end_step()
-            engine.close()
-
-        def reader():
-            engine = rio.open("out.bp", Mode.READ)
-            while engine.begin_step() is StepStatus.OK:
-                adios_sums.append(float(np.sum(engine.get("array"))))
-                engine.end_step()
-            engine.close()
-
-        tr = threading.Thread(target=reader)
-        tr.start()
-        writer()
-        tr.join(10.0)
-
-        assert adios_sums == pytest.approx(henson_sums)

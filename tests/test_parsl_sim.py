@@ -1,176 +1,10 @@
-"""Parsl substrate: apps, futures, DFK, executors, validator."""
+"""Parsl: task-code validator."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError, WorkflowError
-from repro.workflows.parsl_sim import (
-    Config,
-    File,
-    HighThroughputExecutor,
-    ThreadPoolExecutor,
-    bash_app,
-    clear,
-    dfk,
-    load,
-    python_app,
-    validate_task_code,
-)
-
-
-@python_app
-def double(x):
-    return 2 * x
-
-
-@python_app
-def add(a, b):
-    return a + b
-
-
-class TestApps:
-    def test_app_returns_future(self, parsl_kernel):
-        future = double(21)
-        assert future.result(timeout=10) == 42
-
-    def test_future_chaining_builds_dependencies(self, parsl_kernel):
-        assert add(double(1), double(2)).result(timeout=10) == 6
-
-    def test_fan_in(self, parsl_kernel):
-        futures = [double(i) for i in range(10)]
-        total = sum(f.result(timeout=10) for f in futures)
-        assert total == 90
-
-    def test_app_without_kernel_raises(self):
-        clear()
-        with pytest.raises(WorkflowError, match="no DataFlowKernel"):
-            double(1)
-
-    def test_exception_surfaces_in_future(self, parsl_kernel):
-        @python_app
-        def broken():
-            raise ValueError("inner")
-
-        with pytest.raises(ValueError, match="inner"):
-            broken().result(timeout=10)
-
-    def test_outputs_produce_datafutures(self, parsl_kernel, fs):
-        @python_app
-        def write(outputs=()):
-            outputs[0].write("payload")
-            return True
-
-        f = File("out.txt", fs=fs)
-        future = write(outputs=[f])
-        assert future.result(timeout=10) is True
-        assert len(future.outputs) == 1
-        assert future.outputs[0].result(timeout=10).filepath == "out.txt"
-        assert fs.open("out.txt") == "payload"
-
-    def test_inputs_wait_for_upstream(self, parsl_kernel, fs):
-        @python_app
-        def produce(outputs=()):
-            outputs[0].write([1, 2, 3])
-            return True
-
-        @python_app
-        def consume(inputs=()):
-            return sum(inputs[0].read())
-
-        f = File("data.bin", fs=fs)
-        up = produce(outputs=[f])
-        down = consume(inputs=[up.outputs[0]])
-        assert down.result(timeout=10) == 6
-
-    def test_parameterized_decorator(self, parsl_kernel):
-        @python_app(executors="threads")
-        def tagged(x):
-            return x
-
-        assert tagged(5).result(timeout=10) == 5
-
-
-class TestBashApps:
-    def test_command_recorded_and_outputs_materialized(self, parsl_kernel, fs):
-        @bash_app
-        def touch(outputs=()):
-            return f"touch {outputs[0].filepath}"
-
-        f = File("made.txt", fs=fs)
-        exit_code = touch(outputs=[f]).result(timeout=10)
-        assert exit_code == 0
-        assert f.exists()
-        assert "touch made.txt" in parsl_kernel.bash_history()
-
-    def test_non_string_command_rejected(self, parsl_kernel):
-        @bash_app
-        def bad():
-            return 123
-
-        with pytest.raises(WorkflowError, match="command string"):
-            bad().result(timeout=10)
-
-
-class TestConfigAndKernel:
-    def test_duplicate_executor_labels_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            Config(executors=[ThreadPoolExecutor(), ThreadPoolExecutor()])
-
-    def test_no_executors_rejected(self):
-        with pytest.raises(ConfigError):
-            Config(executors=[])
-
-    def test_double_load_rejected(self, parsl_kernel):
-        with pytest.raises(WorkflowError, match="already loaded"):
-            load(Config())
-
-    def test_clear_allows_reload(self):
-        load(Config())
-        clear()
-        kernel = load(Config())
-        assert dfk() is kernel
-        clear()
-
-    def test_unknown_executor_label(self, parsl_kernel):
-        with pytest.raises(ConfigError, match="no executor labelled"):
-            parsl_kernel.config.executor("ghost")
-
-    def test_retries(self):
-        attempts = {"n": 0}
-        load(Config(executors=[ThreadPoolExecutor()], retries=2))
-        try:
-            @python_app
-            def flaky():
-                attempts["n"] += 1
-                if attempts["n"] < 3:
-                    raise RuntimeError("try again")
-                return "ok"
-
-            assert flaky().result(timeout=10) == "ok"
-            assert attempts["n"] == 3
-        finally:
-            clear()
-
-    def test_task_count(self, parsl_kernel):
-        for i in range(4):
-            double(i).result(timeout=10)
-        assert parsl_kernel.task_count == 4
-
-
-class TestHighThroughputExecutor:
-    def test_round_robin_dispatch(self):
-        executor = HighThroughputExecutor(max_workers_per_node=2, nodes=2)
-        load(Config(executors=[executor]))
-        try:
-            futures = [double(i) for i in range(4)]
-            for f in futures:
-                f.result(timeout=10)
-            assignments = executor.assignments()
-            assert len(assignments) == 4
-            assert len(set(assignments.values())) == 4  # all workers used
-        finally:
-            clear()
+from repro.workflows.parsl_sim import validate_task_code
 
 
 class TestValidator:
@@ -198,3 +32,79 @@ class TestValidator:
         )
         report = validate_task_code(code)
         assert any(d.code == "redundant-api" for d in report.warnings())
+
+
+_APP = "@python_app\ndef f(outputs=()):\n    return 1\n\nf().result()\n"
+
+
+class TestSurface:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "from parsl import python_app, bash_app, join_app",
+            "from parsl.app.app import python_app",
+            "from parsl import python_app as papp",
+            "from parsl.config import Config",
+            "from parsl.executors import HighThroughputExecutor, ThreadPoolExecutor",
+            "from parsl.data_provider.files import File",
+            "from parsl.dataflow.futures import AppFuture",
+            "from parsl import load, clear, dfk",
+        ],
+    )
+    def test_real_imports_accepted(self, line):
+        report = validate_task_code(line + "\n" + _APP)
+        assert report.ok and not report.diagnostics, report.render()
+
+    @pytest.mark.parametrize(
+        ("name", "suggestion"),
+        [
+            ("parsl_app", "bash_app"),
+            ("python_task", "python_app"),
+            ("Future", "AppFuture"),
+            ("Workflow", None),
+        ],
+    )
+    def test_invented_imports_flagged(self, name, suggestion):
+        report = validate_task_code(f"from parsl import {name}\n" + _APP)
+        (diag,) = report.hallucinations()
+        assert (diag.symbol, diag.suggestion, diag.line) == (name, suggestion, 1)
+
+    @pytest.mark.parametrize(
+        "decorator",
+        ["@python_app", "@bash_app", "@join_app", "@parsl.python_app",
+         "@python_app(cache=True)"],
+    )
+    def test_app_decorators_accepted(self, decorator):
+        code = _APP.replace("@python_app", decorator)
+        report = validate_task_code(code)
+        assert report.ok and not report.diagnostics, report.render()
+
+    @pytest.mark.parametrize("decorator", ["parsl_app", "app", "task", "mpi_app"])
+    def test_invented_decorators_flagged(self, decorator):
+        code = _APP.replace("@python_app", f"@{decorator}")
+        report = validate_task_code(code)
+        assert [d.symbol for d in report.hallucinations()] == [decorator]
+        # with no real app decorator left, the annotation is also incomplete
+        assert [d.symbol for d in report.missing()] == ["python_app"]
+
+    def test_non_app_decorators_ignored(self):
+        report = validate_task_code("@functools.lru_cache\n" + _APP)
+        assert report.ok and not report.diagnostics, report.render()
+
+    def test_missing_result_flagged(self):
+        report = validate_task_code(_APP.replace(".result()", ""))
+        assert [(d.code, d.symbol) for d in report.errors()] == [("missing-api", "result")]
+
+
+class TestExecutors:
+    @pytest.mark.parametrize("name", ["HighThroughputExecutor", "ThreadPoolExecutor"])
+    def test_real_executor_is_redundant_warning(self, name):
+        report = validate_task_code(_APP + f"cfg = Config(executors=[{name}()])\n")
+        assert report.ok
+        (warning,) = report.warnings()
+        assert (warning.code, warning.symbol, warning.line) == ("redundant-api", name, 6)
+
+    @pytest.mark.parametrize("name", ["GPUExecutor", "ClusterExecutor"])
+    def test_invented_executor_flagged(self, name):
+        report = validate_task_code(_APP + f"cfg = Config(executors=[{name}()])\n")
+        assert [(d.code, d.symbol) for d in report.errors()] == [("nonexistent-api", name)]

@@ -1,183 +1,10 @@
-"""PyCOMPSs substrate: @task, directions, synchronization API, validator."""
+"""PyCOMPSs: task-code validator."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.errors import WorkflowError
-from repro.workflows.pycompss import (
-    FILE_IN,
-    FILE_INOUT,
-    FILE_OUT,
-    compss_barrier,
-    compss_open,
-    compss_wait_on,
-    compss_wait_on_file,
-    task,
-    validate_task_code,
-)
-
-
-class TestTaskDecorator:
-    def test_returns_future_placeholder(self, compss_runtime):
-        @task(returns=int)
-        def square(x):
-            return x * x
-
-        future = square(6)
-        assert compss_wait_on(future) == 36
-
-    def test_no_returns_gives_none(self, compss_runtime):
-        @task()
-        def fire_and_forget(x):
-            return None
-
-        assert fire_and_forget(1) is None
-        compss_barrier()
-
-    def test_multiple_returns_unpack(self, compss_runtime):
-        @task(returns=2)
-        def divmod_task(a, b):
-            return a // b, a % b
-
-        q, r = divmod_task(17, 5)
-        assert compss_wait_on(q) == 3
-        assert compss_wait_on(r) == 2
-
-    def test_future_args_create_dependencies(self, compss_runtime):
-        @task(returns=int)
-        def inc(x):
-            return x + 1
-
-        chained = inc(inc(inc(0)))
-        assert compss_wait_on(chained) == 3
-
-    def test_file_dependency_ordering(self, compss_runtime):
-        order = []
-
-        @task(fname=FILE_OUT)
-        def write(fname):
-            order.append("write")
-            compss_runtime.fs.create(fname, np.arange(5.0))
-
-        @task(fname=FILE_IN, returns=float)
-        def read(fname):
-            order.append("read")
-            return float(np.sum(compss_runtime.fs.open(fname)))
-
-        write("d.npy")
-        total = read("d.npy")
-        assert compss_wait_on(total) == 10.0
-        assert order == ["write", "read"]
-
-    def test_file_inout_chains(self, compss_runtime):
-        @task(fname=FILE_OUT)
-        def init(fname):
-            compss_runtime.fs.create(fname, [1])
-
-        @task(fname=FILE_INOUT)
-        def append(fname):
-            compss_runtime.fs.open(fname).append(2)
-
-        @task(fname=FILE_IN, returns=list)
-        def readback(fname):
-            return list(compss_runtime.fs.open(fname))
-
-        init("log")
-        append("log")
-        append("log")
-        assert compss_wait_on(readback("log")) == [1, 2, 2]
-
-    def test_invocation_records_dependencies(self, compss_runtime):
-        @task(fname=FILE_OUT)
-        def w(fname):
-            compss_runtime.fs.create(fname, 1)
-
-        @task(fname=FILE_IN, returns=int)
-        def r(fname):
-            return compss_runtime.fs.open(fname)
-
-        w("x")
-        compss_wait_on(r("x"))
-        invocations = compss_runtime.invocations()
-        assert [(i.name, i.n_deps) for i in invocations] == [("w", 0), ("r", 1)]
-
-    def test_non_direction_kwarg_rejected(self):
-        with pytest.raises(WorkflowError, match="Direction"):
-            @task(fname="FILE_OUT")  # string, not Direction
-            def bad(fname):
-                pass
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(WorkflowError, match="unknown parameters"):
-            @task(ghost=FILE_OUT)
-            def bad(fname):
-                pass
-
-    def test_file_param_must_be_path(self, compss_runtime):
-        @task(fname=FILE_OUT)
-        def w(fname):
-            pass
-
-        with pytest.raises(WorkflowError, match="path string"):
-            w(123)
-
-
-class TestSynchronizationApi:
-    def test_wait_on_passthrough(self, compss_runtime):
-        assert compss_wait_on(42) == 42
-
-    def test_wait_on_list(self, compss_runtime):
-        @task(returns=int)
-        def one():
-            return 1
-
-        values = compss_wait_on([one(), one(), 5])
-        assert values == [1, 1, 5]
-
-    def test_wait_on_empty_raises(self):
-        with pytest.raises(WorkflowError):
-            compss_wait_on()
-
-    def test_wait_on_file_returns_path(self, compss_runtime):
-        @task(fname=FILE_OUT)
-        def w(fname):
-            compss_runtime.fs.create(fname, "x")
-
-        w("a.txt")
-        assert compss_wait_on_file("a.txt") == "a.txt"
-        assert compss_runtime.fs.open("a.txt") == "x"
-
-    def test_wait_on_file_type_checked(self, compss_runtime):
-        with pytest.raises(WorkflowError, match="path strings"):
-            compss_wait_on_file(123)
-
-    def test_compss_open_read(self, compss_runtime):
-        @task(fname=FILE_OUT)
-        def w(fname):
-            compss_runtime.fs.create(fname, "content")
-
-        w("f.txt")
-        assert compss_open("f.txt") == "content"
-
-    def test_compss_open_write_handle(self, compss_runtime):
-        with compss_open("new.txt", "w") as handle:
-            handle.write("hello ")
-            handle.write("world")
-        assert compss_runtime.fs.open("new.txt") == "hello world"
-
-    def test_barrier_waits_all(self, compss_runtime):
-        done = []
-
-        @task()
-        def slow(i):
-            done.append(i)
-
-        for i in range(5):
-            slow(i)
-        compss_barrier()
-        assert sorted(done) == [0, 1, 2, 3, 4]
+from repro.workflows.pycompss import PYCOMPSS_API, validate_task_code
 
 
 class TestValidator:
@@ -206,3 +33,64 @@ class TestValidator:
         code = "@parallel_task\ndef f(): pass"
         report = validate_task_code(code)
         assert any(d.symbol == "parallel_task" for d in report.hallucinations())
+
+
+_TASK = (
+    "@task(fname=FILE_OUT)\n"
+    "def f(fname):\n"
+    "    pass\n\n"
+    "f('out.npy')\n"
+    "compss_wait_on_file('out.npy')\n"
+)
+
+
+class TestSurface:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "from pycompss.api.task import task",
+            "from pycompss.api.parameter import FILE_IN, FILE_OUT, FILE_INOUT",
+            "from pycompss.api.parameter import IN, OUT, INOUT, Direction",
+            "from pycompss.api.api import compss_wait_on, compss_wait_on_file",
+            "from pycompss.api.api import compss_open, compss_barrier, compss_delete_file",
+            "from pycompss.api.constraint import constraint",
+            "from pycompss.api.binary import binary",
+            "from pycompss.api.mpi import mpi",
+        ],
+    )
+    def test_real_imports_accepted(self, line):
+        report = validate_task_code(line + "\n" + _TASK)
+        assert report.ok and not report.diagnostics, report.render()
+
+    @pytest.mark.parametrize(
+        ("name", "suggestion"),
+        [("compss_sync", "compss_open"), ("FILE", "FILE_IN"), ("workflow", None)],
+    )
+    def test_invented_imports_flagged(self, name, suggestion):
+        report = validate_task_code(f"from pycompss.api.api import {name}\n" + _TASK)
+        hall = [(d.symbol, d.suggestion, d.line) for d in report.hallucinations()]
+        assert (name, suggestion, 1) in hall
+
+    @pytest.mark.parametrize(
+        "decorator",
+        ["@constraint(computing_units=2)", "@binary(binary='ls')",
+         "@mpi(runner='mpirun', processes=4)"],
+    )
+    def test_companion_decorators_accepted(self, decorator):
+        report = validate_task_code(decorator + "\n" + _TASK)
+        assert report.ok and not report.diagnostics, report.render()
+
+    @pytest.mark.parametrize("name", ["compss_wait", "compss_sync", "compss_barrier_all"])
+    def test_invented_compss_calls_flagged(self, name):
+        report = validate_task_code(_TASK + f"{name}()\n")
+        (diag,) = report.hallucinations()
+        assert (diag.symbol, diag.line) == (name, 7)
+        assert PYCOMPSS_API.known(diag.suggestion)
+
+    def test_missing_task_decorator_flagged(self):
+        report = validate_task_code(_TASK.replace("@task(fname=FILE_OUT)\n", "# FILE_OUT\n"))
+        assert [(d.code, d.symbol) for d in report.errors()] == [("missing-api", "task")]
+
+    def test_missing_file_directions_flagged(self):
+        report = validate_task_code(_TASK.replace("(fname=FILE_OUT)", "(returns=1)"))
+        assert [(d.code, d.symbol) for d in report.errors()] == [("missing-api", "FILE_OUT")]

@@ -1,15 +1,14 @@
-"""Wilkins substrate: YAML config, graph matching, runtime, validator."""
+"""Wilkins: YAML config parser and validator."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.assets import reference_config
-from repro.errors import ConfigError, WorkflowError
+from repro.errors import ConfigError
 from repro.workflows.wilkins import (
-    WilkinsRuntime,
-    build_graph,
+    WILKINS_CONFIG_FIELDS,
+    DsetConfig,
     parse_wilkins_yaml,
     render_wilkins_yaml,
     validate_config,
@@ -83,117 +82,6 @@ class TestConfigParsing:
         assert render_wilkins_yaml(config) == reference_config("wilkins")
 
 
-class TestGraphBuilding:
-    def test_three_node_links(self):
-        graph = build_graph(parse_wilkins_yaml(reference_config("wilkins")))
-        assert graph.sources() == ["producer"]
-        assert sorted(graph.sinks()) == ["consumer1", "consumer2"]
-        link = graph.producers_of("consumer1")[0]
-        assert link.dataset == "/group1/grid"
-        assert link.transport == "memory"
-
-    def test_glob_matching(self):
-        text = reference_config("wilkins").replace(
-            "- name: /group1/grid\n      file: 0\n      memory: 1\n"
-            "- func: consumer2",
-            "- name: /group1/*\n      file: 0\n      memory: 1\n"
-            "- func: consumer2",
-        )
-        graph = build_graph(parse_wilkins_yaml(text))
-        # consumer1's glob now matches both datasets
-        assert len(graph.producers_of("consumer1")) == 2
-
-    def test_unmatched_inport_rejected(self):
-        text = reference_config("wilkins").replace("/group1/particles", "/group1/mesh", 1)
-        with pytest.raises(ConfigError, match="no producer"):
-            build_graph(parse_wilkins_yaml(text))
-
-
-class TestRuntime:
-    def _library(self):
-        def producer(comm, ctx):
-            rng = np.random.default_rng(7 + comm.rank)
-            for step in range(3):
-                local = rng.random(4)
-                gathered = comm.gather(local, root=0)
-                if comm.rank == 0:
-                    ctx.write("grid", np.concatenate(gathered), step=step)
-                    ctx.write("particles", np.arange(step + 1.0), step=step)
-            return "ok"
-
-        def consumer1(comm, ctx):
-            return [float(np.sum(d)) for _s, d in ctx.steps("grid")]
-
-        def consumer2(comm, ctx):
-            return [len(d) for _s, d in ctx.steps("particles")]
-
-        return {"producer": producer, "consumer1": consumer1, "consumer2": consumer2}
-
-    def test_three_node_memory_transport(self):
-        config = parse_wilkins_yaml(reference_config("wilkins"))
-        results = WilkinsRuntime(config, self._library()).run()
-        assert results["producer"] == "ok"
-        assert len(results["consumer1"]) == 3
-        assert results["consumer2"] == [1, 2, 3]
-
-    def test_file_transport_waits_for_close(self):
-        text = reference_config("wilkins").replace("file: 0", "file: 1").replace(
-            "memory: 1", "memory: 0"
-        )
-        config = parse_wilkins_yaml(text)
-
-        def consumer1(comm, ctx):
-            # file transport: read after producer completes
-            return float(np.sum(ctx.read("grid", step=2)))
-
-        library = self._library()
-        library["consumer1"] = consumer1
-        results = WilkinsRuntime(config, library).run()
-        assert isinstance(results["consumer1"], float)
-
-    def test_producer_runs_on_nprocs_ranks(self):
-        config = parse_wilkins_yaml(reference_config("wilkins"))
-        sizes = []
-
-        def producer(comm, ctx):
-            sizes.append(comm.size)
-            if comm.rank == 0:
-                ctx.write("grid", np.zeros(2), step=0)
-                ctx.write("particles", np.zeros(2), step=0)
-
-        library = self._library()
-        library["producer"] = producer
-        WilkinsRuntime(config, library).run()
-        assert sizes[:3] == [3, 3, 3]
-
-    def test_missing_callable_rejected(self):
-        config = parse_wilkins_yaml(reference_config("wilkins"))
-        with pytest.raises(WorkflowError, match="no callables"):
-            WilkinsRuntime(config, {"producer": lambda c, x: None})
-
-    def test_task_failure_propagates(self):
-        config = parse_wilkins_yaml(reference_config("wilkins"))
-
-        def bad(comm, ctx):
-            raise RuntimeError("task exploded")
-
-        library = self._library()
-        library["consumer2"] = bad
-        with pytest.raises(WorkflowError, match="consumer2"):
-            WilkinsRuntime(config, library, timeout=5.0).run()
-
-    def test_unknown_dataset_in_context(self):
-        config = parse_wilkins_yaml(reference_config("wilkins"))
-
-        def bad_producer(comm, ctx):
-            ctx.write("nonexistent", np.zeros(1))
-
-        library = self._library()
-        library["producer"] = bad_producer
-        with pytest.raises(WorkflowError, match="producer"):
-            WilkinsRuntime(config, library, timeout=5.0).run()
-
-
 class TestValidator:
     def test_reference_ok(self):
         assert validate_config(reference_config("wilkins")).ok
@@ -220,3 +108,130 @@ class TestValidator:
         assert any(d.code == "parse-error" for d in report.errors())
         flagged = {d.symbol for d in report.hallucinations()}
         assert "command" in flagged or "workflow" in flagged
+
+
+def _one_task(task_body: str) -> str:
+    return "tasks:\n- func: a\n  nprocs: 1\n" + task_body
+
+
+_PORT = "  outports:\n  - filename: f.h5\n    dsets:\n    - name: /d\n"
+
+
+class TestSchema:
+    def test_surface_matches_parser_fields(self):
+        from repro.workflows.wilkins.config import DSET_FIELDS, PORT_FIELDS, TASK_FIELDS
+
+        assert set(WILKINS_CONFIG_FIELDS.names()) == (
+            {"tasks"} | TASK_FIELDS | PORT_FIELDS | DSET_FIELDS
+        )
+
+    def test_every_field_in_one_config_is_accepted(self):
+        text = (
+            "tasks:\n"
+            "- func: a\n  nprocs: 2\n  taskCount: 1\n  args: [x, y]\n"
+            "  outports:\n  - filename: f.h5\n    io_freq: 1\n    dsets:\n"
+            "    - name: /d\n      file: 1\n      memory: 1\n"
+            "      zerocopy: 0\n      ownership: 0\n"
+            "- func: b\n  inports:\n  - filename: f.h5\n    dsets:\n    - name: /d\n"
+        )
+        report = validate_config(text)
+        assert report.ok and not report.diagnostics, report.render()
+        config = parse_wilkins_yaml(text)
+        assert config.task("a").args == ("x", "y")
+        assert config.task("b").nprocs == 1  # default
+
+    @pytest.mark.parametrize(
+        ("file", "memory", "transport"),
+        [(0, 1, "memory"), (1, 0, "file"), (1, 1, "memory")],
+    )
+    def test_transport_flags(self, file, memory, transport):
+        assert DsetConfig("/d", file=file, memory=memory).transport == transport
+
+    def test_glob_dataset_names_parse(self):
+        config = parse_wilkins_yaml(
+            _one_task("  inports:\n  - filename: f.h5\n    dsets:\n    - name: /group1/*\n")
+        )
+        assert config.task("a").inports[0].dsets[0].name == "/group1/*"
+
+    def test_fewshot_example_parses(self):
+        from repro.core.assets import fewshot_example_config
+
+        config = parse_wilkins_yaml(fewshot_example_config("wilkins"))
+        assert [t.func for t in config.tasks] == ["producer", "consumer"]
+        assert validate_config(fewshot_example_config("wilkins")).ok
+
+    def test_unknown_task_lookup(self):
+        with pytest.raises(ConfigError, match="no task"):
+            parse_wilkins_yaml(reference_config("wilkins")).task("ghost")
+
+
+# (document, parser error pattern, validator diagnostic code)
+_STRUCTURAL_ERRORS = [
+    ("- func: a", "top level must be a mapping", "parse-error"),
+    ("tasks: []", "non-empty list", "parse-error"),
+    ("tasks:\n- producer", "task entry must be a mapping", "parse-error"),
+    ("tasks:\n- func: a\n  nprocs: 0", "nprocs must be positive", "parse-error"),
+    (_one_task("  outports:\n  - f.h5\n"), "port entry must be a mapping", "parse-error"),
+    (_one_task("  outports:\n  - dsets:\n    - name: /d\n"),
+     "port missing required field 'filename'", "missing-field"),
+    (_one_task("  outports:\n  - filename: f.h5\n    dsets:\n    - /d\n"),
+     "dset entry must be a mapping", "parse-error"),
+    (_one_task("  outports:\n  - filename: f.h5\n    dsets:\n    - file: 1\n"),
+     "dset missing required field 'name'", "missing-field"),
+    (_one_task(_PORT + "      memory: 2\n"), "must be 0 or 1", "parse-error"),
+    ("tasks:\n- func: a\n- func: a", "duplicate task func", "parse-error"),
+]
+
+
+class TestStructuralErrors:
+    @pytest.mark.parametrize(("text", "match", "code"), _STRUCTURAL_ERRORS)
+    def test_parser_rejects(self, text, match, code):
+        with pytest.raises(ConfigError, match=match):
+            parse_wilkins_yaml(text)
+
+    @pytest.mark.parametrize(("text", "match", "code"), _STRUCTURAL_ERRORS)
+    def test_validator_classifies(self, text, match, code):
+        report = validate_config(text)
+        assert [d.code for d in report.errors()] == [code]
+        assert match in report.errors()[0].message
+
+
+# Table 6 zero-shot hallucinations: field name -> nearest real field, if any
+_PAPER_FIELDS = {
+    "inputs": "inports",
+    "outputs": "outports",
+    "processes": "nprocs",
+    "datasets": "dsets",
+    "command": None,
+    "dependencies": None,
+    "workflow": None,
+}
+
+
+class TestHallucinatedFields:
+    @pytest.mark.parametrize(("field", "suggestion"), sorted(_PAPER_FIELDS.items()))
+    def test_task_level_field_flagged(self, field, suggestion):
+        text = _one_task(f"  {field}: x\n")
+        report = validate_config(text)
+        (diag,) = report.hallucinations()
+        assert (diag.symbol, diag.suggestion, diag.line) == (field, suggestion, 4)
+        # the parser's own unknown-field error is not reported twice
+        assert len(report.errors()) == 1
+
+    @pytest.mark.parametrize("field", ["path", "size", "transport"])
+    def test_dset_level_field_flagged(self, field):
+        report = validate_config(_one_task(_PORT + f"      {field}: 1\n"))
+        assert [d.symbol for d in report.hallucinations()] == [field]
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "#include <hdf5.h>",
+            "int main(int argc, char** argv) {}",
+            "def producer():\n    pass",
+            "import h5py",
+        ],
+    )
+    def test_code_signs_are_structure_errors(self, code):
+        report = validate_config(code)
+        assert [d.code for d in report.errors()] == ["structure"]
