@@ -1,17 +1,16 @@
-"""Observability layer — armed-telemetry overhead and span hot-path cost.
+"""Observability layer — armed-tracing overhead and span hot-path cost.
 
 Times the :mod:`repro.obs` machinery on two scenario groups:
 
-* ``overhead`` — the cost of *arming* full telemetry: a small Table-1
-  configuration sweep run bare vs. under ``tracing()`` + ``metering()``
-  (every run opening a trace, every phase recording identified spans,
-  run counters published to a live registry).  Each round runs the
-  sweep once each way, alternating which goes first, and
+* ``overhead`` — the cost of *arming* tracing: a small Table-1
+  configuration sweep run bare vs. under ``tracing()`` (every run
+  opening a trace, every phase recording identified spans).  Each round
+  runs the sweep once each way, alternating which goes first, and
   ``obs_over_baseline`` is the median of the per-round ratios.  The
-  regression gate caps it at 1.05: armed telemetry must stay within 5%
+  regression gate caps it at 1.05: armed tracing must stay within 5%
   of the bare runner, so the round count (the same in smoke and full
   mode) keeps one tree's spread across runs near 2%.  The bench also
-  asserts the armed grid is bit-identical to the bare one — telemetry
+  asserts the armed grid is bit-identical to the bare one — tracing
   must never perturb results;
 * ``span_hotpath`` — per-call cost of the shared :func:`repro.obs.span`
   entry point in its three states: disarmed (the zero-cost null span),
@@ -55,7 +54,7 @@ def _timed_sweep(armed: bool) -> tuple[float, object]:
         started = time.perf_counter()
         grid = run_configuration(**SWEEP)
         return time.perf_counter() - started, grid
-    with obs.tracing(), obs.metering():
+    with obs.tracing():
         started = time.perf_counter()
         grid = run_configuration(**SWEEP)
         return time.perf_counter() - started, grid
@@ -77,7 +76,7 @@ def _bench_overhead() -> dict:
         armed_s.append(armed)
         ratios.append(armed / bare)
     assert armed_grid.cells == bare_grid.cells, (
-        "grid produced under armed telemetry diverged from the bare grid"
+        "grid produced under armed tracing diverged from the bare grid"
     )
     return {
         "scenario": "overhead",
@@ -150,7 +149,7 @@ def bench_obs(report):
     overhead = _bench_overhead()
     lines.append(
         f"overhead      bare {overhead['baseline_ms']:.1f} ms   "
-        f"traced+metered {overhead['armed_ms']:.1f} ms "
+        f"traced {overhead['armed_ms']:.1f} ms "
         f"(x{overhead['obs_over_baseline']:.3f}, cap 1.05) — "
         "grids bit-identical"
     )
@@ -170,6 +169,6 @@ def bench_obs(report):
         # smoke mode (CI) leaves wall-clock gating to check_regression.py's
         # hardware-normalized comparison; full mode asserts locally too
         assert overhead["obs_over_baseline"] <= 1.05, (
-            "armed telemetry must stay within 5% of the bare runner, "
+            "armed tracing must stay within 5% of the bare runner, "
             f"got x{overhead['obs_over_baseline']:.3f}"
         )

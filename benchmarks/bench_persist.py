@@ -4,12 +4,15 @@ Times the persistence layer on three scenarios:
 
 * ``records`` — raw segment throughput, batched write vs. batched read
   (the runtime's production paths: the runner writes via ``put_many``
-  and reads via ``get_many``): batched ``put`` of N synthetic
-  generations, then a batched ``get`` from a *fresh* store instance
-  (offset-sorted positioned preads), then a GC pass over the doubled
-  (duplicated) store.  In full mode the offset-indexed read path must
-  hold ``get_over_put <= 1.2`` (it used to be ~3.6× before the
-  rewrite, when every get re-opened its segment and re-scanned);
+  and reads via ``get_many``).  Each round does a batched ``put`` of N
+  synthetic generations into a fresh store root, then a batched ``get``
+  from a *fresh* store instance (offset-sorted positioned preads);
+  ``get_over_put`` is the median of the per-round ratios, and the
+  per-record timings are the per-side medians.  One GC pass over the
+  last round's doubled (duplicated) store is timed once.  In full mode
+  the offset-indexed read path must hold ``get_over_put <= 1.2`` (it
+  used to be ~3.6× before the rewrite, when every get re-opened its
+  segment and re-scanned);
 * ``persist_read`` — the read path on its own: per-record ``get`` with
   the decoded-payload LRU disabled (every read hits disk), batched
   ``get_many`` (reads sorted by segment offset), and warm-LRU re-reads;
@@ -37,6 +40,7 @@ import json
 import os
 import pathlib
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -51,6 +55,9 @@ RESULTS_PATH = REPO_ROOT / "BENCH_metrics.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 N_RECORDS = 256 if SMOKE else 2048
+# put/get rounds, each into a fresh store root: a single round's ratio
+# swings with one stray stall, the median of many does not
+RECORDS_ROUNDS = 41
 SWEEP = dict(
     models=["o3", "llama-3.3-70b", "claude-sonnet-4"],
     systems=["adios2", "wilkins", "henson"],
@@ -72,36 +79,46 @@ def _synthetic_generation(i: int) -> Generation:
     )
 
 
-def _bench_records(root: pathlib.Path) -> dict:
-    gens = [_synthetic_generation(i) for i in range(N_RECORDS)]
-
+def _put_then_get(root: pathlib.Path, gens: list[Generation]) -> tuple[float, float]:
+    """One round into a fresh ``root``: (batched put s, batched get s)."""
     store = RunStore(root)
     started = time.perf_counter()
     store.put_generations(gens)
     put_s = time.perf_counter() - started
     store.close()
 
-    fresh = RunStore(root)  # new handle: index rebuilt, records read on demand
-    started = time.perf_counter()
-    found = fresh.get_generations([gen.key for gen in gens])
-    get_s = time.perf_counter() - started
+    with RunStore(root) as fresh:  # new handle: index rebuilt, reads on demand
+        started = time.perf_counter()
+        found = fresh.get_generations([gen.key for gen in gens])
+        get_s = time.perf_counter() - started
     assert len(found) == N_RECORDS
+    return put_s, get_s
 
-    fresh.put_generations(gens)  # duplicate every record for GC to reclaim
-    started = time.perf_counter()
-    gc_stats = fresh.gc()
-    gc_s = time.perf_counter() - started
-    assert gc_stats.stale_dropped == N_RECORDS
-    assert fresh.verify().clean
 
-    put_ms = put_s * 1000 / N_RECORDS
-    get_ms = get_s * 1000 / N_RECORDS
+def _bench_records(root: pathlib.Path) -> dict:
+    gens = [_synthetic_generation(i) for i in range(N_RECORDS)]
+    put_s, get_s, ratios = [], [], []
+    for round_index in range(RECORDS_ROUNDS):
+        put, get = _put_then_get(root / f"round{round_index}", gens)
+        put_s.append(put)
+        get_s.append(get)
+        ratios.append(get / max(put, 1e-9))
+
+    with RunStore(root / f"round{RECORDS_ROUNDS - 1}") as store:
+        store.put_generations(gens)  # duplicate every record for GC to reclaim
+        started = time.perf_counter()
+        gc_stats = store.gc()
+        gc_s = time.perf_counter() - started
+        assert gc_stats.stale_dropped == N_RECORDS
+        assert store.verify().clean
+
     return {
         "scenario": "records",
         "n_records": N_RECORDS,
-        "put_ms_per_record": put_ms,
-        "get_ms_per_record": get_ms,
-        "get_over_put": get_ms / max(put_ms, 1e-9),
+        "rounds": RECORDS_ROUNDS,
+        "put_ms_per_record": statistics.median(put_s) * 1000 / N_RECORDS,
+        "get_ms_per_record": statistics.median(get_s) * 1000 / N_RECORDS,
+        "get_over_put": statistics.median(ratios),
         "gc_ms": gc_s * 1000,
     }
 
@@ -220,7 +237,8 @@ def bench_persist(report):
         lines.append(
             f"records   put {records['put_ms_per_record']:.3f} ms/rec   "
             f"get {records['get_ms_per_record']:.3f} ms/rec "
-            f"(x{records['get_over_put']:.2f})   "
+            f"(median x{records['get_over_put']:.2f} over "
+            f"{RECORDS_ROUNDS} rounds)   "
             f"gc {records['gc_ms']:.1f} ms for {2 * N_RECORDS} records"
         )
 

@@ -8,10 +8,13 @@ scenarios:
 * ``remote_records`` — batched ``put_generations`` then, from a fresh
   client, batched ``get_generations`` of every record, against the same
   records read through a *local* ``RunStore.get_generations`` on the
-  same machine in the same run.  ``remote_get_over_local_get`` is the
-  hardware-normalized price of the wire: frame codec + loopback socket
-  over the local pread read path.  The regression gate caps it — the cap is
-  generous (loopback latency varies across runners) but a broken
+  same machine in the same run.  Each round does one remote and one
+  local read, alternating which goes first, and
+  ``remote_get_over_local_get`` is the median of the per-round ratios:
+  the hardware-normalized price of the wire (frame codec + loopback
+  socket over the local pread read path).  The per-record timings are
+  the per-side medians.  The regression gate caps the ratio — the cap
+  is generous (loopback latency varies across runners) but a broken
   pipelining or pooling path overshoots it by an order of magnitude;
 * ``request_latency`` — single in-flight ``ping`` round trips;
   ``p50_ms``/``p99_ms`` are the per-request latency distribution and
@@ -50,6 +53,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 N_RECORDS = 256 if SMOKE else 2048
 N_PINGS = 200 if SMOKE else 1000
+# paired remote/local read rounds: one read of each swings with a stray
+# stall or scheduler hiccup, the median of many paired ratios does not
+RECORDS_ROUNDS = 41
 
 
 def _synthetic_generation(i: int) -> Generation:
@@ -106,32 +112,49 @@ def _bench_remote_records(server: _ServerThread, local_root: pathlib.Path) -> di
     # local reference on the same records, same machine, same run
     with RunStore(local_root) as local:
         local.put_generations(gens)
-    local_get_s = float("inf")
-    for _ in range(3):
+
+    def local_read() -> float:
         with RunStore(local_root, read_cache_entries=0) as local:
             started = time.perf_counter()
             found = local.get_generations(keys)
-            local_get_s = min(local_get_s, time.perf_counter() - started)
+            elapsed = time.perf_counter() - started
         assert len(found) == N_RECORDS
+        return elapsed
 
-    # fresh client: pooled connections start cold, like a new process
-    remote_get_s = float("inf")
-    for _ in range(3):
+    def remote_read() -> float:
+        # fresh client: pooled connections start cold, like a new process
         with RemoteRunStore(url, ("tcp", ("127.0.0.1", server.port))) as remote:
             started = time.perf_counter()
             found = remote.get_generations(keys)
-            remote_get_s = min(remote_get_s, time.perf_counter() - started)
+            elapsed = time.perf_counter() - started
         assert len(found) == N_RECORDS
+        return elapsed
 
-    remote_ms = remote_get_s * 1000 / N_RECORDS
-    local_ms = local_get_s * 1000 / N_RECORDS
+    remote_s, local_s, ratios = [], [], []
+    for round_index in range(RECORDS_ROUNDS):
+        # alternate which side reads first so drift hits both equally
+        if round_index % 2:
+            local = local_read()
+            remote = remote_read()
+        else:
+            remote = remote_read()
+            local = local_read()
+        remote_s.append(remote)
+        local_s.append(local)
+        ratios.append(remote / max(local, 1e-9))
+
     return {
         "scenario": "remote_records",
         "n_records": N_RECORDS,
+        "rounds": RECORDS_ROUNDS,
         "remote_put_ms_per_record": put_s * 1000 / N_RECORDS,
-        "remote_get_many_ms_per_record": remote_ms,
-        "local_get_many_ms_per_record": local_ms,
-        "remote_get_over_local_get": remote_ms / max(local_ms, 1e-9),
+        "remote_get_many_ms_per_record": (
+            statistics.median(remote_s) * 1000 / N_RECORDS
+        ),
+        "local_get_many_ms_per_record": (
+            statistics.median(local_s) * 1000 / N_RECORDS
+        ),
+        "remote_get_over_local_get": statistics.median(ratios),
     }
 
 
@@ -218,7 +241,8 @@ def bench_serve(report):
             f"records   remote get_many "
             f"{records['remote_get_many_ms_per_record']:.4f} ms/rec   local "
             f"{records['local_get_many_ms_per_record']:.4f} ms/rec "
-            f"(x{records['remote_get_over_local_get']:.1f})   remote put "
+            f"(median x{records['remote_get_over_local_get']:.2f} over "
+            f"{RECORDS_ROUNDS} paired rounds)   remote put "
             f"{records['remote_put_ms_per_record']:.4f} ms/rec"
         )
 

@@ -116,8 +116,8 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
 # pipelined loopback reads lost their batching (measured ~1.3x on an
 # idle machine; the cap absorbs CI loopback jitter, while a client that
 # stops pipelining or pooling overshoots it by an order of magnitude);
-# obs_over_baseline past 1.05 means armed tracing + metering costs more
-# than 5% on a run (median of paired per-round ratios, so
+# obs_over_baseline past 1.05 means armed tracing costs more than 5% on
+# a run (median of paired per-round ratios, so
 # hardware-normalized);
 # breaker_over_remote past 1.05 means the armed-but-idle circuit breaker
 # costs more than 5% over the bare remote path (median of paired

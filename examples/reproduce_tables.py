@@ -26,14 +26,14 @@ wall time went, phase by phase, summed over every sweep's trace — and
 Profiling arms the same tracer as ``--trace``, so with ``--store`` each
 run's trace lands on its manifest.
 
-``--trace`` arms distributed tracing and the metrics registry for the
-whole script: every sweep gets a trace id (printed at the end, one line
-per run), spans cross the store-server process boundary, and with
-``--store`` each run's trace and metrics snapshot land on its manifest
+``--trace`` arms distributed tracing for the whole script: every sweep
+gets a trace id (printed at the end, one line per run), spans cross the
+store-server process boundary, and with ``--store`` each run's trace
+lands on its manifest next to its stats
 (``python -m repro.obs trace RUN_ID --store ... --chrome out.json``
 exports it later).  ``--trace-chrome PATH`` additionally saves the last
 sweep's trace as Chrome trace-event JSON, ready for ``chrome://tracing``
-or Perfetto.  Grids are bit-identical with telemetry on or off.
+or Perfetto.  Grids are bit-identical with tracing on or off.
 
 The fault-tolerance knobs (see :mod:`repro.runtime.faults`) install a
 :class:`repro.runtime.FaultPolicy` on every sweep: ``--max-attempts``,
@@ -206,10 +206,9 @@ def main() -> None:
     )
     parser.add_argument(
         "--trace", action="store_true",
-        help="arm distributed tracing + the metrics registry: one trace "
-             "per sweep (ids printed at the end), spans crossing into the "
-             "store server, trace + metrics on each manifest when --store "
-             "is given",
+        help="arm distributed tracing: one trace per sweep (ids printed at "
+             "the end), spans crossing into the store server, the trace on "
+             "each manifest when --store is given",
     )
     parser.add_argument(
         "--trace-chrome", default=None, metavar="PATH",
@@ -267,11 +266,10 @@ def main() -> None:
         if tracing or profiled
         else contextlib.nullcontext()
     )
-    meter_ctx = obs.metering() if tracing else contextlib.nullcontext()
     started = time.perf_counter()
 
     try:
-        with trace_ctx, meter_ctx:
+        with trace_ctx:
             grid1 = run_configuration(epochs=epochs, config=config)
             print(render_grid_table(grid1, "Table 1: workflow configuration"))
             print()

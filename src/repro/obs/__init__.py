@@ -10,9 +10,10 @@ The telemetry layer of the runtime.  Four concerns, one ``span()``:
 * **Phase profiles** — :meth:`Trace.profile` sums a finished trace's
   spans by nested name path into a :class:`PhaseProfile` breakdown
   tree, rendered by :func:`render_profile`.
-* **Metrics** (:mod:`repro.obs.metrics`) — labeled
-  Counter/Gauge/Histogram registries with Prometheus text exposition,
-  served live by the store server's ``metrics`` op.
+* **Metrics** (:mod:`repro.obs.metrics`) — the store server's own
+  labeled Counter/Gauge/Histogram registry with Prometheus text
+  exposition, served live by its ``metrics`` op.  A run's counts are
+  not metered: they live once, in its :class:`~repro.stats.RunStats`.
 * **Trend reports** (:mod:`repro.obs.trend`) — cross-run
   cache-efficiency / retry / phase-time tables aggregated from a
   store's run manifests.
@@ -26,9 +27,8 @@ Quickstart::
         run(plan, ...)                      # each run gets a trace
     print(obs.render_profile(traces[0].profile()))
 
-Everything is zero cost when disarmed: a bare :func:`span` with no
-tracer active (or one between traces) returns a shared no-op context
-manager, and :func:`active_registry` is just a module-global read.
+Tracing is zero cost when disarmed: a bare :func:`span` with no tracer
+active (or one between traces) returns a shared no-op context manager.
 
 CLI: ``python -m repro.obs report|trace|trend`` (see
 :mod:`repro.obs.cli`).
@@ -36,14 +36,11 @@ CLI: ``python -m repro.obs report|trace|trend`` (see
 
 from repro.obs import trace as _trace_mod  # noqa: F401  (import order)
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     METRICS_SCHEMA,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    active_registry,
-    metering,
     render_prometheus,
 )
 from repro.obs.report import (
@@ -84,15 +81,12 @@ __all__ = [
     "make_span_dict",
     "new_span_id",
     # metrics
-    "metering",
-    "active_registry",
     "MetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",
     "render_prometheus",
     "METRICS_SCHEMA",
-    "DEFAULT_BUCKETS",
     # reports
     "render_profile",
     "render_manifest",

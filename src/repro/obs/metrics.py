@@ -1,34 +1,31 @@
 """Typed metrics with labels: counters, gauges, histograms.
 
-One :class:`MetricsRegistry` unifies the ad-hoc counters that grew
-across the codebase (retry counts, read-LRU hits, bytes read, scores
-computed, server ops) behind three Prometheus-shaped instrument types:
+The :class:`~repro.serve.server.StoreServer` meters itself with one
+always-on :class:`MetricsRegistry` of three Prometheus-shaped
+instrument types:
 
 * :class:`Counter` — monotonically increasing totals (``inc``),
-* :class:`Gauge` — point-in-time values (``set``/``inc``/``dec``),
+* :class:`Gauge` — point-in-time values (``inc``/``dec``),
 * :class:`Histogram` — bucketed latency/size distributions
   (``observe``) with p50/p95/p99 estimates.
 
 Every instrument takes optional **labels** (``counter.inc(op="get")``),
 so one metric fans out into per-series values the way Prometheus
 expects.  Registries are cheap plain-Python objects guarded by one
-lock; the :class:`~repro.serve.server.StoreServer` owns an always-on
-registry, while library code uses the *ambient* registry installed by
-:func:`metering` — and, exactly like :func:`repro.obs.span`, pays only
-a module-global load when none is active.
+lock.  A run's own counts are not metered here: they are recorded once,
+in its :class:`~repro.stats.RunStats`.
 
 ``snapshot()`` freezes a registry into a JSON-safe dict (the payload of
-the store server's ``metrics`` op and of manifests' ``metrics`` field);
-:func:`render_prometheus` turns a snapshot into Prometheus text
-exposition for scraping or ``--metrics-file`` dumps.
+the store server's ``metrics`` op); :func:`render_prometheus` turns a
+snapshot into Prometheus text exposition for scraping or
+``--metrics-file`` dumps.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import HarnessError
 
@@ -88,11 +85,6 @@ class Gauge(Counter):
     """A point-in-time value that can go up and down."""
 
     kind = "gauge"
-
-    def set(self, value: float, **labels: Any) -> None:
-        key = _label_key(self.labelnames, labels)
-        with self._mu:
-            self._series[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         key = _label_key(self.labelnames, labels)
@@ -211,7 +203,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create home for a process's (or server's) instruments."""
+    """Get-or-create home for a server's instruments."""
 
     def __init__(self) -> None:
         self._mu = threading.Lock()
@@ -320,32 +312,3 @@ def render_prometheus(snapshot: dict[str, Any]) -> str:
                     f"{_fmt_value(series['value'])}"
                 )
     return "\n".join(lines) + "\n"
-
-
-_active: MetricsRegistry | None = None
-_active_mu = threading.Lock()
-
-
-def active_registry() -> MetricsRegistry | None:
-    """The ambient registry library code publishes into (None when off)."""
-    return _active
-
-
-@contextmanager
-def metering(
-    registry: MetricsRegistry | None = None,
-) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` (or a fresh one) as the ambient registry.
-
-    Nestable like :func:`repro.obs.tracing`; the previous registry is
-    restored on exit.
-    """
-    global _active
-    reg = registry if registry is not None else MetricsRegistry()
-    with _active_mu:
-        previous, _active = _active, reg
-    try:
-        yield reg
-    finally:
-        with _active_mu:
-            _active = previous

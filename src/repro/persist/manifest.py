@@ -93,10 +93,9 @@ class RunManifest:
     wall_seconds: float
     resumed_from: str | None = None  # run_id of the latest same-fingerprint run
     failures: tuple[UnitFailure, ...] = ()  # units quarantined by the policy
-    # repro.stats/2 observability payloads (absent on pre-2 manifests):
-    # the run's recorded Trace.as_dict() and a MetricsRegistry snapshot
+    # the run's recorded Trace.as_dict() (absent on untraced runs and on
+    # pre-repro.stats/2 manifests)
     trace: dict[str, Any] | None = None
-    metrics: dict[str, Any] | None = None
 
     @property
     def total_units(self) -> int:
@@ -110,14 +109,15 @@ class RunManifest:
         # keep working and old manifests rehydrate below
         payload["stats"] = self.stats.as_dict()
         payload["failures"] = [failure_payload(f) for f in self.failures]
-        # optional observability payloads stay optional on disk too
-        for key in ("trace", "metrics"):
-            if payload[key] is None:
-                del payload[key]
+        # an untraced run carries no trace key on disk
+        if payload["trace"] is None:
+            del payload["trace"]
         return payload
 
     @staticmethod
     def from_payload(payload: dict[str, Any]) -> "RunManifest":
+        # fields are picked by name: keys of removed features that older
+        # manifests carry ("scheduler", a "metrics" snapshot) are dropped
         try:
             _check_key_fields(payload)
             # accepts both unified-schema stats and pre-schema payloads
@@ -138,7 +138,6 @@ class RunManifest:
                     for f in payload.get("failures", ())
                 ),
                 trace=payload.get("trace"),
-                metrics=payload.get("metrics"),
             )
         except (KeyError, TypeError, HarnessError) as exc:
             raise PersistError(f"malformed run manifest: {exc}") from None
@@ -168,7 +167,6 @@ def build_manifest(
     resumed_from: str | None = None,
     latest_for: Callable[[str], "RunManifest | None"] | None = None,
     trace: dict[str, Any] | None = None,
-    metrics: dict[str, Any] | None = None,
 ) -> RunManifest:
     """Assemble one :class:`RunManifest` for an executed run.
 
@@ -196,5 +194,4 @@ def build_manifest(
         resumed_from=resumed_from,
         failures=tuple(failures),
         trace=trace,
-        metrics=metrics,
     )

@@ -365,7 +365,6 @@ class RecordStore:
         failures: Sequence = (),
         resumed_from: str | None = None,
         trace: dict | None = None,
-        metrics: dict | None = None,
     ) -> RunManifest:
         """Durably record one executed run; links repeats of the same plan.
 
@@ -374,8 +373,7 @@ class RecordStore:
         session can resume exactly the failed units.  ``resumed_from``
         pins the predecessor explicitly (``RunConfig(resume_from=…)``);
         when omitted, the latest same-fingerprint run is linked.
-        ``trace``/``metrics`` attach the run's observability payloads
-        (a serialized :class:`~repro.obs.Trace` and a metrics snapshot).
+        ``trace`` attaches the run's serialized :class:`~repro.obs.Trace`.
         """
         manifest = build_manifest(
             plan=plan,
@@ -388,7 +386,6 @@ class RecordStore:
             resumed_from=resumed_from,
             latest_for=self.latest_manifest,
             trace=trace,
-            metrics=metrics,
         )
         self.put_manifest(manifest)
         return manifest

@@ -1,4 +1,4 @@
-"""Circuit breakers: per-target health tracking with typed state metrics.
+"""Circuit breakers: per-target health tracking.
 
 A :class:`HealthTracker` is one target's (a store replica's, a model
 provider's) circuit breaker.  It watches a rolling window of recent
@@ -17,10 +17,9 @@ call outcomes and moves through the classic three states:
   failure re-opens it for another cooldown.
 
 Timing comes from an injectable ``clock`` so tests drive transitions
-deterministically, and every transition is mirrored into the ambient
-:class:`~repro.obs.MetricsRegistry` (when one is installed) as a typed
-state gauge plus a transition counter — the breaker fleet is visible on
-the same Prometheus surface as every other runtime metric.
+deterministically.  A breaker's state and its trip/rejoin totals are
+read through :meth:`HealthTracker.describe`; the fleet's through
+:meth:`BreakerRegistry.snapshot`.
 
 :class:`BreakerRegistry` is the fleet: a lazily populated name →
 tracker map with shared defaults, handed to
@@ -37,32 +36,6 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.errors import BreakerOpenError, HarnessError
-
-#: Breaker states, in the order of the typed state gauge's values.
-BREAKER_STATES = ("closed", "open", "half-open")
-
-#: ``repro_breaker_state`` gauge value per state.
-STATE_VALUES = {state: value for value, state in enumerate(BREAKER_STATES)}
-
-
-def _emit_state(target: str, state: str) -> None:
-    """Mirror one transition into the ambient metrics registry, if any."""
-    from repro.obs import active_registry
-
-    registry = active_registry()
-    if registry is None:
-        return
-    registry.gauge(
-        "repro_breaker_state",
-        "circuit-breaker state per target (0=closed 1=open 2=half-open)",
-        ("target",),
-    ).set(STATE_VALUES[state], target=target)
-    registry.counter(
-        "repro_breaker_transitions_total",
-        "circuit-breaker transitions per target and destination state",
-        ("target", "state"),
-    ).inc(target=target, state=state)
-
 
 class HealthTracker:
     """One target's circuit breaker over a rolling outcome window.
@@ -126,7 +99,7 @@ class HealthTracker:
             self._state == "open"
             and self._clock() - self._opened_at >= self.open_for_s
         ):
-            self._transition("half-open")
+            self._state = "half-open"
             self._probes_left = self.half_open_probes
         return self._state
 
@@ -184,7 +157,7 @@ class HealthTracker:
                 # the target rejoined: forget the bad history entirely
                 self._outcomes.clear()
                 self.rejoined_total += 1
-                self._transition("closed")
+                self._state = "closed"
                 return
             self._outcomes.append(True)
 
@@ -216,8 +189,7 @@ class HealthTracker:
         with self._mu:
             self._outcomes.clear()
             self._probes_left = 0
-            if self._state != "closed":
-                self._transition("closed")
+            self._state = "closed"
 
     # -- internals -----------------------------------------------------------
 
@@ -225,11 +197,7 @@ class HealthTracker:
         self._opened_at = self._clock()
         self._probes_left = 0
         self.opened_total += 1
-        self._transition("open")
-
-    def _transition(self, state: str) -> None:
-        self._state = state
-        _emit_state(self.target, state)
+        self._state = "open"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HealthTracker({self.target!r}, state={self.state!r})"

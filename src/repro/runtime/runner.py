@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping
 
 from repro.core.task import EvalResult
 from repro.errors import HarnessError
-from repro.obs import active_registry, active_tracer, span
+from repro.obs import active_tracer, span
 from repro.stats import RunStats
 
 if TYPE_CHECKING:  # repro.persist builds on repro.runtime, not vice versa
@@ -146,40 +146,6 @@ def run(
     finally:
         if not finished:  # the run raised before its trace was sealed
             tracer.end_trace(handle)
-
-
-def _publish_run_metrics(registry, plan: Plan, stats: RunStats) -> None:
-    """Fold one run's counters into the ambient metrics registry."""
-    labels = {"plan": plan.name}
-    registry.counter("repro_runs_total", "runs executed", ("plan",)).inc(**labels)
-    units = registry.counter(
-        "repro_run_units_total",
-        "units by how they were satisfied",
-        ("plan", "outcome"),
-    )
-    for outcome, count in (
-        ("generated", stats.generated),
-        ("cache_hit", stats.cache_hits),
-        ("deduplicated", stats.deduplicated),
-        ("failed", stats.units_failed),
-    ):
-        if count:
-            units.inc(count, outcome=outcome, **labels)
-    for name, help_text, value in (
-        ("repro_scores_computed_total", "scorer invocations", stats.scores_computed),
-        ("repro_score_hits_total", "score-cache hits", stats.score_hits),
-        ("repro_units_retried_total", "units needing retries", stats.units_retried),
-        ("repro_read_lru_hits_total", "store read-LRU hits", stats.read_lru_hits),
-        ("repro_read_lru_misses_total", "store read-LRU misses", stats.read_lru_misses),
-        ("repro_store_bytes_read_total", "segment bytes read", stats.bytes_read),
-    ):
-        if value:
-            registry.counter(name, help_text, ("plan",)).inc(value, **labels)
-    registry.histogram(
-        "repro_generation_seconds",
-        "summed provider wall-clock per run",
-        ("plan",),
-    ).observe(stats.generation_seconds, **labels)
 
 
 def _run_impl(
@@ -420,9 +386,6 @@ def _run_impl(
         retry_seconds=fault_state.retry_seconds if fault_state is not None else 0.0,
         trace_id=trace.trace_id if trace is not None else None,
     )
-    registry = active_registry()
-    if registry is not None:
-        _publish_run_metrics(registry, plan, stats)
     manifest = None
     if store is not None:
         manifest = store.record_run(
@@ -435,7 +398,6 @@ def _run_impl(
             failures=tuple(failures.values()),
             resumed_from=resume_from,
             trace=trace.as_dict() if trace is not None else None,
-            metrics=registry.snapshot() if registry is not None else None,
         )
     return RunResult(
         plan=plan,

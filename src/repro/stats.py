@@ -33,9 +33,10 @@ from typing import Any, Mapping
 from repro.errors import HarnessError
 
 # /2 added observability fields: run stats may carry a ``trace_id`` and
-# manifests may carry ``trace`` / ``metrics`` payloads.  Consumers stay
-# tolerant of /1 (and pre-schema) payloads — the new keys are optional,
-# never required, so old manifests rehydrate unchanged.
+# manifests a ``trace`` payload (early /2 manifests also carry a
+# ``metrics`` snapshot, which loading drops).  Consumers stay tolerant of
+# /1 (and pre-schema) payloads — the new keys are optional, never
+# required, so old manifests rehydrate unchanged.
 STATS_SCHEMA = "repro.stats/2"
 
 STATS_KINDS = ("run", "store", "result_cache", "score_cache")

@@ -3,7 +3,9 @@
 Audits two things the paper's analysis highlights:
 
 1. hallucinated names imported from parsl (``from parsl import X`` where X
-   is not part of the surface) and unknown ``@*_app``-style decorators;
+   is not part of the surface) and unknown Parsl-looking decorators —
+   ``@*_app``, ``@task``/``@app``, ``@parsl*`` and anything under
+   ``parsl.``;
 2. *redundant executor configuration* — the paper observes models
    gratuitously configuring executors when the prompt never asked for
    them, which tanks BLEU while ChrF stays tolerant.  Those are reported
@@ -46,8 +48,14 @@ def validate_task_code(text: str) -> ValidationReport:
                     )
         d = _DECORATOR_RE.match(line)
         if d:
-            deco = d.group(1).split(".")[-1].split("(")[0]
-            if deco.endswith("_app") or deco in ("task", "app"):
+            path = d.group(1)
+            deco = path.split(".")[-1]
+            if (
+                deco.endswith("_app")
+                or deco in ("task", "app")
+                or deco.startswith("parsl")
+                or path.startswith("parsl.")
+            ):
                 if PARSL_API.known(deco):
                     saw_app_decorator = True
                 else:

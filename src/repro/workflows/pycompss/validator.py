@@ -5,6 +5,12 @@ evaluation keys on: a correct producer/consumer annotation must decorate
 with ``@task`` using file directions and must synchronize file exchange
 with ``compss_wait_on_file`` (the call LLaMA omits) or ``compss_wait_on``
 for object results.
+
+Only decorators that claim to be PyCOMPSs are audited: those under
+``pycompss.``, those imported from pycompss, those whose name mentions
+``compss`` or ``task``, and near-misses of a real PyCOMPSs name.  Plain
+Python decorators (``@staticmethod``, ``@functools.lru_cache``) are not
+PyCOMPSs hallucinations.
 """
 
 from __future__ import annotations
@@ -33,10 +39,12 @@ def validate_task_code(text: str) -> ValidationReport:
     )
 
     saw_task = False
+    imported: set[str] = set()
     for lineno, line in enumerate(text.split("\n"), start=1):
         m = _IMPORT_RE.match(line)
         if m:
             names = [n.strip().split(" as ")[0] for n in m.group(1).split(",")]
+            imported.update(names)
             for name in names:
                 if name and not PYCOMPSS_API.known(name):
                     report.diagnostics.append(
@@ -51,10 +59,18 @@ def validate_task_code(text: str) -> ValidationReport:
                     )
         d = _DECORATOR_RE.match(line)
         if d:
-            deco = d.group(1).split(".")[-1].split("(")[0]
+            path = d.group(1)
+            deco = path.split(".")[-1]
+            claims_pycompss = (
+                path.startswith("pycompss.")
+                or deco in imported
+                or "compss" in deco
+                or "task" in deco
+                or PYCOMPSS_API.suggest(deco) is not None
+            )
             if deco == "task":
                 saw_task = True
-            elif not PYCOMPSS_API.known(deco):
+            elif claims_pycompss and not PYCOMPSS_API.known(deco):
                 report.diagnostics.append(
                     Diagnostic(
                         severity=Severity.ERROR,

@@ -18,7 +18,6 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.llm.api import Model
-from repro.obs import metering
 from repro.runtime import (
     BreakerRegistry,
     FaultPolicy,
@@ -181,38 +180,6 @@ class TestStateMachine:
             make_tracker(clock, open_for_s=-1)
         with pytest.raises(HarnessError, match="half_open_probes"):
             make_tracker(clock, half_open_probes=0)
-
-
-class TestMetricsEmission:
-    def test_transitions_mirror_into_the_ambient_registry(self):
-        clock = FakeClock()
-        with metering() as registry:
-            tracker = make_tracker(clock)
-            for _ in range(3):
-                tracker.record_failure()
-            clock.advance(5.0)
-            assert tracker.state == "half-open"
-            tracker.record_success()
-            gauge = registry.gauge(
-                "repro_breaker_state",
-                "circuit-breaker state per target (0=closed 1=open 2=half-open)",
-                ("target",),
-            )
-            transitions = registry.counter(
-                "repro_breaker_transitions_total",
-                "circuit-breaker transitions per target and destination state",
-                ("target", "state"),
-            )
-            assert gauge.value(target="target-a") == 0  # closed again
-            assert transitions.value(target="target-a", state="open") == 1
-            assert transitions.value(target="target-a", state="half-open") == 1
-            assert transitions.value(target="target-a", state="closed") == 1
-
-    def test_no_registry_no_crash(self):
-        tracker = make_tracker(FakeClock())
-        for _ in range(3):
-            tracker.record_failure()  # transitions with no ambient registry
-        assert tracker.state == "open"
 
 
 class TestBreakerRegistry:

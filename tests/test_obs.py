@@ -162,14 +162,12 @@ class TestMetrics:
             "get": 1.0, "put": 2.0,
         }
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_inc_dec(self):
         gauge = obs.MetricsRegistry().gauge("inflight")
         gauge.inc()
         gauge.inc()
         gauge.dec()
         assert gauge.value() == 1
-        gauge.set(7)
-        assert gauge.value() == 7
 
     def test_histogram_quantiles_and_counts(self):
         hist = obs.MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
@@ -213,15 +211,6 @@ class TestMetrics:
         with pytest.raises(HarnessError):
             obs.render_prometheus({"not": "a snapshot"})
 
-    def test_metering_installs_and_restores(self):
-        assert obs.active_registry() is None
-        with obs.metering() as registry:
-            assert obs.active_registry() is registry
-            with obs.metering() as inner:
-                assert obs.active_registry() is inner
-            assert obs.active_registry() is registry
-        assert obs.active_registry() is None
-
 
 class TestSpanDispatch:
     def test_disarmed_span_is_shared_noop(self):
@@ -257,12 +246,12 @@ class TestRunnerIntegration:
         # without a tracer the field stays None (and costs nothing)
         assert run(plan).stats.trace_id is None
 
-    def test_trace_and_metrics_land_on_the_manifest(self, tmp_path):
+    def test_trace_lands_on_the_manifest(self, tmp_path):
         from repro.persist import RunStore
         from repro.runtime import RunConfig, run
 
         plan = make_plan()
-        with obs.tracing(), obs.metering():
+        with obs.tracing():
             with RunStore(tmp_path / "store") as store:
                 config = RunConfig(store=store)
                 outcome = run(plan, config=config)
@@ -271,23 +260,10 @@ class TestRunnerIntegration:
         assert manifest.trace["trace_id"] == outcome.stats.trace_id
         names = {s["name"] for s in manifest.trace["spans"]}
         assert {"generate", "score", "cache-get"} <= names
-        assert manifest.metrics is not None
-        published = {m["name"] for m in manifest.metrics["metrics"]}
-        assert "repro_runs_total" in published
-        assert manifest.to_payload()["stats"]["schema"] == "repro.stats/2"
-
-    def test_run_metrics_count_units(self):
-        from repro.runtime import run
-
-        plan = make_plan(epochs=2)
-        with obs.metering() as registry:
-            run(plan)
-        units = registry.counter(
-            "repro_run_units_total", labelnames=("plan", "outcome")
-        )
-        generated = units.value(plan="obs-test", outcome="generated")
-        dedup = units.value(plan="obs-test", outcome="deduplicated")
-        assert generated + dedup == 2.0
+        payload = manifest.to_payload()
+        assert payload["stats"]["schema"] == "repro.stats/2"
+        # the run's counts are recorded once, in its stats
+        assert "metrics" not in payload
 
     def test_trace_closes_when_the_run_raises(self):
         from repro.errors import ModelError
@@ -310,7 +286,7 @@ class TestRunnerIntegration:
 
         sweep = dict(models=["o3"], systems=["adios2"], epochs=2)
         bare = run_configuration(**sweep)
-        with obs.tracing(), obs.metering():
+        with obs.tracing():
             armed = run_configuration(**sweep)
         assert armed.cells == bare.cells
 
@@ -411,21 +387,24 @@ class TestSchemaMigration:
         assert payload["stats"]["schema"] == "repro.stats/1"
         manifest = RunManifest.from_payload(payload)
         assert manifest.trace is None
-        assert manifest.metrics is None
         assert manifest.stats.trace_id is None
         # rewriting keeps the payload lean: no null keys appear
         rewritten = manifest.to_payload()
         assert "trace" not in rewritten and "metrics" not in rewritten
 
-    def test_current_manifest_carries_trace_and_metrics(self):
+    def test_legacy_metrics_key_loads_and_is_dropped(self):
         from repro.persist.manifest import RunManifest
 
         payload = json.loads((FIXTURES / "manifest_v2.json").read_text())
         assert payload["stats"]["schema"] == "repro.stats/2"
+        assert payload["metrics"]["schema"] == obs.METRICS_SCHEMA
         manifest = RunManifest.from_payload(payload)
         assert manifest.trace["trace_id"] == manifest.stats.trace_id
         assert manifest.trace["spans"]
-        assert manifest.metrics["schema"] == obs.METRICS_SCHEMA
+        # saving the manifest again keeps its trace and drops the snapshot
+        rewritten = manifest.to_payload()
+        assert rewritten["trace"] == payload["trace"]
+        assert "metrics" not in rewritten
 
     def test_store_roundtrips_pre_2_manifest(self, tmp_path):
         from repro.persist import RunStore

@@ -79,13 +79,17 @@ class TestSurface:
         report = validate_task_code(code)
         assert report.ok and not report.diagnostics, report.render()
 
-    @pytest.mark.parametrize("decorator", ["parsl_app", "app", "task", "mpi_app"])
+    @pytest.mark.parametrize("decorator", ["parsl_app", "app", "task", "mpi_app", "parsl_task"])
     def test_invented_decorators_flagged(self, decorator):
         code = _APP.replace("@python_app", f"@{decorator}")
         report = validate_task_code(code)
         assert [d.symbol for d in report.hallucinations()] == [decorator]
         # with no real app decorator left, the annotation is also incomplete
         assert [d.symbol for d in report.missing()] == ["python_app"]
+
+    def test_decorators_under_parsl_audited(self):
+        report = validate_task_code("@parsl.remote\n" + _APP)
+        assert [d.symbol for d in report.hallucinations()] == ["remote"]
 
     def test_non_app_decorators_ignored(self):
         report = validate_task_code("@functools.lru_cache\n" + _APP)

@@ -29,10 +29,11 @@ class TestValidator:
         report = validate_task_code(code)
         assert any(d.symbol == "compss_wait_file" for d in report.hallucinations())
 
-    def test_unknown_decorator_flagged(self):
-        code = "@parallel_task\ndef f(): pass"
+    @pytest.mark.parametrize("decorator", ["parallel_task", "compss_task", "parsl_task"])
+    def test_unknown_decorator_flagged(self, decorator):
+        code = f"@{decorator}\ndef f(): pass"
         report = validate_task_code(code)
-        assert any(d.symbol == "parallel_task" for d in report.hallucinations())
+        assert any(d.symbol == decorator for d in report.hallucinations())
 
 
 _TASK = (
@@ -79,6 +80,22 @@ class TestSurface:
     def test_companion_decorators_accepted(self, decorator):
         report = validate_task_code(decorator + "\n" + _TASK)
         assert report.ok and not report.diagnostics, report.render()
+
+    @pytest.mark.parametrize(
+        "decorator", ["@staticmethod", "@property", "@functools.lru_cache"]
+    )
+    def test_plain_python_decorators_ignored(self, decorator):
+        report = validate_task_code(decorator + "\n" + _TASK)
+        assert report.ok and not report.errors(), report.render()
+
+    def test_decorators_under_pycompss_audited(self):
+        report = validate_task_code("@pycompss.api.remote\n" + _TASK)
+        assert [d.symbol for d in report.hallucinations()] == ["remote"]
+
+    def test_decorators_imported_from_pycompss_audited(self):
+        report = validate_task_code("from pycompss.api.api import workflow\n@workflow\n" + _TASK)
+        hall = [(d.symbol, d.line) for d in report.hallucinations()]
+        assert ("workflow", 2) in hall
 
     @pytest.mark.parametrize("name", ["compss_wait", "compss_sync", "compss_barrier_all"])
     def test_invented_compss_calls_flagged(self, name):
