@@ -10,7 +10,7 @@ groups:
   machine drift hits both sides equally.  The regression gate caps
   ``policy_over_baseline`` at 1.05: the fault layer must stay within
   5% of the bare runner when healthy;
-* ``fault_rates_{serial,async}`` — the same sweep under a
+* ``fault_rates_{serial,threads}`` — the same sweep under a
   deterministic :class:`repro.testing.FaultPlan` injecting transient
   provider faults at 0%, 10% and 30% of requests (single-strike, so a
   healing retry policy absorbs every fault), per executor, the rates
@@ -37,11 +37,11 @@ import time
 
 from repro.core.experiments import run_configuration
 from repro.runtime import (
-    AsyncExecutor,
     FaultPolicy,
     RetryPolicy,
     RunConfig,
     SerialExecutor,
+    ThreadExecutor,
 )
 from repro.testing import FaultPlan, faulty_models
 
@@ -61,7 +61,7 @@ FAULT_RATES = (0.0, 0.1, 0.3)
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "async": lambda: AsyncExecutor(max_concurrency=6),
+    "threads": lambda: ThreadExecutor(max_concurrency=6),
 }
 
 # retries absorb every single-strike transient without sleeping

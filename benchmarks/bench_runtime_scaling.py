@@ -1,7 +1,7 @@
 """Runtime scaling — executors and result cache on a fixed sweep.
 
 Times the Table 1-shaped sweep (4 models × 3 systems × 2 epochs = 24
-generations) on the two executors — serial and async — three ways:
+generations) on the two executors — serial and threads — three ways:
 
 * a **cold-cache serial sweep** against freshly constructed simulated
   models, so the timing includes per-cell calibration — the number the
@@ -12,7 +12,7 @@ generations) on the two executors — serial and async — three ways:
   for the perf trajectory, not asserted;
 * against **latency providers** that wrap each simulated model with a
   fixed per-call delay, the regime a real API endpoint lives in; the
-  async executor must be ≥ 2× faster than serial there;
+  thread executor must be ≥ 2× faster than serial there;
 * and with a **warm result cache**, which must skip the model layer
   entirely (zero new generations) while producing identical results.
 
@@ -31,11 +31,11 @@ from repro.core.experiments.configuration import (
 from repro.data import MODELS
 from repro.llm.api import get_model, register_model
 from repro.runtime import (
-    AsyncExecutor,
     InMemoryResultCache,
     Plan,
     RunConfig,
     SerialExecutor,
+    ThreadExecutor,
     run,
 )
 
@@ -106,58 +106,57 @@ def bench_runtime_scaling(report):
     # steady-state generation, not one-off calibration
     run(_sweep_plan("sim"))
 
-    with AsyncExecutor(16) as async16:
-        executors = [("serial", SerialExecutor()), ("async-16", async16)]
-        lines = [
-            "runtime scaling — 4 models x 3 systems x 2 epochs (24 generations)",
-            f"simulated API latency: {API_LATENCY_S * 1000:.0f} ms/call",
-            f"cold-cache serial sweep (incl. calibration): "
-            f"{cold_serial_time * 1000:.0f} ms",
-            "",
-            f"{'executor':<15} {'sim (CPU-bound)':>16} {'api (latency)':>14} "
-            f"{'api warm cache':>15}",
-        ]
-        sim_times: dict[str, float] = {}
-        api_times: dict[str, float] = {}
-        baseline_results = None
-        for label, executor in executors:
-            sim_times[label], _ = _timed("sim", executor)
+    executors = [("serial", SerialExecutor()), ("threads-16", ThreadExecutor(16))]
+    lines = [
+        "runtime scaling — 4 models x 3 systems x 2 epochs (24 generations)",
+        f"simulated API latency: {API_LATENCY_S * 1000:.0f} ms/call",
+        f"cold-cache serial sweep (incl. calibration): "
+        f"{cold_serial_time * 1000:.0f} ms",
+        "",
+        f"{'executor':<15} {'sim (CPU-bound)':>16} {'api (latency)':>14} "
+        f"{'api warm cache':>15}",
+    ]
+    sim_times: dict[str, float] = {}
+    api_times: dict[str, float] = {}
+    baseline_results = None
+    for label, executor in executors:
+        sim_times[label], _ = _timed("sim", executor)
 
-            cache = InMemoryResultCache()
-            api_times[label], cold = _timed("apisim", executor, cache=cache)
-            warm_time, warm = _timed("apisim", executor, cache=cache)
+        cache = InMemoryResultCache()
+        api_times[label], cold = _timed("apisim", executor, cache=cache)
+        warm_time, warm = _timed("apisim", executor, cache=cache)
 
-            assert cold.stats.generated == 24 - cold.stats.deduplicated
-            assert warm.stats.generated == 0, "warm cache must skip the model layer"
-            assert (
-                warm.stats.cache_hits
-                == warm.stats.total_units - warm.stats.deduplicated
-            )
-            # uids carry the namespace, so compare scores in plan order
-            scores = [r.score["bleu"] for r in warm.results.values()]
-            if baseline_results is None:
-                baseline_results = scores
-            else:
-                assert scores == baseline_results, (
-                    f"{label} results differ from serial"
-                )
-
-            lines.append(
-                f"{label:<15} {sim_times[label] * 1000:>13.0f} ms "
-                f"{api_times[label] * 1000:>11.0f} ms {warm_time * 1000:>12.0f} ms"
+        assert cold.stats.generated == 24 - cold.stats.deduplicated
+        assert warm.stats.generated == 0, "warm cache must skip the model layer"
+        assert (
+            warm.stats.cache_hits
+            == warm.stats.total_units - warm.stats.deduplicated
+        )
+        # uids carry the namespace, so compare scores in plan order
+        scores = [r.score["bleu"] for r in warm.results.values()]
+        if baseline_results is None:
+            baseline_results = scores
+        else:
+            assert scores == baseline_results, (
+                f"{label} results differ from serial"
             )
 
-        unit_speedup = api_times["serial"] / api_times["async-16"]
-        lines += [
-            "",
-            f"latency-bound speedup vs serial: async-16 {unit_speedup:.1f}x",
-            f"CPU-bound (GIL) speedup vs serial: async-16 "
-            f"{sim_times['serial'] / sim_times['async-16']:.1f}x",
-        ]
+        lines.append(
+            f"{label:<15} {sim_times[label] * 1000:>13.0f} ms "
+            f"{api_times[label] * 1000:>11.0f} ms {warm_time * 1000:>12.0f} ms"
+        )
+
+    unit_speedup = api_times["serial"] / api_times["threads-16"]
+    lines += [
+        "",
+        f"latency-bound speedup vs serial: threads-16 {unit_speedup:.1f}x",
+        f"CPU-bound (GIL) speedup vs serial: threads-16 "
+        f"{sim_times['serial'] / sim_times['threads-16']:.1f}x",
+    ]
 
     report("runtime_scaling", "\n".join(lines))
 
     assert unit_speedup >= 2.0, (
-        f"async executor should be >= 2x faster than serial on a "
+        f"thread executor should be >= 2x faster than serial on a "
         f"latency-bound sweep, got {unit_speedup:.2f}x"
     )

@@ -61,7 +61,7 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
             f"fault_rates_{name}": (
                 ("rate30_vs_rate0", "rate30_ms", "rate0_ms"),
             )
-            for name in ("serial", "async")
+            for name in ("serial", "threads")
         },
     },
     "kernels": {

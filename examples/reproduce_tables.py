@@ -4,8 +4,9 @@ Prints Tables 1/2/3/5 with paper-vs-measured deltas and the three
 Figure 1 heatmap groups.  All sweeps route through the parallel
 evaluation runtime: ``--executor`` picks the backend (``serial``, the
 default and the fastest for the CPU-bound offline simulator, or
-``async`` with ``--workers`` calls in flight, for latency-bound
-endpoints) and one shared result cache spans the whole run, so e.g. the Figure 1 ``original``
+``threads`` with ``--workers`` calls in flight on a thread pool, for
+latency-bound endpoints; both print the same tables) and one shared
+result cache spans the whole run, so e.g. the Figure 1 ``original``
 rows reuse the epoch-0 generations already produced for Tables 1-3.
 
 With ``--store PATH_OR_URL`` the run is durable: generations, scores and
@@ -47,7 +48,7 @@ failed/missing units re-execute, everything else is a cache hit — and
 reports ``units_failed`` before → after.
 
 Usage:  python examples/reproduce_tables.py [--fast]
-            [--executor {serial,async}] [--workers N]
+            [--executor {serial,threads}] [--workers N]
             [--cache {memory,disk}]
             [--store PATH_OR_URL]
             [--on-failure {raise,isolate,skip}] [--max-attempts N]
@@ -83,22 +84,22 @@ from repro.reporting import (
     render_figure1,
     render_grid_table,
 )
-from repro.runtime import AsyncExecutor, InMemoryResultCache, SerialExecutor
+from repro.runtime import InMemoryResultCache, SerialExecutor, ThreadExecutor
 
 
 class UsageError(Exception):
     """A CLI knob received a value the runtime has no backend for."""
 
 
-EXECUTORS = ("serial", "async")
+EXECUTORS = ("serial", "threads")
 CACHES = ("memory", "disk")
 
 
 def make_executor(name: str, workers: int):
     if name == "serial":
         return SerialExecutor()
-    if name == "async":
-        return AsyncExecutor(max_concurrency=workers)
+    if name == "threads":
+        return ThreadExecutor(max_concurrency=workers)
     raise UsageError(f"unknown executor {name!r}; choose from {', '.join(EXECUTORS)}")
 
 
@@ -155,7 +156,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=8,
-        help="async in-flight calls",
+        help="threads executor: provider calls in flight",
     )
     parser.add_argument(
         "--cache", default=None,

@@ -8,9 +8,9 @@ Public surface (stable):
 * :mod:`repro.core` — the evaluation harness (tasks, solvers, scorers,
   ``evaluate``) and the paper's experiment builders.
 * :mod:`repro.runtime` — the parallel evaluation runtime: sweeps flatten
-  into work-unit plans executed on pluggable executors (serial, or an
-  asyncio event loop with one provider call per unit in flight) behind a
-  content-addressed result cache.
+  into work-unit plans executed on pluggable executors (serial, or a
+  thread pool with up to ``max_concurrency`` provider calls in flight)
+  behind a content-addressed result cache.
 * :mod:`repro.workflows` — descriptors of ADIOS2, Henson, Parsl,
   PyCOMPSs and Wilkins: API surfaces, config parsers and the validators
   that audit generated artifacts against them.
@@ -22,10 +22,10 @@ Public surface (stable):
 ``import repro`` loads only the version.  The packages :mod:`repro.core`,
 :mod:`repro.llm`, :mod:`repro.runtime` and :mod:`repro.serve` load each
 re-exported name's module on first access, and :mod:`asyncio` loads only
-inside the async code paths, so each process loads the layers it runs:
-the store server (``python -m repro.serve``) needs only the standard
-library, and a storeless cold reproduction loads neither asyncio nor
-the store client and server.
+in the store server, so each process loads the layers it runs: the
+store server (``python -m repro.serve``) needs only the standard
+library, and a storeless cold reproduction, on either executor, loads
+neither asyncio nor the store client and server.
 """
 
 from repro._version import __version__

@@ -1,4 +1,4 @@
-"""Model protocols (sync, async) and the provider registry.
+"""The model protocol and the provider registry.
 
 ``get_model("sim/o3")`` returns a :class:`Model` wrapper around whichever
 provider is registered under that name.  The four simulated paper models
@@ -6,18 +6,15 @@ self-register on import of :mod:`repro.llm.profiles`; a user evaluating a
 real endpoint registers their own provider factory under a new name and
 everything downstream (solvers, scorers, benches) works unchanged.
 
-Beyond the required sync :meth:`ModelAPI.generate`, a provider may
-implement :class:`AsyncModelAPI` (an ``agenerate`` coroutine), and
-:class:`~repro.runtime.executors.AsyncExecutor` then drives it on its
-event loop directly; any plain sync provider is adapted automatically by
-:func:`as_async`, which offloads each call to a worker thread so the
-loop keeps multiplexing.  Either way the runtime makes one provider call
-per prompt.
+A provider implements one blocking method, :meth:`ModelAPI.generate`,
+and the runtime makes one call per prompt.  Latency-bound providers
+(real API endpoints) get concurrency from
+:class:`~repro.runtime.executors.ThreadExecutor`, which keeps many of
+those calls in flight on a thread pool.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import threading
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
@@ -35,66 +32,6 @@ class ModelAPI(Protocol):
         self, messages: Sequence[ChatMessage], config: GenerateConfig
     ) -> ModelOutput:  # pragma: no cover - protocol
         ...
-
-
-@runtime_checkable
-class AsyncModelAPI(Protocol):
-    """An async-native provider: ``agenerate`` runs on the event loop."""
-
-    name: str
-
-    async def agenerate(
-        self, messages: Sequence[ChatMessage], config: GenerateConfig
-    ) -> ModelOutput:  # pragma: no cover - protocol
-        ...
-
-
-class AsyncAdapter:
-    """Default :class:`AsyncModelAPI` over any sync provider.
-
-    Each ``agenerate`` call offloads the provider's blocking ``generate``
-    to a worker thread, so an event loop can keep many calls in flight
-    even against a purely synchronous SDK.  Threads come from
-    ``executor`` when given (lets a caller reuse one pool across many
-    event loops — :class:`~repro.runtime.executors.AsyncExecutor` does),
-    else from the loop's default executor (``asyncio.to_thread``).
-    """
-
-    def __init__(
-        self,
-        provider: ModelAPI,
-        executor: "concurrent.futures.Executor | None" = None,
-    ) -> None:
-        self._provider = provider
-        self._executor = executor
-        self.name = provider.name
-
-    async def agenerate(
-        self, messages: Sequence[ChatMessage], config: GenerateConfig
-    ) -> ModelOutput:
-        import asyncio
-
-        if self._executor is None:
-            return await asyncio.to_thread(
-                self._provider.generate, messages, config
-            )
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, self._provider.generate, messages, config
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AsyncAdapter({self._provider!r})"
-
-
-def as_async(
-    provider: ModelAPI | AsyncModelAPI,
-    executor: "concurrent.futures.Executor | None" = None,
-) -> AsyncModelAPI:
-    """The provider itself if async-native, else an :class:`AsyncAdapter`."""
-    if callable(getattr(provider, "agenerate", None)):
-        return provider
-    return AsyncAdapter(provider, executor)
 
 
 class Model:

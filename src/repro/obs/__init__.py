@@ -57,6 +57,7 @@ from repro.obs.trace import (
     Trace,
     Tracer,
     active_tracer,
+    carry_span,
     fold_remote_spans,
     make_span_dict,
     new_span_id,
@@ -77,6 +78,7 @@ __all__ = [
     "SpanRecord",
     "TRACE_SCHEMA",
     "propagation_context",
+    "carry_span",
     "fold_remote_spans",
     "make_span_dict",
     "new_span_id",

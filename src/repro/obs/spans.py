@@ -12,7 +12,9 @@ A :class:`PhaseProfile` is the aggregate view of a finished trace
 (:meth:`~repro.obs.trace.Trace.profile`): span wall times summed per
 nested name path, so ``cache-get/store-io/read`` is a store read
 performed inside a cache lookup.  Spans nest *per thread*, so a profile
-reads as a breakdown tree, not a flat soup of leaf timings.
+reads as a breakdown tree, not a flat soup of leaf timings; work handed
+to another thread through :func:`~repro.obs.trace.carry_span` nests
+under the span that handed it over.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from repro.errors import HarnessError
 
@@ -42,6 +42,9 @@ if TYPE_CHECKING:  # repro.obs.spans imports this module at load time
     from repro.obs.spans import PhaseProfile
 
 TRACE_SCHEMA = "repro.trace/1"
+
+_A = TypeVar("_A")
+_R = TypeVar("_R")
 
 #: Default per-trace span cap; beyond it spans are dropped (and counted).
 MAX_SPANS = 20_000
@@ -443,34 +446,6 @@ class Tracer:
         stack = self._stack(state)
         return stack[-1] if stack else state.root_id
 
-    def record_span(
-        self,
-        name: str,
-        *,
-        start_unix: float,
-        duration_s: float,
-        parent_id: str | None = None,
-    ) -> None:
-        """Fold one externally timed span (async paths, batch wall times).
-
-        Unlike :meth:`span` this never touches the thread's nesting
-        stack, so it is safe from interleaved asyncio tasks.
-        """
-        state = self._state
-        if state is None:
-            return
-        state.add(
-            SpanRecord(
-                span_id=_new_id(),
-                parent_id=parent_id if parent_id is not None else state.root_id,
-                name=name,
-                start_unix=start_unix,
-                duration_s=duration_s,
-                pid=os.getpid(),
-                thread=threading.current_thread().name,
-            )
-        )
-
     def record_remote(self, spans: list[dict[str, Any]]) -> int:
         """Fold span dicts produced by another process into the trace.
 
@@ -530,6 +505,31 @@ def propagation_context() -> dict[str, str] | None:
     if parent is not None:
         ctx["parent"] = parent
     return ctx
+
+
+def carry_span(fn: Callable[[_A], _R]) -> Callable[[_A], _R]:
+    """``fn``, run under the calling thread's current span wherever it runs.
+
+    Span nesting is per thread, so a span opened on a worker thread
+    would otherwise parent the trace root.  Hand the returned callable
+    to the worker: its spans nest under the span open here.  Returns
+    ``fn`` itself when no trace is open.
+    """
+    tracer = _active
+    state = tracer._state if tracer is not None else None
+    if state is None:
+        return fn
+    parent = tracer.current_span_id()
+
+    def carried(arg: _A) -> _R:
+        stack = tracer._stack(state)
+        stack.append(parent)
+        try:
+            return fn(arg)
+        finally:
+            stack.pop()
+
+    return carried
 
 
 def fold_remote_spans(spans: list[dict[str, Any]] | None) -> int:

@@ -8,15 +8,18 @@ executes it on a pluggable :class:`~repro.runtime.executors.Executor`
 with an optional content-addressed
 :class:`~repro.runtime.cache.ResultCache` in front of the model layer.
 
-Every executor yields bit-identical results because all randomness is
-derived from unit content, never from execution order.
+Both executors — :class:`~repro.runtime.executors.SerialExecutor` and
+:class:`~repro.runtime.executors.ThreadExecutor` — run each unit through
+one funnel, :func:`~repro.runtime.executors.generate_unit`, and yield
+bit-identical results because all randomness is derived from unit
+content, never from execution order.
 
 Quickstart::
 
     from repro.core.experiments import run_configuration
-    from repro.runtime import AsyncExecutor, InMemoryResultCache, RunConfig
+    from repro.runtime import InMemoryResultCache, RunConfig, ThreadExecutor
 
-    config = RunConfig(executor=AsyncExecutor(16), cache=InMemoryResultCache())
+    config = RunConfig(executor=ThreadExecutor(16), cache=InMemoryResultCache())
     grid = run_configuration(config=config)
     rerun = run_configuration(config=config)
     # rerun performed zero model generations and is bit-identical
@@ -29,7 +32,7 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.runtime.config import RunConfig
     from repro.runtime.cache import InMemoryResultCache, ResultCache, ScoreCache
-    from repro.runtime.executors import AsyncExecutor, Executor, SerialExecutor, generate_unit
+    from repro.runtime.executors import Executor, SerialExecutor, ThreadExecutor, generate_unit
     from repro.runtime.faults import (
         FailedGeneration,
         FaultPolicy,
@@ -55,7 +58,7 @@ _EXPORTS = {  # public name -> defining module
     "generate_unit": "repro.runtime.executors",
     "Executor": "repro.runtime.executors",
     "SerialExecutor": "repro.runtime.executors",
-    "AsyncExecutor": "repro.runtime.executors",
+    "ThreadExecutor": "repro.runtime.executors",
     "RetryPolicy": "repro.runtime.faults",
     "FaultPolicy": "repro.runtime.faults",
     "FaultState": "repro.runtime.faults",

@@ -12,11 +12,11 @@ object you build once, ``replace()`` to vary, and pass everywhere.
 
 Quickstart::
 
-    from repro.runtime import AsyncExecutor, RunConfig, run
+    from repro.runtime import RunConfig, ThreadExecutor, run
 
     config = RunConfig.from_url(
         "tcp://cache-host:9045",            # shared networked RunStore
-        executor=AsyncExecutor(16),
+        executor=ThreadExecutor(16),        # 16 provider calls in flight
     )
     result = run(plan, config=config)
     serial = config.replace(executor=None)  # same store, serial execution

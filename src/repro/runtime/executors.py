@@ -7,10 +7,11 @@ executor produces bit-identical generations:
 * :class:`SerialExecutor` — the reference implementation, one call at a
   time in plan order; the right choice for CPU-bound providers such as
   the offline simulator, where extra threads only contend for the GIL;
-* :class:`AsyncExecutor` — an asyncio event loop keeping many provider
-  calls in flight under a bounded-concurrency semaphore, for
-  latency-bound providers (real API endpoints).  Every unit is one
-  ``agenerate`` call.
+* :class:`ThreadExecutor` — up to ``max_concurrency`` units in flight
+  on a thread pool, for latency-bound providers (real API endpoints).
+
+Both run every unit through :func:`generate_unit`, the one funnel where
+the fault policy and the ``unit`` span apply.
 
 Retry has one owner: the run's :class:`~repro.runtime.faults.FaultPolicy`
 (``RunConfig(faults=...)``).  Without a fault scope every executor makes
@@ -22,12 +23,11 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
-from typing import Awaitable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from repro.errors import HarnessError
-from repro.llm.api import as_async, get_model
-from repro.llm.types import ChatMessage, ModelOutput
-from repro.obs import active_tracer, span
+from repro.llm.api import get_model
+from repro.obs import carry_span, span
 from repro.runtime.faults import FailedGeneration, active_faults
 from repro.runtime.units import Generation, WorkUnit
 
@@ -35,27 +35,21 @@ __all__ = [
     "generate_unit",
     "Executor",
     "SerialExecutor",
-    "AsyncExecutor",
+    "ThreadExecutor",
 ]
-
-_T = TypeVar("_T")
-
-
-def _generation(unit: WorkUnit, output: ModelOutput, elapsed_s: float) -> Generation:
-    return Generation(
-        key=unit.key,
-        model=unit.model,
-        completion=output.completion,
-        usage=output.usage,
-        elapsed_s=elapsed_s,
-    )
 
 
 def _generate_once(unit: WorkUnit) -> Generation:
     """One raw model call for one unit; no retry, no policy."""
     started = time.perf_counter()
     output = get_model(unit.model).generate(unit.prompt, unit.config)
-    return _generation(unit, output, time.perf_counter() - started)
+    return Generation(
+        key=unit.key,
+        model=unit.model,
+        completion=output.completion,
+        usage=output.usage,
+        elapsed_s=time.perf_counter() - started,
+    )
 
 
 def generate_unit(unit: WorkUnit) -> "Generation | FailedGeneration":
@@ -77,30 +71,6 @@ def generate_unit(unit: WorkUnit) -> "Generation | FailedGeneration":
         if state is not None:
             return state.run_unit(unit, _generate_once)
         return _generate_once(unit)
-
-
-async def _traced(name: str, awaitable: Awaitable[_T]) -> _T:
-    """Await ``awaitable``, folding its wall time into the active trace.
-
-    Interleaved tasks share the loop's thread, so the span is recorded
-    post hoc (``record_span``) instead of riding the thread's
-    span-nesting stack.  Its parent is the span enclosing the event
-    loop (the runner's ``generate``), read before the first await.
-    """
-    tracer = active_tracer()
-    if tracer is None:
-        return await awaitable
-    parent_id = tracer.current_span_id()
-    start_unix = time.time()
-    t0 = time.perf_counter()
-    result = await awaitable
-    tracer.record_span(
-        name,
-        start_unix=start_unix,
-        duration_s=time.perf_counter() - t0,
-        parent_id=parent_id,
-    )
-    return result
 
 
 @runtime_checkable
@@ -128,30 +98,19 @@ class SerialExecutor:
         return "SerialExecutor()"
 
 
-class AsyncExecutor:
-    """Event-loop execution: many provider calls in flight at once.
+class ThreadExecutor:
+    """Up to ``max_concurrency`` units in flight on a thread pool.
 
-    Each ``execute`` runs an asyncio loop with one task per unit, at most
-    ``max_concurrency`` of them in flight under one semaphore.  Each unit
-    resolves its provider through :func:`repro.llm.api.as_async`:
-    async-native providers run on the loop directly, sync ones are
-    offloaded to the adapter thread pool.
+    For latency-bound providers (real API endpoints), whose blocking
+    calls release the GIL while they wait.  Each unit runs through
+    :func:`generate_unit`, the funnel :class:`SerialExecutor` uses, so
+    retry, deadlines, isolation and breakers come from the run's
+    :class:`~repro.runtime.faults.FaultPolicy` exactly as there, and the
+    grid is bit-identical to the serial one (seeds travel inside units).
 
-    Circuit breakers, retry, deadlines and isolation come from the
-    run's :class:`~repro.runtime.faults.FaultPolicy`, applied per unit
-    exactly as :class:`SerialExecutor` applies them; without a fault
-    scope each unit gets one attempt.  Results are bit-identical to
-    :class:`SerialExecutor` — seeds travel inside units, so in-flight
-    interleaving cannot reorder randomness.
-
-    The adapter thread pool is created lazily and persists across
-    ``execute`` calls (the loop's own default executor is sized by CPU
-    count and dies with each loop, which would both throttle the
-    semaphore and pay thread startup per run).  ``close()`` or the
-    context manager releases it; a plain ``execute`` after ``close()``
-    reopens it, but re-entering a closed executor as a context manager
-    raises :class:`~repro.errors.HarnessError` (the ``with`` block would
-    otherwise silently resurrect a pool the caller just tore down).
+    The pool lives for one ``execute`` call.  When a unit raises (in
+    ``raise`` mode, or a programming error), no further unit starts and
+    the error propagates once the running ones finish.
     """
 
     def __init__(self, max_concurrency: int = 8) -> None:
@@ -160,75 +119,36 @@ class AsyncExecutor:
                 f"max_concurrency must be positive, got {max_concurrency}"
             )
         self.max_concurrency = max_concurrency
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-        self._closed = False
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.max_concurrency,
-                    thread_name_prefix="repro-async",
-                )
-                self._closed = False
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the adapter pool down and join its threads (idempotent)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "AsyncExecutor":
-        with self._lock:
-            if self._closed:
-                raise HarnessError(
-                    "AsyncExecutor was closed; create a new executor "
-                    "instead of re-entering the closed one as a context "
-                    "manager"
-                )
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def execute(self, units: Sequence[WorkUnit]) -> dict[str, Generation]:
-        if not units:
-            return {}
-        import asyncio
+        generate = carry_span(generate_unit)  # unit spans nest under "generate"
+        failed = threading.Event()
 
-        return asyncio.run(self._execute(list(units)))
+        def work(unit: WorkUnit) -> "Generation | FailedGeneration | None":
+            # a raising unit sets the flag before its worker takes the
+            # next unit, so no unit starts after one raised, however fast
+            # the units fail (cancel_futures alone races the workers)
+            if failed.is_set():
+                return None
+            try:
+                return generate(unit)
+            except BaseException:
+                failed.set()
+                raise
 
-    async def _execute(self, units: list[WorkUnit]) -> dict[str, Generation]:
-        import asyncio
-
-        pool = self._ensure_pool()
-        semaphore = asyncio.Semaphore(self.max_concurrency)
-        state = active_faults()
-        produced: dict[str, Generation] = {}
-
-        async def attempt(unit: WorkUnit) -> Generation:
-            # one raw provider call: the FaultPolicy's unit of retry
-            provider = as_async(get_model(unit.model).provider, pool)
-            started = time.perf_counter()
-            output = await provider.agenerate(
-                [ChatMessage.user(unit.prompt)], unit.config
+        pool = concurrent.futures.ThreadPoolExecutor(
+            self.max_concurrency, thread_name_prefix="repro-unit"
+        )
+        try:
+            futures = [pool.submit(work, unit) for unit in units]
+            concurrent.futures.wait(
+                futures, return_when=concurrent.futures.FIRST_EXCEPTION
             )
-            return _generation(unit, output, time.perf_counter() - started)
-
-        async def per_unit(unit: WorkUnit) -> None:
-            async with semaphore:
-                if state is not None:
-                    call = state.run_unit_async(unit, attempt)
-                else:
-                    call = attempt(unit)
-                produced[unit.key] = await _traced("unit", call)
-
-        await asyncio.gather(*(per_unit(unit) for unit in units))
-        return produced
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+        # units start in plan order, so the error raises here before any
+        # unit it stopped is read
+        return {unit.key: future.result() for unit, future in zip(units, futures)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AsyncExecutor(max_concurrency={self.max_concurrency})"
+        return f"ThreadExecutor(max_concurrency={self.max_concurrency})"

@@ -2,17 +2,13 @@
 
 :class:`FaultPolicy` is the one owner of retries: without it, every
 executor makes one attempt per unit.  The policy centralizes every
-fault-handling knob and :func:`fault_scope` threads it through both
-executors at once:
-:func:`repro.runtime.executors.generate_unit` — the funnel
-:class:`~repro.runtime.executors.SerialExecutor` goes through —
-consults the active :class:`FaultState`, and
-:class:`~repro.runtime.executors.AsyncExecutor` awaits the same policy
-on its event loop for every unit.
-One policy object therefore gives both execution backends the same
-circuit breakers, deterministic exponential backoff, per-unit
-wall-clock deadlines, a run-shared retry budget, and an ``on_failure``
-disposition:
+fault-handling knob and :func:`fault_scope` threads it through every
+executor at once: :func:`repro.runtime.executors.generate_unit` — the
+one funnel both executors run each unit through — consults the active
+:class:`FaultState`.  One policy object therefore gives every execution
+backend the same circuit breakers, deterministic exponential backoff,
+per-unit wall-clock deadlines, a run-shared retry budget, and an
+``on_failure`` disposition:
 
 * ``"raise"`` — retry per policy, then propagate (the historical
   behavior, and the default);
@@ -36,8 +32,8 @@ deterministic, so it is isolatable but never retried) propagates in
 over bugs.
 
 Determinism: backoff is jitter-free, deadlines only convert would-be
-retries into failures (a *successful* late sync result is kept — the
-work is already done), and the retry budget is exhausted in completion
+retries into failures (a *successful* late result is kept — the work is
+already done), and the retry budget is exhausted in completion
 order; a fault-free run takes the same code path with or without a
 policy attached, which is what the gated no-fault overhead bench pins.
 """
@@ -50,7 +46,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import (
     BreakerOpenError,
@@ -119,11 +115,11 @@ class FaultPolicy:
 
     * ``retry`` — per-unit retry/backoff schedule;
     * ``unit_deadline_s`` — wall-clock budget per unit across all of its
-      attempts (``None`` = unbounded).  Sync attempts cannot be
-      interrupted mid-call, so the deadline is enforced between
-      attempts (a retry that would start or sleep past the deadline
-      fails as :class:`~repro.errors.DeadlineExceededError` instead);
-      async attempts are genuinely cancelled via ``asyncio.wait_for``;
+      attempts (``None`` = unbounded).  A provider call cannot be
+      interrupted mid-call, so the deadline is enforced between attempts
+      on every executor: a retry that would start or sleep past the
+      deadline fails as :class:`~repro.errors.DeadlineExceededError`
+      instead;
     * ``retry_budget`` — maximum *total* retries across the whole run,
       shared by every unit (``None`` = unbounded).  A storm of transient
       failures degrades into isolation instead of retrying forever;
@@ -266,10 +262,10 @@ def _isolatable(exc: BaseException) -> bool:
 class FaultState:
     """One run's live fault-handling state: counters plus the shared budget.
 
-    Thread-safe: the serial path calls :meth:`run_unit` from whichever
-    thread runs the sweep, and the async path awaits
-    :meth:`run_unit_async` on its loop.  Install for the duration of an
-    execution phase with :func:`fault_scope`.
+    Thread-safe: :meth:`run_unit` runs on whichever thread runs the
+    unit — the sweep's own thread, or a
+    :class:`~repro.runtime.executors.ThreadExecutor` worker.  Install for
+    the duration of an execution phase with :func:`fault_scope`.
     """
 
     def __init__(self, policy: FaultPolicy) -> None:
@@ -372,8 +368,6 @@ class FaultState:
             raise exc
         return FailedGeneration(unit, exc, attempts, elapsed)
 
-    # -- sync path (serial) --------------------------------------------------
-
     def run_unit(
         self,
         unit: WorkUnit,
@@ -403,63 +397,6 @@ class FaultState:
                 self._observe(tracker, None)
                 return result
 
-    # -- async path ----------------------------------------------------------
-
-    async def run_unit_async(
-        self,
-        unit: WorkUnit,
-        generate_once: Callable[[WorkUnit], Awaitable[Generation]],
-    ) -> "Generation | FailedGeneration":
-        """The same policy on an event loop; in-flight attempts that blow
-        the deadline are genuinely cancelled via ``asyncio.wait_for``."""
-        import asyncio
-
-        policy = self.policy
-        started = time.perf_counter()
-        tracker = self._tracker(unit)
-        attempt = 0
-        while True:
-            attempt += 1
-            attempt_started = time.perf_counter()
-            try:
-                self._refuse_if_open(unit, tracker)
-                deadline = policy.unit_deadline_s
-                if deadline is not None:
-                    remaining = deadline - (time.perf_counter() - started)
-                    if remaining <= 0:
-                        raise DeadlineExceededError(
-                            f"unit {unit.uid} exceeded its {deadline}s "
-                            f"deadline after {attempt - 1} attempt(s)",
-                            elapsed_s=time.perf_counter() - started,
-                            deadline_s=deadline,
-                        )
-                    try:
-                        result = await asyncio.wait_for(
-                            generate_once(unit), timeout=remaining
-                        )
-                    except asyncio.TimeoutError:
-                        raise DeadlineExceededError(
-                            f"unit {unit.uid} exceeded its {deadline}s "
-                            f"deadline mid-attempt {attempt}",
-                            elapsed_s=time.perf_counter() - started,
-                            deadline_s=deadline,
-                        ) from None
-                else:
-                    result = await generate_once(unit)
-            except Exception as exc:
-                self._observe(tracker, exc)
-                attempt_elapsed = time.perf_counter() - attempt_started
-                outcome = self._after_failed_attempt(
-                    unit, exc, attempt, started, attempt_elapsed
-                )
-                if isinstance(outcome, FailedGeneration):
-                    return outcome
-                self._note_sleep(outcome)
-                await asyncio.sleep(outcome)
-            else:
-                self._observe(tracker, None)
-                return result
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FaultState({self.policy!r}, retries={self.retries}, "
@@ -469,11 +406,10 @@ class FaultState:
 
 # -- the active scope --------------------------------------------------------
 #
-# A module-level global, not a threading.local: executors hand provider
-# calls to worker threads (the async adapter pool) and event loops, none
-# of which inherit the installing thread's locals.  Mirrors repro.obs's
-# active-tracer pattern.  One scope at a time: nested scopes raise rather
-# than silently shadow.
+# A module-level global, not a threading.local: a ThreadExecutor runs
+# units on worker threads, which do not inherit the installing thread's
+# locals.  Mirrors repro.obs's active-tracer pattern.  One scope at a
+# time: nested scopes raise rather than silently shadow.
 
 _active: FaultState | None = None
 _active_mu = threading.Lock()

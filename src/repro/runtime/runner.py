@@ -158,7 +158,7 @@ def _run_impl(
 
     Results are independent of the executor choice: seeds live inside
     the units, and generations are keyed by content, so serial and
-    async execution (with any mix of cold/warm cache) produce
+    threaded execution (with any mix of cold/warm cache) produce
     bit-identical output.
 
     Every knob is read off ``config``, a

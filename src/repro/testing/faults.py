@@ -45,7 +45,7 @@ class FaultPlan:
     over ``(seed, kind, key)``; a fault of some kind strikes a request
     exactly when its roll lands under that kind's rate.  Because the
     roll depends only on content, the *same requests* fault under serial
-    and async execution — which is what lets the chaos suite assert
+    and threaded execution — which is what lets the chaos suite assert
     bit-identical grids across executors under fire.
 
     ``transient_times`` bounds how often a transient (or truncate) fault
@@ -142,8 +142,8 @@ class FaultyProvider:
     the message) instead of returning a silently-short success that
     would poison the content-addressed cache.
 
-    Counters (``calls``, ``injected``) are lock-protected: the async
-    executor calls concurrently.
+    Counters (``calls``, ``injected``) are lock-protected: a
+    :class:`~repro.runtime.executors.ThreadExecutor` calls concurrently.
     """
 
     def __init__(self, provider: ModelAPI, plan: FaultPlan) -> None:

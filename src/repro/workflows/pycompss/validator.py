@@ -38,6 +38,8 @@ def validate_task_code(text: str) -> ValidationReport:
         )
     )
 
+    # a ``@compss_*`` decorator is already an identifier hit: report it once
+    reported = {(d.symbol, d.line) for d in report.diagnostics}
     saw_task = False
     imported: set[str] = set()
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -70,7 +72,11 @@ def validate_task_code(text: str) -> ValidationReport:
             )
             if deco == "task":
                 saw_task = True
-            elif claims_pycompss and not PYCOMPSS_API.known(deco):
+            elif (
+                claims_pycompss
+                and not PYCOMPSS_API.known(deco)
+                and (deco, lineno) not in reported
+            ):
                 report.diagnostics.append(
                     Diagnostic(
                         severity=Severity.ERROR,

@@ -1,29 +1,20 @@
 """The executor-equivalence matrix shared by the runtime test modules.
 
 Each entry of :data:`EXECUTOR_PATHS` is one way a sweep can reach the
-model layer: ``serial`` (:class:`SerialExecutor`) and ``async``
-(:class:`AsyncExecutor`, one provider call per unit).
+model layer: ``serial`` (:class:`SerialExecutor`) and ``threads``
+(:class:`ThreadExecutor`, units in flight on a thread pool).
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator
+from repro.runtime import Executor, SerialExecutor, ThreadExecutor
 
-from repro.runtime import AsyncExecutor, Executor, SerialExecutor
-
-EXECUTOR_PATHS = ("serial", "async")
+EXECUTOR_PATHS = ("serial", "threads")
 
 
-@contextlib.contextmanager
-def executor_path(name: str, *, max_concurrency: int = 6) -> Iterator[Executor]:
-    """The executor behind one entry of :data:`EXECUTOR_PATHS`.
-
-    The async executor's thread pool is closed on exit.
-    """
+def executor_path(name: str, *, max_concurrency: int = 6) -> Executor:
+    """The executor behind one entry of :data:`EXECUTOR_PATHS`."""
     if name == "serial":
-        yield SerialExecutor()
-        return
-    assert name == "async", name
-    with AsyncExecutor(max_concurrency) as executor:
-        yield executor
+        return SerialExecutor()
+    assert name == "threads", name
+    return ThreadExecutor(max_concurrency)

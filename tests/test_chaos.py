@@ -17,12 +17,12 @@ from repro.errors import UnitFailedError
 from repro.llm.types import GenerateConfig
 from repro.persist import RunStore
 from repro.runtime import (
-    AsyncExecutor,
     FaultPolicy,
     Plan,
     RetryPolicy,
     RunConfig,
     SerialExecutor,
+    ThreadExecutor,
     run,
 )
 from repro.testing import (
@@ -123,8 +123,8 @@ class TestTransientFaultsBitIdentical:
     @pytest.mark.parametrize("path", EXECUTOR_PATHS)
     def test_grid_identical_under_fire(self, baseline, path):
         plan = FaultPlan(seed=4, transient_rate=0.2, transient_times=1)
-        with executor_path(path) as executor, \
-                faulty_models(SIM_MODELS, plan) as wrapped:
+        executor = executor_path(path)
+        with faulty_models(SIM_MODELS, plan) as wrapped:
             grid = small_sweep(executor, faults=HEALING)
             injected = sum(p.injected_total for p in wrapped.values())
         assert injected > 0, "fault seed never fired; pick a different seed"
@@ -133,7 +133,7 @@ class TestTransientFaultsBitIdentical:
     def test_latency_spikes_change_nothing(self, baseline):
         plan = FaultPlan(seed=3, latency_rate=0.5, latency_s=0.001)
         with faulty_models(SIM_MODELS, plan) as wrapped:
-            grid = small_sweep(AsyncExecutor(max_concurrency=6), faults=HEALING)
+            grid = small_sweep(ThreadExecutor(max_concurrency=6), faults=HEALING)
             assert sum(p.injected["latency"] for p in wrapped.values()) > 0
         assert grid.cells == baseline.cells
 

@@ -67,8 +67,8 @@ class TestRemoteFaultLadders:
         baseline = small_sweep(SerialExecutor())
         plan = FaultPlan(seed=4, transient_rate=0.2, transient_times=1)
         with InProcessServer(tmp_path / "served") as server:
-            with executor_path("async") as executor, \
-                    faulty_models(SIM_MODELS, plan) as wrapped:
+            executor = executor_path("threads")
+            with faulty_models(SIM_MODELS, plan) as wrapped:
                 with open_store(server.url(), retry=FAST_RETRY) as remote:
                     grid = small_sweep(executor, faults=HEALING, store=remote)
                 injected = sum(p.injected_total for p in wrapped.values())

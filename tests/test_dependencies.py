@@ -9,7 +9,8 @@ YAML (the ``wilkins`` extra), so the reproduction runs with it blocked.
 Each process loads only the layers it runs: the store server imports
 with numpy blocked and without the model and metric stack, and a
 storeless cold run loads neither asyncio nor the store client and
-server.  These pins run in a fresh interpreter, where ``sys.modules``
+server.  No executor runs an event loop: only the store server and its
+test harness import asyncio.  These pins run in a fresh interpreter, where ``sys.modules``
 shows exactly what an import pulled in.
 """
 
@@ -86,6 +87,27 @@ def test_cold_entry_modules_load_no_event_loop_or_store_layers():
     )
     imports = f"import {', '.join(ENTRY_MODULES)}; from repro.serve import open_store"
     assert _loaded(imports, unused) == []
+
+
+def test_thread_executor_sweep_loads_no_event_loop():
+    sweep = (
+        "from repro.core.experiments import run_configuration; "
+        "from repro.runtime import RunConfig, ThreadExecutor; "
+        "run_configuration(models=['o3'], systems=['adios2'], epochs=2, "
+        "config=RunConfig(executor=ThreadExecutor(4)))"
+    )
+    assert _loaded(sweep, ("asyncio",)) == []
+
+
+def test_no_runtime_llm_or_core_module_imports_asyncio():
+    pattern = re.compile(r"^\s*(?:import|from)\s+asyncio\b", re.MULTILINE)
+    offenders = [
+        str(path.relative_to(SRC))
+        for package in ("runtime", "llm", "core")
+        for path in sorted(SRC.joinpath("repro", package).rglob("*.py"))
+        if pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
 
 
 #: modules of the executable workflow runtimes and their simulated MPI /

@@ -44,7 +44,7 @@ def test_example_runs(example):
         (["--cache", "disk"], "--cache disk requires --store"),
         (["--store", str(SCRIPT)], "is not a directory"),
         (["--executor", "mpi"], "unknown executor 'mpi'"),
-        (["--executor", "async", "--workers", "0"], "max_concurrency must be positive"),
+        (["--executor", "threads", "--workers", "0"], "max_concurrency must be positive"),
         (["--resume-failed", "run-1"], "--resume-failed requires --store"),
     ],
 )
@@ -74,14 +74,14 @@ def test_bad_knob_leaves_no_store_behind(tmp_path, args, expected):
     assert not store.exists()
 
 
-@pytest.mark.parametrize("removed", ["threads", "batched"])
+@pytest.mark.parametrize("removed", ["async", "batched"])
 def test_removed_executors_are_rejected(tmp_path, removed):
-    """Only serial and async remain; the error names both choices."""
+    """Only serial and threads remain; the error names both choices."""
     store = tmp_path / "new-store"
     proc = run_script("--store", str(store), "--executor", removed)
     assert proc.returncode == 2
     assert (
-        f"unknown executor {removed!r}; choose from serial, async" in proc.stderr
+        f"unknown executor {removed!r}; choose from serial, threads" in proc.stderr
     )
     assert "Traceback" not in proc.stderr
     assert not store.exists()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 import pytest
@@ -18,11 +17,11 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.runtime import (
-    AsyncExecutor,
     FaultPolicy,
     Plan,
     RetryPolicy,
     RunConfig,
+    ThreadExecutor,
     run,
 )
 from repro.runtime.faults import (
@@ -242,23 +241,6 @@ class TestDeadlines:
         # the terminal deadline error chains the fault that burned the clock
         assert isinstance(excinfo.value.__cause__, ModelError)
 
-    def test_async_deadline_cancels_inflight_call(self):
-        state = FaultState(
-            FaultPolicy(unit_deadline_s=0.02, on_failure="isolate")
-        )
-
-        async def hang(u):
-            await asyncio.sleep(5.0)
-
-        async def main():
-            return await state.run_unit_async(one_unit(), hang)
-
-        started = time.perf_counter()
-        out = asyncio.run(main())
-        assert time.perf_counter() - started < 1.0  # cancelled, not waited out
-        assert isinstance(out, FailedGeneration)
-        assert out.unit_failure("uid").error_type == "DeadlineExceededError"
-
 
 class TestFaultScope:
     def test_scope_installs_and_clears(self):
@@ -321,7 +303,7 @@ class TestUnitFailedError:
         assert UnitFailedError("empty").failures == ()
 
 
-class TestAsyncOneCallPerUnit:
+class TestThreadsOneCallPerUnit:
     def test_poisoned_requests_reach_the_provider_once(self):
         from repro.llm.api import register_model
         from repro.llm.types import ModelOutput, ModelUsage
@@ -390,7 +372,7 @@ class TestAsyncOneCallPerUnit:
         # never used, and isolate quarantines only the poisoned unit
         faults = FaultPolicy(retry=RetryPolicy(max_attempts=1), on_failure="isolate")
         outcome = run(
-            plan, config=RunConfig(executor=AsyncExecutor(4), faults=faults)
+            plan, config=RunConfig(executor=ThreadExecutor(4), faults=faults)
         )
         assert provider.batch_calls == 0
         assert sorted(provider.calls) == ["BAD-2", "good-1", "good-3"]
@@ -399,5 +381,5 @@ class TestAsyncOneCallPerUnit:
 
         # without a fault policy the poisoned unit's error surfaces
         with pytest.raises(ModelError, match="poisoned"):
-            run(plan, config=RunConfig(executor=AsyncExecutor(4)))
+            run(plan, config=RunConfig(executor=ThreadExecutor(4)))
         assert provider.batch_calls == 0

@@ -238,8 +238,8 @@ class TestFaultPolicyIntegration:
             models=MODELS, systems=SYSTEMS, epochs=2,
             config=RunConfig(executor=SerialExecutor()),
         )
-        with executor_path(path) as executor, \
-                faulty_models(SIM_MODELS, fault_plan) as wrapped:
+        executor = executor_path(path)
+        with faulty_models(SIM_MODELS, fault_plan) as wrapped:
             grid = run_configuration(
                 models=MODELS, systems=SYSTEMS, epochs=2,
                 config=RunConfig(executor=executor, faults=policy),
@@ -261,8 +261,8 @@ class TestFaultPolicyIntegration:
         )
         plan = Plan("breaker-open")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
-        with executor_path(path) as executor, \
-                faulty_models(["sim/o3"], FaultPlan()) as wrapped:
+        executor = executor_path(path)
+        with faulty_models(["sim/o3"], FaultPlan()) as wrapped:
             with pytest.raises(BreakerOpenError, match="sim/o3"):
                 run(plan, config=RunConfig(executor=executor, faults=policy))
         # the refused attempts never reached the provider
@@ -282,8 +282,8 @@ class TestFaultPolicyIntegration:
         plan = Plan("breaker-isolate")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=2)
         plan.add_eval(configuration_task("adios2"), "sim/llama-3.3-70b", epochs=2)
-        with executor_path(path) as executor:
-            outcome = run(plan, config=RunConfig(executor=executor, faults=policy))
+        executor = executor_path(path)
+        outcome = run(plan, config=RunConfig(executor=executor, faults=policy))
         assert outcome.stats.units_failed == 2  # the open model's epochs
         assert outcome.stats.generated == 2  # the healthy model's epochs
         failed_models = {f.model for f in outcome.failures.values()}
@@ -310,10 +310,10 @@ class TestBreakerOutcomesUnderPolicy:
         registry = BreakerRegistry()
         plan = Plan("breaker-success")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=3)
-        with executor_path(path) as executor:
-            outcome = run(plan, config=RunConfig(
-                executor=executor, faults=FaultPolicy(health=registry),
-            ))
+        executor = executor_path(path)
+        outcome = run(plan, config=RunConfig(
+            executor=executor, faults=FaultPolicy(health=registry),
+        ))
         assert outcome.stats.generated == 3
         described = registry.get("sim/o3").describe()
         # one outcome per provider call
@@ -332,8 +332,8 @@ class TestBreakerOutcomesUnderPolicy:
         )
         plan = Plan("breaker-trip")
         plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=4)
-        with executor_path(path, max_concurrency=1) as executor, \
-                faulty_models(["sim/o3"], FaultPlan(permanent_rate=1.0)) as wrapped:
+        executor = executor_path(path, max_concurrency=1)
+        with faulty_models(["sim/o3"], FaultPlan(permanent_rate=1.0)) as wrapped:
             outcome = run(plan, config=RunConfig(executor=executor, faults=policy))
         tracker = registry.get("sim/o3")
         assert (tracker.state, tracker.opened_total) == ("open", 1)
@@ -346,7 +346,7 @@ class TestBreakerOutcomesUnderPolicy:
         assert set(error_types) <= {"ModelError", "BreakerOpenError"}
         assert error_types.count("BreakerOpenError") >= 3
 
-    @pytest.mark.parametrize("path", ["serial", "async"])
+    @pytest.mark.parametrize("path", ["serial", "threads"])
     def test_deterministic_failures_never_trip(self, path):
         registry = BreakerRegistry(min_samples=1, failure_threshold=0.5)
         policy = FaultPolicy(
@@ -357,8 +357,8 @@ class TestBreakerOutcomesUnderPolicy:
         provider = _UnknownModelProvider(f"health/unknown-{path}")
         plan = Plan("breaker-deterministic")
         plan.add_eval(configuration_task("adios2"), Model(provider), epochs=3)
-        with executor_path(path, max_concurrency=1) as executor:
-            outcome = run(plan, config=RunConfig(executor=executor, faults=policy))
+        executor = executor_path(path, max_concurrency=1)
+        outcome = run(plan, config=RunConfig(executor=executor, faults=policy))
         assert outcome.stats.units_failed == 3
         assert {f.error_type for f in outcome.failures.values()} == {
             "UnknownModelError"

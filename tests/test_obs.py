@@ -19,6 +19,8 @@ import pytest
 from repro import obs
 from repro.errors import HarnessError
 
+from executor_paths import EXECUTOR_PATHS, executor_path
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -63,16 +65,6 @@ class TestTracer:
             handle = tracer.begin_trace("t")
             trace = tracer.end_trace(handle)
         assert [s.name for s in trace.spans] == ["t"]
-
-    def test_record_span_skips_the_nesting_stack(self):
-        with obs.tracing() as tracer:
-            handle = tracer.begin_trace("t")
-            tracer.record_span("async-unit", start_unix=time.time(),
-                               duration_s=0.01)
-            trace = tracer.end_trace(handle)
-        span = {s.name: s for s in trace.spans}["async-unit"]
-        assert span.parent_id == trace.root.span_id
-        assert span.duration_s == pytest.approx(0.01)
 
     def test_record_remote_folds_and_tolerates_garbage(self):
         with obs.tracing() as tracer:
@@ -290,15 +282,14 @@ class TestRunnerIntegration:
             armed = run_configuration(**sweep)
         assert armed.cells == bare.cells
 
-    def test_async_spans_parent_the_generate_span(self):
+    def test_thread_spans_parent_the_generate_span(self):
         from repro.core.experiments import run_configuration
-        from repro.runtime import AsyncExecutor, RunConfig
+        from repro.runtime import RunConfig, ThreadExecutor
 
         traces = []
         with obs.tracing(obs.Tracer(on_finish=traces.append)):
-            with AsyncExecutor(max_concurrency=4) as executor:
-                run_configuration(models=["o3"], systems=["adios2"], epochs=2,
-                                  config=RunConfig(executor=executor))
+            run_configuration(models=["o3"], systems=["adios2"], epochs=2,
+                              config=RunConfig(executor=ThreadExecutor(4)))
         (trace,) = traces
         by_id = {s.span_id: s for s in trace.spans}
         spans = [s for s in trace.spans if s.name == "unit"]
@@ -308,6 +299,31 @@ class TestRunnerIntegration:
         profile = trace.profile()
         assert profile.calls("generate/unit") == len(spans)
         assert "unit" not in profile.phases  # not counted again at top level
+
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_provider_spans_nest_under_the_unit_span(self, path):
+        from repro.core.experiments.configuration import configuration_task
+        from repro.llm.api import Model, get_model
+        from repro.runtime import Plan, RunConfig, run
+
+        inner = get_model("sim/o3").provider
+
+        class Spanning:
+            name = f"spanning/{path}"
+
+            def generate(self, messages, config):
+                with obs.span("provider-call"):
+                    return inner.generate(messages, config)
+
+        plan = Plan("provider-spans")
+        plan.add_eval(configuration_task("adios2"), Model(Spanning()), epochs=2)
+        traces = []
+        with obs.tracing(obs.Tracer(on_finish=traces.append)):
+            run(plan, config=RunConfig(executor=executor_path(path)))
+        (trace,) = traces
+        profile = trace.profile()
+        assert profile.calls("generate/unit/provider-call") == 2
+        assert "provider-call" not in profile.phases
 
 
 class TestServeTracePropagation:

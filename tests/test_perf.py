@@ -101,20 +101,32 @@ class TestSpans:
         assert profile.calls("independent") == 1
         assert profile.calls("held/independent") == 0
 
-    def test_record_span_folds_under_its_parent(self):
-        def body():
-            tracer = obs.active_tracer()
-            with obs.span("generate"):
-                parent = tracer.current_span_id()
-            tracer.record_span("unit", start_unix=time.time(),
-                               duration_s=1.5, parent_id=parent)
-            tracer.record_span("unit", start_unix=time.time(),
-                               duration_s=0.5, parent_id=parent)
+    def test_carried_spans_nest_under_the_submitting_span(self):
+        def unit(_):
+            with obs.span("unit"):
+                pass
 
-        totals = traced(body).profile().phases["generate/unit"]
-        assert totals.calls == 2
-        assert totals.total_s == pytest.approx(2.0)
-        assert totals.max_s == pytest.approx(1.5)
+        def body():
+            with obs.span("generate"):
+                work = obs.carry_span(unit)
+                threads = [threading.Thread(target=work, args=(None,))
+                           for _ in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+
+        profile = traced(body).profile()
+        assert profile.calls("generate/unit") == 2
+        assert profile.calls("unit") == 0
+
+    def test_carry_span_is_the_function_itself_when_off(self):
+        def unit(_):
+            return 1
+
+        assert obs.carry_span(unit) is unit
+        with obs.tracing():  # armed, but no open trace
+            assert obs.carry_span(unit) is unit
 
     def test_remote_span_with_unknown_parent_is_top_level(self):
         def body():

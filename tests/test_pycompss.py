@@ -35,6 +35,15 @@ class TestValidator:
         report = validate_task_code(code)
         assert any(d.symbol == decorator for d in report.hallucinations())
 
+    def test_compss_decorator_reported_once(self):
+        # the identifier audit and the decorator audit both see
+        # ``@compss_task``; the hallucination must count once
+        code = '@compss_task(f=FILE_OUT)\ndef f(f): pass\ncompss_wait_on_file("x")'
+        report = validate_task_code(code)
+        hits = [d for d in report.hallucinations() if d.symbol == "compss_task"]
+        assert len(hits) == 1, report.render()
+        assert hits[0].code == "nonexistent-api"
+
 
 _TASK = (
     "@task(fname=FILE_OUT)\n"

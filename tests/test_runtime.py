@@ -23,12 +23,12 @@ from repro.llm.simulated import SimulatedModel
 from repro.metrics.stats import Aggregate
 from repro.persist import RunStore
 from repro.runtime import (
-    AsyncExecutor,
     InMemoryResultCache,
     Plan,
     RunConfig,
     ScoreCache,
     SerialExecutor,
+    ThreadExecutor,
     generation_key,
     run,
 )
@@ -108,28 +108,27 @@ class TestPlan:
 
 
 class TestExecutorEquivalence:
-    """Serial and async execution must be bit-identical."""
+    """Serial and threaded execution must be bit-identical."""
 
     @pytest.fixture(scope="class")
     def serial_grid(self):
         return small_sweep(SerialExecutor())
 
     def test_grid_identical_to_serial(self, serial_grid):
-        with executor_path("async") as executor:
-            grid = small_sweep(executor)
+        grid = small_sweep(executor_path("threads"))
         assert grid.cells == serial_grid.cells
 
     @pytest.mark.parametrize("path", EXECUTOR_PATHS)
     def test_prompt_sensitivity_identical(self, path):
-        with executor_path(path) as executor:
-            result = run_prompt_sensitivity(
-                "configuration",
-                models=["o3"],
-                variants=["original", "detailed"],
-                conditions=["wilkins"],
-                epochs=1,
-                config=RunConfig(executor=executor),
-            )
+        executor = executor_path(path)
+        result = run_prompt_sensitivity(
+            "configuration",
+            models=["o3"],
+            variants=["original", "detailed"],
+            conditions=["wilkins"],
+            epochs=1,
+            config=RunConfig(executor=executor),
+        )
         reference = run_prompt_sensitivity(
             "configuration",
             models=["o3"],
@@ -143,7 +142,7 @@ class TestExecutorEquivalence:
         plan = Plan("p")
         task = configuration_task("wilkins")
         plan.add_eval(task, "sim/o3", epochs=2)
-        config = RunConfig(executor=AsyncExecutor(4))
+        config = RunConfig(executor=ThreadExecutor(4))
         outcome = run(plan, config=config)
         assert outcome.stats.total_units == 2
         assert outcome.stats.generated == 2
@@ -223,7 +222,7 @@ class TestResultCache:
     def test_cache_shared_across_executors(self):
         cache = InMemoryResultCache()
         cold = small_sweep(SerialExecutor(), cache=cache)
-        warm = small_sweep(AsyncExecutor(2), cache=cache)
+        warm = small_sweep(ThreadExecutor(2), cache=cache)
         assert warm.cells == cold.cells
 
     def test_cache_shared_across_sweeps(self, monkeypatch):
@@ -357,48 +356,6 @@ class TestScoreCache:
             ScoreCache(maxsize=0)
 
 
-class TestAsyncExecutorPool:
-    def test_pool_persists_across_executes(self):
-        executor = AsyncExecutor(2)
-        plan = Plan("p")
-        plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        config = RunConfig(executor=executor)
-        run(plan, config=config)
-        pool = executor._pool
-        assert pool is not None
-        plan2 = Plan("p2")
-        plan2.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        run(plan2, config=config)
-        assert executor._pool is pool, "execute() must reuse the lazy pool"
-        executor.close()
-        assert executor._pool is None
-
-    def test_close_is_idempotent_and_reopenable(self):
-        executor = AsyncExecutor(2)
-        executor.close()  # close before first use is a no-op
-        plan = Plan("p")
-        plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        config = RunConfig(executor=executor)
-        first = run(plan, config=config)
-        executor.close()
-        executor.close()
-        # a closed executor transparently re-creates its pool
-        again = run(plan, config=config)
-        a = sorted((uid, r.score["bleu"]) for uid, r in first.results.items())
-        b = sorted((uid, r.score["bleu"]) for uid, r in again.results.items())
-        assert a == b
-        executor.close()
-
-    def test_context_manager_closes_pool(self):
-        plan = Plan("p")
-        plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        with AsyncExecutor(2) as executor:
-            config = RunConfig(executor=executor)
-            run(plan, config=config)
-            assert executor._pool is not None
-        assert executor._pool is None
-
-
 class TestEvaluateRouting:
     """core.task.evaluate is a thin wrapper over the runtime now."""
 
@@ -464,9 +421,9 @@ class TestExecutorErrors:
         )
         plan = Plan("p")
         plan.add_eval(task, "sim/o3", epochs=1)
-        with executor_path(path) as executor:
-            with pytest.raises(GenerationError, match="empty prompt"):
-                run(plan, config=RunConfig(executor=executor))
+        executor = executor_path(path)
+        with pytest.raises(GenerationError, match="empty prompt"):
+            run(plan, config=RunConfig(executor=executor))
 
     def test_evaluate_accepts_executor_and_cache(self):
         task = configuration_task("wilkins")
@@ -477,7 +434,7 @@ class TestExecutorErrors:
             task,
             "sim/o3",
             epochs=2,
-            run_config=RunConfig(executor=AsyncExecutor(2), cache=cache),
+            run_config=RunConfig(executor=ThreadExecutor(2), cache=cache),
         )
         assert a.aggregate("bleu") == b.aggregate("bleu")
         assert [s.completions for s in a.samples] == [

@@ -13,12 +13,12 @@ from repro.errors import MetricError, ModelError
 from repro.llm.api import register_model
 from repro.llm.types import ModelOutput, ModelUsage
 from repro.runtime import (
-    AsyncExecutor,
     FaultPolicy,
     Plan,
     RetryPolicy,
     RunConfig,
     ScoreCache,
+    ThreadExecutor,
     run,
 )
 from executor_paths import EXECUTOR_PATHS, executor_path
@@ -182,7 +182,7 @@ class TestInlineScoring:
         register_model(provider.name, lambda: provider)
         plan = Plan("score-after-execution")
         plan.add_eval(echo_task(["a", "b", "c"], scorer), provider.name, epochs=2)
-        run(plan, config=RunConfig(executor=AsyncExecutor(3)))
+        run(plan, config=RunConfig(executor=ThreadExecutor(3)))
         assert events == ["generate"] * 6 + ["score"] * 6
 
     def test_deduplicated_units_are_scored_once(self, scorer_calls):
@@ -288,8 +288,8 @@ class TestInlineScoring:
 @pytest.mark.parametrize("path", EXECUTOR_PATHS)
 def test_scores_and_stats_identical_across_executors(path):
     baseline = run(multi_group_plan())
-    with executor_path(path, max_concurrency=4) as executor:
-        outcome = run(multi_group_plan(), config=RunConfig(executor=executor))
+    executor = executor_path(path, max_concurrency=4)
+    outcome = run(multi_group_plan(), config=RunConfig(executor=executor))
     assert outcome.stats.scores_computed == baseline.stats.scores_computed
     assert outcome.stats.score_hits == baseline.stats.score_hits
     for uid, result in baseline.results.items():
@@ -303,10 +303,10 @@ class TestKernelGridIdentity:
     def test_full_table1_grid_identical_across_executors(self):
         baseline = run_configuration(epochs=2)  # all models × all systems
         for path in EXECUTOR_PATHS:
-            with executor_path(path, max_concurrency=4) as executor:
-                grid = run_configuration(
-                    epochs=2, config=RunConfig(executor=executor)
-                )
+            executor = executor_path(path, max_concurrency=4)
+            grid = run_configuration(
+                epochs=2, config=RunConfig(executor=executor)
+            )
             assert grids_equal(baseline, grid), path
 
     def test_full_grid_identical_with_reference_scorers(self, monkeypatch):

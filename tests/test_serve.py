@@ -22,12 +22,12 @@ from repro.errors import (
 from repro.llm.types import ModelUsage
 from repro.persist import RunStore
 from repro.runtime import (
-    AsyncExecutor,
     InMemoryResultCache,
     Plan,
     RetryPolicy,
     RunConfig,
     SerialExecutor,
+    ThreadExecutor,
     run,
 )
 from repro.runtime.units import Generation
@@ -358,7 +358,7 @@ class TestRemoteSweeps:
                     grids[name] = run_configuration(
                         **SMALL,
                         config=RunConfig(
-                            executor=AsyncExecutor(max_concurrency=4),
+                            executor=ThreadExecutor(max_concurrency=4),
                             store=remote,
                         ),
                     )
@@ -385,13 +385,13 @@ class TestRunConfig:
     def test_config_matches_default_across_executors(self):
         reference = run_configuration(**SMALL)
         for path in EXECUTOR_PATHS:
-            with executor_path(path, max_concurrency=4) as executor:
-                via_config = run_configuration(
-                    **SMALL,
-                    config=RunConfig(
-                        executor=executor, cache=InMemoryResultCache()
-                    ),
-                )
+            executor = executor_path(path, max_concurrency=4)
+            via_config = run_configuration(
+                **SMALL,
+                config=RunConfig(
+                    executor=executor, cache=InMemoryResultCache()
+                ),
+            )
             for row in reference.row_keys:
                 for model in reference.models:
                     assert via_config.cell(row, model) == reference.cell(row, model)

@@ -1,7 +1,7 @@
-"""Async provider runtime: AsyncExecutor, one provider call per unit.
+"""Threaded provider runtime: ThreadExecutor, one provider call per unit.
 
-The async executor's equivalence with the serial one, its call counts,
-and retry, deadlines and isolation under the run's FaultPolicy.
+The thread executor's equivalence with the serial one, its call counts,
+and retry and isolation under the run's FaultPolicy.
 Everything here enforces the runtime's core contract: the execution
 strategy is a pure latency knob, never a results knob.
 """
@@ -20,17 +20,17 @@ from repro.core.samples import Sample
 from repro.core.scorers import CodeSimilarityScorer
 from repro.core.task import Task
 from repro.errors import GenerationError, HarnessError, ModelError
-from repro.llm.api import Model, as_async, get_model
+from repro.llm.api import Model
 from repro.llm.simulated import SimulatedModel
 from repro.llm.types import ModelOutput, ModelUsage
 from repro.runtime import (
-    AsyncExecutor,
     FaultPolicy,
     InMemoryResultCache,
     Plan,
     RetryPolicy,
     RunConfig,
     SerialExecutor,
+    ThreadExecutor,
     run,
 )
 from repro.testing import FaultPlan, faulty_models
@@ -80,35 +80,35 @@ class FlakyProvider:
         return echo_output(self.name)
 
 
-class TestAsyncEquivalence:
-    """The async executor must be bit-identical to SerialExecutor."""
+class TestThreadEquivalence:
+    """The thread executor must be bit-identical to SerialExecutor."""
 
     @pytest.fixture(scope="class")
     def serial_grid(self):
         return table1_sweep(SerialExecutor())
 
     @pytest.mark.parametrize("path,max_concurrency", [
-        ("async", 8),
-        ("async", 1),  # units strictly one after another
+        ("threads", 8),
+        ("threads", 1),  # units strictly one after another
     ])
     def test_table1_grid_identical_to_serial(self, serial_grid, path,
                                              max_concurrency):
-        with executor_path(path, max_concurrency=max_concurrency) as executor:
-            grid = table1_sweep(executor)
+        executor = executor_path(path, max_concurrency=max_concurrency)
+        grid = table1_sweep(executor)
         assert grid.cells == serial_grid.cells, path
 
     def test_warm_cache_zero_generations(self, serial_grid, monkeypatch):
         cache = InMemoryResultCache()
-        with executor_path("async") as executor:
-            cold = table1_sweep(executor, cache=cache)
-            calls = []
+        executor = executor_path("threads")
+        cold = table1_sweep(executor, cache=cache)
+        calls = []
 
-            def recording(self, *args):  # pragma: no cover - guard
-                calls.append(self.name)
-                raise AssertionError("warm rerun must not reach the model layer")
+        def recording(self, *args):  # pragma: no cover - guard
+            calls.append(self.name)
+            raise AssertionError("warm rerun must not reach the model layer")
 
-            monkeypatch.setattr(SimulatedModel, "generate", recording)
-            warm = table1_sweep(executor, cache=cache)
+        monkeypatch.setattr(SimulatedModel, "generate", recording)
+        warm = table1_sweep(executor, cache=cache)
         assert calls == []
         assert warm.cells == cold.cells == serial_grid.cells
 
@@ -123,26 +123,26 @@ class TestAsyncEquivalence:
         )
         plan = Plan("p")
         plan.add_eval(task, "sim/o3", epochs=1)
-        with executor_path("async") as executor:
-            with pytest.raises(GenerationError, match="empty prompt"):
-                run(plan, config=RunConfig(executor=executor))
+        executor = executor_path("threads")
+        with pytest.raises(GenerationError, match="empty prompt"):
+            run(plan, config=RunConfig(executor=executor))
 
     def test_empty_plan(self):
-        assert AsyncExecutor(2).execute([]) == {}
+        assert ThreadExecutor(2).execute([]) == {}
 
 
 def retrying(max_attempts: int) -> FaultPolicy:
     return FaultPolicy(retry=RetryPolicy(max_attempts=max_attempts, base_delay=0.0))
 
 
-class TestAsyncRetry:
+class TestThreadRetry:
     """Retry belongs to the run's FaultPolicy, never to the executor."""
 
     def test_transient_failures_are_retried(self):
         provider = FlakyProvider("flaky/recovers", fail_times=2)
         plan = Plan("p")
         plan.add_eval(simple_task("flaky-task"), Model(provider), epochs=1)
-        config = RunConfig(executor=AsyncExecutor(2), faults=retrying(3))
+        config = RunConfig(executor=ThreadExecutor(2), faults=retrying(3))
         outcome = run(plan, config=config)
         assert provider.calls == 3  # 2 failures + 1 success
         assert outcome.stats.generated == 1
@@ -153,7 +153,7 @@ class TestAsyncRetry:
         provider = FlakyProvider("flaky/hopeless", fail_times=100)
         plan = Plan("p")
         plan.add_eval(simple_task("hopeless-task"), Model(provider), epochs=1)
-        config = RunConfig(executor=AsyncExecutor(2), faults=retrying(3))
+        config = RunConfig(executor=ThreadExecutor(2), faults=retrying(3))
         with pytest.raises(ModelError, match="429"):
             run(plan, config=config)
         assert provider.calls == 3
@@ -164,7 +164,7 @@ class TestAsyncRetry:
         plan = Plan("p")
         plan.add_eval(simple_task("once-task"), Model(provider), epochs=1)
         with pytest.raises(ModelError, match="429"):
-            run(plan, config=RunConfig(executor=AsyncExecutor(2)))
+            run(plan, config=RunConfig(executor=ThreadExecutor(2)))
         assert provider.calls == 1
 
     def test_deterministic_model_errors_are_not_retried(self):
@@ -179,7 +179,7 @@ class TestAsyncRetry:
         plan = Plan("p")
         plan.add_eval(simple_task("invalid-task"), Model(AlwaysInvalid()),
                       epochs=1)
-        config = RunConfig(executor=AsyncExecutor(2), faults=retrying(5))
+        config = RunConfig(executor=ThreadExecutor(2), faults=retrying(5))
         with pytest.raises(GenerationError, match="malformed"):
             run(plan, config=config)
         assert AlwaysInvalid.calls == 1
@@ -197,11 +197,61 @@ class TestAsyncRetry:
 
     def test_invalid_concurrency_rejected(self):
         with pytest.raises(HarnessError, match="max_concurrency"):
-            AsyncExecutor(0)
+            ThreadExecutor(0)
 
     def test_executor_takes_no_retry_knob(self):
         with pytest.raises(TypeError):
-            AsyncExecutor(2, retry=RetryPolicy())
+            ThreadExecutor(2, retry=RetryPolicy())
+
+
+class TestStopOnError:
+    """An error that propagates stops the units that have not started."""
+
+    @pytest.mark.parametrize("max_concurrency", [1, 4])
+    @pytest.mark.parametrize("error,on_failure", [
+        (GenerationError, "raise"),
+        (TypeError, "isolate"),  # a programming error is never quarantined
+    ])
+    def test_error_propagates_and_later_units_are_never_called(
+        self, max_concurrency, error, on_failure
+    ):
+        class AlwaysBroken:
+            name = f"broken/threads-{max_concurrency}-{error.__name__}"
+
+            def __init__(self) -> None:
+                self.calls = 0
+                self._mu = threading.Lock()
+
+            def generate(self, messages, config):
+                with self._mu:
+                    self.calls += 1
+                raise error("malformed request")
+
+        provider = AlwaysBroken()
+        task = Task(
+            name=f"stop-{max_concurrency}-{error.__name__}",
+            dataset=[Sample(id=f"s{i}", input=f"prompt {i}", target="ok")
+                     for i in range(6)],
+            solvers=[],
+            scorer=CodeSimilarityScorer(metrics=("bleu",)),
+        )
+        plan = Plan("stop-on-error")
+        plan.add_eval(task, Model(provider), epochs=2)
+        config = RunConfig(executor=ThreadExecutor(max_concurrency),
+                           faults=FaultPolicy(on_failure=on_failure))
+        with pytest.raises(error, match="malformed"):
+            run(plan, config=config)
+        # each worker starts at most one unit before the first error;
+        # the other units of the 12 never reach the provider
+        assert 1 <= provider.calls <= max_concurrency
+
+    def test_pool_threads_end_with_execute(self):
+        plan = Plan("p")
+        plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=2)
+        run(plan, config=RunConfig(executor=ThreadExecutor(4)))
+        workers = [t for t in threading.enumerate()
+                   if t.name.startswith("repro-unit")]
+        assert workers == []
 
 
 class PerRequestFlaky:
@@ -252,9 +302,9 @@ class TestAttemptsMatchSerial:
             retry=RetryPolicy(max_attempts=max_attempts, base_delay=0.0),
             on_failure="isolate",
         )
-        with executor_path(path) as executor:
-            outcome = run(self.plan_for(provider),
-                          config=RunConfig(executor=executor, faults=faults))
+        executor = executor_path(path)
+        outcome = run(self.plan_for(provider),
+                      config=RunConfig(executor=executor, faults=faults))
         # 3 prompts x 2 seeds, each attempted until it heals or runs out
         assert len(provider.calls) == 6
         assert set(provider.calls.values()) == {min(fail_times + 1, max_attempts)}
@@ -266,45 +316,15 @@ class TestAttemptsMatchSerial:
     @pytest.mark.parametrize("fail_times", [0, 1])
     def test_no_policy_means_one_attempt_per_unit(self, path, fail_times):
         provider = PerRequestFlaky(f"attempts/{path}-none-{fail_times}", fail_times)
-        with executor_path(path) as executor:
-            config = RunConfig(executor=executor)
-            if fail_times:
-                with pytest.raises(ModelError, match="503"):
-                    run(self.plan_for(provider), config=config)
-            else:
+        executor = executor_path(path)
+        config = RunConfig(executor=executor)
+        if fail_times:
+            with pytest.raises(ModelError, match="503"):
                 run(self.plan_for(provider), config=config)
+        else:
+            run(self.plan_for(provider), config=config)
         assert provider.calls
         assert set(provider.calls.values()) == {1}
-
-
-class TestAsyncNativeProvider:
-    def test_async_native_provider_runs_on_the_loop(self):
-        class NativeAsync:
-            name = "anative/echo"
-            agenerate_calls = 0
-
-            async def agenerate(self, messages, config):
-                NativeAsync.agenerate_calls += 1
-                return echo_output(self.name)
-
-            def generate(self, messages, config):  # pragma: no cover - guard
-                raise AssertionError("sync path must not be used")
-
-        provider = NativeAsync()
-        assert as_async(provider) is provider
-        plan = Plan("p")
-        plan.add_eval(simple_task("native-async-task"), Model(provider),
-                      epochs=2)
-        config = RunConfig(executor=AsyncExecutor(2))
-        outcome = run(plan, config=config)
-        assert NativeAsync.agenerate_calls == 2
-        assert outcome.stats.generated == 2
-
-    def test_sync_provider_is_adapted(self):
-        provider = get_model("sim/o3").provider
-        adapted = as_async(provider)
-        assert adapted is not provider
-        assert adapted.name == provider.name
 
 
 class TestOneCallPerUnit:
@@ -317,11 +337,10 @@ class TestOneCallPerUnit:
         baseline = run(self.sweep_plan())
         with faulty_models(SIM_MODELS[:2], fault_plan) as poisoned, \
                 faulty_models(SIM_MODELS[2:], FaultPlan()) as clean:
-            with AsyncExecutor(8) as executor:
-                outcome = run(
-                    self.sweep_plan(),
-                    config=RunConfig(executor=executor, faults=faults),
-                )
+            outcome = run(
+                self.sweep_plan(),
+                config=RunConfig(executor=ThreadExecutor(8), faults=faults),
+            )
         for provider in poisoned.values():
             assert provider.injected["permanent"] > 0, "pick a different seed"
         for provider in [*poisoned.values(), *clean.values()]:
@@ -340,28 +359,31 @@ class TestOneCallPerUnit:
                 plan.add_eval(task, model, epochs=2)
         return plan
 
-    def test_hung_call_is_cancelled_at_the_unit_deadline(self):
-        release = threading.Event()
 
-        class Hung:
-            name = "plain/hung"
+class TestDeadlineBetweenAttempts:
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    def test_slow_failing_units_stop_retrying_at_the_deadline(self, path):
+        class SlowAndDown:
+            name = f"plain/slow-down-{path}"
 
             def generate(self, messages, config):
-                release.wait(5.0)
-                return echo_output(self.name)
+                time.sleep(0.02)
+                raise ModelError(f"{self.name}: 503, try again")
 
         plan = Plan("p")
-        plan.add_eval(simple_task("hung-task"), Model(Hung()), epochs=2)
-        faults = FaultPolicy(unit_deadline_s=0.05, on_failure="isolate")
-        with AsyncExecutor(2) as executor:
-            started = time.perf_counter()
-            outcome = run(plan, config=RunConfig(executor=executor, faults=faults))
-            elapsed = time.perf_counter() - started
-            release.set()  # let the abandoned pool threads finish
-        assert elapsed < 2.0  # cancelled, not waited out
+        plan.add_eval(simple_task(f"slow-down-{path}"), Model(SlowAndDown()),
+                      epochs=2)
+        faults = FaultPolicy(
+            retry=RetryPolicy(max_attempts=50, base_delay=0.01),
+            unit_deadline_s=0.05,
+            on_failure="isolate",
+        )
+        outcome = run(plan, config=RunConfig(executor=executor_path(path),
+                                             faults=faults))
         assert outcome.stats.units_failed == 2
-        errors = {f.error_type for f in outcome.failures.values()}
-        assert errors == {"DeadlineExceededError"}
+        failures = outcome.failures.values()
+        assert {f.error_type for f in failures} == {"DeadlineExceededError"}
+        assert all(f.attempts < 50 for f in failures)
 
 
 class TestGenerationSeconds:
@@ -371,10 +393,10 @@ class TestGenerationSeconds:
         for model in ("sim/o3", "sim/llama-3.3-70b"):
             plan.add_eval(configuration_task("wilkins"), model, epochs=2)
         cache = InMemoryResultCache()
-        with executor_path(path) as executor:
-            config = RunConfig(executor=executor, cache=cache)
-            cold = run(plan, config=config)
-            warm = run(plan, config=config)
+        executor = executor_path(path)
+        config = RunConfig(executor=executor, cache=cache)
+        cold = run(plan, config=config)
+        warm = run(plan, config=config)
         assert cold.stats.generation_seconds > 0
         assert warm.stats.generated == 0
         assert warm.stats.generation_seconds == 0.0
@@ -407,45 +429,3 @@ class TestDispatchOrder:
         assert executor.batches == [expected]
         assert len(expected) == 4
         assert outcome.stats.generated == 4
-
-
-class TestAsyncExecutorCloseRegression:
-    def test_context_manager_after_close_raises(self):
-        executor = AsyncExecutor(2)
-        executor.close()
-        with pytest.raises(HarnessError, match="closed"):
-            with executor:
-                pass  # pragma: no cover - must not be reached
-
-    def test_async_pool_persists_across_executes(self):
-        executor = AsyncExecutor(2)
-        plan = Plan("p")
-        plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        config = RunConfig(executor=executor)
-        run(plan, config=config)
-        pool = executor._pool
-        assert pool is not None
-        plan2 = Plan("p2")
-        plan2.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        run(plan2, config=config)
-        assert executor._pool is pool, "execute() must reuse the lazy pool"
-        executor.close()
-        assert executor._pool is None
-        # transparent reopen on plain execute
-        run(plan2, config=config)
-        assert executor._pool is not None
-        executor.close()
-
-    def test_execute_after_close_still_reopens(self):
-        executor = AsyncExecutor(2)
-        plan = Plan("p")
-        plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        config = RunConfig(executor=executor)
-        run(plan, config=config)
-        executor.close()
-        # the documented transparent reopen on plain execute() survives,
-        # and afterwards the executor is context-manager-safe again
-        run(plan, config=config)
-        with executor:
-            pass
-        assert executor._pool is None
