@@ -9,7 +9,11 @@ generations) on the two executors — serial and threads — three ways:
   trajectory);
 * against the **offline simulator** (CPU-bound; extra threads only
   contend for the GIL, which is why serial is the default) — reported
-  for the perf trajectory, not asserted;
+  for the perf trajectory, not asserted.  One such sweep takes tens of
+  milliseconds and a single timing swings several-fold with the
+  scheduler, so each executor's column is the median of
+  ``SIM_ROUNDS`` rounds, each timing both executors once and
+  alternating which goes first;
 * against **latency providers** that wrap each simulated model with a
   fixed per-call delay, the regime a real API endpoint lives in; the
   thread executor must be ≥ 2× faster than serial there;
@@ -22,6 +26,7 @@ have a perf trajectory to compare against.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.core.experiments.configuration import (
@@ -41,6 +46,7 @@ from repro.runtime import (
 
 EPOCHS = 2
 API_LATENCY_S = 0.15  # per-call delay of the simulated network endpoint
+SIM_ROUNDS = 5  # paired rounds behind the median CPU-bound sweep time
 
 
 class _LatencyProvider:
@@ -116,12 +122,18 @@ def bench_runtime_scaling(report):
         f"{'executor':<15} {'sim (CPU-bound)':>16} {'api (latency)':>14} "
         f"{'api warm cache':>15}",
     ]
-    sim_times: dict[str, float] = {}
+    sim_samples: dict[str, list[float]] = {label: [] for label, _ in executors}
+    for round_index in range(SIM_ROUNDS):
+        # alternate which executor goes first so drift hits both equally
+        order = executors if round_index % 2 == 0 else executors[::-1]
+        for label, executor in order:
+            sim_samples[label].append(_timed("sim", executor)[0])
+    sim_times = {
+        label: statistics.median(samples) for label, samples in sim_samples.items()
+    }
     api_times: dict[str, float] = {}
     baseline_results = None
     for label, executor in executors:
-        sim_times[label], _ = _timed("sim", executor)
-
         cache = InMemoryResultCache()
         api_times[label], cold = _timed("apisim", executor, cache=cache)
         warm_time, warm = _timed("apisim", executor, cache=cache)
@@ -148,6 +160,8 @@ def bench_runtime_scaling(report):
 
     unit_speedup = api_times["serial"] / api_times["threads-16"]
     lines += [
+        f"(sim: median of {SIM_ROUNDS} rounds, alternating which "
+        "executor runs first)",
         "",
         f"latency-bound speedup vs serial: threads-16 {unit_speedup:.1f}x",
         f"CPU-bound (GIL) speedup vs serial: threads-16 "

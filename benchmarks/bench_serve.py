@@ -1,7 +1,8 @@
 """Networked store service — request latency, throughput, remote-vs-local.
 
 Boots a real :class:`repro.serve.StoreServer` (TCP on a loopback
-ephemeral port, 2 shards) inside this process and drives it with the
+ephemeral port, 2 shards) inside this process via
+:class:`repro.testing.InProcessServer` and drives it with the
 production :class:`repro.serve.RemoteRunStore` client on three
 scenarios:
 
@@ -32,20 +33,19 @@ shrinks the record count.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import pathlib
 import shutil
 import statistics
 import tempfile
-import threading
 import time
 
 from repro.llm.types import ModelUsage
 from repro.persist import RunStore
 from repro.runtime.units import Generation
-from repro.serve import RemoteRunStore, StoreServer
+from repro.serve import RemoteRunStore
+from repro.testing import InProcessServer
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_metrics.json"
@@ -68,38 +68,7 @@ def _synthetic_generation(i: int) -> Generation:
     )
 
 
-class _ServerThread:
-    """A StoreServer on a loopback port, running on its own event loop."""
-
-    def __init__(self, root: pathlib.Path) -> None:
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self.port: int = 0
-        self._thread = threading.Thread(target=self._main, args=(root,), daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("store server did not come up")
-
-    def _main(self, root: pathlib.Path) -> None:
-        async def body() -> None:
-            server = StoreServer(root, shards=2)
-            _, self.port = await server.start_tcp("127.0.0.1", 0)
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            self._ready.set()
-            await self._stop.wait()
-            await server.aclose()
-
-        asyncio.run(body())
-
-    def stop(self) -> None:
-        assert self._loop is not None and self._stop is not None
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30)
-
-
-def _bench_remote_records(server: _ServerThread, local_root: pathlib.Path) -> dict:
+def _bench_remote_records(server: InProcessServer, local_root: pathlib.Path) -> dict:
     gens = [_synthetic_generation(i) for i in range(N_RECORDS)]
     keys = [gen.key for gen in gens]
     url = f"tcp://127.0.0.1:{server.port}"
@@ -158,7 +127,7 @@ def _bench_remote_records(server: _ServerThread, local_root: pathlib.Path) -> di
     }
 
 
-def _bench_request_latency(server: _ServerThread) -> dict:
+def _bench_request_latency(server: InProcessServer) -> dict:
     with RemoteRunStore(
         f"tcp://127.0.0.1:{server.port}", ("tcp", ("127.0.0.1", server.port))
     ) as remote:
@@ -180,7 +149,7 @@ def _bench_request_latency(server: _ServerThread) -> dict:
     }
 
 
-def _bench_pipelined_throughput(server: _ServerThread) -> dict:
+def _bench_pipelined_throughput(server: InProcessServer) -> dict:
     from repro.serve.client import CHUNK
 
     keys = [f"{i:064x}" for i in range(N_RECORDS)]
@@ -233,7 +202,7 @@ def bench_serve(report):
     ]
 
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-serve-"))
-    server = _ServerThread(tmp / "served")
+    server = InProcessServer(tmp / "served", shards=2)
     try:
         records = _bench_remote_records(server, tmp / "local")
         results.append(records)

@@ -21,11 +21,12 @@ Public surface (stable):
 
 ``import repro`` loads only the version.  The packages :mod:`repro.core`,
 :mod:`repro.llm`, :mod:`repro.runtime` and :mod:`repro.serve` load each
-re-exported name's module on first access, and :mod:`asyncio` loads only
-in the store server, so each process loads the layers it runs: the
-store server (``python -m repro.serve``) needs only the standard
-library, and a storeless cold reproduction, on either executor, loads
-neither asyncio nor the store client and server.
+re-exported name's module on first access, and nothing imports
+:mod:`asyncio` (the executors and the store server run on plain
+threads), so each process loads the layers it runs: the store server
+(``python -m repro.serve``) needs only the standard library, and a
+storeless cold reproduction, on either executor, loads neither the
+store client nor the server.
 """
 
 from repro._version import __version__

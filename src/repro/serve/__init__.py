@@ -2,10 +2,11 @@
 
 Everything under :mod:`repro.persist` assumes the store directory is
 mountable by every process that wants the warm cache.  This package
-removes that assumption: :class:`StoreServer` is a long-lived asyncio
-process owning N shard :class:`~repro.persist.RunStore` directories
-(records routed by a stable hash of their content key) behind a small
-length-prefixed JSON frame protocol over TCP and unix sockets, and
+removes that assumption: :class:`StoreServer` is a long-lived process,
+one thread per connection, owning N shard
+:class:`~repro.persist.RunStore` directories (records routed by a
+stable hash of their content key) behind a small length-prefixed JSON
+frame protocol over TCP and unix sockets, and
 :class:`RemoteRunStore` is a drop-in client face for the existing store
 protocol — pooled connections, pipelined batches, and deterministic
 reconnect-and-replay on transport faults (surfaced as the retryable

@@ -15,10 +15,15 @@ dumps the server's live metrics as Prometheus text every
 ``--metrics-interval`` seconds (atomic replace, so a node-exporter
 textfile collector can scrape it) and once more at shutdown.
 
-SIGINT/SIGTERM **drain**: the server immediately refuses new frames
-(typed, retryable ``ServerOverloadedError`` — clients fail over or
-back off), finishes what is in flight (bounded by ``--drain-grace``
-seconds), then closes listeners and snapshots every shard index.  On
+The server answers each connection on a thread of its own while the
+main thread waits for a signal, dumping the metrics file on its
+interval.  SIGINT/SIGTERM **drain**: the server immediately refuses
+new frames (typed, retryable ``ServerOverloadedError`` — clients fail
+over or back off), finishes what is in flight (bounded by
+``--drain-grace`` seconds), then cuts the remaining connections, waits
+for their handlers and closes the shard stores, which snapshots every
+shard index.  A boot that fails (a port in use, a non-socket file at
+the ``--unix`` path) closes whatever it opened the same way.  On
 the way out the unix socket path and the ready file are removed, so a
 restart on the same paths starts clean.  ``--max-inflight N`` arms the
 same admission gate against overload during normal operation.
@@ -30,13 +35,14 @@ same admission gate against overload during normal operation.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import json
 import pathlib
+import select
 import signal
+import socket
 import sys
-from typing import Any
+from typing import Any, Iterator
 
 from repro.errors import ReproError
 from repro.obs import render_prometheus
@@ -50,14 +56,6 @@ def _dump_metrics(server: StoreServer, path: pathlib.Path) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     tmp.replace(path)
-
-
-async def _metrics_pump(
-    server: StoreServer, path: pathlib.Path, interval: float
-) -> None:
-    while True:
-        await asyncio.sleep(max(interval, 0.1))
-        _dump_metrics(server, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,74 +126,82 @@ def _parse_tcp(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-async def _serve(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _signal_wakeup(signals: tuple[int, ...]) -> Iterator[socket.socket]:
+    """A socket that turns readable once one of ``signals`` arrives.
+
+    The handlers do nothing; the interpreter writes each signal's number
+    to the wakeup fd.  A handler that set an event instead could
+    deadlock: it runs on the main thread, which may hold that event's
+    lock inside the very wait it interrupts.
+    """
+    wake, wakeup_fd = socket.socketpair()
+    wakeup_fd.setblocking(False)
+    previous_fd = signal.set_wakeup_fd(wakeup_fd.fileno())
+    previous = {sig: signal.signal(sig, lambda *_: None) for sig in signals}
+    try:
+        yield wake
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        signal.set_wakeup_fd(previous_fd)
+        wake.close()
+        wakeup_fd.close()
+
+
+def _serve(args: argparse.Namespace) -> int:
     server = StoreServer(
         args.root,
         shards=args.shards,
         fsync=args.fsync,
         max_inflight=args.max_inflight,
     )
-    endpoints: dict[str, Any] = {"shards": server.n_shards}
-    if args.tcp:
-        host, port = await server.start_tcp(*_parse_tcp(args.tcp))
-        endpoints["tcp"] = [host, port]
-        print(f"listening on tcp://{host}:{port}", flush=True)
-    if args.unix:
-        path = await server.start_unix(args.unix)
-        endpoints["unix"] = path
-        print(f"listening on unix://{path}", flush=True)
-
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(sig, stop.set)
-    # ready only once a SIGTERM drains: announcing readiness before the
-    # handlers are installed lets an early SIGTERM kill the process hard
-    if args.ready_file:
-        pathlib.Path(args.ready_file).write_text(json.dumps(endpoints))
-    metrics_path = (
-        pathlib.Path(args.metrics_file) if args.metrics_file else None
-    )
-    serve_task = asyncio.ensure_future(server.serve_forever())
-    stop_task = asyncio.ensure_future(stop.wait())
-    tasks = [serve_task, stop_task]
-    if metrics_path is not None:
-        _dump_metrics(server, metrics_path)  # exists as soon as we listen
-        tasks.append(
-            asyncio.ensure_future(
-                _metrics_pump(server, metrics_path, args.metrics_interval)
-            )
-        )
-    try:
-        await asyncio.wait(
-            [serve_task, stop_task], return_when=asyncio.FIRST_COMPLETED
-        )
-        if stop_task.done() and not serve_task.done():
+    # remove only what this process made: a --unix path that names
+    # someone else's file must survive a refused bind
+    made: list[pathlib.Path] = []
+    metrics_path = None
+    # handlers go in before the ready file: announcing readiness first
+    # would let an early SIGTERM kill the process hard
+    with _signal_wakeup((signal.SIGINT, signal.SIGTERM)) as wake:
+        try:
+            endpoints: dict[str, Any] = {"shards": server.n_shards}
+            if args.tcp:
+                host, port = server.start_tcp(*_parse_tcp(args.tcp))
+                endpoints["tcp"] = [host, port]
+                print(f"listening on tcp://{host}:{port}", flush=True)
+            if args.unix:
+                path = server.start_unix(args.unix)
+                made.append(pathlib.Path(path))
+                endpoints["unix"] = path
+                print(f"listening on unix://{path}", flush=True)
+            if args.ready_file:
+                made.append(pathlib.Path(args.ready_file))
+                made[-1].write_text(json.dumps(endpoints))
+            if args.metrics_file:
+                metrics_path = pathlib.Path(args.metrics_file)
+                _dump_metrics(server, metrics_path)  # exists once we listen
+            interval = max(args.metrics_interval, 0.1) if metrics_path else None
+            while not select.select([wake], [], [], interval)[0]:
+                _dump_metrics(server, metrics_path)
             # graceful drain: refuse new frames, finish in-flight ones
             server.drain()
             print("draining: refusing new requests", flush=True)
-            if not await server.wait_drained(args.drain_grace):
+            if not server.wait_drained(args.drain_grace):
                 print(
                     f"drain grace ({args.drain_grace}s) elapsed with "
                     f"{server.inflight} request(s) still in flight",
                     flush=True,
                 )
-    finally:
-        for task in tasks:
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        if metrics_path is not None:
-            _dump_metrics(server, metrics_path)  # final totals
-        await server.aclose()
-        # leave nothing stale behind: a restart on the same --unix /
-        # --ready-file paths must start clean
-        for stale in (args.unix, args.ready_file):
-            if stale:
+        finally:
+            if metrics_path is not None:
+                _dump_metrics(server, metrics_path)  # final totals
+            server.close()
+            # leave nothing stale behind: a restart on the same --unix /
+            # --ready-file paths must start clean
+            for stale in made:
                 with contextlib.suppress(OSError):
-                    pathlib.Path(stale).unlink()
-        print("store server stopped", flush=True)
+                    stale.unlink()
+    print("store server stopped", flush=True)
     return 0
 
 
@@ -210,7 +216,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if not args.tcp and not args.unix:
         build_parser().error("give at least one of --tcp / --unix")
     try:
-        return asyncio.run(_serve(args))
+        return _serve(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@
 
 One frame is a 4-byte big-endian unsigned length followed by exactly
 that many bytes of UTF-8 compact JSON.  Both directions speak the same
-format; a connection is a sequence of request frames answered by one
-response frame each, in order — which is what lets the client pipeline
-a batch (write N frames, then read N responses) without any request id
+format through one blocking codec (:func:`read_frame` /
+:func:`write_frame`), which the client and the server share; a
+connection is a sequence of request frames answered by one response
+frame each, in order — which is what lets the client pipeline a batch
+(write N frames, then read N responses) without any request id
 bookkeeping.
 
 Torn input is never trusted: a frame that ends mid-length or mid-body
@@ -32,12 +34,9 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import RemoteStoreError
-
-if TYPE_CHECKING:  # only the server's event loop runs the async side
-    import asyncio
 
 #: refuse frames above this many body bytes (either direction)
 MAX_FRAME = 64 << 20
@@ -74,16 +73,6 @@ def decode_body(body: bytes) -> dict[str, Any]:
     return payload
 
 
-def _check_length(length: int) -> None:
-    if length > MAX_FRAME:
-        raise RemoteStoreError(
-            f"peer announced a {length}-byte frame (MAX_FRAME is {MAX_FRAME})"
-        )
-
-
-# -- blocking side (the client) ----------------------------------------------
-
-
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     """Exactly ``n`` bytes, ``None`` on immediate EOF, torn on partial EOF."""
     chunks: list[bytes] = []
@@ -107,7 +96,10 @@ def read_frame(sock: socket.socket) -> dict[str, Any] | None:
     if header is None:
         return None
     (length,) = _LEN.unpack(header)
-    _check_length(length)
+    if length > MAX_FRAME:
+        raise RemoteStoreError(
+            f"peer announced a {length}-byte frame (MAX_FRAME is {MAX_FRAME})"
+        )
     body = _recv_exact(sock, length)
     if body is None:
         raise TornFrameError("connection closed between length and body")
@@ -116,37 +108,3 @@ def read_frame(sock: socket.socket) -> dict[str, Any] | None:
 
 def write_frame(sock: socket.socket, payload: dict[str, Any]) -> None:
     sock.sendall(encode_frame(payload))
-
-
-# -- asyncio side (the server) ------------------------------------------------
-
-
-async def read_frame_async(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """One frame off a stream; ``None`` on clean EOF between frames."""
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise TornFrameError(
-            f"connection closed {len(exc.partial)}/{_LEN.size} bytes into a "
-            "frame length"
-        ) from None
-    (length,) = _LEN.unpack(header)
-    _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise TornFrameError(
-            f"connection closed {len(exc.partial)}/{length} bytes into a frame"
-        ) from None
-    return decode_body(body)
-
-
-async def write_frame_async(
-    writer: asyncio.StreamWriter, payload: dict[str, Any]
-) -> None:
-    writer.write(encode_frame(payload))
-    await writer.drain()

@@ -8,12 +8,13 @@ of the data, identical for every client, and growing a deployment is a
 matter of re-sharding directories, not rewriting records.  Manifests
 (tiny, per-run, listed globally) all live on shard 0.
 
-The server is a single asyncio process: each connection is one
-lightweight task reading request frames in order and answering each
-with exactly one response frame (see :mod:`repro.serve.protocol`).
-Store calls are blocking disk I/O, so they run in worker threads via
-``asyncio.to_thread`` — ``RunStore`` is thread-safe — keeping the event
-loop free to multiplex many clients.  Because all tenants share the
+The server runs on plain threads: each listener has an accept thread,
+and each connection gets its own thread, which reads request frames in
+order and answers each with exactly one response frame (see
+:mod:`repro.serve.protocol`) by calling :meth:`StoreServer.handle`.
+Store calls are blocking disk I/O and ``RunStore`` is thread-safe, so
+connections are served concurrently: one handler per open connection,
+capped by ``max_inflight`` where it is set.  Because all tenants share the
 same shard ``RunStore`` objects, they share one warm read-LRU: tenant
 B's ``get_many`` is served from memory when tenant A just read the same
 records.
@@ -27,25 +28,21 @@ validates).
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import hashlib
 import pathlib
+import socket
 import stat
 import threading
 import time
-from typing import Any, Awaitable, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import PersistError, RemoteStoreError, ServerOverloadedError
 from repro.obs import MetricsRegistry, make_span_dict
 from repro.persist import RunManifest, RunStore
 from repro.persist.records import RECORD_KINDS
 
-from repro.serve.protocol import (
-    TornFrameError,
-    read_frame_async,
-    write_frame_async,
-)
+from repro.serve.protocol import read_frame, write_frame
 
 #: protocol identity answered to ``ping`` — bump on incompatible changes
 SERVER_ID = "repro.serve/1"
@@ -92,7 +89,12 @@ class StoreServer:
             RunStore(self.root / f"shard-{i:02d}", fsync=fsync)
             for i in range(shards)
         ]
-        self._servers: list[asyncio.base_events.Server] = []
+        # listening sockets and their accept threads, open connections
+        # and their threads; _closed turns away accepts racing close()
+        self._conn_mu = threading.Lock()
+        self._listeners: dict[socket.socket, threading.Thread] = {}
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._closed = False
         self._requests_served = 0
         # admission control: a max-in-flight gate plus a drain flag.
         # Refused requests get a typed retryable answer instead of a
@@ -119,7 +121,7 @@ class StoreServer:
             "requests currently being handled",
         )
 
-    # -- request dispatch (blocking; runs in worker threads) -----------------
+    # -- request dispatch (blocking; runs on connection threads) -------------
 
     def _split_by_shard(self, keys: Sequence[str]) -> list[list[str]]:
         buckets: list[list[str]] = [[] for _ in range(self.n_shards)]
@@ -321,13 +323,13 @@ class StoreServer:
         with self._admit_mu:
             return self._inflight_n
 
-    async def wait_drained(self, timeout_s: float = 10.0) -> bool:
-        """After :meth:`drain`: await in-flight zero; False on timeout."""
+    def wait_drained(self, timeout_s: float = 10.0) -> bool:
+        """After :meth:`drain`: wait for in-flight zero; False on timeout."""
         deadline = time.monotonic() + timeout_s
         while self.inflight > 0:
             if time.monotonic() >= deadline:
                 return False
-            await asyncio.sleep(0.01)
+            time.sleep(0.01)
         return True
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -391,37 +393,68 @@ class StoreServer:
             ]
         return response
 
-    # -- asyncio plumbing ----------------------------------------------------
+    # -- sockets and threads -------------------------------------------------
 
-    async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_connection(self, conn: socket.socket) -> None:
         try:
+            with conn:
+                while (request := read_frame(conn)) is not None:
+                    write_frame(conn, self.handle(request))
+        except (RemoteStoreError, OSError):
+            pass  # torn or garbage frame, peer gone, or cut by close()
+        finally:
+            with self._conn_mu:
+                self._conns.pop(conn, None)
+
+    def _accept_loop(self, listener: socket.socket) -> None:
+        with listener:
             while True:
                 try:
-                    request = await read_frame_async(reader)
-                except (TornFrameError, RemoteStoreError, ConnectionError):
-                    break  # torn or garbage frame: drop the connection
-                if request is None:
-                    break  # clean EOF between frames
-                response = await asyncio.to_thread(self.handle, request)
-                try:
-                    await write_frame_async(writer, response)
-                except (ConnectionError, RemoteStoreError):
-                    break
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+                    conn, _ = listener.accept()
+                except OSError:
+                    if self._closed:
+                        return  # shut down by close()
+                    # out of file descriptors or an aborted handshake:
+                    # the listener is still good, so back off and retry
+                    time.sleep(0.1)
+                    continue
+                if conn.family != socket.AF_UNIX:
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn,),
+                    name="repro-serve-conn",
+                    daemon=True,
+                )
+                with self._conn_mu:
+                    if self._closed:
+                        conn.close()
+                        return
+                    self._conns[conn] = thread
+                thread.start()
 
-    async def start_tcp(self, host: str, port: int) -> tuple[str, int]:
+    def _listen(self, listener: socket.socket) -> None:
+        thread = threading.Thread(
+            target=self._accept_loop,
+            args=(listener,),
+            name="repro-serve-accept",
+            daemon=True,
+        )
+        with self._conn_mu:
+            self._listeners[listener] = thread
+        thread.start()
+
+    def start_tcp(self, host: str, port: int) -> tuple[str, int]:
         """Listen on TCP; returns the bound (host, port) — port 0 picks one."""
-        server = await asyncio.start_server(self._client_connected, host, port)
-        self._servers.append(server)
-        bound = server.sockets[0].getsockname()
+        # the host's own family, so an IPv6 host binds too; create_server
+        # sets SO_REUSEADDR, so a restart can rebind the port
+        family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+        listener = socket.create_server((host, port), family=family)
+        bound = listener.getsockname()
+        self._listen(listener)
         return bound[0], bound[1]
 
-    async def start_unix(self, path: str | pathlib.Path) -> str:
+    def start_unix(self, path: str | pathlib.Path) -> str:
         """Listen on a unix socket; a stale *socket* file is replaced.
 
         Only something that actually is a socket is unlinked — binding
@@ -440,25 +473,41 @@ class StoreServer:
                 )
             with contextlib.suppress(OSError):
                 path.unlink()
-        server = await asyncio.start_unix_server(self._client_connected, str(path))
-        self._servers.append(server)
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            listener.bind(str(path))
+            listener.listen()
+        except BaseException:
+            listener.close()
+            raise
+        self._listen(listener)
         return str(path)
 
-    async def serve_forever(self) -> None:
-        """Block until cancelled (the CLI's main loop)."""
-        if not self._servers:
-            raise RemoteStoreError("serve_forever() before any start_*()")
-        waits: "list[Awaitable[None]]" = [
-            server.serve_forever() for server in self._servers
-        ]
-        await asyncio.gather(*waits)
+    def close(self) -> None:
+        """Stop listening, cut every connection, then close the shard stores.
 
-    async def aclose(self) -> None:
-        """Stop listening and close every shard store (snapshots indexes)."""
-        for server in self._servers:
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
+        Shutting a socket down wakes the thread blocked on it at once: a
+        listener's ``accept`` fails and a connection's ``recv`` reads EOF,
+        as does a client still waiting for a response.  A handler already
+        running finishes first, so the stores (whose close snapshots each
+        index) close only after the last connection thread has ended.
+        """
+        with self._conn_mu:
+            if self._closed:
+                return
+            self._closed = True
+            listeners = list(self._listeners.items())
+            self._listeners.clear()
+        for listener, thread in listeners:
+            with contextlib.suppress(OSError):
+                listener.shutdown(socket.SHUT_RDWR)
+            thread.join()
+        with self._conn_mu:
+            conns = list(self._conns.items())
+        for conn, thread in conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+            thread.join()
         for store in self.stores:
             store.close()
 

@@ -6,12 +6,10 @@ side of the wire, so this module adds three deterministic server
 harnesses:
 
 * :class:`InProcessServer` — a real :class:`~repro.serve.server.StoreServer`
-  listening on a loopback TCP port from a background event-loop thread.
+  listening on a loopback TCP port, served by its own threads.
   ``stop()``/``restart()`` model a server crash and recovery with *the
   same root directory*, exactly like a supervisor restarting a dead
-  process.  (This is the threaded-server idiom the serve tests grew;
-  promoted here so every suite and bench can boot replicas in one
-  line.)
+  process, so every suite and bench can boot replicas in one line.
 * :class:`ChaosStoreServer` — a ``StoreServer`` whose ``handle`` adds a
   fixed per-op delay (the *slow replica* of hedged-read tests) and can
   be armed with a :class:`~repro.testing.faults.FaultPlan` to refuse a
@@ -24,7 +22,6 @@ harnesses:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import pathlib
@@ -42,12 +39,12 @@ from repro.serve.server import StoreServer
 
 
 class InProcessServer:
-    """One real ``StoreServer`` on a loopback port, on its own thread.
+    """One real ``StoreServer`` on a loopback port, in this process.
 
-    The event loop lives on a daemon thread; ``stop()`` tears down the
-    listener and closes the shard stores (a crash, as a client sees
-    it), and ``restart()`` boots a fresh server over the same root on a
-    new port unless ``port`` pins one.
+    ``stop()`` closes the server: the listener stops, every open
+    connection is cut (a client blocked on a response sees EOF, as from
+    a dead process) and the shard stores close.  ``restart()`` boots a
+    fresh server over the same root and port.
     """
 
     def __init__(
@@ -67,50 +64,11 @@ class InProcessServer:
             if server is not None
             else StoreServer(self.root, shards=shards, **server_options)
         )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._started = threading.Event()
-        self._stopping = asyncio.Event()
-        self.host: str | None = None
-        self.port = port
-        self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise HarnessError("in-process store server failed to start")
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-
-        async def serve() -> None:
-            self.host, self.port = await self.server.start_tcp(
-                "127.0.0.1", self.port
-            )
-            self._started.set()
-            # an event, not loop.stop(): a stop requested while boot is
-            # still unwinding would otherwise be swallowed and leave the
-            # server listening
-            await self._stopping.wait()
-
         try:
-            self._loop.run_until_complete(serve())
-        finally:
-            try:
-                self._loop.run_until_complete(self.server.aclose())
-                # abandon in-flight connection handlers the way a dead
-                # process would: cancellation runs their finally blocks,
-                # which close the transports — clients blocked on a
-                # response see EOF instead of hanging forever
-                tasks = asyncio.all_tasks(self._loop)
-                for task in tasks:
-                    task.cancel()
-                if tasks:
-                    self._loop.run_until_complete(
-                        asyncio.gather(*tasks, return_exceptions=True)
-                    )
-                self._loop.run_until_complete(
-                    self._loop.shutdown_asyncgens()
-                )
-            finally:
-                self._loop.close()
+            self.host, self.port = self.server.start_tcp("127.0.0.1", port)
+        except BaseException:
+            self.server.close()
+            raise
 
     # -- addresses -----------------------------------------------------------
 
@@ -124,9 +82,7 @@ class InProcessServer:
 
     def stop(self) -> None:
         """Stop listening and close the stores (the crash, client-side)."""
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stopping.set)
-            self._thread.join(timeout=10)
+        self.server.close()
 
     def restart(self) -> "InProcessServer":
         """A fresh server over the same root (same port by default)."""

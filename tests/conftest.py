@@ -7,9 +7,9 @@ import pytest
 
 @pytest.fixture()
 def server(tmp_path):
-    """A two-shard store server on its own thread (``test_serve.ServerThread``)."""
-    from test_serve import ServerThread
+    """A two-shard in-process store server (``test_serve.LoopbackServer``)."""
+    from test_serve import LoopbackServer
 
-    srv = ServerThread(tmp_path / "served")
+    srv = LoopbackServer(tmp_path / "served")
     yield srv
     srv.stop()

@@ -9,8 +9,9 @@ YAML (the ``wilkins`` extra), so the reproduction runs with it blocked.
 Each process loads only the layers it runs: the store server imports
 with numpy blocked and without the model and metric stack, and a
 storeless cold run loads neither asyncio nor the store client and
-server.  No executor runs an event loop: only the store server and its
-test harness import asyncio.  These pins run in a fresh interpreter, where ``sys.modules``
+server.  Nothing runs an event loop: the executors and the store server
+serve on plain threads, and no module under ``src/repro`` imports
+asyncio.  These pins run in a fresh interpreter, where ``sys.modules``
 shows exactly what an import pulled in.
 """
 
@@ -99,12 +100,23 @@ def test_thread_executor_sweep_loads_no_event_loop():
     assert _loaded(sweep, ("asyncio",)) == []
 
 
-def test_no_runtime_llm_or_core_module_imports_asyncio():
+def test_booted_store_server_loads_no_event_loop_or_ssl():
+    serve_one_ping = (
+        "import socket, tempfile, repro.serve.server, repro.serve.cli; "
+        "from repro.serve.protocol import read_frame, write_frame; "
+        "server = repro.serve.server.StoreServer(tempfile.mkdtemp()); "
+        "sock = socket.create_connection(server.start_tcp('127.0.0.1', 0)); "
+        "write_frame(sock, {'op': 'ping'}); assert read_frame(sock)['ok']; "
+        "sock.close(); server.close()"
+    )
+    assert _loaded(serve_one_ping, ("asyncio", "ssl")) == []
+
+
+def test_no_module_imports_asyncio():
     pattern = re.compile(r"^\s*(?:import|from)\s+asyncio\b", re.MULTILINE)
     offenders = [
         str(path.relative_to(SRC))
-        for package in ("runtime", "llm", "core")
-        for path in sorted(SRC.joinpath("repro", package).rglob("*.py"))
+        for path in sorted(SRC.joinpath("repro").rglob("*.py"))
         if pattern.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

@@ -328,9 +328,9 @@ class TestRunnerIntegration:
 
 class TestServeTracePropagation:
     def test_client_spans_parent_server_spans(self, tmp_path):
-        from test_serve import ServerThread
+        from test_serve import LoopbackServer
 
-        srv = ServerThread(tmp_path / "served")
+        srv = LoopbackServer(tmp_path / "served")
         try:
             with obs.tracing() as tracer:
                 handle = tracer.begin_trace("wire")
@@ -346,14 +346,14 @@ class TestServeTracePropagation:
         for span in servers:
             parent = by_id[span.parent_id]
             assert parent.name == span.name.replace("server:", "remote:")
-        # server spans were timed on the server's own event-loop thread
+        # server spans were timed on the server's connection thread
         assert any(s.thread != threading.current_thread().name
                    for s in servers)
 
     def test_metrics_op_and_prometheus_dump(self, tmp_path):
-        from test_serve import ServerThread
+        from test_serve import LoopbackServer
 
-        srv = ServerThread(tmp_path / "served")
+        srv = LoopbackServer(tmp_path / "served")
         try:
             with srv.client() as remote:
                 remote.ping()
@@ -371,9 +371,9 @@ class TestServeTracePropagation:
         assert 'repro_server_ops_total{op="ping",status="ok"}' in text
 
     def test_untraced_requests_stay_clean(self, tmp_path):
-        from test_serve import ServerThread
+        from test_serve import LoopbackServer
 
-        srv = ServerThread(tmp_path / "served")
+        srv = LoopbackServer(tmp_path / "served")
         try:
             with srv.client() as remote:
                 response = remote.ping()

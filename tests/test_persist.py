@@ -780,7 +780,7 @@ class TestManifestIndex:
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(INDEX_OPS, min_size=1, max_size=12))
     def test_latest_equals_the_full_scan_after_every_step(self, backend, ops):
-        from test_serve import ServerThread
+        from test_serve import LoopbackServer
 
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
@@ -788,7 +788,7 @@ class TestManifestIndex:
                 srv, store = None, RunStore(root / "store")
                 shard = root / "store"
             else:
-                srv = ServerThread(root / "served")
+                srv = LoopbackServer(root / "served")
                 store = srv.client()
                 shard = root / "served" / "shard-00"
             second = RunStore(shard)

@@ -1,6 +1,6 @@
 """The resilience layer: replication, failover, breakers, spill, drain.
 
-Boots real servers (in-process event-loop threads for speed, genuine
+Boots real servers (in-process, on their own threads, for speed; genuine
 ``python -m repro.serve`` subprocesses where only ``kill -9`` proves
 the point) and drives the :class:`ReplicatedRunStore` through replica
 death, slow replicas, overload, total outage and recovery — asserting
@@ -9,7 +9,6 @@ the sweeps riding on top stay bit-identical throughout.
 
 from __future__ import annotations
 
-import asyncio
 import pathlib
 import socket
 import threading
@@ -299,10 +298,62 @@ class TestDrain:
         refused = server.handle({"op": "ping"})
         assert not refused["ok"]
         assert refused["error_type"] == "ServerOverloadedError"
-        assert asyncio.run(server.wait_drained(timeout_s=1.0))
+        assert server.wait_drained(timeout_s=1.0)
         assert server.inflight == 0
-        for store in server.stores:
-            store.close()
+        server.close()
+
+
+class TestCrashSemantics:
+    def test_stop_cuts_a_stalled_request_then_restart_serves(self, tmp_path):
+        delay_s = 1.0
+        root = tmp_path / "srv"
+        gens = [make_generation(i) for i in range(3)]
+        seed = InProcessServer(root)
+        with open_store(seed.url(), retry=FAST_RETRY) as remote:
+            remote.put_generations(gens)
+        seed.stop()
+
+        server = InProcessServer(
+            root,
+            port=seed.port,
+            server=ChaosStoreServer(root, op_delay_s=delay_s),
+        )
+        outcome: dict[str, object] = {}
+
+        def stalled_ping() -> None:
+            no_retry = RetryPolicy(max_attempts=1)
+            with open_store(server.url(), retry=no_retry) as remote:
+                try:
+                    outcome["answer"] = remote.ping()
+                except RemoteStoreError as exc:
+                    outcome["error"] = exc
+                outcome["at"] = time.perf_counter()
+
+        client = threading.Thread(target=stalled_ping)
+        client.start()
+        deadline = time.monotonic() + 10
+        while server.server.delayed_requests == 0:
+            assert time.monotonic() < deadline, "the ping never reached the server"
+            time.sleep(0.005)
+        stopped_at = time.perf_counter()
+        server.stop()
+        client.join(timeout=10)
+        assert not client.is_alive()
+        # the crash reached the client as a transport error, well before
+        # the stalled handler would have answered
+        assert isinstance(outcome.get("error"), RemoteStoreError)
+        assert outcome["at"] - stopped_at < delay_s / 2
+
+        restarted = server.restart()
+        try:
+            assert restarted.port == seed.port
+            with open_store(restarted.url(), retry=FAST_RETRY) as remote:
+                found = remote.get_generations([g.key for g in gens])
+            assert {k: g.completion for k, g in found.items()} == {
+                g.key: g.completion for g in gens
+            }
+        finally:
+            restarted.stop()
 
 
 class TestDegradedMode:
@@ -464,9 +515,13 @@ class TestServerProcessChaos:
             assert server.ready_file.exists()
             code = server.terminate()
             assert code == 0
-            # graceful exit removed the socket and the ready file
+            # graceful exit removed the socket and the ready file, and
+            # snapshotted every shard index
             assert not sock.exists()
             assert not server.ready_file.exists()
+            for shard in range(server.shards):
+                index = tmp_path / "proc" / f"shard-{shard:02d}" / "index.json"
+                assert index.exists()
         finally:
             server.kill()
 
@@ -480,25 +535,34 @@ class TestUnixSocketHygiene:
         left_behind.close()
         assert path.exists()
 
-        async def boot() -> None:
-            server = StoreServer(tmp_path / "srv", shards=1)
-            bound = await server.start_unix(path)
-            assert pathlib.Path(bound).exists()
-            await server.aclose()
-
-        asyncio.run(boot())
+        server = StoreServer(tmp_path / "srv", shards=1)
+        bound = server.start_unix(path)
+        assert pathlib.Path(bound).exists()
+        server.close()
 
     def test_regular_file_at_socket_path_is_refused(self, tmp_path):
         path = tmp_path / "precious.txt"
         path.write_text("not a socket")
 
-        async def boot() -> None:
-            server = StoreServer(tmp_path / "srv", shards=1)
-            try:
-                with pytest.raises(PersistError, match="non-socket"):
-                    await server.start_unix(path)
-            finally:
-                await server.aclose()
-
-        asyncio.run(boot())
+        server = StoreServer(tmp_path / "srv", shards=1)
+        try:
+            with pytest.raises(PersistError, match="non-socket"):
+                server.start_unix(path)
+        finally:
+            server.close()
         assert path.read_text() == "not a socket"  # untouched
+
+    def test_refused_boot_closes_what_it_opened(self, tmp_path, capsys):
+        path = tmp_path / "precious.txt"
+        path.write_text("not a socket")
+        root = tmp_path / "srv"
+
+        code = serve_main(
+            ["--root", str(root), "--tcp", "127.0.0.1:0", "--unix", str(path)]
+        )
+        assert code == 2
+        assert "non-socket" in capsys.readouterr().err
+        assert path.read_text() == "not a socket"  # not unlinked on the way out
+        # the stores were closed, which snapshots every shard index
+        for shard in range(2):
+            assert (root / f"shard-{shard:02d}" / "index.json").exists()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
 import pathlib
 import socket
@@ -42,6 +41,7 @@ from repro.serve import (
     shard_for,
     write_frame,
 )
+from repro.testing import InProcessServer
 from executor_paths import EXECUTOR_PATHS, executor_path
 
 SMALL = dict(models=["o3", "llama-3.3-70b"], systems=["adios2", "wilkins"], epochs=2)
@@ -60,56 +60,20 @@ def make_generation(i: int = 0) -> Generation:
 FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, max_delay=0.05)
 
 
-class ServerThread:
-    """A StoreServer on its own event loop; TCP + unix, stoppable."""
+class LoopbackServer(InProcessServer):
+    """An in-process StoreServer on loopback TCP and a unix socket."""
 
     def __init__(
         self, root: pathlib.Path, *, shards: int = 2, port: int = 0
     ) -> None:
-        self.root = root
-        self._ready = threading.Event()
-        self._boot_error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self.port = 0
-        self.unix_path = str(root.parent / f"{root.name}.sock")
-        self._thread = threading.Thread(
-            target=self._main, args=(shards, port), daemon=True
+        super().__init__(root, shards=shards, port=port)
+        self.unix_path = self.server.start_unix(
+            root.parent / f"{root.name}.sock"
         )
-        self._thread.start()
-        assert self._ready.wait(timeout=30), "server did not come up"
-        if self._boot_error is not None:
-            raise self._boot_error
-
-    def _main(self, shards: int, port: int) -> None:
-        async def body() -> None:
-            try:
-                server = StoreServer(self.root, shards=shards)
-                _, self.port = await server.start_tcp("127.0.0.1", port)
-                await server.start_unix(self.unix_path)
-            except BaseException as exc:
-                self._boot_error = exc
-                self._ready.set()
-                return
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            self._ready.set()
-            await self._stop.wait()
-            await server.aclose()
-
-        asyncio.run(body())
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30)
-
-    def tcp_url(self) -> str:
-        return f"tcp://127.0.0.1:{self.port}"
 
     def client(self, **options) -> RemoteRunStore:
         options.setdefault("retry", FAST_RETRY)
-        return open_store(self.tcp_url(), **options)
+        return open_store(self.url(), **options)
 
     def unix_client(self, **options) -> RemoteRunStore:
         options.setdefault("retry", FAST_RETRY)
@@ -253,7 +217,7 @@ class TestRemoteRoundTrip:
             remote.put_generations([make_generation(i) for i in range(8)])
             stats = remote.stats()
             shards = remote.shard_stats()
-        assert stats.root == server.tcp_url()
+        assert stats.root == server.url()
         assert stats.generations == 8
         assert stats.generations == sum(s.generations for s in shards)
         assert len(shards) == 2
@@ -268,6 +232,20 @@ class TestRemoteRoundTrip:
         assert {k: g.completion for k, g in found.items()} == {
             g.key: g.completion for g in gens
         }
+
+    def test_ipv6_host_listens_in_its_own_family(self, tmp_path):
+        try:
+            socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+        srv = StoreServer(tmp_path / "v6", shards=1)
+        try:
+            host, port = srv.start_tcp("::1", 0)
+            with socket.create_connection((host, port)) as sock:
+                write_frame(sock, {"op": "ping"})
+                assert read_frame(sock)["server"] == "repro.serve/1"
+        finally:
+            srv.close()
 
 
 class TestFaultPaths:
@@ -294,7 +272,7 @@ class TestFaultPaths:
             assert remote.ping()["server"] == "repro.serve/1"
 
     def test_client_reconnects_across_server_restart(self, tmp_path):
-        srv = ServerThread(tmp_path / "served")
+        srv = LoopbackServer(tmp_path / "served")
         gens = [make_generation(i) for i in range(10)]
         remote = srv.client()
         try:
@@ -304,7 +282,7 @@ class TestFaultPaths:
 
             port = srv.port
             srv.stop()  # connection in the pool goes stale
-            srv = ServerThread(tmp_path / "served", port=port)
+            srv = LoopbackServer(tmp_path / "served", port=port)
 
             # second batch: stale socket fails, RetryPolicy reconnects
             second = remote.get_generations([g.key for g in gens[5:]])
@@ -409,12 +387,12 @@ class TestRunConfig:
         assert local.store_url == str(tmp_path / "store")
         local.store.close()
 
-        remote = RunConfig.from_url(server.tcp_url())
+        remote = RunConfig.from_url(server.url())
         assert isinstance(remote.store, RemoteRunStore)
         remote.store.close()
 
         with pytest.raises(HarnessError, match="ambiguous"):
-            RunConfig.from_url(server.tcp_url(), store=object())
+            RunConfig.from_url(server.url(), store=object())
 
         # a bad knob is refused before the store is opened: nothing is
         # left open and no store directory is created
