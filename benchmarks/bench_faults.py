@@ -82,7 +82,7 @@ def _timed_sweep(make_executor, faults=None) -> float:
 
 
 def _bench_overhead() -> dict:
-    _timed_sweep(SerialExecutor)  # warmup: pay imports and calibration once
+    _timed_sweep(SerialExecutor)  # warmup: pay imports and cell setup once
     baseline_s = policy_s = float("inf")
     for _ in range(REPEATS):  # alternate so drift hits both sides equally
         baseline_s = min(baseline_s, _timed_sweep(SerialExecutor))

@@ -61,7 +61,7 @@ def _timed_sweep(armed: bool) -> tuple[float, object]:
 
 
 def _bench_overhead() -> dict:
-    _timed_sweep(False)  # warmup: pay imports and calibration once
+    _timed_sweep(False)  # warmup: pay imports and cell setup once
     baseline_s, armed_s, ratios = [], [], []
     bare_grid = armed_grid = None
     for round_index in range(OVERHEAD_ROUNDS):

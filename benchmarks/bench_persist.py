@@ -20,8 +20,9 @@ Times the persistence layer on three scenarios:
   sweep run cold against an empty store, then re-run warm from a fresh
   store handle (as a new process would), asserting the warm pass
   performed **zero** generations via its recorded manifest.  One untimed
-  sweep first takes the process's one-time imports and calibration out
-  of the cold pass; both passes are best of N.
+  sweep first takes the process's one-time imports and per-cell setup
+  (calibration-table lookups, compiled references) out of the cold
+  pass; both passes are best of N.
 
 Timings land in ``benchmarks/output/persist.txt`` (human) and are
 *merged* into ``BENCH_metrics.json`` under the ``persist`` key (machine),
@@ -178,8 +179,9 @@ def _sweep_ms(root: pathlib.Path) -> tuple[float, object]:
 
 def _bench_sweep(root: pathlib.Path) -> dict:
     # untimed pass: the first sweep in a process pays one-time imports and
-    # per-cell calibration, which are not store work and would make the
-    # cold/warm ratio track the import graph instead of the store
+    # per-cell setup (calibration-table lookups), which are not store work
+    # and would make the cold/warm ratio track the import graph instead of
+    # the store
     _sweep_ms(root / "warmup")
 
     cold_ms = min(

@@ -4,9 +4,12 @@ Times the Table 1-shaped sweep (4 models × 3 systems × 2 epochs = 24
 generations) on the two executors — serial and threads — three ways:
 
 * a **cold-cache serial sweep** against freshly constructed simulated
-  models, so the timing includes per-cell calibration — the number the
-  compiled-metrics engine is measured by (reported for the perf
-  trajectory);
+  models, so the timing includes setting up every cell: its reference
+  compiled and its calibrated depth looked up in the shipped table
+  (:mod:`repro.llm.calibrated`), with a curve scan only on a miss —
+  reported for the perf trajectory.  What calibrating from scratch
+  costs is printed by ``python -m repro.core.calibration_table
+  --check``;
 * against the **offline simulator** (CPU-bound; extra threads only
   contend for the GIL, which is why serial is the default) — reported
   for the perf trajectory, not asserted.  One such sweep takes tens of
@@ -104,19 +107,19 @@ def _timed(namespace: str, executor, cache=None):
 def bench_runtime_scaling(report):
     _register_latency_models()
     # cold-cache serial sweep: freshly registered models, so the timing
-    # includes every per-cell calibration (the metrics-engine hot path)
+    # includes every cell's setup (a calibration-table lookup per cell)
     _register_cold_models()
     cold_serial_time, _ = _timed("coldsim", SerialExecutor())
 
-    # warm the per-cell calibration caches so every timing below measures
-    # steady-state generation, not one-off calibration
+    # warm the per-cell caches so every timing below measures
+    # steady-state generation, not one-off cell setup
     run(_sweep_plan("sim"))
 
     executors = [("serial", SerialExecutor()), ("threads-16", ThreadExecutor(16))]
     lines = [
         "runtime scaling — 4 models x 3 systems x 2 epochs (24 generations)",
         f"simulated API latency: {API_LATENCY_S * 1000:.0f} ms/call",
-        f"cold-cache serial sweep (incl. calibration): "
+        f"cold-cache serial sweep (incl. calibration-table lookups): "
         f"{cold_serial_time * 1000:.0f} ms",
         "",
         f"{'executor':<15} {'sim (CPU-bound)':>16} {'api (latency)':>14} "

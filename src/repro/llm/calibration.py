@@ -28,7 +28,11 @@ individual operators vary in impact.
 
 This module stays pure: the simulator caches each cell's calibration
 result and the text at its calibrated depth (not the curve) per cell
-key in ``SimulatedModel._cell``.
+key in ``SimulatedModel._cell``.  For the paper's cells that result is
+a table lookup (:mod:`repro.llm.calibrated`, checked against a
+fingerprint of the cell's reference, operators and target); the scan
+here is the fallback for any other or changed cell, and the source of
+the table (``python -m repro.core.calibration_table``).
 """
 
 from __future__ import annotations

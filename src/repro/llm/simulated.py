@@ -7,8 +7,13 @@ Generation pipeline (the same code path a real provider would sit behind):
 2. fetch the ground-truth artifact for that cell and build the
    cell-specific corruption-operator sequence from the model's knowledge
    profile;
-3. calibrate the corruption depth ``k*`` against the profile's target
-   score (cached per cell — this is the model's "competence");
+3. look the cell's corruption depth ``k*`` up in the pre-calibrated
+   table (:mod:`repro.llm.calibrated`), trusting a row only when its
+   fingerprint of the cell's reference, operators and target matches;
+   otherwise — a user's own profile or target, or a stale row —
+   calibrate ``k*`` against the profile's target score by scanning the
+   cell's quality curve (either way cached per cell — this is the
+   model's "competence");
 4. per trial: derive an RNG from (model, cell, seed), sample jitter and a
    within-band operator shuffle using real temperature/top_p decoding
    math (deterministic when temperature is 0 or the model's jitter scale
@@ -25,6 +30,8 @@ fields, which is the paper's §4.5 finding.
 from __future__ import annotations
 
 import functools
+import hashlib
+import logging
 import threading
 from concurrent.futures import Future
 from typing import NamedTuple, Sequence
@@ -40,6 +47,7 @@ from repro.llm.calibration import (
 )
 from repro.llm.corruption import (
     CorruptionOp,
+    apply_ops,
     build_ops,
     shuffle_within_bands,
 )
@@ -54,6 +62,49 @@ from repro.llm.types import (
 )
 from repro.metrics.kernels import CompiledReference, compile_reference
 from repro.utils.rng import rng_for
+
+logger = logging.getLogger(__name__)
+
+
+@functools.cache
+def _op_digest(op: CorruptionOp) -> bytes | None:
+    """sha256 of an operator's full identity; ``None`` when it has none.
+
+    An operator is its kind, band, and the module-level function its
+    ``apply`` binds with its arguments.  ``describe`` is not hashed: it
+    is lossy (a comment's text is absent, fractions are rounded).  An
+    ``apply`` that is not a ``functools.partial`` over a module-level
+    function (a lambda, a closure) carries state no repr shows, so it
+    has no identity and its cell is always calibrated.
+    """
+    apply = op.apply
+    if not isinstance(apply, functools.partial):
+        return None
+    func = apply.func
+    qualname = getattr(func, "__qualname__", "<unknown>")
+    if "<" in qualname:
+        return None
+    identity = (op.kind, op.band, func.__module__, qualname, apply.args,
+                sorted(apply.keywords.items()))
+    return hashlib.sha256(repr(identity).encode("utf-8")).digest()
+
+
+def cell_fingerprint(reference: str, ops: Sequence[CorruptionOp], target: float) -> str | None:
+    """Hex sha256 of everything a cell's calibrated depth depends on.
+
+    The reference text, ``repr(target)`` and each operator's identity in
+    order (:func:`_op_digest`); ``None`` when an operator has no
+    identity.
+    """
+    digest = hashlib.sha256()
+    digest.update(reference.encode("utf-8", "surrogatepass"))
+    digest.update(b"\0" + repr(target).encode("ascii") + b"\0")
+    for op in ops:
+        op_digest = _op_digest(op)
+        if op_digest is None:
+            return None
+        digest.update(op_digest)
+    return digest.hexdigest()
 
 
 class CalibratedCell(NamedTuple):
@@ -177,10 +228,12 @@ class SimulatedModel:
             seed_labels=(self.name, key),
         )
 
-    def _calibrate_cell(self, intent: Intent, key: tuple) -> CalibratedCell:
+    def calibration_inputs(
+        self, intent: Intent
+    ) -> tuple[str, list[CorruptionOp], float, str | None]:
+        """(reference, ops, target, fingerprint) of a cell's calibration."""
         reference = self.reference_for(intent)
-        compiled = compile_reference(reference)
-        ops = self._cell_ops(intent, key)
+        ops = self._cell_ops(intent, self._cell_key(intent))
         target = self.profile.target_for(
             intent.experiment, intent.cell_system, intent.variant, intent.fewshot
         )
@@ -190,6 +243,26 @@ class SimulatedModel:
                 intent.experiment, intent.cell_system, intent.variant, True
             )
             target = (target + few) / 2.0
+        return reference, ops, target, cell_fingerprint(reference, ops, target)
+
+    def _calibrate_cell(self, intent: Intent, key: tuple) -> CalibratedCell:
+        # the table loads with the first cell, not with the package
+        from repro.llm.calibrated import CALIBRATED
+
+        reference, ops, target, fingerprint = self.calibration_inputs(intent)
+        compiled = compile_reference(reference)
+        row = CALIBRATED.get((self.name, key))
+        if row is not None:
+            if fingerprint is not None and row[0] == fingerprint:
+                # the table's depth is this cell's scan result: no curve
+                calib = CalibrationResult(row[1], row[2], target)
+                return CalibratedCell(ops, calib, apply_ops(reference, ops, calib.k),
+                                      compiled)
+            logger.warning(
+                "%s cell %r: calibration table row does not match the cell "
+                "(stale table or changed profile). Recalibrating.",
+                self.name, key,
+            )
         curve = QualityCurve(reference, ops, compiled=compiled)
         result = calibrate(reference, ops, target, curve=curve)
         # the cell is cached for the process lifetime but only the

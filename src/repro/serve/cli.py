@@ -23,10 +23,11 @@ over or back off), finishes what is in flight (bounded by
 ``--drain-grace`` seconds), then cuts the remaining connections, waits
 for their handlers and closes the shard stores, which snapshots every
 shard index.  A boot that fails (a port in use, a non-socket file at
-the ``--unix`` path) closes whatever it opened the same way.  On
-the way out the unix socket path and the ready file are removed, so a
-restart on the same paths starts clean.  ``--max-inflight N`` arms the
-same admission gate against overload during normal operation.
+the ``--unix`` path) prints ``error: …``, exits 2 and closes whatever
+it opened the same way.  On the way out the unix socket path and the
+ready file are removed, so a restart on the same paths starts clean.
+``--max-inflight N`` arms the same admission gate against overload
+during normal operation.
 
 ``python -m repro.serve sync …`` is replica reconciliation — see
 :mod:`repro.serve.sync`.
@@ -127,6 +128,16 @@ def _parse_tcp(value: str) -> tuple[str, int]:
 
 
 @contextlib.contextmanager
+def _bind_errors(endpoint: str) -> Iterator[None]:
+    """Report a listener that cannot bind (a port in use, say) as an
+    error the CLI prints, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ReproError(f"cannot listen on {endpoint}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
 def _signal_wakeup(signals: tuple[int, ...]) -> Iterator[socket.socket]:
     """A socket that turns readable once one of ``signals`` arrives.
 
@@ -166,11 +177,14 @@ def _serve(args: argparse.Namespace) -> int:
         try:
             endpoints: dict[str, Any] = {"shards": server.n_shards}
             if args.tcp:
-                host, port = server.start_tcp(*_parse_tcp(args.tcp))
+                host, port = _parse_tcp(args.tcp)
+                with _bind_errors(f"tcp://{host}:{port}"):
+                    host, port = server.start_tcp(host, port)
                 endpoints["tcp"] = [host, port]
                 print(f"listening on tcp://{host}:{port}", flush=True)
             if args.unix:
-                path = server.start_unix(args.unix)
+                with _bind_errors(f"unix://{args.unix}"):
+                    path = server.start_unix(args.unix)
                 made.append(pathlib.Path(path))
                 endpoints["unix"] = path
                 print(f"listening on unix://{path}", flush=True)

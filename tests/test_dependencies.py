@@ -90,6 +90,24 @@ def test_cold_entry_modules_load_no_event_loop_or_store_layers():
     assert _loaded(imports, unused) == []
 
 
+def test_calibration_table_loads_on_the_first_generation_only():
+    """The shipped depth table is imported by the first calibrated cell,
+    so importing the package or planning a storeless sweep does not pay
+    for it."""
+    table = ("repro.llm.calibrated",)
+    imports = (
+        "import repro.llm, repro.llm.simulated; "
+        "import repro.core.experiments, repro.reporting, repro.runtime; "
+        "from repro.runtime import Plan, RunConfig; "
+        "from repro.core.experiments import configuration_task; "
+        "Plan('p').add_eval(configuration_task('adios2'), 'sim/o3', epochs=1)"
+    )
+    assert _loaded(imports, table) == []
+    generate = "; ".join([imports, "from repro.llm import get_model",
+                          "get_model('sim/o3').generate('Write the ADIOS2 configuration file.')"])
+    assert _loaded(generate, table) == list(table)
+
+
 def test_thread_executor_sweep_loads_no_event_loop():
     sweep = (
         "from repro.core.experiments import run_configuration; "

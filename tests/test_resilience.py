@@ -9,8 +9,11 @@ the sweeps riding on top stay bit-identical throughout.
 
 from __future__ import annotations
 
+import os
 import pathlib
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -43,6 +46,9 @@ FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, max_delay=0.05)
 
 #: breaker knobs for tests that exercise trip-and-rejoin without sleeping long
 FAST_BREAKER = dict(min_samples=2, failure_threshold=0.5, open_for_s=0.2)
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def make_generation(i: int = 0) -> Generation:
@@ -566,3 +572,19 @@ class TestUnixSocketHygiene:
         # the stores were closed, which snapshots every shard index
         for shard in range(2):
             assert (root / f"shard-{shard:02d}" / "index.json").exists()
+
+    def test_port_in_use_exits_2_without_a_traceback(self, tmp_path):
+        held = socket.create_server(("127.0.0.1", 0))
+        try:
+            port = held.getsockname()[1]
+            env = {**os.environ, "PYTHONPATH": str(SRC)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.serve", "--root", str(tmp_path / "srv"),
+                 "--tcp", f"127.0.0.1:{port}"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+        finally:
+            held.close()
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: cannot listen on tcp://127.0.0.1:{port}" in proc.stderr
+        assert "Traceback" not in proc.stderr
